@@ -25,10 +25,10 @@ Users are 1-based; demand entries are 1-based file indices.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import IO, Iterable, Sequence
+from functools import cached_property
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class FileLibrary:
     """N files of B bits each, split for a K-user cache of order t = K*mu.
 
     The split is positional: subfiles follow the lexicographic order of the
-    t-subsets of [K], each of length B / C(K, t) bits.
+    t-subsets of [K], each of length B / C(K, t) bits.  Subfile views and the
+    placement are built on first use and live as long as the library, so
+    everything that shares one library shares them.
     """
 
     num_users: int
@@ -86,12 +88,31 @@ class FileLibrary:
     def subfile_subsets(self) -> list[Group]:
         return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]
 
+    @cached_property
+    def _subfile_views(self) -> dict[Group, tuple[Bits, ...]]:
+        """{t-subset: its subfile of every file}, as views into the files."""
+        size = self.subfile_bits
+        return {
+            subset: tuple(f[pos * size : (pos + 1) * size] for f in self.files)
+            for pos, subset in enumerate(self.subfile_subsets())
+        }
+
+    @cached_property
+    def caches(self) -> tuple[CacheContents, ...]:
+        """The demand-agnostic placement of this library, computed once."""
+        return place_caches(self)
+
     def subfile(self, file_index: int, subset: Group) -> Bits:
         """Subfile of file `file_index` (1-based) indexed by user subset."""
-        subsets = self.subfile_subsets()
-        pos = subsets.index(tuple(sorted(subset)))
-        size = self.subfile_bits
-        return self.files[file_index - 1][pos * size : (pos + 1) * size]
+        try:
+            views = self._subfile_views[subset]
+        except (KeyError, TypeError):  # unsorted, or not a tuple
+            views = self._subfile_views.get(tuple(sorted(subset)))
+            if views is None:
+                raise ValueError(
+                    f"{subset!r} is not a {self.split_order}-subset of users 1..{self.num_users}"
+                ) from None
+        return views[file_index - 1]
 
 
 def random_library(
@@ -101,14 +122,20 @@ def random_library(
     file_bits: int | None = None,
     seed: int = 0,
 ) -> FileLibrary:
-    """Seeded pseudo-random library; default size is 8 bits per subfile."""
+    """Seeded pseudo-random library; default size is 8 bits per subfile.
+
+    The files are read-only, so a library shared by many verifications cannot
+    be changed by any of them.
+    """
     if file_bits is None:
         file_bits = 8 * binom(num_users, split_order)
     rng = np.random.default_rng(seed)
-    files = tuple(
-        rng.integers(0, 2, size=file_bits, dtype=np.uint8) for _ in range(num_files)
-    )
-    return FileLibrary(num_users=num_users, split_order=split_order, files=files)
+    files = []
+    for _ in range(num_files):
+        bits = rng.integers(0, 2, size=file_bits, dtype=np.uint8)
+        bits.setflags(write=False)
+        files.append(bits)
+    return FileLibrary(num_users=num_users, split_order=split_order, files=tuple(files))
 
 
 @dataclass(frozen=True)
@@ -137,11 +164,12 @@ class CacheContents:
 def place_caches(library: FileLibrary) -> tuple[CacheContents, ...]:
     """Demand-agnostic placement: user k stores every subfile indexed by k."""
     caches = []
+    subsets = library.subfile_subsets()
     for user in range(1, library.num_users + 1):
         stored = {
             (n, subset): library.subfile(n, subset)
             for n in range(1, library.num_files + 1)
-            for subset in library.subfile_subsets()
+            for subset in subsets
             if user in subset
         }
         caches.append(
@@ -181,9 +209,9 @@ class MulticastPayload:
 
 
 def _xor_payload(d: Sequence[int], library: FileLibrary, group: Group) -> Bits:
-    acc = np.zeros(library.subfile_bits, dtype=np.uint8)
-    for member in group:
-        acc ^= library.subfile(d[member - 1], tuple(u for u in group if u != member))
+    acc = library.subfile(d[group[0] - 1], group[1:]).copy()
+    for i in range(1, len(group)):
+        acc ^= library.subfile(d[group[i] - 1], group[:i] + group[i + 1 :])
     return acc
 
 
@@ -288,9 +316,9 @@ def decode_file(
                 f"payload for group {group} is required by user {user} but missing"
             )
         piece = coded.copy()
-        for other in subset:
-            peer_index = tuple(sorted(set(group) - {other}))
-            piece ^= cache.subfiles[(d[other - 1], peer_index)]
+        for i, other in enumerate(group):
+            if other != user:
+                piece ^= cache.subfiles[(d[other - 1], group[:i] + group[i + 1 :])]
         parts.append(piece)
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
@@ -303,14 +331,28 @@ def end_to_end_verify(
     d: Sequence[int] | None = None,
     seed: int = 0,
     corrupt_payload: int | None = None,
+    *,
+    library: FileLibrary | None = None,
 ) -> bool:
     """Place, encode, decode every user; True iff all decodes are bit-exact.
 
     `corrupt_payload` flips one bit of the given payload index before
-    decoding, for exercising failure detection.
+    decoding, for exercising failure detection.  `library` replaces the
+    seeded `random_library` draw; it must have the given shape.  Only its
+    demand-independent work (bits, subfile views, placement) is reused:
+    encoding and every decode run afresh for `d`.
     """
-    library = random_library(num_files, num_users, split_order, file_bits, seed)
-    caches = place_caches(library)
+    if library is None:
+        library = random_library(num_files, num_users, split_order, file_bits, seed)
+    elif (library.num_users, library.num_files, library.split_order) != (
+        num_users, num_files, split_order
+    ) or file_bits not in (None, library.file_bits):
+        raise ValueError(
+            f"library (K, N, t, B) = ({library.num_users}, {library.num_files}, "
+            f"{library.split_order}, {library.file_bits}) does not match "
+            f"({num_users}, {num_files}, {split_order}, {file_bits})"
+        )
+    caches = library.caches
     if d is None:
         d = tuple(1 + (k % num_files) for k in range(num_users))
     if len(d) != num_users or not all(1 <= v <= num_files for v in d):
@@ -339,13 +381,18 @@ def sweep_demands(
     seed: int = 0,
     demands: Iterable[Sequence[int]] | None = None,
 ):
-    """Yield a pass/fail record per demand tuple (all N^K tuples by default)."""
-    from itertools import product
+    """Yield a pass/fail record per demand tuple (all N^K tuples by default).
 
+    The library and its placement are built once for the sweep; every tuple
+    is still verified end to end by `end_to_end_verify`.
+    """
     if demands is None:
         demands = product(range(1, num_files + 1), repeat=num_users)
+    library = random_library(num_files, num_users, split_order, file_bits, seed)
     for d in demands:
-        ok = end_to_end_verify(num_users, num_files, split_order, file_bits, tuple(d), seed)
+        ok = end_to_end_verify(
+            num_users, num_files, split_order, file_bits, tuple(d), seed, library=library
+        )
         yield {
             "K": num_users,
             "N": num_files,
@@ -354,12 +401,3 @@ def sweep_demands(
             "seed": seed,
             "pass": ok,
         }
-
-
-def write_verification_records(records, stream: IO[str]) -> int:
-    """Emit line-delimited JSON records; returns the number of failures."""
-    failures = 0
-    for record in records:
-        failures += 0 if record["pass"] else 1
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-    return failures

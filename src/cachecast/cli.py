@@ -234,34 +234,42 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _verify_caching(args, records_out) -> tuple[int, int]:
-    checked = failures = 0
+def _caching_sweeps(args) -> list:
+    """The lazy record streams of the caching stage, one per (K, N, t)."""
     seed = int(args.seed or 0)
     file_bits = int(args.B) if getattr(args, "B", None) else None
     if getattr(args, "K", None) and getattr(args, "N", None):
         # one explicit configuration, optionally a single demand tuple
         K, N = int(args.K), int(args.N)
         if args.mu is not None:
-            budget = int(K * Fraction(str(args.mu)))
-            splits = [budget]
+            budget = K * Fraction(str(args.mu))
+            if budget.denominator != 1:
+                raise ValueError(
+                    f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
+                    "the subfile scheme needs an integer cache budget"
+                )
+            splits = [int(budget)]
         else:
             splits = list(range(0, K + 1))
         demands = None
         if getattr(args, "d", None):
             demands = [tuple(int(v) for v in str(args.d).split(","))]
-        sweeps = [
+        return [
             caching.sweep_demands(K, N, split, file_bits, seed=seed, demands=demands)
             for split in splits
         ]
-    else:
-        max_k = int(args.max_K or 4)
-        max_n = int(args.max_N or 4)
-        sweeps = [
-            caching.sweep_demands(K, N, split, file_bits, seed=seed)
-            for K in range(1, max_k + 1)
-            for N in range(1, max_n + 1)
-            for split in range(0, K + 1)
-        ]
+    max_k = int(args.max_K or 4)
+    max_n = int(args.max_N or 4)
+    return [
+        caching.sweep_demands(K, N, split, file_bits, seed=seed)
+        for K in range(1, max_k + 1)
+        for N in range(1, max_n + 1)
+        for split in range(0, K + 1)
+    ]
+
+
+def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
+    checked = failures = 0
     for records in sweeps:
         for record in records:
             checked += 1
@@ -269,6 +277,7 @@ def _verify_caching(args, records_out) -> tuple[int, int]:
             records_out.write(json.dumps(record, sort_keys=True) + "\n")
     if args.inject_fault:
         # one bit flipped in one payload: the sweep must report the failure
+        seed = int(args.seed or 0)
         ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=seed, corrupt_payload=0)
         checked += 1
         failures += 0 if ok else 1
@@ -282,11 +291,10 @@ def _verify_caching(args, records_out) -> tuple[int, int]:
     return checked, failures
 
 
-def _verify_region_equality(args) -> tuple[int, int]:
+def _verify_region_equality(args, trials: int) -> tuple[int, int]:
     """Certify that eliminating the power exponents reproduces the region."""
     rng = np.random.default_rng(int(args.seed or 0))
     checked = failures = 0
-    trials = int(args.region_trials or 3)
     for K in (2, 3, 4):
         for sigma in range(2, K + 1):
             for _ in range(trials):
@@ -303,13 +311,20 @@ def _verify_region_equality(args) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    trials = 3 if args.region_trials is None else int(args.region_trials)
+    if trials < 1:
+        raise ValueError(
+            f"--region-trials must be at least 1, got {trials}; "
+            "a certification over no trials would pass vacuously"
+        )
+    sweeps = _caching_sweeps(args)
     out = _open_out(args)
     try:
-        cache_checked, cache_failed = _verify_caching(args, out)
+        cache_checked, cache_failed = _verify_caching(args, sweeps, out)
     finally:
         if out is not sys.stdout:
             out.close()
-    region_checked, region_failed = _verify_region_equality(args)
+    region_checked, region_failed = _verify_region_equality(args, trials)
     summary = {
         "caching": {"checked": cache_checked, "failed": cache_failed},
         "region_equality": {"checked": region_checked, "failed": region_failed},

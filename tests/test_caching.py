@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cachecast import caching
 from cachecast.caching import (
     FileLibrary,
     MissingPayloadError,
@@ -44,6 +45,21 @@ class TestLibrary:
             chunks = [lib.subfile(n, s) for s in lib.subfile_subsets()]
             assert np.array_equal(np.concatenate(chunks), lib.files[n - 1])
 
+    def test_subfile_lookup_ignores_order_and_rejects_other_subsets(self):
+        lib = random_library(2, 4, 2, seed=3)
+        assert np.array_equal(lib.subfile(2, (4, 1)), lib.subfile(2, (1, 4)))
+        assert np.array_equal(lib.subfile(2, [3, 2]), lib.subfile(2, (2, 3)))
+        for bad in ((1,), (1, 2, 3), (1, 5)):
+            with pytest.raises(ValueError):
+                lib.subfile(1, bad)
+
+    def test_random_library_is_read_only(self):
+        lib = random_library(2, 3, 1, seed=3)
+        with pytest.raises(ValueError):
+            lib.files[0][0] ^= 1
+        with pytest.raises(ValueError):
+            lib.subfile(1, (2,))[0] ^= 1
+
 
 class TestPlacement:
     def test_empty_caches_without_budget(self):
@@ -71,6 +87,11 @@ class TestPlacement:
         lib = random_library(2, 4, 2, seed=5)
         for cache in place_caches(lib):
             assert all(cache.user in subset for (_, subset) in cache.subfiles)
+
+    def test_library_places_once(self):
+        lib = random_library(3, 3, 1, seed=9)
+        assert lib.caches is lib.caches
+        assert [c.digest() for c in lib.caches] == [c.digest() for c in place_caches(lib)]
 
     def test_placement_is_demand_independent(self):
         lib = random_library(3, 3, 1, seed=9)
@@ -288,3 +309,47 @@ class TestEndToEnd:
         assert len(records) == 4
         assert all(r["pass"] for r in records)
         assert records[0]["K"] == 2 and records[0]["Kmu"] == 1
+
+    def test_sweep_builds_and_places_one_library(self, monkeypatch):
+        calls = {"random_library": 0, "place_caches": 0, "end_to_end_verify": 0}
+        for name in calls:
+            original = getattr(caching, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(caching, name, counted)
+        records = list(sweep_demands(3, 2, 1, seed=4))
+        assert len(records) == 8 and all(r["pass"] for r in records)
+        assert calls == {"random_library": 1, "place_caches": 1, "end_to_end_verify": 8}
+
+    def test_shared_library_survives_a_corrupted_call(self):
+        lib = random_library(3, 4, 1, seed=2)
+        d = (1, 2, 3, 1)
+        assert not end_to_end_verify(4, 3, 1, d=d, corrupt_payload=2, library=lib)
+        assert end_to_end_verify(4, 3, 1, d=d, library=lib)
+
+    def test_shared_library_must_match_shape(self):
+        lib = random_library(3, 4, 1, seed=2)
+        for shape in ((4, 2, 1), (4, 3, 2), (3, 3, 1)):
+            with pytest.raises(ValueError):
+                end_to_end_verify(*shape, d=(1,) * shape[0], library=lib)
+        with pytest.raises(ValueError):
+            end_to_end_verify(4, 3, 1, file_bits=lib.file_bits * 2, library=lib)
+
+    @pytest.mark.parametrize("num_users,num_files", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_every_corrupted_payload_fails(self, num_users, num_files):
+        """A flipped bit in any payload is caught, on the leader path and on
+        the reconstruction path (repeated demands, N < K)."""
+        cyclic = tuple(1 + k % num_files for k in range(num_users))
+        demands = [cyclic, (1,) * num_users, (1,) * (num_users - 1) + (num_files,)]
+        for split in range(num_users):
+            shape = (num_users, num_files, split)
+            lib = random_library(num_files, num_users, split, seed=31)
+            for d in demands:
+                count = len(encode_multicast(d, lib, select_leaders(d)))
+                assert count > 0
+                for index in range(count):
+                    assert not end_to_end_verify(*shape, d=d, seed=31, corrupt_payload=index)
+                    assert not end_to_end_verify(*shape, d=d, corrupt_payload=index, library=lib)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction as F
+
+import pytest
 
 from cachecast.cli import main
 from cachecast.polytope import Polytope
@@ -162,6 +165,44 @@ class TestVerify:
         assert code == 1
         summary = json.loads(out)
         assert summary["caching"]["failed"] == 1
+
+    def test_non_integer_budget_is_usage_error(self, tmp_path, capsys):
+        records = tmp_path / "records.ndjson"
+        code, out, err = run(
+            ["verify", "--K", "4", "--N", "2", "--mu", "1/3", "--out", str(records)], capsys
+        )
+        assert code == 2
+        assert "K*mu = 4/3" in err
+        assert out == "" and not records.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_region_trials_must_be_positive(self, trials, tmp_path, capsys):
+        records = tmp_path / "records.ndjson"
+        code, out, err = run(
+            ["verify", "--max-K", "1", "--max-N", "1", "--region-trials", trials,
+             "--out", str(records)],
+            capsys,
+        )
+        assert code == 2
+        assert "--region-trials" in err
+        assert out == "" and not records.exists()
+
+    @pytest.mark.parametrize(
+        "argv,exit_code,size,digest",
+        [
+            (["--max-K", "4", "--max-N", "4", "--seed", "0"], 0, 160099,
+             "fb9656dc1d2f27b99b8ce7473e222bb5bf6cc3803446861d0cacc7049d5af713"),
+            (["--K", "4", "--N", "3", "--B", "96", "--seed", "5", "--region-trials", "1",
+              "--inject-fault"], 1, 28966,
+             "3f6ff88ef2f88348ee3533e227b1c85375eb7e4020d7b1b7d784d80dc795dda8"),
+        ],
+    )
+    def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):
+        """Records and summary are pinned bit for bit: a faster pipeline must
+        draw the same libraries and reach the same verdicts."""
+        code, out, _ = run(["verify", *argv], capsys)
+        data = out.encode()
+        assert (code, len(data), hashlib.sha256(data).hexdigest()) == (exit_code, size, digest)
 
 
 class TestFiniteSnr:
