@@ -32,9 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import binom
+from .combinatorics import Group, binom
 
-Group = tuple[int, ...]
 Bits = np.ndarray
 
 
@@ -112,6 +111,8 @@ class FileLibrary:
                 raise ValueError(
                     f"{subset!r} is not a {self.split_order}-subset of users 1..{self.num_users}"
                 ) from None
+        if not 0 < file_index <= len(views):
+            raise ValueError(f"file index {file_index!r} is not in 1..{len(views)}")
         return views[file_index - 1]
 
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -93,15 +94,18 @@ def _system_config(args) -> SystemConfig:
     )
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", newline="")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline="") as out:
+        yield out
 
 
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if (args.format or "csv") == "json":
             records = [dict(zip(header, row)) for row in rows]
             out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
@@ -109,9 +113,6 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _mu_values(args) -> list[Fraction]:
@@ -122,50 +123,33 @@ def _mu_values(args) -> list[Fraction]:
     raise ValueError("either --mu or --mu-grid is required")
 
 
-def _tradeoff_columns(config: SystemConfig, r, with_joint: bool):
-    values = {
-        "tau_ub": tradeoff.gndt_ub(config, r),
-        "tau_ms": tradeoff.gndt_memory_sharing(config, r),
-        "tau_lb": tradeoff.gndt_lower_bound(config, r),
-    }
-    if with_joint:
-        values["tau_joint"] = (
-            tradeoff.gndt_joint_two_set(config, r)
-            if not config.integer_budget
-            else values["tau_ub"]
-        )
-    return values
+def cmd_tradeoff(args) -> int:
+    """gndt and sweep-memory: one row of delivery times per mu.
 
-
-def cmd_gndt(args) -> int:
+    sweep-memory adds the joint two-set column; gndt --exact adds p/q columns.
+    """
     r = _parse_list(args.r) if args.r else None
     base = _system_config(args)
-    header = ["mu", "tau_ub", "tau_ms", "tau_lb"]
-    if args.exact:
-        header += ["tau_ub_exact", "tau_ms_exact", "tau_lb_exact"]
+    joint = args.command == "sweep-memory"
+    exact = args.command == "gndt" and args.exact
+    columns = ["tau_ub", "tau_joint", "tau_ms", "tau_lb"] if joint else ["tau_ub", "tau_ms", "tau_lb"]
+    header = ["mu"] + columns + ([f"{c}_exact" for c in columns] if exact else [])
     rows = []
     for mu in _mu_values(args):
         config = SystemConfig(base.num_users, base.num_files, mu, base.alpha, base.power)
-        vals = _tradeoff_columns(config, r, with_joint=False)
-        row = [_fmt(mu), _fmt(vals["tau_ub"]), _fmt(vals["tau_ms"]), _fmt(vals["tau_lb"])]
-        if args.exact:
-            row += [_fmt_exact(vals["tau_ub"]), _fmt_exact(vals["tau_ms"]), _fmt_exact(vals["tau_lb"])]
+        vals = {
+            "tau_ub": tradeoff.gndt_ub(config, r),
+            "tau_ms": tradeoff.gndt_memory_sharing(config, r),
+            "tau_lb": tradeoff.gndt_lower_bound(config, r),
+        }
+        if joint:
+            vals["tau_joint"] = (
+                vals["tau_ub"] if config.integer_budget else tradeoff.gndt_joint_two_set(config, r)
+            )
+        row = [_fmt(mu)] + [_fmt(vals[c]) for c in columns]
+        if exact:
+            row += [_fmt_exact(vals[c]) for c in columns]
         rows.append(row)
-    _emit_table(args, header, rows)
-    return 0
-
-
-def cmd_sweep_memory(args) -> int:
-    r = _parse_list(args.r) if args.r else None
-    base = _system_config(args)
-    header = ["mu", "tau_ub", "tau_joint", "tau_ms", "tau_lb"]
-    rows = []
-    for mu in _mu_values(args):
-        config = SystemConfig(base.num_users, base.num_files, mu, base.alpha, base.power)
-        vals = _tradeoff_columns(config, r, with_joint=True)
-        rows.append(
-            [_fmt(mu), _fmt(vals["tau_ub"]), _fmt(vals["tau_joint"]), _fmt(vals["tau_ms"]), _fmt(vals["tau_lb"])]
-        )
     _emit_table(args, header, rows)
     return 0
 
@@ -195,12 +179,8 @@ def cmd_holes(args) -> int:
         "vertex_checks": checks,
         "all_invariant": all_ok,
     }
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0 if all_ok else VERIFY_ERROR
 
 
@@ -225,12 +205,8 @@ def cmd_region(args) -> int:
         )
     else:
         raise ValueError(f"unknown region kind {args.kind!r}")
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write(poly.to_json() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -318,12 +294,8 @@ def cmd_verify(args) -> int:
             "a certification over no trials would pass vacuously"
         )
     sweeps = _caching_sweeps(args)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         cache_checked, cache_failed = _verify_caching(args, sweeps, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     region_checked, region_failed = _verify_region_equality(args, trials)
     summary = {
         "caching": {"checked": cache_checked, "failed": cache_failed},
@@ -339,6 +311,8 @@ def cmd_finite_snr(args) -> int:
     K = int(args.K)
     sigma = int(args.sigma)
     power = float(args.P if args.P is not None else 2**20)
+    if not 1 < power < math.inf:  # also refuses nan
+        raise ValueError(f"--P must be a finite power above 1, got {args.P}")
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
 
@@ -362,12 +336,8 @@ def cmd_finite_snr(args) -> int:
     writer.writerow(["certificate", "outcome"])
     writer.writerows(cert_rows)
 
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write(buf.getvalue())
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0 if passed == count else VERIFY_ERROR
 
 
@@ -389,20 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="table format")
 
-    p = sub.add_parser("gndt", help="delivery-time curves over a mu grid")
-    common(p)
-    p.add_argument("--mu", help="normalized cache size in [0, 1]")
-    p.add_argument("--mu-grid", dest="mu_grid", help="grid start:end:step")
-    p.add_argument("--r", help="unicast GDoF tuple r1,r2,...")
-    p.add_argument("--exact", action="store_true", help="add exact p/q columns")
-    p.set_defaults(func=cmd_gndt)
-
-    p = sub.add_parser("sweep-memory", help="gndt sweep incl. joint two-set column")
-    common(p)
-    p.add_argument("--mu", help="normalized cache size in [0, 1]")
-    p.add_argument("--mu-grid", dest="mu_grid", help="grid start:end:step")
-    p.add_argument("--r", help="unicast GDoF tuple r1,r2,...")
-    p.set_defaults(func=cmd_sweep_memory)
+    for name, text in (
+        ("gndt", "delivery-time curves over a mu grid"),
+        ("sweep-memory", "gndt sweep incl. joint two-set column"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--mu", help="normalized cache size in [0, 1]")
+        p.add_argument("--mu-grid", dest="mu_grid", help="grid start:end:step")
+        p.add_argument("--r", help="unicast GDoF tuple r1,r2,...")
+        if name == "gndt":
+            p.add_argument("--exact", action="store_true", help="add exact p/q columns")
+        p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("holes", help="no-cost unicast region at minimum delivery time")
     common(p)

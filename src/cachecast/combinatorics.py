@@ -25,6 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .polytope import _frac
+
 Group = tuple[int, ...]
 
 
@@ -108,13 +110,6 @@ def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
     return seq
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        # floats are accepted for convenience but converted exactly
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
-
-
 def lower_convex_envelope(values: Sequence, x) -> Fraction:
     """Lower convex envelope of {(n, values[n]) : n = 0..K}, evaluated at x.
 
@@ -123,8 +118,8 @@ def lower_convex_envelope(values: Sequence, x) -> Fraction:
     point and evaluation reduces to linear interpolation between floor(x)
     and ceil(x).
     """
-    pts = [(Fraction(n), _as_fraction(v)) for n, v in enumerate(values)]
-    xq = _as_fraction(x)
+    pts = [(Fraction(n), _frac(v)) for n, v in enumerate(values)]
+    xq = _frac(x)
     if not pts:
         raise ValueError("envelope needs at least one point")
     if not pts[0][0] <= xq <= pts[-1][0]:
@@ -152,6 +147,6 @@ def is_convex_sequence(values: Sequence) -> bool:
     """True iff successive differences of the sequence are nondecreasing."""
     if len(values) < 3:
         raise ValueError("convexity of a sequence needs at least 3 points")
-    vals = [_as_fraction(v) for v in values]
+    vals = [_frac(v) for v in values]
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     return all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))

@@ -25,9 +25,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .combinatorics import enumerate_groups, lower_convex_envelope, multicast_load_sequence
-from .regions import group_name, unicast_name, validate_power_exponents
-from .tradeoff import SystemConfig
+from .combinatorics import enumerate_groups
+from .regions import build_region, group_name, unicast_name, validate_power_exponents
+from .tradeoff import SystemConfig, prefix_loads
 
 TOL = 1e-9
 GAP_BITS = 2.0
@@ -66,13 +66,6 @@ def _strengths(alpha: Sequence) -> np.ndarray:
     return vals
 
 
-def _message_names(num_users: int, group_size: int) -> tuple[list[str], list]:
-    groups = enumerate_groups(num_users, group_size)
-    names = [unicast_name(k) for k in range(1, num_users + 1)]
-    names += [group_name(g) for g in groups]
-    return names, groups
-
-
 def beta_rate_region_rows(
     num_users: int, group_size: int, power: float, beta: Sequence, alpha: Sequence
 ) -> RateRegion:
@@ -83,7 +76,8 @@ def beta_rate_region_rows(
     """
     betas = [float(b) for b in validate_power_exponents(beta, alpha)]
     alphas = _strengths(alpha)
-    names, groups = _message_names(num_users, group_size)
+    groups = enumerate_groups(num_users, group_size)
+    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
     levels = betas + [float(alphas[-1])]
     degenerate = power <= 1
     log_p = math.log2(power) if not degenerate else 0.0
@@ -109,24 +103,19 @@ def beta_rate_region_rows(
 def inner_rate_region(
     num_users: int, group_size: int, alpha: Sequence, power: float
 ) -> RateRegion:
-    """Explicit achievable region: cumulative rows with rhs (a_k log2 P - k)^+."""
-    alphas = _strengths(alpha)
-    names, groups = _message_names(num_users, group_size)
+    """Explicit achievable region: cumulative rows with rhs (a_k log2 P - k)^+.
+
+    Variables and 0/1 coefficients are those of the exact GDoF region
+    `regions.build_region`, whose row k has rhs alpha_k; only that rhs turns
+    into a float here.
+    """
+    exact = build_region(num_users, group_size, alpha)
     degenerate = power <= 1
     log_p = math.log2(power) if not degenerate else 0.0
-    coeffs = []
-    rhs = []
-    for k in range(1, num_users + 1):
-        row = np.zeros(len(names))
-        row[:k] = 1.0
-        for gi, g in enumerate(groups):
-            if min(g) <= k:
-                row[num_users + gi] = 1.0
-        coeffs.append(row)
-        rhs.append(max(0.0, alphas[k - 1] * log_p - k) if not degenerate else 0.0)
+    rhs = [max(0.0, float(a) * log_p - k) for k, (_, a) in enumerate(exact.rows, start=1)]
     return RateRegion(
-        variables=tuple(names),
-        coeffs=np.array(coeffs),
+        variables=exact.variables,
+        coeffs=np.array([coeffs for coeffs, _ in exact.rows], dtype=float),
         rhs=np.array(rhs),
         degenerate=degenerate,
     )
@@ -195,16 +184,12 @@ def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
     names = [unicast_name(k) for k in range(1, K + 1)]
     coeffs = []
     rhs = []
-    for k in range(1, K + 1):
-        served = min(k, config.num_files)
-        load = float(
-            lower_convex_envelope(multicast_load_sequence(K, served), config.cache_budget)
-        )
+    for k, load in enumerate(prefix_loads(config), start=1):
         row = np.zeros(K)
         row[:k] = 1.0
         coeffs.append(row)
         base = max(0.0, alphas[k - 1] * log_p - k) if not degenerate else 0.0
-        rhs.append(base - load / delay)
+        rhs.append(base - float(load) / delay)
     return RateRegion(
         variables=tuple(names),
         coeffs=np.array(coeffs),
@@ -230,14 +215,9 @@ def delay_rate_gap_certificate(
         raise ValueError("certificate point must lie on the delay-rate boundary")
     alphas = _strengths(config.alpha)
     log_p = math.log2(config.power)
-    K = config.num_users
     shifted = point + GAP_BITS
-    for k in range(1, K + 1):
-        served = min(k, config.num_files)
-        load = float(
-            lower_convex_envelope(multicast_load_sequence(K, served), config.cache_budget)
-        )
-        lhs = float(np.sum(shifted[:k])) + load / delay
+    for k, load in enumerate(prefix_loads(config), start=1):
+        lhs = float(np.sum(shifted[:k])) + float(load) / delay
         if lhs > alphas[k - 1] * log_p + 1.0 - TOL:
             return True
     return False

@@ -27,8 +27,9 @@ Row = tuple[tuple[Fraction, ...], Fraction]
 
 
 def _frac(x) -> Fraction:
+    """x as an exact Fraction; a float is refused, never rounded."""
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a string such as '1/10'")
     return Fraction(x)
 
 

@@ -9,8 +9,10 @@ channel.  With c_n(k) the coded load useful to the weakest min(k, N) users
     tau_ub(r) = max_k  env_k(K*mu) / (alpha_k - r_1 - ... - r_k)^+,
 
 where env_k is the lower convex envelope of n -> c_n(k), evaluated at the
-(possibly fractional) budget K*mu.  Three relatives matter and are kept as
-separate code paths:
+(possibly fractional) budget K*mu.  `prefix_loads` is the one place env_k is
+computed: the achievable time, the converse, the inner GDoF region and the
+finite-SNR delay-rate rows all read their per-prefix loads from it.  Three
+relatives matter and are kept as separate code paths:
 
 * the integer-budget form, with no envelope at all;
 * naive memory sharing, which takes the envelope AFTER the max over k and is
@@ -112,18 +114,24 @@ def _ratio(load: Fraction, gap: Fraction):
     return load / gap
 
 
+def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
+    """env_k(K*mu) for every user prefix k = 1..K.
+
+    A prefix longer than N serves the same N users as prefix N, so only
+    min(K, N) envelopes are built and the last one is repeated.
+    """
+    K, budget = config.num_users, config.cache_budget
+    loads = [
+        lower_convex_envelope(multicast_load_sequence(K, served), budget)
+        for served in range(1, min(K, config.num_files) + 1)
+    ]
+    return tuple(loads) + (loads[-1],) * (K - len(loads))
+
+
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    budget = config.cache_budget
     gaps = _gaps(config, r)
-    best = ZERO
-    for k in range(1, config.num_users + 1):
-        served = min(k, config.num_files)
-        load = lower_convex_envelope(
-            multicast_load_sequence(config.num_users, served), budget
-        )
-        best = max(best, _ratio(load, gaps[k - 1]))
-    return best
+    return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
 def gndt_ub_integer(config: SystemConfig, r: Sequence | None = None):
@@ -197,17 +205,10 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     Structurally the max equals `gndt_ub` / 2.01, but the value is built from
     the per-prefix rows, not by dividing.
     """
-    budget = config.cache_budget
     gaps = _gaps(config, r)
-    best = ZERO
-    for s in range(1, config.num_users + 1):
-        served = min(s, config.num_files)
-        load = lower_convex_envelope(
-            multicast_load_sequence(config.num_users, served), budget
-        )
-        per_prefix = _ratio(load / CONVERSE_FACTOR, gaps[s - 1])
-        best = max(best, per_prefix)
-    return best
+    return max(
+        _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
+    )
 
 
 def bottleneck_user(config: SystemConfig) -> int:
@@ -272,15 +273,10 @@ def gdof_region_inner(tau, config: SystemConfig) -> Polytope:
     tau = _frac(tau)
     if tau <= 0:
         raise ValueError(f"delivery time must be positive, got {tau}")
-    budget = config.cache_budget
     K = config.num_users
     names = [unicast_name(k) for k in range(1, K + 1)]
     rows = []
-    for k in range(1, K + 1):
-        served = min(k, config.num_files)
-        load = lower_convex_envelope(
-            multicast_load_sequence(K, served), budget
-        )
+    for k, load in enumerate(prefix_loads(config), start=1):
         coeffs = [ONE if i < k else ZERO for i in range(K)]
         rows.append((coeffs, config.alpha[k - 1] - load / tau))
     return Polytope.build(names, rows)

@@ -53,6 +53,13 @@ class TestLibrary:
             with pytest.raises(ValueError):
                 lib.subfile(1, bad)
 
+    @pytest.mark.parametrize("index", [0, -1, 3])
+    def test_subfile_rejects_file_index_outside_library(self, index):
+        # 0 and -1 would otherwise index from the end and return the last file
+        lib = random_library(2, 3, 1)
+        with pytest.raises(ValueError, match=f"file index {index} is not in 1..2"):
+            lib.subfile(index, (1,))
+
     def test_random_library_is_read_only(self):
         lib = random_library(2, 3, 1, seed=3)
         with pytest.raises(ValueError):

@@ -81,6 +81,16 @@ class TestGndt:
 
 
 class TestSweepMemory:
+    def test_config_exact_adds_no_columns(self, tmp_path, capsys):
+        # --exact belongs to gndt; a config file value must not reach sweep-memory
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exact": True}))
+        code, out, _ = run(
+            ["sweep-memory", *FIG3, "--mu", "0.25", "--config", str(config)], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "mu,tau_ub,tau_joint,tau_ms,tau_lb"
+
     def test_joint_column_present(self, capsys):
         code, out, _ = run(
             ["sweep-memory", *FIG3, "--mu-grid", "0:0.5:0.125"], capsys
@@ -190,17 +200,36 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv,exit_code,size,digest",
         [
-            (["--max-K", "4", "--max-N", "4", "--seed", "0"], 0, 160099,
+            (["verify", "--max-K", "4", "--max-N", "4", "--seed", "0"], 0, 160099,
              "fb9656dc1d2f27b99b8ce7473e222bb5bf6cc3803446861d0cacc7049d5af713"),
-            (["--K", "4", "--N", "3", "--B", "96", "--seed", "5", "--region-trials", "1",
+            (["verify", "--K", "4", "--N", "3", "--B", "96", "--seed", "5", "--region-trials", "1",
               "--inject-fault"], 1, 28966,
              "3f6ff88ef2f88348ee3533e227b1c85375eb7e4020d7b1b7d784d80dc795dda8"),
+            (["gndt", *FIG3, "--mu-grid", "0:1:0.05", "--exact"], 0, 1337,
+             "50de7519062e199f9744e2a5c7df3b10c55fbbb71bb03838552cafb42d0be557"),
+            (["sweep-memory", *FIG3, "--mu-grid", "0:1:0.01"], 0, 5745,
+             "8fb91bb938f3fb7098772cc60ff533e268280025a70d77842ec6b3833324cff5"),
+            (["gndt", "--K", "6", "--N", "3", "--alpha", "1/5,3/10,1/2,3/5,4/5,1", "--mu", "1/4",
+              "--r", "1/20,0,1/30,0,1/10,0", "--format", "json"], 0, 122,
+             "92c870488c06b31b26d28686b087c2fe2376bb32e495e31a100c323a0fa297b1"),
+            (["sweep-memory", "--K", "5", "--N", "7", "--alpha", "1/4,2/5,1/2,3/4,1",
+              "--mu-grid", "0:1:1/15", "--r", "0,1/50,0,1/25,0"], 0, 903,
+             "efe26887b64865b49e6d9c415d3dc4ba3574aaecace7811796005ff7de87f517"),
+            (["holes", *FIG3, "--mu", "1/4"], 0, 1934,
+             "7aa41b7265b8fba8b3dc41a8131e326880a953055d59cc75ae4af190d9f01f2d"),
+            (["region", "--K", "4", "--sigma", "2", "--alpha", "0.45,0.65,0.85,1",
+              "--kind", "missing", "--leaders", "1,3"], 0, 1354,
+             "839d998b7f45fa5029ad07238a4ab5b23a2238961e75e31b98ed5f2eafc520ff"),
+            (["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "2/5,9/10,1",
+              "--P", "1048576", "--certificates", "10", "--seed", "3"], 0, 410,
+             "eda36e4401f42761bab56bbab3d97821413415315efb9d1de7298af6d335f4a2"),
         ],
     )
     def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):
-        """Records and summary are pinned bit for bit: a faster pipeline must
-        draw the same libraries and reach the same verdicts."""
-        code, out, _ = run(["verify", *argv], capsys)
+        """Stdout of every subcommand is pinned bit for bit: a faster or
+        smaller code path must draw the same libraries, reach the same
+        verdicts and print the same numbers."""
+        code, out, _ = run(argv, capsys)
         data = out.encode()
         assert (code, len(data), hashlib.sha256(data).hexdigest()) == (exit_code, size, digest)
 
@@ -220,3 +249,22 @@ class TestFiniteSnr:
         cert_lines = [l for l in lines if l.startswith("certificate_")]
         assert len(cert_lines) == 5
         assert all(l.endswith(",pass") for l in cert_lines)
+
+    @pytest.mark.parametrize("power", ["1", "0.5", "nan", "inf"])
+    def test_power_it_cannot_honour_is_usage_error(self, power, tmp_path, capsys):
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run(
+            ["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "0.5,1", "--P", power,
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "--P must be a finite power above 1" in err
+        assert out == "" and not out_file.exists()
+
+    def test_group_size_one_is_usage_error(self, capsys):
+        code, out, err = run(
+            ["finite-snr", "--K", "2", "--sigma", "1", "--alpha", "0.5,1"], capsys
+        )
+        assert code == 2
+        assert "group size" in err and out == ""

@@ -136,6 +136,12 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             lower_convex_envelope([1, 2], -1)
 
+    def test_float_is_refused_not_rounded(self):
+        with pytest.raises(TypeError):
+            lower_convex_envelope([0, 1, 2], 0.5)
+        with pytest.raises(TypeError):
+            lower_convex_envelope([0, 0.1, 2], 1)
+
     @given(
         values=st.lists(st.integers(0, 40), min_size=2, max_size=9),
         num=st.integers(0, 200),

@@ -25,6 +25,13 @@ def test_contains_and_nonnegativity():
     assert not p.contains({"x": -1, "y": 0})
 
 
+def test_build_refuses_float_coefficient():
+    with pytest.raises(TypeError):
+        Polytope.build(["x", "y"], [((1, 0.1), 1)])
+    with pytest.raises(TypeError):
+        Polytope.build(["x", "y"], [((1, 0), 0.1)])
+
+
 def test_mapping_requires_all_coordinates():
     with pytest.raises(ValueError):
         box().contains({"x": 0})

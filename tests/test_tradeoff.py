@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachecast.combinatorics import binom
+from cachecast.combinatorics import binom, lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
 from cachecast.regions import max_symmetric_gdof
 from cachecast.tradeoff import (
@@ -19,6 +19,7 @@ from cachecast.tradeoff import (
     gndt_memory_sharing,
     gndt_ub,
     gndt_ub_integer,
+    prefix_loads,
     topological_hole_region,
 )
 
@@ -46,6 +47,31 @@ def random_config(rng, max_users=6, integer_budget=None):
     else:
         mu = F(int(rng.integers(0, 8 * K + 1)), 8 * K)
     return config(K, N, mu, alpha)
+
+
+class TestPrefixLoads:
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_matches_per_prefix_envelope(self, K):
+        """env_k(K*mu) against the generic hull of each prefix's load sequence,
+        for every N up to K + 1 and every mu on a 1/(4K) grid."""
+        alpha = tuple(F(k, K) for k in range(1, K + 1))
+        budgets = set()
+        for N in range(1, K + 2):
+            for j in range(4 * K + 1):
+                cfg = config(K, N, F(j, 4 * K), alpha)
+                expected = tuple(
+                    lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
+                    for k in range(1, K + 1)
+                )
+                loads = prefix_loads(cfg)
+                assert loads == expected
+                assert all(type(load) is F for load in loads)
+                budgets.add(cfg.integer_budget)
+        assert budgets == {True, False}
+
+    def test_float_mu_is_refused(self):
+        with pytest.raises(TypeError):
+            SystemConfig(num_users=3, num_files=3, mu=0.1, alpha=ALPHA3)
 
 
 class TestUpperBound:
