@@ -13,6 +13,7 @@ The package splits into:
 
 from .combinatorics import (
     binom,
+    coded_load,
     cumulative_group_count,
     enumerate_groups,
     is_convex_sequence,

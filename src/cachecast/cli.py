@@ -49,7 +49,10 @@ def _fmt_exact(x) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _parse_list(text) -> list[Fraction]:
@@ -218,7 +221,7 @@ def _caching_sweeps(args) -> list:
         # one explicit configuration, optionally a single demand tuple
         K, N = int(args.K), int(args.N)
         if args.mu is not None:
-            budget = K * Fraction(str(args.mu))
+            budget = K * _parse_fraction(args.mu)
             if budget.denominator != 1:
                 raise ValueError(
                     f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "

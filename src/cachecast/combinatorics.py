@@ -93,21 +93,32 @@ def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
     return binom(num_users, group_size) - binom(num_users - j, group_size)
 
 
-def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
-    """Coded load c_n, in subfile units, for n = 0..K cached subfiles per file.
+def coded_load(num_users: int, served: int, n: int) -> Fraction:
+    """Coded load c_n, in subfile units, with n cached subfiles per file.
 
     `served` is the number of users whose groups must be covered (the
     min{k, N} count in the delivery-time expressions); it must lie in [1, K].
     c_n counts the multicast messages useful to the first `served` users,
     normalized by the C(K, n) subfiles each file is split into.
+
+    Convexity lemma: c_n = sum_{j=1..served} C(K-j, n) / C(K, n), the j-th
+    term counting the (n+1)-groups whose weakest member is j.  Each term
+    f_j(n) = prod_{i<n} (K-j-i)/(K-i) has second difference
+    f_j(n) j(j-1) / ((K-n)(K-n-1)) >= 0, so n -> c_n is convex for every K
+    and every served count, and its lower convex envelope at x is the chord
+    between c_floor(x) and c_ceil(x).
     """
     if not 1 <= served <= num_users:
         raise ValueError(f"served must lie in [1, {num_users}], got {served}")
-    seq = []
-    for n in range(num_users + 1):
-        num = binom(num_users, n + 1) - binom(num_users - served, n + 1)
-        seq.append(Fraction(num, binom(num_users, n)))
-    return seq
+    if not 0 <= n <= num_users:
+        raise ValueError(f"cached subfile count must lie in [0, {num_users}], got {n}")
+    num = math.comb(num_users, n + 1) - math.comb(num_users - served, n + 1)
+    return Fraction(num, math.comb(num_users, n))
+
+
+def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
+    """The coded loads c_0..c_K of `coded_load` for one served count."""
+    return [coded_load(num_users, served, n) for n in range(num_users + 1)]
 
 
 def lower_convex_envelope(values: Sequence, x) -> Fraction:

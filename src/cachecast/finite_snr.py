@@ -178,8 +178,7 @@ def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
     if delay <= 0:
         raise ValueError(f"delay must be positive, got {delay}")
     alphas = _strengths(config.alpha)
-    degenerate = config.power <= 1
-    log_p = math.log2(config.power) if not degenerate else 0.0
+    log_p = math.log2(config.power)  # SystemConfig keeps the power finite and above 1
     K = config.num_users
     names = [unicast_name(k) for k in range(1, K + 1)]
     coeffs = []
@@ -188,14 +187,8 @@ def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
         row = np.zeros(K)
         row[:k] = 1.0
         coeffs.append(row)
-        base = max(0.0, alphas[k - 1] * log_p - k) if not degenerate else 0.0
-        rhs.append(base - float(load) / delay)
-    return RateRegion(
-        variables=tuple(names),
-        coeffs=np.array(coeffs),
-        rhs=np.array(rhs),
-        degenerate=degenerate,
-    )
+        rhs.append(max(0.0, alphas[k - 1] * log_p - k) - float(load) / delay)
+    return RateRegion(variables=tuple(names), coeffs=np.array(coeffs), rhs=np.array(rhs))
 
 
 def delay_rate_gap_certificate(

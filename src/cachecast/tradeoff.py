@@ -4,19 +4,24 @@ The central quantity is the normalized delivery time achieved by splitting
 each file for an aggregate cache budget of K*mu and pushing the coded
 multicast payloads plus the unicast traffic through the layered broadcast
 channel.  With c_n(k) the coded load useful to the weakest min(k, N) users
-(see `combinatorics.multicast_load_sequence`) the achieved time is
+(see `combinatorics.coded_load`) the achieved time is
 
     tau_ub(r) = max_k  env_k(K*mu) / (alpha_k - r_1 - ... - r_k)^+,
 
 where env_k is the lower convex envelope of n -> c_n(k), evaluated at the
-(possibly fractional) budget K*mu.  `prefix_loads` is the one place env_k is
-computed: the achievable time, the converse, the inner GDoF region and the
-finite-SNR delay-rate rows all read their per-prefix loads from it.  Three
-relatives matter and are kept as separate code paths:
+(possibly fractional) budget K*mu.  Every such sequence is convex: c_n(k) is
+a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
+difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
+between c_floor(K*mu)(k) and c_ceil(K*mu)(k), two binomial ratios, with no
+sequence or hull built.  `prefix_loads` is the one place env_k is computed:
+the achievable time, the converse, the inner GDoF region and the finite-SNR
+delay-rate rows all read their per-prefix loads from it.  Three relatives
+matter and are kept as separate code paths:
 
 * the integer-budget form, with no envelope at all;
 * naive memory sharing, which takes the envelope AFTER the max over k and is
-  weaker at fractional budgets in asymmetric channels;
+  weaker at fractional budgets in asymmetric channels; its maxed sequence
+  need not be convex, so it is the one path that still builds a hull;
 * the joint two-set delivery form, an explicit convex combination of the two
   neighbouring integer budgets, which matches tau_ub.
 
@@ -38,6 +43,7 @@ from typing import Sequence
 
 from .combinatorics import (
     binom,
+    coded_load,
     lower_convex_envelope,
     multicast_load_sequence,
 )
@@ -70,8 +76,8 @@ class SystemConfig:
             raise ValueError("one channel strength per user is required")
         if not 0 <= self.mu <= 1:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if self.power <= 1:
-            raise ValueError(f"nominal power must exceed 1, got {self.power}")
+        if not 1 < self.power < INF:  # also refuses nan
+            raise ValueError(f"nominal power must be finite and exceed 1, got {self.power}")
 
     @property
     def cache_budget(self) -> Fraction:
@@ -117,14 +123,19 @@ def _ratio(load: Fraction, gap: Fraction):
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     """env_k(K*mu) for every user prefix k = 1..K.
 
-    A prefix longer than N serves the same N users as prefix N, so only
-    min(K, N) envelopes are built and the last one is repeated.
+    Each load sequence is convex, so env_k is the chord between the coded
+    loads at floor(K*mu) and ceil(K*mu).  A prefix longer than N serves the
+    same N users as prefix N, so only min(K, N) loads are computed and the
+    last one is repeated.
     """
     K, budget = config.num_users, config.cache_budget
-    loads = [
-        lower_convex_envelope(multicast_load_sequence(K, served), budget)
-        for served in range(1, min(K, config.num_files) + 1)
-    ]
+    low = budget.numerator // budget.denominator  # floor
+    loads = []
+    for served in range(1, min(K, config.num_files) + 1):
+        load = coded_load(K, served, low)
+        if budget != low:
+            load += (budget - low) * (coded_load(K, served, low + 1) - load)
+        loads.append(load)
     return tuple(loads) + (loads[-1],) * (K - len(loads))
 
 
@@ -142,8 +153,7 @@ def gndt_ub_integer(config: SystemConfig, r: Sequence | None = None):
     gaps = _gaps(config, r)
     best = ZERO
     for k in range(1, config.num_users + 1):
-        served = min(k, config.num_files)
-        load = multicast_load_sequence(config.num_users, served)[n]
+        load = coded_load(config.num_users, min(k, config.num_files), n)
         best = max(best, _ratio(load, gaps[k - 1]))
     return best
 
@@ -157,11 +167,11 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     budgets and is never below it elsewhere.
     """
     budget = config.cache_budget
+    served = min(config.num_users, config.num_files)
     gaps = _gaps(config, r)
-    sequences = [
-        multicast_load_sequence(config.num_users, min(k, config.num_files))
-        for k in range(1, config.num_users + 1)
-    ]
+    # prefixes served..K carry the same loads, so their smallest gap binds
+    gaps = gaps[: served - 1] + [min(gaps[served - 1 :])]
+    sequences = [multicast_load_sequence(config.num_users, m) for m in range(1, served + 1)]
     maxed = []
     for n in range(config.num_users + 1):
         maxed.append(max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps)))
@@ -190,8 +200,8 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     best = ZERO
     for k in range(1, config.num_users + 1):
         served = min(k, config.num_files)
-        seq = multicast_load_sequence(config.num_users, served)
-        load = lam * seq[low] + (1 - lam) * seq[low + 1]
+        lo, hi = (coded_load(config.num_users, served, n) for n in (low, low + 1))
+        load = lam * lo + (1 - lam) * hi
         best = max(best, _ratio(load, gaps[k - 1]))
     return best
 

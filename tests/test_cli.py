@@ -80,6 +80,44 @@ class TestGndt:
         assert out.splitlines()[1].startswith("0.25,")
 
 
+class TestUsageErrors:
+    TWO = ["--K", "2", "--N", "2", "--alpha", "1/2,1"]
+
+    @pytest.mark.parametrize("command", ["gndt", "sweep-memory", "holes"])
+    @pytest.mark.parametrize("power", ["nan", "inf", "1", "0.5"])
+    def test_power_it_cannot_honour(self, command, power, capsys):
+        code, out, err = run([command, *self.TWO, "--mu", "1/2", "--P", power], capsys)
+        assert code == 2
+        assert "power must be finite and exceed 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv,token",
+        [
+            (["gndt", *TWO, "--mu", "1/0"], "1/0"),
+            (["gndt", "--K", "2", "--N", "2", "--alpha", "1/0,1", "--mu", "1/2"], "1/0"),
+            (["gndt", *TWO, "--mu", "1/2", "--r", "1/0,0"], "1/0"),
+            (["gndt", *TWO, "--mu-grid", "0:1:0/0"], "0/0"),
+            (["sweep-memory", *TWO, "--mu-grid", "0:1/0:1/4"], "1/0"),
+            (["holes", *TWO, "--mu", "1/0"], "1/0"),
+            (["holes", "--K", "2", "--N", "2", "--alpha", "1/0,1", "--mu", "1/2"], "1/0"),
+            (["verify", "--K", "2", "--N", "2", "--mu", "1/0"], "1/0"),
+            (["region", "--K", "2", "--sigma", "2", "--alpha", "1/0,1"], "1/0"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/0,1"], "1/0"),
+        ],
+        ids=["gndt-mu", "gndt-alpha", "gndt-r", "gndt-grid-step", "sweep-grid-end", "holes-mu",
+             "holes-alpha", "verify-mu", "region-alpha", "finite-snr-alpha"],
+    )
+    def test_zero_denominator(self, argv, token, capsys):
+        """A number with a zero denominator is a usage error naming the token,
+        not a crash reported as a failed verification."""
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert f"'{token}' has a zero denominator" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestSweepMemory:
     def test_config_exact_adds_no_columns(self, tmp_path, capsys):
         # --exact belongs to gndt; a config file value must not reach sweep-memory
@@ -223,6 +261,17 @@ class TestVerify:
             (["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "2/5,9/10,1",
               "--P", "1048576", "--certificates", "10", "--seed", "3"], 0, 410,
              "eda36e4401f42761bab56bbab3d97821413415315efb9d1de7298af6d335f4a2"),
+            (["gndt", "--K", "12", "--N", "12", "--alpha",
+              "1/20,1/10,3/20,1/5,1/4,3/10,7/20,2/5,9/20,1/2,11/20,1", "--mu-grid", "0:1:1/48",
+              "--exact"], 0, 3312,
+             "c68c277ae695a1ccc51c4688d86c5b72258ac1ef00ff2e7ee5a9bfd59f929d13"),
+            (["sweep-memory", "--K", "12", "--N", "5", "--alpha",
+              "1/12,1/6,1/4,1/3,5/12,1/2,7/12,2/3,3/4,5/6,11/12,1", "--mu-grid", "0:1:1/60",
+              "--r", "0,1/120,0,0,1/60,0,0,0,0,1/120,0,0"], 0, 2449,
+             "ba5d8f216d8deeb6fff73a77b19a9acca00656ece5b50f4d64b6bd46043fc506"),
+            (["gndt", "--K", "10", "--N", "4", "--alpha", "1/10,1/5,3/10,2/5,1/2,3/5,7/10,4/5,9/10,1",
+              "--mu-grid", "0:1:1/40", "--r", "1/10,0,0,0,0,0,0,0,0,0", "--exact"], 0, 1251,
+             "61e8f9961c651406cf6e1b5bce83c99dbd23f2e5557ca087f0973240f3318c63"),
         ],
     )
     def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):

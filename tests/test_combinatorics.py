@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cachecast.combinatorics import (
     binom,
+    coded_load,
     cumulative_group_count,
     enumerate_groups,
     is_convex_sequence,
@@ -194,3 +195,44 @@ class TestLoadSequence:
             multicast_load_sequence(3, 0)
         with pytest.raises(ValueError):
             multicast_load_sequence(3, 4)
+
+    def test_coded_load_matches_sequence_and_closed_form(self):
+        for K in range(1, 13):
+            for m in range(1, K + 1):
+                seq = multicast_load_sequence(K, m)
+                assert len(seq) == K + 1
+                for n, value in enumerate(seq):
+                    load = coded_load(K, m, n)
+                    assert type(load) is F and load == value
+                    assert load == F(binom(K, n + 1) - binom(K - m, n + 1), binom(K, n))
+
+    def test_coded_load_rejects_out_of_range(self):
+        for served, n in ((0, 1), (4, 1), (2, -1), (2, 4)):
+            with pytest.raises(ValueError):
+                coded_load(3, served, n)
+
+
+class TestConvexityLemma:
+    """c_n(m) = sum_j C(K-j, n) / C(K, n) with a nonnegative second
+    difference per term, so every load sequence is convex."""
+
+    def test_sum_over_weakest_member(self):
+        for K in range(1, 13):
+            for m in range(1, K + 1):
+                for n in range(K + 1):
+                    terms = sum(F(binom(K - j, n), binom(K, n)) for j in range(1, m + 1))
+                    assert coded_load(K, m, n) == terms
+
+    def test_term_second_difference(self):
+        for K in range(2, 13):
+            for j in range(1, K + 1):
+                f = [F(binom(K - j, n), binom(K, n)) for n in range(K + 1)]
+                for n in range(K - 1):
+                    second = f[n + 2] - 2 * f[n + 1] + f[n]
+                    assert second == f[n] * j * (j - 1) / ((K - n) * (K - n - 1))
+                    assert second >= 0
+
+    def test_every_sequence_is_convex_up_to_forty_users(self):
+        for K in range(2, 41):
+            for m in range(1, K + 1):
+                assert is_convex_sequence(multicast_load_sequence(K, m)), (K, m)

@@ -69,6 +69,29 @@ class TestPrefixLoads:
                 budgets.add(cfg.integer_budget)
         assert budgets == {True, False}
 
+    @pytest.mark.parametrize("K", range(9, 25))
+    def test_matches_per_prefix_envelope_large(self, K):
+        """The chord between neighbouring coded loads against the generic hull
+        for larger K, on a coarse mu grid whose budgets K*mu have many
+        different fractional parts."""
+        alpha = tuple(F(k, K) for k in range(1, K + 1))
+        for N in (1, K // 2, K + 1):
+            for j in range(2 * K + 2):
+                cfg = config(K, N, F(j, 2 * K + 1), alpha)
+                envelopes = [
+                    lower_convex_envelope(multicast_load_sequence(K, served), cfg.cache_budget)
+                    for served in range(1, min(K, N) + 1)
+                ]
+                expected = tuple(envelopes[min(k, N) - 1] for k in range(1, K + 1))
+                loads = prefix_loads(cfg)
+                assert loads == expected, (K, N, j)
+                assert all(type(load) is F for load in loads)
+
+    @pytest.mark.parametrize("power", [1.0, 0.5, math.nan, math.inf, -math.inf])
+    def test_power_must_be_finite_and_above_one(self, power):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            SystemConfig(num_users=3, num_files=3, mu=F(1, 3), alpha=ALPHA3, power=power)
+
     def test_float_mu_is_refused(self):
         with pytest.raises(TypeError):
             SystemConfig(num_users=3, num_files=3, mu=0.1, alpha=ALPHA3)
@@ -198,6 +221,77 @@ class TestJointDelivery:
             assert joint <= shared
             seen_strict |= joint < shared
         assert seen_strict
+
+
+def _sequences(cfg):
+    """One load sequence per prefix k = 1..K, the served count being min(k, N)."""
+    return [
+        multicast_load_sequence(cfg.num_users, min(k, cfg.num_files))
+        for k in range(1, cfg.num_users + 1)
+    ]
+
+
+def _gaps(cfg, r):
+    rt = r or (F(0),) * cfg.num_users
+    return [max(F(0), a - sum(rt[:k], F(0))) for k, a in enumerate(cfg.alpha, start=1)]
+
+
+def _ratio(load, gap):
+    return F(0) if load == 0 else math.inf if gap == 0 else load / gap
+
+
+def memory_sharing_oracle(cfg, r):
+    """Envelope of the max over all K prefix sequences."""
+    seqs, gaps = _sequences(cfg), _gaps(cfg, r)
+    maxed = [
+        max(_ratio(seq[n], gap) for seq, gap in zip(seqs, gaps))
+        for n in range(cfg.num_users + 1)
+    ]
+    if math.inf in maxed:
+        return F(0) if cfg.cache_budget == cfg.num_users else math.inf
+    return lower_convex_envelope(maxed, cfg.cache_budget)
+
+
+def joint_two_set_oracle(cfg, r):
+    low = math.floor(cfg.cache_budget)
+    lam = low + 1 - cfg.cache_budget
+    return max(
+        [F(0)]
+        + [
+            _ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap)
+            for seq, gap in zip(_sequences(cfg), _gaps(cfg, r))
+        ]
+    )
+
+
+def integer_oracle(cfg, r):
+    n = int(cfg.cache_budget)
+    return max([F(0)] + [_ratio(seq[n], gap) for seq, gap in zip(_sequences(cfg), _gaps(cfg, r))])
+
+
+class TestAgainstFullSequenceOracles:
+    """The paths that read single coded loads, or build min(K, N) sequences,
+    against the formulations that build all K sequences."""
+
+    @pytest.mark.parametrize("K,N", [(5, 2), (5, 5), (5, 8), (7, 3), (7, 10)])
+    def test_memory_sharing_joint_and_integer(self, K, N):
+        rng = np.random.default_rng(K * 100 + N)
+        alpha = tuple(F(k + 1, K + 1) for k in range(1, K)) + (F(1),)
+        exhausted_first = (alpha[0],) + (F(0),) * (K - 1)
+        exhausted_last = (F(0),) * (K - 2) + (alpha[K - 2], F(1) - alpha[K - 2])
+        seen_inf = False
+        for j in range(4 * K + 1):
+            cfg = config(K, N, F(j, 4 * K), alpha)
+            small = tuple(F(int(rng.integers(0, 3)), 50) for _ in range(K))
+            for r in (None, small, exhausted_first, exhausted_last):
+                shared = gndt_memory_sharing(cfg, r)
+                assert shared == memory_sharing_oracle(cfg, r), (j, r)
+                seen_inf |= shared == math.inf
+                if cfg.integer_budget:
+                    assert gndt_ub_integer(cfg, r) == integer_oracle(cfg, r), (j, r)
+                else:
+                    assert gndt_joint_two_set(cfg, r) == joint_two_set_oracle(cfg, r), (j, r)
+        assert seen_inf
 
 
 class TestBottleneck:
