@@ -41,6 +41,14 @@ class MissingPayloadError(LookupError):
     """A payload needed for decoding or reconstruction is not available."""
 
 
+class DecodabilityError(RuntimeError):
+    """A reconstruction would consume a payload the group's weakest user cannot decode."""
+
+    def __init__(self, group: Group, source: Group, weakest: int):
+        super().__init__(f"payload {source} used for {group} is not decodable by user {weakest}")
+        self.group, self.source, self.weakest = group, source, weakest
+
+
 @dataclass(frozen=True)
 class FileLibrary:
     """N files of B bits each, split for a K-user cache of order t = K*mu.
@@ -277,9 +285,7 @@ def reconstruct_missing(
     for alt in _alternative_leader_sets(pool, leaders.leaders, d):
         source = tuple(u for u in pool if u not in alt)
         if not decodable_by & set(source):
-            raise AssertionError(
-                f"payload {source} used for {group} is not decodable by user {weakest}"
-            )
+            raise DecodabilityError(group, source, weakest)
         if source not in by_group:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
         acc = by_group[source].copy() if acc is None else acc ^ by_group[source]

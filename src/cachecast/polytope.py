@@ -7,7 +7,7 @@ Fraction.  On top of that sit the operations the region proofs need:
 * Fourier-Motzkin elimination (exact projection onto a subset of variables),
 * containment and equality certified row-by-row through the LP oracle,
 * redundancy pruning, again LP-certified,
-* brute-force vertex enumeration for the small regions where it is needed.
+* vertex enumeration by the double-description method.
 
 Nothing here knows about channels or caches; this is the generic half of the
 region apparatus.
@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .lp import INFEASIBLE, UNBOUNDED, solve_max, solve_square
+from .lp import INFEASIBLE, UNBOUNDED, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -262,29 +262,32 @@ def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
 
 
 def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:
-    """All vertices of the (bounded) region, by brute-force basis enumeration.
+    """All vertices of the region, sorted, by exact double description
+    (Fukuda & Prodon 1996) of the cone {(x, t) >= 0 : <a, x> - b t <= 0}.
 
-    Only meant for the handful of low-dimensional regions the analysis
-    enumerates (topological holes and the like); the candidate count grows as
-    C(rows + dim, dim).
+    The orthant's n + 1 unit rays start it; each row keeps the rays on its
+    side and joins each (+, -) pair that is adjacent: a common zero set of at
+    least n - 1 constraints that no third ray's zero set contains.  Vertices
+    are x / t over rays with t > 0 (rays with t = 0 are recession directions).
+    A row costs O(P * M * R) bitmask tests for P and M rays on either side of
+    it out of R, plus O(R * n) Fraction products.  An empty region gives [],
+    so a caller that needs a nonempty one must test `is_empty()`.
     """
     n = len(poly.variables)
-    cons: list[Row] = list(poly.rows)
-    for j in range(n):
-        cons.append(
-            (tuple(Fraction(-1) if i == j else Fraction(0) for i in range(n)), Fraction(0))
-        )
-    found = set()
-    for active in combinations(range(len(cons)), n):
-        matrix = [list(cons[i][0]) for i in active]
-        rhs = [cons[i][1] for i in active]
-        sol = solve_square(matrix, rhs)
-        if sol is None:
-            continue
-        if any(v < 0 for v in sol):
-            continue
-        if all(
-            sum(c * v for c, v in zip(coeffs, sol)) <= b for coeffs, b in cons
-        ):
-            found.add(tuple(sol))
-    return sorted(found)
+    # each ray carries a bitmask of its tight constraints: bits 0..n are the
+    # facets x_j >= 0 and t >= 0, bit n + 1 + i is row i
+    rays = [(tuple(Fraction(int(i == j)) for i in range(n + 1)), ((1 << (n + 1)) - 1) ^ (1 << j))
+            for j in range(n + 1)]
+    for k, (coeffs, rhs) in enumerate(poly.rows, start=n + 1):
+        row, bit = coeffs + (-rhs,), 1 << k
+        values = [sum(c * y for c, y in zip(row, ray)) for ray, _ in rays]
+        kept = [(ray, zero | bit if v == 0 else zero)
+                for (ray, zero), v in zip(rays, values) if v <= 0]
+        pos = [(ray, zero, v) for (ray, zero), v in zip(rays, values) if v > 0]
+        neg = [(ray, zero, v) for (ray, zero), v in zip(rays, values) if v < 0]
+        for (p, zp, vp), (q, zq, vq) in product(pos, neg):
+            common = zp & zq  # adjacent iff only p and q contain it
+            if common.bit_count() >= n - 1 and sum(z & common == common for _, z in rays) == 2:
+                kept.append((tuple(vp * b - vq * a for a, b in zip(p, q)), common | bit))
+        rays = kept
+    return sorted({tuple(x / ray[-1] for x in ray[:-1]) for ray, _ in rays if ray[-1] > 0})

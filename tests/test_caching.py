@@ -5,7 +5,9 @@ import pytest
 
 from cachecast import caching
 from cachecast.caching import (
+    DecodabilityError,
     FileLibrary,
+    LeaderSet,
     MissingPayloadError,
     decode_file,
     encode_multicast,
@@ -207,6 +209,19 @@ class TestReconstruction:
         payloads = [p for p in payloads if p.group != (1, 4)]
         with pytest.raises(MissingPayloadError):
             reconstruct_missing(payloads, (3, 4), leaders, d)
+
+    def test_undecodable_source_is_a_typed_error(self):
+        lib = random_library(2, 4, 1, seed=8)
+        d = (1, 2, 1, 2)
+        # not the weakest users per file: recomposing W_12 would consume W_34,
+        # which user 1 (the weakest of the group) cannot decode
+        crafted = LeaderSet(leaders=(3, 4), non_leaders=(1, 2))
+        payloads = encode_multicast(d, lib, crafted)
+        with pytest.raises(DecodabilityError) as info:
+            reconstruct_missing(payloads, (1, 2), crafted, d)
+        assert (info.value.group, info.value.source, info.value.weakest) == ((1, 2), (3, 4), 1)
+        assert not isinstance(info.value, (ValueError, AssertionError))
+        assert "user 1" in str(info.value)
 
 
 class TestDecoding:

@@ -272,6 +272,12 @@ class TestVerify:
             (["gndt", "--K", "10", "--N", "4", "--alpha", "1/10,1/5,3/10,2/5,1/2,3/5,7/10,4/5,9/10,1",
               "--mu-grid", "0:1:1/40", "--r", "1/10,0,0,0,0,0,0,0,0,0", "--exact"], 0, 1251,
              "61e8f9961c651406cf6e1b5bce83c99dbd23f2e5557ca087f0973240f3318c63"),
+            (["holes", "--K", "8", "--N", "8", "--alpha", "1/5,1/4,2/5,1/2,3/5,3/4,9/10,1",
+              "--mu", "3/8"], 0, 6006,
+             "9c2ca0c5fd6d3caf83f601f654ef971692055087b9cc7bf1286baa8beceeaafb"),
+            (["holes", "--K", "7", "--N", "9", "--alpha", "1/5,1/5,1/2,1/2,1/2,4/5,1",
+              "--mu", "2/7"], 0, 4738,
+             "1e6cc54b82c842a8946420f4adb8c3eb024b41f4609d1c0dc62e6c9594f77763"),
         ],
     )
     def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):

@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cachecast.lp import INFEASIBLE, solve_max, solve_square
 from cachecast.polytope import (
     Polytope,
     canonical,
@@ -12,6 +17,7 @@ from cachecast.polytope import (
     regions_equal,
     vertices,
 )
+from cachecast.tradeoff import SystemConfig, topological_hole_region
 
 
 def box(a=1, b=1):
@@ -155,3 +161,162 @@ def test_json_round_trip():
 def test_maximize_reports_unbounded():
     p = Polytope.build(["x", "y"], [((1, 0), 1)])
     assert p.maximize({"y": 1}).status == "unbounded"
+
+
+def with_orthant(poly):
+    """The rows followed by the n facets -x_j <= 0."""
+    n = len(poly.variables)
+    return list(poly.rows) + [
+        (tuple(F(-1) if i == j else F(0) for i in range(n)), F(0)) for j in range(n)
+    ]
+
+
+def brute_force_vertices(poly):
+    """Reference enumeration: one exact square solve per n-subset of the rows
+    and the n orthant facets, kept when the solution is feasible."""
+    n = len(poly.variables)
+    cons = with_orthant(poly)
+    found = set()
+    for active in combinations(range(len(cons)), n):
+        sol = solve_square([list(cons[i][0]) for i in active], [cons[i][1] for i in active])
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        if all(sum(c * v for c, v in zip(coeffs, sol)) <= b for coeffs, b in cons):
+            found.add(tuple(sol))
+    return sorted(found)
+
+
+def hole_config(K, N, budget):
+    """Strengths on a tenths grid, so repeated strengths (and degenerate
+    vertices) are common; seeded by the shape."""
+    rng = random.Random(f"{K}:{budget}")
+    alpha = tuple(sorted(F(rng.randint(1, 10), 10) for _ in range(K - 1))) + (F(1),)
+    return SystemConfig(num_users=K, num_files=N, mu=F(budget, K), alpha=alpha)
+
+
+def _rank(vectors):
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def assert_vertices_certified(poly, found, rng, objectives=10):
+    """Oracle-free check: each point is feasible and tight on n independent
+    constraints, and the LP optimum of random objectives is attained at one."""
+    n = len(poly.variables)
+    cons = with_orthant(poly)
+    for point in found:
+        assert poly.contains(point)
+        tight = [coeffs for coeffs, b in cons if sum(c * v for c, v in zip(coeffs, point)) == b]
+        assert _rank(tight) == n
+    for _ in range(objectives):
+        objective = [F(rng.randint(-5, 9), rng.randint(1, 4)) for _ in range(n)]
+        result = solve_max(objective, poly.rows)
+        if result.status == INFEASIBLE:
+            assert found == []
+            continue
+        best = max(sum(c * v for c, v in zip(objective, point)) for point in found)
+        assert result.value == best
+
+
+@st.composite
+def small_polytopes(draw):
+    n = draw(st.integers(1, 5))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rhs = st.fractions(min_value=-2, max_value=5, max_denominator=2)
+    rows = draw(st.lists(st.tuples(st.tuples(*[value] * n), rhs), max_size=6 if n < 5 else 5))
+    if rows and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])  # a duplicated row
+    return Polytope.build([f"x{j}" for j in range(n)], rows)
+
+
+class TestVerticesAgainstBruteForce:
+    @given(poly=small_polytopes())
+    @settings(max_examples=200, deadline=None)
+    def test_random_polytopes(self, poly):
+        assert vertices(poly) == brute_force_vertices(poly)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((0, 0), -1)],  # 0 <= -1
+            [((1, 1), 3), ((0, 0), F(-1, 2)), ((1, 0), 1)],
+            [((-1, -1), -3), ((1, 1), 2)],  # x + y >= 3 and x + y <= 2
+            [((1, 0), -1)],  # x <= -1 on the orthant
+        ],
+    )
+    def test_empty_regions(self, rows):
+        poly = Polytope.build(["x", "y"], rows)
+        assert poly.is_empty()
+        assert vertices(poly) == brute_force_vertices(poly) == []
+
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            ([], [(F(0), F(0))]),
+            ([((1, -1), 1)], [(F(0), F(0)), (F(1), F(0))]),
+            ([((-1, 0), -1), ((0, -1), -2)], [(F(1), F(2))]),
+            ([((-1, -1), -2), ((1, -1), 0)], [(F(0), F(2)), (F(1), F(1))]),
+        ],
+    )
+    def test_unbounded_regions_return_vertices_only(self, rows, expected):
+        poly = Polytope.build(["x", "y"], rows)
+        assert poly.maximize({"x": 1, "y": 1}).status == "unbounded"
+        assert vertices(poly) == brute_force_vertices(poly) == expected
+
+    def test_duplicated_and_scaled_rows(self):
+        rows = [((1, 1), 2), ((2, 2), 4), ((1, 1), 2), ((1, 0), 1), ((3, 0), 3)]
+        poly = Polytope.build(["x", "y"], rows)
+        assert vertices(poly) == brute_force_vertices(poly) == [
+            (F(0), F(0)), (F(0), F(2)), (F(1), F(0)), (F(1), F(1))
+        ]
+
+    def test_degenerate_apex(self):
+        # square pyramid: four rows are tight at the apex (0, 0, 1)
+        rows = [((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 1), 2), ((-1, -1, 1), 1)]
+        poly = Polytope.build(["x", "y", "z"], rows)
+        found = vertices(poly)
+        assert (F(0), F(0), F(1)) in found
+        assert found == brute_force_vertices(poly)
+
+    @pytest.mark.parametrize(
+        "K", [2, 3, 4, 5, 6, *(pytest.param(K, marks=pytest.mark.slow) for K in (7, 8))]
+    )
+    def test_topological_hole_regions(self, K):
+        for budget in range(K):
+            region = topological_hole_region(hole_config(K, K, budget))
+            expected = brute_force_vertices(region)
+            for N in (K, K + 2):
+                wider = topological_hole_region(hole_config(K, N, budget))
+                assert wider == region
+                assert vertices(wider) == expected
+
+
+class TestVerticesBeyondBruteForce:
+    @pytest.mark.parametrize("K", [10, 11, 12])
+    def test_topological_hole_regions(self, K):
+        rng = random.Random(K)
+        for budget in range(K):
+            region = topological_hole_region(hole_config(K, K, budget))
+            assert_vertices_certified(region, vertices(region), rng)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_random_bounded_polytopes(self, n):
+        rng = random.Random(n)
+        rows = [((1,) * n, F(rng.randint(3, 9)))]  # bounds the region
+        for _ in range(n):
+            coeffs = tuple(F(rng.randint(-2, 4), rng.randint(1, 2)) for _ in range(n))
+            rows.append((coeffs, F(rng.randint(1, 6))))
+        poly = Polytope.build([f"x{j}" for j in range(n)], rows)
+        found = vertices(poly)
+        assert len(found) > n
+        assert_vertices_certified(poly, found, rng)
