@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .polytope import _frac
+from .lp import _frac
 
 Group = tuple[int, ...]
 

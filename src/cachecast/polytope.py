@@ -9,6 +9,18 @@ Fraction.  On top of that sit the operations the region proofs need:
 * redundancy pruning, again LP-certified,
 * vertex enumeration by the double-description method.
 
+Fourier-Motzkin runs on Python integers: every row is carried as a primitive
+integer vector (coeffs..., rhs), the positive multiple whose entries have gcd
+1, which stands for the same half-space.  Combining an upper and a lower bound
+on the eliminated coordinate takes integer products and one gcd instead of
+Fraction divisions, and two rows are the same half-space iff their primitive
+vectors are equal tuples, so deduplication is hashing.  The rows handed back
+are the canonical Fractions (first nonzero coefficient +-1), converted once at
+the end.  Eliminating one coordinate costs U * L combinations for U upper and
+L lower bounds, each O(n) integer products and a gcd, plus O(R^2 n) integer
+comparisons for the dominance test over the R rows kept.  The LP oracle
+(`lp.solve_max`) works on integers in the same way.
+
 Nothing here knows about channels or caches; this is the generic half of the
 region apparatus.
 """
@@ -19,18 +31,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .lp import INFEASIBLE, UNBOUNDED, solve_max
+from .lp import INFEASIBLE, UNBOUNDED, _frac, _integer_row, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
-
-
-def _frac(x) -> Fraction:
-    """x as an exact Fraction; a float is refused, never rounded."""
-    if isinstance(x, float):
-        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a string such as '1/10'")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,12 @@ class Polytope:
     def maximize(self, objective: Mapping[str, object] | Sequence):
         """LP-maximize a linear objective over the region (exact)."""
         if isinstance(objective, Mapping):
-            obj = [_frac(objective.get(v, 0)) for v in self.variables]
-        else:
-            obj = [_frac(c) for c in objective]
-        return solve_max(obj, self.rows)
+            objective = [objective.get(v, 0) for v in self.variables]
+        return solve_max(objective, self.rows)
 
     def implies_row(self, coeffs: Sequence[Fraction], rhs: Fraction) -> bool:
         """True iff every point of the region satisfies <coeffs, x> <= rhs."""
-        result = solve_max([_frac(c) for c in coeffs], self.rows)
+        result = solve_max(coeffs, self.rows)
         if result.status == UNBOUNDED:
             return False
         if result.status == INFEASIBLE:
@@ -121,44 +125,62 @@ class Polytope:
         return cls(variables=tuple(payload["variables"]), rows=tuple(rows))
 
 
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
+    """(coeffs..., rhs) as a primitive integer vector: the same half-space."""
+    return _primitive(_integer_row([*coeffs, rhs])[1])
+
+
+def _canonical_scale(row: Sequence[int]) -> int:
+    """|first nonzero coefficient|, else |rhs|, else 1."""
+    return next((abs(c) for c in row[:-1] if c), abs(row[-1]) or 1)
+
+
+def _fraction_row(row: Sequence[int]) -> Row:
+    """The canonical Fraction row of a primitive integer row: first nonzero
+    coefficient +-1 (or rhs +-1 when every coefficient is 0)."""
+    scale = _canonical_scale(row)
+    return (tuple(Fraction(c, scale) for c in row[:-1]), Fraction(row[-1], scale))
+
+
 def _canonical_row(row: Row) -> Row:
-    coeffs, rhs = row
-    scale = next((abs(c) for c in coeffs if c != 0), None)
-    if scale is None:
-        scale = abs(rhs) if rhs != 0 else Fraction(1)
-    return (tuple(c / scale for c in coeffs), rhs / scale)
+    return _fraction_row(_int_row(*row))
 
 
-def _dedupe(rows: list[Row]) -> list[Row]:
-    """Drop tautologies, exact (scaled) duplicates and 1-row dominated rows."""
-    kept: list[Row] = []
+def _dedupe(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Drop tautologies, duplicates and 1-row dominated rows.
+
+    Rows are primitive integer vectors (coeffs..., rhs), so two rows are the
+    same half-space iff they are equal tuples.
+    """
+    kept: list[tuple[int, ...]] = []
     seen = set()
     for row in rows:
-        coeffs, rhs = _canonical_row(row)
-        if all(c == 0 for c in coeffs):
-            if rhs < 0 and (coeffs, rhs) not in seen:
-                # infeasible row: keep it so emptiness is detectable downstream
-                seen.add((coeffs, rhs))
-                kept.append((coeffs, rhs))
+        if row in seen:
             continue
-        if (coeffs, rhs) in seen:
-            continue
-        seen.add((coeffs, rhs))
-        kept.append((coeffs, rhs))
-    # dominance against a single other row (t = 1 after canonical scaling):
+        if not any(row[:-1]) and row[-1] >= 0:
+            continue  # 0 <= rhs; 0 <= -1 stays, so emptiness is detectable downstream
+        seen.add(row)
+        kept.append(row)
+    # dominance against a single other row on the canonical scale (first
+    # nonzero coefficient +-1), taken to integers by the lcm L of the scales:
     # <a, x> <= b makes <c, x> <= d redundant on x >= 0 when c <= a and d >= b
-    out = []
-    for i, (c, d) in enumerate(kept):
-        dominated = any(
-            j != i
-            and all(ci <= ai for ci, ai in zip(c, a))
-            and d >= b
-            and (c, d) != (a, b)
-            for j, (a, b) in enumerate(kept)
+    scales = [_canonical_scale(row) for row in kept]
+    big = lcm(*scales)
+    scaled = [tuple(v * (big // k) for v in row) for row, k in zip(kept, scales)]
+    return [
+        kept[i]
+        for i, c in enumerate(scaled)
+        if not any(
+            j != i and c[-1] >= a[-1] and all(ci <= ai for ci, ai in zip(c[:-1], a))
+            for j, a in enumerate(scaled)
         )
-        if not dominated:
-            out.append((c, d))
-    return out
+    ]
 
 
 def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
@@ -166,49 +188,32 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
 
     The implicit nonnegativity of the eliminated coordinate enters as a lower
     bound, so the result is the true projection of the nonnegative-orthant
-    region.  Syntactically redundant rows are pruned after each elimination;
-    call `prune(...)` afterwards for an LP-certified minimal description.
+    region.  Rows are carried as primitive integer vectors (coeffs..., rhs):
+    an upper row u (u[idx] > 0) and a lower row l (l[idx] < 0) combine to
+    u * (-l[idx]) + l * u[idx], divided by its gcd.  Syntactically redundant
+    rows are pruned after each elimination; call `prune(...)` afterwards for
+    an LP-certified minimal description.  The result holds canonical Fraction
+    rows (first nonzero coefficient +-1).
     """
-    current = poly
+    if not drop:
+        return poly
+    names = list(poly.variables)
+    rows = [_int_row(coeffs, rhs) for coeffs, rhs in poly.rows]
     for name in drop:
-        idx = current.index(name)
-        upper: list[Row] = []
-        lower: list[Row] = []
-        rest: list[Row] = []
-        for coeffs, rhs in current.rows:
-            if coeffs[idx] > 0:
-                upper.append((coeffs, rhs))
-            elif coeffs[idx] < 0:
-                lower.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
+        idx = names.index(name)
+        upper = [r for r in rows if r[idx] > 0]
+        lower = [r for r in rows if r[idx] < 0]
+        new_rows = [r for r in rows if r[idx] == 0]
         # x_idx >= 0 is one more lower bound
-        zero_lb = tuple(
-            Fraction(-1) if j == idx else Fraction(0)
-            for j in range(len(current.variables))
-        )
-        lower.append((zero_lb, Fraction(0)))
-
-        new_rows: list[Row] = list(rest)
-        for ucoeffs, urhs in upper:
-            uscale = ucoeffs[idx]
-            for lcoeffs, lrhs in lower:
-                lscale = -lcoeffs[idx]
-                coeffs = tuple(
-                    u / uscale + lo / lscale
-                    for u, lo in zip(ucoeffs, lcoeffs)
-                )
-                new_rows.append((coeffs, urhs / uscale + lrhs / lscale))
-
-        keep = [j for j in range(len(current.variables)) if j != idx]
-        current = Polytope(
-            variables=tuple(current.variables[j] for j in keep),
-            rows=tuple(
-                (tuple(coeffs[j] for j in keep), rhs)
-                for coeffs, rhs in _dedupe(new_rows)
-            ),
-        )
-    return current
+        lower.append(tuple(-int(j == idx) for j in range(len(names) + 1)))
+        for u in upper:
+            uscale = u[idx]
+            for lo in lower:
+                lscale = -lo[idx]
+                new_rows.append(_primitive([a * lscale + b * uscale for a, b in zip(u, lo)]))
+        del names[idx]
+        rows = [r[:idx] + r[idx + 1 :] for r in _dedupe(new_rows)]
+    return Polytope(variables=tuple(names), rows=tuple(_fraction_row(r) for r in rows))
 
 
 def prune(poly: Polytope) -> Polytope:
@@ -254,10 +259,10 @@ def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
     rows = []
     for coeffs, rhs in poly.rows:
         shift = sum(coeffs[j] * v for j, v in fixed.items())
-        rows.append((tuple(coeffs[j] for j in keep), rhs - shift))
+        rows.append(_int_row([coeffs[j] for j in keep], rhs - shift))
     return Polytope(
         variables=tuple(poly.variables[j] for j in keep),
-        rows=tuple(_dedupe(rows)),
+        rows=tuple(_fraction_row(r) for r in _dedupe(rows)),
     )
 
 

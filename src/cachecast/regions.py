@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import Group, cumulative_group_count, enumerate_groups
-from .polytope import Polytope, _frac
+from .lp import _frac
+from .polytope import Polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -47,7 +47,8 @@ from .combinatorics import (
     lower_convex_envelope,
     multicast_load_sequence,
 )
-from .polytope import Polytope, _frac
+from .lp import _frac
+from .polytope import Polytope
 from .regions import ZERO, ONE, unicast_name, validate_strengths
 
 INF = math.inf

@@ -1,0 +1,215 @@
+"""Fraction reference implementations of the exact region layer.
+
+`cachecast.lp` and `cachecast.polytope` run on Python integers (integer-
+preserving pivots, Fourier-Motzkin on primitive integer rows).  The
+straightforward Fraction versions below are what they replaced; the tests
+compare the two value for value and row for row.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from cachecast.polytope import Polytope
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+# -- simplex -------------------------------------------------------------------
+
+
+def _pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    for i, r in enumerate(tab):
+        if i != row and r[col] != 0:
+            factor = r[col]
+            tab[i] = [v - factor * p for v, p in zip(r, tab[row])]
+    basis[row] = col
+
+
+def _run_simplex(tab, basis, n_enterable):
+    """Bland's rule on the objective row tab[-1]; columns >= n_enterable never enter."""
+    m = len(tab) - 1
+    while True:
+        col = next((j for j in range(n_enterable) if tab[-1][j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        best_ratio = None
+        row = -1
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[row])
+                ):
+                    best_ratio = ratio
+                    row = i
+        if row < 0:
+            return UNBOUNDED
+        _pivot(tab, basis, row, col)
+
+
+def solve_max(objective, rows) -> LpResult:
+    """Two-phase Fraction tableau: maximize objective . x over A x <= b, x >= 0."""
+    n = len(objective)
+    m = len(rows)
+    obj = [Fraction(c) for c in objective]
+
+    neg_rows = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
+    n_art = len(neg_rows)
+    art_col = {i: n + m + t for t, i in enumerate(neg_rows)}
+    ncols = n + m + n_art + 1
+
+    tab = []
+    basis = []
+    for i, (coeffs, rhs) in enumerate(rows):
+        row = [Fraction(c) for c in coeffs] + [_ZERO] * (m + n_art) + [Fraction(rhs)]
+        row[n + i] = _ONE
+        if rhs < 0:
+            row = [-v for v in row]
+            row[art_col[i]] = _ONE
+            basis.append(art_col[i])
+        else:
+            basis.append(n + i)
+        tab.append(row)
+
+    if n_art:
+        phase1 = [_ZERO] * ncols
+        for j in art_col.values():
+            phase1[j] = _ONE
+        for i, b in enumerate(basis):
+            if phase1[b] != 0:
+                factor = phase1[b]
+                phase1 = [v - factor * t for v, t in zip(phase1, tab[i])]
+        tab.append(phase1)
+        status = _run_simplex(tab, basis, n + m)
+        assert status == OPTIMAL
+        if tab[-1][-1] != 0:
+            return LpResult(INFEASIBLE)
+        tab.pop()
+        for i, b in enumerate(basis):
+            if b >= n + m:
+                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
+                if col is not None:
+                    _pivot(tab, basis, i, col)
+        keep = [i for i, b in enumerate(basis) if b < n + m]
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        tab = [r[: n + m] + [r[-1]] for r in tab]
+        ncols = n + m + 1
+
+    obj_row = [-c for c in obj] + [_ZERO] * (ncols - n)
+    for i, b in enumerate(basis):
+        if obj_row[b] != 0:
+            factor = obj_row[b]
+            obj_row = [v - factor * t for v, t in zip(obj_row, tab[i])]
+    tab.append(obj_row)
+
+    status = _run_simplex(tab, basis, ncols - 1)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED)
+    point = [_ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tab[i][-1]
+    return LpResult(OPTIMAL, value=tab[-1][-1], point=tuple(point))
+
+
+def solve_square(matrix, rhs):
+    """Gauss-Jordan on Fractions; None if singular."""
+    n = len(matrix)
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pval = aug[col][col]
+        aug[col] = [v / pval for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][-1] for r in range(n)]
+
+
+# -- Fourier-Motzkin -----------------------------------------------------------
+
+
+def _canonical_row(row):
+    coeffs, rhs = row
+    scale = next((abs(c) for c in coeffs if c != 0), None)
+    if scale is None:
+        scale = abs(rhs) if rhs != 0 else Fraction(1)
+    return (tuple(c / scale for c in coeffs), rhs / scale)
+
+
+def dedupe(rows):
+    """Drop tautologies, exact (scaled) duplicates and 1-row dominated rows."""
+    kept = []
+    seen = set()
+    for row in rows:
+        coeffs, rhs = _canonical_row(row)
+        if all(c == 0 for c in coeffs):
+            if rhs < 0 and (coeffs, rhs) not in seen:
+                seen.add((coeffs, rhs))
+                kept.append((coeffs, rhs))
+            continue
+        if (coeffs, rhs) in seen:
+            continue
+        seen.add((coeffs, rhs))
+        kept.append((coeffs, rhs))
+    out = []
+    for i, (c, d) in enumerate(kept):
+        dominated = any(
+            j != i
+            and all(ci <= ai for ci, ai in zip(c, a))
+            and d >= b
+            and (c, d) != (a, b)
+            for j, (a, b) in enumerate(kept)
+        )
+        if not dominated:
+            out.append((c, d))
+    return out
+
+
+def eliminate(poly: Polytope, drop) -> Polytope:
+    """Fourier-Motzkin on Fraction rows, deduplicated after each variable."""
+    current = poly
+    for name in drop:
+        idx = current.index(name)
+        upper, lower, rest = [], [], []
+        for coeffs, rhs in current.rows:
+            if coeffs[idx] > 0:
+                upper.append((coeffs, rhs))
+            elif coeffs[idx] < 0:
+                lower.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        zero_lb = tuple(
+            Fraction(-1) if j == idx else Fraction(0)
+            for j in range(len(current.variables))
+        )
+        lower.append((zero_lb, Fraction(0)))
+
+        new_rows = list(rest)
+        for ucoeffs, urhs in upper:
+            uscale = ucoeffs[idx]
+            for lcoeffs, lrhs in lower:
+                lscale = -lcoeffs[idx]
+                coeffs = tuple(u / uscale + lo / lscale for u, lo in zip(ucoeffs, lcoeffs))
+                new_rows.append((coeffs, urhs / uscale + lrhs / lscale))
+
+        keep = [j for j in range(len(current.variables)) if j != idx]
+        current = Polytope(
+            variables=tuple(current.variables[j] for j in keep),
+            rows=tuple(
+                (tuple(coeffs[j] for j in keep), rhs) for coeffs, rhs in dedupe(new_rows)
+            ),
+        )
+    return current

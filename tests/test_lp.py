@@ -3,8 +3,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max, solve_square
+import fraction_oracles as oracle
+from cachecast import lp, polytope, regions
+from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_max, solve_square
 
 
 def test_simple_box():
@@ -96,3 +100,125 @@ def test_solve_square_exact():
 
 def test_solve_square_singular():
     assert solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
+
+
+def test_float_refused_by_solve_max():
+    with pytest.raises(TypeError):
+        solve_max([0.1], [((1,), F(3, 10))])
+    with pytest.raises(TypeError):
+        solve_max([F(1, 10)], [((1,), 0.3)])
+    with pytest.raises(TypeError):
+        solve_max([1], [((np.float64(0.5),), 1)])
+
+
+def test_float_refused_by_solve_square():
+    with pytest.raises(TypeError):
+        solve_square([[0.5]], [F(1)])
+    with pytest.raises(TypeError):
+        solve_square([[F(1, 2)]], [1.0])
+
+
+def test_exact_inputs_other_than_fraction():
+    res = solve_max([1, "1/2"], [(("1", 2), "3/2"), ((3, np.int64(1)), 2)])
+    assert res == LpResult(OPTIMAL, F(3, 4), (F(1, 2), F(1, 2)))
+    assert solve_square([["2", 1], [1, 3]], [5, "10"]) == [F(1), F(3)]
+
+
+def test_phase_one_drives_out_an_artificial_on_a_negative_pivot(monkeypatch):
+    """max x s.t. 2x >= 1, 2x <= 1.  Phase 1 ends at value 0 with the
+    artificial of the first row still basic (Bland's tie-break lets x enter
+    in the second row); driving it out pivots on its slack entry, which is
+    negative, so the denominator must be renormalised to stay positive."""
+    pivots = []
+    real_pivot = lp._pivot
+
+    def spy(tab, basis, row, col, d):
+        pivots.append(tab[row][col])
+        return real_pivot(tab, basis, row, col, d)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    rows = [((F(-2),), F(-1)), ((F(2),), F(1))]
+    res = solve_max([F(1)], rows)
+    assert any(p < 0 for p in pivots)
+    assert res == LpResult(OPTIMAL, F(1, 2), (F(1, 2),))
+    assert res == oracle.solve_max([F(1)], rows)
+
+
+def test_phase_one_costs_follow_the_row_scales():
+    """Rows scaled to integers by 6 and 1 must keep the unscaled phase-1
+    objective (each artificial costs 1 over its row's scale); unit costs
+    would pivot differently and return another feasible point."""
+    rows = [((F(-2, 3), F(-1, 2)), F(-1)), ((F(1, 2), F(0)), F(1, 3)), ((F(1), F(-1)), F(-1))]
+    res = solve_max([F(0), F(0)], rows)
+    assert res == LpResult(OPTIMAL, F(0), (F(3, 7), F(10, 7)))
+    assert res == oracle.solve_max([F(0), F(0)], rows)
+
+
+# small rationals; st.fractions is exact too but several times slower to draw
+COEFF = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 5]))
+RHS = st.builds(F, st.integers(-12, 18), st.sampled_from([1, 1, 2, 7]))
+
+
+@st.composite
+def random_lps(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(st.lists(COEFF, min_size=n, max_size=n), RHS), max_size=8))
+    if rows and draw(st.booleans()):  # an equality as a pair of rows
+        coeffs, b = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append((tuple(-c for c in coeffs), -b))
+    if rows and draw(st.booleans()):  # a duplicated row
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    rows = [(tuple(coeffs), b) for coeffs, b in draw(st.permutations(rows))[:8]]
+    objective = [F(0)] * n if draw(st.booleans()) else draw(st.lists(COEFF, min_size=n, max_size=n))
+    return objective, rows
+
+
+@given(lp_instance=random_lps())
+@settings(max_examples=300, deadline=None)
+def test_matches_fraction_tableau(lp_instance):
+    objective, rows = lp_instance
+    assert solve_max(objective, rows) == oracle.solve_max(objective, rows)
+
+
+def test_matches_fraction_tableau_on_region_equalities(monkeypatch):
+    """Every LP of the verify-style region certification (FM, prune, both
+    containment directions), K 2..5, every group size, three strengths each."""
+    seen = []
+    real_solve = polytope.solve_max
+
+    def record(objective, rows):
+        seen.append((list(objective), list(rows)))
+        return real_solve(objective, rows)
+
+    monkeypatch.setattr(polytope, "solve_max", record)
+    rng = np.random.default_rng(6)
+    for K in range(2, 6):
+        for sigma in range(2, K + 1):
+            for _ in range(3):
+                denom = int(rng.integers(8, 40))
+                cuts = sorted(int(rng.integers(1, denom)) for _ in range(K - 1))
+                alpha = tuple(F(c, denom) for c in cuts) + (F(1),)
+                system = regions.beta_parameterized_polytope(K, sigma, alpha)
+                projected = polytope.prune(polytope.eliminate(system, regions.beta_names(K)))
+                assert polytope.regions_equal(projected, regions.build_region(K, sigma, alpha))
+    assert len(seen) > 300
+    for objective, rows in seen:
+        assert real_solve(objective, rows) == oracle.solve_max(objective, rows)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(0, 5))
+    matrix = draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):  # a dependent row: singular
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(COEFF)
+        matrix[i] = [k * v for v in matrix[j]] if i != j else [F(0)] * n
+    return matrix, draw(st.lists(RHS, min_size=n, max_size=n))
+
+
+@given(system=square_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_square_matches_gauss_jordan(system):
+    matrix, rhs = system
+    assert solve_square(matrix, rhs) == oracle.solve_square(matrix, rhs)

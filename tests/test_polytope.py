@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles as oracle
 from cachecast.lp import INFEASIBLE, solve_max, solve_square
 from cachecast.polytope import (
     Polytope,
@@ -17,6 +18,7 @@ from cachecast.polytope import (
     regions_equal,
     vertices,
 )
+from cachecast.regions import beta_names, beta_parameterized_polytope
 from cachecast.tradeoff import SystemConfig, topological_hole_region
 
 
@@ -109,6 +111,65 @@ def test_elimination_is_exact_projection():
             pinned = fix_variables(poly, point)
             liftable = pinned.maximize({dropped: 0}).status != INFEASIBLE
             assert projected.contains(point) == liftable
+
+
+@pytest.mark.parametrize("K", range(2, 7))
+def test_eliminate_matches_fraction_fm_on_beta_systems(K):
+    rng = random.Random(K)
+    for sigma in range(2, K + 1):
+        denom = rng.randint(8, 40)
+        alpha = tuple(sorted(F(rng.randint(1, denom - 1), denom) for _ in range(K - 1))) + (F(1),)
+        system = beta_parameterized_polytope(K, sigma, alpha)
+        for drop in (beta_names(K), beta_names(K)[::-1], beta_names(K)[: K // 2]):
+            projected = eliminate(system, drop)
+            expected = oracle.eliminate(system, drop)
+            assert projected.variables == expected.variables
+            assert projected.rows == expected.rows
+
+
+COEFF = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3]))
+RHS = st.builds(F, st.integers(-6, 10), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def polytopes_with_drops(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(st.lists(COEFF, min_size=n, max_size=n), RHS), max_size=7))
+    if rows and draw(st.booleans()):  # a positively scaled copy of a row
+        coeffs, b = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.builds(F, st.integers(1, 9), st.integers(1, 3)))
+        rows.append(([k * c for c in coeffs], k * b))
+    if draw(st.booleans()):
+        rows.append(([F(0)] * n, draw(RHS)))  # a tautology or 0 <= negative
+    names = [f"x{j}" for j in range(n)]
+    drop = draw(st.permutations(names))[: draw(st.integers(0, n))]
+    return Polytope.build(names, draw(st.permutations(rows))), drop
+
+
+@given(case=polytopes_with_drops())
+@settings(max_examples=250, deadline=None)
+def test_eliminate_matches_fraction_fm(case):
+    poly, drop = case
+    projected = eliminate(poly, drop)
+    expected = oracle.eliminate(poly, drop)
+    assert projected.variables == expected.variables
+    assert projected.rows == expected.rows
+    assert all(type(v) is F for coeffs, rhs in projected.rows for v in (*coeffs, rhs))
+
+
+@given(case=polytopes_with_drops(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fix_variables_matches_fraction_dedupe(case, data):
+    poly, fixed_names = case
+    value = st.builds(F, st.integers(0, 12), st.integers(1, 3))
+    assignment = {name: data.draw(value) for name in fixed_names}
+    keep = [j for j, name in enumerate(poly.variables) if name not in assignment]
+    shifted = [
+        (tuple(coeffs[j] for j in keep),
+         rhs - sum(coeffs[poly.index(name)] * v for name, v in assignment.items()))
+        for coeffs, rhs in poly.rows
+    ]
+    assert fix_variables(poly, assignment).rows == tuple(oracle.dedupe(shifted))
 
 
 def test_prune_drops_implied_row():
