@@ -8,8 +8,6 @@ the all-non-leader payload W_34 is never transmitted, yet its intended users
 recompose it from what was sent.
 """
 
-import numpy as np
-
 from cachecast import (
     decode_file,
     encode_multicast,
@@ -39,7 +37,7 @@ for user in (1, 2, 3):
     decoded = decode_file(user, payloads, caches[user - 1], demands, leaders)
     wanted = library.files[demands[user - 1] - 1]
     print(f"  user {user} recovers file {demands[user - 1]} bit-exactly: "
-          f"{np.array_equal(decoded, wanted)}")
+          f"{decoded == wanted}")
 
 print()
 print("=== round 2: K = 4 users but only N = 2 files ===")
@@ -55,10 +53,10 @@ print("  group (3, 4) is all non-leaders, so W_34 was never sent")
 rebuilt = reconstruct_missing(payloads, (3, 4), leaders, demands)
 direct = library.subfile(demands[2], (4,)) ^ library.subfile(demands[3], (3,))
 print(f"  reconstructed W_34 equals its XOR definition: "
-      f"{np.array_equal(rebuilt.bits, direct)}")
+      f"{rebuilt.bits == direct}")
 
 for user in (3, 4):
     decoded = decode_file(user, payloads, caches[user - 1], demands, leaders)
     wanted = library.files[demands[user - 1] - 1]
     print(f"  non-leader user {user} recovers file {demands[user - 1]}: "
-          f"{np.array_equal(decoded, wanted)}")
+          f"{decoded == wanted}")

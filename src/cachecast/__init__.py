@@ -22,6 +22,7 @@ from .combinatorics import (
     partition_by_min,
 )
 from .caching import (
+    Bits,
     CacheContents,
     FileLibrary,
     LeaderSet,

@@ -15,9 +15,12 @@ all-non-leader groups are never sent and are instead recomposed by the
 receivers as an XOR of transmitted payloads over alternative leader sets
 (the Yu-Maddah-Ali-Avestimehr reconstruction).
 
-Everything operates on explicit bit arrays (numpy uint8 of 0/1 values), so
-every claim about the delivery scheme can be checked for bit equality, for
-every demand tuple, at small scale.
+Everything operates on explicit bit strings, so every claim about the
+delivery scheme can be checked for bit equality, for every demand tuple.  A
+`Bits` holds `length` bits in one Python int: bit 0 of the string is the most
+significant of those bits, so a file's subfiles are consecutive bit ranges
+from the top, and `Bits.packed()` gives the bytes of `np.packbits` (MSB
+first, zero padding on the right).  numpy only draws the seeded library.
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -34,7 +37,58 @@ import numpy as np
 
 from .combinatorics import Group, binom
 
-Bits = np.ndarray
+
+class Bits:
+    """An immutable string of `length` bits held in the int `value`.
+
+    Bit 0 is the most significant of the `length` bits.  Bits compare, XOR
+    and hash by value and length; `len` is the bit count.
+    """
+
+    __slots__ = ("value", "length")
+
+    def __init__(self, value: int, length: int):
+        if value < 0 or value.bit_length() > length:
+            raise ValueError(f"{value!r} does not fit in {length} bits")
+        _set_value(self, value)
+        _set_length(self, length)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Bits is immutable; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.length:
+            raise IndexError(f"bit {index!r} is not in 0..{self.length - 1}")
+        return self.value >> (self.length - 1 - index) & 1
+
+    def __xor__(self, other: Bits) -> Bits:
+        if not isinstance(other, Bits):
+            return NotImplemented
+        if other.length != self.length:
+            raise ValueError(f"cannot XOR {self.length} bits with {other.length} bits")
+        return Bits(self.value ^ other.value, self.length)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Bits):
+            return NotImplemented
+        return self.value == other.value and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
+
+    def __repr__(self) -> str:
+        return f"Bits({self.value:#x}, {self.length})"
+
+    def packed(self) -> bytes:
+        """The bits as bytes, MSB first, the last byte padded with zeros."""
+        size = -(-self.length // 8)
+        return (self.value << (8 * size - self.length)).to_bytes(size, "big")
+
+
+_set_value, _set_length = Bits.value.__set__, Bits.length.__set__
 
 
 class MissingPayloadError(LookupError):
@@ -54,9 +108,10 @@ class FileLibrary:
     """N files of B bits each, split for a K-user cache of order t = K*mu.
 
     The split is positional: subfiles follow the lexicographic order of the
-    t-subsets of [K], each of length B / C(K, t) bits.  Subfile views and the
-    placement are built on first use and live as long as the library, so
-    everything that shares one library shares them.
+    t-subsets of [K], each of length B / C(K, t) bits.  The subfiles, cut
+    once from the file ints, and the placement are built on first use and
+    live as long as the library, so everything that shares one library
+    shares them.
     """
 
     num_users: int
@@ -70,6 +125,8 @@ class FileLibrary:
             raise ValueError(
                 f"split order must lie in [0, {self.num_users}], got {self.split_order}"
             )
+        if not all(isinstance(f, Bits) for f in self.files):
+            raise TypeError("library files must be Bits")
         sizes = {len(f) for f in self.files}
         if len(sizes) != 1:
             raise ValueError("all files must have the same bit length")
@@ -88,7 +145,7 @@ class FileLibrary:
     def file_bits(self) -> int:
         return len(self.files[0])
 
-    @property
+    @cached_property
     def subfile_bits(self) -> int:
         return self.file_bits // binom(self.num_users, self.split_order)
 
@@ -97,11 +154,14 @@ class FileLibrary:
 
     @cached_property
     def _subfile_views(self) -> dict[Group, tuple[Bits, ...]]:
-        """{t-subset: its subfile of every file}, as views into the files."""
-        size = self.subfile_bits
+        """{t-subset: its subfile of every file}, cut by shift and mask."""
+        size, subsets = self.subfile_bits, self.subfile_subsets()
+        mask = (1 << size) - 1
         return {
-            subset: tuple(f[pos * size : (pos + 1) * size] for f in self.files)
-            for pos, subset in enumerate(self.subfile_subsets())
+            subset: tuple(
+                Bits(f.value >> size * (len(subsets) - 1 - pos) & mask, size) for f in self.files
+            )
+            for pos, subset in enumerate(subsets)
         }
 
     @cached_property
@@ -133,17 +193,18 @@ def random_library(
 ) -> FileLibrary:
     """Seeded pseudo-random library; default size is 8 bits per subfile.
 
-    The files are read-only, so a library shared by many verifications cannot
-    be changed by any of them.
+    Each file is one `rng.integers` draw of 0/1 values, packed once into
+    `Bits`, which are immutable: a library shared by many verifications
+    cannot be changed by any of them.
     """
     if file_bits is None:
         file_bits = 8 * binom(num_users, split_order)
     rng = np.random.default_rng(seed)
+    pad = -file_bits % 8
     files = []
     for _ in range(num_files):
-        bits = rng.integers(0, 2, size=file_bits, dtype=np.uint8)
-        bits.setflags(write=False)
-        files.append(bits)
+        draw = rng.integers(0, 2, size=file_bits, dtype=np.uint8)
+        files.append(Bits(int.from_bytes(np.packbits(draw).tobytes(), "big") >> pad, file_bits))
     return FileLibrary(num_users=num_users, split_order=split_order, files=tuple(files))
 
 
@@ -154,11 +215,32 @@ class CacheContents:
     user: int
     num_users: int
     split_order: int
+    subfile_bits: int
     subfiles: dict[tuple[int, Group], Bits]
 
     @property
     def stored_bits(self) -> int:
         return sum(len(v) for v in self.subfiles.values())
+
+    @cached_property
+    def _decode_plan(self) -> tuple[tuple[Group | None, tuple[tuple[int, list[int]], ...]], ...]:
+        """How this user rebuilds each subfile of its file, in subset order:
+        (group, sides) XORs the payload of `group` (None: a cached subfile)
+        with values[d_other - 1] for each (other - 1, values) in sides, one
+        cached subfile int per file.  Built once per placement."""
+        cached: dict[Group, list[int]] = {}
+        for (_, subset), bits in sorted(self.subfiles.items()):
+            cached.setdefault(subset, []).append(bits.value)
+        plan = []
+        for subset in combinations(range(1, self.num_users + 1), self.split_order):
+            if self.user in subset:
+                plan.append((None, ((self.user - 1, cached[subset]),)))
+                continue
+            group = tuple(sorted((self.user,) + subset))
+            sides = tuple((other - 1, cached[group[:i] + group[i + 1 :]])
+                          for i, other in enumerate(group) if other != self.user)
+            plan.append((group, sides))
+        return tuple(plan)
 
     def digest(self) -> str:
         """Order-independent fingerprint of the cached bits."""
@@ -166,7 +248,7 @@ class CacheContents:
         h.update(f"user={self.user}".encode())
         for key in sorted(self.subfiles):
             h.update(repr(key).encode())
-            h.update(np.packbits(self.subfiles[key]).tobytes())
+            h.update(self.subfiles[key].packed())
         return h.hexdigest()
 
 
@@ -181,14 +263,10 @@ def place_caches(library: FileLibrary) -> tuple[CacheContents, ...]:
             for subset in subsets
             if user in subset
         }
-        caches.append(
-            CacheContents(
-                user=user,
-                num_users=library.num_users,
-                split_order=library.split_order,
-                subfiles=stored,
-            )
-        )
+        caches.append(CacheContents(
+            user=user, num_users=library.num_users, split_order=library.split_order,
+            subfile_bits=library.subfile_bits, subfiles=stored,
+        ))
     return tuple(caches)
 
 
@@ -201,14 +279,9 @@ class LeaderSet:
 
 
 def select_leaders(d: Sequence[int]) -> LeaderSet:
-    seen_files = set()
-    leaders = []
-    for user, demand in enumerate(d, start=1):
-        if demand not in seen_files:
-            seen_files.add(demand)
-            leaders.append(user)
+    leaders = tuple(u for u in range(1, len(d) + 1) if d[u - 1] not in d[: u - 1])
     non_leaders = tuple(u for u in range(1, len(d) + 1) if u not in leaders)
-    return LeaderSet(leaders=tuple(leaders), non_leaders=non_leaders)
+    return LeaderSet(leaders=leaders, non_leaders=non_leaders)
 
 
 @dataclass(frozen=True)
@@ -217,11 +290,9 @@ class MulticastPayload:
     bits: Bits
 
 
-def _xor_payload(d: Sequence[int], library: FileLibrary, group: Group) -> Bits:
-    acc = library.subfile(d[group[0] - 1], group[1:]).copy()
-    for i in range(1, len(group)):
-        acc ^= library.subfile(d[group[i] - 1], group[:i] + group[i + 1 :])
-    return acc
+def _payload_map(payloads: Iterable[MulticastPayload] | dict[Group, Bits]) -> dict[Group, Bits]:
+    """{group: bits} of payload records; a map is returned as it is."""
+    return payloads if isinstance(payloads, dict) else {p.group: p.bits for p in payloads}
 
 
 def encode_multicast(
@@ -232,35 +303,21 @@ def encode_multicast(
     sigma = library.split_order + 1
     if sigma > library.num_users:
         return []  # full caches: nothing to deliver
+    subfiles, size = library._subfile_views, library.subfile_bits
     leader_set = set(leaders.leaders)
     payloads = []
     for group in combinations(range(1, library.num_users + 1), sigma):
         if leader_set.isdisjoint(group):
             continue
-        payloads.append(MulticastPayload(group=group, bits=_xor_payload(d, library, group)))
+        acc = 0
+        for i, member in enumerate(group):
+            acc ^= subfiles[group[:i] + group[i + 1 :]][d[member - 1] - 1].value
+        payloads.append(MulticastPayload(group=group, bits=Bits(acc, size)))
     return payloads
 
 
-def _alternative_leader_sets(
-    pool: Group, leaders: tuple[int, ...], d: Sequence[int]
-) -> list[Group]:
-    """Subsets of `pool` that could have served as the leader set.
-
-    Each candidate has as many users as there are leaders, demands pairwise
-    distinct, and differs from the actual leader set.
-    """
-    out = []
-    for cand in combinations(pool, len(leaders)):
-        if cand == leaders:
-            continue
-        demands = [d[u - 1] for u in cand]
-        if len(set(demands)) == len(demands):
-            out.append(cand)
-    return out
-
-
 def reconstruct_missing(
-    payloads: Iterable[MulticastPayload],
+    payloads: Iterable[MulticastPayload] | dict[Group, Bits],
     group: Group,
     leaders: LeaderSet,
     d: Sequence[int],
@@ -268,66 +325,65 @@ def reconstruct_missing(
     """Recompose an untransmitted all-non-leader payload W_A.
 
     W_A equals the XOR of the transmitted payloads W_{B \\ V} where
-    B = A u {leaders} and V ranges over the alternative leader sets inside B.
-    Every payload consumed this way is checked to be decodable by the weakest
-    member of A: its group must meet the leaders weaker than min(A), or
-    contain min(A) itself.
+    B = A u {leaders} and V ranges over the alternative leader sets inside B:
+    as many users as leaders, demands pairwise distinct, not the leaders
+    themselves.  Every payload consumed this way is checked to be decodable
+    by the weakest member of A: its group must meet the leaders weaker than
+    min(A), or contain min(A) itself.
     """
     group = tuple(sorted(group))
     if not set(group) <= set(leaders.non_leaders):
         raise ValueError(f"group {group} is not a set of non-leading users")
-    by_group = {p.group: p.bits for p in payloads}
+    by_group = _payload_map(payloads)
     pool = tuple(sorted(set(group) | set(leaders.leaders)))
     weakest = group[0]
     decodable_by = {u for u in leaders.leaders if u < weakest} | {weakest}
 
-    acc = None
-    for alt in _alternative_leader_sets(pool, leaders.leaders, d):
+    acc, bits = 0, None
+    for alt in combinations(pool, len(leaders.leaders)):
+        if alt == leaders.leaders or len({d[u - 1] for u in alt}) < len(alt):
+            continue
         source = tuple(u for u in pool if u not in alt)
         if not decodable_by & set(source):
             raise DecodabilityError(group, source, weakest)
         if source not in by_group:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
-        acc = by_group[source].copy() if acc is None else acc ^ by_group[source]
-    if acc is None:
+        bits = by_group[source]
+        acc ^= bits.value
+    if bits is None:
         raise MissingPayloadError(f"no alternative leader sets cover group {group}")
-    return MulticastPayload(group=group, bits=acc)
+    return MulticastPayload(group=group, bits=Bits(acc, bits.length))
 
 
 def decode_file(
     user: int,
-    payloads: Iterable[MulticastPayload],
+    payloads: Iterable[MulticastPayload] | dict[Group, Bits],
     cache: CacheContents,
     d: Sequence[int],
     leaders: LeaderSet,
 ) -> Bits:
-    """Recover F_{d_user} exactly from payloads plus the local cache."""
-    num_users = cache.num_users
-    order = cache.split_order
-    demand = d[user - 1]
-    by_group = {p.group: p.bits for p in payloads}
-    leader_set = set(leaders.leaders)
+    """Recover F_{d_user} exactly from payloads plus the local cache.
 
-    parts = []
-    for subset in combinations(range(1, num_users + 1), order):
-        if user in subset:
-            parts.append(cache.subfiles[(demand, subset)])
-            continue
-        group = tuple(sorted((user,) + subset))
-        if group in by_group:
-            coded = by_group[group]
-        elif leader_set.isdisjoint(group):
-            coded = reconstruct_missing(payloads, group, leaders, d).bits
-        else:
-            raise MissingPayloadError(
-                f"payload for group {group} is required by user {user} but missing"
-            )
-        piece = coded.copy()
-        for i, other in enumerate(group):
-            if other != user:
-                piece ^= cache.subfiles[(d[other - 1], group[:i] + group[i + 1 :])]
-        parts.append(piece)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+    `payloads` may be a {group: bits} map; an all-non-leader payload missing
+    from it is reconstructed from the others.
+    """
+    by_group, size = _payload_map(payloads), cache.subfile_bits
+    acc = 0
+    for group, sides in cache._decode_plan:
+        piece = 0
+        if group is not None:
+            coded = by_group.get(group)
+            if coded is None:
+                if not set(leaders.leaders).isdisjoint(group):
+                    raise MissingPayloadError(
+                        f"payload for group {group} is required by user {user} but missing"
+                    )
+                coded = reconstruct_missing(by_group, group, leaders, d).bits
+            piece = coded.value
+        for other, values in sides:
+            piece ^= values[d[other] - 1]
+        acc = acc << size | piece
+    return Bits(acc, size * len(cache._decode_plan))
 
 
 def end_to_end_verify(
@@ -343,11 +399,12 @@ def end_to_end_verify(
 ) -> bool:
     """Place, encode, decode every user; True iff all decodes are bit-exact.
 
-    `corrupt_payload` flips one bit of the given payload index before
+    `corrupt_payload` flips the first bit of the given payload index before
     decoding, for exercising failure detection.  `library` replaces the
     seeded `random_library` draw; it must have the given shape.  Only its
-    demand-independent work (bits, subfile views, placement) is reused:
-    encoding and every decode run afresh for `d`.
+    demand-independent work (bits, subfiles, placement) is reused: encoding
+    and every decode run afresh for `d`.  Each untransmitted all-non-leader
+    payload is reconstructed once, and every user decodes from that one map.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)
@@ -367,17 +424,17 @@ def end_to_end_verify(
     leaders = select_leaders(d)
     payloads = encode_multicast(d, library, leaders)
     if corrupt_payload is not None and payloads:
-        target = payloads[corrupt_payload % len(payloads)]
-        flipped = target.bits.copy()
-        flipped[0] ^= 1
-        payloads[corrupt_payload % len(payloads)] = MulticastPayload(
-            group=target.group, bits=flipped
-        )
-    for user in range(1, num_users + 1):
-        decoded = decode_file(user, payloads, caches[user - 1], d, leaders)
-        if not np.array_equal(decoded, library.files[d[user - 1] - 1]):
-            return False
-    return True
+        index = corrupt_payload % len(payloads)
+        bits = payloads[index].bits
+        flipped = bits ^ Bits(1 << (bits.length - 1), bits.length)  # bit 0
+        payloads[index] = MulticastPayload(group=payloads[index].group, bits=flipped)
+    by_group = _payload_map(payloads)
+    missing = combinations(leaders.non_leaders, split_order + 1)
+    by_group.update({g: reconstruct_missing(by_group, g, leaders, d).bits for g in missing})
+    return all(
+        decode_file(user, by_group, caches[user - 1], d, leaders) == library.files[d[user - 1] - 1]
+        for user in range(1, num_users + 1)
+    )
 
 
 def sweep_demands(
@@ -400,11 +457,5 @@ def sweep_demands(
         ok = end_to_end_verify(
             num_users, num_files, split_order, file_bits, tuple(d), seed, library=library
         )
-        yield {
-            "K": num_users,
-            "N": num_files,
-            "Kmu": split_order,
-            "d": list(d),
-            "seed": seed,
-            "pass": ok,
-        }
+        yield {"K": num_users, "N": num_files, "Kmu": split_order, "d": list(d),
+               "seed": seed, "pass": ok}

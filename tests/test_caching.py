@@ -5,6 +5,7 @@ import pytest
 
 from cachecast import caching
 from cachecast.caching import (
+    Bits,
     DecodabilityError,
     FileLibrary,
     LeaderSet,
@@ -23,7 +24,7 @@ from cachecast.combinatorics import binom
 
 def direct_payload(library, d, group):
     """Oracle: the XOR definition of a coded payload, computed from scratch."""
-    bits = np.zeros(library.subfile_bits, dtype=np.uint8)
+    bits = Bits(0, library.subfile_bits)
     for member in group:
         rest = tuple(u for u in group if u != member)
         bits = bits ^ library.subfile(d[member - 1], rest)
@@ -32,25 +33,29 @@ def direct_payload(library, d, group):
 
 class TestLibrary:
     def test_rejects_indivisible_size(self):
-        files = tuple(np.zeros(10, dtype=np.uint8) for _ in range(2))
+        files = tuple(Bits(0, 10) for _ in range(2))
         with pytest.raises(ValueError):
             FileLibrary(num_users=3, split_order=1, files=files)  # 10 % 3 != 0
 
     def test_rejects_fractional_split(self):
-        files = (np.zeros(12, dtype=np.uint8),)
+        files = (Bits(0, 12),)
         with pytest.raises(ValueError):
             FileLibrary(num_users=3, split_order=1.5, files=files)
+
+    def test_rejects_files_that_are_not_bits(self):
+        with pytest.raises(TypeError):
+            FileLibrary(num_users=3, split_order=1, files=(np.zeros(12, dtype=np.uint8),))
 
     def test_subfiles_partition_the_file(self):
         lib = random_library(2, 4, 2, seed=3)
         for n in range(1, 3):
             chunks = [lib.subfile(n, s) for s in lib.subfile_subsets()]
-            assert np.array_equal(np.concatenate(chunks), lib.files[n - 1])
+            assert [bit for chunk in chunks for bit in chunk] == list(lib.files[n - 1])
 
     def test_subfile_lookup_ignores_order_and_rejects_other_subsets(self):
         lib = random_library(2, 4, 2, seed=3)
-        assert np.array_equal(lib.subfile(2, (4, 1)), lib.subfile(2, (1, 4)))
-        assert np.array_equal(lib.subfile(2, [3, 2]), lib.subfile(2, (2, 3)))
+        assert lib.subfile(2, (4, 1)) == lib.subfile(2, (1, 4))
+        assert lib.subfile(2, [3, 2]) == lib.subfile(2, (2, 3))
         for bad in ((1,), (1, 2, 3), (1, 5)):
             with pytest.raises(ValueError):
                 lib.subfile(1, bad)
@@ -64,10 +69,59 @@ class TestLibrary:
 
     def test_random_library_is_read_only(self):
         lib = random_library(2, 3, 1, seed=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             lib.files[0][0] ^= 1
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             lib.subfile(1, (2,))[0] ^= 1
+
+    @pytest.mark.parametrize(
+        "num_files,num_users,split,file_bits,seed",
+        [(2, 3, 1, None, 4), (3, 4, 2, 6 * 13, 5), (1, 2, 1, 2 * (2**16 + 3), 6)],
+    )
+    def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
+        lib = random_library(num_files, num_users, split, file_bits, seed)
+        rng = np.random.default_rng(seed)
+        for f in lib.files:
+            draw = rng.integers(0, 2, size=lib.file_bits, dtype=np.uint8)
+            assert list(f) == draw.tolist()
+            assert f.packed() == np.packbits(draw).tobytes()
+
+
+class TestBits:
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 13, 64, 65])
+    def test_bit_order_and_packing_follow_numpy(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            draw = rng.integers(0, 2, size=length, dtype=np.uint8)
+            bits = Bits(int("".join(str(b) for b in draw) or "0", 2), length)
+            assert len(bits) == length
+            assert list(bits) == draw.tolist()  # bit 0 is the most significant
+            assert bits.packed() == np.packbits(draw).tobytes()
+
+    def test_xor_and_equality(self):
+        a, b = Bits(0b1100, 4), Bits(0b1010, 4)
+        assert a ^ b == Bits(0b0110, 4)
+        assert a ^ b ^ b == a
+        assert Bits(0b0110, 4) != Bits(0b0110, 5)  # the length is part of the value
+        assert hash(Bits(3, 4)) == hash(Bits(3, 4))
+        with pytest.raises(ValueError):
+            a ^ Bits(1, 5)
+
+    @pytest.mark.parametrize("value,length", [(16, 4), (-1, 4), (1, 0)])
+    def test_rejects_values_that_do_not_fit(self, value, length):
+        with pytest.raises(ValueError):
+            Bits(value, length)
+
+    def test_immutable_and_bounded(self):
+        bits = Bits(0b1010, 4)
+        with pytest.raises(AttributeError):
+            bits.value = 0
+        with pytest.raises(TypeError):
+            bits[0] = 0
+        for index in (4, -1):
+            with pytest.raises(IndexError):
+                bits[index]
+        assert bits == Bits(0b1010, 4)
 
 
 class TestPlacement:
@@ -144,7 +198,7 @@ class TestEncoding:
         payloads = encode_multicast(d, lib, select_leaders(d))
         assert [p.group for p in payloads] == [(1,), (2,), (3,)]
         for p in payloads:
-            assert np.array_equal(p.bits, lib.files[d[p.group[0] - 1] - 1])
+            assert p.bits == lib.files[d[p.group[0] - 1] - 1]
 
     def test_full_cache_needs_no_payloads(self):
         lib = random_library(2, 3, 3, seed=2)
@@ -171,7 +225,7 @@ class TestEncoding:
         lib = random_library(3, 4, 2, seed=11)
         d = (2, 3, 1, 2)
         for p in encode_multicast(d, lib, select_leaders(d)):
-            assert np.array_equal(p.bits, direct_payload(lib, d, p.group))
+            assert p.bits == direct_payload(lib, d, p.group)
 
 
 class TestReconstruction:
@@ -181,7 +235,7 @@ class TestReconstruction:
         leaders = select_leaders(d)
         payloads = encode_multicast(d, lib, leaders)
         rebuilt = reconstruct_missing(payloads, (3, 4), leaders, d)
-        assert np.array_equal(rebuilt.bits, direct_payload(lib, d, (3, 4)))
+        assert rebuilt.bits == direct_payload(lib, d, (3, 4))
 
     def test_reconstruction_xor_direct_is_zero(self):
         lib = random_library(2, 5, 1, seed=13)
@@ -190,7 +244,7 @@ class TestReconstruction:
         payloads = encode_multicast(d, lib, leaders)
         for group in itertools.combinations(leaders.non_leaders, 2):
             rebuilt = reconstruct_missing(payloads, group, leaders, d)
-            assert not np.any(rebuilt.bits ^ direct_payload(lib, d, group))
+            assert rebuilt.bits ^ direct_payload(lib, d, group) == Bits(0, lib.subfile_bits)
 
     def test_rejects_group_with_leader(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -231,7 +285,7 @@ class TestDecoding:
         leaders = select_leaders(d)
         caches = place_caches(lib)
         out = decode_file(1, [], caches[0], d, leaders)
-        assert np.array_equal(out, lib.files[1])
+        assert out == lib.files[1]
 
     def test_three_user_example_decodes(self):
         lib = random_library(3, 3, 1, seed=6)
@@ -243,7 +297,7 @@ class TestDecoding:
         own = [p for p in payloads if 1 in p.group]
         assert [p.group for p in own] == [(1, 2), (1, 3)]
         out = decode_file(1, own, caches[0], d, leaders)
-        assert np.array_equal(out, lib.files[0])
+        assert out == lib.files[0]
 
     def test_non_leader_matches_its_leader(self):
         lib = random_library(2, 4, 1, seed=6)
@@ -253,7 +307,7 @@ class TestDecoding:
         payloads = encode_multicast(d, lib, leaders)
         strong = decode_file(4, payloads, caches[3], d, leaders)
         weak = decode_file(1, payloads, caches[0], d, leaders)
-        assert np.array_equal(strong, weak) and np.array_equal(weak, lib.files[0])
+        assert strong == weak and weak == lib.files[0]
 
     def test_missing_payload_raises(self):
         lib = random_library(3, 3, 1, seed=6)
@@ -285,7 +339,7 @@ class TestMissingMessagesExhaustive:
                 payloads = encode_multicast(d, lib, leaders)
                 for group in itertools.combinations(leaders.non_leaders, sigma):
                     rebuilt = reconstruct_missing(payloads, group, leaders, d)
-                    assert np.array_equal(rebuilt.bits, direct_payload(lib, d, group))
+                    assert rebuilt.bits == direct_payload(lib, d, group)
 
 
 class TestEndToEnd:
@@ -375,3 +429,121 @@ class TestEndToEnd:
                 for index in range(count):
                     assert not end_to_end_verify(*shape, d=d, seed=31, corrupt_payload=index)
                     assert not end_to_end_verify(*shape, d=d, corrupt_payload=index, library=lib)
+
+
+# (num_files, num_users, split, file_bits, seed) -> CacheContents.digest() of users 1..K
+PINNED_DIGESTS = {
+    (3, 3, 1, None, 7): [  # default 8-bit subfiles
+        "20d9be51c945a7ced3828944e9a0523369122769e584e3eabe827ae480518026",
+        "168a9ced638949a0b0e4520094a0be9396990d9e0b67e32874808dd2dda4f82f",
+        "a9ae76a38f14772fe35de4449206d2d68f62ad9b86445585de446b52b75d70a3",
+    ],
+    (2, 3, 1, 15, 11): [  # 5-bit subfiles
+        "0efda12379330bad87b35e8a1d39d2f393bfbde31d250d27d55aaece0f57c0d9",
+        "3b28a6970cc6e2d6acd2f2bd65c310c543938262bea2f2b71f50f84c5fefab34",
+        "28de34b512238cc69e85151881599a5ae0acfc21aa4a56052b812ccb8b1b90df",
+    ],
+    (3, 4, 2, 6 * 13, 5): [  # 13-bit subfiles
+        "2f05d97cc9a326e38a758cbb5282749fa2427527984a7fb22f82a79dfd2aed1c",
+        "0a9d66bc96b3fce56f8a7949ecfe93f6075bd0f519bbfdd19aa3aac120e8a1d0",
+        "646f2f3551080c25eee01cae03c04a5ad75586c87b20eddb58e74a43dc4e103f",
+        "9442fa29c72dd25649c911dff8003609e5ba075605327ec03a567d58822c9be4",
+    ],
+    (2, 3, 1, 3 * 2**16, 19): [  # 2^16-bit subfiles
+        "0d4c229bbd3fb7f0f94b468ef53b7702271fa5e2301198c53241957ec0d3dba3",
+        "b130975ca5eae89538dad41e87b56b4829c940f3be57fedfb63a7afdf655de61",
+        "a8d4beca1a7a59c1a0adeeb9822dc275d2378b7db5529e2fbcf23045d2005cc8",
+    ],
+    (2, 3, 3, 3, 23): [  # full caches of one 3-bit subfile per file
+        "bac8fb0a2aada62592adddeb6e64953a82b428477fc90b9b07e336345b8f162b",
+        "0d0cf7b5e588191ae9eda79476c4796c53a80e60127682487ccaca25ee2d67f1",
+        "511218f9a198a9667a5f1cd0882c8f0f1aabe2592f91826264b7931a868fd94c",
+    ],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_DIGESTS, key=repr))
+def test_cache_digests_are_pinned(shape):
+    """A seed's library, its split and the bytes each digest hashes (packbits
+    order, zero padding on the right) never change."""
+    lib = random_library(*shape)
+    assert [c.digest() for c in lib.caches] == PINNED_DIGESTS[shape]
+
+
+def _consumers(d, leaders, sigma, group):
+    """Oracle: users whose decode uses the payload of `group`.
+
+    Its members peel it directly; the members of an all-non-leader group A
+    use it when it is W_{B \\ V} for B = A u leaders and V an alternative
+    leader set inside B (as many users as leaders, distinct demands, not the
+    leaders themselves).
+    """
+    users = set(group)
+    lead = leaders.leaders
+    for missing in itertools.combinations(leaders.non_leaders, sigma):
+        pool = set(missing) | set(lead)
+        for alt in itertools.combinations(sorted(pool), len(lead)):
+            distinct = len({d[u - 1] for u in alt}) == len(lead)
+            if alt != lead and distinct and pool - set(alt) == set(group):
+                users |= set(missing)
+    return users
+
+
+class TestFaultLocation:
+    @pytest.mark.parametrize("num_users,num_files", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+    def test_a_flipped_payload_breaks_exactly_its_consumers(
+        self, monkeypatch, num_users, num_files
+    ):
+        """One flipped bit in payload P makes exactly P's consumers decode a
+        wrong file, directly or through a reconstruction; every other user
+        decodes correctly from the same per-tuple payload map."""
+        decoded = {}
+        original = caching.decode_file
+
+        def spy(user, payloads, cache, d, leaders):
+            decoded[user] = original(user, payloads, cache, d, leaders)
+            # hand back the wanted file, so every user is decoded and recorded
+            return lib.files[d[user - 1] - 1]
+
+        monkeypatch.setattr(caching, "decode_file", spy)
+        for split in range(num_users):
+            lib = random_library(num_files, num_users, split, seed=41)
+            for d in itertools.product(range(1, num_files + 1), repeat=num_users):
+                leaders = select_leaders(d)
+                groups = [p.group for p in encode_multicast(d, lib, leaders)]
+                for index, group in enumerate(groups):
+                    decoded.clear()
+                    end_to_end_verify(
+                        num_users, num_files, split, d=d, corrupt_payload=index, library=lib
+                    )
+                    assert sorted(decoded) == list(range(1, num_users + 1))
+                    wrong = {u for u, out in decoded.items() if out != lib.files[d[u - 1] - 1]}
+                    assert wrong == _consumers(d, leaders, split + 1, group), (split, d, group)
+
+
+def test_each_missing_payload_is_reconstructed_once_per_tuple(monkeypatch):
+    """Over the K <= 4, N <= 4 sweep, every untransmitted (d, group) payload
+    is reconstructed exactly once, and nothing else is."""
+    calls = []
+    shape = []
+    original = caching.reconstruct_missing
+
+    def counted(payloads, group, leaders, d):
+        calls.append((*shape, tuple(d), tuple(group)))
+        return original(payloads, group, leaders, d)
+
+    monkeypatch.setattr(caching, "reconstruct_missing", counted)
+    expected = set()
+    for K in range(1, 5):
+        for N in range(1, 5):
+            for split in range(K + 1):
+                shape[:] = [K, N, split]
+                records = list(sweep_demands(K, N, split))
+                assert len(records) == N**K and all(r["pass"] for r in records)
+                for d in itertools.product(range(1, N + 1), repeat=K):
+                    non_leaders = select_leaders(d).non_leaders
+                    for group in itertools.combinations(non_leaders, split + 1):
+                        expected.add((K, N, split, d, group))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == expected
+    assert len(expected) == 770

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cachecast import cli
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -323,3 +324,45 @@ class TestFiniteSnr:
         )
         assert code == 2
         assert "group size" in err and out == ""
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["gndt", *FIG3, "--mu", "1/4", "--exact", "--format", "json"],
+        ["gndt", *FIG3, "--mu", "1/4"],
+        ["gndt", *FIG3, "--mu", "1/4", "--out", "{out}"],
+        ["gndt", *FIG3, "--mu", "1/4"],
+        ["gndt", *FIG3, "--mu", "1/4", "--config", "{config}"],
+        ["gndt", *FIG3, "--mu", "1/4"],
+        ["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--region-trials", "1", "--inject-fault"],
+        ["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--region-trials", "1"],
+        ["region", "--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1", "--kind", "symmetric", "--s", "2"],
+        ["region", "--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1"],
+    ]
+
+    def outputs(self, directory, capsys):
+        directory.mkdir()
+        config = directory / "run.json"
+        config.write_text(json.dumps({"format": "json", "r": "0,0,0,1/10"}))
+        results = []
+        for i, argv in enumerate(self.SEQUENCE):
+            path = directory / f"{i}.out"
+            argv = [a.replace("{out}", str(path)).replace("{config}", str(config)) for a in argv]
+            code, out, err = run(argv, capsys)
+            results.append((code, out, err, path.read_text() if path.exists() else None))
+        return results
+
+    def test_calls_with_and_without_options_match_fresh_parsers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """main keeps one parser; what a call sets (a flag, --out, --format,
+        a config file, --inject-fault, --kind) does not carry over to the
+        next call."""
+        assert cli._parser() is cli._parser()
+        shared = self.outputs(tmp_path / "shared", capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+        fresh = self.outputs(tmp_path / "fresh", capsys)
+        assert shared == fresh
+        assert [r[0] for r in shared] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+        assert shared[2][1] == "" and shared[2][3] == shared[3][1]
+        assert shared[4][1].startswith("[") and shared[5][1] == shared[1][1]
