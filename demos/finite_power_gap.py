@@ -34,7 +34,7 @@ rng = np.random.default_rng(0)
 passed = 0
 for _ in range(100):
     point = sample_boundary_point(inner, rng)
-    passed += constant_gap_certificate(3, 2, ALPHA, POWER, point)
+    passed += constant_gap_certificate(inner, outer, point)
 print(f"\nrate certificates: {passed}/100 boundary points escape the outer bound at +2 bits")
 
 cfg = SystemConfig(num_users=3, num_files=3, mu=Fraction(1, 3), alpha=ALPHA, power=POWER)

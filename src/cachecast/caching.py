@@ -132,6 +132,8 @@ class FileLibrary:
             raise ValueError("all files must have the same bit length")
         (bits,) = sizes
         pieces = binom(self.num_users, self.split_order)
+        if bits < 1:  # every user would "decode" the empty file
+            raise ValueError("library files must have at least one bit")
         if bits % pieces != 0:
             raise ValueError(
                 f"file size {bits} bits is not divisible into {pieces} equal subfiles"

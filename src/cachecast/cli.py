@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -78,13 +77,33 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        stored = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            stored = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
+    if not isinstance(stored, dict):
+        raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
     for key, value in stored.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
     return args
+
+
+def _count(args, flag: str, default):
+    """A flag that counts something: `default` when unset, else at least 1.
+
+    An explicit 0 is not read as unset, and neither 0 nor a negative count is
+    run: a check over nothing would pass vacuously.
+    """
+    value = getattr(args, flag[2:].replace("-", "_"), None)
+    if value is None:
+        return default
+    count = _parse_fraction(value)
+    if count.denominator != 1 or count < 1:
+        raise ValueError(f"{flag} must be a whole number of at least 1, got {value}")
+    return int(count)
 
 
 def _system_config(args) -> SystemConfig:
@@ -195,17 +214,17 @@ def cmd_region(args) -> int:
     if args.kind == "full":
         poly = regions.build_region(K, sigma, alpha)
     elif args.kind == "symmetric":
-        poly = regions.symmetric_projection(K, sigma, alpha, int(args.s or K))
+        poly = regions.symmetric_projection(K, sigma, alpha, _count(args, "--s", K))
     elif args.kind == "missing":
         if not args.leaders:
             raise ValueError("--leaders is required for --kind missing")
         leaders = [int(v) for v in str(args.leaders).split(",")]
         poly = regions.build_missing_message_region(K, sigma, alpha, leaders)
     elif args.kind == "two-multicast":
-        if not args.gamma:
+        if args.gamma is None:
             raise ValueError("--gamma is required for --kind two-multicast")
         poly = regions.build_two_multicast_symmetric(
-            K, sigma, int(args.gamma), alpha, int(args.s or K)
+            K, sigma, int(args.gamma), alpha, _count(args, "--s", K)
         )
     else:
         raise ValueError(f"unknown region kind {args.kind!r}")
@@ -217,10 +236,12 @@ def cmd_region(args) -> int:
 def _caching_sweeps(args) -> list:
     """The lazy record streams of the caching stage, one per (K, N, t)."""
     seed = int(args.seed or 0)
-    file_bits = int(args.B) if getattr(args, "B", None) else None
-    if getattr(args, "K", None) and getattr(args, "N", None):
+    file_bits = _count(args, "--B", None)
+    K, N = _count(args, "--K", None), _count(args, "--N", None)
+    if (K is None) != (N is None):
+        raise ValueError("verify takes --K and --N together, or neither for the sweep")
+    if K is not None:
         # one explicit configuration, optionally a single demand tuple
-        K, N = int(args.K), int(args.N)
         if args.mu is not None:
             budget = K * _parse_fraction(args.mu)
             if budget.denominator != 1:
@@ -238,8 +259,8 @@ def _caching_sweeps(args) -> list:
             caching.sweep_demands(K, N, split, file_bits, seed=seed, demands=demands)
             for split in splits
         ]
-    max_k = int(args.max_K or 4)
-    max_n = int(args.max_N or 4)
+    max_k = _count(args, "--max-K", 4)
+    max_n = _count(args, "--max-N", 4)
     return [
         caching.sweep_demands(K, N, split, file_bits, seed=seed)
         for K in range(1, max_k + 1)
@@ -291,12 +312,7 @@ def _verify_region_equality(args, trials: int) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    trials = 3 if args.region_trials is None else int(args.region_trials)
-    if trials < 1:
-        raise ValueError(
-            f"--region-trials must be at least 1, got {trials}; "
-            "a certification over no trials would pass vacuously"
-        )
+    trials = _count(args, "--region-trials", 3)
     sweeps = _caching_sweeps(args)
     with _output(args) as out:
         cache_checked, cache_failed = _verify_caching(args, sweeps, out)
@@ -317,32 +333,18 @@ def cmd_finite_snr(args) -> int:
     power = float(args.P if args.P is not None else 2**20)
     if not 1 < power < math.inf:  # also refuses nan
         raise ValueError(f"--P must be a finite power above 1, got {args.P}")
+    count = _count(args, "--certificates", 20)
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["region"] + list(inner.variables) + ["rhs"])
-    for name, reg in (("inner", inner), ("outer", outer)):
-        for row, rhs in zip(reg.coeffs, reg.rhs):
-            writer.writerow([name] + [f"{v:.12g}" for v in row] + [f"{rhs:.12g}"])
-
     rng = np.random.default_rng(int(args.seed or 0))
-    count = int(args.certificates or 20)
-    passed = 0
-    cert_rows = []
-    for i in range(count):
-        point = finite_snr.sample_boundary_point(inner, rng)
-        ok = finite_snr.constant_gap_certificate(K, sigma, alpha, power, point)
-        passed += 1 if ok else 0
-        cert_rows.append([f"certificate_{i}", "pass" if ok else "fail"])
-    writer.writerow([])
-    writer.writerow(["certificate", "outcome"])
-    writer.writerows(cert_rows)
-
+    points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(count)]
+    outcomes = [finite_snr.constant_gap_certificate(inner, outer, p) for p in points]
     with _output(args) as out:
-        out.write(buf.getvalue())
-    return 0 if passed == count else VERIFY_ERROR
+        finite_snr.write_region_csv({"inner": inner, "outer": outer}, out)
+        out.write("\ncertificate,outcome\n")
+        for i, ok in enumerate(outcomes):
+            out.write(f"certificate_{i},{'pass' if ok else 'fail'}\n")
+    return 0 if all(outcomes) else VERIFY_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,10 +421,9 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         if args.command != "verify":
-            if getattr(args, "K", None) is None:
-                raise ValueError("--K is required (flag or config file)")
-            if getattr(args, "alpha", None) is None:
-                raise ValueError("--alpha is required (flag or config file)")
+            for flag in ("K", "N", "alpha"):  # region and finite-snr take no --N
+                if getattr(args, flag, 0) is None:
+                    raise ValueError(f"--{flag} is required (flag or config file)")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

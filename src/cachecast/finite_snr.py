@@ -9,11 +9,15 @@ while the plain cut-set outer bound keeps the full log2(1 + P^alpha_k) on the
 right.  The two descriptions pinch the capacity region to within 2 bits per
 dimension, and the certificate implemented here checks exactly that statement
 pointwise: push a boundary point of the inner region up by 2 bits in every
-coordinate and it must fall outside the outer region.  The delay-rate variant
-additionally divides the delivery time by the converse constant 2.01.
+coordinate and it must fall outside the outer region, a pair built once and
+shared by every point.  The delay-rate variant additionally divides the
+delivery time by the converse constant 2.01.
 
-Rates are bits per channel use (all logs base 2).  Unlike the GDoF polytopes
-everything here is double precision; comparisons use a 1e-9 tolerance.
+The regions are float views of the exact rows of `regions`: `build_region`
+(per superposition level, `beta_parameterized_polytope`) supplies variables
+and 0/1 coefficients and validates the strengths exactly; only right-hand
+sides become floats.  Rates are bits per channel use (all logs base 2);
+comparisons use a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -21,17 +25,22 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .combinatorics import enumerate_groups
-from .regions import build_region, group_name, unicast_name, validate_power_exponents
+from .regions import (
+    beta_names,
+    beta_parameterized_polytope,
+    build_region,
+    unicast_name,
+    user_strengths,
+    validate_power_exponents,
+)
 from .tradeoff import SystemConfig, prefix_loads
 
 TOL = 1e-9
 GAP_BITS = 2.0
-DELAY_FACTOR = 2.01
 
 
 @dataclass(frozen=True)
@@ -59,11 +68,19 @@ class RateRegion:
         return [i for i, s in enumerate(slack) if s < -tol]
 
 
-def _strengths(alpha: Sequence) -> np.ndarray:
-    vals = np.asarray([float(a) for a in alpha], dtype=float)
-    if np.any(np.diff(vals) < 0) or vals[0] <= 0 or abs(vals[-1] - 1.0) > TOL:
-        raise ValueError(f"channel strengths must satisfy 0 < a_1 <= ... <= a_K = 1, got {vals}")
-    return vals
+def _log2_power(power: float) -> float:
+    return 0.0 if power <= 1 else math.log2(power)  # P <= 1: the zero region
+
+
+def _float_view(variables, rows, rhs: Callable[[int, float], float], power: float) -> RateRegion:
+    """Exact rows as floats: their 0/1 coefficients, and rhs(k, b_k) in place
+    of row k's exact right-hand side b_k."""
+    return RateRegion(
+        variables=tuple(variables),
+        coeffs=np.array([coeffs for coeffs, _ in rows], dtype=float),
+        rhs=np.array([rhs(k, float(b)) for k, (_, b) in enumerate(rows, start=1)]),
+        degenerate=power <= 1,
+    )
 
 
 def beta_rate_region_rows(
@@ -71,69 +88,38 @@ def beta_rate_region_rows(
 ) -> RateRegion:
     """Per-level achievable rates for one power-exponent choice.
 
-    Level k has rhs ((beta_{k+1} - beta_k) log2 P - 1)^+ and carries R_k plus,
-    below the multicast cutoff, the groups anchored at user k.
+    Level k has rhs ((beta_{k+1} - beta_k) log2 P - 1)^+ and carries the rates
+    of level row k of `regions.beta_parameterized_polytope`: R_k plus, below
+    the multicast cutoff, the groups anchored at user k.
     """
-    betas = [float(b) for b in validate_power_exponents(beta, alpha)]
-    alphas = _strengths(alpha)
-    groups = enumerate_groups(num_users, group_size)
-    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
-    levels = betas + [float(alphas[-1])]
-    degenerate = power <= 1
-    log_p = math.log2(power) if not degenerate else 0.0
-    coeffs = []
-    rhs = []
-    for k in range(1, num_users + 1):
-        row = np.zeros(len(names))
-        row[k - 1] = 1.0
-        if k <= num_users - group_size + 1:
-            for gi, g in enumerate(groups):
-                if min(g) == k:
-                    row[num_users + gi] = 1.0
-        coeffs.append(row)
-        rhs.append(max(0.0, (levels[k] - levels[k - 1]) * log_p - 1.0))
-    return RateRegion(
-        variables=tuple(names),
-        coeffs=np.array(coeffs),
-        rhs=np.array(rhs),
-        degenerate=degenerate,
+    levels = [float(b) for b in validate_power_exponents(beta, alpha)] + [1.0]  # alpha_K = 1
+    exact = beta_parameterized_polytope(num_users, group_size, alpha)
+    rates = len(exact.variables) - len(beta_names(num_users))
+    log_p = _log2_power(power)
+    return _float_view(
+        exact.variables[:rates],
+        [(coeffs[:rates], b) for coeffs, b in exact.rows[:num_users]],
+        lambda k, _: max(0.0, (levels[k] - levels[k - 1]) * log_p - 1.0),
+        power,
     )
 
 
 def inner_rate_region(
     num_users: int, group_size: int, alpha: Sequence, power: float
 ) -> RateRegion:
-    """Explicit achievable region: cumulative rows with rhs (a_k log2 P - k)^+.
-
-    Variables and 0/1 coefficients are those of the exact GDoF region
-    `regions.build_region`, whose row k has rhs alpha_k; only that rhs turns
-    into a float here.
-    """
+    """Explicit achievable region: the rows of `regions.build_region` with
+    rhs (a_k log2 P - k)^+ in place of alpha_k."""
     exact = build_region(num_users, group_size, alpha)
-    degenerate = power <= 1
-    log_p = math.log2(power) if not degenerate else 0.0
-    rhs = [max(0.0, float(a) * log_p - k) for k, (_, a) in enumerate(exact.rows, start=1)]
-    return RateRegion(
-        variables=exact.variables,
-        coeffs=np.array([coeffs for coeffs, _ in exact.rows], dtype=float),
-        rhs=np.array(rhs),
-        degenerate=degenerate,
-    )
+    log_p = _log2_power(power)
+    return _float_view(exact.variables, exact.rows, lambda k, a: max(0.0, a * log_p - k), power)
 
 
 def outer_rate_region(
     num_users: int, group_size: int, alpha: Sequence, power: float
 ) -> RateRegion:
-    """Cut-set outer bound: same rows with rhs log2(1 + P^{a_k})."""
-    alphas = _strengths(alpha)
-    inner = inner_rate_region(num_users, group_size, alpha, power)
-    rhs = np.array([math.log2(1.0 + power ** a) for a in alphas])
-    return RateRegion(
-        variables=inner.variables,
-        coeffs=inner.coeffs,
-        rhs=rhs,
-        degenerate=power <= 1,
-    )
+    """Cut-set outer bound: the same rows with rhs log2(1 + P^{a_k})."""
+    exact = build_region(num_users, group_size, alpha)
+    return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a), power)
 
 
 def sample_boundary_point(region: RateRegion, rng: np.random.Generator) -> np.ndarray:
@@ -146,27 +132,24 @@ def sample_boundary_point(region: RateRegion, rng: np.random.Generator) -> np.nd
 
 
 def constant_gap_certificate(
-    num_users: int,
-    group_size: int,
-    alpha: Sequence,
-    power: float,
-    boundary: Sequence[float],
+    inner: RateRegion, outer: RateRegion, boundary: Sequence[float]
 ) -> bool:
     """Does boundary + 2 bits per dimension escape the outer region?
 
-    `boundary` must lie on the boundary of the inner region (at least one row
-    tight within 1e-9); anything else is a usage error, not a failed
-    certificate.
+    `inner` and `outer` are one channel's `inner_rate_region` and
+    `outer_rate_region`, built once and shared by every point certified
+    against them.  `boundary` must lie on the boundary of the inner region (at
+    least one row tight within 1e-9); anything else is a usage error, not a
+    failed certificate.
     """
-    inner = inner_rate_region(num_users, group_size, alpha, power)
-    outer = outer_rate_region(num_users, group_size, alpha, power)
+    if inner.variables != outer.variables:
+        raise ValueError("the inner and outer regions must share their variables")
     point = np.asarray(boundary, dtype=float)
     if not inner.contains(point):
         raise ValueError("certificate point must lie inside the inner region")
     if not inner.tight_rows(point):
         raise ValueError("certificate point must lie on the inner boundary")
-    shifted = point + GAP_BITS
-    return bool(outer.violated_rows(shifted))
+    return bool(outer.violated_rows(point + GAP_BITS))
 
 
 def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
@@ -177,18 +160,15 @@ def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
     """
     if delay <= 0:
         raise ValueError(f"delay must be positive, got {delay}")
-    alphas = _strengths(config.alpha)
     log_p = math.log2(config.power)  # SystemConfig keeps the power finite and above 1
     K = config.num_users
-    names = [unicast_name(k) for k in range(1, K + 1)]
-    coeffs = []
-    rhs = []
-    for k, load in enumerate(prefix_loads(config), start=1):
-        row = np.zeros(K)
-        row[:k] = 1.0
-        coeffs.append(row)
-        rhs.append(max(0.0, alphas[k - 1] * log_p - k) - float(load) / delay)
-    return RateRegion(variables=tuple(names), coeffs=np.array(coeffs), rhs=np.array(rhs))
+    loads = prefix_loads(config)
+    return _float_view(
+        [unicast_name(k) for k in range(1, K + 1)],
+        [([1] * k + [0] * (K - k), a) for k, a in enumerate(config.alpha, start=1)],
+        lambda k, a: max(0.0, a * log_p - k) - float(loads[k - 1]) / delay,
+        config.power,
+    )
 
 
 def delay_rate_gap_certificate(
@@ -206,12 +186,11 @@ def delay_rate_gap_certificate(
         raise ValueError("certificate point must lie inside the delay-rate region")
     if not region.tight_rows(point):
         raise ValueError("certificate point must lie on the delay-rate boundary")
-    alphas = _strengths(config.alpha)
     log_p = math.log2(config.power)
     shifted = point + GAP_BITS
     for k, load in enumerate(prefix_loads(config), start=1):
         lhs = float(np.sum(shifted[:k])) + float(load) / delay
-        if lhs > alphas[k - 1] * log_p + 1.0 - TOL:
+        if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - TOL:
             return True
     return False
 
@@ -243,16 +222,22 @@ def two_user_exact_rates(q: float, alpha: Sequence, power: float) -> tuple[float
     """
     if not 0 <= q <= 1:
         raise ValueError(f"power split must lie in [0, 1], got {q}")
-    alphas = _strengths(alpha)
-    snr1, snr2 = power ** alphas[0], power ** alphas[1]
+    snr1, snr2 = (power ** float(a) for a in user_strengths(2, alpha))
     a = math.log2(1.0 + q * snr1 / (1.0 + (1.0 - q) * snr1))
     b = math.log2(1.0 + (1.0 - q) * snr2)
     return a, b
 
 
-def write_region_csv(region: RateRegion, stream: IO[str]) -> None:
-    """Rows as CSV: one line per inequality, coefficients then rhs."""
+def write_region_csv(region: RateRegion | dict[str, RateRegion], stream: IO[str]) -> None:
+    """Rows as CSV: one line per inequality, coefficients then rhs.
+
+    Regions over one variable tuple go in as {name: region}; every line then
+    starts with its region's name, under a `region` column.
+    """
+    labelled = isinstance(region, dict)
+    named = region if labelled else {"": region}
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(region.variables) + ["rhs"])
-    for row, rhs in zip(region.coeffs, region.rhs):
-        writer.writerow([f"{v:.12g}" for v in row] + [f"{rhs:.12g}"])
+    writer.writerow(["region"] * labelled + list(next(iter(named.values())).variables) + ["rhs"])
+    for name, reg in named.items():
+        for row, rhs in zip(reg.coeffs, reg.rhs):
+            writer.writerow([name] * labelled + [f"{v:.12g}" for v in row] + [f"{rhs:.12g}"])

@@ -45,6 +45,22 @@ def validate_strengths(alpha: Sequence) -> tuple[Fraction, ...]:
     return vals
 
 
+def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
+    """Exact strengths of a K-user channel: valid, and exactly one per user."""
+    alphas = validate_strengths(alpha)
+    if len(alphas) != num_users:
+        raise ValueError(
+            f"one channel strength per user is required: K = {num_users}, "
+            f"got {len(alphas)} strengths"
+        )
+    return alphas
+
+
+def _check_coverage(num_users: int, s: int) -> None:
+    if not 1 <= s <= num_users:
+        raise ValueError(f"s must lie in [1, {num_users}], got {s}")
+
+
 def unicast_name(user: int) -> str:
     return f"r_{user}"
 
@@ -85,16 +101,21 @@ class GdofPoint:
         return values
 
 
-def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
-    """Full unicast + sigma-multicast GDoF region (triangular rows)."""
-    alphas = validate_strengths(alpha)
+def _multicast_rates(num_users: int, group_size: int) -> tuple[list[Group], list[str]]:
+    """The sigma-groups, and the rate names r_1..r_K, r_S of the full region."""
     if not 2 <= group_size <= num_users:
         raise ValueError(
             f"multicast group size must lie in [2, {num_users}], got {group_size}"
         )
     groups = enumerate_groups(num_users, group_size)
-    names = [unicast_name(k) for k in range(1, num_users + 1)]
-    names += [group_name(g) for g in groups]
+    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
+    return groups, names
+
+
+def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
+    """Full unicast + sigma-multicast GDoF region (triangular rows)."""
+    alphas = user_strengths(num_users, alpha)
+    groups, names = _multicast_rates(num_users, group_size)
     rows = []
     for k in range(1, num_users + 1):
         coeffs = [ONE if i < k else ZERO for i in range(num_users)]
@@ -122,9 +143,8 @@ def symmetric_projection(
 
         sum_{i<=k} r_i + [C(K,sigma) - C(K-min(k,s),sigma)] r_sym <= alpha_k.
     """
-    alphas = validate_strengths(alpha)
-    if not 1 <= s <= num_users:
-        raise ValueError(f"s must lie in [1, {num_users}], got {s}")
+    alphas = user_strengths(num_users, alpha)
+    _check_coverage(num_users, s)
     names = [unicast_name(k) for k in range(1, num_users + 1)] + ["r_sym"]
     rows = []
     for k in range(1, num_users + 1):
@@ -143,7 +163,8 @@ def max_symmetric_gdof(
     row k.  Clamps to zero when some prefix of the unicast tuple already
     exhausts a channel strength.
     """
-    alphas = validate_strengths(alpha)
+    alphas = user_strengths(num_users, alpha)
+    _check_coverage(num_users, s)
     rt = tuple(_frac(x) for x in r)
     if len(rt) != num_users:
         raise ValueError("one unicast GDoF per user is required")
@@ -162,12 +183,13 @@ def build_two_multicast_symmetric(
     num_users: int, sigma: int, gamma: int, alpha: Sequence, s: int
 ) -> Polytope:
     """Symmetric region with two nested multicast sets of sizes sigma < gamma."""
-    alphas = validate_strengths(alpha)
+    alphas = user_strengths(num_users, alpha)
     if not 2 <= sigma < gamma <= num_users:
         raise ValueError(
             f"group sizes must satisfy 2 <= sigma < gamma <= {num_users}, "
             f"got sigma={sigma}, gamma={gamma}"
         )
+    _check_coverage(num_users, s)
     names = [unicast_name(k) for k in range(1, num_users + 1)]
     names += [f"r_sym_{sigma}", f"r_sym_{gamma}"]
     rows = []
@@ -190,10 +212,12 @@ def build_missing_message_region(
     r_sym coefficient of |{S : S meets {u_1..u_j}}| where u_j is the last
     leader not exceeding k.
     """
-    alphas = validate_strengths(alpha)
+    alphas = user_strengths(num_users, alpha)
     lead = tuple(sorted(leaders))
     if not lead or lead[0] != 1:
         raise ValueError(f"the weakest user must lead, got leaders {leaders}")
+    if lead[-1] > num_users:
+        raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
     groups = enumerate_groups(num_users, group_size)
     prefix_counts = [
         sum(1 for g in groups if set(g) & set(lead[: j + 1]))
@@ -219,23 +243,13 @@ def beta_inner_region_membership(
 ) -> bool:
     """Does the point fit the superposition levels carved out by `beta`?
 
-    Level k has width beta_{k+1} - beta_k (with beta_{K+1} = alpha_K) and must
-    hold r_k plus, for k <= K - sigma + 1, the groups anchored at user k.
+    It does iff (point, beta_2..beta_K) lies in `beta_parameterized_polytope`;
+    rates the point leaves out carry zero.
     """
-    alphas = validate_strengths(alpha)
-    betas = validate_power_exponents(beta, alphas)
-    levels = list(betas) + [alphas[-1]]
-    anchored: dict[int, Fraction] = {}
-    for group, value in point.multicast.items():
-        anchored[min(group)] = anchored.get(min(group), ZERO) + _frac(value)
-    for k in range(1, num_users + 1):
-        width = levels[k] - levels[k - 1]
-        load = _frac(point.unicast[k - 1])
-        if k <= num_users - group_size + 1:
-            load += anchored.get(k, ZERO)
-        if load > width:
-            return False
-    return True
+    betas = validate_power_exponents(beta, alpha)
+    system = beta_parameterized_polytope(num_users, group_size, alpha)
+    values = {**point.as_mapping(), **dict(zip(beta_names(num_users), betas[1:]))}
+    return system.contains([values.get(name, ZERO) for name in system.variables])
 
 
 def beta_parameterized_polytope(
@@ -243,45 +257,40 @@ def beta_parameterized_polytope(
 ) -> Polytope:
     """Joint region over (r, r_S, beta_2..beta_K) before eliminating the betas.
 
-    Eliminating the power exponents by Fourier-Motzkin projection must give
-    back `build_region` exactly; that equality is the certification that the
-    superposition scheme achieves the whole triangular region.
+    Level k carries r_k plus, for k <= K - sigma + 1, the groups anchored at
+    user k.  Eliminating the power exponents by Fourier-Motzkin projection
+    must give back `build_region` exactly; that equality is the certification
+    that the superposition scheme achieves the whole triangular region.
     """
-    alphas = validate_strengths(alpha)
-    if not 2 <= group_size <= num_users:
-        raise ValueError(
-            f"multicast group size must lie in [2, {num_users}], got {group_size}"
-        )
-    groups = enumerate_groups(num_users, group_size)
-    names = [unicast_name(k) for k in range(1, num_users + 1)]
-    names += [group_name(g) for g in groups]
-    names += beta_names(num_users)
-    nvars = len(names)
+    alphas = user_strengths(num_users, alpha)
+    groups, names = _multicast_rates(num_users, group_size)
+    cutoff = num_users - group_size + 1
+    levels = [
+        [k - 1] + [num_users + gi for gi, g in enumerate(groups) if k <= cutoff and min(g) == k]
+        for k in range(1, num_users + 1)
+    ]
+    return _level_polytope(names, levels, alphas)
 
-    def beta_index(k: int) -> int:
-        return num_users + len(groups) + (k - 2)
 
+def _level_polytope(rate_names: list[str], levels: list[list[int]], alphas) -> Polytope:
+    """Superposition levels over (rates, beta_2..beta_K).
+
+    Level k holds the rates at indices levels[k - 1] within the width
+    beta_{k+1} - beta_k, where beta_1 = 0 and beta_{K+1} = alpha_K; and
+    beta_{k+1} <= alpha_k.
+    """
+    K, n = len(alphas), len(rate_names)
     rows = []
-    for k in range(1, num_users + 1):
-        coeffs = [ZERO] * nvars
-        coeffs[k - 1] = ONE
-        if k <= num_users - group_size + 1:
-            for gi, g in enumerate(groups):
-                if min(g) == k:
-                    coeffs[num_users + gi] = ONE
-        rhs = ZERO
+    for k in range(1, K + 1):
+        coeffs = [ONE if i in levels[k - 1] else ZERO for i in range(n)] + [ZERO] * (K - 1)
         if k >= 2:
-            coeffs[beta_index(k)] = ONE  # + beta_k   (beta_1 = 0)
-        if k + 1 <= num_users:
-            coeffs[beta_index(k + 1)] = -ONE  # - beta_{k+1}
-        else:
-            rhs = alphas[-1]  # beta_{K+1} = alpha_K
-        rows.append((coeffs, rhs))
-    for k in range(1, num_users):  # beta_{k+1} <= alpha_k
-        coeffs = [ZERO] * nvars
-        coeffs[beta_index(k + 1)] = ONE
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+            coeffs[n + k - 2] = ONE  # + beta_k
+        if k < K:
+            coeffs[n + k - 1] = -ONE  # - beta_{k+1}
+        rows.append((coeffs, alphas[-1] if k == K else ZERO))
+    for k in range(1, K):  # beta_{k+1} <= alpha_k
+        rows.append(([ZERO] * (n + k - 1) + [ONE] + [ZERO] * (K - 1 - k), alphas[k - 1]))
+    return Polytope.build(list(rate_names) + beta_names(K), rows)
 
 
 def beta_names(num_users: int) -> list[str]:
@@ -294,28 +303,6 @@ def rho_beta_polytope(num_users: int, alpha: Sequence) -> Polytope:
     rho_k stands for the total GDoF carried at level k.  Projecting out the
     betas yields the cumulative rows rho_1 + ... + rho_k <= alpha_k.
     """
-    alphas = validate_strengths(alpha)
+    alphas = user_strengths(num_users, alpha)
     names = [f"rho_{k}" for k in range(1, num_users + 1)]
-    names += [f"beta_{k}" for k in range(2, num_users + 1)]
-    nvars = len(names)
-
-    def beta_index(k: int) -> int:
-        return num_users + (k - 2)
-
-    rows = []
-    for k in range(1, num_users + 1):
-        coeffs = [ZERO] * nvars
-        coeffs[k - 1] = ONE
-        rhs = ZERO
-        if k >= 2:
-            coeffs[beta_index(k)] = ONE
-        if k + 1 <= num_users:
-            coeffs[beta_index(k + 1)] = -ONE
-        else:
-            rhs = alphas[-1]
-        rows.append((coeffs, rhs))
-    for k in range(1, num_users):
-        coeffs = [ZERO] * nvars
-        coeffs[beta_index(k + 1)] = ONE
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+    return _level_polytope(names, [[k] for k in range(num_users)], alphas)

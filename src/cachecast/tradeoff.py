@@ -49,7 +49,7 @@ from .combinatorics import (
 )
 from .lp import _frac
 from .polytope import Polytope
-from .regions import ZERO, ONE, unicast_name, validate_strengths
+from .regions import ZERO, ONE, unicast_name, user_strengths
 
 INF = math.inf
 
@@ -72,9 +72,7 @@ class SystemConfig:
         if self.num_users < 1 or self.num_files < 1:
             raise ValueError("need at least one user and one file")
         object.__setattr__(self, "mu", _frac(self.mu))
-        object.__setattr__(self, "alpha", validate_strengths(self.alpha))
-        if len(self.alpha) != self.num_users:
-            raise ValueError("one channel strength per user is required")
+        object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
         if not 0 <= self.mu <= 1:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not 1 < self.power < INF:  # also refuses nan

@@ -23,6 +23,7 @@ from cachecast.finite_snr import (
     delay_rate_gap_certificate,
     delay_rate_inner_region,
     inner_rate_region,
+    outer_rate_region,
     sample_boundary_point,
 )
 from cachecast.polytope import eliminate, fix_variables, prune, regions_equal, vertices
@@ -259,9 +260,10 @@ def test_criterion_7_constant_gap_certificates():
         alpha = random_strengths(rng, K, denom_hi=20)
         power = 2.0 ** float(rng.integers(4, 41))
         inner = inner_rate_region(K, sigma, alpha, power)
+        outer = outer_rate_region(K, sigma, alpha, power)
         point = sample_boundary_point(inner, rng)
         rate_checked += 1
-        if not constant_gap_certificate(K, sigma, alpha, power, point):
+        if not constant_gap_certificate(inner, outer, point):
             rate_failures += 1
 
     delay_checked = delay_failures = 0

@@ -42,6 +42,15 @@ class TestLibrary:
         with pytest.raises(ValueError):
             FileLibrary(num_users=3, split_order=1.5, files=files)
 
+    @pytest.mark.parametrize("split", [0, 1])
+    def test_rejects_empty_files(self, split):
+        # 0 bits split into any number of subfiles, and every user would
+        # "decode" the empty file: a sweep over such files passes vacuously
+        with pytest.raises(ValueError, match="at least one bit"):
+            FileLibrary(num_users=3, split_order=split, files=(Bits(0, 0), Bits(0, 0)))
+        with pytest.raises(ValueError, match="at least one bit"):
+            random_library(2, 3, split, file_bits=0)
+
     def test_rejects_files_that_are_not_bits(self):
         with pytest.raises(TypeError):
             FileLibrary(num_users=3, split_order=1, files=(np.zeros(12, dtype=np.uint8),))

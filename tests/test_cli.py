@@ -1,10 +1,11 @@
+import collections
 import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from cachecast import cli
+from cachecast import cli, finite_snr
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -117,6 +118,58 @@ class TestUsageErrors:
         assert f"'{token}' has a zero denominator" in err
         assert "Traceback" not in err
         assert out == ""
+
+
+class TestShapeAndCountErrors:
+    """Inputs the command cannot honour are exit 2 before --out is opened:
+    strengths that do not match K, coverage and leaders outside [1, K], and
+    counts of 0 or below, which are never read as "unset"."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], "K = 3, got 2 strengths"),
+            (["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], "K = 3, got 2 strengths"),
+            (["region", "--K", "2", "--sigma", "2", "--alpha", "1/4,1/2,1"], "K = 2, got 3 strengths"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "two-multicast",
+              "--gamma", "3", "--s", "9"], "s must lie in [1, 3], got 9"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing",
+              "--leaders", "1,7"], "leaders must be users in [1, 3]"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "symmetric",
+              "--s", "0"], "--s must be a whole number of at least 1, got 0"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--certificates", "0"],
+             "--certificates must be a whole number of at least 1, got 0"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--certificates", "-2"],
+             "--certificates must be a whole number of at least 1, got -2"),
+            (["verify", "--max-K", "0"], "--max-K must be a whole number of at least 1, got 0"),
+            (["verify", "--max-K", "-1"], "--max-K must be a whole number of at least 1, got -1"),
+            (["verify", "--max-N", "0"], "--max-N must be a whole number of at least 1, got 0"),
+            (["verify", "--K", "3", "--N", "0"], "--N must be a whole number of at least 1, got 0"),
+            (["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--B", "0"],
+             "--B must be a whole number of at least 1, got 0"),
+            (["verify", "--K", "3"], "verify takes --K and --N together"),
+        ],
+        ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
+             "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
+             "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N"],
+    )
+    def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
+        out_file = tmp_path / "out"
+        code, out, err = run([*argv, "--out", str(out_file)], capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert out == "" and not out_file.exists()
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, out, err = run(["gndt", *FIG3, "--mu", "1/4", "--config", str(missing)], capsys)
+        assert code == 2
+        assert f"cannot read --config {missing}" in err and out == ""
+
+    def test_missing_file_count_is_usage_error(self, capsys):
+        code, out, err = run(["holes", "--K", "2", "--alpha", "1/2,1", "--mu", "1/2"], capsys)
+        assert code == 2
+        assert "--N is required" in err and out == ""
 
 
 class TestSweepMemory:
@@ -324,6 +377,29 @@ class TestFiniteSnr:
         )
         assert code == 2
         assert "group size" in err and out == ""
+
+
+    @pytest.mark.parametrize("certificates", [1, 7])
+    def test_regions_built_once_per_run(self, certificates, capsys, monkeypatch):
+        """The inner and outer regions are built once, whatever the number of
+        certificates; every certificate runs against that pair."""
+        calls = collections.Counter()
+        for name in ("inner_rate_region", "outer_rate_region", "constant_gap_certificate"):
+            original = getattr(finite_snr, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(finite_snr, name, counted)
+        code, _, _ = run(
+            ["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "2/5,9/10,1",
+             "--certificates", str(certificates)],
+            capsys,
+        )
+        assert code == 0
+        assert calls == {"inner_rate_region": 1, "outer_rate_region": 1,
+                         "constant_gap_certificate": certificates}
 
 
 class TestParserReuse:

@@ -1,0 +1,118 @@
+"""Small random argv for every subcommand: the CLI ends in exit 0, 1 or 2.
+
+A usage error is exit 2 with one `error:` line, never a traceback; argparse's
+own SystemExit is its exit 2.  Each subcommand mostly gets its required flags
+and a few optional ones, from small pools that mix valid values with zero,
+negative, malformed and out-of-range ones.  Sizes stay small so each call is
+quick.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cachecast.cli import main
+
+
+def mostly(valid, invalid):
+    """Five draws in six from the valid values."""
+    return st.integers(0, 5).flatmap(lambda i: st.sampled_from(invalid if i == 5 else valid))
+
+
+SIZES = mostly(["2", "3", "4", "1"], ["-1", "0"])
+COUNTS = mostly(["1", "2", "3"], ["-1", "0", "x"])
+MU = mostly(["0", "1/4", "1/3", "1/2", "1"], ["2", "-1/4", "1/0", "x"])
+STRENGTH = st.sampled_from(["1/5", "1/2", "3/4", "1"])
+BAD_STRENGTHS = st.sampled_from(["", "1,1/2", "0,1", "1/2,2", "1/0,1", "a,1"])
+
+OPTIONAL = {
+    "--P": mostly(["2", "1024", "1e300"], ["nan", "inf", "1", "0.5", "x"]),
+    "--seed": st.sampled_from(["-1", "0", "7"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--config": st.just(str(Path(__file__).parent / "no-such-config.json")),
+}
+TRADEOFF = {
+    "--mu-grid": mostly(["0:1:1/4", "1/4:1/2:1/8"], ["0:1:0", "1:0:1/4", "0:1", "a:b:c"]),
+    "--r": mostly(["0,0", "1/10,0,0", "0,1/10,0,0"], ["-1,0", "1/0"]),
+}
+# subcommand -> (flags it mostly gets, flags it sometimes gets); None marks a switch
+FLAGS = {
+    "gndt": ({"--N": SIZES, "--mu": MU}, {**OPTIONAL, **TRADEOFF, "--exact": None}),
+    "sweep-memory": (
+        {"--N": SIZES, "--mu-grid": TRADEOFF["--mu-grid"]},
+        {**OPTIONAL, **TRADEOFF, "--mu": MU},
+    ),
+    "holes": ({"--N": SIZES, "--mu": MU}, OPTIONAL),
+    "region": (
+        {
+            "--sigma": SIZES,
+            "--kind": mostly(["full", "symmetric", "missing", "two-multicast"], ["x"]),
+            "--s": mostly(["1", "2", "3"], ["-1", "0", "9"]),
+            "--gamma": SIZES,
+            "--leaders": mostly(["1", "1,2", "1,3"], ["1,7", "2", "0,1", "", "1,x"]),
+        },
+        OPTIONAL,
+    ),
+    "verify": (
+        {"--max-K": COUNTS, "--max-N": COUNTS, "--region-trials": mostly(["1"], ["-1", "0"])},
+        {
+            **OPTIONAL,
+            "--N": mostly(["1", "2"], ["-1", "0"]),
+            "--mu": MU,
+            "--B": mostly(["24", "48"], ["-8", "0", "1", "x", "1/2"]),
+            "--d": mostly(["1,2", "1,1,1"], ["0,1", "1,9", "x"]),
+            "--inject-fault": None,
+        },
+    ),
+    "finite-snr": ({"--sigma": SIZES, "--certificates": mostly(["1", "3"], ["-2", "0"])}, OPTIONAL),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    usual, sometimes = FLAGS[command]
+    K = draw(mostly(["2", "3", "1"] if command == "verify" else ["2", "3", "4", "1"], ["-1", "0"]))
+    if draw(st.integers(0, 5)) < 5:  # valid strengths, usually one per user
+        size = draw(mostly([max(int(K), 1)], [1, 2, 3, 4, 5]))
+        strengths = draw(st.lists(STRENGTH, min_size=size - 1, max_size=size - 1))
+        alpha = ",".join(sorted(strengths, key=Fraction) + ["1"])
+    else:
+        alpha = draw(BAD_STRENGTHS)
+    chosen = {"--K": K, "--alpha": alpha} if command != "verify" else {}
+    if command == "verify" and draw(st.booleans()):
+        chosen["--K"] = K
+    for flag, values in usual.items():
+        chosen[flag] = draw(values)
+    chosen = {flag: value for flag, value in chosen.items() if draw(st.integers(0, 9)) < 9}
+    for flag in draw(st.lists(st.sampled_from(sorted(sometimes)), unique=True, max_size=2)):
+        chosen[flag] = None if sometimes[flag] is None else draw(sometimes[flag])
+    argv = [command]
+    for flag, value in chosen.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+@example(["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"])
+@example(["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"])
+def test_exit_code_is_0_1_or_2_without_traceback(argv):
+    code, err = run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

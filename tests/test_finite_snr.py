@@ -113,24 +113,30 @@ class TestCertificates:
         alpha = tuple(F(int(c), 20) for c in cuts) + (F(1),)
         power = 2.0 ** float(rng.integers(4, 41))
         inner = inner_rate_region(K, sigma, alpha, power)
+        outer = outer_rate_region(K, sigma, alpha, power)
         point = sample_boundary_point(inner, rng)
-        assert constant_gap_certificate(K, sigma, alpha, power, point)
+        assert constant_gap_certificate(inner, outer, point)
 
     def test_interior_point_rejected(self):
         inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
         interior = np.full(len(inner.variables), 0.1)
         assert inner.contains(interior)
+        outer = outer_rate_region(2, 2, ALPHA2, 2.0**20)
         with pytest.raises(ValueError):
-            constant_gap_certificate(2, 2, ALPHA2, 2.0**20, interior)
+            constant_gap_certificate(inner, outer, interior)
 
     def test_outside_point_rejected(self):
+        inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
+        outer = outer_rate_region(2, 2, ALPHA2, 2.0**20)
         with pytest.raises(ValueError):
-            constant_gap_certificate(2, 2, ALPHA2, 2.0**20, [100.0, 100.0, 100.0])
+            constant_gap_certificate(inner, outer, [100.0, 100.0, 100.0])
 
     def test_origin_certifies_when_region_is_zero(self):
         # every rhs clamps to zero; the origin is the whole region
         point = np.zeros(3)
-        assert constant_gap_certificate(2, 2, ALPHA2, 2.0, point)
+        inner = inner_rate_region(2, 2, ALPHA2, 2.0)
+        outer = outer_rate_region(2, 2, ALPHA2, 2.0)
+        assert constant_gap_certificate(inner, outer, point)
 
 
 class TestDelayRate:
