@@ -447,17 +447,21 @@ def sweep_demands(
     seed: int = 0,
     demands: Iterable[Sequence[int]] | None = None,
 ):
-    """Yield a pass/fail record per demand tuple (all N^K tuples by default).
+    """Lazy pass/fail records, one per demand tuple (all N^K tuples by default).
 
-    The library and its placement are built once for the sweep; every tuple
-    is still verified end to end by `end_to_end_verify`.
+    The library is drawn, and its shape checked, when the sweep is made, not
+    when its first record is read; it and its placement are built once for the
+    sweep, and every tuple is still verified end to end by `end_to_end_verify`.
     """
     if demands is None:
         demands = product(range(1, num_files + 1), repeat=num_users)
     library = random_library(num_files, num_users, split_order, file_bits, seed)
-    for d in demands:
+
+    def record(d) -> dict:
         ok = end_to_end_verify(
             num_users, num_files, split_order, file_bits, tuple(d), seed, library=library
         )
-        yield {"K": num_users, "N": num_files, "Kmu": split_order, "d": list(d),
-               "seed": seed, "pass": ok}
+        return {"K": num_users, "N": num_files, "Kmu": split_order, "d": list(d),
+                "seed": seed, "pass": ok}
+
+    return map(record, demands)

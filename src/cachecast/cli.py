@@ -240,6 +240,8 @@ def _caching_sweeps(args) -> list:
     K, N = _count(args, "--K", None), _count(args, "--N", None)
     if (K is None) != (N is None):
         raise ValueError("verify takes --K and --N together, or neither for the sweep")
+    if K is None and (args.mu is not None or args.d):
+        raise ValueError("verify takes --mu and --d only with --K and --N")
     if K is not None:
         # one explicit configuration, optionally a single demand tuple
         if args.mu is not None:
@@ -253,7 +255,7 @@ def _caching_sweeps(args) -> list:
         else:
             splits = list(range(0, K + 1))
         demands = None
-        if getattr(args, "d", None):
+        if args.d:
             demands = [tuple(int(v) for v in str(args.d).split(","))]
         return [
             caching.sweep_demands(K, N, split, file_bits, seed=seed, demands=demands)

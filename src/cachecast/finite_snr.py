@@ -33,7 +33,7 @@ from .regions import (
     beta_names,
     beta_parameterized_polytope,
     build_region,
-    unicast_name,
+    cumulative_region,
     user_strengths,
     validate_power_exponents,
 )
@@ -155,17 +155,18 @@ def constant_gap_certificate(
 def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
     """Unicast rates achievable alongside content delivered in `delay`.
 
-    Row k reserves 1/delay of the enveloped coded load inside the effective
-    level budget (alpha_k log2 P - k)^+.
+    The rows of `regions.cumulative_region(alpha)`: row k reserves 1/delay of
+    the enveloped coded load inside the effective level budget
+    (alpha_k log2 P - k)^+.
     """
     if delay <= 0:
         raise ValueError(f"delay must be positive, got {delay}")
     log_p = math.log2(config.power)  # SystemConfig keeps the power finite and above 1
-    K = config.num_users
     loads = prefix_loads(config)
+    exact = cumulative_region(config.alpha)
     return _float_view(
-        [unicast_name(k) for k in range(1, K + 1)],
-        [([1] * k + [0] * (K - k), a) for k, a in enumerate(config.alpha, start=1)],
+        exact.variables,
+        exact.rows,
         lambda k, a: max(0.0, a * log_p - k) - float(loads[k - 1]) / delay,
         config.power,
     )

@@ -12,18 +12,21 @@ This module builds that region and its relatives as exact `Polytope` objects:
 the symmetric projection onto one shared multicast value, the two nested
 multicast sets used for fractional cache budgets, the region with all-non-
 leader messages silenced, and the power-exponent parameterized inner region
-whose Fourier-Motzkin projection reproduces the triangular form.
+whose Fourier-Motzkin projection reproduces the triangular form.  Every
+triangular region, here and in `tradeoff` and `finite_snr`, comes from the one
+row builder `cumulative_region`, and every per-prefix slack from `prefix_gaps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
-from .combinatorics import Group, cumulative_group_count, enumerate_groups
+from .combinatorics import Group, cumulative_group_count, partition_by_min
 from .lp import _frac
-from .polytope import Polytope
+from .polytope import Polytope, fix_variables
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,11 +57,6 @@ def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
             f"got {len(alphas)} strengths"
         )
     return alphas
-
-
-def _check_coverage(num_users: int, s: int) -> None:
-    if not 1 <= s <= num_users:
-        raise ValueError(f"s must lie in [1, {num_users}], got {s}")
 
 
 def unicast_name(user: int) -> str:
@@ -101,36 +99,79 @@ class GdofPoint:
         return values
 
 
-def _multicast_rates(num_users: int, group_size: int) -> tuple[list[Group], list[str]]:
-    """The sigma-groups, and the rate names r_1..r_K, r_S of the full region."""
-    if not 2 <= group_size <= num_users:
-        raise ValueError(
-            f"multicast group size must lie in [2, {num_users}], got {group_size}"
-        )
-    groups = enumerate_groups(num_users, group_size)
-    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
-    return groups, names
+def cumulative_region(
+    rhs: Sequence,
+    extra_names: Sequence[str] = (),
+    extra: Callable[[int], Sequence] = lambda k: (),
+) -> Polytope:
+    """The triangular rows every region here shares, over (r_1..r_K, *extra_names):
+
+        r_1 + ... + r_k + <extra(k), extra rates> <= rhs[k - 1],    k = 1..K,
+
+    with K = len(rhs).  User k decodes the unicast messages of users 1..k, and
+    extra(k) holds the coefficients of whatever else it decodes.
+    """
+    K = len(rhs)
+    names = [unicast_name(k) for k in range(1, K + 1)] + list(extra_names)
+    rows = [([ONE] * k + [ZERO] * (K - k) + list(extra(k)), b) for k, b in enumerate(rhs, start=1)]
+    return Polytope.build(names, rows)
+
+
+def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]:
+    """(alpha_k - r_1 - ... - r_k)^+ for every user k; r = None sends no unicast.
+
+    `alpha` holds exact strengths; `r` must give one nonnegative GDoF per user.
+    """
+    rt = [ZERO] * len(alpha) if r is None else [_frac(x) for x in r]
+    if len(rt) != len(alpha):
+        raise ValueError("one unicast GDoF per user is required")
+    if any(x < 0 for x in rt):
+        raise ValueError("unicast GDoF values must be nonnegative")
+    return [max(ZERO, a - p) for a, p in zip(alpha, accumulate(rt))]
 
 
 def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     """Full unicast + sigma-multicast GDoF region (triangular rows)."""
     alphas = user_strengths(num_users, alpha)
-    groups, names = _multicast_rates(num_users, group_size)
-    rows = []
-    for k in range(1, num_users + 1):
-        coeffs = [ONE if i < k else ZERO for i in range(num_users)]
-        coeffs += [ONE if min(g) <= k else ZERO for g in groups]
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+    groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
+    names = [group_name(g) for g in groups]
+    return cumulative_region(alphas, names, lambda k: [ONE if g[0] <= k else ZERO for g in groups])
 
 
 def multicast_only_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     """Content-only variant: unicast coordinates pinned to zero and dropped."""
-    from .polytope import fix_variables
-
     full = build_region(num_users, group_size, alpha)
     zeros = {unicast_name(k): 0 for k in range(1, num_users + 1)}
     return fix_variables(full, zeros)
+
+
+def _covered(num_users: int, s: int) -> range:
+    """The leaders [s] = 1..s of the symmetric kinds, s in [1, K]."""
+    if not 1 <= s <= num_users:
+        raise ValueError(f"s must lie in [1, {num_users}], got {s}")
+    return range(1, s + 1)
+
+
+def _shared_counts(num_users: int, group_size: int, leaders: Sequence[int]) -> list[int]:
+    """Row k's shared-value coefficient: the sigma-groups meeting the leaders u <= k.
+
+    j users meet C(K, sigma) - C(K - j, sigma) of the sigma-groups, whichever
+    users they are.  Every symmetric kind checks its group size, in [1, K],
+    and its leaders, which must include user 1, here.
+    """
+    if not 1 <= group_size <= num_users:
+        raise ValueError(
+            f"multicast group size must lie in [1, {num_users}], got {group_size}"
+        )
+    lead = sorted(set(leaders))
+    if not lead or lead[0] != 1:
+        raise ValueError(f"the weakest user must lead, got leaders {leaders}")
+    if lead[-1] > num_users:
+        raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
+    return [
+        cumulative_group_count(num_users, group_size, sum(u <= k for u in lead))
+        for k in range(1, num_users + 1)
+    ]
 
 
 def symmetric_projection(
@@ -144,14 +185,8 @@ def symmetric_projection(
         sum_{i<=k} r_i + [C(K,sigma) - C(K-min(k,s),sigma)] r_sym <= alpha_k.
     """
     alphas = user_strengths(num_users, alpha)
-    _check_coverage(num_users, s)
-    names = [unicast_name(k) for k in range(1, num_users + 1)] + ["r_sym"]
-    rows = []
-    for k in range(1, num_users + 1):
-        coeffs = [ONE if i < k else ZERO for i in range(num_users)]
-        coeffs.append(Fraction(cumulative_group_count(num_users, group_size, min(k, s))))
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+    counts = _shared_counts(num_users, group_size, _covered(num_users, s))
+    return cumulative_region(alphas, ["r_sym"], lambda k: [counts[k - 1]])
 
 
 def max_symmetric_gdof(
@@ -164,19 +199,8 @@ def max_symmetric_gdof(
     exhausts a channel strength.
     """
     alphas = user_strengths(num_users, alpha)
-    _check_coverage(num_users, s)
-    rt = tuple(_frac(x) for x in r)
-    if len(rt) != num_users:
-        raise ValueError("one unicast GDoF per user is required")
-    best = None
-    prefix = ZERO
-    for k in range(1, num_users + 1):
-        prefix += rt[k - 1]
-        gap = max(ZERO, alphas[k - 1] - prefix)
-        count = cumulative_group_count(num_users, group_size, min(k, s))
-        value = gap / count
-        best = value if best is None else min(best, value)
-    return best
+    counts = _shared_counts(num_users, group_size, _covered(num_users, s))
+    return min(gap / count for gap, count in zip(prefix_gaps(alphas, r), counts))
 
 
 def build_two_multicast_symmetric(
@@ -189,16 +213,11 @@ def build_two_multicast_symmetric(
             f"group sizes must satisfy 2 <= sigma < gamma <= {num_users}, "
             f"got sigma={sigma}, gamma={gamma}"
         )
-    _check_coverage(num_users, s)
-    names = [unicast_name(k) for k in range(1, num_users + 1)]
-    names += [f"r_sym_{sigma}", f"r_sym_{gamma}"]
-    rows = []
-    for k in range(1, num_users + 1):
-        coeffs = [ONE if i < k else ZERO for i in range(num_users)]
-        coeffs.append(Fraction(cumulative_group_count(num_users, sigma, min(k, s))))
-        coeffs.append(Fraction(cumulative_group_count(num_users, gamma, min(k, s))))
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+    lead = _covered(num_users, s)
+    low, high = (_shared_counts(num_users, size, lead) for size in (sigma, gamma))
+    return cumulative_region(
+        alphas, [f"r_sym_{sigma}", f"r_sym_{gamma}"], lambda k: [low[k - 1], high[k - 1]]
+    )
 
 
 def build_missing_message_region(
@@ -213,25 +232,8 @@ def build_missing_message_region(
     leader not exceeding k.
     """
     alphas = user_strengths(num_users, alpha)
-    lead = tuple(sorted(leaders))
-    if not lead or lead[0] != 1:
-        raise ValueError(f"the weakest user must lead, got leaders {leaders}")
-    if lead[-1] > num_users:
-        raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
-    groups = enumerate_groups(num_users, group_size)
-    prefix_counts = [
-        sum(1 for g in groups if set(g) & set(lead[: j + 1]))
-        for j in range(len(lead))
-    ]
-    names = [unicast_name(k) for k in range(1, num_users + 1)] + ["r_sym"]
-    rows = []
-    for k in range(1, num_users + 1):
-        j = sum(1 for u in lead if u <= k)
-        count = prefix_counts[j - 1] if j else 0
-        coeffs = [ONE if i < k else ZERO for i in range(num_users)]
-        coeffs.append(Fraction(count))
-        rows.append((coeffs, alphas[k - 1]))
-    return Polytope.build(names, rows)
+    counts = _shared_counts(num_users, group_size, leaders)
+    return cumulative_region(alphas, ["r_sym"], lambda k: [counts[k - 1]])
 
 
 def beta_inner_region_membership(
@@ -263,7 +265,8 @@ def beta_parameterized_polytope(
     that the superposition scheme achieves the whole triangular region.
     """
     alphas = user_strengths(num_users, alpha)
-    groups, names = _multicast_rates(num_users, group_size)
+    groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
+    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
     cutoff = num_users - group_size + 1
     levels = [
         [k - 1] + [num_users + gi for gi, g in enumerate(groups) if k <= cutoff and min(g) == k]

@@ -14,11 +14,13 @@ a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
 difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
 between c_floor(K*mu)(k) and c_ceil(K*mu)(k), two binomial ratios, with no
 sequence or hull built.  `prefix_loads` is the one place env_k is computed:
-the achievable time, the converse, the inner GDoF region and the finite-SNR
-delay-rate rows all read their per-prefix loads from it.  Three relatives
-matter and are kept as separate code paths:
+the achievable time, the converse, the bottleneck user, the hole and inner
+GDoF regions and the finite-SNR delay-rate rows all read their per-prefix
+loads from it, and `regions.prefix_gaps` gives every denominator.  At an
+integer budget the chord is a single coded load, so the integer-budget form
+`gndt_ub_integer` is `gndt_ub` behind a budget check.  Two relatives matter
+and are kept as separate code paths:
 
-* the integer-budget form, with no envelope at all;
 * naive memory sharing, which takes the envelope AFTER the max over k and is
   weaker at fractional budgets in asymmetric channels; its maxed sequence
   need not be convex, so it is the one path that still builds a hull;
@@ -41,15 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import (
-    binom,
-    coded_load,
-    lower_convex_envelope,
-    multicast_load_sequence,
-)
+from .combinatorics import coded_load, lower_convex_envelope, multicast_load_sequence
 from .lp import _frac
 from .polytope import Polytope
-from .regions import ZERO, ONE, unicast_name, user_strengths
+from .regions import ZERO, ONE, cumulative_region, prefix_gaps, unicast_name, user_strengths
 
 INF = math.inf
 
@@ -88,28 +85,6 @@ class SystemConfig:
         return self.cache_budget.denominator == 1
 
 
-def _unicast(config: SystemConfig, r) -> tuple[Fraction, ...]:
-    if r is None:
-        return (ZERO,) * config.num_users
-    rt = tuple(_frac(x) for x in r)
-    if len(rt) != config.num_users:
-        raise ValueError("one unicast GDoF per user is required")
-    if any(x < 0 for x in rt):
-        raise ValueError("unicast GDoF values must be nonnegative")
-    return rt
-
-
-def _gaps(config: SystemConfig, r) -> list[Fraction]:
-    """(alpha_k - sum_{i<=k} r_i)^+ for every k."""
-    rt = _unicast(config, r)
-    gaps = []
-    prefix = ZERO
-    for k in range(config.num_users):
-        prefix += rt[k]
-        gaps.append(max(ZERO, config.alpha[k] - prefix))
-    return gaps
-
-
 def _ratio(load: Fraction, gap: Fraction):
     """load / gap with the conventions 0/anything = 0 and positive/0 = inf."""
     if load == 0:
@@ -140,21 +115,16 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    gaps = _gaps(config, r)
+    gaps = prefix_gaps(config.alpha, r)
     return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
 def gndt_ub_integer(config: SystemConfig, r: Sequence | None = None):
-    """Integer-budget delivery time, straight from the load sequence."""
+    """Integer-budget delivery time: `gndt_ub`, whose loads are then single
+    coded loads, with no envelope involved."""
     if not config.integer_budget:
         raise ValueError(f"cache budget K*mu = {config.cache_budget} is not an integer")
-    n = int(config.cache_budget)
-    gaps = _gaps(config, r)
-    best = ZERO
-    for k in range(1, config.num_users + 1):
-        load = coded_load(config.num_users, min(k, config.num_files), n)
-        best = max(best, _ratio(load, gaps[k - 1]))
-    return best
+    return gndt_ub(config, r)
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -167,7 +137,7 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     """
     budget = config.cache_budget
     served = min(config.num_users, config.num_files)
-    gaps = _gaps(config, r)
+    gaps = prefix_gaps(config.alpha, r)
     # prefixes served..K carry the same loads, so their smallest gap binds
     gaps = gaps[: served - 1] + [min(gaps[served - 1 :])]
     sequences = [multicast_load_sequence(config.num_users, m) for m in range(1, served + 1)]
@@ -195,7 +165,7 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
         raise ValueError(f"cache budget K*mu = {budget} is an integer; no split needed")
     low = budget.numerator // budget.denominator  # floor
     lam = low + 1 - budget  # weight of the floor budget
-    gaps = _gaps(config, r)
+    gaps = prefix_gaps(config.alpha, r)
     best = ZERO
     for k in range(1, config.num_users + 1):
         served = min(k, config.num_files)
@@ -214,7 +184,7 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     Structurally the max equals `gndt_ub` / 2.01, but the value is built from
     the per-prefix rows, not by dividing.
     """
-    gaps = _gaps(config, r)
+    gaps = prefix_gaps(config.alpha, r)
     return max(
         _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
     )
@@ -229,15 +199,9 @@ def bottleneck_user(config: SystemConfig) -> int:
         raise ValueError("the bottleneck user is defined for integer cache budgets")
     if config.num_files < config.num_users:
         raise ValueError("the bottleneck user is defined for N >= K")
-    n = int(config.cache_budget)
-    K = config.num_users
-    best_k, best_val = None, None
-    for k in range(1, K + 1):
-        num = binom(K, n + 1) - binom(K - k, n + 1)
-        val = Fraction(num) / config.alpha[k - 1]
-        if best_val is None or val > best_val:
-            best_k, best_val = k, val
-    return best_k
+    loads = prefix_loads(config)
+    # max keeps the first maximum: ties go to the weakest user
+    return max(range(1, config.num_users + 1), key=lambda k: loads[k - 1] / config.alpha[k - 1])
 
 
 def topological_hole_region(config: SystemConfig) -> Polytope:
@@ -253,20 +217,18 @@ def topological_hole_region(config: SystemConfig) -> Polytope:
         raise ValueError("hole analysis requires an integer cache budget")
     if config.num_files < config.num_users:
         raise ValueError("hole analysis requires N >= K")
-    n = int(config.cache_budget)
     K = config.num_users
-    if n >= K:
+    if config.cache_budget >= K:
         raise ValueError("a full cache leaves no content traffic to protect")
     star = bottleneck_user(config)
-    star_load = binom(K, n + 1) - binom(K - star, n + 1)
+    loads = prefix_loads(config)
     names = [unicast_name(k) for k in range(1, K + 1)]
     rows = []
     for k in range(1, star + 1):
         coeffs = [ONE if i == k - 1 else ZERO for i in range(K)]
         rows.append((coeffs, ZERO))  # r_k <= 0, i.e. r_k = 0 on the orthant
     for k in range(star + 1, K + 1):
-        load_k = binom(K, n + 1) - binom(K - k, n + 1)
-        bound = config.alpha[star] - config.alpha[star - 1] * Fraction(load_k, star_load)
+        bound = config.alpha[star] - config.alpha[star - 1] * (loads[k - 1] / loads[star - 1])
         coeffs = [ONE if star <= i < k else ZERO for i in range(K)]
         rows.append((coeffs, bound))
     return Polytope.build(names, rows)
@@ -282,10 +244,5 @@ def gdof_region_inner(tau, config: SystemConfig) -> Polytope:
     tau = _frac(tau)
     if tau <= 0:
         raise ValueError(f"delivery time must be positive, got {tau}")
-    K = config.num_users
-    names = [unicast_name(k) for k in range(1, K + 1)]
-    rows = []
-    for k, load in enumerate(prefix_loads(config), start=1):
-        coeffs = [ONE if i < k else ZERO for i in range(K)]
-        rows.append((coeffs, config.alpha[k - 1] - load / tau))
-    return Polytope.build(names, rows)
+    loads = prefix_loads(config)
+    return cumulative_region([a - load / tau for a, load in zip(config.alpha, loads)])

@@ -148,10 +148,20 @@ class TestShapeAndCountErrors:
             (["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--B", "0"],
              "--B must be a whole number of at least 1, got 0"),
             (["verify", "--K", "3"], "verify takes --K and --N together"),
+            (["verify", "--max-K", "2", "--mu", "1/2"], "verify takes --mu and --d only with --K"),
+            (["verify", "--d", "1,2", "--region-trials", "1"],
+             "verify takes --mu and --d only with --K"),
+            (["verify", "--K", "3", "--N", "2", "--B", "5"],
+             "file size 5 bits is not divisible into 3 equal subfiles"),
+            (["region", "--K", "3", "--sigma", "5", "--alpha", "1/2,3/4,1", "--kind", "symmetric"],
+             "multicast group size must lie in [1, 3], got 5"),
+            (["region", "--K", "3", "--sigma", "0", "--alpha", "1/2,3/4,1", "--kind", "missing",
+              "--leaders", "1,2"], "multicast group size must lie in [1, 3], got 0"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
-             "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N"],
+             "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
+             "B-indivisible-at-a-later-split", "symmetric-sigma-5", "missing-sigma-0"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"

@@ -21,8 +21,10 @@ from cachecast.regions import (
     build_missing_message_region,
     build_region,
     build_two_multicast_symmetric,
+    cumulative_region,
     max_symmetric_gdof,
     multicast_only_region,
+    prefix_gaps,
     rho_beta_polytope,
     symmetric_projection,
     validate_power_exponents,
@@ -200,6 +202,90 @@ class TestMissingMessageRegion:
             for k in range(1, 5)
         )
         assert res.status == "optimal" and res.value >= floor
+
+
+class TestCumulativeRows:
+    def test_rows_and_names(self):
+        poly = cumulative_region((F(1, 3), F(1)), ["r_x"], lambda k: [10 * k])
+        assert poly.variables == ("r_1", "r_2", "r_x")
+        assert poly.rows == (((1, 0, 10), F(1, 3)), ((1, 1, 20), F(1)))
+
+    def test_no_extra_rates(self):
+        assert cumulative_region(ALPHA3).rows == tuple(
+            (tuple(F(int(i < k)) for i in range(3)), a) for k, a in enumerate(ALPHA3, start=1)
+        )
+
+    def test_prefix_gaps(self):
+        assert prefix_gaps(ALPHA3, None) == list(ALPHA3)
+        assert prefix_gaps(ALPHA3, (F(1, 5), "1/2", 0)) == [F(1, 5), F(1, 5), F(3, 10)]
+        assert prefix_gaps(ALPHA3, (F(1, 2), 0, 0)) == [0, F(2, 5), F(1, 2)]
+
+    @pytest.mark.parametrize("r", [(F(1, 5), F(-1, 10), 0), (0, 0), (0, 0, 0, 0)])
+    def test_prefix_gaps_refuses_bad_rates(self, r):
+        with pytest.raises(ValueError):
+            prefix_gaps(ALPHA3, r)
+
+
+class TestSymmetricKinds:
+    """The three symmetric kinds share one group-size and coverage check and
+    one closed-form count, which must match counting the groups directly."""
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_projection_is_the_leading_prefix_missing_region(self, K):
+        rng = np.random.default_rng(K)
+        alpha = random_strengths(rng, K)
+        for sigma in range(1, K + 1):
+            for s in range(1, K + 1):
+                projected = symmetric_projection(K, sigma, alpha, s)
+                missing = build_missing_message_region(K, sigma, alpha, range(1, s + 1))
+                assert projected == missing, (sigma, s)
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_missing_counts_match_enumeration(self, K):
+        rng = np.random.default_rng(30 + K)
+        alpha = random_strengths(rng, K)
+        for sigma in range(1, K + 1):
+            for _ in range(4):
+                others = [u for u in range(2, K + 1) if rng.random() < 0.5]
+                leaders = [1, *others]
+                poly = build_missing_message_region(K, sigma, alpha, leaders)
+                groups = enumerate_groups(K, sigma)
+                expected = [
+                    sum(1 for g in groups if any(u in g for u in leaders if u <= k))
+                    for k in range(1, K + 1)
+                ]
+                assert [coeffs[-1] for coeffs, _ in poly.rows] == expected, (sigma, leaders)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sigma: symmetric_projection(3, sigma, ALPHA3, 3),
+            lambda sigma: build_missing_message_region(3, sigma, ALPHA3, [1, 2]),
+            lambda sigma: max_symmetric_gdof(3, sigma, ALPHA3, 3, (0, 0, 0)),
+        ],
+        ids=["projection", "missing", "max-gdof"],
+    )
+    @pytest.mark.parametrize("sigma", [0, 4, 5])
+    def test_group_size_outside_one_to_K(self, build, sigma):
+        with pytest.raises(ValueError, match=r"group size must lie in \[1, 3\]"):
+            build(sigma)
+
+    def test_group_size_one_is_a_symmetric_kind(self):
+        # sigma = 1: every leader prefix of size j meets j singletons
+        assert [c[-1] for c, _ in symmetric_projection(3, 1, ALPHA3, 2).rows] == [1, 2, 2]
+        assert max_symmetric_gdof(3, 1, ALPHA3, 3, (0, 0, 0)) == F(1, 3)
+
+    @pytest.mark.parametrize("sigma", [1, 4])
+    def test_full_and_beta_regions_need_two_to_K(self, sigma):
+        with pytest.raises(ValueError, match=r"group size must lie in \[2, 3\]"):
+            build_region(3, sigma, ALPHA3)
+        with pytest.raises(ValueError, match=r"group size must lie in \[2, 3\]"):
+            beta_parameterized_polytope(3, sigma, ALPHA3)
+
+    @pytest.mark.parametrize("r", [(F(-1, 10), 0, 0), (0, F(1, 10), F(-1, 20)), (0, 0)])
+    def test_max_gdof_refuses_bad_unicast_rates(self, r):
+        with pytest.raises(ValueError):
+            max_symmetric_gdof(3, 2, ALPHA3, 3, r)
 
 
 class TestBetaRegions:
