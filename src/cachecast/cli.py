@@ -211,6 +211,15 @@ def cmd_region(args) -> int:
     alpha = tuple(_parse_list(args.alpha))
     K = int(args.K)
     sigma = int(args.sigma)
+    for flag, value, kinds in (
+        ("--s", args.s, ("symmetric", "two-multicast")),
+        ("--gamma", args.gamma, ("two-multicast",)),
+        ("--leaders", args.leaders, ("missing",)),
+    ):
+        if value is not None and args.kind not in kinds:
+            raise ValueError(
+                f"{flag} applies only to --kind {' or '.join(kinds)}, not {args.kind}"
+            )
     if args.kind == "full":
         poly = regions.build_region(K, sigma, alpha)
     elif args.kind == "symmetric":

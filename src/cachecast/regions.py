@@ -259,17 +259,17 @@ def beta_parameterized_polytope(
 ) -> Polytope:
     """Joint region over (r, r_S, beta_2..beta_K) before eliminating the betas.
 
-    Level k carries r_k plus, for k <= K - sigma + 1, the groups anchored at
-    user k.  Eliminating the power exponents by Fourier-Motzkin projection
-    must give back `build_region` exactly; that equality is the certification
-    that the superposition scheme achieves the whole triangular region.
+    Level k carries r_k plus the groups anchored at user k (their weakest
+    member), which exist only for k <= K - sigma + 1.  Eliminating the power
+    exponents by Fourier-Motzkin projection must give back `build_region`
+    exactly; that equality is the certification that the superposition
+    scheme achieves the whole triangular region.
     """
     alphas = user_strengths(num_users, alpha)
     groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
     names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
-    cutoff = num_users - group_size + 1
     levels = [
-        [k - 1] + [num_users + gi for gi, g in enumerate(groups) if k <= cutoff and min(g) == k]
+        [k - 1] + [num_users + gi for gi, g in enumerate(groups) if min(g) == k]
         for k in range(1, num_users + 1)
     ]
     return _level_polytope(names, levels, alphas)

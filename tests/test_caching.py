@@ -85,7 +85,13 @@ class TestLibrary:
 
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",
-        [(2, 3, 1, None, 4), (3, 4, 2, 6 * 13, 5), (1, 2, 1, 2 * (2**16 + 3), 6)],
+        [(2, 3, 1, None, 4), (3, 4, 2, 6 * 13, 5), (1, 2, 1, 2 * (2**16 + 3), 6)]
+        # every length 1..70 with 1-4 files: ceil(B / 4) words is odd for
+        # B = 1..4, 9..12, ..., so PCG64's buffered half-word carries into
+        # file 2 and later
+        + [(1 + b % 4, 1, 0, b, (0, 7, 2**40 + 3)[b % 3]) for b in range(1, 71)]
+        + [(2, 1, 0, 2**16 + 1, 11), (3, 1, 0, 2**16 + 2, 12), (4, 1, 0, 2**16 + 5, 13),
+           (3, 1, 0, 2**16 + 7, 14)],
     )
     def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
         lib = random_library(num_files, num_users, split, file_bits, seed)

@@ -157,11 +157,20 @@ class TestShapeAndCountErrors:
              "multicast group size must lie in [1, 3], got 5"),
             (["region", "--K", "3", "--sigma", "0", "--alpha", "1/2,3/4,1", "--kind", "missing",
               "--leaders", "1,2"], "multicast group size must lie in [1, 3], got 0"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "full",
+              "--s", "9"], "--s applies only to --kind symmetric or two-multicast, not full"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "full",
+              "--gamma", "7"], "--gamma applies only to --kind two-multicast, not full"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "symmetric",
+              "--s", "2", "--leaders", "5,6"], "--leaders applies only to --kind missing, not symmetric"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing",
+              "--leaders", "1", "--s", "2"], "--s applies only to --kind symmetric or two-multicast"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
              "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
-             "B-indivisible-at-a-later-split", "symmetric-sigma-5", "missing-sigma-0"],
+             "B-indivisible-at-a-later-split", "symmetric-sigma-5", "missing-sigma-0",
+             "full-with-s", "full-with-gamma", "symmetric-with-leaders", "missing-with-s"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"
