@@ -37,8 +37,6 @@ from .caching import (
 )
 from .polytope import Polytope, eliminate, prune, region_contains, regions_equal, vertices
 from .regions import (
-    GdofPoint,
-    beta_inner_region_membership,
     beta_parameterized_polytope,
     build_missing_message_region,
     build_region,
@@ -54,7 +52,6 @@ from .tradeoff import (
     gndt_lower_bound,
     gndt_memory_sharing,
     gndt_ub,
-    gndt_ub_integer,
     topological_hole_region,
 )
 from .finite_snr import (
@@ -63,7 +60,6 @@ from .finite_snr import (
     delay_rate_inner_region,
     inner_rate_region,
     outer_rate_region,
-    symmetric_delay,
 )
 
 __version__ = "0.1.0"

@@ -404,6 +404,12 @@ def decode_file(
     return Bits(acc, size * len(cache._decode_plan))
 
 
+def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
+    """Refuse a demand tuple outside [1..N]^K."""
+    if len(d) != num_users or not all(1 <= v <= num_files for v in d):
+        raise ValueError(f"demand tuple {d} is not in [1..{num_files}]^{num_users}")
+
+
 def end_to_end_verify(
     num_users: int,
     num_files: int,
@@ -437,8 +443,7 @@ def end_to_end_verify(
     caches = library.caches
     if d is None:
         d = tuple(1 + (k % num_files) for k in range(num_users))
-    if len(d) != num_users or not all(1 <= v <= num_files for v in d):
-        raise ValueError(f"demand tuple {d} is not in [1..{num_files}]^{num_users}")
+    check_demand(d, num_users, num_files)
     leaders = select_leaders(d)
     payloads = encode_multicast(d, library, leaders)
     if corrupt_payload is not None and payloads:

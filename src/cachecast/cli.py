@@ -265,7 +265,9 @@ def _caching_sweeps(args) -> list:
             splits = list(range(0, K + 1))
         demands = None
         if args.d:
-            demands = [tuple(int(v) for v in str(args.d).split(","))]
+            d = tuple(int(v) for v in str(args.d).split(","))
+            caching.check_demand(d, K, N)  # before --out is opened
+            demands = [d]
         return [
             caching.sweep_demands(K, N, split, file_bits, seed=seed, demands=demands)
             for split in splits

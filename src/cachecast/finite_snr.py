@@ -14,9 +14,8 @@ shared by every point.  The delay-rate variant additionally divides the
 delivery time by the converse constant 2.01.
 
 The regions are float views of the exact rows of `regions`: `build_region`
-(per superposition level, `beta_parameterized_polytope`) supplies variables
-and 0/1 coefficients and validates the strengths exactly; only right-hand
-sides become floats.  Rates are bits per channel use (all logs base 2);
+supplies variables and 0/1 coefficients and validates the strengths exactly;
+only right-hand sides become floats.  Rates are bits per channel use (all logs base 2);
 comparisons use a 1e-9 tolerance.
 """
 
@@ -29,14 +28,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .regions import (
-    beta_names,
-    beta_parameterized_polytope,
-    build_region,
-    cumulative_region,
-    user_strengths,
-    validate_power_exponents,
-)
+from .regions import build_region, cumulative_region
 from .tradeoff import SystemConfig, prefix_loads
 
 TOL = 1e-9
@@ -50,7 +42,6 @@ class RateRegion:
     variables: tuple[str, ...]
     coeffs: np.ndarray
     rhs: np.ndarray
-    degenerate: bool = False  # flags the P <= 1 regime (zero region)
 
     def lhs(self, point: Sequence[float]) -> np.ndarray:
         return self.coeffs @ np.asarray(point, dtype=float)
@@ -72,35 +63,13 @@ def _log2_power(power: float) -> float:
     return 0.0 if power <= 1 else math.log2(power)  # P <= 1: the zero region
 
 
-def _float_view(variables, rows, rhs: Callable[[int, float], float], power: float) -> RateRegion:
+def _float_view(variables, rows, rhs: Callable[[int, float], float]) -> RateRegion:
     """Exact rows as floats: their 0/1 coefficients, and rhs(k, b_k) in place
     of row k's exact right-hand side b_k."""
     return RateRegion(
         variables=tuple(variables),
         coeffs=np.array([coeffs for coeffs, _ in rows], dtype=float),
         rhs=np.array([rhs(k, float(b)) for k, (_, b) in enumerate(rows, start=1)]),
-        degenerate=power <= 1,
-    )
-
-
-def beta_rate_region_rows(
-    num_users: int, group_size: int, power: float, beta: Sequence, alpha: Sequence
-) -> RateRegion:
-    """Per-level achievable rates for one power-exponent choice.
-
-    Level k has rhs ((beta_{k+1} - beta_k) log2 P - 1)^+ and carries the rates
-    of level row k of `regions.beta_parameterized_polytope`: R_k plus, below
-    the multicast cutoff, the groups anchored at user k.
-    """
-    levels = [float(b) for b in validate_power_exponents(beta, alpha)] + [1.0]  # alpha_K = 1
-    exact = beta_parameterized_polytope(num_users, group_size, alpha)
-    rates = len(exact.variables) - len(beta_names(num_users))
-    log_p = _log2_power(power)
-    return _float_view(
-        exact.variables[:rates],
-        [(coeffs[:rates], b) for coeffs, b in exact.rows[:num_users]],
-        lambda k, _: max(0.0, (levels[k] - levels[k - 1]) * log_p - 1.0),
-        power,
     )
 
 
@@ -111,7 +80,7 @@ def inner_rate_region(
     rhs (a_k log2 P - k)^+ in place of alpha_k."""
     exact = build_region(num_users, group_size, alpha)
     log_p = _log2_power(power)
-    return _float_view(exact.variables, exact.rows, lambda k, a: max(0.0, a * log_p - k), power)
+    return _float_view(exact.variables, exact.rows, lambda k, a: max(0.0, a * log_p - k))
 
 
 def outer_rate_region(
@@ -119,7 +88,7 @@ def outer_rate_region(
 ) -> RateRegion:
     """Cut-set outer bound: the same rows with rhs log2(1 + P^{a_k})."""
     exact = build_region(num_users, group_size, alpha)
-    return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a), power)
+    return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a))
 
 
 def sample_boundary_point(region: RateRegion, rng: np.random.Generator) -> np.ndarray:
@@ -168,7 +137,6 @@ def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
         exact.variables,
         exact.rows,
         lambda k, a: max(0.0, a * log_p - k) - float(loads[k - 1]) / delay,
-        config.power,
     )
 
 
@@ -194,39 +162,6 @@ def delay_rate_gap_certificate(
         if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - TOL:
             return True
     return False
-
-
-def symmetric_delay(rates: Sequence[float], snr: float, mu: float, num_users: int) -> float:
-    """Equal-SNR delivery delay per content bit with unicast rates running.
-
-    K(1 - mu)/(1 + K mu) channel uses per bit at the full channel rate, slowed
-    by whatever rate the unicast messages consume; infinite once the unicast
-    sum meets log2(1 + SNR).
-    """
-    if snr <= 0:
-        raise ValueError(f"SNR must be positive, got {snr}")
-    if not 0 <= mu <= 1:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    load = num_users * (1.0 - mu) / (1.0 + num_users * mu)
-    if load == 0:
-        return 0.0
-    headroom = math.log2(1.0 + snr) - float(np.sum(np.asarray(rates, dtype=float)))
-    if headroom <= 0:
-        return math.inf
-    return load / headroom
-
-
-def two_user_exact_rates(q: float, alpha: Sequence, power: float) -> tuple[float, float]:
-    """K = 2 exact superposition rates for one power split q in [0, 1].
-
-    Returns (A, B): A caps R_12 + R_1, B caps R_2, for SNR_k = P^{alpha_k}.
-    """
-    if not 0 <= q <= 1:
-        raise ValueError(f"power split must lie in [0, 1], got {q}")
-    snr1, snr2 = (power ** float(a) for a in user_strengths(2, alpha))
-    a = math.log2(1.0 + q * snr1 / (1.0 + (1.0 - q) * snr1))
-    b = math.log2(1.0 + (1.0 - q) * snr2)
-    return a, b
 
 
 def write_region_csv(region: RateRegion | dict[str, RateRegion], stream: IO[str]) -> None:

@@ -19,14 +19,13 @@ row builder `cumulative_region`, and every per-prefix slack from `prefix_gaps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence
 
 from .combinatorics import Group, cumulative_group_count, partition_by_min
 from .lp import _frac
-from .polytope import Polytope, fix_variables
+from .polytope import Polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,38 +66,6 @@ def group_name(group: Group) -> str:
     return "r_" + "_".join(str(u) for u in group)
 
 
-def validate_power_exponents(beta: Sequence, alpha: Sequence) -> tuple[Fraction, ...]:
-    """Power exponents: beta_1 = 0, nondecreasing, beta_{k+1} <= alpha_k."""
-    alphas = validate_strengths(alpha)
-    betas = tuple(_frac(b) for b in beta)
-    if len(betas) != len(alphas):
-        raise ValueError("one power exponent per user is required")
-    if betas[0] != 0:
-        raise ValueError(f"the first power exponent must be 0, got {betas[0]}")
-    if any(a > b for a, b in zip(betas, betas[1:])):
-        raise ValueError(f"power exponents must be nondecreasing, got {betas}")
-    if any(betas[k + 1] > alphas[k] for k in range(len(betas) - 1)):
-        raise ValueError("power exponents must satisfy beta_{k+1} <= alpha_k")
-    return betas
-
-
-@dataclass(frozen=True)
-class GdofPoint:
-    """Unicast GDoF tuple plus per-group (or symmetric) multicast values."""
-
-    unicast: tuple[Fraction, ...]
-    multicast: dict[Group, Fraction] = field(default_factory=dict)
-    symmetric: Fraction | None = None
-
-    def as_mapping(self) -> dict[str, Fraction]:
-        values = {unicast_name(k + 1): v for k, v in enumerate(self.unicast)}
-        for group, v in self.multicast.items():
-            values[group_name(group)] = v
-        if self.symmetric is not None:
-            values["r_sym"] = self.symmetric
-        return values
-
-
 def cumulative_region(
     rhs: Sequence,
     extra_names: Sequence[str] = (),
@@ -136,13 +103,6 @@ def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
     names = [group_name(g) for g in groups]
     return cumulative_region(alphas, names, lambda k: [ONE if g[0] <= k else ZERO for g in groups])
-
-
-def multicast_only_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
-    """Content-only variant: unicast coordinates pinned to zero and dropped."""
-    full = build_region(num_users, group_size, alpha)
-    zeros = {unicast_name(k): 0 for k in range(1, num_users + 1)}
-    return fix_variables(full, zeros)
 
 
 def _covered(num_users: int, s: int) -> range:
@@ -236,56 +196,28 @@ def build_missing_message_region(
     return cumulative_region(alphas, ["r_sym"], lambda k: [counts[k - 1]])
 
 
-def beta_inner_region_membership(
-    num_users: int,
-    group_size: int,
-    point: GdofPoint,
-    beta: Sequence,
-    alpha: Sequence,
-) -> bool:
-    """Does the point fit the superposition levels carved out by `beta`?
-
-    It does iff (point, beta_2..beta_K) lies in `beta_parameterized_polytope`;
-    rates the point leaves out carry zero.
-    """
-    betas = validate_power_exponents(beta, alpha)
-    system = beta_parameterized_polytope(num_users, group_size, alpha)
-    values = {**point.as_mapping(), **dict(zip(beta_names(num_users), betas[1:]))}
-    return system.contains([values.get(name, ZERO) for name in system.variables])
-
-
 def beta_parameterized_polytope(
     num_users: int, group_size: int, alpha: Sequence
 ) -> Polytope:
     """Joint region over (r, r_S, beta_2..beta_K) before eliminating the betas.
 
     Level k carries r_k plus the groups anchored at user k (their weakest
-    member), which exist only for k <= K - sigma + 1.  Eliminating the power
-    exponents by Fourier-Motzkin projection must give back `build_region`
-    exactly; that equality is the certification that the superposition
-    scheme achieves the whole triangular region.
-    """
-    alphas = user_strengths(num_users, alpha)
-    groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
-    names = [unicast_name(k) for k in range(1, num_users + 1)] + [group_name(g) for g in groups]
-    levels = [
-        [k - 1] + [num_users + gi for gi, g in enumerate(groups) if min(g) == k]
-        for k in range(1, num_users + 1)
-    ]
-    return _level_polytope(names, levels, alphas)
-
-
-def _level_polytope(rate_names: list[str], levels: list[list[int]], alphas) -> Polytope:
-    """Superposition levels over (rates, beta_2..beta_K).
-
-    Level k holds the rates at indices levels[k - 1] within the width
+    member), which exist only for k <= K - sigma + 1, within the width
     beta_{k+1} - beta_k, where beta_1 = 0 and beta_{K+1} = alpha_K; and
-    beta_{k+1} <= alpha_k.
+    beta_{k+1} <= alpha_k.  Eliminating the power exponents by Fourier-Motzkin
+    projection must give back `build_region` exactly; that equality is the
+    certification that the superposition scheme achieves the whole triangular
+    region.
     """
-    K, n = len(alphas), len(rate_names)
+    K = num_users
+    alphas = user_strengths(K, alpha)
+    groups = partition_by_min(K, group_size).union_up_to(K)  # sigma in [2, K]
+    names = [unicast_name(k) for k in range(1, K + 1)] + [group_name(g) for g in groups]
+    n = len(names)
     rows = []
     for k in range(1, K + 1):
-        coeffs = [ONE if i in levels[k - 1] else ZERO for i in range(n)] + [ZERO] * (K - 1)
+        coeffs = [ONE if i == k - 1 else ZERO for i in range(K)]
+        coeffs += [ONE if min(g) == k else ZERO for g in groups] + [ZERO] * (K - 1)
         if k >= 2:
             coeffs[n + k - 2] = ONE  # + beta_k
         if k < K:
@@ -293,19 +225,8 @@ def _level_polytope(rate_names: list[str], levels: list[list[int]], alphas) -> P
         rows.append((coeffs, alphas[-1] if k == K else ZERO))
     for k in range(1, K):  # beta_{k+1} <= alpha_k
         rows.append(([ZERO] * (n + k - 1) + [ONE] + [ZERO] * (K - 1 - k), alphas[k - 1]))
-    return Polytope.build(list(rate_names) + beta_names(K), rows)
+    return Polytope.build(names + beta_names(K), rows)
 
 
 def beta_names(num_users: int) -> list[str]:
     return [f"beta_{k}" for k in range(2, num_users + 1)]
-
-
-def rho_beta_polytope(num_users: int, alpha: Sequence) -> Polytope:
-    """Aggregated-level variant over (rho_1..rho_K, beta_2..beta_K).
-
-    rho_k stands for the total GDoF carried at level k.  Projecting out the
-    betas yields the cumulative rows rho_1 + ... + rho_k <= alpha_k.
-    """
-    alphas = user_strengths(num_users, alpha)
-    names = [f"rho_{k}" for k in range(1, num_users + 1)]
-    return _level_polytope(names, [[k] for k in range(num_users)], alphas)

@@ -17,9 +17,8 @@ sequence or hull built.  `prefix_loads` is the one place env_k is computed:
 the achievable time, the converse, the bottleneck user, the hole and inner
 GDoF regions and the finite-SNR delay-rate rows all read their per-prefix
 loads from it, and `regions.prefix_gaps` gives every denominator.  At an
-integer budget the chord is a single coded load, so the integer-budget form
-`gndt_ub_integer` is `gndt_ub` behind a budget check.  Two relatives matter
-and are kept as separate code paths:
+integer budget the chord is a single coded load.  Two relatives matter and
+are kept as separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
   weaker at fractional budgets in asymmetric channels; its maxed sequence
@@ -117,14 +116,6 @@ def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
     gaps = prefix_gaps(config.alpha, r)
     return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
-
-
-def gndt_ub_integer(config: SystemConfig, r: Sequence | None = None):
-    """Integer-budget delivery time: `gndt_ub`, whose loads are then single
-    coded loads, with no envelope involved."""
-    if not config.integer_budget:
-        raise ValueError(f"cache budget K*mu = {config.cache_budget} is not an integer")
-    return gndt_ub(config, r)
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):

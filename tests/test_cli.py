@@ -153,6 +153,10 @@ class TestShapeAndCountErrors:
              "verify takes --mu and --d only with --K"),
             (["verify", "--K", "3", "--N", "2", "--B", "5"],
              "file size 5 bits is not divisible into 3 equal subfiles"),
+            (["verify", "--K", "3", "--N", "3", "--d", "1,2"],
+             "demand tuple (1, 2) is not in [1..3]^3"),
+            (["verify", "--K", "3", "--N", "3", "--d", "1,2,9"],
+             "demand tuple (1, 2, 9) is not in [1..3]^3"),
             (["region", "--K", "3", "--sigma", "5", "--alpha", "1/2,3/4,1", "--kind", "symmetric"],
              "multicast group size must lie in [1, 3], got 5"),
             (["region", "--K", "3", "--sigma", "0", "--alpha", "1/2,3/4,1", "--kind", "missing",
@@ -169,8 +173,9 @@ class TestShapeAndCountErrors:
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
              "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
-             "B-indivisible-at-a-later-split", "symmetric-sigma-5", "missing-sigma-0",
-             "full-with-s", "full-with-gamma", "symmetric-with-leaders", "missing-with-s"],
+             "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
+             "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
+             "missing-with-s"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from cachecast.finite_snr import (
-    beta_rate_region_rows,
     constant_gap_certificate,
     delay_rate_gap_certificate,
     delay_rate_inner_region,
     inner_rate_region,
     outer_rate_region,
     sample_boundary_point,
-    symmetric_delay,
-    two_user_exact_rates,
     write_region_csv,
 )
 from cachecast.tradeoff import SystemConfig
@@ -28,34 +25,6 @@ def cfg(K, N, mu, alpha, power):
     return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha, power=power)
 
 
-class TestBetaRows:
-    def test_small_steps_clamp_to_zero(self):
-        region = beta_rate_region_rows(2, 2, 2.0, (0, F(1, 2)), ALPHA2)
-        # widths 1/2 and 1/2 at log2 P = 1: every rhs is (1/2 - 1)^+ = 0
-        assert np.allclose(region.rhs, 0.0)
-
-    def test_flat_level_has_zero_budget(self):
-        region = beta_rate_region_rows(3, 2, 2.0**20, (0, F(2, 5), F(2, 5)), ALPHA3)
-        assert region.rhs[1] == 0.0  # beta_3 == beta_2
-
-    def test_wide_power_approaches_level_widths(self):
-        power = 2.0**40
-        beta = (0, F(1, 5), F(2, 5))
-        region = beta_rate_region_rows(3, 2, power, beta, ALPHA3)
-        widths = [F(1, 5), F(1, 5), F(3, 5)]
-        for rhs, width in zip(region.rhs, widths):
-            assert abs(rhs / 40.0 - float(width)) <= 1.0 / 40.0 + 1e-9
-
-    def test_anchored_groups_share_levels(self):
-        region = beta_rate_region_rows(3, 2, 2.0**10, (0, F(1, 5), F(2, 5)), ALPHA3)
-        names = region.variables
-        row0 = dict(zip(names, region.coeffs[0]))
-        assert row0["r_1"] == row0["r_1_2"] == row0["r_1_3"] == 1.0
-        assert row0["r_2_3"] == 0.0
-        row2 = dict(zip(names, region.coeffs[2]))
-        assert row2["r_3"] == 1.0 and sum(row2.values()) == 1.0
-
-
 class TestInnerOuter:
     def test_two_user_worked_rhs(self):
         region = inner_rate_region(2, 2, ALPHA2, 2.0**20)
@@ -64,11 +33,9 @@ class TestInnerOuter:
     def test_small_power_zero_region(self):
         region = inner_rate_region(2, 2, ALPHA2, 2.0)
         assert np.allclose(region.rhs, 0.0)
-        assert not region.degenerate  # P > 1 is low but not degenerate
 
     def test_unit_power_flagged(self):
         region = inner_rate_region(2, 2, ALPHA2, 1.0)
-        assert region.degenerate
         assert np.allclose(region.rhs, 0.0)
 
     def test_outer_exact_power_of_two(self):
@@ -179,20 +146,15 @@ class TestDelayRate:
             delay_rate_inner_region(0.0, cfg(3, 3, F(1, 3), ALPHA3, 2.0**20))
 
 
-class TestSymmetricDelay:
-    def test_single_user_unit_snr(self):
-        assert symmetric_delay([0.0], 1.0, 0.0, 1) == 1.0
+def two_user_exact_rates(q: float, alpha, power: float) -> tuple[float, float]:
+    """K = 2 exact superposition rates for one power split q in [0, 1].
 
-    def test_full_memory(self):
-        assert symmetric_delay([0.5, 0.5], 4.0, 1.0, 2) == 0.0
-
-    def test_saturated_rates(self):
-        assert symmetric_delay([2.0, 2.0], 3.0, 0.5, 2) == math.inf
-
-    def test_matches_content_only_form(self):
-        snr, mu, K = 7.0, 0.25, 4
-        expected = (K * (1 - mu) / (1 + K * mu)) / math.log2(1 + snr)
-        assert symmetric_delay([0.0] * K, snr, mu, K) == pytest.approx(expected)
+    Returns (A, B): A caps R_12 + R_1, B caps R_2, for SNR_k = P^{alpha_k}.
+    """
+    snr1, snr2 = (power ** float(a) for a in alpha)
+    a = math.log2(1.0 + q * snr1 / (1.0 + (1.0 - q) * snr1))
+    b = math.log2(1.0 + (1.0 - q) * snr2)
+    return a, b
 
 
 class TestTwoUserSandwich:

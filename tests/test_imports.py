@@ -1,9 +1,15 @@
-"""Every top-level import of a package module is used by that module.
+"""Every top-level import of a package module is used by that module, and
+every public function or class of the package is used by the system.
 
-No linter ships with the project, so this walks each module's syntax tree:
-a name bound by a top-level `import` or `from ... import` must be read
-somewhere in the module.  `__init__.py` is skipped, since its imports are
-the package's exports.
+No linter ships with the project, so this walks syntax trees:
+
+* a name bound by a top-level `import` or `from ... import` must be read
+  somewhere in its module;
+* a public top-level `def` or `class` must be read (as a name, an attribute
+  or an imported name) somewhere in the package, `demos/` or `perfbench/`,
+  unless `TEST_FACING` names it with the reason it is kept.
+
+`__init__.py` is skipped by both, since its imports are the package's exports.
 """
 
 import ast
@@ -11,8 +17,19 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cachecast"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cachecast"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: public names only the tests call, each with the reason it stays
+TEST_FACING = {
+    "solve_square": "the benchmark's layer tracer wraps it by name; tests use it as a vertex oracle",
+    "fix_variables": "pins coordinates of a region in the region and trade-off tests",
+    "max_symmetric_gdof": "closed form the symmetric-projection tests check against the LP",
+    "is_convex_sequence": "states the convexity lemma the load-sequence tests check",
+    "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +60,42 @@ def test_detects_an_unused_import():
         "import math\nfrom fractions import Fraction\nfrom os import path as p\nx = Fraction(1)\n"
     )
     assert unused_imports(source) == ["line 1: math", "line 3: p"]
+
+
+def public_definitions(source: str) -> list[str]:
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def names_read(source: str) -> set[str]:
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+    return read
+
+
+def dead_names(definers: list[str], readers: list[str]) -> list[str]:
+    read = set().union(*map(names_read, readers))
+    return [name for source in definers for name in public_definitions(source) if name not in read]
+
+
+def test_every_public_name_is_used():
+    dead = set(dead_names([p.read_text() for p in MODULES], [p.read_text() for p in READERS]))
+    assert sorted(dead - TEST_FACING.keys()) == [], "public names that nothing reads"
+    assert sorted(TEST_FACING.keys() - dead) == [], "TEST_FACING names that are gone or now read"
+
+
+def test_detects_a_dead_name():
+    definer = "def used():\n    pass\n\ndef _private():\n    pass\n\nclass Dead:\n    x = 1\n"
+    # a definition, an assignment or an attribute store is not a read
+    readers = [definer, "from m import used as u\n", "Dead = 1\nm.Dead = 2\n"]
+    assert dead_names([definer], readers) == ["Dead"]
+    assert dead_names([definer], ["import m\nm.Dead()\nused()\n"]) == []

@@ -14,8 +14,6 @@ from cachecast.polytope import (
     regions_equal,
 )
 from cachecast.regions import (
-    GdofPoint,
-    beta_inner_region_membership,
     beta_names,
     beta_parameterized_polytope,
     build_missing_message_region,
@@ -23,11 +21,8 @@ from cachecast.regions import (
     build_two_multicast_symmetric,
     cumulative_region,
     max_symmetric_gdof,
-    multicast_only_region,
     prefix_gaps,
-    rho_beta_polytope,
     symmetric_projection,
-    validate_power_exponents,
     validate_strengths,
 )
 
@@ -90,7 +85,7 @@ class TestBuildRegion:
             build_region(3, 4, ALPHA3)
 
     def test_multicast_only_three_users(self):
-        poly = multicast_only_region(3, 2, ALPHA3)
+        poly = fix_variables(build_region(3, 2, ALPHA3), {"r_1": 0, "r_2": 0, "r_3": 0})
         assert poly.variables == ("r_1_2", "r_1_3", "r_2_3")
         # r12 + r13 <= a1;  r12 + r13 + r23 <= a2  (a3 row is then redundant)
         assert canonical(poly).rows == canonical(
@@ -288,58 +283,70 @@ class TestSymmetricKinds:
             max_symmetric_gdof(3, 2, ALPHA3, 3, r)
 
 
+def in_levels(rates, beta) -> bool:
+    """Is (rates, beta_2, beta_3) in the K = 3, sigma = 2 level system?  Rates
+    left out carry zero."""
+    system = beta_parameterized_polytope(3, 2, ALPHA3)
+    values = {**rates, **dict(zip(beta_names(3), beta[1:]))}
+    return system.contains({name: values.get(name, 0) for name in system.variables})
+
+
+def one_rate_per_level(num_users, alpha) -> Polytope:
+    """The level system over (r_1..r_K, betas) with one rate per level: at
+    sigma = K the only group, r_1_..._K, is silenced."""
+    system = beta_parameterized_polytope(num_users, num_users, alpha)
+    return fix_variables(system, {"r_" + "_".join(map(str, range(1, num_users + 1))): 0})
+
+
 class TestBetaRegions:
     def test_exponent_validation(self):
-        validate_power_exponents((0, F(1, 4), F(2, 5)), ALPHA3)
-        with pytest.raises(ValueError):
-            validate_power_exponents((F(1, 10), F(1, 4), F(2, 5)), ALPHA3)
-        with pytest.raises(ValueError):
-            validate_power_exponents((0, F(1, 2), F(2, 5)), ALPHA3)  # decreasing
-        with pytest.raises(ValueError):
-            validate_power_exponents((0, F(1, 2), F(1)), ALPHA3)  # beta_3 > a_2
+        # with every rate zero, the level rows admit valid exponents and refuse others
+        assert in_levels({}, (0, F(1, 4), F(2, 5)))
+        assert not in_levels({}, (0, F(1, 2), F(2, 5)))  # decreasing
+        assert not in_levels({}, (0, F(1, 2), F(1)))  # beta_3 > a_2
 
     def test_zero_point_always_inside(self):
-        point = GdofPoint(unicast=(F(0),) * 3)
-        assert beta_inner_region_membership(3, 2, point, (0, F(1, 5), F(2, 5)), ALPHA3)
+        assert in_levels({}, (0, F(1, 5), F(2, 5)))
 
     def test_slack_free_levels_and_perturbation(self):
         # levels exactly matched by loads: level widths 2/5, 1/4, and 1 - 13/20
         beta = (F(0), F(2, 5), F(13, 20))
-        point = GdofPoint(
-            unicast=(F(1, 5), F(1, 4), F(7, 20)),
-            multicast={(1, 2): F(1, 10), (1, 3): F(1, 10), (2, 3): F(0)},
-        )
-        assert beta_inner_region_membership(3, 2, point, beta, ALPHA3)
-        bumped = GdofPoint(
-            unicast=(F(1, 5) + F(1, 100), F(1, 4), F(7, 20)),
-            multicast=point.multicast,
-        )
-        assert not beta_inner_region_membership(3, 2, bumped, beta, ALPHA3)
+        rates = {"r_1": F(1, 5), "r_2": F(1, 4), "r_3": F(7, 20), "r_1_2": F(1, 10),
+                 "r_1_3": F(1, 10), "r_2_3": F(0)}
+        assert in_levels(rates, beta)
+        assert not in_levels({**rates, "r_1": F(1, 5) + F(1, 100)}, beta)
 
     def test_levels_built_from_loads_admit_the_point(self):
         # cumulative loads as exponents reproduce a feasible allocation
-        point = GdofPoint(
-            unicast=(F(1, 10), F(1, 10), F(1, 10)),
-            multicast={(1, 2): F(1, 10), (1, 3): F(0), (2, 3): F(1, 5)},
-        )
+        rates = {"r_1": F(1, 10), "r_2": F(1, 10), "r_3": F(1, 10), "r_1_2": F(1, 10),
+                 "r_1_3": F(0), "r_2_3": F(1, 5)}
         loads = [F(1, 10) + F(1, 10), F(1, 10) + F(1, 5), F(1, 10)]
         beta = (F(0), loads[0], loads[0] + loads[1])
-        validate_power_exponents(beta, ALPHA3)
-        assert beta_inner_region_membership(3, 2, point, beta, ALPHA3)
+        assert in_levels({}, beta)
+        assert in_levels(rates, beta)
+
+    def test_anchored_groups_share_levels(self):
+        system = beta_parameterized_polytope(3, 2, ALPHA3)
+        row0 = dict(zip(system.variables, system.rows[0][0]))
+        assert row0["r_1"] == row0["r_1_2"] == row0["r_1_3"] == 1
+        assert row0["r_2_3"] == 0
+        row2 = dict(zip(system.variables, system.rows[2][0]))
+        rates2 = {name: c for name, c in row2.items() if not name.startswith("beta")}
+        assert rates2["r_3"] == 1 and sum(rates2.values()) == 1
 
 
 class TestFourierMotzkin:
     def test_rho_projection_is_cumulative(self):
-        system = rho_beta_polytope(3, ALPHA3)
-        projected = prune(eliminate(system, beta_names(3)))
+        projected = prune(eliminate(one_rate_per_level(3, ALPHA3), beta_names(3)))
         expected = Polytope.build(
-            ("rho_1", "rho_2", "rho_3"),
+            ("r_1", "r_2", "r_3"),
             [
                 ((1, 0, 0), F(2, 5)),
                 ((1, 1, 0), F(9, 10)),
                 ((1, 1, 1), F(1)),
             ],
         )
+        assert projected.variables == expected.variables
         assert canonical(projected).rows == canonical(expected).rows
 
     @pytest.mark.parametrize("num_users,sigma", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
@@ -362,11 +369,11 @@ class TestFourierMotzkin:
 
     def test_projection_respects_substitution(self):
         # aggregate the group variables of the projected region per anchor user
-        # and it must match the rho-system projection
+        # and it must match the projection with one rate per level
         alpha = ALPHA4
         theorem = build_region(4, 2, alpha)
         groups = enumerate_groups(4, 2)
-        rho_proj = prune(eliminate(rho_beta_polytope(4, alpha), beta_names(4)))
+        rho_proj = prune(eliminate(one_rate_per_level(4, alpha), beta_names(4)))
         # evaluate both on matched random points
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -379,5 +386,5 @@ class TestFourierMotzkin:
                 total = r[k - 1]
                 if k <= 3:  # anchored groups exist below the cutoff
                     total += sum(v for grp, v in g.items() if min(grp) == k)
-                rho[f"rho_{k}"] = total
+                rho[f"r_{k}"] = total
             assert theorem.contains(point) == rho_proj.contains(rho)

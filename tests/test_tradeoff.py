@@ -18,7 +18,6 @@ from cachecast.tradeoff import (
     gndt_lower_bound,
     gndt_memory_sharing,
     gndt_ub,
-    gndt_ub_integer,
     prefix_loads,
     topological_hole_region,
 )
@@ -112,7 +111,6 @@ class TestUpperBound:
         for t, tau in expected.items():
             cfg = config(4, 4, F(t, 4), FIG_ALPHA)
             assert gndt_ub(cfg) == tau
-            assert gndt_ub_integer(cfg) == tau
 
     def test_exhausted_prefix_is_infinite(self):
         cfg = config(3, 3, F(1, 3), ALPHA3)
@@ -143,15 +141,11 @@ class TestUpperBound:
 
 
 class TestIntegerForm:
-    def test_rejects_fractional_budget(self):
-        with pytest.raises(ValueError):
-            gndt_ub_integer(config(3, 3, F(1, 2), ALPHA3))
-
     def test_agrees_with_envelope_form(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
             cfg = random_config(rng, integer_budget=True)
-            assert gndt_ub_integer(cfg) == integer_oracle(cfg, None)
+            assert gndt_ub(cfg) == integer_oracle(cfg, None)
 
     def test_single_user_load(self):
         for mu in (F(0), F(1, 2), F(1)):
@@ -170,7 +164,7 @@ class TestIntegerForm:
                 F(binom(K, t + 1) - binom(K - k, t + 1), binom(K, t)) / big.alpha[k - 1]
                 for k in range(1, K + 1)
             )
-            assert gndt_ub_integer(big) == direct
+            assert gndt_ub(big) == direct
 
 
 class TestMemorySharing:
@@ -288,7 +282,7 @@ class TestAgainstFullSequenceOracles:
                 assert shared == memory_sharing_oracle(cfg, r), (j, r)
                 seen_inf |= shared == math.inf
                 if cfg.integer_budget:
-                    assert gndt_ub_integer(cfg, r) == integer_oracle(cfg, r), (j, r)
+                    assert gndt_ub(cfg, r) == integer_oracle(cfg, r), (j, r)
                 else:
                     assert gndt_joint_two_set(cfg, r) == joint_two_set_oracle(cfg, r), (j, r)
         assert seen_inf
@@ -441,7 +435,7 @@ class TestRegionRouteCrossCheck:
         res = pinned.maximize({"r_sym": 1})
         assert res.status == "optimal" and res.value > 0
         via_region = F(1, binom(K, sigma - 1)) / res.value
-        assert via_region == gndt_ub_integer(cfg, r)
+        assert via_region == gndt_ub(cfg, r)
 
 
 class TestInnerRegion:
