@@ -9,7 +9,9 @@ region        dump a GDoF region as JSON (rational rows)
 verify        end-to-end caching sweep + region-equality certification
 finite-snr    finite-power region rows (CSV) and constant-gap certificates
 
-Flags can come from a JSON config file (--config); explicit flags win.
+Flags can come from a JSON config file (--config); explicit flags win, and
+--mu and --mu-grid are alternatives: a flag for one overrides a config
+value for the other, and both at once are a usage error.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -62,15 +64,22 @@ def _parse_list(text) -> list[Fraction]:
 
 
 def _parse_grid(text) -> list[Fraction]:
-    start, end, step = (_parse_fraction(t) for t in str(text).split(":"))
+    parts = str(text).split(":")
+    if len(parts) != 3:
+        raise ValueError(f"--mu-grid must have the form start:end:step, got {text!r}")
+    start, end, step = (_parse_fraction(t) for t in parts)
     if step <= 0 or end < start:
-        raise ValueError(f"bad grid specification {text!r}")
+        raise ValueError(f"--mu-grid start:end:step needs step > 0 and end >= start, got {text!r}")
     grid = []
     value = start
     while value <= end:
         grid.append(value)
         value += step
     return grid
+
+
+# flags that each stand in for the other: a config value for one yields to the other's flag
+_ALTERNATIVE = {"mu": "mu_grid", "mu_grid": "mu"}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -84,9 +93,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
     if not isinstance(stored, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
+    given = {attr for attr, value in vars(args).items() if value is not None}
     for key, value in stored.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
+        if attr not in given and _ALTERNATIVE.get(attr) not in given:
             setattr(args, attr, value)
     return args
 
@@ -139,7 +149,9 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _mu_values(args) -> list[Fraction]:
-    if getattr(args, "mu_grid", None):
+    if args.mu_grid is not None and args.mu is not None:
+        raise ValueError("--mu and --mu-grid are alternatives; give one of them")
+    if args.mu_grid is not None:
         return _parse_grid(args.mu_grid)
     if args.mu is not None:
         return [_parse_fraction(args.mu)]

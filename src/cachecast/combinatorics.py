@@ -19,6 +19,7 @@ boundaries of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,24 +122,34 @@ def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
     return [coded_load(num_users, served, n) for n in range(num_users + 1)]
 
 
-def lower_convex_envelope(values: Sequence, x) -> Fraction:
-    """Lower convex envelope of {(n, values[n]) : n = 0..K}, evaluated at x.
+def _remember_last(func):
+    """Keep `func`'s result for its most recent arguments, compared by ==.
 
-    Built as a 2-D lower hull (monotone chain) so no convexity of the input
-    sequence is assumed.  For a convex sequence the envelope touches every
-    point and evaluation reduces to linear interpolation between floor(x)
-    and ceil(x).
+    A one-entry cache: it cannot grow, and a call with any argument changed
+    recomputes.  Keys are never hashed, since hashing a Fraction costs about
+    as much as multiplying two; equal Fractions are usually the same objects
+    here, so the comparison is an identity check.  A call that raises leaves
+    the kept entry as it was.
     """
-    pts = [(Fraction(n), _frac(v)) for n, v in enumerate(values)]
-    xq = _frac(x)
-    if not pts:
-        raise ValueError("envelope needs at least one point")
-    if not pts[0][0] <= xq <= pts[-1][0]:
-        raise ValueError(f"x = {x} outside the index range [0, {len(pts) - 1}]")
+    last: list = []  # [(args, result)] once called
 
-    # lower hull, left to right; keep right turns only
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
+    @functools.wraps(func)
+    def remembered(*args):
+        if not last or last[0][0] != args:
+            last[:] = [(args, func(*args))]
+        return last[0][1]
+
+    return remembered
+
+
+@_remember_last
+def _lower_hull(points: tuple[Fraction, ...]) -> tuple[tuple[int, Fraction], ...]:
+    """Vertices (n, points[n]) of the lower convex hull, left to right.
+
+    Andrew's monotone chain, keeping right turns only.
+    """
+    hull: list[tuple[int, Fraction]] = []
+    for p in enumerate(points):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop hull[-1] if it lies on or above chord hull[-2] -> p
@@ -147,11 +158,30 @@ def lower_convex_envelope(values: Sequence, x) -> Fraction:
             else:
                 break
         hull.append(p)
+    return tuple(hull)
 
+
+def lower_convex_envelope(values: Sequence, x) -> Fraction:
+    """Lower convex envelope of {(n, values[n]) : n = 0..K}, evaluated at x.
+
+    Builds the 2-D lower hull, so no convexity of the input sequence is
+    assumed, then evaluates the hull segment over x.  The hull of the most
+    recent sequence is kept (see `_remember_last`), so evaluating one sequence
+    over a grid of x builds its hull once.  For a convex sequence the
+    envelope touches every point and evaluation reduces to linear
+    interpolation between floor(x) and ceil(x).
+    """
+    points = tuple(_frac(v) for v in values)
+    xq = _frac(x)
+    if not points:
+        raise ValueError("envelope needs at least one point")
+    if not 0 <= xq <= len(points) - 1:
+        raise ValueError(f"x = {x} outside the index range [0, {len(points) - 1}]")
+    hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= xq <= x2:
+        if xq <= x2:
             return y1 + (y2 - y1) * (xq - x1) / (x2 - x1)
-    return hull[-1][1]  # xq coincides with the last abscissa
+    return hull[-1][1]  # a single point
 
 
 def is_convex_sequence(values: Sequence) -> bool:

@@ -12,19 +12,32 @@ where env_k is the lower convex envelope of n -> c_n(k), evaluated at the
 (possibly fractional) budget K*mu.  Every such sequence is convex: c_n(k) is
 a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
 difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
-between c_floor(K*mu)(k) and c_ceil(K*mu)(k), two binomial ratios, with no
-sequence or hull built.  `prefix_loads` is the one place env_k is computed:
-the achievable time, the converse, the bottleneck user, the hole and inner
-GDoF regions and the finite-SNR delay-rate rows all read their per-prefix
-loads from it, and `regions.prefix_gaps` gives every denominator.  At an
-integer budget the chord is a single coded load.  Two relatives matter and
-are kept as separate code paths:
+between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
+`prefix_loads` is the one place env_k is computed: the achievable time, the
+converse, the bottleneck user, the hole and inner GDoF regions and the
+finite-SNR delay-rate rows all read their per-prefix loads from it, and
+`regions.prefix_gaps` gives every denominator.  At an integer budget the
+chord is a single coded load.  Two relatives matter and are kept as separate
+code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
-  weaker at fractional budgets in asymmetric channels; its maxed sequence
-  need not be convex, so it is the one path that still builds a hull;
+  weaker at fractional budgets in asymmetric channels.  Its maxed sequence
+  is a max of convex sequences, hence convex too, but this path does not
+  lean on that: it evaluates the generic lower hull of the sequence;
 * the joint two-set delivery form, an explicit convex combination of the two
   neighbouring integer budgets, which matches tau_ub.
+
+A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
+per mu with the same K, N, alpha and r, so what does not depend on mu is
+built once per curve and kept for the next call (one entry each, compared
+by value; see `combinatorics._remember_last`):
+
+* per (K, N): the coded loads c_0..c_K of every served count;
+* per (K, N, alpha, r): the prefix gaps, and, only when memory sharing asks,
+  its max-over-users sequence, whose lower hull `lower_convex_envelope`
+  keeps;
+* per mu: the chord loads, which the achievable time and the converse of
+  one row share, the load-to-gap ratios and one hull evaluation.
 
 A division-free converse companion assembles the per-prefix information
 bounds (each 1/2.01 of the corresponding achievability row), the bottleneck
@@ -37,12 +50,13 @@ exhausted channel prefix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import coded_load, lower_convex_envelope, multicast_load_sequence
+from .combinatorics import _remember_last, lower_convex_envelope, multicast_load_sequence
 from .lp import _frac
 from .polytope import Polytope
 from .regions import ZERO, ONE, cumulative_region, prefix_gaps, unicast_name, user_strengths
@@ -93,6 +107,45 @@ def _ratio(load: Fraction, gap: Fraction):
     return load / gap
 
 
+@_remember_last
+def _load_sequences(num_users: int, served: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The coded loads c_0..c_K of every served count 1..served."""
+    return tuple(tuple(multicast_load_sequence(num_users, m)) for m in range(1, served + 1))
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """What every cache budget of one (K, N, alpha, r) curve shares."""
+
+    num_users: int
+    num_files: int
+    gaps: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def maxed(self) -> tuple[Fraction, ...] | None:
+        """max over prefixes of c_n / gap for n = 0..K; None if a prefix is exhausted."""
+        served = min(self.num_users, self.num_files)
+        # prefixes served..K carry the same loads, so their smallest gap binds
+        gaps = self.gaps[: served - 1] + (min(self.gaps[served - 1 :]),)
+        sequences = _load_sequences(self.num_users, served)
+        maxed = tuple(
+            max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
+            for n in range(self.num_users + 1)
+        )
+        return None if INF in maxed else maxed
+
+
+@_remember_last
+def _curve(num_users: int, num_files: int, alpha: tuple, r: tuple | None) -> _Curve:
+    return _Curve(num_users, num_files, tuple(prefix_gaps(alpha, r)))
+
+
+def _shared(config: SystemConfig, r: Sequence | None) -> _Curve:
+    """The curve through `config` with unicast tuple r, kept for the next budget."""
+    key = None if r is None else tuple(_frac(x) for x in r)
+    return _curve(config.num_users, config.num_files, config.alpha, key)
+
+
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     """env_k(K*mu) for every user prefix k = 1..K.
 
@@ -101,20 +154,23 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     same N users as prefix N, so only min(K, N) loads are computed and the
     last one is repeated.
     """
-    K, budget = config.num_users, config.cache_budget
+    return _chord_loads(config.num_users, config.num_files, config.cache_budget)
+
+
+@_remember_last
+def _chord_loads(num_users: int, num_files: int, budget: Fraction) -> tuple[Fraction, ...]:
     low = budget.numerator // budget.denominator  # floor
-    loads = []
-    for served in range(1, min(K, config.num_files) + 1):
-        load = coded_load(K, served, low)
-        if budget != low:
-            load += (budget - low) * (coded_load(K, served, low + 1) - load)
-        loads.append(load)
-    return tuple(loads) + (loads[-1],) * (K - len(loads))
+    step = budget - low
+    loads = [
+        seq[low] + step * (seq[low + 1] - seq[low]) if step else seq[low]
+        for seq in _load_sequences(num_users, min(num_users, num_files))
+    ]
+    return tuple(loads) + (loads[-1],) * (num_users - len(loads))
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    gaps = prefix_gaps(config.alpha, r)
+    gaps = _shared(config, r).gaps
     return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
@@ -127,15 +183,8 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     budgets and is never below it elsewhere.
     """
     budget = config.cache_budget
-    served = min(config.num_users, config.num_files)
-    gaps = prefix_gaps(config.alpha, r)
-    # prefixes served..K carry the same loads, so their smallest gap binds
-    gaps = gaps[: served - 1] + [min(gaps[served - 1 :])]
-    sequences = [multicast_load_sequence(config.num_users, m) for m in range(1, served + 1)]
-    maxed = []
-    for n in range(config.num_users + 1):
-        maxed.append(max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps)))
-    if any(v == INF for v in maxed):
+    maxed = _shared(config, r).maxed
+    if maxed is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
         if budget == config.num_users:
             return ZERO
@@ -156,13 +205,13 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
         raise ValueError(f"cache budget K*mu = {budget} is an integer; no split needed")
     low = budget.numerator // budget.denominator  # floor
     lam = low + 1 - budget  # weight of the floor budget
-    gaps = prefix_gaps(config.alpha, r)
+    K, N = config.num_users, config.num_files
+    sequences = _load_sequences(K, min(K, N))
     best = ZERO
-    for k in range(1, config.num_users + 1):
-        served = min(k, config.num_files)
-        lo, hi = (coded_load(config.num_users, served, n) for n in (low, low + 1))
-        load = lam * lo + (1 - lam) * hi
-        best = max(best, _ratio(load, gaps[k - 1]))
+    for k, gap in enumerate(_shared(config, r).gaps, start=1):
+        seq = sequences[min(k, N) - 1]
+        load = lam * seq[low] + (1 - lam) * seq[low + 1]
+        best = max(best, _ratio(load, gap))
     return best
 
 
@@ -175,7 +224,7 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     Structurally the max equals `gndt_ub` / 2.01, but the value is built from
     the per-prefix rows, not by dividing.
     """
-    gaps = prefix_gaps(config.alpha, r)
+    gaps = _shared(config, r).gaps
     return max(
         _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
     )

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachecast import cli, finite_snr
+from cachecast import cli, finite_snr, tradeoff
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -81,6 +81,26 @@ class TestGndt:
         assert code == 0
         assert out.splitlines()[1].startswith("0.25,")
 
+    @pytest.mark.parametrize(
+        "stored,flags,mus",
+        [
+            ({"mu-grid": "0:1:1/2"}, ["--mu", "1/3"], ["0.333333333333"]),
+            ({"mu": "1/3"}, ["--mu-grid", "0:1:1/2"], ["0", "0.5", "1"]),
+            ({"mu-grid": "0:1:1/2"}, [], ["0", "0.5", "1"]),
+        ],
+        ids=["flag-mu-over-config-grid", "flag-grid-over-config-mu", "config-grid"],
+    )
+    def test_mu_and_grid_flags_override_either_config_value(
+        self, stored, flags, mus, tmp_path, capsys
+    ):
+        """--mu and --mu-grid are alternatives: a flag for one wins over a
+        config value for either."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(stored))
+        code, out, err = run(["gndt", *FIG3, "--config", str(config), *flags], capsys)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == mus
+
 
 class TestUsageErrors:
     TWO = ["--K", "2", "--N", "2", "--alpha", "1/2,1"]
@@ -118,6 +138,14 @@ class TestUsageErrors:
         assert f"'{token}' has a zero denominator" in err
         assert "Traceback" not in err
         assert out == ""
+
+
+    def test_mu_and_grid_in_one_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mu": "1/3", "mu-grid": "0:1:1/2"}))
+        code, out, err = run(["gndt", *self.TWO, "--config", str(config)], capsys)
+        assert code == 2
+        assert "--mu and --mu-grid are alternatives" in err and out == ""
 
 
 class TestShapeAndCountErrors:
@@ -169,13 +197,26 @@ class TestShapeAndCountErrors:
               "--s", "2", "--leaders", "5,6"], "--leaders applies only to --kind missing, not symmetric"),
             (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing",
               "--leaders", "1", "--s", "2"], "--s applies only to --kind symmetric or two-multicast"),
+            (["gndt", *TestUsageErrors.TWO, "--mu-grid", "0:1"],
+             "--mu-grid must have the form start:end:step, got '0:1'"),
+            (["sweep-memory", *TestUsageErrors.TWO, "--mu-grid", "0:1:1/4:1"],
+             "--mu-grid must have the form start:end:step, got '0:1:1/4:1'"),
+            (["gndt", *TestUsageErrors.TWO, "--mu-grid", "1:0:1/4"],
+             "--mu-grid start:end:step needs step > 0 and end >= start, got '1:0:1/4'"),
+            (["sweep-memory", *TestUsageErrors.TWO, "--mu-grid", "0:1:0"],
+             "--mu-grid start:end:step needs step > 0 and end >= start, got '0:1:0'"),
+            (["gndt", *TestUsageErrors.TWO, "--mu", "1/3", "--mu-grid", "0:1:1/2"],
+             "--mu and --mu-grid are alternatives"),
+            (["sweep-memory", *TestUsageErrors.TWO, "--mu-grid", "0:1:1/2", "--mu", "1/3"],
+             "--mu and --mu-grid are alternatives"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
              "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
              "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
              "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
-             "missing-with-s"],
+             "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
+             "grid-zero-step", "mu-and-grid", "grid-and-mu"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"
@@ -217,6 +258,41 @@ class TestSweepMemory:
         by_mu = {row[0]: row for row in rows}
         assert by_mu["0.125"][1] == by_mu["0.125"][2]  # joint == ub
         assert float(by_mu["0.125"][2]) < float(by_mu["0.125"][3])  # < ms
+
+
+class TestFormulaCalls:
+    """gndt and sweep-memory call each formula through the `tradeoff` module,
+    once per mu, so a wrong formula put there shows in the output."""
+
+    GRID = [F(j, 8) for j in range(9)]
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            ("gndt", "gndt_ub"),
+            ("gndt", "gndt_memory_sharing"),
+            ("gndt", "gndt_lower_bound"),
+            ("sweep-memory", "gndt_ub"),
+            ("sweep-memory", "gndt_memory_sharing"),
+            ("sweep-memory", "gndt_lower_bound"),
+            ("sweep-memory", "gndt_joint_two_set"),
+        ],
+    )
+    def test_planted_formula_changes_output(self, command, name, capsys, monkeypatch):
+        argv = [command, *FIG3, "--mu-grid", "0:1:1/8"] + (["--exact"] if command == "gndt" else [])
+        _, honest, _ = run(argv, capsys)
+        original, calls = getattr(tradeoff, name), []
+
+        def planted(config, r=None):
+            calls.append(config.mu)
+            return original(config, r) + 1
+
+        monkeypatch.setattr(tradeoff, name, planted)
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out != honest
+        # the joint column calls its formula only where K*mu is fractional
+        fractional = name == "gndt_joint_two_set"
+        assert calls == [mu for mu in self.GRID if not fractional or (4 * mu).denominator > 1]
 
 
 class TestHoles:

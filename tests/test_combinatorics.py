@@ -152,6 +152,17 @@ class TestEnvelope:
         x = F(num * (len(values) - 1), 200)
         assert lower_convex_envelope(values, x) == envelope_oracle(values, x)
 
+    def test_kept_hull_follows_the_values(self):
+        """The hull of the last sequence is kept; a sequence that differs in
+        one value, in its length or only in the type of its values is
+        evaluated afresh, never against the kept hull."""
+        sequences = [[0, 3, 1], [0, 3, 1, 5], [0, 1, 1], [0, 3, 1], [F(0), F(3), F(1)],
+                     [0, F(1, 2), 1], [0, 3, 1], [7]]
+        for values in sequences + sequences[::-1]:
+            for num in range(0, 4 * (len(values) - 1) + 1):
+                x = F(num, 4)
+                assert lower_convex_envelope(values, x) == envelope_oracle(values, x), (values, x)
+
     @given(values=st.lists(st.integers(0, 40), min_size=2, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_soundness(self, values):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cachecast.combinatorics import binom, lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
-from cachecast.regions import max_symmetric_gdof
+from cachecast.regions import max_symmetric_gdof, prefix_gaps
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     SystemConfig,
@@ -244,6 +244,88 @@ def memory_sharing_oracle(cfg, r):
     if math.inf in maxed:
         return F(0) if cfg.cache_budget == cfg.num_users else math.inf
     return lower_convex_envelope(maxed, cfg.cache_budget)
+
+
+def _curve_oracle(K, N, mu, alpha, r):
+    """(ub, ms, lb, joint) from the load sequences, gaps and hulls, built afresh."""
+    budget = K * F(mu)
+    sequences = [multicast_load_sequence(K, min(k, N)) for k in range(1, K + 1)]
+    loads = [lower_convex_envelope(seq, budget) for seq in sequences]
+    gaps = prefix_gaps(alpha, r)
+    ub = max(_ratio(load, gap) for load, gap in zip(loads, gaps))
+    lb = max(_ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(loads, gaps))
+    maxed = [
+        max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps)) for n in range(K + 1)
+    ]
+    if math.inf in maxed:
+        ms = F(0) if budget == K else math.inf
+    else:
+        ms = lower_convex_envelope(maxed, budget)
+    return ub, ms, lb, None if budget.denominator == 1 else ub
+
+
+class TestSharedCurveData:
+    """The four formulas keep what a curve's budgets share; every input
+    change, one at a time, must reach every value."""
+
+    A4 = (F(1, 5), F(2, 5), F(3, 5), F(1))
+    B4 = (F(1, 2), F(1, 2), F(3, 4), F(1))
+    A5 = (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1))
+    R4 = (F(1, 5), F(1, 5), 0, 0)  # exhausts the first two prefixes of A4
+    # (K, N, mu, alpha, r), each step changing the one input it names; a
+    # change of K comes with strengths (and r) of the new length
+    STEPS = [
+        ("start", (4, 2, F(3, 8), A4, None)),
+        ("mu", (4, 2, F(5, 8), A4, None)),
+        ("N", (4, 4, F(5, 8), A4, None)),
+        ("N", (4, 1, F(5, 8), A4, None)),
+        ("alpha", (4, 1, F(5, 8), B4, None)),
+        ("r", (4, 1, F(5, 8), B4, (F(1, 10), 0, 0, 0))),
+        ("r", (4, 1, F(5, 8), B4, (0, 0, F(1, 10), 0))),
+        ("N", (4, 3, F(5, 8), B4, (0, 0, F(1, 10), 0))),
+        ("alpha", (4, 3, F(5, 8), A4, (0, 0, F(1, 10), 0))),
+        ("r zero", (4, 3, F(5, 8), A4, (0, 0, 0, 0))),
+        ("r None", (4, 3, F(5, 8), A4, None)),
+        ("r zero", (4, 3, F(5, 8), A4, (F(0),) * 4)),
+        ("r str", (4, 3, F(5, 8), A4, ("1/5", "0", "0", "0"))),
+        ("r Fraction", (4, 3, F(5, 8), A4, (F(1, 5), 0, 0, 0))),
+        ("r exhausts", (4, 3, F(5, 8), A4, R4)),
+        ("mu", (4, 3, F(1), A4, R4)),
+        ("K", (5, 3, F(1), A5, R4 + (0,))),
+        ("mu", (5, 3, F(3, 10), A5, R4 + (0,))),
+        ("K", (4, 3, F(3, 10), A4, R4)),
+        ("r", (4, 3, F(3, 10), A4, None)),
+        ("alpha", (4, 3, F(3, 10), B4, None)),
+        ("N", (4, 2, F(3, 10), B4, None)),
+        ("mu", (4, 2, F(0), B4, None)),
+        ("K", (5, 2, F(0), A5, None)),
+        ("mu", (5, 2, F(1, 2), A5, None)),
+        ("K", (4, 2, F(1, 2), A4, None)),
+    ]
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    def test_every_value_matches_a_fresh_oracle(self, order):
+        steps = self.STEPS if order == "forward" else self.STEPS[::-1]
+        for changed, (K, N, mu, alpha, r) in steps:
+            cfg = config(K, N, mu, alpha)
+            ub, ms, lb, joint = _curve_oracle(K, N, mu, alpha, r)
+            got = (gndt_ub(cfg, r), gndt_memory_sharing(cfg, r), gndt_lower_bound(cfg, r))
+            assert got == (ub, ms, lb), changed
+            if joint is not None:
+                assert gndt_joint_two_set(cfg, r) == joint, changed
+            assert prefix_loads(cfg) == tuple(
+                lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
+                for k in range(1, K + 1)
+            ), changed
+
+    def test_steps_change_one_input_each(self):
+        names = ["K", "N", "mu", "alpha", "r"]
+        for (_, before), (changed, after) in zip(self.STEPS, self.STEPS[1:]):
+            moved = {n for n, a, b in zip(names, before, after) if a != b or type(a) is not type(b)}
+            if changed == "K":
+                assert moved == {"K", "alpha", "r"} or moved == {"K", "alpha"}, changed
+            else:
+                assert moved == {changed.split()[0]}, changed
 
 
 def joint_two_set_oracle(cfg, r):
