@@ -11,7 +11,8 @@ finite-snr    finite-power region rows (CSV) and constant-gap certificates
 
 Flags can come from a JSON config file (--config); explicit flags win, and
 --mu and --mu-grid are alternatives: a flag for one overrides a config
-value for the other, and both at once are a usage error.
+value for the other, and both at once are a usage error.  A config key no
+command has, or a value its flag would refuse, is a usage error too.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -93,9 +94,25 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
     if not isinstance(stored, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    own = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
+    known = {a.dest for parser in sub.choices.values() for a in parser._actions}
     given = {attr for attr, value in vars(args).items() if value is not None}
     for key, value in stored.items():
-        attr = key.replace("-", "_")
+        attr, where = key.replace("-", "_"), f"--config {args.config}"
+        if attr not in known:
+            raise ValueError(f"{where}: {key!r} is not a flag of {args.command} or of any other command")
+        if attr not in own:
+            continue  # another command's flag: one file may serve several commands
+        action, flag = own[attr], own[attr].option_strings[0]
+        if action.const is True and not isinstance(value, bool):  # a switch such as --exact
+            raise ValueError(f"{where}: {flag} takes true or false, got {value!r}")
+        try:  # parsed from its text as on the command line: 4.5 is refused, not truncated
+            value = action.type(str(value)) if action.type else value
+        except ValueError:
+            raise ValueError(f"{where}: {flag} takes an {action.type.__name__}, got {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{where}: {flag} must be one of {', '.join(action.choices)}, got {value!r}")
         if attr not in given and _ALTERNATIVE.get(attr) not in given:
             setattr(args, attr, value)
     return args
@@ -221,6 +238,7 @@ def cmd_holes(args) -> int:
 
 def cmd_region(args) -> int:
     alpha = tuple(_parse_list(args.alpha))
+    kind = args.kind or "full"
     K = int(args.K)
     sigma = int(args.sigma)
     for flag, value, kinds in (
@@ -228,27 +246,25 @@ def cmd_region(args) -> int:
         ("--gamma", args.gamma, ("two-multicast",)),
         ("--leaders", args.leaders, ("missing",)),
     ):
-        if value is not None and args.kind not in kinds:
+        if value is not None and kind not in kinds:
             raise ValueError(
-                f"{flag} applies only to --kind {' or '.join(kinds)}, not {args.kind}"
+                f"{flag} applies only to --kind {' or '.join(kinds)}, not {kind}"
             )
-    if args.kind == "full":
+    if kind == "full":
         poly = regions.build_region(K, sigma, alpha)
-    elif args.kind == "symmetric":
+    elif kind == "symmetric":
         poly = regions.symmetric_projection(K, sigma, alpha, _count(args, "--s", K))
-    elif args.kind == "missing":
+    elif kind == "missing":
         if not args.leaders:
             raise ValueError("--leaders is required for --kind missing")
         leaders = [int(v) for v in str(args.leaders).split(",")]
         poly = regions.build_missing_message_region(K, sigma, alpha, leaders)
-    elif args.kind == "two-multicast":
+    else:  # two-multicast: the parser and _merge_config admit no other kind
         if args.gamma is None:
             raise ValueError("--gamma is required for --kind two-multicast")
         poly = regions.build_two_multicast_symmetric(
             K, sigma, int(args.gamma), alpha, _count(args, "--s", K)
         )
-    else:
-        raise ValueError(f"unknown region kind {args.kind!r}")
     with _output(args) as out:
         out.write(poly.to_json() + "\n")
     return 0
@@ -400,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu-grid", dest="mu_grid", help="grid start:end:step")
         p.add_argument("--r", help="unicast GDoF tuple r1,r2,...")
         if name == "gndt":
-            p.add_argument("--exact", action="store_true", help="add exact p/q columns")
+            p.add_argument("--exact", action="store_true", default=None, help="add exact p/q columns")
         p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("holes", help="no-cost unicast region at minimum delivery time")
@@ -411,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="dump a GDoF region as JSON")
     common(p, need_files=False)
     p.add_argument("--sigma", type=int, required=True, help="multicast group size")
-    p.add_argument("--kind", default="full", choices=("full", "symmetric", "missing", "two-multicast"))
+    p.add_argument("--kind", choices=("full", "symmetric", "missing", "two-multicast"), help="default full")
     p.add_argument("--s", type=int, help="coverage parameter for symmetric kinds")
     p.add_argument("--gamma", type=int, help="second group size for two-multicast")
     p.add_argument("--leaders", help="leader users u1,u2,... for kind=missing")
@@ -425,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-K", dest="max_K", type=int, help="largest user count (default 4)")
     p.add_argument("--max-N", dest="max_N", type=int, help="largest file count (default 4)")
     p.add_argument("--region-trials", dest="region_trials", type=int, help="random strengths per (K, sigma)")
-    p.add_argument("--inject-fault", action="store_true", help="corrupt one payload; the run must fail")
+    p.add_argument("--inject-fault", action="store_true", default=None,
+                   help="corrupt one payload; the run must fail")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("finite-snr", help="finite-power regions and gap certificates")

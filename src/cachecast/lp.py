@@ -23,6 +23,10 @@ change neither a sign nor the order of a ratio test, so Bland's rule takes the
 same pivots as on the unscaled Fraction tableau, and the value and maximizer
 are read as exact Fractions at the end.
 
+`solve_max` scales its rows for the integer core `maximize_each`, which takes
+k objectives over one scaled row set: one phase 1, then each phase 2 from the
+last optimal basis, so an objective costs O(m * n) and the pivots between optima.
+
 The solver reports one of three statuses: "optimal" (with value and a
 maximizer), "unbounded", or "infeasible".
 """
@@ -32,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
+IntRow = tuple[int, tuple[int, ...]]  # (s, s * values), s > 0 and every entry an integer
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
@@ -48,13 +53,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integer_row(values: Sequence[Fraction]) -> IntRow:
     """(s, s * values) for s the lcm of the values' denominators."""
     dens = [v.denominator for v in values]
     scale = lcm(*dens)
     if scale == 1:
-        return 1, [v.numerator for v in values]
-    return scale, [v.numerator * (scale // k) for v, k in zip(values, dens)]
+        return 1, tuple(v.numerator for v in values)
+    return scale, tuple(v.numerator * (scale // k) for v, k in zip(values, dens))
 
 
 @dataclass(frozen=True)
@@ -116,25 +121,27 @@ def _run_simplex(tab: list[list[int]], basis: list[int], n_enterable: int, d: in
         d = _pivot(tab, basis, row, col, d)
 
 
-def solve_max(
-    objective: Sequence[Fraction],
-    rows: Sequence[tuple[Sequence[Fraction], Fraction]],
-) -> LpResult:
+def solve_max(objective: Sequence[Fraction], rows: Sequence[tuple[Sequence[Fraction], Fraction]]) -> LpResult:
     """Maximize objective . x subject to the rows and x >= 0."""
-    n = len(objective)
-    m = len(rows)
     obj = [_frac(c) for c in objective]
-
     scaled = [_integer_row([*map(_frac, coeffs), _frac(rhs)]) for coeffs, rhs in rows]
-    neg_rows = [i for i, (_, row) in enumerate(scaled) if row[-1] < 0]
+    return next(maximize_each(len(obj), scaled, [_integer_row(obj)]))
+
+
+def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) -> Iterator[LpResult]:
+    """Lazily maximize each objective (s, s * c) over the rows (lambda, lambda
+    * [coeffs..., rhs]), lambda and s > 0.  Bland's rule terminates from any
+    feasible basis and the optimum value is unique, so a warm-started value is
+    the cold one; the first objective takes the pivots of `solve_max`."""
+    m = len(rows)
+    neg_rows = [i for i, (_, row) in enumerate(rows) if row[-1] < 0]
     n_art = len(neg_rows)
     art_col = {i: n + m + t for t, i in enumerate(neg_rows)}
-    ncols = n + m + n_art + 1
 
     tab: list[list[int]] = []
     basis: list[int] = []
-    for i, (_, ints) in enumerate(scaled):
-        row = ints[:-1] + [0] * (m + n_art) + ints[-1:]
+    for i, (_, ints) in enumerate(rows):
+        row = [*ints[:-1], *[0] * (m + n_art), ints[-1]]
         row[n + i] = 1  # slack
         if row[-1] < 0:
             row = [-v for v in row]
@@ -149,10 +156,10 @@ def solve_max(
         # phase 1: maximize -(sum of the unscaled rows' artificials).  Row i
         # was scaled by lambda_i, so its artificial costs 1 / lambda_i, and
         # the phase-1 row is scaled by s1 = lcm of those lambda_i.
-        s1 = lcm(*(scaled[i][0] for i in neg_rows))
-        phase1 = [0] * ncols
+        s1 = lcm(*(rows[i][0] for i in neg_rows))
+        phase1 = [0] * (n + m + n_art + 1)
         for i in neg_rows:
-            phase1[art_col[i]] = s1 // scaled[i][0]
+            phase1[art_col[i]] = s1 // rows[i][0]
         # express in terms of the current basis (artificials are basic)
         for i in neg_rows:
             w = phase1[art_col[i]]
@@ -161,7 +168,8 @@ def solve_max(
         status, d = _run_simplex(tab, basis, n + m, d)
         assert status == OPTIMAL  # phase-1 objective is bounded below by 0
         if tab[-1][-1] != 0:
-            return LpResult(INFEASIBLE)
+            yield from (LpResult(INFEASIBLE) for _ in objectives)
+            return
         tab.pop()
         # drive each degenerate artificial out of the basis; it always can go:
         # S is invertible, so row i of B^-1 [A | S | Art] has a nonzero slack entry
@@ -170,25 +178,25 @@ def solve_max(
                 col = next(j for j in range(n + m) if tab[i][j] != 0)
                 d = _pivot(tab, basis, i, col, d)
         tab = [r[: n + m] + [r[-1]] for r in tab]
-        ncols = n + m + 1
 
-    # objective row (s * D) * (c_B B^-1 [A | S | b] - c), with c scaled to integers by s
-    s, cint = _integer_row(obj)
-    obj_row = [-v * d for v in cint] + [0] * (ncols - n)
-    for i, b in enumerate(basis):
-        if b < n and cint[b]:
-            f = cint[b]
-            obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
-    tab.append(obj_row)
-
-    status, d = _run_simplex(tab, basis, ncols - 1, d)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-    point = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = Fraction(tab[i][-1], d)
-    return LpResult(OPTIMAL, value=Fraction(tab[-1][-1], d * s), point=tuple(point))
+    for s, cint in objectives:
+        # objective row (s * D) * (c_B B^-1 [A | S | b] - c)
+        obj_row = [-v * d for v in cint] + [0] * (m + 1)
+        for i, b in enumerate(basis):
+            if b < n and cint[b]:
+                f = cint[b]
+                obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
+        tab.append(obj_row)
+        status, d = _run_simplex(tab, basis, n + m, d)
+        value = tab.pop()[-1]
+        if status == UNBOUNDED:
+            yield LpResult(UNBOUNDED)
+            continue
+        point = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                point[b] = Fraction(tab[i][-1], d)
+        yield LpResult(OPTIMAL, value=Fraction(value, d * s), point=tuple(point))
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):

@@ -9,17 +9,19 @@ Fraction.  On top of that sit the operations the region proofs need:
 * redundancy pruning, again LP-certified,
 * vertex enumeration by the double-description method.
 
-Fourier-Motzkin runs on Python integers: every row is carried as a primitive
-integer vector (coeffs..., rhs), the positive multiple whose entries have gcd
-1, which stands for the same half-space.  Combining an upper and a lower bound
-on the eliminated coordinate takes integer products and one gcd instead of
-Fraction divisions, and two rows are the same half-space iff their primitive
-vectors are equal tuples, so deduplication is hashing.  The rows handed back
-are the canonical Fractions (first nonzero coefficient +-1), converted once at
-the end.  Eliminating one coordinate costs U * L combinations for U upper and
-L lower bounds, each O(n) integer products and a gcd, plus O(R^2 n) integer
-comparisons for the dominance test over the R rows kept.  The LP oracle
-(`lp.solve_max`) works on integers in the same way.
+All of these run on one integer view of the rows, `int_rows`, computed once
+per polytope: row i as (l_i, l_i * [coeffs..., rhs]), l_i the lcm of its
+denominators.  Fourier-Motzkin carries each row as a primitive integer vector
+(coeffs..., rhs), the positive multiple whose entries have gcd 1, which stands
+for the same half-space.  Combining an upper and a lower bound on the
+eliminated coordinate takes integer products and one gcd instead of Fraction
+divisions, and two rows are the same half-space iff their primitive vectors
+are equal tuples, so deduplication is hashing.  The rows handed back are the
+canonical Fractions (first nonzero coefficient +-1), whose view is the
+primitive rows.  Eliminating one coordinate costs U * L combinations for U
+upper and L lower bounds, each O(n) integer products and a gcd, plus O(R^2 n)
+integer comparisons for the dominance test over the R rows kept.  The LPs go
+to `lp.maximize_each`, and a containment solves all its rows on one tableau.
 
 Nothing here knows about channels or caches; this is the generic half of the
 region apparatus.
@@ -30,11 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .lp import INFEASIBLE, UNBOUNDED, _frac, _integer_row, solve_max
+from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -55,6 +58,12 @@ class Polytope:
                 raise ValueError("row length does not match variable count")
             clean.append((tuple(_frac(c) for c in coeffs), _frac(rhs)))
         return cls(variables=vs, rows=tuple(clean))
+
+    @cached_property
+    def int_rows(self) -> tuple[IntRow, ...]:
+        """The integer view: each row as (lambda, lambda * [coeffs..., rhs])
+        for lambda the lcm of its denominators, computed once per polytope."""
+        return tuple(_integer_row([*map(_frac, coeffs), _frac(rhs)]) for coeffs, rhs in self.rows)
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
@@ -88,15 +97,10 @@ class Polytope:
 
     def implies_row(self, coeffs: Sequence[Fraction], rhs: Fraction) -> bool:
         """True iff every point of the region satisfies <coeffs, x> <= rhs."""
-        result = solve_max(coeffs, self.rows)
-        if result.status == UNBOUNDED:
-            return False
-        if result.status == INFEASIBLE:
-            return True
-        return result.value <= _frac(rhs)
+        return _implies(len(self.variables), self.int_rows, [_integer_row([*map(_frac, coeffs), _frac(rhs)])])
 
-    def is_empty(self) -> bool:
-        return solve_max([Fraction(0)] * len(self.variables), self.rows).status == INFEASIBLE
+    def is_empty(self) -> bool:  # iff the rows imply 0 <= -1
+        return _implies(len(self.variables), self.int_rows, [(1, (0,) * len(self.variables) + (-1,))])
 
     def to_json(self) -> str:
         """Dump with rational rows as numerator/denominator pairs."""
@@ -131,11 +135,6 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _int_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[int, ...]:
-    """(coeffs..., rhs) as a primitive integer vector: the same half-space."""
-    return _primitive(_integer_row([*coeffs, rhs])[1])
-
-
 def _canonical_scale(row: Sequence[int]) -> int:
     """|first nonzero coefficient|, else |rhs|, else 1."""
     return next((abs(c) for c in row[:-1] if c), abs(row[-1]) or 1)
@@ -148,8 +147,20 @@ def _fraction_row(row: Sequence[int]) -> Row:
     return (tuple(Fraction(c, scale) for c in row[:-1]), Fraction(row[-1], scale))
 
 
-def _canonical_row(row: Row) -> Row:
-    return _fraction_row(_int_row(*row))
+def _from_primitive(variables: tuple[str, ...], rows: Sequence[tuple[int, ...]]) -> Polytope:
+    """The polytope of primitive integer rows.  Each is its canonical row's
+    integer view: its entries have gcd 1, so row / scale has lcm of denominators scale."""
+    poly = Polytope(variables, tuple(map(_fraction_row, rows)))
+    poly.__dict__["int_rows"] = tuple((_canonical_scale(r), r) for r in rows)  # as cached_property would
+    return poly
+
+
+def _implies(n: int, rows: Sequence[IntRow], targets: Sequence[IntRow]) -> bool:
+    """True iff the rows imply every target row: one LP per target, all on one
+    warm-started tableau, up to the first target that fails."""
+    results = maximize_each(n, rows, ((scale, ints[:-1]) for scale, ints in targets))
+    return all(r.status == INFEASIBLE or (r.status == OPTIMAL and r.value * scale <= ints[-1])
+               for r, (scale, ints) in zip(results, targets))
 
 
 def _dedupe(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -198,7 +209,7 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
     if not drop:
         return poly
     names = list(poly.variables)
-    rows = [_int_row(coeffs, rhs) for coeffs, rhs in poly.rows]
+    rows = [_primitive(ints) for _, ints in poly.int_rows]
     for name in drop:
         idx = names.index(name)
         upper = [r for r in rows if r[idx] > 0]
@@ -213,28 +224,25 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
                 new_rows.append(_primitive([a * lscale + b * uscale for a, b in zip(u, lo)]))
         del names[idx]
         rows = [r[:idx] + r[idx + 1 :] for r in _dedupe(new_rows)]
-    return Polytope(variables=tuple(names), rows=tuple(_fraction_row(r) for r in rows))
+    return _from_primitive(tuple(names), rows)
 
 
 def prune(poly: Polytope) -> Polytope:
     """Drop every row implied by the remaining ones (LP-certified)."""
-    rows = list(poly.rows)
+    rows, ints = list(poly.rows), list(poly.int_rows)
     i = 0
-    while i < len(rows):
-        candidate = rows[i]
-        others = rows[:i] + rows[i + 1 :]
-        trimmed = Polytope(variables=poly.variables, rows=tuple(others))
-        if trimmed.implies_row(*candidate):
-            rows = others
+    while i < len(ints):
+        if _implies(len(poly.variables), ints[:i] + ints[i + 1 :], ints[i : i + 1]):
+            del rows[i], ints[i]
         else:
             i += 1
-    return Polytope(variables=poly.variables, rows=tuple(rows))
+    return Polytope(poly.variables, tuple(rows))
 
 
 def canonical(poly: Polytope) -> Polytope:
     """Scaled, sorted and pruned row list, for stable dumps and comparisons."""
     pruned = prune(poly)
-    rows = sorted(_canonical_row(r) for r in pruned.rows)
+    rows = sorted(_fraction_row(_primitive(ints)) for _, ints in pruned.int_rows)
     return Polytope(variables=pruned.variables, rows=tuple(rows))
 
 
@@ -242,7 +250,7 @@ def region_contains(outer: Polytope, inner: Polytope) -> bool:
     """True iff `inner` is a subset of `outer` (same variables required)."""
     if outer.variables != inner.variables:
         raise ValueError("regions must share an identical variable tuple")
-    return all(inner.implies_row(coeffs, rhs) for coeffs, rhs in outer.rows)
+    return _implies(len(inner.variables), inner.int_rows, outer.int_rows)
 
 
 def regions_equal(a: Polytope, b: Polytope) -> bool:
@@ -257,13 +265,10 @@ def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
         raise ValueError("fixed values must be nonnegative")
     keep = [j for j in range(len(poly.variables)) if j not in fixed]
     rows = []
-    for coeffs, rhs in poly.rows:
-        shift = sum(coeffs[j] * v for j, v in fixed.items())
-        rows.append(_int_row([coeffs[j] for j in keep], rhs - shift))
-    return Polytope(
-        variables=tuple(poly.variables[j] for j in keep),
-        rows=tuple(_fraction_row(r) for r in _dedupe(rows)),
-    )
+    for _, ints in poly.int_rows:
+        rhs = ints[-1] - sum(ints[j] * v for j, v in fixed.items())
+        rows.append(_primitive(_integer_row([*(ints[j] for j in keep), rhs])[1]))
+    return _from_primitive(tuple(poly.variables[j] for j in keep), _dedupe(rows))
 
 
 def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:
@@ -274,17 +279,17 @@ def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:
     side and joins each (+, -) pair that is adjacent: a common zero set of at
     least n - 1 constraints that no third ray's zero set contains.  Vertices
     are x / t over rays with t > 0 (rays with t = 0 are recession directions).
-    A row costs O(P * M * R) bitmask tests for P and M rays on either side of
-    it out of R, plus O(R * n) Fraction products.  An empty region gives [],
-    so a caller that needs a nonempty one must test `is_empty()`.
+    Rays are primitive integer vectors.  A row costs O(P * M * R) bitmask tests
+    for P and M rays on either side of it out of R, plus O(R * n) integer
+    products.  An empty region gives [], so test `is_empty()` if it matters.
     """
     n = len(poly.variables)
     # each ray carries a bitmask of its tight constraints: bits 0..n are the
     # facets x_j >= 0 and t >= 0, bit n + 1 + i is row i
-    rays = [(tuple(Fraction(int(i == j)) for i in range(n + 1)), ((1 << (n + 1)) - 1) ^ (1 << j))
+    rays = [(tuple(int(i == j) for i in range(n + 1)), ((1 << (n + 1)) - 1) ^ (1 << j))
             for j in range(n + 1)]
-    for k, (coeffs, rhs) in enumerate(poly.rows, start=n + 1):
-        row, bit = coeffs + (-rhs,), 1 << k
+    for k, (_, ints) in enumerate(poly.int_rows, start=n + 1):
+        row, bit = (*ints[:-1], -ints[-1]), 1 << k
         values = [sum(c * y for c, y in zip(row, ray)) for ray, _ in rays]
         kept = [(ray, zero | bit if v == 0 else zero)
                 for (ray, zero), v in zip(rays, values) if v <= 0]
@@ -293,6 +298,6 @@ def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:
         for (p, zp, vp), (q, zq, vq) in product(pos, neg):
             common = zp & zq  # adjacent iff only p and q contain it
             if common.bit_count() >= n - 1 and sum(z & common == common for _, z in rays) == 2:
-                kept.append((tuple(vp * b - vq * a for a, b in zip(p, q)), common | bit))
+                kept.append((_primitive([vp * b - vq * a for a, b in zip(p, q)]), common | bit))
         rays = kept
-    return sorted({tuple(x / ray[-1] for x in ray[:-1]) for ray, _ in rays if ray[-1] > 0})
+    return sorted({tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray, _ in rays if ray[-1] > 0})

@@ -148,6 +148,55 @@ class TestUsageErrors:
         assert "--mu and --mu-grid are alternatives" in err and out == ""
 
 
+class TestConfigKeys:
+    """A config file holds flags by name: a key no command has, or a value
+    the flag would refuse on the command line, is exit 2 naming it, before
+    any output; a key of another command is left alone."""
+
+    @pytest.mark.parametrize(
+        "command,stored,message",
+        [
+            ("gndt", {"mu-gird": "0:1:1/2", "K": 4}, "'mu-gird' is not a flag of gndt or of any other command"),
+            ("holes", {"Kk": 4}, "'Kk' is not a flag of holes or of any other command"),
+            ("gndt", {"K": "x"}, "--K takes an int, got 'x'"),
+            ("gndt", {"K": 4.5}, "--K takes an int, got 4.5"),
+            ("gndt", {"K": True}, "--K takes an int, got True"),
+            ("verify", {"max-K": [2]}, "--max-K takes an int, got [2]"),
+            ("gndt", {"format": "xml"}, "--format must be one of csv, json, got 'xml'"),
+            ("gndt", {"exact": "yes"}, "--exact takes true or false, got 'yes'"),
+            ("region", {"kind": "half"}, "--kind must be one of full, symmetric, missing, two-multicast"),
+        ],
+        ids=["misspelt", "unknown-holes", "int-text", "int-float", "int-bool", "int-list",
+             "choice", "switch", "kind"],
+    )
+    def test_bad_key_or_value_is_usage_error(self, command, stored, message, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(stored))
+        flags = {"gndt": [*FIG3, "--mu", "1/3"], "holes": [*FIG3, "--mu", "1/4"],
+                 "verify": ["--region-trials", "1"], "region": ["--K", "2", "--sigma", "2", "--alpha", "1/2,1"]}
+        out_file = tmp_path / "out"
+        code, out, err = run([command, *flags[command], "--config", str(config), "--out", str(out_file)], capsys)
+        assert code == 2
+        assert f"error: --config {config}: {message}" in err and "Traceback" not in err
+        assert out == "" and not out_file.exists()
+
+    def test_switches_and_kind_come_from_the_file(self, tmp_path, capsys):
+        """--exact, --inject-fault and --kind have defaults, but a config
+        value for them is still applied, and an explicit flag still wins."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exact": True, "kind": "symmetric", "s": 2, "inject-fault": True}))
+        code, out, _ = run(["gndt", *FIG3, "--mu", "1/4", "--config", str(config)], capsys)
+        assert code == 0 and out.splitlines()[0].endswith("tau_lb_exact")
+        region = ["region", "--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1"]
+        symmetric = run([*region, "--kind", "symmetric", "--s", "2"], capsys)[1]
+        assert run([*region, "--config", str(config)], capsys)[1] == symmetric
+        code, _, err = run([*region, "--config", str(config), "--kind", "full"], capsys)
+        assert code == 2 and "--s applies only to --kind symmetric or two-multicast, not full" in err
+        code, out, _ = run(["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--region-trials", "1",
+                            "--config", str(config)], capsys)
+        assert code == 1 and '"fault": true' in out
+
+
 class TestShapeAndCountErrors:
     """Inputs the command cannot honour are exit 2 before --out is opened:
     strengths that do not match K, coverage and leaders outside [1, K], and

@@ -180,17 +180,54 @@ def test_matches_fraction_tableau(lp_instance):
     assert solve_max(objective, rows) == oracle.solve_max(objective, rows)
 
 
+@given(lp_instance=random_lps(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_warm_started_objectives_reach_cold_values(lp_instance, data):
+    """Several objectives over one row set, each after the basis the last one
+    ended in (an unbounded one included), against cold Fraction solves."""
+    first, rows = lp_instance
+    n = len(first)
+    objectives = [first] + data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), max_size=4))
+    scaled = [lp._integer_row([*coeffs, b]) for coeffs, b in rows]
+    results = list(lp.maximize_each(n, scaled, map(lp._integer_row, objectives)))
+    assert results[0] == solve_max(first, rows)
+    for objective, result in zip(objectives, results, strict=True):
+        expected = oracle.solve_max(objective, rows)
+        assert (result.status, result.value) == (expected.status, expected.value)
+
+
+def _fraction_lp(rows, objective):
+    """The Fraction objective and rows an integer LP stands for."""
+    scale, cint = objective
+    return (
+        [F(v, scale) for v in cint],
+        [(tuple(F(v, lam) for v in ints[:-1]), F(ints[-1], lam)) for lam, ints in rows],
+    )
+
+
 def test_matches_fraction_tableau_on_region_equalities(monkeypatch):
     """Every LP of the verify-style region certification (FM, prune, both
-    containment directions), K 2..5, every group size, three strengths each."""
+    containment directions), K 2..5, every group size, three strengths each.
+    Each LP is recorded where the region layer solves it, the integer core
+    `maximize_each`, with its row set: a warm-started objective must reach
+    the cold-started value, and the first objective on a row set is solved
+    cold, so its whole result (maximizer included) must match."""
     seen = []
-    real_solve = polytope.solve_max
+    real_maximize = polytope.maximize_each
 
-    def record(objective, rows):
-        seen.append((list(objective), list(rows)))
-        return real_solve(objective, rows)
+    def record(n, rows, objectives):
+        rows, asked = list(rows), []
 
-    monkeypatch.setattr(polytope, "solve_max", record)
+        def tracked():
+            for objective in objectives:
+                asked.append(objective)
+                yield objective
+
+        for result in real_maximize(n, rows, tracked()):
+            seen.append((rows, asked[-1], len(asked) > 1, result))
+            yield result
+
+    monkeypatch.setattr(polytope, "maximize_each", record)
     rng = np.random.default_rng(6)
     for K in range(2, 6):
         for sigma in range(2, K + 1):
@@ -202,8 +239,13 @@ def test_matches_fraction_tableau_on_region_equalities(monkeypatch):
                 projected = polytope.prune(polytope.eliminate(system, regions.beta_names(K)))
                 assert polytope.regions_equal(projected, regions.build_region(K, sigma, alpha))
     assert len(seen) > 300
-    for objective, rows in seen:
-        assert real_solve(objective, rows) == oracle.solve_max(objective, rows)
+    assert sum(warm for _, _, warm, _ in seen) > 100
+    for rows, objective, warm, result in seen:
+        expected = oracle.solve_max(*_fraction_lp(rows, objective))
+        if warm:
+            assert (result.status, result.value) == (expected.status, expected.value)
+        else:
+            assert result == expected
 
 
 @st.composite

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
-from cachecast.lp import INFEASIBLE, solve_max, solve_square
+from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max, solve_square
 from cachecast.polytope import (
     Polytope,
     canonical,
@@ -59,6 +59,72 @@ def test_equality_rejects_shrunk_rhs():
 def test_scaled_rows_are_equal_regions():
     doubled = Polytope.build(["x", "y"], [((2, 0), 2), ((0, 3), 3)])
     assert regions_equal(box(), doubled)
+
+
+def oracle_contains(outer, inner):
+    """Every outer row passes implies_row, each LP solved cold by the Fraction oracle."""
+    for coeffs, rhs in outer.rows:
+        result = oracle.solve_max(coeffs, inner.rows)
+        if result.status == UNBOUNDED or (result.status == OPTIMAL and result.value > rhs):
+            return False
+    return True
+
+
+@st.composite
+def region_pairs(draw):
+    """(outer, inner) on one variable tuple; the outer rows are often relaxed
+    inner rows, so containment holds in a good share of the draws."""
+    n = draw(st.integers(1, 4))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rhs = st.fractions(min_value=-2, max_value=5, max_denominator=2)
+    row = st.tuples(st.tuples(*[value] * n), rhs)
+    inner = draw(st.lists(row, max_size=6))
+    outer = [(coeffs, b + draw(st.fractions(0, 2, max_denominator=2)))
+             for coeffs, b in draw(st.lists(st.sampled_from(inner), max_size=4))] if inner else []
+    outer += draw(st.lists(row, max_size=2))
+    if draw(st.booleans()):
+        outer.append(((0,) * n, -1))  # 0 <= -1
+    names = [f"x{j}" for j in range(n)]
+    return Polytope.build(names, draw(st.permutations(outer))), Polytope.build(names, inner)
+
+
+XY = ["x", "y"]
+
+
+@given(pair=region_pairs())
+@example(pair=(Polytope.build(XY, [((1, 1), 1)]), Polytope.build(XY, [((1, 0), -1)])))  # empty inner
+@example(pair=(Polytope.build(XY, [((0, 0), -1)]), Polytope.build(XY, [((-1, -1), -3), ((1, 1), 2)])))
+@example(pair=(Polytope.build(XY, [((1, 0), 2), ((-1, 0), 0)]),
+               Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)])))  # phase 1 needed
+@example(pair=(Polytope.build(XY, [((1, 0), F(3, 2))]),
+               Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2)])))
+@example(pair=(Polytope.build(XY, [((1, 0), 5), ((0, 1), 5)]),
+               Polytope.build(XY, [((1, 0), 1)])))  # y is unbounded
+@example(pair=(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box()))  # 0 <= -1
+@settings(max_examples=300, deadline=None)
+def test_warm_started_containment_matches_cold_lps(pair):
+    outer, inner = pair
+    assert region_contains(outer, inner) == oracle_contains(outer, inner)
+
+
+def test_containment_special_cases():
+    """The cases the warm start must not get wrong, each with its answer."""
+    empty = Polytope.build(XY, [((1, 0), -1)])
+    assert region_contains(Polytope.build(XY, [((0, 0), -1)]), empty)
+    assert region_contains(box(), Polytope.build(XY, [((-1, 0), -1), ((1, 0), 1), ((0, 1), 1)]))
+    assert not region_contains(box(), Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)]))
+    assert not region_contains(box(), Polytope.build(XY, [((1, 0), 1)]))
+    assert not region_contains(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box())
+    assert region_contains(Polytope.build(XY, []), empty)
+
+
+@given(poly=st.deferred(lambda: small_polytopes()))
+@settings(max_examples=100, deadline=None)
+def test_integer_view_handed_on_by_eliminate_and_fix_variables(poly):
+    """The primitive rows eliminate and fix_variables hand on as the integer
+    view equal the view a fresh polytope computes from the Fraction rows."""
+    for derived in (eliminate(poly, poly.variables[:1]), fix_variables(poly, {poly.variables[0]: F(1, 2)})):
+        assert derived.int_rows == Polytope(derived.variables, derived.rows).int_rows
 
 
 def test_eliminate_absent_variable():
