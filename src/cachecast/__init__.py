@@ -19,7 +19,6 @@ from .combinatorics import (
     is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,
-    partition_by_min,
 )
 from .caching import (
     Bits,

@@ -1,18 +1,28 @@
 """Command-line front end.
 
-Subcommands
------------
-gndt          delivery-time curves (tau_ub, tau_ms, tau_lb) over a mu grid
-sweep-memory  same sweep plus the joint two-set delivery column
-holes         bottleneck user, hole inequalities and vertex invariance checks
-region        dump a GDoF region as JSON (rational rows)
-verify        end-to-end caching sweep + region-equality certification
-finite-snr    finite-power region rows (CSV) and constant-gap certificates
+Subcommands and the flags each takes, besides --config and --out
+----------------------------------------------------------------
+gndt          delivery-time curves (tau_ub, tau_ms, tau_lb) over a mu grid:
+              --K --N --alpha --mu|--mu-grid [--r --exact --format]
+sweep-memory  same sweep plus the joint two-set delivery column:
+              --K --N --alpha --mu|--mu-grid [--r --format]
+holes         bottleneck user, hole inequalities and vertex invariance checks:
+              --K --N --alpha --mu
+region        dump a GDoF region as JSON (rational rows):
+              --K --sigma --alpha [--kind --s --gamma --leaders]
+verify        end-to-end caching sweep + region-equality certification:
+              [--K --N --mu --d --B --max-K --max-N --region-trials
+              --inject-fault --seed]
+finite-snr    finite-power region rows (CSV) and constant-gap certificates:
+              --K --sigma --alpha [--P --certificates --seed]
 
-Flags can come from a JSON config file (--config); explicit flags win, and
---mu and --mu-grid are alternatives: a flag for one overrides a config
-value for the other, and both at once are a usage error.  A config key no
-command has, or a value its flag would refuse, is a usage error too.
+A flag the command does not take is a usage error.  Flags can come from a
+JSON config file (--config), required ones such as --sigma included;
+explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
+overrides a config value for the other, and both at once are a usage error.
+A config key no command has, or a value its flag would refuse, is a usage
+error too.  A list flag (--alpha, --r, --leaders, --d) takes comma text, or
+a JSON list in the config file.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -31,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import caching, finite_snr, regions, tradeoff
-from .polytope import regions_equal, eliminate, prune, vertices
+from .polytope import regions_equal, eliminate, vertices
 from .tradeoff import SystemConfig
 
 USAGE_ERROR = 2
@@ -51,24 +61,30 @@ def _fmt_exact(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(token, flag: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return Fraction(str(token))
     except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
+        raise ValueError(f"{flag}: {token!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag}: {token!r} is not a number") from None
 
 
-def _parse_list(text) -> list[Fraction]:
-    if isinstance(text, (list, tuple)):
-        return [_parse_fraction(v) for v in text]
-    return [_parse_fraction(tok) for tok in str(text).split(",") if tok]
+def _parse_list(value, flag: str, whole: bool = False) -> list:
+    """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints."""
+    tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t]
+    numbers = [_parse_fraction(token, flag) for token in tokens]
+    for token, number in zip(tokens, numbers):
+        if whole and number.denominator != 1:
+            raise ValueError(f"{flag}: {token!r} is not a whole number")
+    return [int(number) for number in numbers] if whole else numbers
 
 
 def _parse_grid(text) -> list[Fraction]:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ValueError(f"--mu-grid must have the form start:end:step, got {text!r}")
-    start, end, step = (_parse_fraction(t) for t in parts)
+    start, end, step = (_parse_fraction(t, "--mu-grid") for t in parts)
     if step <= 0 or end < start:
         raise ValueError(f"--mu-grid start:end:step needs step > 0 and end >= start, got {text!r}")
     grid = []
@@ -85,7 +101,7 @@ _ALTERNATIVE = {"mu": "mu_grid", "mu_grid": "mu"}
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, if one was given."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return args
     try:
         with open(args.config) as fh:
@@ -124,24 +140,15 @@ def _count(args, flag: str, default):
     An explicit 0 is not read as unset, and neither 0 nor a negative count is
     run: a check over nothing would pass vacuously.
     """
-    value = getattr(args, flag[2:].replace("-", "_"), None)
-    if value is None:
-        return default
-    count = _parse_fraction(value)
-    if count.denominator != 1 or count < 1:
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is not None and value < 1:
         raise ValueError(f"{flag} must be a whole number of at least 1, got {value}")
-    return int(count)
+    return default if value is None else value
 
 
 def _system_config(args) -> SystemConfig:
-    alpha = _parse_list(args.alpha)
-    return SystemConfig(
-        num_users=int(args.K),
-        num_files=int(args.N),
-        mu=_parse_fraction(args.mu if args.mu is not None else 0),
-        alpha=tuple(alpha),
-        power=float(args.P) if args.P is not None else 100.0,
-    )
+    mu = _parse_fraction(args.mu if args.mu is not None else 0, "--mu")
+    return SystemConfig(args.K, args.N, mu, tuple(_parse_list(args.alpha, "--alpha")))
 
 
 @contextlib.contextmanager
@@ -171,7 +178,7 @@ def _mu_values(args) -> list[Fraction]:
     if args.mu_grid is not None:
         return _parse_grid(args.mu_grid)
     if args.mu is not None:
-        return [_parse_fraction(args.mu)]
+        return [_parse_fraction(args.mu, "--mu")]
     raise ValueError("either --mu or --mu-grid is required")
 
 
@@ -180,7 +187,7 @@ def cmd_tradeoff(args) -> int:
 
     sweep-memory adds the joint two-set column; gndt --exact adds p/q columns.
     """
-    r = _parse_list(args.r) if args.r else None
+    r = _parse_list(args.r, "--r") if args.r else None
     base = _system_config(args)
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact
@@ -188,7 +195,7 @@ def cmd_tradeoff(args) -> int:
     header = ["mu"] + columns + ([f"{c}_exact" for c in columns] if exact else [])
     rows = []
     for mu in _mu_values(args):
-        config = SystemConfig(base.num_users, base.num_files, mu, base.alpha, base.power)
+        config = SystemConfig(base.num_users, base.num_files, mu, base.alpha)
         vals = {
             "tau_ub": tradeoff.gndt_ub(config, r),
             "tau_ms": tradeoff.gndt_memory_sharing(config, r),
@@ -237,10 +244,8 @@ def cmd_holes(args) -> int:
 
 
 def cmd_region(args) -> int:
-    alpha = tuple(_parse_list(args.alpha))
-    kind = args.kind or "full"
-    K = int(args.K)
-    sigma = int(args.sigma)
+    alpha = tuple(_parse_list(args.alpha, "--alpha"))
+    kind, K, sigma = args.kind or "full", args.K, args.sigma
     for flag, value, kinds in (
         ("--s", args.s, ("symmetric", "two-multicast")),
         ("--gamma", args.gamma, ("two-multicast",)),
@@ -257,13 +262,13 @@ def cmd_region(args) -> int:
     elif kind == "missing":
         if not args.leaders:
             raise ValueError("--leaders is required for --kind missing")
-        leaders = [int(v) for v in str(args.leaders).split(",")]
+        leaders = _parse_list(args.leaders, "--leaders", whole=True)
         poly = regions.build_missing_message_region(K, sigma, alpha, leaders)
     else:  # two-multicast: the parser and _merge_config admit no other kind
         if args.gamma is None:
             raise ValueError("--gamma is required for --kind two-multicast")
         poly = regions.build_two_multicast_symmetric(
-            K, sigma, int(args.gamma), alpha, _count(args, "--s", K)
+            K, sigma, args.gamma, alpha, _count(args, "--s", K)
         )
     with _output(args) as out:
         out.write(poly.to_json() + "\n")
@@ -272,7 +277,7 @@ def cmd_region(args) -> int:
 
 def _caching_sweeps(args) -> list:
     """The lazy record streams of the caching stage, one per (K, N, t)."""
-    seed = int(args.seed or 0)
+    seed = args.seed or 0
     file_bits = _count(args, "--B", None)
     K, N = _count(args, "--K", None), _count(args, "--N", None)
     if (K is None) != (N is None):
@@ -282,7 +287,7 @@ def _caching_sweeps(args) -> list:
     if K is not None:
         # one explicit configuration, optionally a single demand tuple
         if args.mu is not None:
-            budget = K * _parse_fraction(args.mu)
+            budget = K * _parse_fraction(args.mu, "--mu")
             if budget.denominator != 1:
                 raise ValueError(
                     f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
@@ -293,7 +298,7 @@ def _caching_sweeps(args) -> list:
             splits = list(range(0, K + 1))
         demands = None
         if args.d:
-            d = tuple(int(v) for v in str(args.d).split(","))
+            d = tuple(_parse_list(args.d, "--d", whole=True))
             caching.check_demand(d, K, N)  # before --out is opened
             demands = [d]
         return [
@@ -319,8 +324,7 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
             records_out.write(json.dumps(record, sort_keys=True) + "\n")
     if args.inject_fault:
         # one bit flipped in one payload: the sweep must report the failure
-        seed = int(args.seed or 0)
-        ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=seed, corrupt_payload=0)
+        ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=args.seed or 0, corrupt_payload=0)
         checked += 1
         failures += 0 if ok else 1
         records_out.write(
@@ -335,7 +339,7 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
 
 def _verify_region_equality(args, trials: int) -> tuple[int, int]:
     """Certify that eliminating the power exponents reproduces the region."""
-    rng = np.random.default_rng(int(args.seed or 0))
+    rng = np.random.default_rng(args.seed or 0)
     checked = failures = 0
     for K in (2, 3, 4):
         for sigma in range(2, K + 1):
@@ -345,7 +349,7 @@ def _verify_region_equality(args, trials: int) -> tuple[int, int]:
                 alpha = tuple(Fraction(c, denom) for c in cuts) + (Fraction(1),)
                 theorem = regions.build_region(K, sigma, alpha)
                 system = regions.beta_parameterized_polytope(K, sigma, alpha)
-                projected = prune(eliminate(system, regions.beta_names(K)))
+                projected = eliminate(system, regions.beta_names(K))
                 checked += 1
                 if not regions_equal(projected, theorem):
                     failures += 1
@@ -368,16 +372,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_finite_snr(args) -> int:
-    alpha = tuple(_parse_list(args.alpha))
-    K = int(args.K)
-    sigma = int(args.sigma)
-    power = float(args.P if args.P is not None else 2**20)
+    alpha = tuple(_parse_list(args.alpha, "--alpha"))
+    K, sigma = args.K, args.sigma
+    try:
+        power = float(args.P if args.P is not None else 2**20)
+    except (TypeError, ValueError):  # TypeError: a JSON list or object in --config
+        power = math.nan
     if not 1 < power < math.inf:  # also refuses nan
         raise ValueError(f"--P must be a finite power above 1, got {args.P}")
     count = _count(args, "--certificates", 20)
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
-    rng = np.random.default_rng(int(args.seed or 0))
+    rng = np.random.default_rng(args.seed or 0)
     points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(count)]
     outcomes = [finite_snr.constant_gap_certificate(inner, outer, p) for p in points]
     with _output(args) as out:
@@ -388,69 +394,61 @@ def cmd_finite_snr(args) -> int:
     return 0 if all(outcomes) else VERIFY_ERROR
 
 
+# every flag of every command: option string -> add_argument keywords
+_FLAGS = {
+    "--config": {"help": "JSON file with default flag values"},
+    "--out": {"help": "output path (default stdout)"},
+    "--K": {"type": int, "help": "number of users"},
+    "--N": {"type": int, "help": "number of library files"},
+    "--alpha": {"help": "channel strengths a1,a2,...,1"},
+    "--sigma": {"type": int, "help": "multicast group size"},
+    "--mu": {"help": "normalized cache size in [0, 1] (verify: the one cache size to sweep)"},
+    "--mu-grid": {"help": "grid start:end:step"},
+    "--r": {"help": "unicast GDoF tuple r1,r2,..."},
+    "--exact": {"action": "store_true", "default": None, "help": "add exact p/q columns"},
+    "--format": {"choices": ("csv", "json"), "help": "table format"},
+    "--kind": {"choices": ("full", "symmetric", "missing", "two-multicast"), "help": "default full"},
+    "--s": {"type": int, "help": "coverage parameter for symmetric kinds"},
+    "--gamma": {"type": int, "help": "second group size for two-multicast"},
+    "--leaders": {"help": "leader users u1,u2,... for kind=missing"},
+    "--B": {"type": int, "help": "file size in bits (default 8 bits per subfile)"},
+    "--d": {"help": "explicit demand tuple d1,d2,... (default: all tuples)"},
+    "--max-K": {"type": int, "help": "largest user count (default 4)"},
+    "--max-N": {"type": int, "help": "largest file count (default 4)"},
+    "--region-trials": {"type": int, "help": "random strengths per (K, sigma)"},
+    "--inject-fault": {"action": "store_true", "default": None, "help": "corrupt one payload"},
+    "--P": {"help": "nominal power (> 1)"},
+    "--seed": {"type": int, "help": "RNG seed"},
+    "--certificates": {"type": int, "help": "boundary points to certify (default 20)"},
+}
+
+# command -> (handler, help, the flags its handler reads besides --config and --out)
+_COMMANDS = {
+    "gndt": (cmd_tradeoff, "delivery-time curves over a mu grid",
+             "--K --N --alpha --mu --mu-grid --r --exact --format"),
+    "sweep-memory": (cmd_tradeoff, "gndt sweep incl. joint two-set column",
+                     "--K --N --alpha --mu --mu-grid --r --format"),
+    "holes": (cmd_holes, "no-cost unicast region at minimum delivery time", "--K --N --alpha --mu"),
+    "region": (cmd_region, "dump a GDoF region as JSON",
+               "--K --sigma --alpha --kind --s --gamma --leaders"),
+    "verify": (cmd_verify, "caching + region-equality verification suites",
+               "--K --N --mu --B --d --max-K --max-N --region-trials --inject-fault --seed"),
+    "finite-snr": (cmd_finite_snr, "finite-power regions and gap certificates",
+                   "--K --sigma --alpha --P --certificates --seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachecast",
         description="coded caching delivery analysis for layered broadcast channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_files=True):
-        p.add_argument("--config", help="JSON file with default flag values")
-        p.add_argument("--K", type=int, help="number of users")
-        if need_files:
-            p.add_argument("--N", type=int, help="number of library files")
-        p.add_argument("--alpha", help="channel strengths a1,a2,...,1")
-        p.add_argument("--P", help="nominal power (> 1)")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format")
-
-    for name, text in (
-        ("gndt", "delivery-time curves over a mu grid"),
-        ("sweep-memory", "gndt sweep incl. joint two-set column"),
-    ):
+    for name, (func, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--mu", help="normalized cache size in [0, 1]")
-        p.add_argument("--mu-grid", dest="mu_grid", help="grid start:end:step")
-        p.add_argument("--r", help="unicast GDoF tuple r1,r2,...")
-        if name == "gndt":
-            p.add_argument("--exact", action="store_true", default=None, help="add exact p/q columns")
-        p.set_defaults(func=cmd_tradeoff)
-
-    p = sub.add_parser("holes", help="no-cost unicast region at minimum delivery time")
-    common(p)
-    p.add_argument("--mu", help="normalized cache size in [0, 1]")
-    p.set_defaults(func=cmd_holes)
-
-    p = sub.add_parser("region", help="dump a GDoF region as JSON")
-    common(p, need_files=False)
-    p.add_argument("--sigma", type=int, required=True, help="multicast group size")
-    p.add_argument("--kind", choices=("full", "symmetric", "missing", "two-multicast"), help="default full")
-    p.add_argument("--s", type=int, help="coverage parameter for symmetric kinds")
-    p.add_argument("--gamma", type=int, help="second group size for two-multicast")
-    p.add_argument("--leaders", help="leader users u1,u2,... for kind=missing")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("verify", help="caching + region-equality verification suites")
-    common(p)
-    p.add_argument("--mu", help="restrict the caching sweep to one cache size")
-    p.add_argument("--B", help="file size in bits (default 8 bits per subfile)")
-    p.add_argument("--d", help="explicit demand tuple d1,d2,... (default: all tuples)")
-    p.add_argument("--max-K", dest="max_K", type=int, help="largest user count (default 4)")
-    p.add_argument("--max-N", dest="max_N", type=int, help="largest file count (default 4)")
-    p.add_argument("--region-trials", dest="region_trials", type=int, help="random strengths per (K, sigma)")
-    p.add_argument("--inject-fault", action="store_true", default=None,
-                   help="corrupt one payload; the run must fail")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("finite-snr", help="finite-power regions and gap certificates")
-    common(p, need_files=False)
-    p.add_argument("--sigma", type=int, required=True, help="multicast group size")
-    p.add_argument("--certificates", type=int, help="boundary points to certify (default 20)")
-    p.set_defaults(func=cmd_finite_snr)
-
+        for flag in ["--config", *flags.split(), "--out"]:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         if args.command != "verify":
-            for flag in ("K", "N", "alpha"):  # region and finite-snr take no --N
+            for flag in ("K", "N", "alpha", "sigma"):  # as far as the command takes them
                 if getattr(args, flag, 0) is None:
                     raise ValueError(f"--{flag} is required (flag or config file)")
         return args.func(args)

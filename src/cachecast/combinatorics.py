@@ -2,9 +2,9 @@
 
 Users are indexed 1..K and a multicast group is a subset of users, held as a
 sorted tuple.  Groups of a fixed size sigma are enumerated in lexicographic
-order, which fixes the message indexing used everywhere else in the package.
-The partition of the sigma-groups by their weakest (minimum) member, the
-cumulative count identity
+order, which fixes the message indexing used everywhere else in the package
+and lists the groups by their weakest (minimum) member.  With Sigma_i the
+sigma-groups whose weakest member is i, the cumulative count identity
 
     |Sigma_1 u ... u Sigma_j| = C(K, sigma) - C(K - j, sigma),
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -49,42 +48,6 @@ def enumerate_groups(num_users: int, group_size: int) -> list[Group]:
             f"group size must lie in [1, {num_users}], got {group_size}"
         )
     return [tuple(g) for g in combinations(range(1, num_users + 1), group_size)]
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Partition of all sigma-groups by weakest member.
-
-    ``classes[i - 1]`` holds the groups whose minimum user is i; it is empty
-    for i > K - sigma + 1 because smaller-minimum groups run out of room.
-    """
-
-    num_users: int
-    group_size: int
-    classes: tuple[tuple[Group, ...], ...]
-
-    def union_up_to(self, j: int) -> list[Group]:
-        """Groups whose weakest member is at most j (empty list for j = 0)."""
-        out: list[Group] = []
-        for cls in self.classes[:j]:
-            out.extend(cls)
-        return out
-
-
-def partition_by_min(num_users: int, group_size: int) -> GroupPartition:
-    """Bucket the sigma-groups by their minimum user index."""
-    if not 2 <= group_size <= num_users:
-        raise ValueError(
-            f"group size must lie in [2, {num_users}], got {group_size}"
-        )
-    buckets: list[list[Group]] = [[] for _ in range(num_users)]
-    for group in enumerate_groups(num_users, group_size):
-        buckets[group[0] - 1].append(group)
-    return GroupPartition(
-        num_users=num_users,
-        group_size=group_size,
-        classes=tuple(tuple(b) for b in buckets),
-    )
 
 
 def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:

@@ -164,16 +164,11 @@ def delay_rate_gap_certificate(
     return False
 
 
-def write_region_csv(region: RateRegion | dict[str, RateRegion], stream: IO[str]) -> None:
-    """Rows as CSV: one line per inequality, coefficients then rhs.
-
-    Regions over one variable tuple go in as {name: region}; every line then
-    starts with its region's name, under a `region` column.
-    """
-    labelled = isinstance(region, dict)
-    named = region if labelled else {"": region}
+def write_region_csv(named: dict[str, RateRegion], stream: IO[str]) -> None:
+    """Regions over one variable tuple as CSV: one line per inequality, the
+    region's name (under a `region` column), coefficients, then rhs."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["region"] * labelled + list(next(iter(named.values())).variables) + ["rhs"])
+    writer.writerow(["region", *next(iter(named.values())).variables, "rhs"])
     for name, reg in named.items():
         for row, rhs in zip(reg.coeffs, reg.rhs):
-            writer.writerow([name] * labelled + [f"{v:.12g}" for v in row] + [f"{rhs:.12g}"])
+            writer.writerow([name, *(f"{v:.12g}" for v in row), f"{rhs:.12g}"])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .combinatorics import Group, cumulative_group_count, partition_by_min
+from .combinatorics import Group, cumulative_group_count, enumerate_groups
 from .lp import _frac
 from .polytope import Polytope
 
@@ -97,10 +97,17 @@ def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]
     return [max(ZERO, a - p) for a, p in zip(alpha, accumulate(rt))]
 
 
+def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
+    """The sigma-groups of the full and power-exponent regions, sigma in [2, K]."""
+    if not 2 <= group_size <= num_users:
+        raise ValueError(f"group size must lie in [2, {num_users}], got {group_size}")
+    return enumerate_groups(num_users, group_size)
+
+
 def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     """Full unicast + sigma-multicast GDoF region (triangular rows)."""
     alphas = user_strengths(num_users, alpha)
-    groups = partition_by_min(num_users, group_size).union_up_to(num_users)  # sigma in [2, K]
+    groups = _multicast_groups(num_users, group_size)
     names = [group_name(g) for g in groups]
     return cumulative_region(alphas, names, lambda k: [ONE if g[0] <= k else ZERO for g in groups])
 
@@ -211,7 +218,7 @@ def beta_parameterized_polytope(
     """
     K = num_users
     alphas = user_strengths(K, alpha)
-    groups = partition_by_min(K, group_size).union_up_to(K)  # sigma in [2, K]
+    groups = _multicast_groups(K, group_size)
     names = [unicast_name(k) for k in range(1, K + 1)] + [group_name(g) for g in groups]
     n = len(names)
     rows = []

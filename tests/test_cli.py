@@ -1,3 +1,4 @@
+import argparse
 import collections
 import hashlib
 import json
@@ -14,6 +15,14 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(args, capsys):
+    """argparse's own refusal of the argv: SystemExit with its usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 FIG3 = ["--K", "4", "--N", "4", "--alpha", "0.45,0.65,0.85,1"]
@@ -108,9 +117,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["gndt", "sweep-memory", "holes"])
     @pytest.mark.parametrize("power", ["nan", "inf", "1", "0.5"])
     def test_power_it_cannot_honour(self, command, power, capsys):
-        code, out, err = run([command, *self.TWO, "--mu", "1/2", "--P", power], capsys)
+        """GDoF is the P -> infinity limit: these commands take no --P at all."""
+        code, out, err = refused([command, *self.TWO, "--mu", "1/2", "--P", power], capsys)
         assert code == 2
-        assert "power must be finite and exceed 1" in err
+        assert f"unrecognized arguments: --P {power}" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -146,6 +156,132 @@ class TestUsageErrors:
         code, out, err = run(["gndt", *self.TWO, "--config", str(config)], capsys)
         assert code == 2
         assert "--mu and --mu-grid are alternatives" in err and out == ""
+
+
+class TestFlagsPerCommand:
+    """Each command takes exactly the flags its handler reads; any other is
+    exit 2.  Required flags may come from --config, and every list flag
+    reads comma text or a JSON list, naming itself and the token it refuses."""
+
+    TAKEN = {
+        "gndt": "--K --N --alpha --config --exact --format --mu --mu-grid --out --r",
+        "sweep-memory": "--K --N --alpha --config --format --mu --mu-grid --out --r",
+        "holes": "--K --N --alpha --config --mu --out",
+        "region": "--K --alpha --config --gamma --kind --leaders --out --s --sigma",
+        "verify": "--B --K --N --config --d --inject-fault --max-K --max-N --mu --out "
+                  "--region-trials --seed",
+        "finite-snr": "--K --P --alpha --certificates --config --out --seed --sigma",
+    }
+    VALID = {
+        "gndt": [*FIG3, "--mu", "1/4"],
+        "sweep-memory": [*FIG3, "--mu", "1/4"],
+        "holes": [*FIG3, "--mu", "1/4"],
+        "region": ["--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1"],
+        "verify": ["--K", "3", "--N", "2", "--mu", "1/3", "--region-trials", "1"],
+        "finite-snr": ["--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--certificates", "1"],
+    }
+
+    def test_each_command_takes_these_flags(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {
+            name: " ".join(sorted(s for a in p._actions for s in a.option_strings if a.dest != "help"))
+            for name, p in sub.choices.items()
+        }
+        assert taken == self.TAKEN
+        assert sum(len(flags.split()) for flags in taken.values()) == 54
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("gndt", "--P", "3"), ("gndt", "--seed", "4"),
+            ("sweep-memory", "--P", "3"), ("sweep-memory", "--seed", "4"),
+            ("holes", "--P", "7"), ("holes", "--seed", "9"), ("holes", "--format", "csv"),
+            ("region", "--P", "7"), ("region", "--seed", "9"), ("region", "--format", "json"),
+            ("verify", "--alpha", "1/3,1"), ("verify", "--P", "9"), ("verify", "--format", "json"),
+            ("finite-snr", "--format", "csv"),
+        ],
+    )
+    def test_flag_the_command_does_not_take_is_usage_error(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        out_file = tmp_path / "out"
+        argv = [command, *self.VALID[command], flag, value, "--out", str(out_file)]
+        code, out, err = refused(argv, capsys)
+        assert code == 2 and f"unrecognized arguments: {flag} {value}" in err
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("command", ["region", "finite-snr"])
+    def test_sigma_from_config(self, command, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"sigma": 2}))
+        argv = [command, "--K", "3", "--alpha", "2/5,9/10,1"]
+        argv += ["--certificates", "3"] if command == "finite-snr" else []
+        flagged = run([*argv, "--sigma", "2"], capsys)
+        assert flagged[0] == 0 and flagged[1]
+        assert run([*argv, "--config", str(config)], capsys) == flagged
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "error: --sigma is required (flag or config file)" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv,key,text,values",
+        [
+            (["gndt", "--K", "4", "--N", "4", "--mu-grid", "0:1:1/8", "--exact"], "alpha",
+             "0.45,0.65,0.85,1", [0.45, 0.65, 0.85, 1]),
+            (["sweep-memory", *FIG3, "--mu-grid", "0:1:1/8"], "r",
+             "0,1/20,0,1/10", [0, "1/20", 0, "1/10"]),
+            (["region", "--K", "4", "--sigma", "2", "--alpha", "0.45,0.65,0.85,1", "--kind", "missing"],
+             "leaders", "1,3", [1, 3]),
+            (["verify", "--K", "3", "--N", "3", "--mu", "1/3", "--region-trials", "1"], "d",
+             "3,1,2", [3, 1, 2]),
+        ],
+        ids=["alpha", "r", "leaders", "d"],
+    )
+    def test_json_list_in_config_reads_as_comma_text(
+        self, argv, key, text, values, tmp_path, capsys
+    ):
+        as_list, as_text = tmp_path / "list.json", tmp_path / "text.json"
+        as_list.write_text(json.dumps({key: values}))
+        as_text.write_text(json.dumps({key: text}))
+        flagged = run([*argv, f"--{key}", text], capsys)
+        assert flagged[0] == 0 and flagged[1]
+        assert run([*argv, "--config", str(as_list)], capsys) == flagged
+        assert run([*argv, "--config", str(as_text)], capsys) == flagged
+
+    MISSING = ["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing"]
+    ONE_TUPLE = ["verify", "--K", "3", "--N", "3", "--mu", "1/3"]
+
+    @pytest.mark.parametrize(
+        "argv,stored,message",
+        [
+            ([*MISSING, "--leaders", "1,x"], None, "--leaders: 'x' is not a number"),
+            (MISSING, {"leaders": [1, "x"]}, "--leaders: 'x' is not a number"),
+            (MISSING, {"leaders": [1, 2.5]}, "--leaders: 2.5 is not a whole number"),
+            ([*ONE_TUPLE, "--d", "1,2.5"], None, "--d: '2.5' is not a whole number"),
+            ([*ONE_TUPLE, "--d", "1,2,1/0"], None, "--d: '1/0' has a zero denominator"),
+            (ONE_TUPLE, {"d": [1, 2, True]}, "--d: True is not a number"),
+            (["gndt", *TestUsageErrors.TWO, "--mu", "1/2", "--r", "0,x"], None, "--r: 'x' is not a number"),
+            (["gndt", "--K", "2", "--N", "2", "--mu", "1/2"], {"alpha": ["1/2", [1]]},
+             "--alpha: [1] is not a number"),
+            (["holes", *TestUsageErrors.TWO, "--mu", "x"], None, "--mu: 'x' is not a number"),
+            (["gndt", *TestUsageErrors.TWO, "--mu-grid", "0:x:1/4"], None, "--mu-grid: 'x' is not a number"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--P", "x"], None,
+             "--P must be a finite power above 1, got x"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1"], {"P": [2]},
+             "--P must be a finite power above 1, got [2]"),
+        ],
+        ids=["leaders-text", "leaders-json", "leaders-json-fraction", "d-fraction", "d-zero-denominator",
+             "d-json-bool", "r-text", "alpha-json-nested", "mu-text", "grid-text", "P-text", "P-json-list"],
+    )
+    def test_bad_token_names_its_flag(self, argv, stored, message, tmp_path, capsys):
+        if stored is not None:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(stored))
+            argv = [*argv, "--config", str(config)]
+        out_file = tmp_path / "out"
+        code, out, err = run([*argv, "--out", str(out_file)], capsys)
+        assert code == 2
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert out == "" and not out_file.exists()
 
 
 class TestConfigKeys:

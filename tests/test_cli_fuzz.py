@@ -2,11 +2,13 @@
 
 A usage error is exit 2 with one `error:` line, never a traceback; argparse's
 own SystemExit is its exit 2.  Each subcommand mostly gets its required flags
-and a few optional ones, from small pools that mix valid values with zero,
-negative, malformed and out-of-range ones.  Sizes stay small so each call is
-quick.
+and a few of its own optional ones, from small pools that mix valid values
+with zero, negative, malformed and out-of-range ones.  Sometimes it also gets
+one flag that only other commands take, and then it must exit 2.  Sizes stay
+small so each call is quick.
 """
 
+import argparse
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -15,7 +17,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cachecast.cli import main
+from cachecast.cli import build_parser, main
 
 
 def mostly(valid, invalid):
@@ -29,47 +31,63 @@ MU = mostly(["0", "1/4", "1/3", "1/2", "1"], ["2", "-1/4", "1/0", "x"])
 STRENGTH = st.sampled_from(["1/5", "1/2", "3/4", "1"])
 BAD_STRENGTHS = st.sampled_from(["", "1,1/2", "0,1", "1/2,2", "1/0,1", "a,1"])
 
-OPTIONAL = {
-    "--P": mostly(["2", "1024", "1e300"], ["nan", "inf", "1", "0.5", "x"]),
-    "--seed": st.sampled_from(["-1", "0", "7"]),
-    "--format": st.sampled_from(["csv", "json", "xml"]),
-    "--config": st.just(str(Path(__file__).parent / "no-such-config.json")),
-}
+CONFIG = {"--config": st.just(str(Path(__file__).parent / "no-such-config.json"))}
+P = mostly(["2", "1024", "1e300"], ["nan", "inf", "1", "0.5", "x"])
+SEED = st.sampled_from(["-1", "0", "7"])
+FORMAT = st.sampled_from(["csv", "json", "xml"])
 TRADEOFF = {
     "--mu-grid": mostly(["0:1:1/4", "1/4:1/2:1/8"], ["0:1:0", "1:0:1/4", "0:1", "a:b:c"]),
-    "--r": mostly(["0,0", "1/10,0,0", "0,1/10,0,0"], ["-1,0", "1/0"]),
+    "--r": mostly(["0,0", "1/10,0,0", "0,1/10,0,0"], ["-1,0", "1/0", "0,x"]),
+    "--format": FORMAT,
 }
-# subcommand -> (flags it mostly gets, flags it sometimes gets); None marks a switch
+# subcommand -> (flags it mostly gets, its own flags it sometimes gets); None marks a switch
 FLAGS = {
-    "gndt": ({"--N": SIZES, "--mu": MU}, {**OPTIONAL, **TRADEOFF, "--exact": None}),
+    "gndt": ({"--N": SIZES, "--mu": MU}, {**CONFIG, **TRADEOFF, "--exact": None}),
     "sweep-memory": (
         {"--N": SIZES, "--mu-grid": TRADEOFF["--mu-grid"]},
-        {**OPTIONAL, **TRADEOFF, "--mu": MU},
+        {**CONFIG, **TRADEOFF, "--mu": MU},
     ),
-    "holes": ({"--N": SIZES, "--mu": MU}, OPTIONAL),
+    "holes": ({"--N": SIZES, "--mu": MU}, CONFIG),
     "region": (
         {
             "--sigma": SIZES,
             "--kind": mostly(["full", "symmetric", "missing", "two-multicast"], ["x"]),
             "--s": mostly(["1", "2", "3"], ["-1", "0", "9"]),
             "--gamma": SIZES,
-            "--leaders": mostly(["1", "1,2", "1,3"], ["1,7", "2", "0,1", "", "1,x"]),
+            "--leaders": mostly(["1", "1,2", "1,3"], ["1,7", "2", "0,1", "", "1,x", "1,1/2"]),
         },
-        OPTIONAL,
+        CONFIG,
     ),
     "verify": (
         {"--max-K": COUNTS, "--max-N": COUNTS, "--region-trials": mostly(["1"], ["-1", "0"])},
         {
-            **OPTIONAL,
+            **CONFIG,
+            "--seed": SEED,
             "--N": mostly(["1", "2"], ["-1", "0"]),
             "--mu": MU,
             "--B": mostly(["24", "48"], ["-8", "0", "1", "x", "1/2"]),
-            "--d": mostly(["1,2", "1,1,1"], ["0,1", "1,9", "x"]),
+            "--d": mostly(["1,2", "1,1,1"], ["0,1", "1,9", "x", "1,1.5"]),
             "--inject-fault": None,
         },
     ),
-    "finite-snr": ({"--sigma": SIZES, "--certificates": mostly(["1", "3"], ["-2", "0"])}, OPTIONAL),
+    "finite-snr": (
+        {"--sigma": SIZES, "--certificates": mostly(["1", "3"], ["-2", "0"])},
+        {**CONFIG, "--P": P, "--seed": SEED},
+    ),
 }
+# every flag some command takes, with values to draw for it
+EVERY = {"--K": SIZES, "--alpha": STRENGTH}
+for usual, sometimes in FLAGS.values():
+    EVERY.update(usual)
+    EVERY.update(sometimes)
+SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def foreign_flags(command: str) -> list[str]:
+    """Flags of other commands that this one takes in no spelling: argparse
+    reads a prefix of one of its own flags (--r for --region-trials) as that flag."""
+    own = [s for a in SUBPARSERS.choices[command]._actions for s in a.option_strings]
+    return sorted(flag for flag in EVERY if not any(o.startswith(flag) for o in own))
 
 
 @st.composite
@@ -91,10 +109,14 @@ def argvs(draw):
     chosen = {flag: value for flag, value in chosen.items() if draw(st.integers(0, 9)) < 9}
     for flag in draw(st.lists(st.sampled_from(sorted(sometimes)), unique=True, max_size=2)):
         chosen[flag] = None if sometimes[flag] is None else draw(sometimes[flag])
+    foreign = draw(st.integers(0, 5)) == 5
+    if foreign:
+        flag = draw(st.sampled_from(foreign_flags(command)))
+        chosen[flag] = None if EVERY[flag] is None else draw(EVERY[flag])
     argv = [command]
     for flag, value in chosen.items():
         argv += [flag] if value is None else [flag, value]
-    return argv
+    return argv, foreign
 
 
 def run(argv):
@@ -110,9 +132,12 @@ def run(argv):
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
-@example(["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"])
-@example(["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"])
-def test_exit_code_is_0_1_or_2_without_traceback(argv):
+@example((["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], False))
+@example((["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], False))
+@example((["holes", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "1/2", "--P", "nan"], True))
+def test_exit_code_is_0_1_or_2_without_traceback(drawn):
+    argv, foreign = drawn
     code, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    assert code == 2 or not foreign, (argv, code, err)

@@ -13,7 +13,6 @@ from cachecast.combinatorics import (
     is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,
-    partition_by_min,
 )
 
 
@@ -71,39 +70,6 @@ class TestGroups:
             enumerate_groups(3, 4)
 
 
-class TestPartition:
-    def test_three_users_pairs(self):
-        part = partition_by_min(3, 2)
-        assert part.classes[0] == ((1, 2), (1, 3))
-        assert part.classes[1] == ((2, 3),)
-        assert part.classes[2] == ()
-
-    def test_four_users_triples(self):
-        part = partition_by_min(4, 3)
-        assert len(part.classes[0]) == 3
-        assert len(part.classes[1]) == 1
-
-    def test_full_group(self):
-        part = partition_by_min(5, 5)
-        assert part.classes[0] == ((1, 2, 3, 4, 5),)
-        assert all(cls == () for cls in part.classes[1:])
-
-    @pytest.mark.parametrize("num_users", range(2, 9))
-    def test_partition_property(self, num_users):
-        for sigma in range(2, num_users + 1):
-            part = partition_by_min(num_users, sigma)
-            seen = [g for cls in part.classes for g in cls]
-            assert len(seen) == len(set(seen)) == binom(num_users, sigma)
-            assert set(seen) == set(enumerate_groups(num_users, sigma))
-            # bucket criterion: each group sits in the class of its minimum
-            for i, cls in enumerate(part.classes, start=1):
-                assert all(min(g) == i for g in cls)
-            # classes beyond K - sigma + 1 stay empty
-            assert all(
-                cls == () for cls in part.classes[num_users - sigma + 1 :]
-            )
-
-
 class TestCumulativeCount:
     def test_small_cases(self):
         assert cumulative_group_count(3, 2, 1) == 2
@@ -113,9 +79,9 @@ class TestCumulativeCount:
     @pytest.mark.parametrize("num_users", range(2, 9))
     def test_matches_enumeration(self, num_users):
         for sigma in range(2, num_users + 1):
-            part = partition_by_min(num_users, sigma)
+            groups = enumerate_groups(num_users, sigma)
             for j in range(0, num_users + 1):
-                enumerated = len(part.union_up_to(j))
+                enumerated = sum(1 for g in groups if min(g) <= j)
                 assert cumulative_group_count(num_users, sigma, j) == enumerated
 
 

@@ -190,8 +190,8 @@ class TestTwoUserSandwich:
 def test_csv_emission():
     region = inner_rate_region(2, 2, ALPHA2, 2.0**20)
     buf = io.StringIO()
-    write_region_csv(region, buf)
+    write_region_csv({"inner": region}, buf)
     lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "r_1,r_2,r_1_2,rhs"
+    assert lines[0] == "region,r_1,r_2,r_1_2,rhs"
     assert len(lines) == 3
-    assert lines[1].endswith(",9")
+    assert lines[1].startswith("inner,") and lines[1].endswith(",9")
