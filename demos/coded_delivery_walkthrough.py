@@ -33,8 +33,9 @@ payloads = encode_multicast(demands, library, leaders)
 print(f"demands {demands}: {len(payloads)} XOR payloads "
       f"{[p.group for p in payloads]}, each {len(payloads[0].bits)} bits")
 
+by_group = {p.group: p.bits for p in payloads}
 for user in (1, 2, 3):
-    decoded = decode_file(user, payloads, caches[user - 1], demands, leaders)
+    decoded = decode_file(user, by_group, caches[user - 1], demands)
     wanted = library.files[demands[user - 1] - 1]
     print(f"  user {user} recovers file {demands[user - 1]} bit-exactly: "
           f"{decoded == wanted}")
@@ -50,13 +51,15 @@ print(f"demands {demands}: leaders {leaders.leaders}, "
       f"transmitted groups {[p.group for p in payloads]}")
 print("  group (3, 4) is all non-leaders, so W_34 was never sent")
 
-rebuilt = reconstruct_missing(payloads, (3, 4), leaders, demands)
+by_group = {p.group: p.bits for p in payloads}
+rebuilt = reconstruct_missing(by_group, (3, 4), leaders, demands)
 direct = library.subfile(demands[2], (4,)) ^ library.subfile(demands[3], (3,))
 print(f"  reconstructed W_34 equals its XOR definition: "
       f"{rebuilt.bits == direct}")
 
+by_group[rebuilt.group] = rebuilt.bits  # the map is complete: decoding only reads it
 for user in (3, 4):
-    decoded = decode_file(user, payloads, caches[user - 1], demands, leaders)
+    decoded = decode_file(user, by_group, caches[user - 1], demands)
     wanted = library.files[demands[user - 1] - 1]
     print(f"  non-leader user {user} recovers file {demands[user - 1]}: "
           f"{decoded == wanted}")

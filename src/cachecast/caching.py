@@ -9,11 +9,13 @@ demands are known, one XOR payload
     W_S = XOR_{i in S} F_{d_i}^{S \\ {i}},        |S| = t + 1,
 
 is generated for every group S that contains at least one *leader* (the
-weakest user requesting each distinct file).  Leaders peel their payloads with
-cached subfiles; when there are fewer files than users, the payloads for
-all-non-leader groups are never sent and are instead recomposed by the
-receivers as an XOR of transmitted payloads over alternative leader sets
-(the Yu-Maddah-Ali-Avestimehr reconstruction).
+weakest user requesting each distinct file).  When there are fewer files than
+users, the payloads for all-non-leader groups are never sent; the receivers
+recompose them as an XOR of transmitted payloads over alternative leader sets
+(the Yu-Maddah-Ali-Avestimehr reconstruction).  The pipeline is three steps
+on one {group: Bits} map: `encode_multicast` fills it with what is sent,
+`reconstruct_missing` adds each never-sent payload once, and `decode_file`
+peels a user's file from that complete map and the user's cache.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -36,8 +38,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -178,15 +180,14 @@ class FileLibrary:
         return place_caches(self)
 
     def subfile(self, file_index: int, subset: Group) -> Bits:
-        """Subfile of file `file_index` (1-based) indexed by user subset."""
+        """Subfile of file `file_index` (1-based) indexed by a sorted user
+        subset, as `subfile_subsets()` yields it."""
         try:
             views = self._subfile_views[subset]
-        except (KeyError, TypeError):  # unsorted, or not a tuple
-            views = self._subfile_views.get(tuple(sorted(subset)))
-            if views is None:
-                raise ValueError(
-                    f"{subset!r} is not a {self.split_order}-subset of users 1..{self.num_users}"
-                ) from None
+        except (KeyError, TypeError):  # TypeError: a list
+            raise ValueError(
+                f"{subset!r} is not a sorted {self.split_order}-subset of users 1..{self.num_users}"
+            ) from None
         if not 0 < file_index <= len(views):
             raise ValueError(f"file index {file_index!r} is not in 1..{len(views)}")
         return views[file_index - 1]
@@ -308,11 +309,6 @@ class MulticastPayload:
     bits: Bits
 
 
-def _payload_map(payloads: Iterable[MulticastPayload] | dict[Group, Bits]) -> dict[Group, Bits]:
-    """{group: bits} of payload records; a map is returned as it is."""
-    return payloads if isinstance(payloads, dict) else {p.group: p.bits for p in payloads}
-
-
 def encode_multicast(
     d: Sequence[int], library: FileLibrary, leaders: LeaderSet
 ) -> list[MulticastPayload]:
@@ -335,12 +331,10 @@ def encode_multicast(
 
 
 def reconstruct_missing(
-    payloads: Iterable[MulticastPayload] | dict[Group, Bits],
-    group: Group,
-    leaders: LeaderSet,
-    d: Sequence[int],
+    by_group: dict[Group, Bits], group: Group, leaders: LeaderSet, d: Sequence[int]
 ) -> MulticastPayload:
-    """Recompose an untransmitted all-non-leader payload W_A.
+    """Recompose an untransmitted all-non-leader payload W_A from the
+    {group: bits} map of transmitted payloads.
 
     W_A equals the XOR of the transmitted payloads W_{B \\ V} where
     B = A u {leaders} and V ranges over the alternative leader sets inside B:
@@ -352,7 +346,6 @@ def reconstruct_missing(
     group = tuple(sorted(group))
     if not set(group) <= set(leaders.non_leaders):
         raise ValueError(f"group {group} is not a set of non-leading users")
-    by_group = _payload_map(payloads)
     pool = tuple(sorted(set(group) | set(leaders.leaders)))
     weakest = group[0]
     decodable_by = {u for u in leaders.leaders if u < weakest} | {weakest}
@@ -374,29 +367,20 @@ def reconstruct_missing(
 
 
 def decode_file(
-    user: int,
-    payloads: Iterable[MulticastPayload] | dict[Group, Bits],
-    cache: CacheContents,
-    d: Sequence[int],
-    leaders: LeaderSet,
+    user: int, by_group: dict[Group, Bits], cache: CacheContents, d: Sequence[int]
 ) -> Bits:
-    """Recover F_{d_user} exactly from payloads plus the local cache.
-
-    `payloads` may be a {group: bits} map; an all-non-leader payload missing
-    from it is reconstructed from the others.
-    """
-    by_group, size = _payload_map(payloads), cache.subfile_bits
+    """Recover F_{d_user} exactly from the local cache and the {group: bits}
+    map of payloads, reconstructed ones included: this reads the map only."""
+    size = cache.subfile_bits
     acc = 0
     for group, sides in cache._decode_plan:
         piece = 0
         if group is not None:
             coded = by_group.get(group)
             if coded is None:
-                if not set(leaders.leaders).isdisjoint(group):
-                    raise MissingPayloadError(
-                        f"payload for group {group} is required by user {user} but missing"
-                    )
-                coded = reconstruct_missing(by_group, group, leaders, d).bits
+                raise MissingPayloadError(
+                    f"payload for group {group} is required by user {user} but missing"
+                )
             piece = coded.value
         for other, values in sides:
             piece ^= values[d[other] - 1]
@@ -427,8 +411,9 @@ def end_to_end_verify(
     decoding, for exercising failure detection.  `library` replaces the
     seeded `random_library` draw; it must have the given shape.  Only its
     demand-independent work (bits, subfiles, placement) is reused: encoding
-    and every decode run afresh for `d`.  Each untransmitted all-non-leader
-    payload is reconstructed once, and every user decodes from that one map.
+    and every decode run afresh for `d`.  The payloads are encoded into one
+    map, each untransmitted all-non-leader payload is reconstructed into it
+    once, and every user decodes from that one map.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)
@@ -446,43 +431,14 @@ def end_to_end_verify(
     check_demand(d, num_users, num_files)
     leaders = select_leaders(d)
     payloads = encode_multicast(d, library, leaders)
+    by_group = {p.group: p.bits for p in payloads}
     if corrupt_payload is not None and payloads:
-        index = corrupt_payload % len(payloads)
-        bits = payloads[index].bits
-        flipped = bits ^ Bits(1 << (bits.length - 1), bits.length)  # bit 0
-        payloads[index] = MulticastPayload(group=payloads[index].group, bits=flipped)
-    by_group = _payload_map(payloads)
+        group = payloads[corrupt_payload % len(payloads)].group
+        bits = by_group[group]
+        by_group[group] = bits ^ Bits(1 << (bits.length - 1), bits.length)  # bit 0
     missing = combinations(leaders.non_leaders, split_order + 1)
     by_group.update({g: reconstruct_missing(by_group, g, leaders, d).bits for g in missing})
     return all(
-        decode_file(user, by_group, caches[user - 1], d, leaders) == library.files[d[user - 1] - 1]
+        decode_file(user, by_group, caches[user - 1], d) == library.files[d[user - 1] - 1]
         for user in range(1, num_users + 1)
     )
-
-
-def sweep_demands(
-    num_users: int,
-    num_files: int,
-    split_order: int,
-    file_bits: int | None = None,
-    seed: int = 0,
-    demands: Iterable[Sequence[int]] | None = None,
-):
-    """Lazy pass/fail records, one per demand tuple (all N^K tuples by default).
-
-    The library is drawn, and its shape checked, when the sweep is made, not
-    when its first record is read; it and its placement are built once for the
-    sweep, and every tuple is still verified end to end by `end_to_end_verify`.
-    """
-    if demands is None:
-        demands = product(range(1, num_files + 1), repeat=num_users)
-    library = random_library(num_files, num_users, split_order, file_bits, seed)
-
-    def record(d) -> dict:
-        ok = end_to_end_verify(
-            num_users, num_files, split_order, file_bits, tuple(d), seed, library=library
-        )
-        return {"K": num_users, "N": num_files, "Kmu": split_order, "d": list(d),
-                "seed": seed, "pass": ok}
-
-    return map(record, demands)

@@ -16,13 +16,14 @@ verify        end-to-end caching sweep + region-equality certification:
 finite-snr    finite-power region rows (CSV) and constant-gap certificates:
               --K --sigma --alpha [--P --certificates --seed]
 
-A flag the command does not take is a usage error.  Flags can come from a
+A flag the command does not take is a usage error, and so is a prefix of
+one it takes (--r for --region-trials).  Flags can come from a
 JSON config file (--config), required ones such as --sigma included;
 explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
 overrides a config value for the other, and both at once are a usage error.
 A config key no command has, or a value its flag would refuse, is a usage
 error too.  A list flag (--alpha, --r, --leaders, --d) takes comma text, or
-a JSON list in the config file.
+a JSON list in the config file; an empty comma entry (1,2,) is an error.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -37,6 +38,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -72,7 +74,9 @@ def _parse_fraction(token, flag: str) -> Fraction:
 
 def _parse_list(value, flag: str, whole: bool = False) -> list:
     """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints."""
-    tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t]
+    tokens = value if isinstance(value, list) else str(value).split(",")
+    if "" in tokens:  # "1,2," or "1/2,,1": a typo, never a shorter list
+        raise ValueError(f"{flag}: {value!r} has an empty entry")
     numbers = [_parse_fraction(token, flag) for token in tokens]
     for token, number in zip(tokens, numbers):
         if whole and number.denominator != 1:
@@ -110,25 +114,23 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
     if not isinstance(stored, dict):
         raise ValueError(f"--config {args.config} must hold a JSON object of flag values")
-    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    own = {a.dest: a for a in sub.choices[args.command]._actions if a.option_strings}
-    known = {a.dest for parser in sub.choices.values() for a in parser._actions}
     given = {attr for attr, value in vars(args).items() if value is not None}
     for key, value in stored.items():
-        attr, where = key.replace("-", "_"), f"--config {args.config}"
-        if attr not in known:
+        flag, where = "--" + key.replace("_", "-"), f"--config {args.config}"
+        if flag not in _FLAGS:
             raise ValueError(f"{where}: {key!r} is not a flag of {args.command} or of any other command")
-        if attr not in own:
+        if flag not in _command_flags(args.command):
             continue  # another command's flag: one file may serve several commands
-        action, flag = own[attr], own[attr].option_strings[0]
-        if action.const is True and not isinstance(value, bool):  # a switch such as --exact
+        attr, spec = flag[2:].replace("-", "_"), _FLAGS[flag]  # attr: argparse's dest
+        kind, choices = spec.get("type"), spec.get("choices")
+        if spec.get("action") == "store_true" and not isinstance(value, bool):
             raise ValueError(f"{where}: {flag} takes true or false, got {value!r}")
         try:  # parsed from its text as on the command line: 4.5 is refused, not truncated
-            value = action.type(str(value)) if action.type else value
+            value = kind(str(value)) if kind else value
         except ValueError:
-            raise ValueError(f"{where}: {flag} takes an {action.type.__name__}, got {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{where}: {flag} must be one of {', '.join(action.choices)}, got {value!r}")
+            raise ValueError(f"{where}: {flag} takes an {kind.__name__}, got {value!r}") from None
+        if choices is not None and value not in choices:
+            raise ValueError(f"{where}: {flag} must be one of {', '.join(choices)}, got {value!r}")
         if attr not in given and _ALTERNATIVE.get(attr) not in given:
             setattr(args, attr, value)
     return args
@@ -276,8 +278,9 @@ def cmd_region(args) -> int:
 
 
 def _caching_sweeps(args) -> list:
-    """The lazy record streams of the caching stage, one per (K, N, t)."""
-    seed = args.seed or 0
+    """The caching stage's (library, demand tuples) pairs, one per (K, N, t);
+    every library is drawn here, before --out is opened."""
+    seed, d = args.seed or 0, None
     file_bits = _count(args, "--B", None)
     K, N = _count(args, "--K", None), _count(args, "--N", None)
     if (K is None) != (N is None):
@@ -293,47 +296,43 @@ def _caching_sweeps(args) -> list:
                     f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
                     "the subfile scheme needs an integer cache budget"
                 )
-            splits = [int(budget)]
+            shapes = [(K, N, int(budget))]
         else:
-            splits = list(range(0, K + 1))
-        demands = None
+            shapes = [(K, N, split) for split in range(0, K + 1)]
         if args.d:
             d = tuple(_parse_list(args.d, "--d", whole=True))
             caching.check_demand(d, K, N)  # before --out is opened
-            demands = [d]
-        return [
-            caching.sweep_demands(K, N, split, file_bits, seed=seed, demands=demands)
-            for split in splits
-        ]
-    max_k = _count(args, "--max-K", 4)
-    max_n = _count(args, "--max-N", 4)
+    else:
+        max_k, max_n = _count(args, "--max-K", 4), _count(args, "--max-N", 4)
+        shapes = [(K, N, split) for K in range(1, max_k + 1) for N in range(1, max_n + 1)
+                  for split in range(0, K + 1)]
     return [
-        caching.sweep_demands(K, N, split, file_bits, seed=seed)
-        for K in range(1, max_k + 1)
-        for N in range(1, max_n + 1)
-        for split in range(0, K + 1)
+        (caching.random_library(N, K, split, file_bits, seed),
+         [d] if d else product(range(1, N + 1), repeat=K))
+        for K, N, split in shapes
     ]
 
 
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
+    """Verify each demand tuple end to end and write its NDJSON record."""
+    seed = args.seed or 0
     checked = failures = 0
-    for records in sweeps:
-        for record in records:
-            checked += 1
-            failures += 0 if record["pass"] else 1
-            records_out.write(json.dumps(record, sort_keys=True) + "\n")
-    if args.inject_fault:
-        # one bit flipped in one payload: the sweep must report the failure
-        ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=args.seed or 0, corrupt_payload=0)
+
+    def write(K, N, split, d, ok, **extra) -> None:
+        nonlocal checked, failures
         checked += 1
         failures += 0 if ok else 1
-        records_out.write(
-            json.dumps(
-                {"K": 3, "N": 3, "Kmu": 1, "d": [1, 2, 3], "fault": True, "pass": ok},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        record = {"K": K, "N": N, "Kmu": split, "d": list(d), **extra, "pass": ok}
+        records_out.write(json.dumps(record, sort_keys=True) + "\n")
+
+    for library, demands in sweeps:
+        shape = (library.num_users, library.num_files, library.split_order)
+        for d in demands:
+            write(*shape, d, caching.end_to_end_verify(*shape, d=d, library=library), seed=seed)
+    if args.inject_fault:
+        # one bit flipped in one payload: the sweep must report the failure
+        ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=seed, corrupt_payload=0)
+        write(3, 3, 1, (1, 2, 3), ok, fault=True)
     return checked, failures
 
 
@@ -438,15 +437,22 @@ _COMMANDS = {
 }
 
 
+def _command_flags(command: str) -> list[str]:
+    return ["--config", *_COMMANDS[command][2].split(), "--out"]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with exactly its flags.  No parser reads a
+    prefix as a flag (allow_abbrev=False): `verify --r 1` is not --region-trials."""
     parser = argparse.ArgumentParser(
         prog="cachecast",
         description="coded caching delivery analysis for layered broadcast channels",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        for flag in ["--config", *flags.split(), "--out"]:
+    for name, (func, text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in _command_flags(name):
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser

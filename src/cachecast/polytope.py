@@ -95,10 +95,6 @@ class Polytope:
             objective = [objective.get(v, 0) for v in self.variables]
         return solve_max(objective, self.rows)
 
-    def implies_row(self, coeffs: Sequence[Fraction], rhs: Fraction) -> bool:
-        """True iff every point of the region satisfies <coeffs, x> <= rhs."""
-        return _implies(len(self.variables), self.int_rows, [_integer_row([*map(_frac, coeffs), _frac(rhs)])])
-
     def is_empty(self) -> bool:  # iff the rows imply 0 <= -1
         return _implies(len(self.variables), self.int_rows, [(1, (0,) * len(self.variables) + (-1,))])
 

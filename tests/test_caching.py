@@ -1,9 +1,11 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
 
-from cachecast import caching
+from cachecast import caching, cli
 from cachecast.caching import (
     Bits,
     DecodabilityError,
@@ -17,9 +19,21 @@ from cachecast.caching import (
     random_library,
     reconstruct_missing,
     select_leaders,
-    sweep_demands,
 )
 from cachecast.combinatorics import binom
+
+
+def sent(d, library, leaders):
+    """The {group: bits} map of the payloads `encode_multicast` sends."""
+    return {p.group: p.bits for p in encode_multicast(d, library, leaders)}
+
+
+def complete(d, library, leaders):
+    """The sent map plus every reconstructed all-non-leader payload."""
+    by_group = sent(d, library, leaders)
+    for group in itertools.combinations(leaders.non_leaders, library.split_order + 1):
+        by_group[group] = reconstruct_missing(by_group, group, leaders, d).bits
+    return by_group
 
 
 def direct_payload(library, d, group):
@@ -61,12 +75,12 @@ class TestLibrary:
             chunks = [lib.subfile(n, s) for s in lib.subfile_subsets()]
             assert [bit for chunk in chunks for bit in chunk] == list(lib.files[n - 1])
 
-    def test_subfile_lookup_ignores_order_and_rejects_other_subsets(self):
+    def test_subfile_lookup_takes_only_sorted_subsets(self):
         lib = random_library(2, 4, 2, seed=3)
-        assert lib.subfile(2, (4, 1)) == lib.subfile(2, (1, 4))
-        assert lib.subfile(2, [3, 2]) == lib.subfile(2, (2, 3))
-        for bad in ((1,), (1, 2, 3), (1, 5)):
-            with pytest.raises(ValueError):
+        assert list(lib.subfile(2, (1, 4))) == list(lib.files[1])[16:24]  # third of six
+        for bad in ((4, 1), [2, 3], (1,), (1, 2, 3), (1, 5)):
+            message = f"{bad!r} is not a sorted 2-subset of users 1..4"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 lib.subfile(1, bad)
 
     @pytest.mark.parametrize("index", [0, -1, 3])
@@ -248,36 +262,34 @@ class TestReconstruction:
         lib = random_library(2, 4, 1, seed=8)
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
-        payloads = encode_multicast(d, lib, leaders)
-        rebuilt = reconstruct_missing(payloads, (3, 4), leaders, d)
+        rebuilt = reconstruct_missing(sent(d, lib, leaders), (3, 4), leaders, d)
         assert rebuilt.bits == direct_payload(lib, d, (3, 4))
 
     def test_reconstruction_xor_direct_is_zero(self):
         lib = random_library(2, 5, 1, seed=13)
         d = (1, 2, 2, 1, 2)
         leaders = select_leaders(d)
-        payloads = encode_multicast(d, lib, leaders)
+        by_group = sent(d, lib, leaders)
         for group in itertools.combinations(leaders.non_leaders, 2):
-            rebuilt = reconstruct_missing(payloads, group, leaders, d)
+            rebuilt = reconstruct_missing(by_group, group, leaders, d)
             assert rebuilt.bits ^ direct_payload(lib, d, group) == Bits(0, lib.subfile_bits)
 
     def test_rejects_group_with_leader(self):
         lib = random_library(2, 4, 1, seed=8)
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
-        payloads = encode_multicast(d, lib, leaders)
         with pytest.raises(ValueError):
-            reconstruct_missing(payloads, (1, 3), leaders, d)
+            reconstruct_missing(sent(d, lib, leaders), (1, 3), leaders, d)
 
     def test_missing_inputs_detected(self):
         lib = random_library(2, 4, 1, seed=8)
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
-        payloads = encode_multicast(d, lib, leaders)
+        by_group = sent(d, lib, leaders)
         # W_34 recomposes from W_23, W_14 and W_12; withhold W_14
-        payloads = [p for p in payloads if p.group != (1, 4)]
-        with pytest.raises(MissingPayloadError):
-            reconstruct_missing(payloads, (3, 4), leaders, d)
+        del by_group[(1, 4)]
+        with pytest.raises(MissingPayloadError, match=re.escape("group (1, 4)")):
+            reconstruct_missing(by_group, (3, 4), leaders, d)
 
     def test_undecodable_source_is_a_typed_error(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -285,9 +297,8 @@ class TestReconstruction:
         # not the weakest users per file: recomposing W_12 would consume W_34,
         # which user 1 (the weakest of the group) cannot decode
         crafted = LeaderSet(leaders=(3, 4), non_leaders=(1, 2))
-        payloads = encode_multicast(d, lib, crafted)
         with pytest.raises(DecodabilityError) as info:
-            reconstruct_missing(payloads, (1, 2), crafted, d)
+            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d)
         assert (info.value.group, info.value.source, info.value.weakest) == ((1, 2), (3, 4), 1)
         assert not isinstance(info.value, (ValueError, AssertionError))
         assert "user 1" in str(info.value)
@@ -297,9 +308,9 @@ class TestDecoding:
     def test_fully_cached_file_needs_no_payloads(self):
         lib = random_library(2, 3, 3, seed=6)
         d = (2, 1, 2)
-        leaders = select_leaders(d)
         caches = place_caches(lib)
-        out = decode_file(1, [], caches[0], d, leaders)
+        assert select_leaders(d).leaders == (1, 2)
+        out = decode_file(1, {}, caches[0], d)
         assert out == lib.files[1]
 
     def test_three_user_example_decodes(self):
@@ -307,11 +318,10 @@ class TestDecoding:
         d = (1, 2, 3)
         leaders = select_leaders(d)
         caches = place_caches(lib)
-        payloads = encode_multicast(d, lib, leaders)
         # user 1 needs only its own two payloads plus the cache
-        own = [p for p in payloads if 1 in p.group]
-        assert [p.group for p in own] == [(1, 2), (1, 3)]
-        out = decode_file(1, own, caches[0], d, leaders)
+        own = {group: bits for group, bits in sent(d, lib, leaders).items() if 1 in group}
+        assert list(own) == [(1, 2), (1, 3)]
+        out = decode_file(1, own, caches[0], d)
         assert out == lib.files[0]
 
     def test_non_leader_matches_its_leader(self):
@@ -319,18 +329,33 @@ class TestDecoding:
         d = (1, 2, 2, 1)
         leaders = select_leaders(d)
         caches = place_caches(lib)
-        payloads = encode_multicast(d, lib, leaders)
-        strong = decode_file(4, payloads, caches[3], d, leaders)
-        weak = decode_file(1, payloads, caches[0], d, leaders)
+        by_group = complete(d, lib, leaders)
+        strong = decode_file(4, by_group, caches[3], d)
+        weak = decode_file(1, by_group, caches[0], d)
         assert strong == weak and weak == lib.files[0]
 
     def test_missing_payload_raises(self):
         lib = random_library(3, 3, 1, seed=6)
         d = (1, 2, 3)
+        caches = place_caches(lib)
+        with pytest.raises(MissingPayloadError, match=re.escape("group (1, 2) is required by user 1")):
+            decode_file(1, {}, caches[0], d)
+
+    def test_decoding_reads_the_map_and_reconstructs_nothing(self):
+        """An all-non-leader payload absent from the map is missing: only
+        `reconstruct_missing` rebuilds it, before decoding."""
+        lib = random_library(2, 4, 1, seed=8)
+        d = (1, 2, 1, 2)
         leaders = select_leaders(d)
         caches = place_caches(lib)
-        with pytest.raises(MissingPayloadError):
-            decode_file(1, [], caches[0], d, leaders)
+        by_group = sent(d, lib, leaders)
+        assert (3, 4) not in by_group
+        for user in (3, 4):
+            with pytest.raises(MissingPayloadError, match=re.escape(f"group (3, 4) is required by user {user}")):
+                decode_file(user, by_group, caches[user - 1], d)
+        by_group = complete(d, lib, leaders)
+        for user in (3, 4):
+            assert decode_file(user, by_group, caches[user - 1], d) == lib.files[d[user - 1] - 1]
 
 
 class TestMissingMessagesExhaustive:
@@ -351,10 +376,18 @@ class TestMissingMessagesExhaustive:
                 leaders = select_leaders(d)
                 if len(leaders.non_leaders) < sigma:
                     continue
-                payloads = encode_multicast(d, lib, leaders)
+                by_group = sent(d, lib, leaders)
                 for group in itertools.combinations(leaders.non_leaders, sigma):
-                    rebuilt = reconstruct_missing(payloads, group, leaders, d)
+                    rebuilt = reconstruct_missing(by_group, group, leaders, d)
                     assert rebuilt.bits == direct_payload(lib, d, group)
+
+
+def sweep_records(tmp_path, capsys, *flags) -> list[dict]:
+    """The caching records of one `cachecast verify` run that passes."""
+    out = tmp_path / "records.ndjson"
+    assert cli.main(["verify", *flags, "--region-trials", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [json.loads(line) for line in out.read_text().splitlines()]
 
 
 class TestEndToEnd:
@@ -395,13 +428,13 @@ class TestEndToEnd:
         for d in itertools.product((1, 2), repeat=3):
             assert end_to_end_verify(3, 2, 3, d=d)
 
-    def test_sweep_records(self):
-        records = list(sweep_demands(2, 2, 1))
-        assert len(records) == 4
-        assert all(r["pass"] for r in records)
-        assert records[0]["K"] == 2 and records[0]["Kmu"] == 1
+    def test_sweep_records(self, tmp_path, capsys):
+        """verify's caching stage writes one record per demand tuple."""
+        records = sweep_records(tmp_path, capsys, "--K", "2", "--N", "2", "--mu", "1/2")
+        assert [r["d"] for r in records] == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert all(r == {"K": 2, "N": 2, "Kmu": 1, "d": r["d"], "seed": 0, "pass": True} for r in records)
 
-    def test_sweep_builds_and_places_one_library(self, monkeypatch):
+    def test_sweep_builds_and_places_one_library(self, monkeypatch, tmp_path, capsys):
         calls = {"random_library": 0, "place_caches": 0, "end_to_end_verify": 0}
         for name in calls:
             original = getattr(caching, name)
@@ -411,7 +444,7 @@ class TestEndToEnd:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(caching, name, counted)
-        records = list(sweep_demands(3, 2, 1, seed=4))
+        records = sweep_records(tmp_path, capsys, "--K", "3", "--N", "2", "--mu", "1/3", "--seed", "4")
         assert len(records) == 8 and all(r["pass"] for r in records)
         assert calls == {"random_library": 1, "place_caches": 1, "end_to_end_verify": 8}
 
@@ -515,8 +548,8 @@ class TestFaultLocation:
         decoded = {}
         original = caching.decode_file
 
-        def spy(user, payloads, cache, d, leaders):
-            decoded[user] = original(user, payloads, cache, d, leaders)
+        def spy(user, by_group, cache, d):
+            decoded[user] = original(user, by_group, cache, d)
             # hand back the wanted file, so every user is decoded and recorded
             return lib.files[d[user - 1] - 1]
 
@@ -536,29 +569,35 @@ class TestFaultLocation:
                     assert wrong == _consumers(d, leaders, split + 1, group), (split, d, group)
 
 
-def test_each_missing_payload_is_reconstructed_once_per_tuple(monkeypatch):
-    """Over the K <= 4, N <= 4 sweep, every untransmitted (d, group) payload
-    is reconstructed exactly once, and nothing else is."""
+def test_each_missing_payload_is_reconstructed_once_per_tuple(monkeypatch, tmp_path, capsys):
+    """Over the K <= 4, N <= 4 sweep of `cachecast verify`, every
+    untransmitted (d, group) payload is reconstructed exactly once, and
+    nothing else is."""
     calls = []
     shape = []
-    original = caching.reconstruct_missing
+    verify, reconstruct = caching.end_to_end_verify, caching.reconstruct_missing
 
-    def counted(payloads, group, leaders, d):
+    def verified(num_users, num_files, split_order, *args, **kwargs):
+        shape[:] = [num_users, num_files, split_order]
+        return verify(num_users, num_files, split_order, *args, **kwargs)
+
+    def counted(by_group, group, leaders, d):
         calls.append((*shape, tuple(d), tuple(group)))
-        return original(payloads, group, leaders, d)
+        return reconstruct(by_group, group, leaders, d)
 
+    monkeypatch.setattr(caching, "end_to_end_verify", verified)
     monkeypatch.setattr(caching, "reconstruct_missing", counted)
+    records = sweep_records(tmp_path, capsys, "--max-K", "4", "--max-N", "4")
     expected = set()
     for K in range(1, 5):
         for N in range(1, 5):
             for split in range(K + 1):
-                shape[:] = [K, N, split]
-                records = list(sweep_demands(K, N, split))
-                assert len(records) == N**K and all(r["pass"] for r in records)
                 for d in itertools.product(range(1, N + 1), repeat=K):
                     non_leaders = select_leaders(d).non_leaders
                     for group in itertools.combinations(non_leaders, split + 1):
                         expected.add((K, N, split, d, group))
+    assert len(records) == sum(N**K * (K + 1) for K in range(1, 5) for N in range(1, 5))
+    assert all(r["pass"] for r in records)
     assert len(calls) == len(set(calls))
     assert set(calls) == expected
     assert len(expected) == 770

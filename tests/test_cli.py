@@ -199,6 +199,8 @@ class TestFlagsPerCommand:
             ("region", "--P", "7"), ("region", "--seed", "9"), ("region", "--format", "json"),
             ("verify", "--alpha", "1/3,1"), ("verify", "--P", "9"), ("verify", "--format", "json"),
             ("finite-snr", "--format", "csv"),
+            # a prefix is not its flag: --region-trials, --seed, --mu-grid
+            ("verify", "--r", "1"), ("verify", "--s", "5"), ("gndt", "--mu-g", "0:1:1/2"),
         ],
     )
     def test_flag_the_command_does_not_take_is_usage_error(
@@ -268,9 +270,16 @@ class TestFlagsPerCommand:
              "--P must be a finite power above 1, got x"),
             (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1"], {"P": [2]},
              "--P must be a finite power above 1, got [2]"),
+            (["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--d", "1,2,"], None,
+             "--d: '1,2,' has an empty entry"),
+            (["gndt", "--K", "2", "--N", "2", "--alpha", "1/2,,1", "--mu", "1/2"], None,
+             "--alpha: '1/2,,1' has an empty entry"),
+            (MISSING, {"leaders": "1,,3"}, "--leaders: '1,,3' has an empty entry"),
+            (["gndt", *TestUsageErrors.TWO, "--mu", "1/2", "--r", ",0"], None, "--r: ',0' has an empty entry"),
         ],
         ids=["leaders-text", "leaders-json", "leaders-json-fraction", "d-fraction", "d-zero-denominator",
-             "d-json-bool", "r-text", "alpha-json-nested", "mu-text", "grid-text", "P-text", "P-json-list"],
+             "d-json-bool", "r-text", "alpha-json-nested", "mu-text", "grid-text", "P-text", "P-json-list",
+             "d-trailing-comma", "alpha-double-comma", "leaders-config-text", "r-leading-comma"],
     )
     def test_bad_token_names_its_flag(self, argv, stored, message, tmp_path, capsys):
         if stored is not None:

@@ -84,10 +84,10 @@ SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._
 
 
 def foreign_flags(command: str) -> list[str]:
-    """Flags of other commands that this one takes in no spelling: argparse
-    reads a prefix of one of its own flags (--r for --region-trials) as that flag."""
-    own = [s for a in SUBPARSERS.choices[command]._actions for s in a.option_strings]
-    return sorted(flag for flag in EVERY if not any(o.startswith(flag) for o in own))
+    """Flags of other commands that this one does not take, prefixes of its
+    own flags (--r of verify's --region-trials) included."""
+    own = {s for a in SUBPARSERS.choices[command]._actions for s in a.option_strings}
+    return sorted(flag for flag in EVERY if flag not in own)
 
 
 @st.composite

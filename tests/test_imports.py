@@ -5,9 +5,14 @@ No linter ships with the project, so this walks syntax trees:
 
 * a name bound by a top-level `import` or `from ... import` must be read
   somewhere in its module;
-* a public top-level `def` or `class` must be read (as a name, an attribute
-  or an imported name) somewhere in the package, `demos/` or `perfbench/`,
-  unless `TEST_FACING` names it with the reason it is kept.
+* a public top-level `def` or `class`, and a public method or property of a
+  public class, must be read (as a name, an attribute or an imported name)
+  somewhere in the package, `demos/` or `perfbench/`, unless `TEST_FACING`
+  names it with the reason it is kept.
+
+The check matches by name alone, not by owner: a read of `x.contains` keeps
+every public `contains` alive, so a method that shares its name with a used
+one can be dead and still pass.
 
 `__init__.py` is skipped by both, since its imports are the package's exports.
 """
@@ -29,6 +34,8 @@ TEST_FACING = {
     "max_symmetric_gdof": "closed form the symmetric-projection tests check against the LP",
     "is_convex_sequence": "states the convexity lemma the load-sequence tests check",
     "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
+    "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
+    "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",
 }
 
 
@@ -63,11 +70,16 @@ def test_detects_an_unused_import():
 
 
 def public_definitions(source: str) -> list[str]:
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    """Public top-level functions and classes, then the public methods and
+    properties of each public class."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return names
 
 
 def names_read(source: str) -> set[str]:
@@ -99,3 +111,16 @@ def test_detects_a_dead_name():
     readers = [definer, "from m import used as u\n", "Dead = 1\nm.Dead = 2\n"]
     assert dead_names([definer], readers) == ["Dead"]
     assert dead_names([definer], ["import m\nm.Dead()\nused()\n"]) == []
+
+
+def test_detects_a_dead_method_or_property():
+    definer = (
+        "class Kept:\n"
+        "    def read(self):\n        pass\n"
+        "    @property\n    def size(self):\n        pass\n"
+        "    def _helper(self):\n        pass\n"
+        "    def __len__(self):\n        pass\n"
+        "class _Private:\n    def unread(self):\n        pass\n"
+    )
+    assert dead_names([definer], ["k = Kept()\n"]) == ["read", "size"]
+    assert dead_names([definer], ["Kept().read()\nprint(Kept().size)\n"]) == []

@@ -62,7 +62,7 @@ def test_scaled_rows_are_equal_regions():
 
 
 def oracle_contains(outer, inner):
-    """Every outer row passes implies_row, each LP solved cold by the Fraction oracle."""
+    """Every outer row is implied by the inner rows, each LP solved cold by the Fraction oracle."""
     for coeffs, rhs in outer.rows:
         result = oracle.solve_max(coeffs, inner.rows)
         if result.status == UNBOUNDED or (result.status == OPTIMAL and result.value > rhs):
