@@ -37,12 +37,12 @@ for _ in range(100):
     passed += constant_gap_certificate(inner, outer, point)
 print(f"\nrate certificates: {passed}/100 boundary points escape the outer bound at +2 bits")
 
-cfg = SystemConfig(num_users=3, num_files=3, mu=Fraction(1, 3), alpha=ALPHA, power=POWER)
+cfg = SystemConfig(num_users=3, num_files=3, mu=Fraction(1, 3), alpha=ALPHA)
 delay = 0.25
-region = delay_rate_inner_region(delay, cfg)
+region = delay_rate_inner_region(delay, cfg, POWER)
 print(f"\ndelay-rate region at delay {delay}: rhs = {np.round(region.rhs, 3)}")
 passed = 0
 for _ in range(100):
     point = sample_boundary_point(region, rng)
-    passed += delay_rate_gap_certificate(delay, cfg, point)
+    passed += delay_rate_gap_certificate(delay, cfg, POWER, point)
 print(f"delay-rate certificates (+2 bits, delay / 2.01): {passed}/100 pass")

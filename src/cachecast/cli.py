@@ -16,9 +16,9 @@ verify        end-to-end caching sweep + region-equality certification:
 finite-snr    finite-power region rows (CSV) and constant-gap certificates:
               --K --sigma --alpha [--P --certificates --seed]
 
-A flag the command does not take is a usage error, and so is a prefix of
-one it takes (--r for --region-trials).  Flags can come from a
-JSON config file (--config), required ones such as --sigma included;
+A flag the command does not take is a usage error under the command's usage
+line, and so is a prefix of one it takes (--r for --region-trials).  Flags can
+come from a JSON config file (--config), required ones such as --sigma included;
 explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
 overrides a config value for the other, and both at once are a usage error.
 A config key no command has, or a value its flag would refuse, is a usage
@@ -148,11 +148,6 @@ def _count(args, flag: str, default):
     return default if value is None else value
 
 
-def _system_config(args) -> SystemConfig:
-    mu = _parse_fraction(args.mu if args.mu is not None else 0, "--mu")
-    return SystemConfig(args.K, args.N, mu, tuple(_parse_list(args.alpha, "--alpha")))
-
-
 @contextlib.contextmanager
 def _output(args):
     """The --out file, closed on exit, or stdout."""
@@ -190,14 +185,15 @@ def cmd_tradeoff(args) -> int:
     sweep-memory adds the joint two-set column; gndt --exact adds p/q columns.
     """
     r = _parse_list(args.r, "--r") if args.r else None
-    base = _system_config(args)
+    mus = _mu_values(args)
+    alpha = tuple(_parse_list(args.alpha, "--alpha"))
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact
     columns = ["tau_ub", "tau_joint", "tau_ms", "tau_lb"] if joint else ["tau_ub", "tau_ms", "tau_lb"]
     header = ["mu"] + columns + ([f"{c}_exact" for c in columns] if exact else [])
     rows = []
-    for mu in _mu_values(args):
-        config = SystemConfig(base.num_users, base.num_files, mu, base.alpha)
+    for mu in mus:
+        config = SystemConfig(args.K, args.N, mu, alpha)
         vals = {
             "tau_ub": tradeoff.gndt_ub(config, r),
             "tau_ms": tradeoff.gndt_memory_sharing(config, r),
@@ -216,7 +212,10 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_holes(args) -> int:
-    config = _system_config(args)
+    if args.mu is None:
+        raise ValueError("--mu is required (flag or config file)")
+    mu = _parse_fraction(args.mu, "--mu")
+    config = SystemConfig(args.K, args.N, mu, tuple(_parse_list(args.alpha, "--alpha")))
     star = tradeoff.bottleneck_user(config)
     region = tradeoff.topological_hole_region(config)
     base_tau = tradeoff.gndt_ub(config)
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in _command_flags(name):
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
@@ -463,7 +462,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, extra = _parser().parse_known_args(argv)
+    if extra:  # argparse would report them with the top parser's usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         args = _merge_config(args)
         if args.command != "verify":

@@ -13,10 +13,11 @@ coordinate and it must fall outside the outer region, a pair built once and
 shared by every point.  The delay-rate variant additionally divides the
 delivery time by the converse constant 2.01.
 
-The regions are float views of the exact rows of `regions`: `build_region`
-supplies variables and 0/1 coefficients and validates the strengths exactly;
-only right-hand sides become floats.  Rates are bits per channel use (all logs base 2);
-comparisons use a 1e-9 tolerance.
+The regions are float views of the exact rows of `regions`, which supply
+variables and 0/1 coefficients and validate the strengths exactly; only
+right-hand sides become floats.  The nominal power P is an argument of every
+builder, checked here alone: P outside (1, inf), nan included, is refused.
+Rates are bits per channel use (all logs base 2); comparisons use a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ class RateRegion:
 
 
 def _log2_power(power: float) -> float:
-    return 0.0 if power <= 1 else math.log2(power)  # P <= 1: the zero region
+    if not 1 < power < math.inf:  # also refuses nan
+        raise ValueError(f"nominal power must be finite and exceed 1, got {power}")
+    return math.log2(power)
 
 
 def _float_view(variables, rows, rhs: Callable[[int, float], float]) -> RateRegion:
@@ -87,6 +90,7 @@ def outer_rate_region(
     num_users: int, group_size: int, alpha: Sequence, power: float
 ) -> RateRegion:
     """Cut-set outer bound: the same rows with rhs log2(1 + P^{a_k})."""
+    _log2_power(power)  # refuses the power; the rhs reads P itself
     exact = build_region(num_users, group_size, alpha)
     return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a))
 
@@ -121,47 +125,45 @@ def constant_gap_certificate(
     return bool(outer.violated_rows(point + GAP_BITS))
 
 
-def delay_rate_inner_region(delay: float, config: SystemConfig) -> RateRegion:
-    """Unicast rates achievable alongside content delivered in `delay`.
-
-    The rows of `regions.cumulative_region(alpha)`: row k reserves 1/delay of
-    the enveloped coded load inside the effective level budget
-    (alpha_k log2 P - k)^+.
-    """
+def _delay_rate_view(delay: float, config: SystemConfig, power: float, rhs) -> RateRegion:
+    """The rows of `regions.cumulative_region(alpha)` with rhs(k, alpha_k log2 P, load_k / delay)."""
     if delay <= 0:
         raise ValueError(f"delay must be positive, got {delay}")
-    log_p = math.log2(config.power)  # SystemConfig keeps the power finite and above 1
-    loads = prefix_loads(config)
-    exact = cumulative_region(config.alpha)
+    log_p, loads, exact = _log2_power(power), prefix_loads(config), cumulative_region(config.alpha)
     return _float_view(
-        exact.variables,
-        exact.rows,
-        lambda k, a: max(0.0, a * log_p - k) - float(loads[k - 1]) / delay,
+        exact.variables, exact.rows, lambda k, a: rhs(k, a * log_p, float(loads[k - 1]) / delay)
     )
 
 
+def delay_rate_inner_region(delay: float, config: SystemConfig, power: float) -> RateRegion:
+    """Unicast rates achievable alongside content delivered in `delay`.
+
+    Row k reserves 1/delay of the enveloped coded load inside the effective
+    level budget (alpha_k log2 P - k)^+.
+    """
+    return _delay_rate_view(delay, config, power, lambda k, y, reserved: max(0.0, y - k) - reserved)
+
+
 def delay_rate_gap_certificate(
-    delay: float, config: SystemConfig, boundary: Sequence[float]
+    delay: float, config: SystemConfig, power: float, boundary: Sequence[float]
 ) -> bool:
     """Rates + 2 bits with delay / 2.01 must break the converse rows.
 
     The converse keeps every achievable tuple below
     alpha_k log2 P + 1 - load_k / (2.01 * delay'') per prefix k; with
-    delay'' = delay / 2.01 the reserved load term is load_k / delay again.
+    delay'' = delay / 2.01 the reserved load term is load_k / delay again.  A
+    row breaks when its sum exceeds that rhs minus TOL, so a point tight on
+    row 1 (with alpha_1 log2 P >= 1), which the shift puts exactly on row 1's
+    converse rhs, passes only through TOL unless another row breaks.
     """
-    region = delay_rate_inner_region(delay, config)
+    region = delay_rate_inner_region(delay, config, power)
     point = np.asarray(boundary, dtype=float)
     if not region.contains(point):
         raise ValueError("certificate point must lie inside the delay-rate region")
     if not region.tight_rows(point):
         raise ValueError("certificate point must lie on the delay-rate boundary")
-    log_p = math.log2(config.power)
-    shifted = point + GAP_BITS
-    for k, load in enumerate(prefix_loads(config), start=1):
-        lhs = float(np.sum(shifted[:k])) + float(load) / delay
-        if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - TOL:
-            return True
-    return False
+    converse = _delay_rate_view(delay, config, power, lambda k, y, reserved: y + 1.0 - reserved)
+    return bool(np.any(converse.lhs(point + GAP_BITS) > converse.rhs - TOL))
 
 
 def write_region_csv(named: dict[str, RateRegion], stream: IO[str]) -> None:

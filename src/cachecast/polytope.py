@@ -114,15 +114,11 @@ class Polytope:
 
     @classmethod
     def from_json(cls, text: str) -> "Polytope":
+        """Load a `to_json` dump, its rows checked as `build` checks them."""
         payload = json.loads(text)
-        rows = [
-            (
-                tuple(Fraction(n, d) for n, d in row["coeffs"]),
-                Fraction(*row["rhs"]),
-            )
-            for row in payload["rows"]
-        ]
-        return cls(variables=tuple(payload["variables"]), rows=tuple(rows))
+        rows = (([Fraction(n, d) for n, d in row["coeffs"]], Fraction(*row["rhs"]))
+                for row in payload["rows"])
+        return cls.build(payload["variables"], rows)
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -70,13 +70,14 @@ CONVERSE_FACTOR = Fraction(201, 100)
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Problem instance: K users, N files, cache fraction mu, strengths, power."""
+    """Problem instance in the GDoF limit: K users, N files, cache fraction mu,
+    strengths.  The finite-SNR refinement's nominal P is an argument of the
+    `finite_snr` builders, not a field here."""
 
     num_users: int
     num_files: int
     mu: Fraction
     alpha: tuple[Fraction, ...]
-    power: float = 100.0
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_files < 1:
@@ -85,8 +86,6 @@ class SystemConfig:
         object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
         if not 0 <= self.mu <= 1:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if not 1 < self.power < INF:  # also refuses nan
-            raise ValueError(f"nominal power must be finite and exceed 1, got {self.power}")
 
     @property
     def cache_budget(self) -> Fraction:
@@ -252,15 +251,13 @@ def topological_hole_region(config: SystemConfig) -> Polytope:
     extra load their prefix constraint carries relative to the bottleneck:
 
         r_{k*+1} + ... + r_k <= alpha_{k*+1} - alpha_{k*} * (load_k / load_k*).
+
+    Defined where `bottleneck_user` is, short of a full cache.
     """
-    if not config.integer_budget:
-        raise ValueError("hole analysis requires an integer cache budget")
-    if config.num_files < config.num_users:
-        raise ValueError("hole analysis requires N >= K")
+    star = bottleneck_user(config)
     K = config.num_users
     if config.cache_budget >= K:
         raise ValueError("a full cache leaves no content traffic to protect")
-    star = bottleneck_user(config)
     loads = prefix_loads(config)
     names = [unicast_name(k) for k in range(1, K + 1)]
     rows = []

@@ -273,14 +273,14 @@ def test_criterion_7_constant_gap_certificates():
         alpha = random_strengths(rng, K, denom_hi=20)
         power = 2.0 ** float(rng.integers(6, 41))
         mu = F(int(rng.integers(0, 2 * K + 1)), 2 * K)
-        cfg = SystemConfig(K, N, mu, alpha, power)
+        cfg = SystemConfig(K, N, mu, alpha)
         delay = 1.0
-        while np.any(delay_rate_inner_region(delay, cfg).rhs < 0):
+        while np.any(delay_rate_inner_region(delay, cfg, power).rhs < 0):
             delay *= 2.0
-        region = delay_rate_inner_region(delay, cfg)
+        region = delay_rate_inner_region(delay, cfg, power)
         point = sample_boundary_point(region, rng)
         delay_checked += 1
-        if not delay_rate_gap_certificate(delay, cfg, point):
+        if not delay_rate_gap_certificate(delay, cfg, power, point):
             delay_failures += 1
     ok = rate_failures == 0 and delay_failures == 0
     report(

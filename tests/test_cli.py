@@ -210,7 +210,15 @@ class TestFlagsPerCommand:
         argv = [command, *self.VALID[command], flag, value, "--out", str(out_file)]
         code, out, err = refused(argv, capsys)
         assert code == 2 and f"unrecognized arguments: {flag} {value}" in err
+        assert err.startswith(f"usage: cachecast {command} ")  # the command's usage, not the top's
         assert out == "" and not out_file.exists()
+
+    def test_flag_the_command_does_not_take_prints_its_usage(self, capsys):
+        code, out, err = refused(["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--r", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cachecast verify ")
+        assert "--region-trials" in err.split("error:")[0]
+        assert err.endswith("error: unrecognized arguments: --r 1\n")
 
     @pytest.mark.parametrize("command", ["region", "finite-snr"])
     def test_sigma_from_config(self, command, tmp_path, capsys):
@@ -429,6 +437,15 @@ class TestShapeAndCountErrors:
         code, out, err = run(["holes", "--K", "2", "--alpha", "1/2,1", "--mu", "1/2"], capsys)
         assert code == 2
         assert "--N is required" in err and out == ""
+
+    def test_holes_without_cache_size_is_usage_error(self, tmp_path, capsys):
+        # no silent mu = 0: holes reads one cache size, from --mu or the config file
+        out_file = tmp_path / "out"
+        argv = ["holes", "--K", "3", "--N", "3", "--alpha", "0.4,0.9,1", "--out", str(out_file)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --mu is required (flag or config file)\n"
+        assert not out_file.exists()
 
 
 class TestSweepMemory:

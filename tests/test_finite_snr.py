@@ -14,15 +14,15 @@ from cachecast.finite_snr import (
     sample_boundary_point,
     write_region_csv,
 )
-from cachecast.tradeoff import SystemConfig
+from cachecast.tradeoff import SystemConfig, prefix_loads
 
 ALPHA2 = (F(1, 2), F(1))
 ALPHA3 = (F(2, 5), F(9, 10), F(1))
 ALPHA4 = (F("0.45"), F("0.65"), F("0.85"), F(1))
 
 
-def cfg(K, N, mu, alpha, power):
-    return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha, power=power)
+def cfg(K, N, mu, alpha):
+    return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha)
 
 
 class TestInnerOuter:
@@ -35,8 +35,8 @@ class TestInnerOuter:
         assert np.allclose(region.rhs, 0.0)
 
     def test_unit_power_flagged(self):
-        region = inner_rate_region(2, 2, ALPHA2, 1.0)
-        assert np.allclose(region.rhs, 0.0)
+        with pytest.raises(ValueError, match="nominal power must be finite and exceed 1, got 1.0"):
+            inner_rate_region(2, 2, ALPHA2, 1.0)
 
     def test_outer_exact_power_of_two(self):
         region = outer_rate_region(2, 2, (F(1), F(1)), 1023.0)
@@ -108,15 +108,15 @@ class TestCertificates:
 
 class TestDelayRate:
     def test_full_memory_is_pure_unicast(self):
-        config = cfg(3, 3, 1, ALPHA3, 2.0**20)
-        region = delay_rate_inner_region(1.0, config)
+        config = cfg(3, 3, 1, ALPHA3)
+        region = delay_rate_inner_region(1.0, config, 2.0**20)
         expected = [max(0.0, float(a) * 20 - k) for k, a in enumerate(ALPHA3, 1)]
         assert np.allclose(region.rhs, expected)
 
     def test_load_term_scales_with_delay(self):
-        config = cfg(3, 3, F(1, 3), ALPHA3, 2.0**20)
-        tight = delay_rate_inner_region(1.0, config)
-        slack = delay_rate_inner_region(2.0, config)
+        config = cfg(3, 3, F(1, 3), ALPHA3)
+        tight = delay_rate_inner_region(1.0, config, 2.0**20)
+        slack = delay_rate_inner_region(2.0, config, 2.0**20)
         # doubling the delay returns half the reserved load to the rates
         diff = slack.rhs - tight.rhs
         base = [max(0.0, float(a) * 20 - k) for k, a in enumerate(ALPHA3, 1)]
@@ -132,18 +132,74 @@ class TestDelayRate:
         alpha = tuple(F(int(c), 20) for c in cuts) + (F(1),)
         power = 2.0 ** float(rng.integers(6, 41))
         mu = F(int(rng.integers(0, 2 * K + 1)), 2 * K)
-        config = cfg(K, N, mu, alpha, power)
-        # pick a delay that keeps every row budget nonnegative
-        delay = 1.0
-        while np.any(delay_rate_inner_region(delay, config).rhs < 0):
-            delay *= 2.0
-        region = delay_rate_inner_region(delay, config)
+        config = cfg(K, N, mu, alpha)
+        delay = nonnegative_delay(config, power)
+        region = delay_rate_inner_region(delay, config, power)
         point = sample_boundary_point(region, rng)
-        assert delay_rate_gap_certificate(delay, config, point)
+        assert delay_rate_gap_certificate(delay, config, power, point)
 
     def test_rejects_nonpositive_delay(self):
         with pytest.raises(ValueError):
-            delay_rate_inner_region(0.0, cfg(3, 3, F(1, 3), ALPHA3, 2.0**20))
+            delay_rate_inner_region(0.0, cfg(3, 3, F(1, 3), ALPHA3), 2.0**20)
+
+    def test_certificate_matches_the_prefix_sum_loop(self):
+        rng = np.random.default_rng(2026)
+        checked = 0
+        for _ in range(60):
+            K = int(rng.integers(2, 6))
+            N = int(rng.integers(1, 7))
+            cuts = np.sort(rng.integers(4, 20, size=K - 1))
+            alpha = tuple(F(int(c), 20) for c in cuts) + (F(1),)
+            power = 2.0 ** float(rng.integers(4, 41))
+            config = cfg(K, N, F(int(rng.integers(0, 2 * K + 1)), 2 * K), alpha)
+            base = nonnegative_delay(config, power)
+            for delay in (base, 2 * base, 4 * base):
+                region = delay_rate_inner_region(delay, config, power)
+                budgets = [max(0.0, float(a) * math.log2(power) - k) - float(load) / delay
+                           for k, (a, load) in enumerate(zip(alpha, prefix_loads(config)), start=1)]
+                assert region.rhs.tolist() == budgets
+                for _ in range(5):
+                    point = sample_boundary_point(region, rng)
+                    assert delay_rate_gap_certificate(delay, config, power, point) == \
+                        prefix_sum_certificate(delay, config, power, point), (config, power, delay, point)
+                    checked += 1
+        assert checked == 900
+
+
+def nonnegative_delay(config, power: float) -> float:
+    """The first delay 1, 2, 4, ... that keeps every row budget nonnegative."""
+    delay = 1.0
+    while np.any(delay_rate_inner_region(delay, config, power).rhs < 0):
+        delay *= 2.0
+    return delay
+
+
+def prefix_sum_certificate(delay: float, config, power: float, point) -> bool:
+    """Oracle for `delay_rate_gap_certificate` on a boundary point: the converse
+    written out as one prefix sum of the shifted point per user prefix."""
+    log_p = math.log2(power)
+    shifted = np.asarray(point, dtype=float) + 2.0
+    for k, load in enumerate(prefix_loads(config), start=1):
+        lhs = float(np.sum(shifted[:k])) + float(load) / delay
+        if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - 1e-9:
+            return True
+    return False
+
+
+POWER_BUILDERS = {
+    "inner": lambda power: inner_rate_region(2, 2, ALPHA2, power),
+    "outer": lambda power: outer_rate_region(2, 2, ALPHA2, power),
+    "delay-inner": lambda power: delay_rate_inner_region(1.0, cfg(3, 3, 1, ALPHA3), power),
+    "delay-cert": lambda power: delay_rate_gap_certificate(1.0, cfg(3, 3, 1, ALPHA3), power, [0.0] * 3),
+}
+
+
+class TestPowerRefusal:
+    @pytest.mark.parametrize("power", [1.0, 0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("builder", sorted(POWER_BUILDERS))
+    def test_power_must_be_finite_and_above_one(self, builder, power):
+        with pytest.raises(ValueError, match=f"nominal power must be finite and exceed 1, got {power}"):
+            POWER_BUILDERS[builder](power)
 
 
 def two_user_exact_rates(q: float, alpha, power: float) -> tuple[float, float]:

@@ -285,6 +285,13 @@ def test_json_round_trip():
     assert q == p
 
 
+def test_json_row_of_wrong_length_is_refused():
+    # one coefficient over (x, y): loaded as is, its only vertex would be (0, 0)
+    dump = '{"variables": ["x", "y"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}]}'
+    with pytest.raises(ValueError, match="row length does not match variable count"):
+        Polytope.from_json(dump)
+
+
 def test_maximize_reports_unbounded():
     p = Polytope.build(["x", "y"], [((1, 0), 1)])
     assert p.maximize({"y": 1}).status == "unbounded"

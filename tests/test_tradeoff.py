@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -26,8 +27,8 @@ ALPHA3 = (F(2, 5), F(9, 10), F(1))
 FIG_ALPHA = (F("0.45"), F("0.65"), F("0.85"), F(1))
 
 
-def config(K, N, mu, alpha, power=100.0):
-    return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha, power=power)
+def config(K, N, mu, alpha):
+    return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha)
 
 
 def random_config(rng, max_users=6, integer_budget=None):
@@ -86,10 +87,10 @@ class TestPrefixLoads:
                 assert loads == expected, (K, N, j)
                 assert all(type(load) is F for load in loads)
 
-    @pytest.mark.parametrize("power", [1.0, 0.5, math.nan, math.inf, -math.inf])
-    def test_power_must_be_finite_and_above_one(self, power):
-        with pytest.raises(ValueError, match="finite and exceed 1"):
-            SystemConfig(num_users=3, num_files=3, mu=F(1, 3), alpha=ALPHA3, power=power)
+    def test_config_holds_no_power(self):
+        # the nominal power is an argument of the finite_snr builders alone
+        fields = [f.name for f in dataclasses.fields(SystemConfig)]
+        assert fields == ["num_users", "num_files", "mu", "alpha"]
 
     def test_float_mu_is_refused(self):
         with pytest.raises(TypeError):
@@ -440,6 +441,12 @@ class TestHoles:
     def test_full_cache_rejected(self):
         with pytest.raises(ValueError):
             topological_hole_region(config(3, 3, 1, ALPHA3))
+
+    @pytest.mark.parametrize("N, mu, message", [(2, F(1, 3), "defined for N >= K"),
+                                                (3, F(1, 2), "defined for integer cache budgets")])
+    def test_refusals_are_the_bottleneck_users(self, N, mu, message):
+        with pytest.raises(ValueError, match=message):
+            topological_hole_region(config(3, N, mu, ALPHA3))
 
 
 class TestLowerBound:
