@@ -2,7 +2,8 @@
 
 The package splits into:
 
-* `combinatorics` -- groups, binomials, load sequences, convex envelopes;
+* `combinatorics` -- group counts, load sequences, convex envelopes (groups
+  come in `itertools.combinations` order);
 * `caching`       -- bit-exact placement, XOR delivery and decoding;
 * `polytope`/`lp` -- exact rational regions, Fourier-Motzkin, LP oracle;
 * `regions`       -- the GDoF regions of the unicast + multicast channel;
@@ -12,10 +13,8 @@ The package splits into:
 """
 
 from .combinatorics import (
-    binom,
     coded_load,
     cumulative_group_count,
-    enumerate_groups,
     is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,

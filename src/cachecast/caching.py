@@ -36,6 +36,7 @@ Users are 1-based; demand entries are 1-based file indices.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import Group, binom
+from .combinatorics import Group
 
 
 class Bits:
@@ -139,7 +140,7 @@ class FileLibrary:
         if len(sizes) != 1:
             raise ValueError("all files must have the same bit length")
         (bits,) = sizes
-        pieces = binom(self.num_users, self.split_order)
+        pieces = math.comb(self.num_users, self.split_order)
         if bits < 1:  # every user would "decode" the empty file
             raise ValueError("library files must have at least one bit")
         if bits % pieces != 0:
@@ -157,7 +158,7 @@ class FileLibrary:
 
     @cached_property
     def subfile_bits(self) -> int:
-        return self.file_bits // binom(self.num_users, self.split_order)
+        return self.file_bits // math.comb(self.num_users, self.split_order)
 
     def subfile_subsets(self) -> list[Group]:
         return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]
@@ -213,7 +214,7 @@ def random_library(
     cannot be changed by any of them.
     """
     if file_bits is None:
-        file_bits = 8 * binom(num_users, split_order)
+        file_bits = 8 * math.comb(num_users, split_order)
     rng = np.random.default_rng(seed)
     pad = -file_bits % 8
 
@@ -315,8 +316,6 @@ def encode_multicast(
     """One XOR payload per (t+1)-group intersecting the leader set, in
     lexicographic group order."""
     sigma = library.split_order + 1
-    if sigma > library.num_users:
-        return []  # full caches: nothing to deliver
     subfiles, size = library._subfile_views, library.subfile_bits
     leader_set = set(leaders.leaders)
     payloads = []

@@ -148,6 +148,13 @@ def _count(args, flag: str, default):
     return default if value is None else value
 
 
+def _seed(args) -> int:
+    """The --seed value, 0 when unset; no generator takes a negative seed."""
+    if (args.seed or 0) < 0:
+        raise ValueError(f"--seed must be a whole number of at least 0, got {args.seed}")
+    return args.seed or 0
+
+
 @contextlib.contextmanager
 def _output(args):
     """The --out file, closed on exit, or stdout."""
@@ -279,7 +286,7 @@ def cmd_region(args) -> int:
 def _caching_sweeps(args) -> list:
     """The caching stage's (library, demand tuples) pairs, one per (K, N, t);
     every library is drawn here, before --out is opened."""
-    seed, d = args.seed or 0, None
+    seed, d = _seed(args), None
     file_bits = _count(args, "--B", None)
     K, N = _count(args, "--K", None), _count(args, "--N", None)
     if (K is None) != (N is None):
@@ -314,7 +321,7 @@ def _caching_sweeps(args) -> list:
 
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
     """Verify each demand tuple end to end and write its NDJSON record."""
-    seed = args.seed or 0
+    seed = _seed(args)
     checked = failures = 0
 
     def write(K, N, split, d, ok, **extra) -> None:
@@ -337,7 +344,7 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
 
 def _verify_region_equality(args, trials: int) -> tuple[int, int]:
     """Certify that eliminating the power exponents reproduces the region."""
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(_seed(args))
     checked = failures = 0
     for K in (2, 3, 4):
         for sigma in range(2, K + 1):
@@ -381,7 +388,7 @@ def cmd_finite_snr(args) -> int:
     count = _count(args, "--certificates", 20)
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(_seed(args))
     points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(count)]
     outcomes = [finite_snr.constant_gap_certificate(inner, outer, p) for p in points]
     with _output(args) as out:

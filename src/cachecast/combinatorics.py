@@ -1,10 +1,11 @@
 """Exact combinatorial primitives shared by the caching and region machinery.
 
-Users are indexed 1..K and a multicast group is a subset of users, held as a
-sorted tuple.  Groups of a fixed size sigma are enumerated in lexicographic
-order, which fixes the message indexing used everywhere else in the package
-and lists the groups by their weakest (minimum) member.  With Sigma_i the
-sigma-groups whose weakest member is i, the cumulative count identity
+Users are indexed 1..K and a multicast group is a sorted tuple of users.
+Groups of size sigma come in the lexicographic order of
+`itertools.combinations` over 1..K, which fixes the message indexing used
+everywhere else in the package and lists the groups by their weakest
+(minimum) member.  Binomials are `math.comb`.  With Sigma_i the sigma-groups
+whose weakest member is i, the cumulative count identity
 
     |Sigma_1 u ... u Sigma_j| = C(K, sigma) - C(K - j, sigma),
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .lp import _frac
@@ -30,31 +30,11 @@ from .lp import _frac
 Group = tuple[int, ...]
 
 
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for n < k."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError(f"binom expects integers, got ({n!r}, {k!r})")
-    if n < 0 or k < 0:
-        raise ValueError(f"binom expects nonnegative arguments, got ({n}, {k})")
-    if n < k:
-        return 0
-    return math.comb(n, k)
-
-
-def enumerate_groups(num_users: int, group_size: int) -> list[Group]:
-    """All C(K, sigma) groups of `group_size` users out of 1..K, lexicographic."""
-    if not 1 <= group_size <= num_users:
-        raise ValueError(
-            f"group size must lie in [1, {num_users}], got {group_size}"
-        )
-    return [tuple(g) for g in combinations(range(1, num_users + 1), group_size)]
-
-
 def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
     """Closed form for the number of sigma-groups with minimum member <= j."""
     if not 0 <= j <= num_users:
         raise ValueError(f"j must lie in [0, {num_users}], got {j}")
-    return binom(num_users, group_size) - binom(num_users - j, group_size)
+    return math.comb(num_users, group_size) - math.comb(num_users - j, group_size)
 
 
 def coded_load(num_users: int, served: int, n: int) -> Fraction:
@@ -76,8 +56,7 @@ def coded_load(num_users: int, served: int, n: int) -> Fraction:
         raise ValueError(f"served must lie in [1, {num_users}], got {served}")
     if not 0 <= n <= num_users:
         raise ValueError(f"cached subfile count must lie in [0, {num_users}], got {n}")
-    num = math.comb(num_users, n + 1) - math.comb(num_users - served, n + 1)
-    return Fraction(num, math.comb(num_users, n))
+    return Fraction(cumulative_group_count(num_users, n + 1, served), math.comb(num_users, n))
 
 
 def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:

@@ -47,17 +47,17 @@ class RateRegion:
     def lhs(self, point: Sequence[float]) -> np.ndarray:
         return self.coeffs @ np.asarray(point, dtype=float)
 
-    def contains(self, point: Sequence[float], tol: float = TOL) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= -tol) and np.all(self.lhs(p) <= self.rhs + tol))
+        return bool(np.all(p >= -TOL) and np.all(self.lhs(p) <= self.rhs + TOL))
 
-    def tight_rows(self, point: Sequence[float], tol: float = TOL) -> list[int]:
+    def tight_rows(self, point: Sequence[float]) -> list[int]:
         slack = self.rhs - self.lhs(point)
-        return [i for i, s in enumerate(slack) if abs(s) <= tol]
+        return [i for i, s in enumerate(slack) if abs(s) <= TOL]
 
-    def violated_rows(self, point: Sequence[float], tol: float = TOL) -> list[int]:
+    def violated_rows(self, point: Sequence[float]) -> list[int]:
         slack = self.rhs - self.lhs(point)
-        return [i for i, s in enumerate(slack) if s < -tol]
+        return [i for i, s in enumerate(slack) if s < -TOL]
 
 
 def _log2_power(power: float) -> float:

@@ -68,16 +68,13 @@ class Polytope:
     def index(self, name: str) -> int:
         return self.variables.index(name)
 
-    def point_values(self, point: Mapping[str, object]) -> tuple[Fraction, ...]:
-        missing = set(self.variables) - set(point)
-        if missing:
-            raise ValueError(f"point is missing coordinates {sorted(missing)}")
-        return tuple(_frac(point[v]) for v in self.variables)
-
     def contains(self, point) -> bool:
         """Row evaluation; `point` is a mapping from names or a value vector."""
         if isinstance(point, Mapping):
-            values = self.point_values(point)
+            missing = set(self.variables) - set(point)
+            if missing:
+                raise ValueError(f"point is missing coordinates {sorted(missing)}")
+            values = tuple(_frac(point[v]) for v in self.variables)
         else:
             values = tuple(_frac(p) for p in point)
             if len(values) != len(self.variables):

@@ -20,10 +20,10 @@ row builder `cumulative_region`, and every per-prefix slack from `prefix_gaps`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from .combinatorics import Group, cumulative_group_count, enumerate_groups
+from .combinatorics import Group, cumulative_group_count
 from .lp import _frac
 from .polytope import Polytope
 
@@ -31,8 +31,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def validate_strengths(alpha: Sequence) -> tuple[Fraction, ...]:
-    """Check 0 < alpha_1 <= ... <= alpha_K = 1 and return exact values."""
+def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
+    """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user."""
     vals = tuple(_frac(a) for a in alpha)
     if not vals:
         raise ValueError("at least one channel strength is required")
@@ -44,18 +44,12 @@ def validate_strengths(alpha: Sequence) -> tuple[Fraction, ...]:
         raise ValueError(
             f"strengths must be normalized with alpha_K = 1, got alpha_K = {vals[-1]}"
         )
-    return vals
-
-
-def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
-    """Exact strengths of a K-user channel: valid, and exactly one per user."""
-    alphas = validate_strengths(alpha)
-    if len(alphas) != num_users:
+    if len(vals) != num_users:
         raise ValueError(
             f"one channel strength per user is required: K = {num_users}, "
-            f"got {len(alphas)} strengths"
+            f"got {len(vals)} strengths"
         )
-    return alphas
+    return vals
 
 
 def unicast_name(user: int) -> str:
@@ -101,7 +95,7 @@ def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
     """The sigma-groups of the full and power-exponent regions, sigma in [2, K]."""
     if not 2 <= group_size <= num_users:
         raise ValueError(f"group size must lie in [2, {num_users}], got {group_size}")
-    return enumerate_groups(num_users, group_size)
+    return list(combinations(range(1, num_users + 1), group_size))
 
 
 def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
@@ -131,10 +125,10 @@ def _shared_counts(num_users: int, group_size: int, leaders: Sequence[int]) -> l
             f"multicast group size must lie in [1, {num_users}], got {group_size}"
         )
     lead = sorted(set(leaders))
+    if lead and (lead[0] < 1 or lead[-1] > num_users):
+        raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
     if not lead or lead[0] != 1:
         raise ValueError(f"the weakest user must lead, got leaders {leaders}")
-    if lead[-1] > num_users:
-        raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
     return [
         cumulative_group_count(num_users, group_size, sum(u <= k for u in lead))
         for k in range(1, num_users + 1)
@@ -151,9 +145,7 @@ def symmetric_projection(
 
         sum_{i<=k} r_i + [C(K,sigma) - C(K-min(k,s),sigma)] r_sym <= alpha_k.
     """
-    alphas = user_strengths(num_users, alpha)
-    counts = _shared_counts(num_users, group_size, _covered(num_users, s))
-    return cumulative_region(alphas, ["r_sym"], lambda k: [counts[k - 1]])
+    return build_missing_message_region(num_users, group_size, alpha, _covered(num_users, s))
 
 
 def max_symmetric_gdof(

@@ -28,16 +28,15 @@ code paths:
   neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
-per mu with the same K, N, alpha and r, so what does not depend on mu is
-built once per curve and kept for the next call (one entry each, compared
-by value; see `combinatorics._remember_last`):
+per mu with the same K, N, alpha and r.  One-entry memos, compared by value
+(see `combinatorics._remember_last`), keep what those calls share:
 
-* per (K, N): the coded loads c_0..c_K of every served count;
-* per (K, N, alpha, r): the prefix gaps, and, only when memory sharing asks,
-  its max-over-users sequence, whose lower hull `lower_convex_envelope`
-  keeps;
-* per mu: the chord loads, which the achievable time and the converse of
-  one row share, the load-to-gap ratios and one hull evaluation.
+* `_load_sequences`, per (K, N): the coded loads of every served count;
+* `_gaps`, per (alpha, r): the prefix gaps;
+* `_maxed`, per (K, N) and gaps, only when memory sharing asks: its
+  max-over-users sequence, whose lower hull `lower_convex_envelope` keeps;
+* `prefix_loads`, per `SystemConfig`: the chord loads of one mu, which the
+  achievable time and the converse share.
 
 A division-free converse companion assembles the per-prefix information
 bounds (each 1/2.01 of the corresponding achievability row), the bottleneck
@@ -50,7 +49,6 @@ exhausted channel prefix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,39 +110,31 @@ def _load_sequences(num_users: int, served: int) -> tuple[tuple[Fraction, ...], 
     return tuple(tuple(multicast_load_sequence(num_users, m)) for m in range(1, served + 1))
 
 
-@dataclass(frozen=True)
-class _Curve:
-    """What every cache budget of one (K, N, alpha, r) curve shares."""
-
-    num_users: int
-    num_files: int
-    gaps: tuple[Fraction, ...]
-
-    @functools.cached_property
-    def maxed(self) -> tuple[Fraction, ...] | None:
-        """max over prefixes of c_n / gap for n = 0..K; None if a prefix is exhausted."""
-        served = min(self.num_users, self.num_files)
-        # prefixes served..K carry the same loads, so their smallest gap binds
-        gaps = self.gaps[: served - 1] + (min(self.gaps[served - 1 :]),)
-        sequences = _load_sequences(self.num_users, served)
-        maxed = tuple(
-            max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
-            for n in range(self.num_users + 1)
-        )
-        return None if INF in maxed else maxed
+def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
+    """The unicast tuple r as exact values, the key of the per-curve memos."""
+    return None if r is None else tuple(_frac(x) for x in r)
 
 
 @_remember_last
-def _curve(num_users: int, num_files: int, alpha: tuple, r: tuple | None) -> _Curve:
-    return _Curve(num_users, num_files, tuple(prefix_gaps(alpha, r)))
+def _gaps(alpha: tuple, r: tuple | None) -> tuple[Fraction, ...]:
+    return tuple(prefix_gaps(alpha, r))
 
 
-def _shared(config: SystemConfig, r: Sequence | None) -> _Curve:
-    """The curve through `config` with unicast tuple r, kept for the next budget."""
-    key = None if r is None else tuple(_frac(x) for x in r)
-    return _curve(config.num_users, config.num_files, config.alpha, key)
+@_remember_last
+def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
+    """max over prefixes of c_n / gap for n = 0..K; None if a prefix is exhausted."""
+    served = min(num_users, num_files)
+    # prefixes served..K carry the same loads, so their smallest gap binds
+    gaps = gaps[: served - 1] + (min(gaps[served - 1 :]),)
+    sequences = _load_sequences(num_users, served)
+    maxed = tuple(
+        max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
+        for n in range(num_users + 1)
+    )
+    return None if INF in maxed else maxed
 
 
+@_remember_last
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     """env_k(K*mu) for every user prefix k = 1..K.
 
@@ -153,23 +143,19 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     same N users as prefix N, so only min(K, N) loads are computed and the
     last one is repeated.
     """
-    return _chord_loads(config.num_users, config.num_files, config.cache_budget)
-
-
-@_remember_last
-def _chord_loads(num_users: int, num_files: int, budget: Fraction) -> tuple[Fraction, ...]:
+    K, budget = config.num_users, config.cache_budget
     low = budget.numerator // budget.denominator  # floor
     step = budget - low
     loads = [
         seq[low] + step * (seq[low + 1] - seq[low]) if step else seq[low]
-        for seq in _load_sequences(num_users, min(num_users, num_files))
+        for seq in _load_sequences(K, min(K, config.num_files))
     ]
-    return tuple(loads) + (loads[-1],) * (num_users - len(loads))
+    return tuple(loads) + (loads[-1],) * (K - len(loads))
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    gaps = _shared(config, r).gaps
+    gaps = _gaps(config.alpha, _key(r))
     return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
@@ -182,7 +168,7 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     budgets and is never below it elsewhere.
     """
     budget = config.cache_budget
-    maxed = _shared(config, r).maxed
+    maxed = _maxed(config.num_users, config.num_files, _gaps(config.alpha, _key(r)))
     if maxed is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
         if budget == config.num_users:
@@ -207,7 +193,7 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     K, N = config.num_users, config.num_files
     sequences = _load_sequences(K, min(K, N))
     best = ZERO
-    for k, gap in enumerate(_shared(config, r).gaps, start=1):
+    for k, gap in enumerate(_gaps(config.alpha, _key(r)), start=1):
         seq = sequences[min(k, N) - 1]
         load = lam * seq[low] + (1 - lam) * seq[low + 1]
         best = max(best, _ratio(load, gap))
@@ -223,7 +209,7 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     Structurally the max equals `gndt_ub` / 2.01, but the value is built from
     the per-prefix rows, not by dividing.
     """
-    gaps = _shared(config, r).gaps
+    gaps = _gaps(config.alpha, _key(r))
     return max(
         _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
     )

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -20,7 +21,6 @@ from cachecast.caching import (
     reconstruct_missing,
     select_leaders,
 )
-from cachecast.combinatorics import binom
 
 
 def sent(d, library, leaders):
@@ -172,7 +172,7 @@ class TestPlacement:
         for cache in caches:
             assert cache.stored_bits == 24  # M*B with M = N*t/K = 1
         # general identity: N * B * C(K-1, t-1) / C(K, t)
-        expected = 3 * 24 * binom(2, 0) // binom(3, 1)
+        expected = 3 * 24 * math.comb(2, 0) // math.comb(3, 1)
         assert caches[0].stored_bits == expected
 
     def test_only_own_subsets_cached(self):
@@ -239,7 +239,7 @@ class TestEncoding:
         lib = random_library(2, 4, 1, seed=4)
         d = (1, 2, 1, 2)
         payloads = encode_multicast(d, lib, select_leaders(d))
-        assert len(payloads) == binom(4, 2) - binom(2, 2) == 5
+        assert len(payloads) == math.comb(4, 2) - math.comb(2, 2) == 5
 
     def test_count_for_general_leaders(self):
         lib = random_library(2, 4, 1, seed=4)

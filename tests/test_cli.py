@@ -365,6 +365,8 @@ class TestShapeAndCountErrors:
               "--gamma", "3", "--s", "9"], "s must lie in [1, 3], got 9"),
             (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing",
               "--leaders", "1,7"], "leaders must be users in [1, 3]"),
+            (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "missing",
+              "--leaders", "0,1"], "leaders must be users in [1, 3], got [0, 1]"),
             (["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", "symmetric",
               "--s", "0"], "--s must be a whole number of at least 1, got 0"),
             (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--certificates", "0"],
@@ -411,14 +413,18 @@ class TestShapeAndCountErrors:
              "--mu and --mu-grid are alternatives"),
             (["sweep-memory", *TestUsageErrors.TWO, "--mu-grid", "0:1:1/2", "--mu", "1/3"],
              "--mu and --mu-grid are alternatives"),
+            (["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--seed", "-1"],
+             "--seed must be a whole number of at least 0, got -1"),
+            (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--seed", "-3"],
+             "--seed must be a whole number of at least 0, got -3"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
-             "missing-leader", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
+             "missing-leader", "missing-leader-0", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
              "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
              "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
              "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
              "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
-             "grid-zero-step", "mu-and-grid", "grid-and-mu"],
+             "grid-zero-step", "mu-and-grid", "grid-and-mu", "verify-seed-neg", "finite-snr-seed-neg"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"
@@ -426,6 +432,16 @@ class TestShapeAndCountErrors:
         assert code == 2
         assert message in err and "Traceback" not in err
         assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [["verify", "--K", "2", "--N", "2", "--mu", "1/2"],
+                                      ["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1"]])
+    def test_negative_seed_from_config_is_usage_error(self, argv, tmp_path, capsys):
+        config, out_file = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"seed": -1}))
+        code, out, err = run([*argv, "--config", str(config), "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a whole number of at least 0, got -1\n"
+        assert not out_file.exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

@@ -1,15 +1,14 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecast.combinatorics import (
-    binom,
     coded_load,
     cumulative_group_count,
-    enumerate_groups,
     is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,
@@ -35,41 +34,6 @@ def envelope_oracle(values, x):
     return best
 
 
-class TestBinom:
-    def test_standard(self):
-        assert binom(4, 2) == 6
-        assert binom(12, 6) == 924
-
-    def test_zero_convention_above_n(self):
-        assert binom(3, 4) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binom(-1, 2)
-        with pytest.raises(ValueError):
-            binom(3, -2)
-
-
-class TestGroups:
-    def test_all_pairs_of_three(self):
-        assert enumerate_groups(3, 2) == [(1, 2), (1, 3), (2, 3)]
-
-    def test_single_full_group(self):
-        assert enumerate_groups(3, 3) == [(1, 2, 3)]
-
-    def test_lexicographic_extremes(self):
-        groups = enumerate_groups(4, 2)
-        assert len(groups) == 6
-        assert groups[0] == (1, 2)
-        assert groups[-1] == (3, 4)
-
-    def test_out_of_range_size(self):
-        with pytest.raises(ValueError):
-            enumerate_groups(3, 0)
-        with pytest.raises(ValueError):
-            enumerate_groups(3, 4)
-
-
 class TestCumulativeCount:
     def test_small_cases(self):
         assert cumulative_group_count(3, 2, 1) == 2
@@ -79,7 +43,7 @@ class TestCumulativeCount:
     @pytest.mark.parametrize("num_users", range(2, 9))
     def test_matches_enumeration(self, num_users):
         for sigma in range(2, num_users + 1):
-            groups = enumerate_groups(num_users, sigma)
+            groups = list(combinations(range(1, num_users + 1), sigma))
             for j in range(0, num_users + 1):
                 enumerated = sum(1 for g in groups if min(g) <= j)
                 assert cumulative_group_count(num_users, sigma, j) == enumerated
@@ -181,7 +145,7 @@ class TestLoadSequence:
                 for n, value in enumerate(seq):
                     load = coded_load(K, m, n)
                     assert type(load) is F and load == value
-                    assert load == F(binom(K, n + 1) - binom(K - m, n + 1), binom(K, n))
+                    assert load == F(comb(K, n + 1) - comb(K - m, n + 1), comb(K, n))
 
     def test_coded_load_rejects_out_of_range(self):
         for served, n in ((0, 1), (4, 1), (2, -1), (2, 4)):
@@ -197,13 +161,13 @@ class TestConvexityLemma:
         for K in range(1, 13):
             for m in range(1, K + 1):
                 for n in range(K + 1):
-                    terms = sum(F(binom(K - j, n), binom(K, n)) for j in range(1, m + 1))
+                    terms = sum(F(comb(K - j, n), comb(K, n)) for j in range(1, m + 1))
                     assert coded_load(K, m, n) == terms
 
     def test_term_second_difference(self):
         for K in range(2, 13):
             for j in range(1, K + 1):
-                f = [F(binom(K - j, n), binom(K, n)) for n in range(K + 1)]
+                f = [F(comb(K - j, n), comb(K, n)) for n in range(K + 1)]
                 for n in range(K - 1):
                     second = f[n + 2] - 2 * f[n + 1] + f[n]
                     assert second == f[n] * j * (j - 1) / ((K - n) * (K - n - 1))

@@ -102,6 +102,7 @@ XY = ["x", "y"]
                Polytope.build(XY, [((1, 0), 1)])))  # y is unbounded
 @example(pair=(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box()))  # 0 <= -1
 @settings(max_examples=300, deadline=None)
+@pytest.mark.slow
 def test_warm_started_containment_matches_cold_lps(pair):
     outer, inner = pair
     assert region_contains(outer, inner) == oracle_contains(outer, inner)
@@ -374,6 +375,7 @@ def small_polytopes(draw):
 
 
 class TestVerticesAgainstBruteForce:
+    @pytest.mark.slow
     @given(poly=small_polytopes())
     @settings(max_examples=200, deadline=None)
     def test_random_polytopes(self, poly):
@@ -443,7 +445,7 @@ class TestVerticesBeyondBruteForce:
             region = topological_hole_region(hole_config(K, K, budget))
             assert_vertices_certified(region, vertices(region), rng)
 
-    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("n", [8, 9, pytest.param(10, marks=pytest.mark.slow)])
     def test_random_bounded_polytopes(self, n):
         rng = random.Random(n)
         rows = [((1,) * n, F(rng.randint(3, 9)))]  # bounds the region

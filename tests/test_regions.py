@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from cachecast.combinatorics import binom, enumerate_groups
 from cachecast.polytope import (
     Polytope,
     canonical,
@@ -23,7 +24,7 @@ from cachecast.regions import (
     max_symmetric_gdof,
     prefix_gaps,
     symmetric_projection,
-    validate_strengths,
+    user_strengths,
 )
 
 ALPHA3 = (F(2, 5), F(9, 10), F(1))
@@ -38,22 +39,22 @@ def random_strengths(rng, num_users):
 
 class TestStrengths:
     def test_accepts_ordered_normalized(self):
-        assert validate_strengths(["0.4", "0.9", 1]) == ALPHA3
+        assert user_strengths(3, ["0.4", "0.9", 1]) == ALPHA3
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            validate_strengths([F(1, 2), F(3, 4)])
+        with pytest.raises(ValueError, match="normalized"):
+            user_strengths(2, [F(1, 2), F(3, 4)])
 
     def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            validate_strengths([F(3, 4), F(1, 2), F(1)])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            user_strengths(3, [F(3, 4), F(1, 2), F(1)])
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            validate_strengths([F(0), F(1)])
+        with pytest.raises(ValueError, match="positive"):
+            user_strengths(2, [F(0), F(1)])
 
     def test_ties_allowed(self):
-        validate_strengths([F(1, 2), F(1, 2), F(1)])
+        user_strengths(3, [F(1, 2), F(1, 2), F(1)])
 
 
 class TestBuildRegion:
@@ -114,11 +115,11 @@ class TestSymmetricProjection:
 
     def test_last_row_counts_all_groups(self):
         poly = symmetric_projection(5, 3, (F(1, 4), F(1, 2), F(3, 5), F(4, 5), F(1)), 5)
-        assert poly.rows[-1][0][-1] == binom(5, 3)
+        assert poly.rows[-1][0][-1] == comb(5, 3)
 
     def test_limited_coverage(self):
         poly = symmetric_projection(4, 2, ALPHA4, 2)
-        assert poly.rows[-1][0][-1] == binom(4, 2) - binom(2, 2) == 5
+        assert poly.rows[-1][0][-1] == comb(4, 2) - comb(2, 2) == 5
 
     def test_closed_form_example(self):
         assert max_symmetric_gdof(3, 2, ALPHA3, 3, (0, 0, 0)) == F(1, 5)
@@ -153,7 +154,7 @@ class TestTwoMulticast:
 
     def test_last_row_gamma_count(self):
         poly = build_two_multicast_symmetric(4, 2, 3, ALPHA4, 4)
-        assert poly.rows[-1][0][-1] == binom(4, 3)
+        assert poly.rows[-1][0][-1] == comb(4, 3)
 
     def test_rejects_equal_sizes(self):
         with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ class TestMissingMessageRegion:
         ).maximize({"r_sym": 1})
         n_leaders = len(leaders)
         floor = min(
-            ALPHA4[k - 1] / (binom(4, 2) - binom(4 - min(k, n_leaders), 2))
+            ALPHA4[k - 1] / (comb(4, 2) - comb(4 - min(k, n_leaders), 2))
             for k in range(1, 5)
         )
         assert res.status == "optimal" and res.value >= floor
@@ -244,7 +245,7 @@ class TestSymmetricKinds:
                 others = [u for u in range(2, K + 1) if rng.random() < 0.5]
                 leaders = [1, *others]
                 poly = build_missing_message_region(K, sigma, alpha, leaders)
-                groups = enumerate_groups(K, sigma)
+                groups = list(combinations(range(1, K + 1), sigma))
                 expected = [
                     sum(1 for g in groups if any(u in g for u in leaders if u <= k))
                     for k in range(1, K + 1)
@@ -372,7 +373,7 @@ class TestFourierMotzkin:
         # and it must match the projection with one rate per level
         alpha = ALPHA4
         theorem = build_region(4, 2, alpha)
-        groups = enumerate_groups(4, 2)
+        groups = list(combinations(range(1, 5), 2))
         rho_proj = prune(eliminate(one_rate_per_level(4, alpha), beta_names(4)))
         # evaluate both on matched random points
         rng = np.random.default_rng(3)

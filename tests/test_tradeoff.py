@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachecast.combinatorics import binom, lower_convex_envelope, multicast_load_sequence
+from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
 from cachecast.regions import max_symmetric_gdof, prefix_gaps
 from cachecast.tradeoff import (
@@ -162,7 +162,7 @@ class TestIntegerForm:
             t = int(big.cache_budget)
             K = big.num_users
             direct = max(
-                F(binom(K, t + 1) - binom(K - k, t + 1), binom(K, t)) / big.alpha[k - 1]
+                F(math.comb(K, t + 1) - math.comb(K - k, t + 1), math.comb(K, t)) / big.alpha[k - 1]
                 for k in range(1, K + 1)
             )
             assert gndt_ub(big) == direct
@@ -467,7 +467,7 @@ class TestLowerBound:
     def test_flat_strengths_bind_at_the_last_prefix(self):
         flat = (F(1),) * 4
         cfg = config(4, 4, F(1, 4), flat)
-        last_load = F(binom(4, 2) - binom(0, 2), binom(4, 1))
+        last_load = F(math.comb(4, 2) - math.comb(0, 2), math.comb(4, 1))
         assert gndt_lower_bound(cfg) == last_load / CONVERSE_FACTOR
 
     def test_sandwich(self):
@@ -490,7 +490,7 @@ class TestDecomposition:
             cfg = config(K, K, F(t, K), alpha)
             tau = gndt_ub(cfg)
             best_sym = max_symmetric_gdof(K, t + 1, alpha, K, (0,) * K)
-            assert tau * best_sym == F(1, binom(K, t))
+            assert tau * best_sym == F(1, math.comb(K, t))
 
 
 class TestRegionRouteCrossCheck:
@@ -523,7 +523,7 @@ class TestRegionRouteCrossCheck:
         pinned = fix_variables(poly, {f"r_{k}": r[k - 1] for k in range(1, K + 1)})
         res = pinned.maximize({"r_sym": 1})
         assert res.status == "optimal" and res.value > 0
-        via_region = F(1, binom(K, sigma - 1)) / res.value
+        via_region = F(1, math.comb(K, sigma - 1)) / res.value
         assert via_region == gndt_ub(cfg, r)
 
 
