@@ -36,7 +36,7 @@ print(f"demands {demands}: {len(payloads)} XOR payloads "
 by_group = {p.group: p.bits for p in payloads}
 for user in (1, 2, 3):
     decoded = decode_file(user, by_group, caches[user - 1], demands)
-    wanted = library.files[demands[user - 1] - 1]
+    wanted = library.subfile_values[demands[user - 1] - 1]
     print(f"  user {user} recovers file {demands[user - 1]} bit-exactly: "
           f"{decoded == wanted}")
 
@@ -60,6 +60,6 @@ print(f"  reconstructed W_34 equals its XOR definition: "
 by_group[rebuilt.group] = rebuilt.bits  # the map is complete: decoding only reads it
 for user in (3, 4):
     decoded = decode_file(user, by_group, caches[user - 1], demands)
-    wanted = library.files[demands[user - 1] - 1]
+    wanted = library.subfile_values[demands[user - 1] - 1]
     print(f"  non-leader user {user} recovers file {demands[user - 1]}: "
           f"{decoded == wanted}")

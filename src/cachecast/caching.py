@@ -15,7 +15,10 @@ recompose them as an XOR of transmitted payloads over alternative leader sets
 (the Yu-Maddah-Ali-Avestimehr reconstruction).  The pipeline is three steps
 on one {group: Bits} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
-peels a user's file from that complete map and the user's cache.
+peels a user's subfiles from that complete map and the user's cache.  A
+decoded file stays a tuple of subfile ints, compared subfile by subfile with
+the library's own cut (`FileLibrary.subfile_values`), so no whole file is
+ever joined back together.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -23,12 +26,15 @@ delivery scheme can be checked for bit equality, for every demand tuple.  A
 significant of those bits, so a file's subfiles are consecutive bit ranges
 from the top, and `Bits.packed()` gives the bytes of `np.packbits` (MSB
 first, zero padding on the right).  numpy only draws the seeded library,
-and it reads those bits straight off full-range `uint32` words: numpy draws a
-bounded `uint8` in [0, 2) from the bytes of each 32-bit word, low byte first,
-as `(byte * 2) >> 8` with no rejection, which is the byte's top bit.  Taking
-the top bit of every little-endian byte of `rng.integers(0, 2**32, ...)`
-therefore gives the same bits as `rng.integers(0, 2, dtype=np.uint8)` and
-leaves the generator in the same state, at a fraction of the cost.
+and it reads those bits straight off PCG64's raw 64-bit outputs: numpy draws
+a bounded `uint8` in [0, 2) from the bytes of each `next_uint32` word, low
+byte first, as `(byte * 2) >> 8` with no rejection, which is the byte's top
+bit.  `next_uint32` returns the low half of a fresh 64-bit output and keeps
+the high half for its next call, so the words are the raw outputs read as
+little-endian `uint32` pairs.  Taking the top bit of every little-endian
+byte of `bit_generator.random_raw(...)` therefore gives the same bits as
+`rng.integers(0, 2, dtype=np.uint8)`, at a fraction of the cost, as long as
+the kept half-word is carried by hand (see `random_library`).
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -120,7 +126,8 @@ class FileLibrary:
     t-subsets of [K], each of length B / C(K, t) bits.  The subfiles, cut
     once from the file ints, and the placement are built on first use and
     live as long as the library, so everything that shares one library
-    shares them.
+    shares them.  `subfile_values` holds the cut ints per file and
+    `_subfile_views` wraps the same int objects as `Bits` per subset.
     """
 
     num_users: int
@@ -164,15 +171,23 @@ class FileLibrary:
         return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]
 
     @cached_property
+    def subfile_values(self) -> tuple[tuple[int, ...], ...]:
+        """Per file, its subfile ints in `subfile_subsets()` order, cut by
+        shift and mask: what `decode_file` must give a user of that file."""
+        size = self.subfile_bits
+        pieces, mask = self.file_bits // size, (1 << size) - 1
+        return tuple(
+            tuple(f.value >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
+            for f in self.files
+        )
+
+    @cached_property
     def _subfile_views(self) -> dict[Group, tuple[Bits, ...]]:
-        """{t-subset: its subfile of every file}, cut by shift and mask."""
-        size, subsets = self.subfile_bits, self.subfile_subsets()
-        mask = (1 << size) - 1
+        """{t-subset: its subfile of every file}, on the ints of `subfile_values`."""
+        size = self.subfile_bits
         return {
-            subset: tuple(
-                Bits(f.value >> size * (len(subsets) - 1 - pos) & mask, size) for f in self.files
-            )
-            for pos, subset in enumerate(subsets)
+            subset: tuple(Bits(values[pos], size) for values in self.subfile_values)
+            for pos, subset in enumerate(self.subfile_subsets())
         }
 
     @cached_property
@@ -205,24 +220,35 @@ def random_library(
 
     File i holds the bits that the i-th of `num_files` successive draws
     `rng.integers(0, 2, size=file_bits, dtype=np.uint8)` would give.  Each
-    is read as the top bit of every byte of ceil(file_bits / 4) full-range
-    `uint32` words (see the module docstring).  Both draws take the same
-    `next_uint32` calls, so PCG64's buffered half-word carries from one file
-    to the next as before.  The bytes are shifted in place, so one
+    is read as the top bit of every byte of ceil(file_bits / 4) `next_uint32`
+    words, taken as halves of PCG64's raw outputs (see the module
+    docstring).  A file with an odd word count leaves the high half of its
+    last output unread; `next_uint32` would keep it and hand it out first,
+    so it heads the next file here too, as that file's first 4 bits (a fresh
+    generator keeps none).  The raw bytes are shifted in place, so one
     file_bits-byte array is alive at a time.  Each file is packed once into
     `Bits`, which are immutable: a library shared by many verifications
     cannot be changed by any of them.
     """
     if file_bits is None:
         file_bits = 8 * math.comb(num_users, split_order)
-    rng = np.random.default_rng(seed)
-    pad = -file_bits % 8
+    bit_generator = np.random.default_rng(seed).bit_generator
+    kept = None  # the half-word next_uint32 would hand out next
 
     def draw_file() -> Bits:  # its arrays die on return, before the next draw
-        words = rng.integers(0, 2**32, size=-(-file_bits // 4), dtype=np.uint32)
-        draw = words.astype("<u4", copy=False).view(np.uint8)[:file_bits]
+        nonlocal kept
+        head_bits = 0 if kept is None else min(4, file_bits)
+        head = 0
+        for byte in range(head_bits):  # the top bit of each kept byte, low byte first
+            head = head << 1 | (kept >> 8 * byte + 7) & 1
+        tail_bits = file_bits - head_bits
+        words = -(-tail_bits // 4)
+        raw = bit_generator.random_raw(-(-words // 2))
+        kept = int(raw[-1]) >> 32 if words % 2 else None
+        draw = raw.astype("<u8", copy=False).view(np.uint8)[:tail_bits]
         draw >>= 7
-        return Bits(int.from_bytes(np.packbits(draw).tobytes(), "big") >> pad, file_bits)
+        tail = int.from_bytes(np.packbits(draw).tobytes(), "big") >> -tail_bits % 8
+        return Bits(head << tail_bits | tail, file_bits)
 
     files = tuple(draw_file() for _ in range(num_files))
     return FileLibrary(num_users=num_users, split_order=split_order, files=files)
@@ -367,11 +393,14 @@ def reconstruct_missing(
 
 def decode_file(
     user: int, by_group: dict[Group, Bits], cache: CacheContents, d: Sequence[int]
-) -> Bits:
+) -> tuple[int, ...]:
     """Recover F_{d_user} exactly from the local cache and the {group: bits}
-    map of payloads, reconstructed ones included: this reads the map only."""
-    size = cache.subfile_bits
-    acc = 0
+    map of payloads, reconstructed ones included: this reads the map only.
+
+    The file comes back as its subfile ints in `subfile_subsets()` order,
+    each `subfile_bits` wide, as `FileLibrary.subfile_values` cuts it.
+    """
+    pieces = []
     for group, sides in cache._decode_plan:
         piece = 0
         if group is not None:
@@ -383,8 +412,8 @@ def decode_file(
             piece = coded.value
         for other, values in sides:
             piece ^= values[d[other] - 1]
-        acc = acc << size | piece
-    return Bits(acc, size * len(cache._decode_plan))
+        pieces.append(piece)
+    return tuple(pieces)
 
 
 def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
@@ -406,13 +435,16 @@ def end_to_end_verify(
 ) -> bool:
     """Place, encode, decode every user; True iff all decodes are bit-exact.
 
+    Each user's decoded subfiles are compared, subfile by subfile, with the
+    `subfile_values` of the file that user asked for; no whole file is built.
     `corrupt_payload` flips the first bit of the given payload index before
-    decoding, for exercising failure detection.  `library` replaces the
-    seeded `random_library` draw; it must have the given shape.  Only its
-    demand-independent work (bits, subfiles, placement) is reused: encoding
-    and every decode run afresh for `d`.  The payloads are encoded into one
-    map, each untransmitted all-non-leader payload is reconstructed into it
-    once, and every user decodes from that one map.
+    decoding, for exercising failure detection; at t = K no payload is sent,
+    so asking for one is a ValueError rather than a vacuous pass.  `library`
+    replaces the seeded `random_library` draw; it must have the given shape.
+    Only its demand-independent work (bits, subfiles, placement) is reused:
+    encoding and every decode run afresh for `d`.  The payloads are encoded
+    into one map, each untransmitted all-non-leader payload is reconstructed
+    into it once, and every user decodes from that one map.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)
@@ -431,13 +463,19 @@ def end_to_end_verify(
     leaders = select_leaders(d)
     payloads = encode_multicast(d, library, leaders)
     by_group = {p.group: p.bits for p in payloads}
-    if corrupt_payload is not None and payloads:
+    if corrupt_payload is not None:
+        if not payloads:
+            raise ValueError(
+                f"(K, N, t) = ({num_users}, {num_files}, {split_order}) sends no payload, "
+                "so there is no payload to corrupt"
+            )
         group = payloads[corrupt_payload % len(payloads)].group
         bits = by_group[group]
         by_group[group] = bits ^ Bits(1 << (bits.length - 1), bits.length)  # bit 0
     missing = combinations(leaders.non_leaders, split_order + 1)
     by_group.update({g: reconstruct_missing(by_group, g, leaders, d).bits for g in missing})
+    wanted = library.subfile_values
     return all(
-        decode_file(user, by_group, caches[user - 1], d) == library.files[d[user - 1] - 1]
+        decode_file(user, by_group, caches[user - 1], d) == wanted[d[user - 1] - 1]
         for user in range(1, num_users + 1)
     )

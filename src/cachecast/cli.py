@@ -104,7 +104,9 @@ _ALTERNATIVE = {"mu": "mu_grid", "mu_grid": "mu"}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given."""
+    """Fill unset flags from the JSON config file, if one was given, and
+    note in `args.from_config` which ones it filled."""
+    args.from_config = set()
     if not args.config:
         return args
     try:
@@ -133,7 +135,15 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"{where}: {flag} must be one of {', '.join(choices)}, got {value!r}")
         if attr not in given and _ALTERNATIVE.get(attr) not in given:
             setattr(args, attr, value)
+            args.from_config.add(attr)
     return args
+
+
+def _named(args, flag: str) -> str:
+    """`flag` as an error names it: after its config file if it was read there."""
+    if flag[2:].replace("-", "_") in args.from_config:
+        return f"--config {args.config}: {flag}"
+    return flag
 
 
 def _count(args, flag: str, default):
@@ -144,14 +154,14 @@ def _count(args, flag: str, default):
     """
     value = getattr(args, flag[2:].replace("-", "_"))
     if value is not None and value < 1:
-        raise ValueError(f"{flag} must be a whole number of at least 1, got {value}")
+        raise ValueError(f"{_named(args, flag)} must be a whole number of at least 1, got {value}")
     return default if value is None else value
 
 
 def _seed(args) -> int:
     """The --seed value, 0 when unset; no generator takes a negative seed."""
     if (args.seed or 0) < 0:
-        raise ValueError(f"--seed must be a whole number of at least 0, got {args.seed}")
+        raise ValueError(f"{_named(args, '--seed')} must be a whole number of at least 0, got {args.seed}")
     return args.seed or 0
 
 

@@ -90,6 +90,29 @@ class TestLibrary:
         with pytest.raises(ValueError, match=f"file index {index} is not in 1..2"):
             lib.subfile(index, (1,))
 
+    @pytest.mark.parametrize(
+        "num_files,num_users,split,file_bits,seed",
+        [(2, 3, 3, 2, 1), (3, 3, 1, 3 * 3, 2), (2, 4, 2, 6 * 7, 3), (3, 2, 1, 2 * 9, 4),
+         (2, 4, 1, 4 * (2**12 + 3), 5), (3, 5, 2, 10 * 3, 6)],
+        ids=["1-bit", "3-bit", "7-bit", "9-bit", "4099-bit", "3-bit-ten-subfiles"],
+    )
+    def test_subfile_values_are_the_cut_of_each_file(self, num_files, num_users, split, file_bits, seed):
+        """Joined in subset order, a file's subfile ints give the file back,
+        and each is the int of `subfile(n, s)`, the very object it wraps."""
+        lib = random_library(num_files, num_users, split, file_bits, seed)
+        subsets = lib.subfile_subsets()
+        assert len(lib.subfile_values) == num_files
+        for n, values in enumerate(lib.subfile_values, start=1):
+            assert len(values) == len(subsets)
+            assert all(0 <= v < 1 << lib.subfile_bits for v in values)
+            joined = 0
+            for value in values:
+                joined = joined << lib.subfile_bits | value
+            assert Bits(joined, lib.file_bits) == lib.files[n - 1]
+            for value, subset in zip(values, subsets):
+                assert value == lib.subfile(n, subset).value
+                assert value is lib.subfile(n, subset).value
+
     def test_random_library_is_read_only(self):
         lib = random_library(2, 3, 1, seed=3)
         with pytest.raises(TypeError):
@@ -105,7 +128,8 @@ class TestLibrary:
         # file 2 and later
         + [(1 + b % 4, 1, 0, b, (0, 7, 2**40 + 3)[b % 3]) for b in range(1, 71)]
         + [(2, 1, 0, 2**16 + 1, 11), (3, 1, 0, 2**16 + 2, 12), (4, 1, 0, 2**16 + 5, 13),
-           (3, 1, 0, 2**16 + 7, 14)],
+           (3, 1, 0, 2**16 + 7, 14)]
+        + [(3, 1, 0, 2**18 + 1, 15)],
     )
     def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
         lib = random_library(num_files, num_users, split, file_bits, seed)
@@ -311,7 +335,7 @@ class TestDecoding:
         caches = place_caches(lib)
         assert select_leaders(d).leaders == (1, 2)
         out = decode_file(1, {}, caches[0], d)
-        assert out == lib.files[1]
+        assert out == lib.subfile_values[1]
 
     def test_three_user_example_decodes(self):
         lib = random_library(3, 3, 1, seed=6)
@@ -322,7 +346,7 @@ class TestDecoding:
         own = {group: bits for group, bits in sent(d, lib, leaders).items() if 1 in group}
         assert list(own) == [(1, 2), (1, 3)]
         out = decode_file(1, own, caches[0], d)
-        assert out == lib.files[0]
+        assert out == lib.subfile_values[0]
 
     def test_non_leader_matches_its_leader(self):
         lib = random_library(2, 4, 1, seed=6)
@@ -332,7 +356,7 @@ class TestDecoding:
         by_group = complete(d, lib, leaders)
         strong = decode_file(4, by_group, caches[3], d)
         weak = decode_file(1, by_group, caches[0], d)
-        assert strong == weak and weak == lib.files[0]
+        assert strong == weak and weak == lib.subfile_values[0]
 
     def test_missing_payload_raises(self):
         lib = random_library(3, 3, 1, seed=6)
@@ -355,7 +379,7 @@ class TestDecoding:
                 decode_file(user, by_group, caches[user - 1], d)
         by_group = complete(d, lib, leaders)
         for user in (3, 4):
-            assert decode_file(user, by_group, caches[user - 1], d) == lib.files[d[user - 1] - 1]
+            assert decode_file(user, by_group, caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
 
 
 class TestMissingMessagesExhaustive:
@@ -423,6 +447,31 @@ class TestEndToEnd:
 
     def test_corrupted_payload_fails(self):
         assert not end_to_end_verify(3, 3, 1, d=(1, 2, 3), corrupt_payload=0)
+
+    @pytest.mark.parametrize("num_users,num_files", [(1, 1), (3, 3), (4, 2)])
+    def test_corrupting_when_nothing_is_sent_is_an_error(self, num_users, num_files):
+        # at t = K every user caches every file: a fault that cannot be
+        # injected must not pass as a detected one, nor as a clean run
+        d = tuple(1 + k % num_files for k in range(num_users))
+        message = (f"(K, N, t) = ({num_users}, {num_files}, {num_users}) sends no payload, "
+                   "so there is no payload to corrupt")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            end_to_end_verify(num_users, num_files, num_users, d=d, corrupt_payload=0)
+        assert end_to_end_verify(num_users, num_files, num_users, d=d)
+
+    @pytest.mark.parametrize("num_files", [2, 3])
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_every_tuple_on_wide_subfiles(self, split, num_files):
+        """Subfiles of 2^12 + 3 bits (not a whole number of bytes or words):
+        every clean demand tuple passes and every corrupted payload fails."""
+        num_users, file_bits = 4, math.comb(4, split) * (2**12 + 3)
+        lib = random_library(num_files, num_users, split, file_bits, seed=17 + split)
+        shape = (num_users, num_files, split)
+        for d in itertools.product(range(1, num_files + 1), repeat=num_users):
+            assert end_to_end_verify(*shape, file_bits, d=d, library=lib)
+            count = len(encode_multicast(d, lib, select_leaders(d)))
+            for index in range(count):
+                assert not end_to_end_verify(*shape, file_bits, d=d, corrupt_payload=index, library=lib)
 
     def test_full_cache_any_demand(self):
         for d in itertools.product((1, 2), repeat=3):
@@ -550,8 +599,8 @@ class TestFaultLocation:
 
         def spy(user, by_group, cache, d):
             decoded[user] = original(user, by_group, cache, d)
-            # hand back the wanted file, so every user is decoded and recorded
-            return lib.files[d[user - 1] - 1]
+            # hand back the wanted subfiles, so every user is decoded and recorded
+            return lib.subfile_values[d[user - 1] - 1]
 
         monkeypatch.setattr(caching, "decode_file", spy)
         for split in range(num_users):
@@ -565,7 +614,7 @@ class TestFaultLocation:
                         num_users, num_files, split, d=d, corrupt_payload=index, library=lib
                     )
                     assert sorted(decoded) == list(range(1, num_users + 1))
-                    wrong = {u for u, out in decoded.items() if out != lib.files[d[u - 1] - 1]}
+                    wrong = {u for u, out in decoded.items() if out != lib.subfile_values[d[u - 1] - 1]}
                     assert wrong == _consumers(d, leaders, split + 1, group), (split, d, group)
 
 

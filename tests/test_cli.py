@@ -440,8 +440,34 @@ class TestShapeAndCountErrors:
         config.write_text(json.dumps({"seed": -1}))
         code, out, err = run([*argv, "--config", str(config), "--out", str(out_file)], capsys)
         assert (code, out) == (2, "")
-        assert err == "error: --seed must be a whole number of at least 0, got -1\n"
+        assert err == f"error: --config {config}: --seed must be a whole number of at least 0, got -1\n"
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv,stored,message",
+        [(["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1"], {"certificates": 0},
+          "--certificates must be a whole number of at least 1, got 0"),
+         (["verify", "--region-trials", "1"], {"max-K": -2},
+          "--max-K must be a whole number of at least 1, got -2"),
+         (["verify", "--K", "2", "--N", "2", "--mu", "1/2"], {"B": 0},
+          "--B must be a whole number of at least 1, got 0")],
+        ids=["certificates-0", "max-K-neg", "B-0"],
+    )
+    def test_bad_count_from_config_names_the_file(self, argv, stored, message, tmp_path, capsys):
+        config, out_file = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(stored))
+        code, out, err = run([*argv, "--config", str(config), "--out", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --config {config}: {message}\n"
+        assert not out_file.exists()
+
+    def test_flag_over_config_is_named_as_a_flag(self, tmp_path, capsys):
+        # the bad value came from the command line, so the message names no file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        argv = ["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--seed", "-1", "--config", str(config)]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: --seed must be a whole number of at least 0, got -1\n")
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
