@@ -74,6 +74,10 @@ class Bits:
     def __len__(self) -> int:
         return self.length
 
+    def __iter__(self):
+        # width 0 would still print one digit, so no bits is the empty string
+        return map(int, format(self.value, f"0{self.length}b") if self.length else "")
+
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < self.length:
             raise IndexError(f"bit {index!r} is not in 0..{self.length - 1}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from .combinatorics import Group, cumulative_group_count
+from .combinatorics import Group, _remember_last, cumulative_group_count
 from .lp import _frac
 from .polytope import Polytope
 
@@ -32,8 +32,15 @@ ONE = Fraction(1)
 
 
 def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
-    """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user."""
-    vals = tuple(_frac(a) for a in alpha)
+    """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user.
+
+    The check keeps its last pass, so a curve's configs check theirs once.
+    """
+    return _checked_strengths(num_users, tuple(_frac(a) for a in alpha))
+
+
+@_remember_last
+def _checked_strengths(num_users: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if not vals:
         raise ValueError("at least one channel strength is required")
     if vals[0] <= 0:

@@ -13,35 +13,34 @@ where env_k is the lower convex envelope of n -> c_n(k), evaluated at the
 a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
 difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
 between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
-`prefix_loads` is the one place env_k is computed: the achievable time, the
-converse, the bottleneck user, the hole and inner GDoF regions and the
-finite-SNR delay-rate rows all read their per-prefix loads from it, and
-`regions.prefix_gaps` gives every denominator.  At an integer budget the
-chord is a single coded load.  Two relatives matter and are kept as separate
-code paths:
+
+The formulas run on an integer view.  c_n(k) is the integer
+`cumulative_group_count(K, n + 1, k)` over C(K, n), so `_chord`, the one
+place env_k is computed, gives every chord as an integer P_k over one D, and
+`_scaled_gaps` the gaps from `regions.prefix_gaps` as integers G_k over one
+H.  `_max_ratio` compares P_k G_j with P_j G_k and builds one Fraction per
+answer.  The division-free converse reads the same per-prefix rows scaled by
+1/2.01; `prefix_loads`, their Fraction view, feeds the bottleneck user, the
+hole and inner GDoF regions and the finite-SNR rows.  `topological_hole_region`
+describes the unicast tuples that ride along at no delivery-time cost.  Two
+relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
   weaker at fractional budgets in asymmetric channels.  Its maxed sequence
   is a max of convex sequences, hence convex too, but this path does not
-  lean on that: it evaluates the generic lower hull of the sequence;
-* the joint two-set delivery form, an explicit convex combination of the two
-  neighbouring integer budgets, which matches tau_ub.
+  lean on that: it evaluates the generic lower hull of the sequence, on
+  Fractions;
+* the joint two-set delivery form, an explicit lambda-weighted integer
+  combination of the two neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
 per mu with the same K, N, alpha and r.  One-entry memos, compared by value
-(see `combinatorics._remember_last`), keep what those calls share:
-
-* `_load_sequences`, per (K, N): the coded loads of every served count;
-* `_gaps`, per (alpha, r): the prefix gaps;
-* `_maxed`, per (K, N) and gaps, only when memory sharing asks: its
-  max-over-users sequence, whose lower hull `lower_convex_envelope` keeps;
-* `prefix_loads`, per `SystemConfig`: the chord loads of one mu, which the
-  achievable time and the converse share.
-
-A division-free converse companion assembles the per-prefix information
-bounds (each 1/2.01 of the corresponding achievability row), the bottleneck
-user pins down which prefix constraint binds, and `topological_hole_region`
-describes the unicast tuples that ride along at no delivery-time cost.
+(see `combinatorics._remember_last`), keep what those calls share: the
+strengths check (`regions._checked_strengths`), per (alpha, r) the gaps
+(`_gaps`, and `_scaled_gaps` beside it), per `SystemConfig` the chords
+(`_chord`), and for memory sharing only, per (K, N) and gaps the
+max-over-users sequence (`_maxed`), whose lower hull `lower_convex_envelope`
+keeps.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -54,8 +53,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _remember_last, lower_convex_envelope, multicast_load_sequence
-from .lp import _frac
+from .combinatorics import _remember_last, cumulative_group_count
+from .combinatorics import lower_convex_envelope, multicast_load_sequence
+from .lp import _frac, _integer_row
 from .polytope import Polytope
 from .regions import ZERO, ONE, cumulative_region, prefix_gaps, unicast_name, user_strengths
 
@@ -104,12 +104,6 @@ def _ratio(load: Fraction, gap: Fraction):
     return load / gap
 
 
-@_remember_last
-def _load_sequences(num_users: int, served: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The coded loads c_0..c_K of every served count 1..served."""
-    return tuple(tuple(multicast_load_sequence(num_users, m)) for m in range(1, served + 1))
-
-
 def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
     """The unicast tuple r as exact values, the key of the per-curve memos."""
     return None if r is None else tuple(_frac(x) for x in r)
@@ -121,12 +115,18 @@ def _gaps(alpha: tuple, r: tuple | None) -> tuple[Fraction, ...]:
 
 
 @_remember_last
+def _scaled_gaps(alpha: tuple, r: tuple | None) -> tuple[int, tuple[int, ...]]:
+    """The prefix gaps as (H, integers G_k over H), their lcm H."""
+    return _integer_row(_gaps(alpha, r))
+
+
+@_remember_last
 def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
     """max over prefixes of c_n / gap for n = 0..K; None if a prefix is exhausted."""
     served = min(num_users, num_files)
     # prefixes served..K carry the same loads, so their smallest gap binds
     gaps = gaps[: served - 1] + (min(gaps[served - 1 :]),)
-    sequences = _load_sequences(num_users, served)
+    sequences = [multicast_load_sequence(num_users, m) for m in range(1, served + 1)]
     maxed = tuple(
         max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
         for n in range(num_users + 1)
@@ -134,29 +134,53 @@ def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] 
     return None if INF in maxed else maxed
 
 
-@_remember_last
-def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
-    """env_k(K*mu) for every user prefix k = 1..K.
+def _counts(num_users: int, served: int, n: int) -> list[int]:
+    """C(K, n) * c_n for the prefixes k = 1..served: the coded loads' numerators."""
+    return [cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
 
-    Each load sequence is convex, so env_k is the chord between the coded
-    loads at floor(K*mu) and ceil(K*mu).  A prefix longer than N serves the
-    same N users as prefix N, so only min(K, N) loads are computed and the
-    last one is repeated.
+
+@_remember_last
+def _chord(config: SystemConfig) -> tuple[int, tuple[int, ...]]:
+    """env_k(K*mu) for every user prefix k = 1..K, as (D, integers P_k over D).
+
+    At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
+    b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.  A prefix
+    longer than N serves the same N users as prefix N, so only min(K, N)
+    loads are computed and the last one is repeated.
     """
     K, budget = config.num_users, config.cache_budget
-    low = budget.numerator // budget.denominator  # floor
-    step = budget - low
-    loads = [
-        seq[low] + step * (seq[low + 1] - seq[low]) if step else seq[low]
-        for seq in _load_sequences(K, min(K, config.num_files))
-    ]
-    return tuple(loads) + (loads[-1],) * (K - len(loads))
+    low, s = divmod(budget.numerator, budget.denominator)
+    served = min(K, config.num_files)
+    if s:
+        b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
+        pairs = zip(_counts(K, served, low), _counts(K, served, low + 1))
+        scale, loads = b * c0 * c1, [(b - s) * c1 * g0 + s * c0 * g1 for g0, g1 in pairs]
+    else:
+        scale, loads = math.comb(K, low), _counts(K, served, low)
+    return scale, tuple(loads) + (loads[-1],) * (K - served)
+
+
+def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
+    """env_k(K*mu) for every user prefix k = 1..K: the Fraction view of `_chord`."""
+    scale, loads = _chord(config)
+    return tuple(Fraction(p, scale) for p in loads)
+
+
+def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
+    """max_k (loads_k / scale) / (gaps_k / height), the conventions of `_ratio` kept,
+    comparing p_k g_j with p_j g_k: only the answer becomes a Fraction."""
+    best, over = 0, 1
+    for p, g in zip(loads, gaps):
+        if p and not g:
+            return INF
+        if p * over > best * g:
+            best, over = p, g
+    return Fraction(best * height, scale * over)
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    gaps = _gaps(config.alpha, _key(r))
-    return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
+    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, _key(r)))
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -188,16 +212,14 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     budget = config.cache_budget
     if budget.denominator == 1:
         raise ValueError(f"cache budget K*mu = {budget} is an integer; no split needed")
-    low = budget.numerator // budget.denominator  # floor
-    lam = low + 1 - budget  # weight of the floor budget
-    K, N = config.num_users, config.num_files
-    sequences = _load_sequences(K, min(K, N))
-    best = ZERO
-    for k, gap in enumerate(_gaps(config.alpha, _key(r)), start=1):
-        seq = sequences[min(k, N) - 1]
-        load = lam * seq[low] + (1 - lam) * seq[low + 1]
-        best = max(best, _ratio(load, gap))
-    return best
+    K, b = config.num_users, budget.denominator
+    low = budget.numerator // b  # floor
+    lam = b * (low + 1) - budget.numerator  # b times the weight of the floor budget
+    served, c0, c1 = min(K, config.num_files), math.comb(K, low), math.comb(K, low + 1)
+    pairs = zip(_counts(K, served, low), _counts(K, served, low + 1))
+    loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in pairs]
+    loads += loads[-1:] * (K - served)
+    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
 
 
 def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
@@ -209,10 +231,9 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     Structurally the max equals `gndt_ub` / 2.01, but the value is built from
     the per-prefix rows, not by dividing.
     """
-    gaps = _gaps(config.alpha, _key(r))
-    return max(
-        _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
-    )
+    scale, loads = _chord(config)
+    rows = [p * CONVERSE_FACTOR.denominator for p in loads]
+    return _max_ratio(scale * CONVERSE_FACTOR.numerator, rows, *_scaled_gaps(config.alpha, _key(r)))
 
 
 def bottleneck_user(config: SystemConfig) -> int:

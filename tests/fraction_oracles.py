@@ -1,17 +1,23 @@
-"""Fraction reference implementations of the exact region layer.
+"""Fraction reference implementations of the exact region and trade-off layers.
 
 `cachecast.lp` and `cachecast.polytope` run on Python integers (integer-
-preserving pivots, Fourier-Motzkin on primitive integer rows).  The
-straightforward Fraction versions below are what they replaced; the tests
-compare the two value for value and row for row.
+preserving pivots, Fourier-Motzkin on primitive integer rows), and so do the
+delivery-time maxima of `cachecast.tradeoff` (integer chords over one
+denominator, cross-multiplied comparisons).  The straightforward Fraction
+versions below are what they replaced; the tests compare the two value for
+value and row for row.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from cachecast.combinatorics import multicast_load_sequence
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from cachecast.polytope import Polytope
+from cachecast.regions import prefix_gaps
+from cachecast.tradeoff import CONVERSE_FACTOR
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -213,3 +219,51 @@ def eliminate(poly: Polytope, drop) -> Polytope:
             ),
         )
     return current
+
+
+# -- delivery-time formulas ----------------------------------------------------
+
+
+def _ratio(load, gap):
+    """load / gap with the conventions 0/anything = 0 and positive/0 = inf."""
+    if load == 0:
+        return _ZERO
+    if gap == 0:
+        return math.inf
+    return load / gap
+
+
+def prefix_loads(config):
+    """env_k(K*mu) per prefix: the Fraction chord between the two integer budgets."""
+    K, budget = config.num_users, config.cache_budget
+    low = budget.numerator // budget.denominator
+    step = budget - low
+    sequences = [multicast_load_sequence(K, m) for m in range(1, min(K, config.num_files) + 1)]
+    loads = [seq[low] + step * (seq[low + 1] - seq[low]) if step else seq[low] for seq in sequences]
+    return tuple(loads) + (loads[-1],) * (K - len(loads))
+
+
+def gndt_ub(config, r=None):
+    gaps = prefix_gaps(config.alpha, r)
+    return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
+
+
+def gndt_lower_bound(config, r=None):
+    gaps = prefix_gaps(config.alpha, r)
+    return max(
+        _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
+    )
+
+
+def gndt_joint_two_set(config, r=None):
+    """The lambda-weighted Fraction loads of the two neighbouring integer budgets."""
+    budget = config.cache_budget
+    low = budget.numerator // budget.denominator
+    lam = low + 1 - budget
+    K, N = config.num_users, config.num_files
+    sequences = [multicast_load_sequence(K, m) for m in range(1, min(K, N) + 1)]
+    best = _ZERO
+    for k, gap in enumerate(prefix_gaps(config.alpha, r), start=1):
+        seq = sequences[min(k, N) - 1]
+        best = max(best, _ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap))
+    return best

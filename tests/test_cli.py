@@ -26,6 +26,7 @@ def refused(args, capsys):
 
 
 FIG3 = ["--K", "4", "--N", "4", "--alpha", "0.45,0.65,0.85,1"]
+K12_ALPHA = "1/12,1/6,1/4,1/3,5/12,1/2,7/12,2/3,3/4,5/6,11/12,1"
 
 
 class TestGndt:
@@ -685,6 +686,14 @@ class TestVerify:
             (["holes", "--K", "7", "--N", "9", "--alpha", "1/5,1/5,1/2,1/2,1/2,4/5,1",
               "--mu", "2/7"], 0, 4738,
              "1e6cc54b82c842a8946420f4adb8c3eb024b41f4609d1c0dc62e6c9594f77763"),
+            # N < K on a 1/100 grid: r_1 + r_2 = alpha_2 exhausts prefix 2, so every
+            # row is inf until the full cache's zero load
+            (["gndt", "--K", "12", "--N", "6", "--alpha", K12_ALPHA, "--mu-grid", "0:1:1/100",
+              "--r", "1/12,1/12,0,1/60,0,0,0,0,0,0,0,0", "--exact"], 0, 2971,
+             "b1a822177a348e74818f33ea3286db55a1ae62d2cf1059b5c21ebc5d546fac74"),
+            (["gndt", "--K", "12", "--N", "6", "--alpha", K12_ALPHA, "--mu-grid", "0:1:1/100",
+              "--r", "1/24,0,1/60,0,0,1/100,0,0,0,0,0,0", "--exact"], 0, 4999,
+             "34b397bbeadac9b47af11277b874bb02d15fb59aa3b15dff46b331685b76a0a1"),
         ],
     )
     def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):

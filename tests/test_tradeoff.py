@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction as F
 
+import fraction_oracles as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,82 @@ class TestAgainstFullSequenceOracles:
                 else:
                     assert gndt_joint_two_set(cfg, r) == joint_two_set_oracle(cfg, r), (j, r)
         assert seen_inf
+
+
+class TestIntegerViewAgainstFractionOracles:
+    """The integer chords and cross-multiplied maxima against the Fraction
+    formulas they replaced: equal values of equal type (a Fraction, or the
+    float inf), on a seeded grid with N < K, mu = 0, mu = 1, fractional
+    budgets on 1/(4K) and 1/100 grids, and unicast tuples that exhaust a
+    prefix."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(19)
+        for K in range(1, 11):
+            for N in sorted({1, max(1, K // 2), K, K + 2}):
+                cuts = sorted(int(rng.integers(1, 40)) for _ in range(K - 1))
+                alpha = tuple(F(c, 40) for c in cuts) + (F(1),)
+                j = int(rng.integers(0, K))
+                exhausting = tuple(alpha[j] if i == j else F(0) for i in range(K))
+                small = tuple(F(int(rng.integers(0, 3)), 10 * K) for _ in range(K))
+                mus = {F(0), F(1)} | {F(int(rng.integers(0, 4 * K + 1)), 4 * K) for _ in range(3)}
+                mus |= {F(int(rng.integers(0, 101)), 100) for _ in range(3)}
+                for mu in sorted(mus):
+                    for r in (None, small, exhausting):
+                        yield config(K, N, mu, alpha), r
+
+    def test_every_formula_equals_its_oracle(self):
+        seen = set()
+        for cfg, r in self.draws():
+            pairs = [(gndt_ub, oracle.gndt_ub), (gndt_lower_bound, oracle.gndt_lower_bound)]
+            if not cfg.integer_budget:
+                pairs.append((gndt_joint_two_set, oracle.gndt_joint_two_set))
+            for fast, slow in pairs:
+                got, want = fast(cfg, r), slow(cfg, r)
+                assert (type(got), got) == (type(want), want), (fast.__name__, cfg, r)
+                seen.add("inf" if got == math.inf else "zero" if got == 0 else "positive")
+            loads = prefix_loads(cfg)
+            assert loads == oracle.prefix_loads(cfg), cfg
+            assert all(type(load) is F for load in loads)
+        assert seen == {"inf", "zero", "positive"}
+
+
+class TestMemosKeepRefusals:
+    """A curve's one-entry memos are keyed by value; a bad input after a good
+    one must still reach the check that refuses it."""
+
+    @pytest.mark.parametrize("formula", [gndt_ub, gndt_lower_bound, gndt_joint_two_set])
+    def test_bad_unicast_tuple_after_a_good_one(self, formula):
+        cfg = config(4, 3, F(3, 8), FIG_ALPHA)
+        good = (F(1, 10), F(0), F(0), F(0))
+        want = formula(cfg, good)
+        with pytest.raises(ValueError, match="unicast GDoF values must be nonnegative"):
+            formula(cfg, (F(-1, 10), F(0), F(0), F(0)))
+        with pytest.raises(ValueError, match="one unicast GDoF per user is required"):
+            formula(cfg, good[:3])
+        with pytest.raises(ValueError, match="one unicast GDoF per user is required"):
+            formula(cfg, good[:3])  # a refusal leaves nothing behind
+        assert formula(cfg, good) == want == getattr(oracle, formula.__name__)(cfg, good)
+
+    @pytest.mark.parametrize(
+        "K, alpha, message",
+        [
+            (3, (), "at least one channel strength is required"),
+            (3, (F(0), F(1, 2), F(1)), "strengths must be positive"),
+            (3, (F(1, 2), F(2, 5), F(1)), "strengths must be nondecreasing"),
+            (3, (F(2, 5), F(9, 10), F(9, 10)), "normalized with alpha_K = 1"),
+            (3, (F(0), F(1)), "strengths must be positive"),  # also one short: order kept
+            (3, (F(9, 10), F(1)), "one channel strength per user is required: K = 3"),
+            (2, ALPHA3, "one channel strength per user is required: K = 2"),
+        ],
+    )
+    def test_bad_strengths_after_good_ones(self, K, alpha, message):
+        good = config(3, 2, F(1, 2), ALPHA3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                config(K, 2, F(1, 2), alpha)
+        assert config(3, 2, F(1, 2), ALPHA3) == good
 
 
 class TestBottleneck:
