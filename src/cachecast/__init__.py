@@ -2,8 +2,9 @@
 
 The package splits into:
 
-* `combinatorics` -- group counts, load sequences, convex envelopes (groups
-  come in `itertools.combinations` order);
+* `combinatorics` -- group counts (`tradeoff`'s integer coded loads), Fraction
+  load sequences, the lower convex envelope (memory sharing's hull); groups
+  come in `itertools.combinations` order;
 * `caching`       -- bit-exact placement, XOR delivery and decoding;
 * `polytope`/`lp` -- exact rational regions, Fourier-Motzkin, LP oracle;
 * `regions`       -- the GDoF regions of the unicast + multicast channel;

@@ -15,32 +15,32 @@ difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
 between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
 
 The formulas run on an integer view.  c_n(k) is the integer
-`cumulative_group_count(K, n + 1, k)` over C(K, n), so `_chord`, the one
-place env_k is computed, gives every chord as an integer P_k over one D, and
-`_scaled_gaps` the gaps from `regions.prefix_gaps` as integers G_k over one
-H.  `_max_ratio` compares P_k G_j with P_j G_k and builds one Fraction per
-answer.  The division-free converse reads the same per-prefix rows scaled by
+`cumulative_group_count(K, n + 1, k)` over C(K, n), read for every prefix by
+`_counts`, so `_chord`, the one place env_k is computed, gives every chord as
+an integer P_k over one D, and `_scaled_gaps` the gaps from
+`regions.prefix_gaps` as integers G_k over one H.  `_max_ratio` compares
+P_k G_j with P_j G_k and builds one Fraction per answer.  The division-free converse reads the same per-prefix rows scaled by
 1/2.01; `prefix_loads`, their Fraction view, feeds the bottleneck user, the
 hole and inner GDoF regions and the finite-SNR rows.  `topological_hole_region`
 describes the unicast tuples that ride along at no delivery-time cost.  Two
 relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
-  weaker at fractional budgets in asymmetric channels.  Its maxed sequence
-  is a max of convex sequences, hence convex too, but this path does not
-  lean on that: it evaluates the generic lower hull of the sequence, on
-  Fractions;
+  weaker at fractional budgets in asymmetric channels.  It reads the same
+  integer counts and gaps: one `_max_ratio` per integer budget n = 0..K.
+  Its maxed sequence is a max of convex sequences, hence convex too, but
+  this path does not lean on that: it evaluates the generic lower hull of
+  the sequence;
 * the joint two-set delivery form, an explicit lambda-weighted integer
   combination of the two neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
 per mu with the same K, N, alpha and r.  One-entry memos, compared by value
 (see `combinatorics._remember_last`), keep what those calls share: the
-strengths check (`regions._checked_strengths`), per (alpha, r) the gaps
-(`_gaps`, and `_scaled_gaps` beside it), per `SystemConfig` the chords
-(`_chord`), and for memory sharing only, per (K, N) and gaps the
-max-over-users sequence (`_maxed`), whose lower hull `lower_convex_envelope`
-keeps.
+strengths check (`regions._checked_strengths`), per (alpha, r) the scaled
+gaps (`_scaled_gaps`), per `SystemConfig` the chords (`_chord`), and for
+memory sharing only, per (K, N) and scaled gaps the delivery times at the
+integer budgets (`_maxed`), whose lower hull `lower_convex_envelope` keeps.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -53,8 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _remember_last, cumulative_group_count
-from .combinatorics import lower_convex_envelope, multicast_load_sequence
+from .combinatorics import _remember_last, cumulative_group_count, lower_convex_envelope
 from .lp import _frac, _integer_row
 from .polytope import Polytope
 from .regions import ZERO, ONE, cumulative_region, prefix_gaps, unicast_name, user_strengths
@@ -95,48 +94,27 @@ class SystemConfig:
         return self.cache_budget.denominator == 1
 
 
-def _ratio(load: Fraction, gap: Fraction):
-    """load / gap with the conventions 0/anything = 0 and positive/0 = inf."""
-    if load == 0:
-        return ZERO
-    if gap == 0:
-        return INF
-    return load / gap
-
-
 def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
     """The unicast tuple r as exact values, the key of the per-curve memos."""
     return None if r is None else tuple(_frac(x) for x in r)
 
 
 @_remember_last
-def _gaps(alpha: tuple, r: tuple | None) -> tuple[Fraction, ...]:
-    return tuple(prefix_gaps(alpha, r))
-
-
-@_remember_last
 def _scaled_gaps(alpha: tuple, r: tuple | None) -> tuple[int, tuple[int, ...]]:
     """The prefix gaps as (H, integers G_k over H), their lcm H."""
-    return _integer_row(_gaps(alpha, r))
+    return _integer_row(prefix_gaps(alpha, r))
 
 
-@_remember_last
-def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
-    """max over prefixes of c_n / gap for n = 0..K; None if a prefix is exhausted."""
+def _counts(num_users: int, num_files: int, n: int) -> list[int]:
+    """C(K, n) * c_n for every prefix k = 1..K: the coded loads' numerators.
+
+    A prefix longer than N serves the same N users as prefix N, so only
+    min(K, N) counts are computed and the last one is repeated.
+    """
     served = min(num_users, num_files)
-    # prefixes served..K carry the same loads, so their smallest gap binds
-    gaps = gaps[: served - 1] + (min(gaps[served - 1 :]),)
-    sequences = [multicast_load_sequence(num_users, m) for m in range(1, served + 1)]
-    maxed = tuple(
-        max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
-        for n in range(num_users + 1)
-    )
-    return None if INF in maxed else maxed
-
-
-def _counts(num_users: int, served: int, n: int) -> list[int]:
-    """C(K, n) * c_n for the prefixes k = 1..served: the coded loads' numerators."""
-    return [cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
+    counts = [cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
+    counts += counts[-1:] * (num_users - served)
+    return counts
 
 
 @_remember_last
@@ -144,20 +122,16 @@ def _chord(config: SystemConfig) -> tuple[int, tuple[int, ...]]:
     """env_k(K*mu) for every user prefix k = 1..K, as (D, integers P_k over D).
 
     At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
-    b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.  A prefix
-    longer than N serves the same N users as prefix N, so only min(K, N)
-    loads are computed and the last one is repeated.
+    b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.
     """
-    K, budget = config.num_users, config.cache_budget
+    K, N, budget = config.num_users, config.num_files, config.cache_budget
     low, s = divmod(budget.numerator, budget.denominator)
-    served = min(K, config.num_files)
-    if s:
-        b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
-        pairs = zip(_counts(K, served, low), _counts(K, served, low + 1))
-        scale, loads = b * c0 * c1, [(b - s) * c1 * g0 + s * c0 * g1 for g0, g1 in pairs]
-    else:
-        scale, loads = math.comb(K, low), _counts(K, served, low)
-    return scale, tuple(loads) + (loads[-1],) * (K - served)
+    if not s:
+        return math.comb(K, low), tuple(_counts(K, N, low))
+    b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
+    w0, w1 = (b - s) * c1, s * c0
+    pairs = zip(_counts(K, N, low), _counts(K, N, low + 1))
+    return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in pairs])
 
 
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
@@ -167,8 +141,9 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
 
 
 def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
-    """max_k (loads_k / scale) / (gaps_k / height), the conventions of `_ratio` kept,
-    comparing p_k g_j with p_j g_k: only the answer becomes a Fraction."""
+    """max_k (loads_k / scale) / (gaps_k / height), with 0 / anything = 0 and
+    positive / 0 = inf, comparing p_k g_j with p_j g_k: only the answer
+    becomes a Fraction."""
     best, over = 0, 1
     for p, g in zip(loads, gaps):
         if p and not g:
@@ -176,6 +151,16 @@ def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int
         if p * over > best * g:
             best, over = p, g
     return Fraction(best * height, scale * over)
+
+
+@_remember_last
+def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
+    """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
+    times = tuple(
+        _max_ratio(math.comb(num_users, n), _counts(num_users, num_files, n), *gaps)
+        for n in range(num_users + 1)
+    )
+    return None if INF in times else times
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
@@ -189,15 +174,15 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     Splitting the system into two independent integer-budget runs time-shares
     the channel, so the max over users is applied per integer budget first and
     the envelope interpolates afterwards.  Coincides with `gndt_ub` at integer
-    budgets and is never below it elsewhere.
+    budgets and is never below it elsewhere.  The per-budget times come from
+    the integer counts and gaps (`_maxed`); their envelope is the generic
+    lower hull, which assumes no convexity.
     """
     budget = config.cache_budget
-    maxed = _maxed(config.num_users, config.num_files, _gaps(config.alpha, _key(r)))
+    maxed = _maxed(config.num_users, config.num_files, _scaled_gaps(config.alpha, _key(r)))
     if maxed is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
-        if budget == config.num_users:
-            return ZERO
-        return INF
+        return ZERO if budget == config.num_users else INF
     return lower_convex_envelope(maxed, budget)
 
 
@@ -215,10 +200,9 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     K, b = config.num_users, budget.denominator
     low = budget.numerator // b  # floor
     lam = b * (low + 1) - budget.numerator  # b times the weight of the floor budget
-    served, c0, c1 = min(K, config.num_files), math.comb(K, low), math.comb(K, low + 1)
-    pairs = zip(_counts(K, served, low), _counts(K, served, low + 1))
+    N, c0, c1 = config.num_files, math.comb(K, low), math.comb(K, low + 1)
+    pairs = zip(_counts(K, N, low), _counts(K, N, low + 1))
     loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in pairs]
-    loads += loads[-1:] * (K - served)
     return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
 
 

@@ -3,9 +3,11 @@
 `cachecast.lp` and `cachecast.polytope` run on Python integers (integer-
 preserving pivots, Fourier-Motzkin on primitive integer rows), and so do the
 delivery-time maxima of `cachecast.tradeoff` (integer chords over one
-denominator, cross-multiplied comparisons).  The straightforward Fraction
-versions below are what they replaced; the tests compare the two value for
-value and row for row.
+denominator, cross-multiplied comparisons), memory sharing's maxima at the
+integer budgets included.  The straightforward Fraction versions below are
+what they replaced; the tests compare the two value for value and row for
+row.  Memory sharing's oracle builds the max-over-users sequence from all K
+Fraction load sequences and evaluates its lower hull.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from cachecast.combinatorics import multicast_load_sequence
+from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from cachecast.polytope import Polytope
 from cachecast.regions import prefix_gaps
@@ -224,13 +226,27 @@ def eliminate(poly: Polytope, drop) -> Polytope:
 # -- delivery-time formulas ----------------------------------------------------
 
 
-def _ratio(load, gap):
+def ratio(load, gap):
     """load / gap with the conventions 0/anything = 0 and positive/0 = inf."""
     if load == 0:
         return _ZERO
     if gap == 0:
         return math.inf
     return load / gap
+
+
+def load_sequences(config):
+    """One load sequence per prefix k = 1..K, the served count being min(k, N)."""
+    return [
+        multicast_load_sequence(config.num_users, min(k, config.num_files))
+        for k in range(1, config.num_users + 1)
+    ]
+
+
+def unicast_gaps(config, r):
+    """(alpha_k - r_1 - ... - r_k)^+ per prefix, written out without `prefix_gaps`."""
+    rt = [Fraction(x) for x in r] if r else [_ZERO] * config.num_users
+    return [max(_ZERO, a - sum(rt[:k], _ZERO)) for k, a in enumerate(config.alpha, start=1)]
 
 
 def prefix_loads(config):
@@ -245,13 +261,13 @@ def prefix_loads(config):
 
 def gndt_ub(config, r=None):
     gaps = prefix_gaps(config.alpha, r)
-    return max(_ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
+    return max(ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
 def gndt_lower_bound(config, r=None):
     gaps = prefix_gaps(config.alpha, r)
     return max(
-        _ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
+        ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
     )
 
 
@@ -265,5 +281,17 @@ def gndt_joint_two_set(config, r=None):
     best = _ZERO
     for k, gap in enumerate(prefix_gaps(config.alpha, r), start=1):
         seq = sequences[min(k, N) - 1]
-        best = max(best, _ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap))
+        best = max(best, ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap))
     return best
+
+
+def gndt_memory_sharing(config, r=None):
+    """Lower hull, at K*mu, of the max over all K prefix sequences."""
+    sequences, gaps = load_sequences(config), unicast_gaps(config, r)
+    maxed = [
+        max(ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
+        for n in range(config.num_users + 1)
+    ]
+    if math.inf in maxed:
+        return _ZERO if config.cache_budget == config.num_users else math.inf
+    return lower_convex_envelope(maxed, config.cache_budget)

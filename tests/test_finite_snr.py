@@ -1,10 +1,12 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from cachecast import finite_snr
 from cachecast.finite_snr import (
     constant_gap_certificate,
     delay_rate_gap_certificate,
@@ -184,6 +186,48 @@ def prefix_sum_certificate(delay: float, config, power: float, point) -> bool:
         if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - 1e-9:
             return True
     return False
+
+
+class TestShiftNegativeControls:
+    """Without the 2-bit shift a point of the inner region lies inside the
+    outer region and below the converse, so both certificates must fail on
+    every boundary point; with the shift the same points pass."""
+
+    @staticmethod
+    def checks():
+        """(certificate, args) on boundary points over K = 2..4 and P = 2^10,
+        2^20, 2^40: every sigma for the constant gap, and mu 0, 1/3, 2/3 with
+        delay 1/4, 1, 4 for the delay-rate certificate."""
+        rng = np.random.default_rng(21)
+        for K in range(2, 5):
+            alpha = tuple(F(k + 1, K + 1) for k in range(1, K)) + (F(1),)
+            for power in (2.0**10, 2.0**20, 2.0**40):
+                for sigma in range(2, K + 1):
+                    inner = inner_rate_region(K, sigma, alpha, power)
+                    outer = outer_rate_region(K, sigma, alpha, power)
+                    for _ in range(10):
+                        point = sample_boundary_point(inner, rng)
+                        yield constant_gap_certificate, (inner, outer, point)
+                for mu in (F(0), F(1, 3), F(2, 3)):
+                    config = cfg(K, K, mu, alpha)
+                    for delay in (0.25, 1.0, 4.0):
+                        region = delay_rate_inner_region(delay, config, power)
+                        if np.any(region.rhs < 0):
+                            continue  # the reserved load exceeds a row budget: no boundary
+                        for _ in range(3):
+                            point = sample_boundary_point(region, rng)
+                            yield delay_rate_gap_certificate, (delay, config, power, point)
+
+    @pytest.mark.parametrize("shift, passes", [(0.0, False), (2.0, True)])
+    def test_points_fail_without_the_shift_and_pass_with_it(self, monkeypatch, shift, passes):
+        monkeypatch.setattr(finite_snr, "GAP_BITS", shift)
+        verdicts = Counter(
+            (certificate.__name__, certificate(*args)) for certificate, args in self.checks()
+        )
+        assert verdicts == {
+            ("constant_gap_certificate", passes): 180,
+            ("delay_rate_gap_certificate", passes): 234,
+        }
 
 
 POWER_BUILDERS = {

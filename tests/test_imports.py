@@ -33,6 +33,9 @@ TEST_FACING = {
     "fix_variables": "pins coordinates of a region in the region and trade-off tests",
     "max_symmetric_gdof": "closed form the symmetric-projection tests check against the LP",
     "is_convex_sequence": "states the convexity lemma the load-sequence tests check",
+    "multicast_load_sequence": (
+        "the benchmark's layer tracer wraps it by name; the Fraction oracles build load sequences from it"
+    ),
     "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
     "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
     "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",

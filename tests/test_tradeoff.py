@@ -219,51 +219,15 @@ class TestJointDelivery:
         assert seen_strict
 
 
-def _sequences(cfg):
-    """One load sequence per prefix k = 1..K, the served count being min(k, N)."""
-    return [
-        multicast_load_sequence(cfg.num_users, min(k, cfg.num_files))
-        for k in range(1, cfg.num_users + 1)
-    ]
-
-
-def _gaps(cfg, r):
-    rt = r or (F(0),) * cfg.num_users
-    return [max(F(0), a - sum(rt[:k], F(0))) for k, a in enumerate(cfg.alpha, start=1)]
-
-
-def _ratio(load, gap):
-    return F(0) if load == 0 else math.inf if gap == 0 else load / gap
-
-
-def memory_sharing_oracle(cfg, r):
-    """Envelope of the max over all K prefix sequences."""
-    seqs, gaps = _sequences(cfg), _gaps(cfg, r)
-    maxed = [
-        max(_ratio(seq[n], gap) for seq, gap in zip(seqs, gaps))
-        for n in range(cfg.num_users + 1)
-    ]
-    if math.inf in maxed:
-        return F(0) if cfg.cache_budget == cfg.num_users else math.inf
-    return lower_convex_envelope(maxed, cfg.cache_budget)
-
-
 def _curve_oracle(K, N, mu, alpha, r):
     """(ub, ms, lb, joint) from the load sequences, gaps and hulls, built afresh."""
-    budget = K * F(mu)
-    sequences = [multicast_load_sequence(K, min(k, N)) for k in range(1, K + 1)]
-    loads = [lower_convex_envelope(seq, budget) for seq in sequences]
+    cfg = config(K, N, mu, alpha)
+    loads = [lower_convex_envelope(seq, cfg.cache_budget) for seq in oracle.load_sequences(cfg)]
     gaps = prefix_gaps(alpha, r)
-    ub = max(_ratio(load, gap) for load, gap in zip(loads, gaps))
-    lb = max(_ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(loads, gaps))
-    maxed = [
-        max(_ratio(seq[n], gap) for seq, gap in zip(sequences, gaps)) for n in range(K + 1)
-    ]
-    if math.inf in maxed:
-        ms = F(0) if budget == K else math.inf
-    else:
-        ms = lower_convex_envelope(maxed, budget)
-    return ub, ms, lb, None if budget.denominator == 1 else ub
+    ub = max(oracle.ratio(load, gap) for load, gap in zip(loads, gaps))
+    lb = max(oracle.ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(loads, gaps))
+    ms = oracle.gndt_memory_sharing(cfg, r)
+    return ub, ms, lb, None if cfg.integer_budget else ub
 
 
 class TestSharedCurveData:
@@ -336,15 +300,16 @@ def joint_two_set_oracle(cfg, r):
     return max(
         [F(0)]
         + [
-            _ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap)
-            for seq, gap in zip(_sequences(cfg), _gaps(cfg, r))
+            oracle.ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap)
+            for seq, gap in zip(oracle.load_sequences(cfg), oracle.unicast_gaps(cfg, r))
         ]
     )
 
 
 def integer_oracle(cfg, r):
     n = int(cfg.cache_budget)
-    return max([F(0)] + [_ratio(seq[n], gap) for seq, gap in zip(_sequences(cfg), _gaps(cfg, r))])
+    pairs = zip(oracle.load_sequences(cfg), oracle.unicast_gaps(cfg, r))
+    return max([F(0)] + [oracle.ratio(seq[n], gap) for seq, gap in pairs])
 
 
 class TestAgainstFullSequenceOracles:
@@ -363,7 +328,7 @@ class TestAgainstFullSequenceOracles:
             small = tuple(F(int(rng.integers(0, 3)), 50) for _ in range(K))
             for r in (None, small, exhausted_first, exhausted_last):
                 shared = gndt_memory_sharing(cfg, r)
-                assert shared == memory_sharing_oracle(cfg, r), (j, r)
+                assert shared == oracle.gndt_memory_sharing(cfg, r), (j, r)
                 seen_inf |= shared == math.inf
                 if cfg.integer_budget:
                     assert gndt_ub(cfg, r) == integer_oracle(cfg, r), (j, r)
@@ -398,7 +363,11 @@ class TestIntegerViewAgainstFractionOracles:
     def test_every_formula_equals_its_oracle(self):
         seen = set()
         for cfg, r in self.draws():
-            pairs = [(gndt_ub, oracle.gndt_ub), (gndt_lower_bound, oracle.gndt_lower_bound)]
+            pairs = [
+                (gndt_ub, oracle.gndt_ub),
+                (gndt_lower_bound, oracle.gndt_lower_bound),
+                (gndt_memory_sharing, oracle.gndt_memory_sharing),
+            ]
             if not cfg.integer_budget:
                 pairs.append((gndt_joint_two_set, oracle.gndt_joint_two_set))
             for fast, slow in pairs:
@@ -415,7 +384,9 @@ class TestMemosKeepRefusals:
     """A curve's one-entry memos are keyed by value; a bad input after a good
     one must still reach the check that refuses it."""
 
-    @pytest.mark.parametrize("formula", [gndt_ub, gndt_lower_bound, gndt_joint_two_set])
+    @pytest.mark.parametrize(
+        "formula", [gndt_ub, gndt_lower_bound, gndt_joint_two_set, gndt_memory_sharing]
+    )
     def test_bad_unicast_tuple_after_a_good_one(self, formula):
         cfg = config(4, 3, F(3, 8), FIG_ALPHA)
         good = (F(1, 10), F(0), F(0), F(0))
