@@ -15,7 +15,10 @@ recompose them as an XOR of transmitted payloads over alternative leader sets
 (the Yu-Maddah-Ali-Avestimehr reconstruction).  The pipeline is three steps
 on one {group: Bits} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
-peels a user's subfiles from that complete map and the user's cache.  A
+peels a user's subfiles from that complete map and the user's cache.  The
+encode and decode plans are built once per library, and the groups a
+reconstruction XORs are remembered per pattern of which users share a file;
+every demand tuple still XORs and compares its own payloads.  A
 decoded file stays a tuple of subfile ints, compared subfile by subfile with
 the library's own cut (`FileLibrary.subfile_values`), so no whole file is
 ever joined back together.
@@ -44,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -128,9 +131,9 @@ class FileLibrary:
 
     The split is positional: subfiles follow the lexicographic order of the
     t-subsets of [K], each of length B / C(K, t) bits.  The subfiles, cut
-    once from the file ints, and the placement are built on first use and
-    live as long as the library, so everything that shares one library
-    shares them.  `subfile_values` holds the cut ints per file and
+    once from the file ints, the placement and the encode plan are built on
+    first use and live as long as the library, so everything that shares one
+    library shares them.  `subfile_values` holds the cut ints per file and
     `_subfile_views` wraps the same int objects as `Bits` per subset.
     """
 
@@ -198,6 +201,19 @@ class FileLibrary:
     def caches(self) -> tuple[CacheContents, ...]:
         """The demand-agnostic placement of this library, computed once."""
         return place_caches(self)
+
+    @cached_property
+    def _encode_plan(self) -> tuple[tuple[Group, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+        """Per (t+1)-group in lexicographic order, (group, sides): each member
+        - 1 with its side subfile, group minus member, as one int per file
+        from `subfile_values`.  `encode_multicast` XORs values[d_member - 1].
+        The t-subsets of a group drop its members last to first."""
+        t, sides = self.split_order, dict(zip(self.subfile_subsets(), zip(*self.subfile_values)))
+        return tuple(
+            (group, tuple([(m - 1, sides[rest])
+                           for m, rest in zip(reversed(group), combinations(group, t))]))
+            for group in combinations(range(1, self.num_users + 1), t + 1)
+        )
 
     def subfile(self, file_index: int, subset: Group) -> Bits:
         """Subfile of file `file_index` (1-based) indexed by a sorted user
@@ -329,9 +345,11 @@ class LeaderSet:
 
 
 def select_leaders(d: Sequence[int]) -> LeaderSet:
-    leaders = tuple(u for u in range(1, len(d) + 1) if d[u - 1] not in d[: u - 1])
-    non_leaders = tuple(u for u in range(1, len(d) + 1) if u not in leaders)
-    return LeaderSet(leaders=leaders, non_leaders=non_leaders)
+    seen, leaders, non_leaders = set(), [], []
+    for u, file in enumerate(d, 1):
+        (non_leaders if file in seen else leaders).append(u)
+        seen.add(file)
+    return LeaderSet(leaders=tuple(leaders), non_leaders=tuple(non_leaders))
 
 
 @dataclass(frozen=True)
@@ -345,18 +363,36 @@ def encode_multicast(
 ) -> list[MulticastPayload]:
     """One XOR payload per (t+1)-group intersecting the leader set, in
     lexicographic group order."""
-    sigma = library.split_order + 1
-    subfiles, size = library._subfile_views, library.subfile_bits
-    leader_set = set(leaders.leaders)
+    size, leader_set = library.subfile_bits, set(leaders.leaders)
     payloads = []
-    for group in combinations(range(1, library.num_users + 1), sigma):
+    for group, sides in library._encode_plan:
         if leader_set.isdisjoint(group):
             continue
         acc = 0
-        for i, member in enumerate(group):
-            acc ^= subfiles[group[:i] + group[i + 1 :]][d[member - 1] - 1].value
+        for member, values in sides:
+            acc ^= values[d[member] - 1]
         payloads.append(MulticastPayload(group=group, bits=Bits(acc, size)))
     return payloads
+
+
+@lru_cache(maxsize=4096)
+def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
+                            pattern: tuple[int, ...]) -> tuple[Group, ...]:
+    """The groups whose payloads XOR to W_group when `pattern` labels the
+    demands on `pool` by first occurrence, each decodable by min(group).  A
+    DecodabilityError is raised, never remembered, on every such call."""
+    demand = dict(zip(pool, pattern))
+    weakest = group[0]
+    decodable_by = {u for u in leaders if u < weakest} | {weakest}
+    sources = []
+    for alt in combinations(pool, len(leaders)):
+        if alt == leaders or len({demand[u] for u in alt}) < len(alt):
+            continue
+        source = tuple(u for u in pool if u not in alt)
+        if not decodable_by & set(source):
+            raise DecodabilityError(group, source, weakest)
+        sources.append(source)
+    return tuple(sources)
 
 
 def reconstruct_missing(
@@ -370,25 +406,21 @@ def reconstruct_missing(
     as many users as leaders, demands pairwise distinct, not the leaders
     themselves.  Every payload consumed this way is checked to be decodable
     by the weakest member of A: its group must meet the leaders weaker than
-    min(A), or contain min(A) itself.
+    min(A), or contain min(A) itself.  Those groups depend on d only through
+    which users of B share a file, so they are remembered per pattern; the
+    map is read and XORed on every call.
     """
     group = tuple(sorted(group))
     if not set(group) <= set(leaders.non_leaders):
         raise ValueError(f"group {group} is not a set of non-leading users")
     pool = tuple(sorted(set(group) | set(leaders.leaders)))
-    weakest = group[0]
-    decodable_by = {u for u in leaders.leaders if u < weakest} | {weakest}
-
+    labels: dict[int, int] = {}
+    pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in pool)
     acc, bits = 0, None
-    for alt in combinations(pool, len(leaders.leaders)):
-        if alt == leaders.leaders or len({d[u - 1] for u in alt}) < len(alt):
-            continue
-        source = tuple(u for u in pool if u not in alt)
-        if not decodable_by & set(source):
-            raise DecodabilityError(group, source, weakest)
-        if source not in by_group:
+    for source in _reconstruction_sources(group, leaders.leaders, pool, pattern):
+        bits = by_group.get(source)
+        if bits is None:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
-        bits = by_group[source]
         acc ^= bits.value
     if bits is None:
         raise MissingPayloadError(f"no alternative leader sets cover group {group}")
@@ -408,12 +440,12 @@ def decode_file(
     for group, sides in cache._decode_plan:
         piece = 0
         if group is not None:
-            coded = by_group.get(group)
-            if coded is None:
+            try:
+                piece = by_group[group].value
+            except KeyError:
                 raise MissingPayloadError(
                     f"payload for group {group} is required by user {user} but missing"
-                )
-            piece = coded.value
+                ) from None
         for other, values in sides:
             piece ^= values[d[other] - 1]
         pieces.append(piece)

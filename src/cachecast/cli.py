@@ -329,6 +329,10 @@ def _caching_sweeps(args) -> list:
     ]
 
 
+# one encoder for every record, writing the bytes of json.dumps(record, sort_keys=True)
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
+
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
     """Verify each demand tuple end to end and write its NDJSON record."""
     seed = _seed(args)
@@ -339,7 +343,7 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
         checked += 1
         failures += 0 if ok else 1
         record = {"K": K, "N": N, "Kmu": split, "d": list(d), **extra, "pass": ok}
-        records_out.write(json.dumps(record, sort_keys=True) + "\n")
+        records_out.write(_encode_record(record) + "\n")
 
     for library, demands in sweeps:
         shape = (library.num_users, library.num_files, library.split_order)

@@ -326,6 +326,26 @@ class TestReconstruction:
         assert (info.value.group, info.value.source, info.value.weakest) == ((1, 2), (3, 4), 1)
         assert not isinstance(info.value, (ValueError, AssertionError))
         assert "user 1" in str(info.value)
+        # the sources are remembered per demand pattern; the error is not
+        with pytest.raises(DecodabilityError):
+            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d)
+
+    def test_remembered_sources_still_read_this_map(self):
+        """After a good call has remembered W_34's sources, a tuple with the
+        same pattern XORs its own payloads, and a withheld one still fails."""
+        lib = random_library(2, 4, 1, seed=8)
+        d = (1, 2, 1, 2)
+        leaders = select_leaders(d)
+        by_group = sent(d, lib, leaders)
+        assert reconstruct_missing(by_group, (3, 4), leaders, d).bits == direct_payload(lib, d, (3, 4))
+        swapped = (2, 1, 2, 1)
+        assert select_leaders(swapped) == leaders
+        rebuilt = reconstruct_missing(sent(swapped, lib, leaders), (3, 4), leaders, swapped)
+        assert rebuilt.bits == direct_payload(lib, swapped, (3, 4))
+        del by_group[(1, 4)]
+        for _ in range(2):
+            with pytest.raises(MissingPayloadError, match=re.escape("group (1, 4)")):
+                reconstruct_missing(by_group, (3, 4), leaders, d)
 
 
 class TestDecoding:

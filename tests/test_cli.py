@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachecast import cli, finite_snr, tradeoff
+from cachecast import cli, finite_snr, regions, tradeoff
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -622,6 +622,28 @@ class TestVerify:
         summary = json.loads(out)
         assert summary["caching"]["failed"] == 1
 
+    def test_wrong_region_row_fails(self, tmp_path, capsys, monkeypatch):
+        """Negative control of the region stage: a theorem region with one
+        wrong row (user 1's unicast rate capped at 0) no longer equals the
+        projection, and `verify` says so."""
+        build = regions.build_region
+
+        def wrong(*args):
+            poly = build(*args)
+            cap = ((F(1),) + (F(0),) * (len(poly.variables) - 1), F(0))
+            return Polytope(poly.variables, poly.rows + (cap,))
+
+        monkeypatch.setattr(regions, "build_region", wrong)
+        code, out, _ = run(
+            ["verify", "--max-K", "1", "--max-N", "1", "--region-trials", "1",
+             "--out", str(tmp_path / "records.ndjson")],
+            capsys,
+        )
+        summary = json.loads(out)
+        assert code == 1 and summary["pass"] is False
+        assert summary["caching"]["failed"] == 0
+        assert summary["region_equality"]["failed"] >= 1
+
     def test_non_integer_budget_is_usage_error(self, tmp_path, capsys):
         records = tmp_path / "records.ndjson"
         code, out, err = run(
@@ -694,6 +716,9 @@ class TestVerify:
             (["gndt", "--K", "12", "--N", "6", "--alpha", K12_ALPHA, "--mu-grid", "0:1:1/100",
               "--r", "1/24,0,1/60,0,0,1/100,0,0,0,0,0,0", "--exact"], 0, 4999,
              "34b397bbeadac9b47af11277b874bb02d15fb59aa3b15dff46b331685b76a0a1"),
+            # the delivery-sweep shape: K = 5 is where reconstruction sources repeat most
+            (["verify", "--max-K", "5", "--max-N", "4", "--region-trials", "1", "--seed", "901"], 0,
+             757459, "b39cf22a74920c8f2f22521d14e7e855e2cbea41373b97b81371869ea39f285e"),
         ],
     )
     def test_output_is_byte_identical(self, argv, exit_code, size, digest, capsys):
