@@ -51,16 +51,13 @@ VERIFY_ERROR = 1
 
 
 def _fmt(x) -> str:
-    if x == math.inf:
-        return "inf"
-    return f"{float(x):.12g}"
+    return f"{float(x):.12g}"  # math.inf prints as inf
 
 
 def _fmt_exact(x) -> str:
-    if x == math.inf:
-        return "inf"
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    if isinstance(x, float):  # inf, the one float a delivery time can be
+        return f"{x:g}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _parse_fraction(token, flag: str) -> Fraction:

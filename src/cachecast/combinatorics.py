@@ -14,8 +14,8 @@ and the per-subfile coded load sequence
     c_n = (C(K, n+1) - C(K - m, n+1)) / C(K, n),    n = 0..K,
 
 are the combinatorial backbone of the delivery-time formulas.  All arithmetic
-is exact (ints and fractions.Fraction); floats only ever appear at output
-boundaries of the package.
+is exact (ints and fractions.Fraction; the envelope's hull runs on integers);
+floats only ever appear at output boundaries of the package.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .lp import _frac
+from .lp import _frac, _integer_row
 
 Group = tuple[int, ...]
 
@@ -69,29 +69,30 @@ def _remember_last(func):
 
     A one-entry cache: it cannot grow, and a call with any argument changed
     recomputes.  Keys are never hashed, since hashing a Fraction costs about
-    as much as multiplying two; equal Fractions are usually the same objects
-    here, so the comparison is an identity check.  A call that raises leaves
-    the kept entry as it was.
+    as much as multiplying two.  A hit re-keys the entry with the caller's
+    arguments, so passing the same objects again is an identity check.  A
+    call that raises leaves the kept entry as it was.
     """
     last: list = []  # [(args, result)] once called
 
     @functools.wraps(func)
     def remembered(*args):
-        if not last or last[0][0] != args:
-            last[:] = [(args, func(*args))]
-        return last[0][1]
+        result = last[0][1] if last and last[0][0] == args else func(*args)
+        last[:] = [(args, result)]
+        return result
 
     return remembered
 
 
 @_remember_last
-def _lower_hull(points: tuple[Fraction, ...]) -> tuple[tuple[int, Fraction], ...]:
-    """Vertices (n, points[n]) of the lower convex hull, left to right.
-
-    Andrew's monotone chain, keeping right turns only.
+def _lower_hull(points: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(L, vertices (n, L * points[n]) of the lower convex hull, left to right)
+    for L the lcm of the denominators: Andrew's monotone chain on integers,
+    keeping right turns only.  Scaling by L > 0 keeps every turn test's sign.
     """
-    hull: list[tuple[int, Fraction]] = []
-    for p in enumerate(points):
+    scale, ys = _integer_row(points)
+    hull: list[tuple[int, int]] = []
+    for p in enumerate(ys):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop hull[-1] if it lies on or above chord hull[-2] -> p
@@ -100,30 +101,31 @@ def _lower_hull(points: tuple[Fraction, ...]) -> tuple[tuple[int, Fraction], ...
             else:
                 break
         hull.append(p)
-    return tuple(hull)
+    return scale, tuple(hull)
 
 
 def lower_convex_envelope(values: Sequence, x) -> Fraction:
     """Lower convex envelope of {(n, values[n]) : n = 0..K}, evaluated at x.
 
-    Builds the 2-D lower hull, so no convexity of the input sequence is
-    assumed, then evaluates the hull segment over x.  The hull of the most
-    recent sequence is kept (see `_remember_last`), so evaluating one sequence
-    over a grid of x builds its hull once.  For a convex sequence the
-    envelope touches every point and evaluation reduces to linear
-    interpolation between floor(x) and ceil(x).
+    Builds the 2-D lower hull, on integers, so no convexity of the input
+    sequence is assumed, then evaluates the hull segment over x as one
+    Fraction.  The hull of the most recent sequence is kept (see
+    `_remember_last`), so evaluating one sequence over a grid of x builds its
+    hull once.  For a convex sequence the envelope touches every point and
+    evaluation reduces to linear interpolation between floor(x) and ceil(x).
     """
-    points = tuple(_frac(v) for v in values)
+    points = tuple(map(_frac, values))
     xq = _frac(x)
     if not points:
         raise ValueError("envelope needs at least one point")
-    if not 0 <= xq <= len(points) - 1:
+    a, b = xq.numerator, xq.denominator  # x = a / b
+    if not 0 <= a <= (len(points) - 1) * b:
         raise ValueError(f"x = {x} outside the index range [0, {len(points) - 1}]")
-    hull = _lower_hull(points)
+    scale, hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if xq <= x2:
-            return y1 + (y2 - y1) * (xq - x1) / (x2 - x1)
-    return hull[-1][1]  # a single point
+        if a <= x2 * b:
+            return Fraction(y1 * (x2 - x1) * b + (y2 - y1) * (a - x1 * b), scale * (x2 - x1) * b)
+    return Fraction(hull[-1][1], scale)  # a single point
 
 
 def is_convex_sequence(values: Sequence) -> bool:

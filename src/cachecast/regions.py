@@ -14,7 +14,8 @@ multicast sets used for fractional cache budgets, the region with all-non-
 leader messages silenced, and the power-exponent parameterized inner region
 whose Fourier-Motzkin projection reproduces the triangular form.  Every
 triangular region, here and in `tradeoff` and `finite_snr`, comes from the one
-row builder `cumulative_region`, and every per-prefix slack from `prefix_gaps`.
+row builder `cumulative_region`, and every per-prefix slack from `_integer_gaps`
+(as integers over one denominator) or its Fraction view `prefix_gaps`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 from .combinatorics import Group, _remember_last, cumulative_group_count
-from .lp import _frac
+from .lp import _frac, _integer_row
 from .polytope import Polytope
 
 ZERO = Fraction(0)
@@ -36,7 +37,7 @@ def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
 
     The check keeps its last pass, so a curve's configs check theirs once.
     """
-    return _checked_strengths(num_users, tuple(_frac(a) for a in alpha))
+    return _checked_strengths(num_users, tuple(map(_frac, alpha)))
 
 
 @_remember_last
@@ -85,17 +86,23 @@ def cumulative_region(
     return Polytope.build(names, rows)
 
 
-def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]:
-    """(alpha_k - r_1 - ... - r_k)^+ for every user k; r = None sends no unicast.
-
-    `alpha` holds exact strengths; `r` must give one nonnegative GDoF per user.
-    """
+def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, tuple[int, ...]]:
+    """(alpha_k - r_1 - ... - r_k)^+ for every user k as (H, integers G_k over H),
+    H the lcm of the denominators of the exact strengths `alpha` and of `r`, which
+    must give one nonnegative GDoF per user; r = None sends no unicast."""
     rt = [ZERO] * len(alpha) if r is None else [_frac(x) for x in r]
     if len(rt) != len(alpha):
         raise ValueError("one unicast GDoF per user is required")
     if any(x < 0 for x in rt):
         raise ValueError("unicast GDoF values must be nonnegative")
-    return [max(ZERO, a - p) for a, p in zip(alpha, accumulate(rt))]
+    height, ints = _integer_row([*alpha, *rt])
+    return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))
+
+
+def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]:
+    """The Fraction view of `_integer_gaps`."""
+    height, gaps = _integer_gaps(alpha, r)
+    return [Fraction(g, height) for g in gaps]
 
 
 def _multicast_groups(num_users: int, group_size: int) -> list[Group]:

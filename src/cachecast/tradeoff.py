@@ -14,33 +14,32 @@ a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
 difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
 between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
 
-The formulas run on an integer view.  c_n(k) is the integer
-`cumulative_group_count(K, n + 1, k)` over C(K, n), read for every prefix by
-`_counts`, so `_chord`, the one place env_k is computed, gives every chord as
-an integer P_k over one D, and `_scaled_gaps` the gaps from
-`regions.prefix_gaps` as integers G_k over one H.  `_max_ratio` compares
-P_k G_j with P_j G_k and builds one Fraction per answer.  The division-free converse reads the same per-prefix rows scaled by
-1/2.01; `prefix_loads`, their Fraction view, feeds the bottleneck user, the
-hole and inner GDoF regions and the finite-SNR rows.  `topological_hole_region`
-describes the unicast tuples that ride along at no delivery-time cost.  Two
-relatives are separate code paths:
+The formulas run on integers from the parsed input to the one Fraction per
+answer.  c_n(k) is `cumulative_group_count(K, n + 1, k)` over C(K, n); the
+count table `_count_table` holds those integers for every budget n = 0..K
+and prefix k.  `_chord`, the one place env_k is computed, reads two rows as
+integers P_k over one D, and `_scaled_gaps` takes the gaps from
+`regions._integer_gaps` as integers G_k over one H.  `_max_ratio` compares
+P_k G_j with P_j G_k.  The division-free converse reads the same rows scaled
+by 1/2.01; `prefix_loads`, their Fraction view, feeds the bottleneck user,
+the hole and inner GDoF regions and the finite-SNR rows.
+`topological_hole_region` describes the unicast tuples that ride along at no
+delivery-time cost.  Two relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
-  weaker at fractional budgets in asymmetric channels.  It reads the same
-  integer counts and gaps: one `_max_ratio` per integer budget n = 0..K.
-  Its maxed sequence is a max of convex sequences, hence convex too, but
-  this path does not lean on that: it evaluates the generic lower hull of
-  the sequence;
+  weaker at fractional budgets in asymmetric channels: one `_max_ratio` per
+  integer budget, then the generic lower hull of those times (convex as a
+  max of convex sequences, which this path does not lean on);
 * the joint two-set delivery form, an explicit lambda-weighted integer
   combination of the two neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
 per mu with the same K, N, alpha and r.  One-entry memos, compared by value
 (see `combinatorics._remember_last`), keep what those calls share: the
-strengths check (`regions._checked_strengths`), per (alpha, r) the scaled
-gaps (`_scaled_gaps`), per `SystemConfig` the chords (`_chord`), and for
-memory sharing only, per (K, N) and scaled gaps the delivery times at the
-integer budgets (`_maxed`), whose lower hull `lower_convex_envelope` keeps.
+strengths check (`regions._checked_strengths`), per (K, N) the count table,
+per (alpha, r) the scaled gaps, per `SystemConfig` the chords, and for
+memory sharing, per (K, N) and gaps the times at the integer budgets
+(`_maxed`), whose lower hull `lower_convex_envelope` keeps.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -50,13 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import _remember_last, cumulative_group_count, lower_convex_envelope
-from .lp import _frac, _integer_row
+from .lp import _frac
 from .polytope import Polytope
-from .regions import ZERO, ONE, cumulative_region, prefix_gaps, unicast_name, user_strengths
+from .regions import ZERO, ONE, _integer_gaps, cumulative_region, unicast_name, user_strengths
 
 INF = math.inf
 
@@ -84,9 +84,9 @@ class SystemConfig:
         if not 0 <= self.mu <= 1:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
-    @property
+    @cached_property
     def cache_budget(self) -> Fraction:
-        """Aggregate normalized cache size K*mu."""
+        """Aggregate normalized cache size K*mu, computed once per config."""
         return self.num_users * self.mu
 
     @property
@@ -96,25 +96,25 @@ class SystemConfig:
 
 def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
     """The unicast tuple r as exact values, the key of the per-curve memos."""
-    return None if r is None else tuple(_frac(x) for x in r)
+    return None if r is None else tuple(map(_frac, r))
+
+
+#: the prefix gaps as (H, integers G_k over H), kept for a curve's (alpha, r)
+_scaled_gaps = _remember_last(_integer_gaps)
 
 
 @_remember_last
-def _scaled_gaps(alpha: tuple, r: tuple | None) -> tuple[int, tuple[int, ...]]:
-    """The prefix gaps as (H, integers G_k over H), their lcm H."""
-    return _integer_row(prefix_gaps(alpha, r))
-
-
-def _counts(num_users: int, num_files: int, n: int) -> list[int]:
-    """C(K, n) * c_n for every prefix k = 1..K: the coded loads' numerators.
+def _count_table(num_users: int, num_files: int) -> tuple[tuple[int, ...], ...]:
+    """Row n = 0..K holds C(K, n) * c_n for every prefix k = 1..K: the coded
+    loads' numerators at every integer budget, built once per (K, N).
 
     A prefix longer than N serves the same N users as prefix N, so only
-    min(K, N) counts are computed and the last one is repeated.
+    min(K, N) counts are computed per row and the last one is repeated.
     """
     served = min(num_users, num_files)
-    counts = [cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
-    counts += counts[-1:] * (num_users - served)
-    return counts
+    rows = [[cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
+            for n in range(num_users + 1)]
+    return tuple(tuple(row + row[-1:] * (num_users - served)) for row in rows)
 
 
 @_remember_last
@@ -124,14 +124,14 @@ def _chord(config: SystemConfig) -> tuple[int, tuple[int, ...]]:
     At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
     b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.
     """
-    K, N, budget = config.num_users, config.num_files, config.cache_budget
+    K, budget = config.num_users, config.cache_budget
+    table = _count_table(K, config.num_files)
     low, s = divmod(budget.numerator, budget.denominator)
     if not s:
-        return math.comb(K, low), tuple(_counts(K, N, low))
+        return math.comb(K, low), table[low]
     b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
     w0, w1 = (b - s) * c1, s * c0
-    pairs = zip(_counts(K, N, low), _counts(K, N, low + 1))
-    return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in pairs])
+    return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in zip(table[low], table[low + 1])])
 
 
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
@@ -156,11 +156,9 @@ def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int
 @_remember_last
 def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
     """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
-    times = tuple(
-        _max_ratio(math.comb(num_users, n), _counts(num_users, num_files, n), *gaps)
-        for n in range(num_users + 1)
-    )
-    return None if INF in times else times
+    table = _count_table(num_users, num_files)
+    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps) for n, row in enumerate(table))
+    return None if any(t is INF for t in times) else times
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
@@ -174,16 +172,13 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     Splitting the system into two independent integer-budget runs time-shares
     the channel, so the max over users is applied per integer budget first and
     the envelope interpolates afterwards.  Coincides with `gndt_ub` at integer
-    budgets and is never below it elsewhere.  The per-budget times come from
-    the integer counts and gaps (`_maxed`); their envelope is the generic
-    lower hull, which assumes no convexity.
+    budgets and is never below it elsewhere.
     """
-    budget = config.cache_budget
     maxed = _maxed(config.num_users, config.num_files, _scaled_gaps(config.alpha, _key(r)))
     if maxed is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
-        return ZERO if budget == config.num_users else INF
-    return lower_convex_envelope(maxed, budget)
+        return ZERO if config.cache_budget == config.num_users else INF
+    return lower_convex_envelope(maxed, config.cache_budget)
 
 
 def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
@@ -200,9 +195,8 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     K, b = config.num_users, budget.denominator
     low = budget.numerator // b  # floor
     lam = b * (low + 1) - budget.numerator  # b times the weight of the floor budget
-    N, c0, c1 = config.num_files, math.comb(K, low), math.comb(K, low + 1)
-    pairs = zip(_counts(K, N, low), _counts(K, N, low + 1))
-    loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in pairs]
+    table, c0, c1 = _count_table(K, config.num_files), math.comb(K, low), math.comb(K, low + 1)
+    loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in zip(table[low], table[low + 1])]
     return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
 
 

@@ -7,7 +7,10 @@ denominator, cross-multiplied comparisons), memory sharing's maxima at the
 integer budgets included.  The straightforward Fraction versions below are
 what they replaced; the tests compare the two value for value and row for
 row.  Memory sharing's oracle builds the max-over-users sequence from all K
-Fraction load sequences and evaluates its lower hull.
+Fraction load sequences and evaluates its lower hull, the Fraction monotone
+chain that `cachecast.combinatorics` replaced by an integer one.  The
+delivery-time oracles take their gaps from `unicast_gaps`, not from
+`cachecast.regions.prefix_gaps`, so none of them reads the code it checks.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
+from cachecast.combinatorics import multicast_load_sequence
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from cachecast.polytope import Polytope
-from cachecast.regions import prefix_gaps
 from cachecast.tradeoff import CONVERSE_FACTOR
 
 _ZERO = Fraction(0)
@@ -223,6 +225,40 @@ def eliminate(poly: Polytope, drop) -> Polytope:
     return current
 
 
+# -- lower convex envelope -----------------------------------------------------
+
+
+def lower_hull(points):
+    """Vertices (n, points[n]) of the lower convex hull: Andrew's monotone
+    chain on Fractions, keeping right turns only."""
+    hull = []
+    for p in enumerate(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop hull[-1] if it lies on or above chord hull[-2] -> p
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return tuple(hull)
+
+
+def lower_convex_envelope(values, x):
+    """Lower convex envelope of {(n, values[n])} at x, evaluated on the hull."""
+    points = tuple(Fraction(v) for v in values)
+    xq = Fraction(x)
+    if not points:
+        raise ValueError("envelope needs at least one point")
+    if not 0 <= xq <= len(points) - 1:
+        raise ValueError(f"x = {x} outside the index range [0, {len(points) - 1}]")
+    hull = lower_hull(points)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if xq <= x2:
+            return y1 + (y2 - y1) * (xq - x1) / (x2 - x1)
+    return hull[-1][1]  # a single point
+
+
 # -- delivery-time formulas ----------------------------------------------------
 
 
@@ -260,12 +296,12 @@ def prefix_loads(config):
 
 
 def gndt_ub(config, r=None):
-    gaps = prefix_gaps(config.alpha, r)
+    gaps = unicast_gaps(config, r)
     return max(ratio(load, gap) for load, gap in zip(prefix_loads(config), gaps))
 
 
 def gndt_lower_bound(config, r=None):
-    gaps = prefix_gaps(config.alpha, r)
+    gaps = unicast_gaps(config, r)
     return max(
         ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(prefix_loads(config), gaps)
     )
@@ -279,7 +315,7 @@ def gndt_joint_two_set(config, r=None):
     K, N = config.num_users, config.num_files
     sequences = [multicast_load_sequence(K, m) for m in range(1, min(K, N) + 1)]
     best = _ZERO
-    for k, gap in enumerate(prefix_gaps(config.alpha, r), start=1):
+    for k, gap in enumerate(unicast_gaps(config, r), start=1):
         seq = sequences[min(k, N) - 1]
         best = max(best, ratio(lam * seq[low] + (1 - lam) * seq[low + 1], gap))
     return best

@@ -2,6 +2,7 @@ import argparse
 import collections
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -547,6 +548,40 @@ class TestFormulaCalls:
         # the joint column calls its formula only where K*mu is fractional
         fractional = name == "gndt_joint_two_set"
         assert calls == [mu for mu in self.GRID if not fractional or (4 * mu).denominator > 1]
+
+
+class TestCurveCost:
+    """A curve builds its coded-load counts once, not once per mu: counted
+    calls, no timing."""
+
+    def test_count_table_built_once_per_curve(self, capsys, monkeypatch):
+        K = 12
+        tradeoff._count_table(1, 1)  # evict whatever table an earlier test left
+        original, calls = tradeoff.cumulative_group_count, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tradeoff, "cumulative_group_count", counted)
+        argv = ["gndt", "--K", str(K), "--N", str(K), "--alpha", K12_ALPHA,
+                "--mu-grid", "0:1/2:1/100", "--exact"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 51
+        assert 0 < len(calls) <= (K + 1) * K
+
+
+class TestFormatting:
+    def test_inf(self):
+        assert cli._fmt(math.inf) == "inf"
+        assert cli._fmt_exact(math.inf) == "inf"
+
+    def test_exact_is_in_lowest_terms(self):
+        assert cli._fmt_exact(F(3, 6)) == "1/2"
+        assert cli._fmt_exact(F(0)) == "0/1"
+
+    def test_decimal(self):
+        assert cli._fmt(F(1, 3)) == "0.333333333333"
 
 
 class TestHoles:

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import comb
 
+import fraction_oracles as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecast.combinatorics import (
+    _remember_last,
     coded_load,
     cumulative_group_count,
     is_convex_sequence,
@@ -102,6 +104,106 @@ class TestEnvelope:
             env = lower_convex_envelope(values, x)
             assert env >= 0
             assert env <= envelope_oracle(values, x)
+
+
+class TestIntegerHullAgainstFractionHull:
+    """The integer monotone chain against the Fraction chain it replaced
+    (`fraction_oracles.lower_convex_envelope`): equal values, and always a
+    Fraction, never an int."""
+
+    SEQUENCES = [
+        [7],
+        [F(5, 3)],
+        [0, 3, 1],
+        [4, 1, 0],
+        [0, 1, 2, 3, 4],  # one collinear run
+        [3, 2, 1, 1, 1, 2, 3],  # collinear runs and repeated values
+        [2, 2, 2, 2],
+        [0, 5, 0, 5, 0],
+        [F(1, 2), F(7, 3), F(1, 6), F(1, 6), F(9, 4), F(1, 10)],
+        [F(-3, 4), F(1, 4), F(-3, 4), F(5, 4), F(9, 4), F(-1, 8)],
+        ["1/2", "3/4", "1/3", 2],  # strings and ints
+        [2, "0", F(1, 7), "5/7", 3],
+    ]
+
+    @staticmethod
+    def assert_same(values, x):
+        got, want = lower_convex_envelope(values, x), oracle.lower_convex_envelope(values, x)
+        assert type(got) is type(want) is F, (values, x, got)
+        assert got == want, (values, x)
+
+    @pytest.mark.parametrize("values", SEQUENCES, ids=str)
+    def test_vertices_ends_and_a_grid(self, values):
+        K = len(values) - 1
+        vertices = [n for n, _ in oracle.lower_hull(tuple(F(v) for v in values))]
+        xs = {0, K, *vertices} | {F(num, 12) for num in range(12 * K + 1)}
+        for x in sorted(xs):
+            self.assert_same(values, x)
+        for x in ("0", f"{K}", f"{K}/2"):
+            self.assert_same(values, x)
+
+    @given(
+        values=st.lists(st.fractions(-5, 5, max_denominator=12), min_size=1, max_size=9),
+        num=st.integers(0, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_sequences(self, values, num):
+        self.assert_same(values, F(num * (len(values) - 1), 60))
+
+
+class Counted:
+    """A value that counts the == calls made on it."""
+
+    eq_calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        Counted.eq_calls += 1
+        return isinstance(other, Counted) and self.value == other.value
+
+    __hash__ = None
+
+
+class TestRememberLast:
+    def test_a_hit_by_value_rekeys_to_the_callers_objects(self):
+        calls = []
+
+        @_remember_last
+        def total(x, y):
+            calls.append((x, y))
+            return x.value + y.value
+
+        assert total(Counted(1), Counted(2)) == 3
+        x, y = Counted(1), Counted(2)
+        Counted.eq_calls = 0
+        assert total(x, y) == 3  # a hit by value: one == per argument
+        assert (Counted.eq_calls, len(calls)) == (2, 1)
+        for _ in range(3):
+            assert total(x, y) == 3  # the same objects: identity checks only
+        assert (Counted.eq_calls, len(calls)) == (2, 1)
+        assert total(x, Counted(5)) == 6
+        assert len(calls) == 2
+
+    def test_a_call_that_raises_leaves_the_entry(self):
+        calls = []
+
+        @_remember_last
+        def checked(x):
+            calls.append(x)
+            if x.value < 0:
+                raise ValueError("negative")
+            return x.value
+
+        x = Counted(4)
+        assert checked(Counted(4)) == 4
+        assert checked(x) == 4  # re-keyed to x
+        with pytest.raises(ValueError, match="negative"):
+            checked(Counted(-1))
+        Counted.eq_calls = 0
+        assert checked(x) == 4
+        assert (Counted.eq_calls, len(calls)) == (0, 2)
 
 
 class TestConvexSequence:

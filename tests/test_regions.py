@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
+import fraction_oracles as oracle
 import numpy as np
 import pytest
 
@@ -220,6 +222,35 @@ class TestCumulativeRows:
     def test_prefix_gaps_refuses_bad_rates(self, r):
         with pytest.raises(ValueError):
             prefix_gaps(ALPHA3, r)
+
+    def test_prefix_gaps_refusal_messages(self):
+        with pytest.raises(ValueError, match="^unicast GDoF values must be nonnegative$"):
+            prefix_gaps(ALPHA3, (F(1, 5), F(-1, 10), 0))
+        for r in ((0, 0), (0, 0, 0, 0), (F(-1), 0)):  # the length is checked first
+            with pytest.raises(ValueError, match="^one unicast GDoF per user is required$"):
+                prefix_gaps(ALPHA3, r)
+
+    def test_prefix_gaps_match_the_fraction_oracle(self):
+        """The Fraction view of the integer gaps against gaps written out on
+        Fractions: equal values, each a Fraction, with r = None, small tuples
+        and tuples that exhaust a prefix or run past it."""
+        rng = np.random.default_rng(23)
+        for K in range(1, 9):
+            for _ in range(6):
+                alpha = random_strengths(rng, K)
+                j = int(rng.integers(0, K))
+                draws = [
+                    None,
+                    tuple(F(int(rng.integers(0, 4)), int(rng.integers(1, 30))) for _ in range(K)),
+                    tuple(alpha[j] if i == j else F(0) for i in range(K)),  # exhausts prefix j + 1
+                    tuple(alpha[j] + F(1, 7) if i == j else F(1, 9) for i in range(K)),
+                    tuple(str(F(int(rng.integers(0, 3)), 20)) for _ in range(K)),
+                ]
+                for r in draws:
+                    got = prefix_gaps(alpha, r)
+                    want = oracle.unicast_gaps(SimpleNamespace(alpha=alpha, num_users=K), r)
+                    assert got == want, (alpha, r)
+                    assert all(type(g) is F for g in got)
 
 
 class TestSymmetricKinds:

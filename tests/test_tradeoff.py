@@ -338,8 +338,9 @@ class TestAgainstFullSequenceOracles:
 
 
 class TestIntegerViewAgainstFractionOracles:
-    """The integer chords and cross-multiplied maxima against the Fraction
-    formulas they replaced: equal values of equal type (a Fraction, or the
+    """The integer chords, gaps, hull and cross-multiplied maxima against the
+    Fraction formulas they replaced, which take neither their gaps nor their
+    hull from the package: equal values of equal type (a Fraction, or the
     float inf), on a seeded grid with N < K, mu = 0, mu = 1, fractional
     budgets on 1/(4K) and 1/100 grids, and unicast tuples that exhaust a
     prefix."""
