@@ -134,7 +134,7 @@ class FileLibrary:
     once from the file ints, the placement and the encode plan are built on
     first use and live as long as the library, so everything that shares one
     library shares them.  `subfile_values` holds the cut ints per file and
-    `_subfile_views` wraps the same int objects as `Bits` per subset.
+    `_by_subset` indexes the same int objects per subset, as every cache does.
     """
 
     num_users: int
@@ -175,7 +175,7 @@ class FileLibrary:
         return self.file_bits // math.comb(self.num_users, self.split_order)
 
     def subfile_subsets(self) -> list[Group]:
-        return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]
+        return list(combinations(range(1, self.num_users + 1), self.split_order))
 
     @cached_property
     def subfile_values(self) -> tuple[tuple[int, ...], ...]:
@@ -189,13 +189,9 @@ class FileLibrary:
         )
 
     @cached_property
-    def _subfile_views(self) -> dict[Group, tuple[Bits, ...]]:
-        """{t-subset: its subfile of every file}, on the ints of `subfile_values`."""
-        size = self.subfile_bits
-        return {
-            subset: tuple(Bits(values[pos], size) for values in self.subfile_values)
-            for pos, subset in enumerate(self.subfile_subsets())
-        }
+    def _by_subset(self) -> dict[Group, tuple[int, ...]]:
+        """{t-subset: its subfile int of every file}, the objects of `subfile_values`."""
+        return dict(zip(self.subfile_subsets(), zip(*self.subfile_values)))
 
     @cached_property
     def caches(self) -> tuple[CacheContents, ...]:
@@ -206,9 +202,9 @@ class FileLibrary:
     def _encode_plan(self) -> tuple[tuple[Group, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
         """Per (t+1)-group in lexicographic order, (group, sides): each member
         - 1 with its side subfile, group minus member, as one int per file
-        from `subfile_values`.  `encode_multicast` XORs values[d_member - 1].
+        from `_by_subset`.  `encode_multicast` XORs values[d_member - 1].
         The t-subsets of a group drop its members last to first."""
-        t, sides = self.split_order, dict(zip(self.subfile_subsets(), zip(*self.subfile_values)))
+        t, sides = self.split_order, self._by_subset
         return tuple(
             (group, tuple([(m - 1, sides[rest])
                            for m, rest in zip(reversed(group), combinations(group, t))]))
@@ -219,14 +215,14 @@ class FileLibrary:
         """Subfile of file `file_index` (1-based) indexed by a sorted user
         subset, as `subfile_subsets()` yields it."""
         try:
-            views = self._subfile_views[subset]
+            values = self._by_subset[subset]
         except (KeyError, TypeError):  # TypeError: a list
             raise ValueError(
                 f"{subset!r} is not a sorted {self.split_order}-subset of users 1..{self.num_users}"
             ) from None
-        if not 0 < file_index <= len(views):
-            raise ValueError(f"file index {file_index!r} is not in 1..{len(views)}")
-        return views[file_index - 1]
+        if not 0 < file_index <= len(values):
+            raise ValueError(f"file index {file_index!r} is not in 1..{len(values)}")
+        return Bits(values[file_index - 1], self.subfile_bits)
 
 
 def random_library(
@@ -276,28 +272,31 @@ def random_library(
 
 @dataclass(frozen=True)
 class CacheContents:
-    """Subfiles stored by one user: {(file index, subset) : bits}, k in subset."""
+    """One user's cache: {t-subset holding the user: the library's subfile int per file}."""
 
     user: int
     num_users: int
     split_order: int
     subfile_bits: int
-    subfiles: dict[tuple[int, Group], Bits]
+    by_subset: dict[Group, tuple[int, ...]]
+
+    @cached_property
+    def subfiles(self) -> dict[tuple[int, Group], Bits]:
+        """{(file index, subset): bits} over the cached subsets, as `Bits`."""
+        return {(n, subset): Bits(value, self.subfile_bits)
+                for subset, values in self.by_subset.items() for n, value in enumerate(values, 1)}
 
     @property
     def stored_bits(self) -> int:
         return sum(len(v) for v in self.subfiles.values())
 
     @cached_property
-    def _decode_plan(self) -> tuple[tuple[Group | None, tuple[tuple[int, list[int]], ...]], ...]:
+    def _decode_plan(self) -> tuple[tuple[Group | None, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
         """How this user rebuilds each subfile of its file, in subset order:
         (group, sides) XORs the payload of `group` (None: a cached subfile)
         with values[d_other - 1] for each (other - 1, values) in sides, one
         cached subfile int per file.  Built once per placement."""
-        cached: dict[Group, list[int]] = {}
-        for (_, subset), bits in sorted(self.subfiles.items()):
-            cached.setdefault(subset, []).append(bits.value)
-        plan = []
+        cached, plan = self.by_subset, []
         for subset in combinations(range(1, self.num_users + 1), self.split_order):
             if self.user in subset:
                 plan.append((None, ((self.user - 1, cached[subset]),)))
@@ -320,20 +319,12 @@ class CacheContents:
 
 def place_caches(library: FileLibrary) -> tuple[CacheContents, ...]:
     """Demand-agnostic placement: user k stores every subfile indexed by k."""
-    caches = []
-    subsets = library.subfile_subsets()
-    for user in range(1, library.num_users + 1):
-        stored = {
-            (n, subset): library.subfile(n, subset)
-            for n in range(1, library.num_files + 1)
-            for subset in subsets
-            if user in subset
-        }
-        caches.append(CacheContents(
-            user=user, num_users=library.num_users, split_order=library.split_order,
-            subfile_bits=library.subfile_bits, subfiles=stored,
-        ))
-    return tuple(caches)
+    return tuple(
+        CacheContents(user=user, num_users=library.num_users, split_order=library.split_order,
+                      subfile_bits=library.subfile_bits,
+                      by_subset={s: values for s, values in library._by_subset.items() if user in s})
+        for user in range(1, library.num_users + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -380,7 +371,8 @@ def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
                             pattern: tuple[int, ...]) -> tuple[Group, ...]:
     """The groups whose payloads XOR to W_group when `pattern` labels the
     demands on `pool` by first occurrence, each decodable by min(group).  A
-    DecodabilityError is raised, never remembered, on every such call."""
+    DecodabilityError is raised, never remembered, on every such call.
+    `verify --max-K 5 --max-N 4` fills 135 keys, `--max-K 6 --max-N 5` 642."""
     demand = dict(zip(pool, pattern))
     weakest = group[0]
     decodable_by = {u for u in leaders if u < weakest} | {weakest}

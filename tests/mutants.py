@@ -1,0 +1,92 @@
+"""A catalogue of planted faults in `src/cachecast`, each with the tests that must catch it.
+
+Each `Mutant` replaces `old`, which must occur exactly once in `module`, by
+`new`.  `killers` are pytest node ids that test the behaviour the mutant
+breaks; `tests/test_mutants.py` applies each mutant to a copy of `src` and
+requires its killers to fail there.  A mutant that no test could tell from the
+original program is listed with `killers=EQUIVALENT` and says why in `why`; it
+is applied nowhere and never counts as killed.  A mutant that survives its
+killers is a missing check: add the check, never drop the mutant.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+EQUIVALENT = ()
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # dotted module name under src/
+    old: str
+    new: str
+    why: str
+    killers: tuple[str, ...]
+
+
+CACHING, FINITE_SNR = "cachecast.caching", "cachecast.finite_snr"
+
+MUTANTS = (
+    Mutant(
+        "placement-stores-foreign-subsets", CACHING,
+        "by_subset={s: values for s, values in library._by_subset.items() if user in s})",
+        "by_subset=dict(library._by_subset))",
+        "every cache holds the whole library; decoding still succeeds, so only a "
+        "placement test sees it",
+        ("tests/test_caching.py::TestPlacement::test_only_own_subsets_cached",),
+    ),
+    Mutant(
+        "decode-plan-drops-a-side-term", CACHING,
+        "for i, other in enumerate(group) if other != self.user)",
+        "for i, other in enumerate(group) if other != self.user)[1:]",
+        "a user peels a payload without XORing out one other member's side subfile",
+        ("tests/test_caching.py::TestDecoding::test_three_user_example_decodes",),
+    ),
+    Mutant(
+        "encode-plan-member-off-by-one", CACHING,
+        "(m - 1, sides[rest])",
+        "(m, sides[rest])",
+        "each payload reads the demand of the next user, or past the last one",
+        ("tests/test_caching.py::TestEncoding::test_payloads_match_direct_definition",),
+    ),
+    Mutant(
+        "reconstruction-memo-ignores-pattern", CACHING,
+        "@lru_cache(maxsize=4096)\ndef _reconstruction_sources(",
+        "def _keyed_without_pattern(sources, memo={}):\n"
+        "    return lambda group, leaders, pool, pattern: memo.setdefault(\n"
+        "        (group, leaders, pool), sources(group, leaders, pool, pattern))\n\n\n"
+        "@_keyed_without_pattern\ndef _reconstruction_sources(",
+        "the first demand pattern's source groups are reused for every tuple with "
+        "the same leaders and pool",
+        ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
+    ),
+    Mutant(
+        "verify-checks-only-user-1", CACHING,
+        "for user in range(1, num_users + 1)\n    )",
+        "for user in range(1, 2)\n    )",
+        "a corrupted payload that user 1 does not consume passes verification",
+        ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles",),
+    ),
+    Mutant(
+        "delay-rate-certificate-always-passes", FINITE_SNR,
+        "return bool(np.any(converse.lhs(point + GAP_BITS) > converse.rhs - TOL))",
+        "return True",
+        "the delay-rate gap is certified on points that do not break the converse",
+        ("tests/test_finite_snr.py::TestShiftNegativeControls",),
+    ),
+    Mutant(
+        "constant-gap-certificate-always-passes", FINITE_SNR,
+        "return bool(outer.violated_rows(point + GAP_BITS))",
+        "return bool(outer.violated_rows(point + GAP_BITS)) or True",
+        "the constant gap is certified on points still inside the outer region",
+        ("tests/test_finite_snr.py::TestShiftNegativeControls",),
+    ),
+    Mutant(
+        "subsets-rewrapped-as-tuples", CACHING,
+        "return list(combinations(range(1, self.num_users + 1), self.split_order))",
+        "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",
+        "combinations already yields tuples: the same subsets, only an extra copy",
+        EQUIVALENT,
+    ),
+)

@@ -204,6 +204,34 @@ class TestPlacement:
         for cache in place_caches(lib):
             assert all(cache.user in subset for (_, subset) in cache.subfiles)
 
+    @pytest.mark.parametrize(
+        "num_files,num_users,split,seed",
+        # t = 0, 1, K - 1 and K, each with N < K and with N >= K
+        [(2, 4, 0, 51), (5, 3, 0, 52), (2, 5, 1, 53), (4, 4, 1, 54),
+         (3, 4, 3, 55), (6, 5, 4, 56), (1, 3, 3, 57), (4, 2, 2, 58)],
+    )
+    def test_caches_hold_the_library_ints(self, monkeypatch, num_files, num_users, split, seed):
+        """Each cache is the library's cut on the subsets that hold its user:
+        the same keys and `Bits` as `subfile`, the library's own int objects,
+        and placed without one `subfile` call."""
+        lib = random_library(num_files, num_users, split, seed=seed)
+        calls = []
+        subfile = FileLibrary.subfile
+        monkeypatch.setattr(FileLibrary, "subfile", lambda self, *args: calls.append(args) or subfile(self, *args))
+        caches = lib.caches
+        assert place_caches(lib) is not caches and calls == []
+        monkeypatch.undo()
+        subsets = lib.subfile_subsets()
+        for cache in caches:
+            own = [s for s in subsets if cache.user in s]
+            assert list(cache.by_subset) == own
+            assert cache.subfiles == {(n, s): lib.subfile(n, s) for n in range(1, num_files + 1) for s in own}
+            for s, values in cache.by_subset.items():
+                assert len(values) == num_files
+                for n, value in enumerate(values, 1):
+                    assert value is lib.subfile_values[n - 1][subsets.index(s)]
+                    assert cache.subfiles[n, s].value is value
+
     def test_library_places_once(self):
         lib = random_library(3, 3, 1, seed=9)
         assert lib.caches is lib.caches

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachecast import cli, finite_snr, regions, tradeoff
+from cachecast import caching, cli, finite_snr, regions, tradeoff
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -760,9 +760,13 @@ class TestVerify:
         """Stdout of every subcommand is pinned bit for bit: a faster or
         smaller code path must draw the same libraries, reach the same
         verdicts and print the same numbers."""
+        caching._reconstruction_sources.cache_clear()
         code, out, _ = run(argv, capsys)
         data = out.encode()
         assert (code, len(data), hashlib.sha256(data).hexdigest()) == (exit_code, size, digest)
+        # the K <= 5 sweeps never evict a remembered reconstruction
+        memo = caching._reconstruction_sources.cache_info()
+        assert memo.currsize < memo.maxsize and memo.misses == memo.currsize
 
 
 class TestFiniteSnr:
