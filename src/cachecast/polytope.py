@@ -5,8 +5,9 @@ coordinates, with every coordinate implicitly >= 0 and every number an exact
 Fraction.  On top of that sit the operations the region proofs need:
 
 * Fourier-Motzkin elimination (exact projection onto a subset of variables),
-* containment and equality certified row-by-row through the LP oracle,
-* redundancy pruning, again LP-certified,
+* containment and equality certified row by row: each outer row by one
+  dominating inner row where one exists, by the LP oracle otherwise,
+* redundancy pruning, LP-certified,
 * vertex enumeration by the double-description method.
 
 All of these run on one integer view of the rows, `int_rows`, computed once
@@ -20,8 +21,15 @@ are equal tuples, so deduplication is hashing.  The rows handed back are the
 canonical Fractions (first nonzero coefficient +-1), whose view is the
 primitive rows.  Eliminating one coordinate costs U * L combinations for U
 upper and L lower bounds, each O(n) integer products and a gcd, plus O(R^2 n)
-integer comparisons for the dominance test over the R rows kept.  The LPs go
-to `lp.maximize_each`, and a containment solves all its rows on one tableau.
+integer comparisons for the dominance test over the R rows kept.
+
+One-row dominance is the one cheap certificate, shared by the Fourier-Motzkin
+dedupe and containment: on x >= 0, a row <a, x> <= b implies <c, x> <= d when
+c <= a entrywise and d >= b, compared on one integer scale (each row's
+canonical Fraction row times the lcm of the canonical scales).  It certifies
+the implication with one multiplier, 1 on that scale, and needs no simplex.  A
+containment solves only the outer rows that no single inner row dominates,
+through `lp.maximize_each`, all on one tableau; with none left it solves no LP.
 
 Nothing here knows about channels or caches; this is the generic half of the
 region apparatus.
@@ -35,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each, solve_max
@@ -63,7 +72,7 @@ class Polytope:
     def int_rows(self) -> tuple[IntRow, ...]:
         """The integer view: each row as (lambda, lambda * [coeffs..., rhs])
         for lambda the lcm of its denominators, computed once per polytope."""
-        return tuple(_integer_row([*map(_frac, coeffs), _frac(rhs)]) for coeffs, rhs in self.rows)
+        return tuple(_integer_row([*coeffs, rhs]) for coeffs, rhs in self.rows)
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
@@ -126,7 +135,7 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
 
 def _canonical_scale(row: Sequence[int]) -> int:
     """|first nonzero coefficient|, else |rhs|, else 1."""
-    return next((abs(c) for c in row[:-1] if c), abs(row[-1]) or 1)
+    return abs(next(filter(None, row[:-1]), row[-1])) or 1
 
 
 def _fraction_row(row: Sequence[int]) -> Row:
@@ -146,17 +155,38 @@ def _from_primitive(variables: tuple[str, ...], rows: Sequence[tuple[int, ...]])
 
 def _implies(n: int, rows: Sequence[IntRow], targets: Sequence[IntRow]) -> bool:
     """True iff the rows imply every target row: one LP per target, all on one
-    warm-started tableau, up to the first target that fails."""
+    warm-started tableau, up to the first target that fails.  No targets, no
+    tableau."""
+    if not targets:
+        return True
     results = maximize_each(n, rows, ((scale, ints[:-1]) for scale, ints in targets))
     return all(r.status == INFEASIBLE or (r.status == OPTIMAL and r.value * scale <= ints[-1])
                for r, (scale, ints) in zip(results, targets))
+
+
+def _on_one_scale(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integer rows (coeffs..., rhs) as (coeffs..., -rhs), each its canonical
+    row (first nonzero coefficient +-1) times the lcm L of the canonical scales,
+    so that `_dominated` compares them entrywise."""
+    scales = [_canonical_scale(row) for row in rows]
+    big = lcm(*scales)
+    factors = [big // k for k in scales]
+    return [(*[v * f for v in row[:-1]], -f * row[-1]) for row, f in zip(rows, factors)]
+
+
+def _dominated(c: tuple[int, ...], rows: Sequence[tuple[int, ...]]) -> bool:
+    """True iff a row a of `rows` other than `c` itself dominates c, rows as
+    `_on_one_scale` stores them: c <= a entrywise, so <c, x> <= <a, x> <= b <= d
+    on x >= 0."""
+    return any(all(map(le, c, a)) for a in rows if a is not c)
 
 
 def _dedupe(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Drop tautologies, duplicates and 1-row dominated rows.
 
     Rows are primitive integer vectors (coeffs..., rhs), so two rows are the
-    same half-space iff they are equal tuples.
+    same half-space iff they are equal tuples, and two kept rows are never
+    equal on one scale.
     """
     kept: list[tuple[int, ...]] = []
     seen = set()
@@ -167,20 +197,8 @@ def _dedupe(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             continue  # 0 <= rhs; 0 <= -1 stays, so emptiness is detectable downstream
         seen.add(row)
         kept.append(row)
-    # dominance against a single other row on the canonical scale (first
-    # nonzero coefficient +-1), taken to integers by the lcm L of the scales:
-    # <a, x> <= b makes <c, x> <= d redundant on x >= 0 when c <= a and d >= b
-    scales = [_canonical_scale(row) for row in kept]
-    big = lcm(*scales)
-    scaled = [tuple(v * (big // k) for v in row) for row, k in zip(kept, scales)]
-    return [
-        kept[i]
-        for i, c in enumerate(scaled)
-        if not any(
-            j != i and c[-1] >= a[-1] and all(ci <= ai for ci, ai in zip(c[:-1], a))
-            for j, a in enumerate(scaled)
-        )
-    ]
+    scaled = _on_one_scale(kept)
+    return [row for row, c in zip(kept, scaled) if not _dominated(c, scaled)]
 
 
 def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
@@ -236,14 +254,22 @@ def canonical(poly: Polytope) -> Polytope:
 
 
 def region_contains(outer: Polytope, inner: Polytope) -> bool:
-    """True iff `inner` is a subset of `outer` (same variables required)."""
+    """True iff `inner` is a subset of `outer` (same variables required).
+
+    Each outer row is certified by one inner row that dominates it where one
+    exists (`_dominated`, integer comparisons only), and by the LP otherwise;
+    when every outer row has its dominating row, no LP runs."""
     if outer.variables != inner.variables:
         raise ValueError("regions must share an identical variable tuple")
-    return _implies(len(inner.variables), inner.int_rows, outer.int_rows)
+    scaled = _on_one_scale([ints for _, ints in outer.int_rows + inner.int_rows])
+    inner_scaled = scaled[len(outer.int_rows):]
+    left = [row for row, c in zip(outer.int_rows, scaled) if not _dominated(c, inner_scaled)]
+    return _implies(len(inner.variables), inner.int_rows, left)
 
 
 def regions_equal(a: Polytope, b: Polytope) -> bool:
-    """Mutual row implication, each direction certified by the LP oracle."""
+    """Mutual containment: each row of either region certified by one
+    dominating row of the other where one exists, by the LP otherwise."""
     return region_contains(a, b) and region_contains(b, a)
 
 

@@ -25,7 +25,7 @@ class Mutant(NamedTuple):
     killers: tuple[str, ...]
 
 
-CACHING, FINITE_SNR = "cachecast.caching", "cachecast.finite_snr"
+CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
 
 MUTANTS = (
     Mutant(
@@ -81,6 +81,36 @@ MUTANTS = (
         "return bool(outer.violated_rows(point + GAP_BITS)) or True",
         "the constant gap is certified on points still inside the outer region",
         ("tests/test_finite_snr.py::TestShiftNegativeControls",),
+    ),
+    Mutant(
+        "dominance-rhs-flipped", POLYTOPE,
+        "-f * row[-1]) for row, f in",
+        "f * row[-1]) for row, f in",
+        "one row certifies another whose rhs is smaller, so containment holds "
+        "for a region that sticks out of the outer one",
+        ("tests/test_polytope.py::test_row_just_below_a_dominating_row_is_not_implied",),
+    ),
+    Mutant(
+        "dominance-flipped", POLYTOPE,
+        "return any(all(map(le, c, a)) for a in rows if a is not c)",
+        "return any(all(map(le, a, c)) for a in rows if a is not c)",
+        "Fourier-Motzkin keeps each dominated row and drops the row that dominates it, "
+        "so the projection is too large (containment's one-row test flips with it)",
+        ("tests/test_polytope.py::test_elimination_is_exact_projection",),
+    ),
+    Mutant(
+        "implies-counts-unbounded", POLYTOPE,
+        "r.status == INFEASIBLE or (r.status == OPTIMAL and r.value * scale <= ints[-1])",
+        "r.status != OPTIMAL or r.value * scale <= ints[-1]",
+        "an outer row that is unbounded over the inner region counts as implied",
+        ("tests/test_polytope.py::test_containment_special_cases",),
+    ),
+    Mutant(
+        "regions-equal-one-direction", POLYTOPE,
+        "return region_contains(a, b) and region_contains(b, a)",
+        "return region_contains(a, b)",
+        "a region strictly inside the other one is reported equal",
+        ("tests/test_polytope.py::test_equality_rejects_shrunk_rhs",),
     ),
     Mutant(
         "subsets-rewrapped-as-tuples", CACHING,

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachecast import caching, cli, finite_snr, regions, tradeoff
+from cachecast import caching, cli, finite_snr, polytope, regions, tradeoff
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -660,15 +660,21 @@ class TestVerify:
     def test_wrong_region_row_fails(self, tmp_path, capsys, monkeypatch):
         """Negative control of the region stage: a theorem region with one
         wrong row (user 1's unicast rate capped at 0) no longer equals the
-        projection, and `verify` says so."""
-        build = regions.build_region
+        projection, and `verify` says so.  No projected row dominates the
+        wrong row, so it is refuted by the LP."""
+        build, solve = regions.build_region, polytope.maximize_each
+        solved = []
 
         def wrong(*args):
             poly = build(*args)
             cap = ((F(1),) + (F(0),) * (len(poly.variables) - 1), F(0))
             return Polytope(poly.variables, poly.rows + (cap,))
 
+        def counted(n, rows, objectives):
+            return solve(n, rows, (solved.append(o) or o for o in objectives))
+
         monkeypatch.setattr(regions, "build_region", wrong)
+        monkeypatch.setattr(polytope, "maximize_each", counted)
         code, out, _ = run(
             ["verify", "--max-K", "1", "--max-N", "1", "--region-trials", "1",
              "--out", str(tmp_path / "records.ndjson")],
@@ -678,6 +684,7 @@ class TestVerify:
         assert code == 1 and summary["pass"] is False
         assert summary["caching"]["failed"] == 0
         assert summary["region_equality"]["failed"] >= 1
+        assert len(solved) >= summary["region_equality"]["failed"]
 
     def test_non_integer_budget_is_usage_error(self, tmp_path, capsys):
         records = tmp_path / "records.ndjson"

@@ -208,10 +208,13 @@ def _fraction_lp(rows, objective):
 def test_matches_fraction_tableau_on_region_equalities(monkeypatch):
     """Every LP of the verify-style region certification (FM, prune, both
     containment directions), K 2..5, every group size, three strengths each.
-    Each LP is recorded where the region layer solves it, the integer core
-    `maximize_each`, with its row set: a warm-started objective must reach
-    the cold-started value, and the first objective on a row set is solved
-    cold, so its whole result (maximizer included) must match."""
+    `regions_equal` certifies most rows by one dominating row and solves no
+    LP for them, so each direction's rows also go through `_implies`
+    directly, every row an LP, as `prune`'s do.  Each LP is recorded where
+    the region layer solves it, the integer core `maximize_each`, with its
+    row set: a warm-started objective must reach the cold-started value, and
+    the first objective on a row set is solved cold, so its whole result
+    (maximizer included) must match."""
     seen = []
     real_maximize = polytope.maximize_each
 
@@ -237,7 +240,10 @@ def test_matches_fraction_tableau_on_region_equalities(monkeypatch):
                 alpha = tuple(F(c, denom) for c in cuts) + (F(1),)
                 system = regions.beta_parameterized_polytope(K, sigma, alpha)
                 projected = polytope.prune(polytope.eliminate(system, regions.beta_names(K)))
-                assert polytope.regions_equal(projected, regions.build_region(K, sigma, alpha))
+                theorem = regions.build_region(K, sigma, alpha)
+                assert polytope.regions_equal(projected, theorem)
+                for outer, inner in ((projected, theorem), (theorem, projected)):
+                    assert polytope._implies(len(inner.variables), inner.int_rows, outer.int_rows)
     assert len(seen) > 300
     assert sum(warm for _, _, warm, _ in seen) > 100
     for rows, objective, warm, result in seen:

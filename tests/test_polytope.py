@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
+from cachecast import polytope
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max, solve_square
 from cachecast.polytope import (
     Polytope,
@@ -18,7 +19,7 @@ from cachecast.polytope import (
     regions_equal,
     vertices,
 )
-from cachecast.regions import beta_names, beta_parameterized_polytope
+from cachecast.regions import beta_names, beta_parameterized_polytope, build_region
 from cachecast.tradeoff import SystemConfig, topological_hole_region
 
 
@@ -79,8 +80,12 @@ def region_pairs(draw):
     rhs = st.fractions(min_value=-2, max_value=5, max_denominator=2)
     row = st.tuples(st.tuples(*[value] * n), rhs)
     inner = draw(st.lists(row, max_size=6))
-    outer = [(coeffs, b + draw(st.fractions(0, 2, max_denominator=2)))
-             for coeffs, b in draw(st.lists(st.sampled_from(inner), max_size=4))] if inner else []
+    # each relaxed copy is also rescaled by k > 0, so one-row dominance is
+    # checked across scales
+    scale = st.sampled_from([1, 2, F(3, 2)])
+    outer = [(tuple(k * c for c in coeffs), k * (b + draw(st.fractions(0, 2, max_denominator=2))))
+             for (coeffs, b), k in draw(st.lists(st.tuples(st.sampled_from(inner), scale), max_size=4))
+             ] if inner else []
     outer += draw(st.lists(row, max_size=2))
     if draw(st.booleans()):
         outer.append(((0,) * n, -1))  # 0 <= -1
@@ -117,6 +122,74 @@ def test_containment_special_cases():
     assert not region_contains(box(), Polytope.build(XY, [((1, 0), 1)]))
     assert not region_contains(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box())
     assert region_contains(Polytope.build(XY, []), empty)
+
+
+def no_lp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(polytope, "maximize_each", refuse)
+
+
+def counted_lps(monkeypatch):
+    """The list of objectives `maximize_each` is asked to solve, filled as it runs."""
+    asked, real = [], polytope.maximize_each
+
+    def record(n, rows, objectives):
+        return real(n, rows, (asked.append(o) or o for o in objectives))
+
+    monkeypatch.setattr(polytope, "maximize_each", record)
+    return asked
+
+
+def test_containment_with_no_row_left_runs_no_lp(monkeypatch):
+    """No outer row, or every outer row dominated by one inner row on one
+    scale (a copy, a relaxed rhs, a smaller coefficient, a rescaled copy of
+    an inner row, 0 <= -1 inside 0 <= -1): no LP at all, not even phase 1."""
+    no_lp(monkeypatch)
+    tilted = Polytope.build(XY, [((1, 1), 1), ((-1, 0), -1)])  # x + y <= 1, x >= 1
+    assert region_contains(Polytope.build(XY, []), tilted)
+    assert region_contains(Polytope.build(XY, []), Polytope.build(XY, []))
+    outer = Polytope.build(XY, [((2, 2), 2), ((1, 0), F(3, 2)), ((F(-1, 2), F(-1, 3)), F(-1, 2))])
+    assert region_contains(outer, tilted)
+    empty = Polytope.build(XY, [((0, 0), -1)])
+    assert region_contains(Polytope.build(XY, [((0, 0), -2)]), empty)
+    assert regions_equal(box(), Polytope.build(XY, [((3, 0), 3), ((0, F(1, 2)), F(1, 2))]))
+
+
+@pytest.mark.parametrize("K", range(2, 6))
+def test_verify_region_inputs_are_certified_without_lp(K, monkeypatch):
+    """On the inputs of `verify`'s region stage (strengths drawn as there,
+    tied strengths among them) the projection and the theorem region certify
+    each other row by row, one dominating row each: zero LPs."""
+    no_lp(monkeypatch)
+    rng = random.Random(K)
+    for sigma in range(2, K + 1):
+        for trial in range(4):
+            denom = rng.randint(8, 40)
+            cuts = sorted(rng.randint(1, denom - 1) for _ in range(K - 1))
+            if trial == 0:
+                cuts = cuts[:1] * (K - 1)  # alpha_1 = ... = alpha_{K-1}
+            alpha = tuple(F(c, denom) for c in cuts) + (F(1),)
+            projected = eliminate(beta_parameterized_polytope(K, sigma, alpha), beta_names(K))
+            assert regions_equal(projected, build_region(K, sigma, alpha))
+
+
+def test_row_implied_only_by_two_rows_reaches_the_lp(monkeypatch):
+    asked = counted_lps(monkeypatch)
+    assert region_contains(Polytope.build(XY, [((1, 1), 2)]), box())  # x, y <= 1 => x + y <= 2
+    assert len(asked) == 1
+
+
+@pytest.mark.parametrize("scale", [1, 2, F(3, 2)])
+def test_row_just_below_a_dominating_row_is_not_implied(scale, monkeypatch):
+    """x <= 1 - 1/100 has smaller coefficients than x + y <= 1, but a smaller
+    rhs: no single row certifies it, and the LP refutes it."""
+    asked = counted_lps(monkeypatch)
+    inner = Polytope.build(XY, [((scale, scale), scale)])
+    assert not region_contains(Polytope.build(XY, [((1, 0), F(99, 100))]), inner)
+    assert region_contains(Polytope.build(XY, [((1, 0), 1)]), inner)
+    assert len(asked) == 1
 
 
 @given(poly=st.deferred(lambda: small_polytopes()))
