@@ -10,18 +10,20 @@ Fraction.  On top of that sit the operations the region proofs need:
 * redundancy pruning, LP-certified,
 * vertex enumeration by the double-description method.
 
-All of these run on one integer view of the rows, `int_rows`, computed once
-per polytope: row i as (l_i, l_i * [coeffs..., rhs]), l_i the lcm of its
-denominators.  Fourier-Motzkin carries each row as a primitive integer vector
-(coeffs..., rhs), the positive multiple whose entries have gcd 1, which stands
-for the same half-space.  Combining an upper and a lower bound on the
-eliminated coordinate takes integer products and one gcd instead of Fraction
-divisions, and two rows are the same half-space iff their primitive vectors
-are equal tuples, so deduplication is hashing.  The rows handed back are the
-canonical Fractions (first nonzero coefficient +-1), whose view is the
-primitive rows.  Eliminating one coordinate costs U * L combinations for U
-upper and L lower bounds, each O(n) integer products and a gcd, plus O(R^2 n)
-integer comparisons for the dominance test over the R rows kept.
+A polytope stores one form of its rows, `int_rows`: row i as (l_i, l_i *
+[coeffs..., rhs]), l_i the lcm of its denominators, a form unique for each
+rational row; `rows` is its Fraction view, built on first read.
+
+Fourier-Motzkin carries each row as a primitive integer vector (coeffs...,
+rhs), the positive multiple whose entries have gcd 1, which stands for the
+same half-space.  Combining an upper and a lower bound on the eliminated
+coordinate takes integer products and one gcd instead of Fraction divisions,
+and two rows are the same half-space iff their primitive vectors are equal
+tuples, so deduplication is hashing.  The rows handed back are the canonical
+rows (first nonzero coefficient +-1).  Eliminating one coordinate costs U * L
+combinations for U upper and L lower bounds, each O(n) integer products and a
+gcd, plus O(R^2 n) integer comparisons for the dominance test over the R rows
+kept.
 
 One-row dominance is the one cheap certificate, shared by the Fourier-Motzkin
 dedupe and containment: on x >= 0, a row <a, x> <= b implies <c, x> <= d when
@@ -51,28 +53,30 @@ from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each,
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polytope:
-    """{x >= 0 : <coeffs, x> <= rhs for every row}, all entries rational."""
+    """{x >= 0 : <coeffs, x> <= rhs for every row}, all entries rational: the
+    (coeffs, rhs) rows checked and coerced by `_frac`, or `int_rows` trusted."""
 
     variables: tuple[str, ...]
-    rows: tuple[Row, ...]
+    int_rows: tuple[IntRow, ...]  # (l, l * [coeffs..., rhs]), l the lcm of the denominators
 
-    @classmethod
-    def build(cls, variables: Sequence[str], rows: Iterable) -> "Polytope":
+    def __init__(self, variables: Sequence[str], rows: Iterable = (), *,
+                 int_rows: Iterable[IntRow] | None = None):
         vs = tuple(variables)
-        clean = []
-        for coeffs, rhs in rows:
-            if len(coeffs) != len(vs):
-                raise ValueError("row length does not match variable count")
-            clean.append((tuple(_frac(c) for c in coeffs), _frac(rhs)))
-        return cls(variables=vs, rows=tuple(clean))
+        if int_rows is None:
+            int_rows = []
+            for coeffs, rhs in rows:
+                if len(coeffs) != len(vs):
+                    raise ValueError("row length does not match variable count")
+                int_rows.append(_integer_row([*map(_frac, coeffs), _frac(rhs)]))
+        object.__setattr__(self, "variables", vs)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
 
     @cached_property
-    def int_rows(self) -> tuple[IntRow, ...]:
-        """The integer view: each row as (lambda, lambda * [coeffs..., rhs])
-        for lambda the lcm of its denominators, computed once per polytope."""
-        return tuple(_integer_row([*coeffs, rhs]) for coeffs, rhs in self.rows)
+    def rows(self) -> tuple[Row, ...]:
+        """The Fraction view of `int_rows`."""
+        return tuple(map(_fraction_row, self.int_rows))
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
@@ -90,10 +94,7 @@ class Polytope:
                 raise ValueError("point length does not match variable count")
         if any(v < 0 for v in values):
             return False
-        return all(
-            sum(c * v for c, v in zip(coeffs, values)) <= rhs
-            for coeffs, rhs in self.rows
-        )
+        return all(sum(v * c for v, c in zip(values, ints)) <= ints[-1] for _, ints in self.int_rows)
 
     def maximize(self, objective: Mapping[str, object] | Sequence):
         """LP-maximize a linear objective over the region (exact)."""
@@ -120,11 +121,11 @@ class Polytope:
 
     @classmethod
     def from_json(cls, text: str) -> "Polytope":
-        """Load a `to_json` dump, its rows checked as `build` checks them."""
+        """Load a `to_json` dump, its rows checked by the constructor."""
         payload = json.loads(text)
         rows = (([Fraction(n, d) for n, d in row["coeffs"]], Fraction(*row["rhs"]))
                 for row in payload["rows"])
-        return cls.build(payload["variables"], rows)
+        return cls(payload["variables"], rows)
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -133,24 +134,23 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _canonical_scale(row: Sequence[int]) -> int:
-    """|first nonzero coefficient|, else |rhs|, else 1."""
-    return abs(next(filter(None, row[:-1]), row[-1])) or 1
+def _fraction_row(row: IntRow) -> Row:
+    """The Fraction row (coeffs, rhs) of an integer row (l, l * [coeffs..., rhs])."""
+    scale, ints = row
+    return tuple(Fraction(c, scale) for c in ints[:-1]), Fraction(ints[-1], scale)
 
 
-def _fraction_row(row: Sequence[int]) -> Row:
-    """The canonical Fraction row of a primitive integer row: first nonzero
-    coefficient +-1 (or rhs +-1 when every coefficient is 0)."""
-    scale = _canonical_scale(row)
-    return (tuple(Fraction(c, scale) for c in row[:-1]), Fraction(row[-1], scale))
+def _canonical_row(row: tuple[int, ...]) -> IntRow:
+    """(scale, row), scale = |first nonzero coefficient|, else |rhs|, else 1:
+    for a primitive row (entries of gcd 1), the integer form of its canonical
+    row, row / scale (first nonzero coefficient +-1)."""
+    return abs(next(filter(None, row[:-1]), row[-1])) or 1, row
 
 
-def _from_primitive(variables: tuple[str, ...], rows: Sequence[tuple[int, ...]]) -> Polytope:
-    """The polytope of primitive integer rows.  Each is its canonical row's
-    integer view: its entries have gcd 1, so row / scale has lcm of denominators scale."""
-    poly = Polytope(variables, tuple(map(_fraction_row, rows)))
-    poly.__dict__["int_rows"] = tuple((_canonical_scale(r), r) for r in rows)  # as cached_property would
-    return poly
+def _count_row(coeffs: Sequence[int], rhs: Fraction) -> IntRow:
+    """The integer form of <coeffs, x> <= rhs for integer coeffs: a region builder's row."""
+    scale = rhs.denominator
+    return scale, (*(c * scale for c in coeffs), rhs.numerator)
 
 
 def _implies(n: int, rows: Sequence[IntRow], targets: Sequence[IntRow]) -> bool:
@@ -168,7 +168,7 @@ def _on_one_scale(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integer rows (coeffs..., rhs) as (coeffs..., -rhs), each its canonical
     row (first nonzero coefficient +-1) times the lcm L of the canonical scales,
     so that `_dominated` compares them entrywise."""
-    scales = [_canonical_scale(row) for row in rows]
+    scales = [_canonical_row(row)[0] for row in rows]
     big = lcm(*scales)
     factors = [big // k for k in scales]
     return [(*[v * f for v in row[:-1]], -f * row[-1]) for row, f in zip(rows, factors)]
@@ -210,8 +210,8 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
     an upper row u (u[idx] > 0) and a lower row l (l[idx] < 0) combine to
     u * (-l[idx]) + l * u[idx], divided by its gcd.  Syntactically redundant
     rows are pruned after each elimination; call `prune(...)` afterwards for
-    an LP-certified minimal description.  The result holds canonical Fraction
-    rows (first nonzero coefficient +-1).
+    an LP-certified minimal description.  The result holds canonical rows
+    (first nonzero coefficient +-1).
     """
     if not drop:
         return poly
@@ -231,26 +231,26 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
                 new_rows.append(_primitive([a * lscale + b * uscale for a, b in zip(u, lo)]))
         del names[idx]
         rows = [r[:idx] + r[idx + 1 :] for r in _dedupe(new_rows)]
-    return _from_primitive(tuple(names), rows)
+    return Polytope(names, int_rows=map(_canonical_row, rows))
 
 
 def prune(poly: Polytope) -> Polytope:
     """Drop every row implied by the remaining ones (LP-certified)."""
-    rows, ints = list(poly.rows), list(poly.int_rows)
+    ints = list(poly.int_rows)
     i = 0
     while i < len(ints):
         if _implies(len(poly.variables), ints[:i] + ints[i + 1 :], ints[i : i + 1]):
-            del rows[i], ints[i]
+            del ints[i]
         else:
             i += 1
-    return Polytope(poly.variables, tuple(rows))
+    return Polytope(poly.variables, int_rows=ints)
 
 
 def canonical(poly: Polytope) -> Polytope:
     """Scaled, sorted and pruned row list, for stable dumps and comparisons."""
     pruned = prune(poly)
-    rows = sorted(_fraction_row(_primitive(ints)) for _, ints in pruned.int_rows)
-    return Polytope(variables=pruned.variables, rows=tuple(rows))
+    rows = (_canonical_row(_primitive(ints)) for _, ints in pruned.int_rows)
+    return Polytope(pruned.variables, int_rows=sorted(rows, key=_fraction_row))
 
 
 def region_contains(outer: Polytope, inner: Polytope) -> bool:
@@ -283,7 +283,7 @@ def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
     for _, ints in poly.int_rows:
         rhs = ints[-1] - sum(ints[j] * v for j, v in fixed.items())
         rows.append(_primitive(_integer_row([*(ints[j] for j in keep), rhs])[1]))
-    return _from_primitive(tuple(poly.variables[j] for j in keep), _dedupe(rows))
+    return Polytope([poly.variables[j] for j in keep], int_rows=map(_canonical_row, _dedupe(rows)))
 
 
 def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:

@@ -26,10 +26,9 @@ from typing import Callable, Sequence
 
 from .combinatorics import Group, _remember_last, cumulative_group_count
 from .lp import _frac, _integer_row
-from .polytope import Polytope
+from .polytope import Polytope, _count_row
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
@@ -77,13 +76,14 @@ def cumulative_region(
 
         r_1 + ... + r_k + <extra(k), extra rates> <= rhs[k - 1],    k = 1..K,
 
-    with K = len(rhs).  User k decodes the unicast messages of users 1..k, and
-    extra(k) holds the coefficients of whatever else it decodes.
+    with K = len(rhs), exact Fractions.  User k decodes the unicast messages of
+    users 1..k, and extra(k) holds the integer coefficients of whatever else it
+    decodes.
     """
     K = len(rhs)
     names = [unicast_name(k) for k in range(1, K + 1)] + list(extra_names)
-    rows = [([ONE] * k + [ZERO] * (K - k) + list(extra(k)), b) for k, b in enumerate(rhs, start=1)]
-    return Polytope.build(names, rows)
+    rows = [_count_row([1] * k + [0] * (K - k) + list(extra(k)), b) for k, b in enumerate(rhs, start=1)]
+    return Polytope(names, int_rows=rows)
 
 
 def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, tuple[int, ...]]:
@@ -117,7 +117,7 @@ def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     alphas = user_strengths(num_users, alpha)
     groups = _multicast_groups(num_users, group_size)
     names = [group_name(g) for g in groups]
-    return cumulative_region(alphas, names, lambda k: [ONE if g[0] <= k else ZERO for g in groups])
+    return cumulative_region(alphas, names, lambda k: [int(g[0] <= k) for g in groups])
 
 
 def _covered(num_users: int, s: int) -> range:
@@ -229,16 +229,16 @@ def beta_parameterized_polytope(
     n = len(names)
     rows = []
     for k in range(1, K + 1):
-        coeffs = [ONE if i == k - 1 else ZERO for i in range(K)]
-        coeffs += [ONE if min(g) == k else ZERO for g in groups] + [ZERO] * (K - 1)
+        coeffs = [int(i == k - 1) for i in range(K)]
+        coeffs += [int(min(g) == k) for g in groups] + [0] * (K - 1)
         if k >= 2:
-            coeffs[n + k - 2] = ONE  # + beta_k
+            coeffs[n + k - 2] = 1  # + beta_k
         if k < K:
-            coeffs[n + k - 1] = -ONE  # - beta_{k+1}
-        rows.append((coeffs, alphas[-1] if k == K else ZERO))
+            coeffs[n + k - 1] = -1  # - beta_{k+1}
+        rows.append(_count_row(coeffs, alphas[-1] if k == K else ZERO))
     for k in range(1, K):  # beta_{k+1} <= alpha_k
-        rows.append(([ZERO] * (n + k - 1) + [ONE] + [ZERO] * (K - 1 - k), alphas[k - 1]))
-    return Polytope.build(names + beta_names(K), rows)
+        rows.append(_count_row([0] * (n + k - 1) + [1] + [0] * (K - 1 - k), alphas[k - 1]))
+    return Polytope(names + beta_names(K), int_rows=rows)
 
 
 def beta_names(num_users: int) -> list[str]:

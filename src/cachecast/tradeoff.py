@@ -55,8 +55,8 @@ from typing import Sequence
 
 from .combinatorics import _remember_last, cumulative_group_count, lower_convex_envelope
 from .lp import _frac
-from .polytope import Polytope
-from .regions import ZERO, ONE, _integer_gaps, cumulative_region, unicast_name, user_strengths
+from .polytope import Polytope, _count_row
+from .regions import ZERO, _integer_gaps, cumulative_region, unicast_name, user_strengths
 
 INF = math.inf
 
@@ -246,14 +246,12 @@ def topological_hole_region(config: SystemConfig) -> Polytope:
     loads = prefix_loads(config)
     names = [unicast_name(k) for k in range(1, K + 1)]
     rows = []
-    for k in range(1, star + 1):
-        coeffs = [ONE if i == k - 1 else ZERO for i in range(K)]
-        rows.append((coeffs, ZERO))  # r_k <= 0, i.e. r_k = 0 on the orthant
+    for k in range(1, star + 1):  # r_k <= 0, i.e. r_k = 0 on the orthant
+        rows.append(_count_row([int(i == k - 1) for i in range(K)], ZERO))
     for k in range(star + 1, K + 1):
         bound = config.alpha[star] - config.alpha[star - 1] * (loads[k - 1] / loads[star - 1])
-        coeffs = [ONE if star <= i < k else ZERO for i in range(K)]
-        rows.append((coeffs, bound))
-    return Polytope.build(names, rows)
+        rows.append(_count_row([int(star <= i < k) for i in range(K)], bound))
+    return Polytope(names, int_rows=rows)
 
 
 def gdof_region_inner(tau, config: SystemConfig) -> Polytope:

@@ -26,6 +26,7 @@ class Mutant(NamedTuple):
 
 
 CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
+CLI = "cachecast.cli"
 
 MUTANTS = (
     Mutant(
@@ -111,6 +112,29 @@ MUTANTS = (
         "return region_contains(a, b)",
         "a region strictly inside the other one is reported equal",
         ("tests/test_polytope.py::test_equality_rejects_shrunk_rhs",),
+    ),
+    Mutant(
+        "is-empty-always-false", POLYTOPE,
+        "return _implies(len(self.variables), self.int_rows, [(1, (0,) * len(self.variables) + (-1,))])",
+        "return False",
+        "an infeasible region is reported nonempty",
+        ("tests/test_polytope.py::test_empty_region_detected",),
+    ),
+    Mutant(
+        "verify-region-stage-off", CLI,
+        "if not regions_equal(projected, theorem):",
+        "if not True:",
+        "verify counts every region check as passed, so a projection that differs "
+        "from the theorem region goes unreported",
+        ("tests/test_cli.py::TestVerify::test_wrong_region_row_fails",),
+    ),
+    Mutant(
+        "builder-row-drops-rhs-denominator", POLYTOPE,
+        "return scale, (*(c * scale for c in coeffs), rhs.numerator)",
+        "return scale, (*coeffs, rhs.numerator)",
+        "a region builder's integer row divides its coefficients by the rhs "
+        "denominator, so every row with a fractional rhs is a different half-space",
+        ("tests/test_polytope.py::test_integer_view_handed_on_by_eliminate_and_fix_variables",),
     ),
     Mutant(
         "subsets-rewrapped-as-tuples", CACHING,

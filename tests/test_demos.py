@@ -14,7 +14,7 @@ DEMOS = {
     "coded_delivery_walkthrough.py": (752, "b812a04886718d60cff92c4fad94227d121e76e99619e598fb7a9a3fc3bc7599"),
     "finite_power_gap.py": (420, "0ed24ed2ed3858ecc289940fbbca5314f928acb3a8900ad2ba81bf3ef87da848"),
     "memory_tradeoff_curve.py": (2136, "3d48014a06a98aae38b097bd7e55773abdefec4b9d00da12c32de97185043d65"),
-    "region_projection.py": (449, "e7270e43d81f92497d84a73ea1cce81b3fecf1dcf911bbf9328e857834ac7ae2"),
+    "region_projection.py": (479, "2ae44f9db8e3fade9d7d1319aad72585502da52040ecbf2cba10fba714b97f2b"),
     "topological_holes.py": (473, "5a87a6bd778c7885be8c19fb976e222ab2bba111d1ad0959657b787e1ec35170"),
 }
 

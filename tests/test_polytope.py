@@ -19,12 +19,19 @@ from cachecast.polytope import (
     regions_equal,
     vertices,
 )
-from cachecast.regions import beta_names, beta_parameterized_polytope, build_region
-from cachecast.tradeoff import SystemConfig, topological_hole_region
+from cachecast.regions import (
+    beta_names,
+    beta_parameterized_polytope,
+    build_missing_message_region,
+    build_region,
+    build_two_multicast_symmetric,
+    symmetric_projection,
+)
+from cachecast.tradeoff import SystemConfig, gdof_region_inner, topological_hole_region
 
 
 def box(a=1, b=1):
-    return Polytope.build(["x", "y"], [((1, 0), a), ((0, 1), b)])
+    return Polytope(["x", "y"], [((1, 0), a), ((0, 1), b)])
 
 
 def test_contains_and_nonnegativity():
@@ -36,9 +43,9 @@ def test_contains_and_nonnegativity():
 
 def test_build_refuses_float_coefficient():
     with pytest.raises(TypeError):
-        Polytope.build(["x", "y"], [((1, 0.1), 1)])
+        Polytope(["x", "y"], [((1, 0.1), 1)])
     with pytest.raises(TypeError):
-        Polytope.build(["x", "y"], [((1, 0), 0.1)])
+        Polytope(["x", "y"], [((1, 0), 0.1)])
 
 
 def test_mapping_requires_all_coordinates():
@@ -51,14 +58,14 @@ def test_equality_of_identical_regions():
 
 
 def test_equality_rejects_shrunk_rhs():
-    smaller = Polytope.build(["x", "y"], [((1, 0), F(99, 100)), ((0, 1), 1)])
+    smaller = Polytope(["x", "y"], [((1, 0), F(99, 100)), ((0, 1), 1)])
     assert not regions_equal(box(), smaller)
     assert region_contains(box(), smaller)
     assert not region_contains(smaller, box())
 
 
 def test_scaled_rows_are_equal_regions():
-    doubled = Polytope.build(["x", "y"], [((2, 0), 2), ((0, 3), 3)])
+    doubled = Polytope(["x", "y"], [((2, 0), 2), ((0, 3), 3)])
     assert regions_equal(box(), doubled)
 
 
@@ -90,22 +97,22 @@ def region_pairs(draw):
     if draw(st.booleans()):
         outer.append(((0,) * n, -1))  # 0 <= -1
     names = [f"x{j}" for j in range(n)]
-    return Polytope.build(names, draw(st.permutations(outer))), Polytope.build(names, inner)
+    return Polytope(names, draw(st.permutations(outer))), Polytope(names, inner)
 
 
 XY = ["x", "y"]
 
 
 @given(pair=region_pairs())
-@example(pair=(Polytope.build(XY, [((1, 1), 1)]), Polytope.build(XY, [((1, 0), -1)])))  # empty inner
-@example(pair=(Polytope.build(XY, [((0, 0), -1)]), Polytope.build(XY, [((-1, -1), -3), ((1, 1), 2)])))
-@example(pair=(Polytope.build(XY, [((1, 0), 2), ((-1, 0), 0)]),
-               Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)])))  # phase 1 needed
-@example(pair=(Polytope.build(XY, [((1, 0), F(3, 2))]),
-               Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2)])))
-@example(pair=(Polytope.build(XY, [((1, 0), 5), ((0, 1), 5)]),
-               Polytope.build(XY, [((1, 0), 1)])))  # y is unbounded
-@example(pair=(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box()))  # 0 <= -1
+@example(pair=(Polytope(XY, [((1, 1), 1)]), Polytope(XY, [((1, 0), -1)])))  # empty inner
+@example(pair=(Polytope(XY, [((0, 0), -1)]), Polytope(XY, [((-1, -1), -3), ((1, 1), 2)])))
+@example(pair=(Polytope(XY, [((1, 0), 2), ((-1, 0), 0)]),
+               Polytope(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)])))  # phase 1 needed
+@example(pair=(Polytope(XY, [((1, 0), F(3, 2))]),
+               Polytope(XY, [((-1, 0), -1), ((1, 0), 2)])))
+@example(pair=(Polytope(XY, [((1, 0), 5), ((0, 1), 5)]),
+               Polytope(XY, [((1, 0), 1)])))  # y is unbounded
+@example(pair=(Polytope(XY, [((1, 0), 1), ((0, 0), -1)]), box()))  # 0 <= -1
 @settings(max_examples=300, deadline=None)
 @pytest.mark.slow
 def test_warm_started_containment_matches_cold_lps(pair):
@@ -115,13 +122,13 @@ def test_warm_started_containment_matches_cold_lps(pair):
 
 def test_containment_special_cases():
     """The cases the warm start must not get wrong, each with its answer."""
-    empty = Polytope.build(XY, [((1, 0), -1)])
-    assert region_contains(Polytope.build(XY, [((0, 0), -1)]), empty)
-    assert region_contains(box(), Polytope.build(XY, [((-1, 0), -1), ((1, 0), 1), ((0, 1), 1)]))
-    assert not region_contains(box(), Polytope.build(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)]))
-    assert not region_contains(box(), Polytope.build(XY, [((1, 0), 1)]))
-    assert not region_contains(Polytope.build(XY, [((1, 0), 1), ((0, 0), -1)]), box())
-    assert region_contains(Polytope.build(XY, []), empty)
+    empty = Polytope(XY, [((1, 0), -1)])
+    assert region_contains(Polytope(XY, [((0, 0), -1)]), empty)
+    assert region_contains(box(), Polytope(XY, [((-1, 0), -1), ((1, 0), 1), ((0, 1), 1)]))
+    assert not region_contains(box(), Polytope(XY, [((-1, 0), -1), ((1, 0), 2), ((0, 1), 1)]))
+    assert not region_contains(box(), Polytope(XY, [((1, 0), 1)]))
+    assert not region_contains(Polytope(XY, [((1, 0), 1), ((0, 0), -1)]), box())
+    assert region_contains(Polytope(XY, []), empty)
 
 
 def no_lp(monkeypatch):
@@ -147,14 +154,14 @@ def test_containment_with_no_row_left_runs_no_lp(monkeypatch):
     scale (a copy, a relaxed rhs, a smaller coefficient, a rescaled copy of
     an inner row, 0 <= -1 inside 0 <= -1): no LP at all, not even phase 1."""
     no_lp(monkeypatch)
-    tilted = Polytope.build(XY, [((1, 1), 1), ((-1, 0), -1)])  # x + y <= 1, x >= 1
-    assert region_contains(Polytope.build(XY, []), tilted)
-    assert region_contains(Polytope.build(XY, []), Polytope.build(XY, []))
-    outer = Polytope.build(XY, [((2, 2), 2), ((1, 0), F(3, 2)), ((F(-1, 2), F(-1, 3)), F(-1, 2))])
+    tilted = Polytope(XY, [((1, 1), 1), ((-1, 0), -1)])  # x + y <= 1, x >= 1
+    assert region_contains(Polytope(XY, []), tilted)
+    assert region_contains(Polytope(XY, []), Polytope(XY, []))
+    outer = Polytope(XY, [((2, 2), 2), ((1, 0), F(3, 2)), ((F(-1, 2), F(-1, 3)), F(-1, 2))])
     assert region_contains(outer, tilted)
-    empty = Polytope.build(XY, [((0, 0), -1)])
-    assert region_contains(Polytope.build(XY, [((0, 0), -2)]), empty)
-    assert regions_equal(box(), Polytope.build(XY, [((3, 0), 3), ((0, F(1, 2)), F(1, 2))]))
+    empty = Polytope(XY, [((0, 0), -1)])
+    assert region_contains(Polytope(XY, [((0, 0), -2)]), empty)
+    assert regions_equal(box(), Polytope(XY, [((3, 0), 3), ((0, F(1, 2)), F(1, 2))]))
 
 
 @pytest.mark.parametrize("K", range(2, 6))
@@ -177,7 +184,7 @@ def test_verify_region_inputs_are_certified_without_lp(K, monkeypatch):
 
 def test_row_implied_only_by_two_rows_reaches_the_lp(monkeypatch):
     asked = counted_lps(monkeypatch)
-    assert region_contains(Polytope.build(XY, [((1, 1), 2)]), box())  # x, y <= 1 => x + y <= 2
+    assert region_contains(Polytope(XY, [((1, 1), 2)]), box())  # x, y <= 1 => x + y <= 2
     assert len(asked) == 1
 
 
@@ -186,23 +193,63 @@ def test_row_just_below_a_dominating_row_is_not_implied(scale, monkeypatch):
     """x <= 1 - 1/100 has smaller coefficients than x + y <= 1, but a smaller
     rhs: no single row certifies it, and the LP refutes it."""
     asked = counted_lps(monkeypatch)
-    inner = Polytope.build(XY, [((scale, scale), scale)])
-    assert not region_contains(Polytope.build(XY, [((1, 0), F(99, 100))]), inner)
-    assert region_contains(Polytope.build(XY, [((1, 0), 1)]), inner)
+    inner = Polytope(XY, [((scale, scale), scale)])
+    assert not region_contains(Polytope(XY, [((1, 0), F(99, 100))]), inner)
+    assert region_contains(Polytope(XY, [((1, 0), 1)]), inner)
     assert len(asked) == 1
 
 
-@given(poly=st.deferred(lambda: small_polytopes()))
+@st.composite
+def mixed_rows(draw):
+    """(n, rows) with every entry an int, a Fraction or its string."""
+    n = draw(st.integers(1, 4))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.one_of(value, value.map(str), st.integers(-3, 3))
+    return n, draw(st.lists(st.tuples(st.lists(entry, min_size=n, max_size=n), entry), max_size=4))
+
+
+@st.composite
+def strengths(draw):
+    cuts = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
+    return tuple(sorted(draw(st.lists(cuts, min_size=2, max_size=3)))) + (F(1),)
+
+
+@given(poly=st.deferred(lambda: small_polytopes()), rows=mixed_rows(), alpha=strengths())
+@example(poly=box(), rows=(1, [(["1/3"], 2), ([F(-3, 4)], "1/2")]), alpha=(F(1, 3), F(1, 2), F(1)))
 @settings(max_examples=100, deadline=None)
-def test_integer_view_handed_on_by_eliminate_and_fix_variables(poly):
-    """The primitive rows eliminate and fix_variables hand on as the integer
-    view equal the view a fresh polytope computes from the Fraction rows."""
+def test_integer_view_handed_on_by_eliminate_and_fix_variables(poly, rows, alpha):
+    """The integer rows that eliminate, fix_variables and every region builder
+    hand on through `int_rows=` equal those the checked constructor computes
+    from their Fraction view, and that view is the coerced input rows.  The
+    builders' coefficients are 0, +-1 and group counts, whatever the rhs."""
     for derived in (eliminate(poly, poly.variables[:1]), fix_variables(poly, {poly.variables[0]: F(1, 2)})):
         assert derived.int_rows == Polytope(derived.variables, derived.rows).int_rows
+    K = len(alpha)
+    config = SystemConfig(num_users=K, num_files=K, mu=F(1, K), alpha=alpha)
+    for built in (
+        build_region(K, 2, alpha),
+        symmetric_projection(K, 2, alpha, 2),
+        build_missing_message_region(K, 2, alpha, [1, K]),
+        build_two_multicast_symmetric(K, 2, 3, alpha, 2),
+        beta_parameterized_polytope(K, 2, alpha),
+        topological_hole_region(config),
+        gdof_region_inner(F(7, 2), config),
+    ):
+        assert built.int_rows == Polytope(built.variables, built.rows).int_rows
+        assert all(c.denominator == 1 for coeffs, _ in built.rows for c in coeffs)
+    n, raw = rows
+    names = [f"x{j}" for j in range(n)]
+    assert Polytope(names, raw).rows == tuple((tuple(map(F, coeffs)), F(rhs)) for coeffs, rhs in raw)
+
+
+def test_rescaled_rows_are_different_polytopes():
+    """Equality is on the rows, not on the half-spaces they describe."""
+    assert Polytope(XY, [((2, 0), 2)]) != Polytope(XY, [((1, 0), 1)])
+    assert Polytope(XY, [((1, 0), "1/1")]) == Polytope(XY, [((1, 0), 1)])
 
 
 def test_eliminate_absent_variable():
-    p = Polytope.build(["x", "y"], [((1, 0), 1)])
+    p = Polytope(["x", "y"], [((1, 0), 1)])
     q = eliminate(p, ["y"])
     assert q.variables == ("x",)
     assert q.rows == (((F(1),), F(1)),)
@@ -210,17 +257,17 @@ def test_eliminate_absent_variable():
 
 def test_eliminate_couples_bounds():
     # x <= y, y <= 2  --projected on x-->  x <= 2
-    p = Polytope.build(["x", "y"], [((1, -1), 0), ((0, 1), 2)])
+    p = Polytope(["x", "y"], [((1, -1), 0), ((0, 1), 2)])
     q = prune(eliminate(p, ["y"]))
     assert q.variables == ("x",)
-    assert regions_equal(q, Polytope.build(["x"], [((1,), 2)]))
+    assert regions_equal(q, Polytope(["x"], [((1,), 2)]))
 
 
 def test_eliminate_uses_nonnegativity_of_dropped_variable():
     # x + y <= 1 with y >= 0 projects to x <= 1
-    p = Polytope.build(["x", "y"], [((1, 1), 1)])
+    p = Polytope(["x", "y"], [((1, 1), 1)])
     q = prune(eliminate(p, ["y"]))
-    assert regions_equal(q, Polytope.build(["x"], [((1,), 1)]))
+    assert regions_equal(q, Polytope(["x"], [((1,), 1)]))
 
 
 def test_elimination_is_exact_projection():
@@ -241,7 +288,7 @@ def test_elimination_is_exact_projection():
             )
             for _ in range(nrows)
         ]
-        poly = Polytope.build(names, rows)
+        poly = Polytope(names, rows)
         dropped = names[int(rng.integers(0, nvars))]
         projected = eliminate(poly, [dropped])
         for _ in range(12):
@@ -283,7 +330,7 @@ def polytopes_with_drops(draw):
         rows.append(([F(0)] * n, draw(RHS)))  # a tautology or 0 <= negative
     names = [f"x{j}" for j in range(n)]
     drop = draw(st.permutations(names))[: draw(st.integers(0, n))]
-    return Polytope.build(names, draw(st.permutations(rows))), drop
+    return Polytope(names, draw(st.permutations(rows))), drop
 
 
 @given(case=polytopes_with_drops())
@@ -313,12 +360,12 @@ def test_fix_variables_matches_fraction_dedupe(case, data):
 
 
 def test_prune_drops_implied_row():
-    p = Polytope.build(["x", "y"], [((1, 1), 2), ((1, 0), 3)])
+    p = Polytope(["x", "y"], [((1, 1), 2), ((1, 0), 3)])
     assert len(prune(p).rows) == 1
 
 
 def test_canonical_sorts_and_scales():
-    p = Polytope.build(["x", "y"], [((0, 2), 2), ((3, 0), 3)])
+    p = Polytope(["x", "y"], [((0, 2), 2), ((3, 0), 3)])
     assert canonical(p).rows == (
         ((F(0), F(1)), F(1)),
         ((F(1), F(0)), F(1)),
@@ -326,14 +373,14 @@ def test_canonical_sorts_and_scales():
 
 
 def test_fix_variables():
-    p = Polytope.build(["x", "y"], [((1, 2), 3)])
+    p = Polytope(["x", "y"], [((1, 2), 3)])
     q = fix_variables(p, {"y": 1})
     assert q.variables == ("x",)
     assert q.rows == (((F(1),), F(1)),)
 
 
 def test_vertices_of_simplex():
-    p = Polytope.build(["x", "y"], [((1, 1), 1)])
+    p = Polytope(["x", "y"], [((1, 1), 1)])
     assert vertices(p) == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
 
 
@@ -348,7 +395,7 @@ def test_vertices_of_shifted_box():
 
 
 def test_empty_region_detected():
-    p = Polytope.build(["x"], [((-1,), -1), ((1,), F(1, 2))])  # x >= 1, x <= 1/2
+    p = Polytope(["x"], [((-1,), -1), ((1,), F(1, 2))])  # x >= 1, x <= 1/2
     assert p.is_empty()
     assert vertices(p) == []
 
@@ -367,7 +414,7 @@ def test_json_row_of_wrong_length_is_refused():
 
 
 def test_maximize_reports_unbounded():
-    p = Polytope.build(["x", "y"], [((1, 0), 1)])
+    p = Polytope(["x", "y"], [((1, 0), 1)])
     assert p.maximize({"y": 1}).status == "unbounded"
 
 
@@ -444,7 +491,7 @@ def small_polytopes(draw):
     rows = draw(st.lists(st.tuples(st.tuples(*[value] * n), rhs), max_size=6 if n < 5 else 5))
     if rows and draw(st.booleans()):
         rows.append(rows[draw(st.integers(0, len(rows) - 1))])  # a duplicated row
-    return Polytope.build([f"x{j}" for j in range(n)], rows)
+    return Polytope([f"x{j}" for j in range(n)], rows)
 
 
 class TestVerticesAgainstBruteForce:
@@ -464,7 +511,7 @@ class TestVerticesAgainstBruteForce:
         ],
     )
     def test_empty_regions(self, rows):
-        poly = Polytope.build(["x", "y"], rows)
+        poly = Polytope(["x", "y"], rows)
         assert poly.is_empty()
         assert vertices(poly) == brute_force_vertices(poly) == []
 
@@ -478,13 +525,13 @@ class TestVerticesAgainstBruteForce:
         ],
     )
     def test_unbounded_regions_return_vertices_only(self, rows, expected):
-        poly = Polytope.build(["x", "y"], rows)
+        poly = Polytope(["x", "y"], rows)
         assert poly.maximize({"x": 1, "y": 1}).status == "unbounded"
         assert vertices(poly) == brute_force_vertices(poly) == expected
 
     def test_duplicated_and_scaled_rows(self):
         rows = [((1, 1), 2), ((2, 2), 4), ((1, 1), 2), ((1, 0), 1), ((3, 0), 3)]
-        poly = Polytope.build(["x", "y"], rows)
+        poly = Polytope(["x", "y"], rows)
         assert vertices(poly) == brute_force_vertices(poly) == [
             (F(0), F(0)), (F(0), F(2)), (F(1), F(0)), (F(1), F(1))
         ]
@@ -492,7 +539,7 @@ class TestVerticesAgainstBruteForce:
     def test_degenerate_apex(self):
         # square pyramid: four rows are tight at the apex (0, 0, 1)
         rows = [((1, 0, 1), 1), ((0, 1, 1), 1), ((1, 1, 1), 2), ((-1, -1, 1), 1)]
-        poly = Polytope.build(["x", "y", "z"], rows)
+        poly = Polytope(["x", "y", "z"], rows)
         found = vertices(poly)
         assert (F(0), F(0), F(1)) in found
         assert found == brute_force_vertices(poly)
@@ -525,7 +572,7 @@ class TestVerticesBeyondBruteForce:
         for _ in range(n):
             coeffs = tuple(F(rng.randint(-2, 4), rng.randint(1, 2)) for _ in range(n))
             rows.append((coeffs, F(rng.randint(1, 6))))
-        poly = Polytope.build([f"x{j}" for j in range(n)], rows)
+        poly = Polytope([f"x{j}" for j in range(n)], rows)
         found = vertices(poly)
         assert len(found) > n
         assert_vertices_certified(poly, found, rng)

@@ -92,7 +92,7 @@ class TestBuildRegion:
         assert poly.variables == ("r_1_2", "r_1_3", "r_2_3")
         # r12 + r13 <= a1;  r12 + r13 + r23 <= a2  (a3 row is then redundant)
         assert canonical(poly).rows == canonical(
-            Polytope.build(poly.variables, [((1, 1, 0), F(2, 5)), ((1, 1, 1), F(9, 10))])
+            Polytope(poly.variables, [((1, 1, 0), F(2, 5)), ((1, 1, 1), F(9, 10))])
         ).rows
 
     def test_degradedness_nesting(self):
@@ -370,7 +370,7 @@ class TestBetaRegions:
 class TestFourierMotzkin:
     def test_rho_projection_is_cumulative(self):
         projected = prune(eliminate(one_rate_per_level(3, ALPHA3), beta_names(3)))
-        expected = Polytope.build(
+        expected = Polytope(
             ("r_1", "r_2", "r_3"),
             [
                 ((1, 0, 0), F(2, 5)),
