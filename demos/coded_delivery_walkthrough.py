@@ -25,7 +25,7 @@ print(f"file size: {library.file_bits} bits, split into "
 caches = place_caches(library)
 for cache in caches:
     print(f"  user {cache.user} caches {cache.stored_bits} bits "
-          f"({sorted(set(s for (_, s) in cache.subfiles))})")
+          f"({sorted(cache.by_subset)})")
 
 demands = (1, 2, 3)
 leaders = select_leaders(demands)

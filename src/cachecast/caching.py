@@ -272,7 +272,8 @@ def random_library(
 
 @dataclass(frozen=True)
 class CacheContents:
-    """One user's cache: {t-subset holding the user: the library's subfile int per file}."""
+    """One user's cache: {t-subset holding the user: the library's subfile int
+    per file}, each `subfile_bits` wide; user k holds W_{n,S} for every S holding k."""
 
     user: int
     num_users: int
@@ -280,15 +281,9 @@ class CacheContents:
     subfile_bits: int
     by_subset: dict[Group, tuple[int, ...]]
 
-    @cached_property
-    def subfiles(self) -> dict[tuple[int, Group], Bits]:
-        """{(file index, subset): bits} over the cached subsets, as `Bits`."""
-        return {(n, subset): Bits(value, self.subfile_bits)
-                for subset, values in self.by_subset.items() for n, value in enumerate(values, 1)}
-
     @property
     def stored_bits(self) -> int:
-        return sum(len(v) for v in self.subfiles.values())
+        return self.subfile_bits * sum(map(len, self.by_subset.values()))
 
     @cached_property
     def _decode_plan(self) -> tuple[tuple[Group | None, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
@@ -311,9 +306,10 @@ class CacheContents:
         """Order-independent fingerprint of the cached bits."""
         h = hashlib.sha256()
         h.update(f"user={self.user}".encode())
-        for key in sorted(self.subfiles):
-            h.update(repr(key).encode())
-            h.update(self.subfiles[key].packed())
+        entries = ((n, s, v) for s, values in self.by_subset.items() for n, v in enumerate(values, 1))
+        for n, subset, value in sorted(entries):
+            h.update(repr((n, subset)).encode())
+            h.update(Bits(value, self.subfile_bits).packed())
         return h.hexdigest()
 
 

@@ -304,6 +304,8 @@ def _caching_sweeps(args) -> list:
         # one explicit configuration, optionally a single demand tuple
         if args.mu is not None:
             budget = K * _parse_fraction(args.mu, "--mu")
+            if not 0 <= budget <= K:  # as gndt and holes refuse it, before the split order does
+                raise ValueError(f"{_named(args, '--mu')} must lie in [0, 1], got {args.mu}")
             if budget.denominator != 1:
                 raise ValueError(
                     f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "

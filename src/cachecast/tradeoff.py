@@ -20,11 +20,11 @@ count table `_count_table` holds those integers for every budget n = 0..K
 and prefix k.  `_chord`, the one place env_k is computed, reads two rows as
 integers P_k over one D, and `_scaled_gaps` takes the gaps from
 `regions._integer_gaps` as integers G_k over one H.  `_max_ratio` compares
-P_k G_j with P_j G_k.  The division-free converse reads the same rows scaled
-by 1/2.01; `prefix_loads`, their Fraction view, feeds the bottleneck user,
-the hole and inner GDoF regions and the finite-SNR rows.
-`topological_hole_region` describes the unicast tuples that ride along at no
-delivery-time cost.  Two relatives are separate code paths:
+P_k G_j with P_j G_k and names the first prefix attaining the max, the
+bottleneck user at r = 0.  The converse reads the same rows scaled by 1/2.01;
+their Fraction view `prefix_loads` feeds the hole and inner regions and the
+finite-SNR rows.  `topological_hole_region` describes the unicast tuples that
+ride along at no delivery-time cost.  Two relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
   weaker at fractional budgets in asymmetric channels: one `_max_ratio` per
@@ -141,29 +141,30 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
 
 
 def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
-    """max_k (loads_k / scale) / (gaps_k / height), with 0 / anything = 0 and
-    positive / 0 = inf, comparing p_k g_j with p_j g_k: only the answer
-    becomes a Fraction."""
-    best, over = 0, 1
-    for p, g in zip(loads, gaps):
+    """(max_k (loads_k / scale) / (gaps_k / height), the first k attaining it),
+    with 0 / anything = 0 and positive / 0 = inf, comparing p_k g_j with p_j g_k.
+    Ties go to the weakest user; an exhausted prefix k gives (inf, k)."""
+    best, over, star, k = 0, 1, 1, 0
+    for p, g in zip(loads, gaps):  # k by hand: enumerate's nested unpacking costs more
+        k += 1
         if p and not g:
-            return INF
+            return INF, k
         if p * over > best * g:
-            best, over = p, g
-    return Fraction(best * height, scale * over)
+            best, over, star = p, g, k
+    return Fraction(best * height, scale * over), star
 
 
 @_remember_last
 def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
     """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
     table = _count_table(num_users, num_files)
-    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps) for n, row in enumerate(table))
+    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps)[0] for n, row in enumerate(table))
     return None if any(t is INF for t in times) else times
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, _key(r)))
+    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, _key(r)))[0]
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -190,14 +191,14 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     max, which reproduces `gndt_ub` exactly.
     """
     budget = config.cache_budget
-    if budget.denominator == 1:
+    if config.integer_budget:
         raise ValueError(f"cache budget K*mu = {budget} is an integer; no split needed")
     K, b = config.num_users, budget.denominator
     low = budget.numerator // b  # floor
     lam = b * (low + 1) - budget.numerator  # b times the weight of the floor budget
     table, c0, c1 = _count_table(K, config.num_files), math.comb(K, low), math.comb(K, low + 1)
     loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in zip(table[low], table[low + 1])]
-    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
+    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))[0]
 
 
 def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
@@ -211,21 +212,18 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     """
     scale, loads = _chord(config)
     rows = [p * CONVERSE_FACTOR.denominator for p in loads]
-    return _max_ratio(scale * CONVERSE_FACTOR.numerator, rows, *_scaled_gaps(config.alpha, _key(r)))
+    return _max_ratio(scale * CONVERSE_FACTOR.numerator, rows, *_scaled_gaps(config.alpha, _key(r)))[0]
 
 
 def bottleneck_user(config: SystemConfig) -> int:
-    """Smallest user index whose load-to-strength ratio pins the delivery time.
-
-    Defined for integer budgets with at least as many files as users.
-    """
+    """Smallest user index whose load-to-strength ratio pins the delivery time:
+    `_max_ratio`'s binding prefix at r = 0.  Defined for integer budgets with
+    at least as many files as users."""
     if not config.integer_budget:
         raise ValueError("the bottleneck user is defined for integer cache budgets")
     if config.num_files < config.num_users:
         raise ValueError("the bottleneck user is defined for N >= K")
-    loads = prefix_loads(config)
-    # max keeps the first maximum: ties go to the weakest user
-    return max(range(1, config.num_users + 1), key=lambda k: loads[k - 1] / config.alpha[k - 1])
+    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, None))[1]
 
 
 def topological_hole_region(config: SystemConfig) -> Polytope:

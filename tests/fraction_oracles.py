@@ -9,8 +9,10 @@ what they replaced; the tests compare the two value for value and row for
 row.  Memory sharing's oracle builds the max-over-users sequence from all K
 Fraction load sequences and evaluates its lower hull, the Fraction monotone
 chain that `cachecast.combinatorics` replaced by an integer one.  The
-delivery-time oracles take their gaps from `unicast_gaps`, not from
-`cachecast.regions.prefix_gaps`, so none of them reads the code it checks.
+bottleneck user's oracle is the Fraction argmax of load_k / alpha_k that
+`_max_ratio`'s binding prefix replaced.  The delivery-time oracles take
+their gaps from `unicast_gaps`, not from `cachecast.regions.prefix_gaps`, so
+none of them reads the code it checks.
 """
 
 from __future__ import annotations
@@ -293,6 +295,13 @@ def prefix_loads(config):
     sequences = [multicast_load_sequence(K, m) for m in range(1, min(K, config.num_files) + 1)]
     loads = [seq[low] + step * (seq[low + 1] - seq[low]) if step else seq[low] for seq in sequences]
     return tuple(loads) + (loads[-1],) * (K - len(loads))
+
+
+def bottleneck_user(config):
+    """The first user k maximizing load_k / alpha_k: `max` keeps the first
+    maximum, so ties go to the weakest user."""
+    loads = prefix_loads(config)
+    return max(range(1, config.num_users + 1), key=lambda k: loads[k - 1] / config.alpha[k - 1])
 
 
 def gndt_ub(config, r=None):

@@ -26,7 +26,7 @@ class Mutant(NamedTuple):
 
 
 CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
-CLI = "cachecast.cli"
+CLI, TRADEOFF = "cachecast.cli", "cachecast.tradeoff"
 
 MUTANTS = (
     Mutant(
@@ -135,6 +135,44 @@ MUTANTS = (
         "a region builder's integer row divides its coefficients by the rhs "
         "denominator, so every row with a fractional rhs is a different half-space",
         ("tests/test_polytope.py::test_integer_view_handed_on_by_eliminate_and_fix_variables",),
+    ),
+    Mutant(
+        "verify-compares-first-subfiles", CACHING,
+        "decode_file(user, by_group, caches[user - 1], d) == wanted[d[user - 1] - 1]",
+        "decode_file(user, by_group, caches[user - 1], d)[:1] == wanted[d[user - 1] - 1][:1]",
+        "a corrupted payload that only reaches a user's later subfiles passes verification",
+        ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles[1-2]",),
+    ),
+    Mutant(
+        "prune-keeps-every-row", POLYTOPE,
+        '"""Drop every row implied by the remaining ones (LP-certified)."""\n',
+        '"""Drop every row implied by the remaining ones (LP-certified)."""\n    return poly\n',
+        "prune returns its input, so implied rows stay in every pruned and canonical region",
+        ("tests/test_polytope.py::test_prune_drops_implied_row",),
+    ),
+    Mutant(
+        "dedupe-keeps-dominated-rows", POLYTOPE,
+        "return [row for row, c in zip(kept, scaled) if not _dominated(c, scaled)]",
+        "return kept",
+        "Fourier-Motzkin and fix_variables keep every row that one other row implies",
+        ("tests/test_polytope.py::test_eliminate_matches_fraction_fm",
+         "tests/test_polytope.py::test_fix_variables_matches_fraction_dedupe"),
+    ),
+    Mutant(
+        "converse-factor-two", TRADEOFF,
+        "CONVERSE_FACTOR = Fraction(201, 100)",
+        "CONVERSE_FACTOR = Fraction(2)",
+        "every converse bound is divided by 2, not by the constant 201/100 the information "
+        "bounds give up",
+        ("tests/test_cli.py::TestGndt::test_integer_budget_values",
+         "tests/test_tradeoff.py::TestLowerBound::test_worked_example_is_pinned"),
+    ),
+    Mutant(
+        "binding-prefix-keeps-the-last-tie", TRADEOFF,
+        "if p * over > best * g:",
+        "if p * over >= best * g:",
+        "of two prefixes with the same ratio the stronger user is named the bottleneck",
+        ("tests/test_tradeoff.py::TestBottleneck::test_tie_goes_to_the_weakest",),
     ),
     Mutant(
         "subsets-rewrapped-as-tuples", CACHING,

@@ -202,7 +202,7 @@ class TestPlacement:
     def test_only_own_subsets_cached(self):
         lib = random_library(2, 4, 2, seed=5)
         for cache in place_caches(lib):
-            assert all(cache.user in subset for (_, subset) in cache.subfiles)
+            assert all(cache.user in subset for subset in cache.by_subset)
 
     @pytest.mark.parametrize(
         "num_files,num_users,split,seed",
@@ -212,8 +212,8 @@ class TestPlacement:
     )
     def test_caches_hold_the_library_ints(self, monkeypatch, num_files, num_users, split, seed):
         """Each cache is the library's cut on the subsets that hold its user:
-        the same keys and `Bits` as `subfile`, the library's own int objects,
-        and placed without one `subfile` call."""
+        the library's own int objects, the very ones `subfile` wraps, placed
+        without one `subfile` call."""
         lib = random_library(num_files, num_users, split, seed=seed)
         calls = []
         subfile = FileLibrary.subfile
@@ -225,12 +225,11 @@ class TestPlacement:
         for cache in caches:
             own = [s for s in subsets if cache.user in s]
             assert list(cache.by_subset) == own
-            assert cache.subfiles == {(n, s): lib.subfile(n, s) for n in range(1, num_files + 1) for s in own}
             for s, values in cache.by_subset.items():
                 assert len(values) == num_files
                 for n, value in enumerate(values, 1):
                     assert value is lib.subfile_values[n - 1][subsets.index(s)]
-                    assert cache.subfiles[n, s].value is value
+                    assert lib.subfile(n, s).value is value
 
     def test_library_places_once(self):
         lib = random_library(3, 3, 1, seed=9)

@@ -382,6 +382,7 @@ class TestShapeAndCountErrors:
             (["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--B", "0"],
              "--B must be a whole number of at least 1, got 0"),
             (["verify", "--K", "3"], "verify takes --K and --N together"),
+            (["verify", "--K", "3", "--N", "2", "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
             (["verify", "--max-K", "2", "--mu", "1/2"], "verify takes --mu and --d only with --K"),
             (["verify", "--d", "1,2", "--region-trials", "1"],
              "verify takes --mu and --d only with --K"),
@@ -422,7 +423,7 @@ class TestShapeAndCountErrors:
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "missing-leader-0", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
-             "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "mu-without-K", "d-without-K",
+             "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "verify-mu-2", "mu-without-K", "d-without-K",
              "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
              "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
              "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
@@ -452,8 +453,9 @@ class TestShapeAndCountErrors:
          (["verify", "--region-trials", "1"], {"max-K": -2},
           "--max-K must be a whole number of at least 1, got -2"),
          (["verify", "--K", "2", "--N", "2", "--mu", "1/2"], {"B": 0},
-          "--B must be a whole number of at least 1, got 0")],
-        ids=["certificates-0", "max-K-neg", "B-0"],
+          "--B must be a whole number of at least 1, got 0"),
+         (["verify", "--K", "3", "--N", "2"], {"mu": 2}, "--mu must lie in [0, 1], got 2")],
+        ids=["certificates-0", "max-K-neg", "B-0", "verify-mu-2"],
     )
     def test_bad_count_from_config_names_the_file(self, argv, stored, message, tmp_path, capsys):
         config, out_file = tmp_path / "config.json", tmp_path / "out"

@@ -19,10 +19,16 @@ from mutants import EQUIVALENT, MUTANTS
 ROOT = Path(__file__).resolve().parents[1]
 
 # imports the mutated module first, runs the killers, then prints where the
-# module the killers saw came from; the exit code is pytest's
+# module the killers saw came from; the exit code is pytest's.  A killer only
+# has to fail, so Hypothesis neither shrinks nor explains its counterexample
+# (explaining one alone can outlast the timeout below), and it keeps no
+# example database, so no run reads what another mutant's run stored
 RUNNER = """
 import importlib, sys
 import pytest
+from hypothesis import Phase, settings
+settings.register_profile("mutant", database=None, phases=(Phase.explicit, Phase.generate))
+settings.load_profile("mutant")
 module = importlib.import_module(sys.argv[1])
 code = pytest.main(["-q", "-x", "-p", "no:cacheprovider", *sys.argv[2:]])
 print("imported from", sys.modules[sys.argv[1]].__file__, module is sys.modules[sys.argv[1]])

@@ -1,11 +1,13 @@
-"""Every `cachecast ...` example in README.md runs and exits 0."""
+"""Every `cachecast ...` example in README.md runs and exits 0, and the
+per-command flags table lists each command's flags."""
 
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from cachecast.cli import main
+from cachecast.cli import _COMMANDS, _command_flags, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +42,13 @@ def test_readme_example_runs(argv, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     if "--out" in argv:
         assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+def test_flags_table_lists_each_commands_flags():
+    """One row per command; its cell names exactly the flags the command
+    takes besides --config and --out, each once."""
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.MULTILINE)
+    assert sorted(command for command, _ in rows) == sorted(_COMMANDS)
+    for command, cell in rows:
+        want = set(_command_flags(command)) - {"--config", "--out"}
+        assert sorted(re.findall(r"--[\w-]+", cell)) == sorted(want), command

@@ -14,6 +14,10 @@ from cachecast.regions import max_symmetric_gdof, prefix_gaps
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     SystemConfig,
+    _chord,
+    _key,
+    _max_ratio,
+    _scaled_gaps,
     bottleneck_user,
     gdof_region_inner,
     gndt_joint_two_set,
@@ -30,6 +34,12 @@ FIG_ALPHA = (F("0.45"), F("0.65"), F("0.85"), F(1))
 
 def config(K, N, mu, alpha):
     return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha)
+
+
+def tenths_strengths(rng, K):
+    """Nondecreasing strengths on the grid 1/10..1 with alpha_K = 1, so that
+    load-to-strength ratios often tie."""
+    return tuple(F(int(c), 10) for c in sorted(rng.integers(1, 11, size=K - 1))) + (F(1),)
 
 
 def random_config(rng, max_users=6, integer_budget=None):
@@ -447,6 +457,40 @@ class TestBottleneck:
         with pytest.raises(ValueError):
             bottleneck_user(config(3, 3, F(1, 2), ALPHA3))
 
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_matches_the_fraction_argmax_on_a_tenths_grid(self, K):
+        """Every integer budget below K and N = K..K+2, ties included."""
+        rng = np.random.default_rng(2700 + K)
+        ties = 0
+        for _ in range(25):
+            alpha = tenths_strengths(rng, K)
+            for N in range(K, K + 3):
+                for t in range(K):
+                    cfg = config(K, N, F(t, K), alpha)
+                    assert bottleneck_user(cfg) == oracle.bottleneck_user(cfg), cfg
+                    ratios = [load / a for load, a in zip(oracle.prefix_loads(cfg), alpha)]
+                    ties += ratios.count(max(ratios)) > 1
+        assert ties
+
+    def test_binding_prefix_is_the_first_oracle_maximum(self):
+        """`_max_ratio` returns the oracle's time and the first prefix whose
+        oracle ratio equals it, over random budgets, file counts and unicast
+        tuples, exhausted prefixes and ties included."""
+        rng = np.random.default_rng(2727)
+        seen = set()
+        for _ in range(600):
+            K = int(rng.integers(1, 8))
+            N = int(rng.integers(1, K + 3))
+            cfg = config(K, N, F(int(rng.integers(0, 4 * K + 1)), 4 * K), tenths_strengths(rng, K))
+            r = None if rng.random() < 0.2 else tuple(F(int(v), 20) for v in rng.integers(0, 5, size=K))
+            gaps = oracle.unicast_gaps(cfg, r)
+            ratios = [oracle.ratio(load, gap) for load, gap in zip(oracle.prefix_loads(cfg), gaps)]
+            top = max(ratios)
+            assert _max_ratio(*_chord(cfg), *_scaled_gaps(cfg.alpha, _key(r))) == (
+                top, ratios.index(top) + 1), (cfg, r)
+            seen.add("inf" if top == math.inf else "tie" if ratios.count(top) > 1 else "one")
+        assert seen == {"inf", "tie", "one"}
+
 
 class TestHoles:
     def test_worked_example_bounds(self):
@@ -512,6 +556,10 @@ class TestLowerBound:
 
     def test_full_memory(self):
         assert gndt_lower_bound(config(3, 3, 1, ALPHA3)) == 0
+
+    def test_worked_example_is_pinned(self):
+        # tau_ub = 5/3 divided by the converse constant 201/100, written out
+        assert gndt_lower_bound(config(3, 3, F(1, 3), ALPHA3)) == F(500, 603)
 
     def test_flat_strengths_bind_at_the_last_prefix(self):
         flat = (F(1),) * 4
