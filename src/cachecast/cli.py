@@ -21,9 +21,11 @@ line, and so is a prefix of one it takes (--r for --region-trials).  Flags can
 come from a JSON config file (--config), required ones such as --sigma included;
 explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
 overrides a config value for the other, and both at once are a usage error.
-A config key no command has, or a value its flag would refuse, is a usage
-error too.  A list flag (--alpha, --r, --leaders, --d) takes comma text, or
-a JSON list in the config file; an empty comma entry (1,2,) is an error.
+Each value is parsed and checked once, by its flag's `check` in _FLAGS: under
+the flag's name on the command line, where the token after a flag that takes a
+value is that value (--mu -1/3), and under `--config FILE: --flag` in the file,
+also where a flag overrides it.  A list flag (--alpha, --r, --leaders, --d)
+takes comma text or a JSON list; an empty comma entry (1,2,) is an error.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -81,31 +83,69 @@ def _parse_list(value, flag: str, whole: bool = False) -> list:
     return [int(number) for number in numbers] if whole else numbers
 
 
-def _parse_grid(text) -> list[Fraction]:
+def _parse_grid(text, flag: str) -> list[Fraction]:
     parts = str(text).split(":")
     if len(parts) != 3:
-        raise ValueError(f"--mu-grid must have the form start:end:step, got {text!r}")
-    start, end, step = (_parse_fraction(t, "--mu-grid") for t in parts)
+        raise ValueError(f"{flag} must have the form start:end:step, got {text!r}")
+    start, end, step = (_parse_fraction(t, flag) for t in parts)
     if step <= 0 or end < start:
-        raise ValueError(f"--mu-grid start:end:step needs step > 0 and end >= start, got {text!r}")
-    grid = []
-    value = start
+        raise ValueError(f"{flag} start:end:step needs step > 0 and end >= start, got {text!r}")
+    grid, value = [], start
     while value <= end:
         grid.append(value)
         value += step
+    if grid[0] < 0 or grid[-1] > 1:  # the grid rises from start, which it holds
+        raise ValueError(f"{flag} values must lie in [0, 1], got {text!r}")
     return grid
 
 
-# flags that each stand in for the other: a config value for one yields to the other's flag
-_ALTERNATIVE = {"mu": "mu_grid", "mu_grid": "mu"}
+def _mu(value, flag: str) -> Fraction:
+    mu = _parse_fraction(value, flag)
+    if not 0 <= mu.numerator <= mu.denominator:  # mu in [0, 1], compared as ints
+        raise ValueError(f"{flag} must lie in [0, 1], got {value}")
+    return mu
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given, and
-    note in `args.from_config` which ones it filled."""
-    args.from_config = set()
+def _whole(value, flag: str, low=None) -> int:
+    """An int parsed from its text (4.5 and true are refused, not truncated), at least `low`."""
+    try:
+        number = int(str(value))
+    except ValueError:
+        raise ValueError(f"{flag} takes an int, got {value!r}") from None
+    if low is not None and number < low:
+        raise ValueError(f"{flag} must be a whole number of at least {low}, got {number}")
+    return number
+
+
+def _kept(value, flag: str, test, refusal: str):
+    """`value` as it is, if `test` accepts it."""
+    if not test(value):
+        raise ValueError(f"{flag} {refusal}, got {value!r}")
+    return value
+
+
+def _one_of(*choices) -> dict:
+    """A choice flag's check, and the metavar argparse's usage line shows for it."""
+    refusal = f"must be one of {', '.join(choices)}"
+    return {"check": functools.partial(_kept, test=choices.__contains__, refusal=refusal),
+            "metavar": "{" + ",".join(choices) + "}"}
+
+
+def _power(value, flag: str) -> float:
+    try:
+        power = float(value)
+    except (TypeError, ValueError):  # TypeError: a JSON list or object in --config
+        power = math.nan
+    if not 1 < power < math.inf:  # also refuses nan
+        raise ValueError(f"{flag} must be a finite power above 1, got {value}")
+    return power
+
+
+def _merge_config(args: argparse.Namespace) -> None:
+    """Check every value the JSON config file, if one was given, holds for
+    this command's flags, and fill the unset flags from it."""
     if not args.config:
-        return args
+        return
     try:
         with open(args.config) as fh:
             stored = json.load(fh)
@@ -120,46 +160,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"{where}: {key!r} is not a flag of {args.command} or of any other command")
         if flag not in _command_flags(args.command):
             continue  # another command's flag: one file may serve several commands
-        attr, spec = flag[2:].replace("-", "_"), _FLAGS[flag]  # attr: argparse's dest
-        kind, choices = spec.get("type"), spec.get("choices")
-        if spec.get("action") == "store_true" and not isinstance(value, bool):
-            raise ValueError(f"{where}: {flag} takes true or false, got {value!r}")
-        try:  # parsed from its text as on the command line: 4.5 is refused, not truncated
-            value = kind(str(value)) if kind else value
-        except ValueError:
-            raise ValueError(f"{where}: {flag} takes an {kind.__name__}, got {value!r}") from None
-        if choices is not None and value not in choices:
-            raise ValueError(f"{where}: {flag} must be one of {', '.join(choices)}, got {value!r}")
-        if attr not in given and _ALTERNATIVE.get(attr) not in given:
+        value = _FLAGS[flag]["check"](value, f"{where}: {flag}")  # even if a flag overrides it
+        attr = flag[2:].replace("-", "_")  # argparse's dest
+        alternative = {"mu": "mu_grid", "mu_grid": "mu"}.get(attr)  # a flag for either wins
+        if attr not in given and alternative not in given:
             setattr(args, attr, value)
-            args.from_config.add(attr)
-    return args
-
-
-def _named(args, flag: str) -> str:
-    """`flag` as an error names it: after its config file if it was read there."""
-    if flag[2:].replace("-", "_") in args.from_config:
-        return f"--config {args.config}: {flag}"
-    return flag
-
-
-def _count(args, flag: str, default):
-    """A flag that counts something: `default` when unset, else at least 1.
-
-    An explicit 0 is not read as unset, and neither 0 nor a negative count is
-    run: a check over nothing would pass vacuously.
-    """
-    value = getattr(args, flag[2:].replace("-", "_"))
-    if value is not None and value < 1:
-        raise ValueError(f"{_named(args, flag)} must be a whole number of at least 1, got {value}")
-    return default if value is None else value
-
-
-def _seed(args) -> int:
-    """The --seed value, 0 when unset; no generator takes a negative seed."""
-    if (args.seed or 0) < 0:
-        raise ValueError(f"{_named(args, '--seed')} must be a whole number of at least 0, got {args.seed}")
-    return args.seed or 0
 
 
 @contextlib.contextmanager
@@ -183,24 +188,14 @@ def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:
             writer.writerows(rows)
 
 
-def _mu_values(args) -> list[Fraction]:
-    if args.mu_grid is not None and args.mu is not None:
-        raise ValueError("--mu and --mu-grid are alternatives; give one of them")
-    if args.mu_grid is not None:
-        return _parse_grid(args.mu_grid)
-    if args.mu is not None:
-        return [_parse_fraction(args.mu, "--mu")]
-    raise ValueError("either --mu or --mu-grid is required")
-
-
 def cmd_tradeoff(args) -> int:
     """gndt and sweep-memory: one row of delivery times per mu.
 
     sweep-memory adds the joint two-set column; gndt --exact adds p/q columns.
     """
-    r = _parse_list(args.r, "--r") if args.r else None
-    mus = _mu_values(args)
-    alpha = tuple(_parse_list(args.alpha, "--alpha"))
+    if (args.mu is None) == (args.mu_grid is None):  # neither, or both
+        raise ValueError("--mu and --mu-grid are alternatives; give one of them")
+    r, mus, alpha = args.r or None, args.mu_grid or [args.mu], tuple(args.alpha)  # a grid is never empty
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact
     columns = ["tau_ub", "tau_joint", "tau_ms", "tau_lb"] if joint else ["tau_ub", "tau_ms", "tau_lb"]
@@ -228,8 +223,7 @@ def cmd_tradeoff(args) -> int:
 def cmd_holes(args) -> int:
     if args.mu is None:
         raise ValueError("--mu is required (flag or config file)")
-    mu = _parse_fraction(args.mu, "--mu")
-    config = SystemConfig(args.K, args.N, mu, tuple(_parse_list(args.alpha, "--alpha")))
+    config = SystemConfig(args.K, args.N, args.mu, tuple(args.alpha))
     star = tradeoff.bottleneck_user(config)
     region = tradeoff.topological_hole_region(config)
     base_tau = tradeoff.gndt_ub(config)
@@ -259,8 +253,7 @@ def cmd_holes(args) -> int:
 
 
 def cmd_region(args) -> int:
-    alpha = tuple(_parse_list(args.alpha, "--alpha"))
-    kind, K, sigma = args.kind or "full", args.K, args.sigma
+    alpha, kind, K, sigma = tuple(args.alpha), args.kind or "full", args.K, args.sigma
     for flag, value, kinds in (
         ("--s", args.s, ("symmetric", "two-multicast")),
         ("--gamma", args.gamma, ("two-multicast",)),
@@ -273,18 +266,15 @@ def cmd_region(args) -> int:
     if kind == "full":
         poly = regions.build_region(K, sigma, alpha)
     elif kind == "symmetric":
-        poly = regions.symmetric_projection(K, sigma, alpha, _count(args, "--s", K))
+        poly = regions.symmetric_projection(K, sigma, alpha, args.s or K)
     elif kind == "missing":
         if not args.leaders:
             raise ValueError("--leaders is required for --kind missing")
-        leaders = _parse_list(args.leaders, "--leaders", whole=True)
-        poly = regions.build_missing_message_region(K, sigma, alpha, leaders)
-    else:  # two-multicast: the parser and _merge_config admit no other kind
+        poly = regions.build_missing_message_region(K, sigma, alpha, args.leaders)
+    else:  # two-multicast: --kind's check admits no other kind
         if args.gamma is None:
             raise ValueError("--gamma is required for --kind two-multicast")
-        poly = regions.build_two_multicast_symmetric(
-            K, sigma, args.gamma, alpha, _count(args, "--s", K)
-        )
+        poly = regions.build_two_multicast_symmetric(K, sigma, args.gamma, alpha, args.s or K)
     with _output(args) as out:
         out.write(poly.to_json() + "\n")
     return 0
@@ -293,9 +283,7 @@ def cmd_region(args) -> int:
 def _caching_sweeps(args) -> list:
     """The caching stage's (library, demand tuples) pairs, one per (K, N, t);
     every library is drawn here, before --out is opened."""
-    seed, d = _seed(args), None
-    file_bits = _count(args, "--B", None)
-    K, N = _count(args, "--K", None), _count(args, "--N", None)
+    seed, d, file_bits, K, N = args.seed or 0, None, args.B, args.K, args.N
     if (K is None) != (N is None):
         raise ValueError("verify takes --K and --N together, or neither for the sweep")
     if K is None and (args.mu is not None or args.d):
@@ -303,9 +291,7 @@ def _caching_sweeps(args) -> list:
     if K is not None:
         # one explicit configuration, optionally a single demand tuple
         if args.mu is not None:
-            budget = K * _parse_fraction(args.mu, "--mu")
-            if not 0 <= budget <= K:  # as gndt and holes refuse it, before the split order does
-                raise ValueError(f"{_named(args, '--mu')} must lie in [0, 1], got {args.mu}")
+            budget = K * args.mu
             if budget.denominator != 1:
                 raise ValueError(
                     f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
@@ -315,10 +301,10 @@ def _caching_sweeps(args) -> list:
         else:
             shapes = [(K, N, split) for split in range(0, K + 1)]
         if args.d:
-            d = tuple(_parse_list(args.d, "--d", whole=True))
+            d = tuple(args.d)
             caching.check_demand(d, K, N)  # before --out is opened
     else:
-        max_k, max_n = _count(args, "--max-K", 4), _count(args, "--max-N", 4)
+        max_k, max_n = args.max_K or 4, args.max_N or 4
         shapes = [(K, N, split) for K in range(1, max_k + 1) for N in range(1, max_n + 1)
                   for split in range(0, K + 1)]
     return [
@@ -334,7 +320,7 @@ _encode_record = json.JSONEncoder(sort_keys=True).encode
 
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
     """Verify each demand tuple end to end and write its NDJSON record."""
-    seed = _seed(args)
+    seed = args.seed or 0
     checked = failures = 0
 
     def write(K, N, split, d, ok, **extra) -> None:
@@ -355,13 +341,13 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
     return checked, failures
 
 
-def _verify_region_equality(args, trials: int) -> tuple[int, int]:
+def _verify_region_equality(args) -> tuple[int, int]:
     """Certify that eliminating the power exponents reproduces the region."""
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed or 0)
     checked = failures = 0
     for K in (2, 3, 4):
         for sigma in range(2, K + 1):
-            for _ in range(trials):
+            for _ in range(args.region_trials or 3):
                 denom = int(rng.integers(8, 40))
                 cuts = sorted(int(rng.integers(1, denom)) for _ in range(K - 1))
                 alpha = tuple(Fraction(c, denom) for c in cuts) + (Fraction(1),)
@@ -375,11 +361,10 @@ def _verify_region_equality(args, trials: int) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    trials = _count(args, "--region-trials", 3)
     sweeps = _caching_sweeps(args)
     with _output(args) as out:
         cache_checked, cache_failed = _verify_caching(args, sweeps, out)
-    region_checked, region_failed = _verify_region_equality(args, trials)
+    region_checked, region_failed = _verify_region_equality(args)
     summary = {
         "caching": {"checked": cache_checked, "failed": cache_failed},
         "region_equality": {"checked": region_checked, "failed": region_failed},
@@ -390,19 +375,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_finite_snr(args) -> int:
-    alpha = tuple(_parse_list(args.alpha, "--alpha"))
-    K, sigma = args.K, args.sigma
-    try:
-        power = float(args.P if args.P is not None else 2**20)
-    except (TypeError, ValueError):  # TypeError: a JSON list or object in --config
-        power = math.nan
-    if not 1 < power < math.inf:  # also refuses nan
-        raise ValueError(f"--P must be a finite power above 1, got {args.P}")
-    count = _count(args, "--certificates", 20)
+    alpha, K, sigma, power = tuple(args.alpha), args.K, args.sigma, args.P or 2.0**20
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
-    rng = np.random.default_rng(_seed(args))
-    points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(count)]
+    rng = np.random.default_rng(args.seed or 0)
+    points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(args.certificates or 20)]
     outcomes = [finite_snr.constant_gap_certificate(inner, outer, p) for p in points]
     with _output(args) as out:
         finite_snr.write_region_csv({"inner": inner, "outer": outer}, out)
@@ -412,33 +389,40 @@ def cmd_finite_snr(args) -> int:
     return 0 if all(outcomes) else VERIFY_ERROR
 
 
-# every flag of every command: option string -> add_argument keywords
+_COUNT, _WHOLES = functools.partial(_whole, low=1), functools.partial(_parse_list, whole=True)
+_PATH = functools.partial(_kept, test=lambda value: isinstance(value, str), refusal="takes a path")
+_SWITCH = functools.partial(_kept, test=lambda value: isinstance(value, bool), refusal="takes true or false")
+
+# every flag of every command: option string -> its check(value, flag), which parses the value
+# from argv text (a switch: True) or JSON and refuses a bad one, and add_argument keywords
 _FLAGS = {
-    "--config": {"help": "JSON file with default flag values"},
-    "--out": {"help": "output path (default stdout)"},
-    "--K": {"type": int, "help": "number of users"},
-    "--N": {"type": int, "help": "number of library files"},
-    "--alpha": {"help": "channel strengths a1,a2,...,1"},
-    "--sigma": {"type": int, "help": "multicast group size"},
-    "--mu": {"help": "normalized cache size in [0, 1] (verify: the one cache size to sweep)"},
-    "--mu-grid": {"help": "grid start:end:step"},
-    "--r": {"help": "unicast GDoF tuple r1,r2,..."},
-    "--exact": {"action": "store_true", "default": None, "help": "add exact p/q columns"},
-    "--format": {"choices": ("csv", "json"), "help": "table format"},
-    "--kind": {"choices": ("full", "symmetric", "missing", "two-multicast"), "help": "default full"},
-    "--s": {"type": int, "help": "coverage parameter for symmetric kinds"},
-    "--gamma": {"type": int, "help": "second group size for two-multicast"},
-    "--leaders": {"help": "leader users u1,u2,... for kind=missing"},
-    "--B": {"type": int, "help": "file size in bits (default 8 bits per subfile)"},
-    "--d": {"help": "explicit demand tuple d1,d2,... (default: all tuples)"},
-    "--max-K": {"type": int, "help": "largest user count (default 4)"},
-    "--max-N": {"type": int, "help": "largest file count (default 4)"},
-    "--region-trials": {"type": int, "help": "random strengths per (K, sigma)"},
-    "--inject-fault": {"action": "store_true", "default": None, "help": "corrupt one payload"},
-    "--P": {"help": "nominal power (> 1)"},
-    "--seed": {"type": int, "help": "RNG seed"},
-    "--certificates": {"type": int, "help": "boundary points to certify (default 20)"},
+    "--config": {"check": _PATH, "help": "JSON file with default flag values"},
+    "--out": {"check": _PATH, "help": "output path (default stdout)"},
+    "--K": {"check": _COUNT, "help": "number of users"},
+    "--N": {"check": _COUNT, "help": "number of library files"},
+    "--alpha": {"check": _parse_list, "help": "channel strengths a1,a2,...,1"},
+    "--sigma": {"check": _whole, "help": "multicast group size"},
+    "--mu": {"check": _mu, "help": "normalized cache size in [0, 1] (verify: the one cache size to sweep)"},
+    "--mu-grid": {"check": _parse_grid, "help": "grid start:end:step"},
+    "--r": {"check": _parse_list, "help": "unicast GDoF tuple r1,r2,..."},
+    "--exact": {"check": _SWITCH, "action": "store_true", "default": None, "help": "add exact p/q columns"},
+    "--format": {**_one_of("csv", "json"), "help": "table format"},
+    "--kind": {**_one_of("full", "symmetric", "missing", "two-multicast"), "help": "default full"},
+    "--s": {"check": _COUNT, "help": "coverage parameter for symmetric kinds"},
+    "--gamma": {"check": _whole, "help": "second group size for two-multicast"},
+    "--leaders": {"check": _WHOLES, "help": "leader users u1,u2,... for kind=missing"},
+    "--B": {"check": _COUNT, "help": "file size in bits (default 8 bits per subfile)"},
+    "--d": {"check": _WHOLES, "help": "explicit demand tuple d1,d2,... (default: all tuples)"},
+    "--max-K": {"check": _COUNT, "help": "largest user count (default 4)"},
+    "--max-N": {"check": _COUNT, "help": "largest file count (default 4)"},
+    "--region-trials": {"check": _COUNT, "help": "random strengths per (K, sigma)"},
+    "--inject-fault": {"check": _SWITCH, "action": "store_true", "default": None, "help": "corrupt one payload"},
+    "--P": {"check": _power, "help": "nominal power (> 1)"},
+    "--seed": {"check": functools.partial(_whole, low=0), "help": "RNG seed"},
+    "--certificates": {"check": _COUNT, "help": "boundary points to certify (default 20)"},
 }
+# flags whose next token is their value, even one that starts with -
+_VALUED = {flag for flag, spec in _FLAGS.items() if "action" not in spec}
 
 # command -> (handler, help, the flags its handler reads besides --config and --out)
 _COMMANDS = {
@@ -472,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in _command_flags(name):
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **{key: v for key, v in _FLAGS[flag].items() if key != "check"})
         p.set_defaults(func=func, parser=p)
     return parser
 
@@ -481,12 +465,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _tokens(argv: list[str]) -> list[str]:
+    """argv with `--flag -value` joined into `--flag=-value` for a flag that
+    takes a value: argparse reads -1/3 or -0.1,0 as a flag, not as a value."""
+    tokens = []
+    for token in argv:
+        if token.startswith("-") and tokens and tokens[-1] in _VALUED and token not in _FLAGS:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
 def main(argv=None) -> int:
-    args, extra = _parser().parse_known_args(argv)
+    args, extra = _parser().parse_known_args(_tokens(sys.argv[1:] if argv is None else argv))
     if extra:  # argparse would report them with the top parser's usage
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        args = _merge_config(args)
+        for attr, value in list(vars(args).items()):  # each value is checked where it is read
+            if value is not None and (flag := "--" + attr.replace("_", "-")) in _FLAGS:
+                setattr(args, attr, _FLAGS[flag]["check"](value, flag))
+        _merge_config(args)
         if args.command != "verify":
             for flag in ("K", "N", "alpha", "sigma"):  # as far as the command takes them
                 if getattr(args, flag, 0) is None:

@@ -129,6 +129,24 @@ MUTANTS = (
         ("tests/test_cli.py::TestVerify::test_wrong_region_row_fails",),
     ),
     Mutant(
+        "mu-check-admits-2", CLI,
+        "if not 0 <= mu.numerator <= mu.denominator:",
+        "if not 0 <= mu.numerator <= 2 * mu.denominator:",
+        "--mu's check lets a cache size up to 2 through, so gndt and holes refuse it with the "
+        "library's message, which names no flag, and verify reaches the split order with it",
+        ("tests/test_cli.py::TestShapeAndCountErrors::test_usage_error_before_output[gndt-mu-2]",
+         "tests/test_cli.py::TestShapeAndCountErrors::test_usage_error_before_output[verify-mu-2]"),
+    ),
+    Mutant(
+        "config-value-named-as-a-flag", CLI,
+        'value = _FLAGS[flag]["check"](value, f"{where}: {flag}")',
+        'value = _FLAGS[flag]["check"](value, flag)',
+        "a bad config value is refused under the bare flag name, so the message does not say "
+        "that the file gave it",
+        ("tests/test_cli.py::TestShapeAndCountErrors::test_bad_count_from_config_names_the_file",
+         "tests/test_cli.py::TestShapeAndCountErrors::test_negative_seed_from_config_is_usage_error"),
+    ),
+    Mutant(
         "builder-row-drops-rhs-denominator", POLYTOPE,
         "return scale, (*(c * scale for c in coeffs), rhs.numerator)",
         "return scale, (*coeffs, rhs.numerator)",

@@ -292,10 +292,10 @@ class TestFlagsPerCommand:
              "d-trailing-comma", "alpha-double-comma", "leaders-config-text", "r-leading-comma"],
     )
     def test_bad_token_names_its_flag(self, argv, stored, message, tmp_path, capsys):
-        if stored is not None:
+        if stored is not None:  # a value from the file is named after the file
             config = tmp_path / "run.json"
             config.write_text(json.dumps(stored))
-            argv = [*argv, "--config", str(config)]
+            argv, message = [*argv, "--config", str(config)], f"--config {config}: {message}"
         out_file = tmp_path / "out"
         code, out, err = run([*argv, "--out", str(out_file)], capsys)
         assert code == 2
@@ -420,6 +420,30 @@ class TestShapeAndCountErrors:
              "--seed must be a whole number of at least 0, got -1"),
             (["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--seed", "-3"],
              "--seed must be a whole number of at least 0, got -3"),
+            (["gndt", *TestUsageErrors.TWO, "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
+            (["sweep-memory", *TestUsageErrors.TWO, "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
+            (["holes", *TestUsageErrors.TWO, "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
+            (["gndt", *TestUsageErrors.TWO, "--mu-grid", "0:2:1/2"],
+             "error: --mu-grid values must lie in [0, 1], got '0:2:1/2'\n"),
+            (["gndt", "--K", "0", "--N", "2", "--alpha", "1", "--mu", "0"],
+             "error: --K must be a whole number of at least 1, got 0\n"),
+            (["gndt", "--K", "2", "--N", "0", "--alpha", "1/2,1", "--mu", "0"],
+             "error: --N must be a whole number of at least 1, got 0\n"),
+            (["holes", "--K", "0", "--N", "2", "--alpha", "1", "--mu", "0"],
+             "error: --K must be a whole number of at least 1, got 0\n"),
+            (["holes", "--K", "2", "--N", "0", "--alpha", "1/2,1", "--mu", "0"],
+             "error: --N must be a whole number of at least 1, got 0\n"),
+            (["region", "--K", "0", "--sigma", "2", "--alpha", "1"],
+             "error: --K must be a whole number of at least 1, got 0\n"),
+            (["finite-snr", "--K", "0", "--sigma", "2", "--alpha", "1"],
+             "error: --K must be a whole number of at least 1, got 0\n"),
+            # a negative value is the value of the flag before it, not a flag
+            (["gndt", *TestUsageErrors.TWO, "--mu", "-1/3"], "error: --mu must lie in [0, 1], got -1/3\n"),
+            (["gndt", *TestUsageErrors.TWO, "--mu-grid", "-1/4:1:1/4"],
+             "error: --mu-grid values must lie in [0, 1], got '-1/4:1:1/4'\n"),
+            (["gndt", "--K", "3", "--N", "3", "--alpha", "2/5,9/10,1", "--mu", "0", "--r", "-1/10,0,0"],
+             "unicast GDoF values must be nonnegative"),
+            (["gndt", "--K", "2", "--N", "2", "--alpha", "-1/2,1", "--mu", "0"], "strengths must be positive"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "missing-leader-0", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
@@ -427,7 +451,10 @@ class TestShapeAndCountErrors:
              "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
              "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
              "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
-             "grid-zero-step", "mu-and-grid", "grid-and-mu", "verify-seed-neg", "finite-snr-seed-neg"],
+             "grid-zero-step", "mu-and-grid", "grid-and-mu", "verify-seed-neg", "finite-snr-seed-neg",
+             "gndt-mu-2", "sweep-mu-2", "holes-mu-2", "grid-past-1", "gndt-K-0", "gndt-N-0", "holes-K-0",
+             "holes-N-0", "region-K-0", "finite-snr-K-0", "mu-negative", "grid-negative", "r-negative",
+             "alpha-negative"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"
@@ -454,8 +481,11 @@ class TestShapeAndCountErrors:
           "--max-K must be a whole number of at least 1, got -2"),
          (["verify", "--K", "2", "--N", "2", "--mu", "1/2"], {"B": 0},
           "--B must be a whole number of at least 1, got 0"),
-         (["verify", "--K", "3", "--N", "2"], {"mu": 2}, "--mu must lie in [0, 1], got 2")],
-        ids=["certificates-0", "max-K-neg", "B-0", "verify-mu-2"],
+         (["verify", "--K", "3", "--N", "2"], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
+         (["gndt", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
+         (["sweep-memory", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
+         (["holes", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2")],
+        ids=["certificates-0", "max-K-neg", "B-0", "verify-mu-2", "gndt-mu-2", "sweep-mu-2", "holes-mu-2"],
     )
     def test_bad_count_from_config_names_the_file(self, argv, stored, message, tmp_path, capsys):
         config, out_file = tmp_path / "config.json", tmp_path / "out"
@@ -464,6 +494,11 @@ class TestShapeAndCountErrors:
         assert (code, out) == (2, "")
         assert err == f"error: --config {config}: {message}\n"
         assert not out_file.exists()
+
+    def test_flag_after_a_value_flag_is_a_missing_value(self, capsys):
+        code, out, err = refused(["gndt", *TestUsageErrors.TWO, "--mu", "--K", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: cachecast gndt ") and "argument --mu: expected one argument" in err
 
     def test_flag_over_config_is_named_as_a_flag(self, tmp_path, capsys):
         # the bad value came from the command line, so the message names no file

@@ -135,9 +135,13 @@ def run(argv):
 @example((["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], False))
 @example((["finite-snr", "--K", "3", "--sigma", "2", "--alpha", "1/2,1"], False))
 @example((["holes", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "1/2", "--P", "nan"], True))
+@example((["gndt", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "-1/4"], False))
+@example((["sweep-memory", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "0", "--r", "-1,0"], False))
 def test_exit_code_is_0_1_or_2_without_traceback(drawn):
     argv, foreign = drawn
     code, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    # every value flag is drawn with a value, so argparse never finds one missing
+    assert "expected one argument" not in err, (argv, err)
     assert code == 2 or not foreign, (argv, code, err)
