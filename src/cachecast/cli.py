@@ -16,16 +16,20 @@ verify        end-to-end caching sweep + region-equality certification:
 finite-snr    finite-power region rows (CSV) and constant-gap certificates:
               --K --sigma --alpha [--P --certificates --seed]
 
-A flag the command does not take is a usage error under the command's usage
-line, and so is a prefix of one it takes (--r for --region-trials).  Flags can
+The tokens after a command name go straight to that command's own parser, the
+one the top-level parser would hand them to; --help, no command or an unknown
+one go to the top-level parser.  A flag the command does not take is a usage
+error under the command's usage line, and so is a prefix of one it takes (--r
+for --region-trials), each named with its value as typed (--P -1).  Flags can
 come from a JSON config file (--config), required ones such as --sigma included;
 explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
 overrides a config value for the other, and both at once are a usage error.
 Each value is parsed and checked once, by its flag's `check` in _FLAGS: under
-the flag's name on the command line, where the token after a flag that takes a
-value is that value (--mu -1/3), and under `--config FILE: --flag` in the file,
-also where a flag overrides it.  A list flag (--alpha, --r, --leaders, --d)
-takes comma text or a JSON list; an empty comma entry (1,2,) is an error.
+the flag's name on the command line, where the token after a flag the command
+takes with a value is that value (--mu -1/3), and under `--config FILE: --flag`
+in the file, also where a flag overrides it.  A list flag (--alpha, --r,
+--leaders, --d) takes comma text or a JSON list, and refuses any other JSON
+value; an empty comma entry (1,2,) is an error.
 Numbers print with 12 significant digits; --exact adds p/q columns.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -63,8 +67,13 @@ def _fmt_exact(x) -> str:
 
 
 def _parse_fraction(token, flag: str) -> Fraction:
+    """The exact value of `token`; plain p or p/q text in ASCII digits is read as ints."""
+    text = str(token)
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(str(token))
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den or 1))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag}: {token!r} has a zero denominator") from None
     except ValueError:
@@ -73,6 +82,8 @@ def _parse_fraction(token, flag: str) -> Fraction:
 
 def _parse_list(value, flag: str, whole: bool = False) -> list:
     """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):  # JSON null, true, {}
+        raise ValueError(f"{flag} takes comma text or a JSON list, got {value!r}")
     tokens = value if isinstance(value, list) else str(value).split(",")
     if "" in tokens:  # "1,2," or "1/2,,1": a typo, never a shorter list
         raise ValueError(f"{flag}: {value!r} has an empty entry")
@@ -457,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in _command_flags(name):
             p.add_argument(flag, **{key: v for key, v in _FLAGS[flag].items() if key != "check"})
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(command=name, func=func, parser=p)
+    parser.set_defaults(commands=sub.choices)  # each command's parser, as main reaches it
     return parser
 
 
@@ -465,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _tokens(argv: list[str]) -> list[str]:
-    """argv with `--flag -value` joined into `--flag=-value` for a flag that
-    takes a value: argparse reads -1/3 or -0.1,0 as a flag, not as a value."""
+def _tokens(argv: list[str], valued: set[str]) -> list[str]:
+    """argv with `--flag -value` joined into `--flag=-value` for a flag in `valued`:
+    argparse reads -1/3 or -0.1,0 as a flag, not as a value."""
     tokens = []
     for token in argv:
-        if token.startswith("-") and tokens and tokens[-1] in _VALUED and token not in _FLAGS:
+        if token.startswith("-") and tokens and tokens[-1] in valued and token not in _FLAGS:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
@@ -478,7 +490,12 @@ def _tokens(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args, extra = _parser().parse_known_args(_tokens(sys.argv[1:] if argv is None else argv))
+    argv, parser, valued = sys.argv[1:] if argv is None else argv, _parser(), _VALUED
+    if argv and argv[0] in _COMMANDS:  # parse the rest with the parser the top one hands it to
+        command, *argv = argv
+        parser = parser.get_default("commands")[command]
+        valued = _VALUED.intersection(_command_flags(command))
+    args, extra = parser.parse_known_args(_tokens(argv, valued))
     if extra:  # argparse would report them with the top parser's usage
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -43,11 +43,12 @@ def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
 def _checked_strengths(num_users: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if not vals:
         raise ValueError("at least one channel strength is required")
-    if vals[0] <= 0:
+    if vals[0].numerator <= 0:
         raise ValueError(f"strengths must be positive, got alpha_1 = {vals[0]}")
-    if any(a > b for a, b in zip(vals, vals[1:])):
+    scale, ints = _integer_row(vals)  # compared as integers over one denominator
+    if any(a > b for a, b in zip(ints, ints[1:])):
         raise ValueError(f"strengths must be nondecreasing, got {vals}")
-    if vals[-1] != 1:
+    if ints[-1] != scale:
         raise ValueError(
             f"strengths must be normalized with alpha_K = 1, got alpha_K = {vals[-1]}"
         )
@@ -93,7 +94,7 @@ def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, t
     rt = [ZERO] * len(alpha) if r is None else [_frac(x) for x in r]
     if len(rt) != len(alpha):
         raise ValueError("one unicast GDoF per user is required")
-    if any(x < 0 for x in rt):
+    if any(x.numerator < 0 for x in rt):
         raise ValueError("unicast GDoF values must be nonnegative")
     height, ints = _integer_row([*alpha, *rt])
     return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))

@@ -81,7 +81,7 @@ class SystemConfig:
             raise ValueError("need at least one user and one file")
         object.__setattr__(self, "mu", _frac(self.mu))
         object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
-        if not 0 <= self.mu <= 1:
+        if not 0 <= self.mu.numerator <= self.mu.denominator:  # compared as ints
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
     @cached_property

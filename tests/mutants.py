@@ -26,7 +26,7 @@ class Mutant(NamedTuple):
 
 
 CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
-CLI, TRADEOFF = "cachecast.cli", "cachecast.tradeoff"
+CLI, REGIONS, TRADEOFF = "cachecast.cli", "cachecast.regions", "cachecast.tradeoff"
 
 MUTANTS = (
     Mutant(
@@ -175,6 +175,20 @@ MUTANTS = (
         "Fourier-Motzkin and fix_variables keep every row that one other row implies",
         ("tests/test_polytope.py::test_eliminate_matches_fraction_fm",
          "tests/test_polytope.py::test_fix_variables_matches_fraction_dedupe"),
+    ),
+    Mutant(
+        "plain-token-without-its-slash-test", CLI,
+        "(not slash or den.isascii() and den.isdigit())",
+        "(not den or den.isascii() and den.isdigit())",
+        "a token that ends in a slash reads as its numerator (1/ as 1), where Fraction refuses it",
+        ("tests/test_cli_fuzz.py::test_token_parser_matches_fraction_text",),
+    ),
+    Mutant(
+        "strengths-check-refuses-ties", REGIONS,
+        "if any(a > b for a, b in zip(ints, ints[1:])):",
+        "if any(a >= b for a, b in zip(ints, ints[1:])):",
+        "two users of the same strength are refused as out of order",
+        ("tests/test_regions.py::TestStrengths::test_ties_allowed",),
     ),
     Mutant(
         "converse-factor-two", TRADEOFF,

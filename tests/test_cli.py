@@ -203,6 +203,8 @@ class TestFlagsPerCommand:
             ("finite-snr", "--format", "csv"),
             # a prefix is not its flag: --region-trials, --seed, --mu-grid
             ("verify", "--r", "1"), ("verify", "--s", "5"), ("gndt", "--mu-g", "0:1:1/2"),
+            # a negative value is named as typed, not joined to a flag the command lacks
+            ("holes", "--P", "-1"), ("verify", "--r", "-1"),
         ],
     )
     def test_flag_the_command_does_not_take_is_usage_error(
@@ -221,6 +223,41 @@ class TestFlagsPerCommand:
         assert err.startswith("usage: cachecast verify ")
         assert "--region-trials" in err.split("error:")[0]
         assert err.endswith("error: unrecognized arguments: --r 1\n")
+
+    @pytest.mark.parametrize(
+        "argv,code,digest",
+        [
+            (["--help"], 0, "34d99a242c8a806e"),
+            ([], 2, "701a9cf98406302f"),
+            (["nope"], 2, "fa7ab56430e3b715"),
+            (["gndt", "--help"], 0, "7290ae61f29775d4"),
+            (["gndt", "--P", "3"], 2, "75eabc7859d440a1"),
+            (["gndt", "--mu", "--K", "3"], 2, "05846eb432f14e7b"),
+            (["sweep-memory", "--help"], 0, "e30fff47df99bf3b"),
+            (["sweep-memory", "--seed", "4"], 2, "efab6a5227c3bb64"),
+            (["sweep-memory", "--mu", "--K", "3"], 2, "2933a4a40764e41d"),
+            (["holes", "--help"], 0, "f14c99990f3f7c52"),
+            (["holes", "--format", "csv"], 2, "59424540ddf1b23a"),
+            (["holes", "--mu", "--K", "3"], 2, "b8d78300d98b876b"),
+            (["region", "--help"], 0, "6ac430361d95356e"),
+            (["region", "--P", "7"], 2, "b7795ec2ecda7dd8"),
+            (["region", "--mu", "--K", "3"], 2, "4078c430c0324257"),
+            (["verify", "--help"], 0, "901c1b2372442f05"),
+            (["verify", "--alpha", "1/3,1"], 2, "e52730a126a28ce0"),
+            (["verify", "--mu", "--K", "3"], 2, "c7c7e2c9893e02ad"),
+            (["finite-snr", "--help"], 0, "ca91cd9cd6c5b759"),
+            (["finite-snr", "--format", "csv"], 2, "f4b331bc067b223d"),
+            (["finite-snr", "--mu", "--K", "3"], 2, "844d7906b66debc5"),
+        ],
+    )
+    def test_help_and_refusals_are_pinned(self, argv, code, digest, capsys, monkeypatch):
+        """Help, a missing or unknown command, a flag the command lacks and a
+        value flag without its value: exit code, stdout and stderr are pinned
+        (sha256 of `out NUL err`, 16 hex digits, on an 80-column terminal), so
+        parsing argv with the command's own parser prints what the top parser did."""
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = refused(argv, capsys)
+        assert (got, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()[:16]) == (code, digest)
 
     @pytest.mark.parametrize("command", ["region", "finite-snr"])
     def test_sigma_from_config(self, command, tmp_path, capsys):
@@ -286,10 +323,17 @@ class TestFlagsPerCommand:
              "--alpha: '1/2,,1' has an empty entry"),
             (MISSING, {"leaders": "1,,3"}, "--leaders: '1,,3' has an empty entry"),
             (["gndt", *TestUsageErrors.TWO, "--mu", "1/2", "--r", ",0"], None, "--r: ',0' has an empty entry"),
+            # a config value that is neither text, a number nor a list is named as JSON gave it
+            (["gndt", *TestUsageErrors.TWO, "--mu", "1/2"], {"r": None},
+             "--r takes comma text or a JSON list, got None"),
+            (MISSING, {"leaders": True}, "--leaders takes comma text or a JSON list, got True"),
+            (["gndt", "--K", "2", "--N", "2", "--mu", "1/2"], {"alpha": {"a": 1}},
+             "--alpha takes comma text or a JSON list, got {'a': 1}"),
         ],
         ids=["leaders-text", "leaders-json", "leaders-json-fraction", "d-fraction", "d-zero-denominator",
              "d-json-bool", "r-text", "alpha-json-nested", "mu-text", "grid-text", "P-text", "P-json-list",
-             "d-trailing-comma", "alpha-double-comma", "leaders-config-text", "r-leading-comma"],
+             "d-trailing-comma", "alpha-double-comma", "leaders-config-text", "r-leading-comma",
+             "r-json-null", "leaders-json-true", "alpha-json-object"],
     )
     def test_bad_token_names_its_flag(self, argv, stored, message, tmp_path, capsys):
         if stored is not None:  # a value from the file is named after the file

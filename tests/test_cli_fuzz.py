@@ -6,6 +6,10 @@ and a few of its own optional ones, from small pools that mix valid values
 with zero, negative, malformed and out-of-range ones.  Sometimes it also gets
 one flag that only other commands take, and then it must exit 2.  Sizes stay
 small so each call is quick.
+
+The token parser is also checked against `Fraction(str(token))` itself, on
+short tokens over digits, signs, slashes, points, exponents, underscores,
+spaces and a non-ASCII digit.
 """
 
 import argparse
@@ -17,7 +21,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cachecast.cli import build_parser, main
+from cachecast.cli import _parse_fraction, build_parser, main
 
 
 def mostly(valid, invalid):
@@ -145,3 +149,29 @@ def test_exit_code_is_0_1_or_2_without_traceback(drawn):
     # every value flag is drawn with a value, so argparse never finds one missing
     assert "expected one argument" not in err, (argv, err)
     assert code == 2 or not foreign, (argv, code, err)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.text(alphabet="0123456789/+-._e \u0663", max_size=8))
+@example("1/")
+@example("/2")
+@example("1/0")
+@example("0/0")
+@example("01/02")
+@example("1_000")
+@example("\u0663/\u0664")
+@example(" 1/2")
+def test_token_parser_matches_fraction_text(token):
+    """A token's value is the one Fraction reads from its text, and a token
+    Fraction refuses is refused with the message for that refusal."""
+    try:
+        want = Fraction(str(token))
+    except ZeroDivisionError:
+        want = f"--x: {token!r} has a zero denominator"
+    except ValueError:
+        want = f"--x: {token!r} is not a number"
+    try:
+        got = _parse_fraction(token, "--x")
+    except ValueError as exc:
+        got = str(exc)
+    assert (type(got), got) == (type(want), want), token
