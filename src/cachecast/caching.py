@@ -28,16 +28,18 @@ delivery scheme can be checked for bit equality, for every demand tuple.  A
 `Bits` holds `length` bits in one Python int: bit 0 of the string is the most
 significant of those bits, so a file's subfiles are consecutive bit ranges
 from the top, and `Bits.packed()` gives the bytes of `np.packbits` (MSB
-first, zero padding on the right).  numpy only draws the seeded library,
-and it reads those bits straight off PCG64's raw 64-bit outputs: numpy draws
-a bounded `uint8` in [0, 2) from the bytes of each `next_uint32` word, low
-byte first, as `(byte * 2) >> 8` with no rejection, which is the byte's top
-bit.  `next_uint32` returns the low half of a fresh 64-bit output and keeps
-the high half for its next call, so the words are the raw outputs read as
-little-endian `uint32` pairs.  Taking the top bit of every little-endian
-byte of `bit_generator.random_raw(...)` therefore gives the same bits as
-`rng.integers(0, 2, dtype=np.uint8)`, at a fraction of the cost, as long as
-the kept half-word is carried by hand (see `random_library`).
+first, zero padding on the right).  A library stores only the subfile ints
+`_cut` takes from such bytes, O(B) per file; its files are a view.  numpy
+only draws the seeded library, and it reads those bits straight off PCG64's
+raw 64-bit outputs: numpy draws a bounded `uint8` in [0, 2) from the bytes
+of each `next_uint32` word, low byte first, as `(byte * 2) >> 8` with no
+rejection, which is the byte's top bit.  `next_uint32` returns the low half
+of a fresh 64-bit output and keeps the high half for its next call, so the
+words are the raw outputs read as little-endian `uint32` pairs.  Taking the
+top bit of every little-endian byte of `bit_generator.random_raw(...)`
+therefore gives the same bits as `rng.integers(0, 2, dtype=np.uint8)`, at a
+fraction of the cost, as long as the kept half-word is carried by hand (see
+`random_library`).
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -125,68 +127,86 @@ class DecodabilityError(RuntimeError):
         self.group, self.source, self.weakest = group, source, weakest
 
 
-@dataclass(frozen=True)
+def _subfile_bits(num_users: int, split_order: int, num_files: int, file_bits: int | None) -> int:
+    """B / C(K, t) for N files of B bits, 8 when B is None: a ValueError
+    names the shape's first flaw before anything is drawn or cut."""
+    if not isinstance(split_order, int):
+        raise ValueError(f"split order must be an integer, got {split_order!r}")
+    if not 0 <= split_order <= num_users:
+        raise ValueError(f"split order must lie in [0, {num_users}], got {split_order}")
+    if num_files < 1:
+        raise ValueError(f"a library must hold at least one file, got {num_files}")
+    if file_bits is None:
+        return 8
+    if isinstance(file_bits, bool) or not isinstance(file_bits, int):
+        raise ValueError(f"file size must be an integer number of bits, got {file_bits!r}")
+    if file_bits < 1:  # every user would "decode" the empty file
+        raise ValueError("library files must have at least one bit")
+    pieces = math.comb(num_users, split_order)
+    if file_bits % pieces != 0:
+        raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
+    return file_bits // pieces
+
+
+def _cut(packed: bytes, size: int, bits: int) -> tuple[int, ...]:
+    """The `size`-bit subfile ints of the first `bits` bits of packed bytes
+    (MSB first, zero padding on the right).  Bits [e - size, e) are read from
+    their own bytes alone, so a file costs O(B) for any size and alignment."""
+    mask = (1 << size) - 1
+    return tuple(int.from_bytes(packed[(e - size) // 8 : -(-e // 8)], "big") >> (-e % 8) & mask
+                 for e in range(size, bits + 1, size))
+
+
+@dataclass(frozen=True, init=False)
 class FileLibrary:
     """N files of B bits each, split for a K-user cache of order t = K*mu.
 
     The split is positional: subfiles follow the lexicographic order of the
-    t-subsets of [K], each of length B / C(K, t) bits.  The subfiles, cut
-    once from the file ints, the placement and the encode plan are built on
-    first use and live as long as the library, so everything that shares one
-    library shares them.  `subfile_values` holds the cut ints per file and
-    `_by_subset` indexes the same int objects per subset, as every cache does.
+    t-subsets of [K], each of length B / C(K, t) bits.  A library stores its
+    shape and `subfile_values`, per file its subfile ints in that order, cut
+    once in O(B) from the packed `files`, checked, or trusted from
+    `random_library`; `files` is a view joined from them.  `_by_subset`
+    indexes the same int objects per subset, as every cache does; it, the
+    placement and the encode plan are built on first use and live as long as
+    the library, so everything that shares one library shares them.
     """
 
     num_users: int
     split_order: int
-    files: tuple[Bits, ...]
+    subfile_bits: int
+    subfile_values: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not isinstance(self.split_order, int):
-            raise ValueError(f"split order must be an integer, got {self.split_order!r}")
-        if not 0 <= self.split_order <= self.num_users:
-            raise ValueError(
-                f"split order must lie in [0, {self.num_users}], got {self.split_order}"
-            )
-        if not all(isinstance(f, Bits) for f in self.files):
-            raise TypeError("library files must be Bits")
-        sizes = {len(f) for f in self.files}
-        if len(sizes) != 1:
-            raise ValueError("all files must have the same bit length")
-        (bits,) = sizes
-        pieces = math.comb(self.num_users, self.split_order)
-        if bits < 1:  # every user would "decode" the empty file
-            raise ValueError("library files must have at least one bit")
-        if bits % pieces != 0:
-            raise ValueError(
-                f"file size {bits} bits is not divisible into {pieces} equal subfiles"
-            )
+    def __init__(self, num_users: int, split_order: int, files: Sequence[Bits] = (), *,
+                 subfile_bits: int = 0, subfile_values: Sequence[tuple[int, ...]] | None = None):
+        if subfile_values is None:
+            if not all(isinstance(f, Bits) for f in files):
+                raise TypeError("library files must be Bits")
+            if len({len(f) for f in files}) > 1:
+                raise ValueError("all files must have the same bit length")
+            subfile_bits = _subfile_bits(num_users, split_order, len(files), len(files[0]) if files else 0)
+            subfile_values = [_cut(f.packed(), subfile_bits, len(f)) for f in files]
+        object.__setattr__(self, "num_users", num_users)
+        object.__setattr__(self, "split_order", split_order)
+        object.__setattr__(self, "subfile_bits", subfile_bits)
+        object.__setattr__(self, "subfile_values", tuple(subfile_values))
 
     @property
     def num_files(self) -> int:
-        return len(self.files)
-
-    @property
-    def file_bits(self) -> int:
-        return len(self.files[0])
+        return len(self.subfile_values)
 
     @cached_property
-    def subfile_bits(self) -> int:
-        return self.file_bits // math.comb(self.num_users, self.split_order)
+    def file_bits(self) -> int:
+        return self.subfile_bits * math.comb(self.num_users, self.split_order)
+
+    @cached_property
+    def files(self) -> tuple[Bits, ...]:
+        """Each file as `Bits`, its subfile ints joined: a view."""
+        size = self.subfile_bits
+        return tuple(Bits(int("".join(f"{v:0{size}b}" for v in values), 2), self.file_bits)
+                     for values in self.subfile_values)
 
     def subfile_subsets(self) -> list[Group]:
         return list(combinations(range(1, self.num_users + 1), self.split_order))
-
-    @cached_property
-    def subfile_values(self) -> tuple[tuple[int, ...], ...]:
-        """Per file, its subfile ints in `subfile_subsets()` order, cut by
-        shift and mask: what `decode_file` must give a user of that file."""
-        size = self.subfile_bits
-        pieces, mask = self.file_bits // size, (1 << size) - 1
-        return tuple(
-            tuple(f.value >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
-            for f in self.files
-        )
 
     @cached_property
     def _by_subset(self) -> dict[Group, tuple[int, ...]]:
@@ -240,34 +260,32 @@ def random_library(
     words, taken as halves of PCG64's raw outputs (see the module
     docstring).  A file with an odd word count leaves the high half of its
     last output unread; `next_uint32` would keep it and hand it out first,
-    so it heads the next file here too, as that file's first 4 bits (a fresh
-    generator keeps none).  The raw bytes are shifted in place, so one
-    file_bits-byte array is alive at a time.  Each file is packed once into
-    `Bits`, which are immutable: a library shared by many verifications
-    cannot be changed by any of them.
+    so its 4 bytes head the next file here too, as that file's first 4 bits
+    (a fresh generator keeps none).  The shape is checked before the draw.
+    The raw words are masked to their bytes' top bits in place, packed and
+    cut, so no whole-file int is built and one file_bits-byte array is alive
+    at a time (two while a kept half-word is put in front).  Ints are
+    immutable: a library shared by many verifications cannot be changed by
+    any of them.
     """
-    if file_bits is None:
-        file_bits = 8 * math.comb(num_users, split_order)
+    size = _subfile_bits(num_users, split_order, num_files, file_bits)
+    file_bits = size * math.comb(num_users, split_order)
     bit_generator = np.random.default_rng(seed).bit_generator
-    kept = None  # the half-word next_uint32 would hand out next
+    kept = None  # the bytes of the half-word next_uint32 would hand out next
 
-    def draw_file() -> Bits:  # its arrays die on return, before the next draw
+    def draw_file() -> tuple[int, ...]:  # its arrays die on return, before the next draw
         nonlocal kept
-        head_bits = 0 if kept is None else min(4, file_bits)
-        head = 0
-        for byte in range(head_bits):  # the top bit of each kept byte, low byte first
-            head = head << 1 | (kept >> 8 * byte + 7) & 1
-        tail_bits = file_bits - head_bits
-        words = -(-tail_bits // 4)
-        raw = bit_generator.random_raw(-(-words // 2))
-        kept = int(raw[-1]) >> 32 if words % 2 else None
-        draw = raw.astype("<u8", copy=False).view(np.uint8)[:tail_bits]
-        draw >>= 7
-        tail = int.from_bytes(np.packbits(draw).tobytes(), "big") >> -tail_bits % 8
-        return Bits(head << tail_bits | tail, file_bits)
+        words = -(-(file_bits - (0 if kept is None else 4)) // 4)
+        raw = bit_generator.random_raw(-(-words // 2)).astype("<u8", copy=False)
+        raw &= 0x8080808080808080  # each byte's top bit; packbits reads nonzero as 1
+        head, draw = kept, raw.view(np.uint8)
+        kept = draw[-4:].copy() if words % 2 else None
+        if head is not None:
+            draw = np.concatenate((head, draw))
+        return _cut(np.packbits(draw[:file_bits]).tobytes(), size, file_bits)
 
-    files = tuple(draw_file() for _ in range(num_files))
-    return FileLibrary(num_users=num_users, split_order=split_order, files=files)
+    return FileLibrary(num_users, split_order, subfile_bits=size,
+                       subfile_values=[draw_file() for _ in range(num_files)])
 
 
 @dataclass(frozen=True)

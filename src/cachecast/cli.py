@@ -254,7 +254,7 @@ def cmd_holes(args) -> int:
     doc = {
         "bottleneck_user": star,
         "tau_no_unicast": _fmt(base_tau),
-        "region": json.loads(region.to_json()),
+        "region": region.payload(),
         "vertex_checks": checks,
         "all_invariant": all_ok,
     }

@@ -105,19 +105,15 @@ class Polytope:
     def is_empty(self) -> bool:  # iff the rows imply 0 <= -1
         return _implies(len(self.variables), self.int_rows, [(1, (0,) * len(self.variables) + (-1,))])
 
+    def payload(self) -> dict:
+        """What `to_json` dumps: rational rows as numerator/denominator pairs."""
+        return {"variables": list(self.variables),
+                "rows": [{"coeffs": [[c.numerator, c.denominator] for c in coeffs],
+                          "rhs": [rhs.numerator, rhs.denominator]} for coeffs, rhs in self.rows]}
+
     def to_json(self) -> str:
-        """Dump with rational rows as numerator/denominator pairs."""
-        payload = {
-            "variables": list(self.variables),
-            "rows": [
-                {
-                    "coeffs": [[c.numerator, c.denominator] for c in coeffs],
-                    "rhs": [rhs.numerator, rhs.denominator],
-                }
-                for coeffs, rhs in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """`payload()` as indented JSON."""
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Polytope":

@@ -207,6 +207,21 @@ MUTANTS = (
         ("tests/test_tradeoff.py::TestBottleneck::test_tie_goes_to_the_weakest",),
     ),
     Mutant(
+        "cut-without-padding-shift", CACHING,
+        ">> (-e % 8) & mask",
+        "& mask",
+        "a subfile that ends inside a byte is read with the bits after it and masked to its "
+        "low bits, so every such subfile is shifted by its end's padding",
+        ("tests/test_caching.py::TestLibrary::test_cut_from_drawn_bytes_matches_the_shift_cut",),
+    ),
+    Mutant(
+        "draw-keeps-the-second-bit", CACHING,
+        "raw &= 0x8080808080808080",
+        "raw &= 0x4040404040404040",
+        "each drawn bit is the second-highest bit of its raw byte, not the top bit numpy reads",
+        ("tests/test_caching.py::TestLibrary::test_random_library_is_the_numpy_draw",),
+    ),
+    Mutant(
         "subsets-rewrapped-as-tuples", CACHING,
         "return list(combinations(range(1, self.num_users + 1), self.split_order))",
         "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",

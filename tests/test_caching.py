@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachecast import caching, cli
 from cachecast.caching import (
@@ -36,6 +38,16 @@ def complete(d, library, leaders):
     return by_group
 
 
+def shift_cut(files, size):
+    """Oracle: per file, its `size`-bit subfile ints cut from its whole int by
+    shift and mask, piece `pos` from the top."""
+    pieces, mask = len(files[0]) // size, (1 << size) - 1
+    return tuple(
+        tuple(f.value >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
+        for f in files
+    )
+
+
 def direct_payload(library, d, group):
     """Oracle: the XOR definition of a coded payload, computed from scratch."""
     bits = Bits(0, library.subfile_bits)
@@ -64,6 +76,31 @@ class TestLibrary:
             FileLibrary(num_users=3, split_order=split, files=(Bits(0, 0), Bits(0, 0)))
         with pytest.raises(ValueError, match="at least one bit"):
             random_library(2, 3, split, file_bits=0)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [((2, 3, -1), {}, "split order must lie in [0, 3], got -1"),
+         ((2, 3, 1), {"file_bits": -8}, "library files must have at least one bit"),
+         ((2, 3, 1), {"file_bits": 24.0}, "file size must be an integer number of bits, got 24.0"),
+         ((2, 3, 1), {"file_bits": True}, "file size must be an integer number of bits, got True"),
+         ((2, 3, 1), {"file_bits": 25}, "file size 25 bits is not divisible into 3 equal subfiles"),
+         ((0, 3, 1), {}, "a library must hold at least one file, got 0"),
+         ((-1, 3, 1), {}, "a library must hold at least one file, got -1")],
+        ids=["split-negative", "bits-negative", "bits-float", "bits-bool", "bits-indivisible",
+             "no-files", "files-negative"],
+    )
+    def test_random_library_checks_the_shape_before_the_draw(self, monkeypatch, args, kwargs, message):
+        """A bad shape is refused with the library's own message, before any bit is drawn."""
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before the check"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_library(*args, **kwargs)
+
+    def test_no_files_is_refused_by_name(self):
+        message = "a library must hold at least one file, got 0"
+        with pytest.raises(ValueError, match=message):
+            FileLibrary(3, 1, ())
+        with pytest.raises(ValueError, match=message):
+            end_to_end_verify(3, 0, 1)
 
     def test_rejects_files_that_are_not_bits(self):
         with pytest.raises(TypeError):
@@ -112,6 +149,37 @@ class TestLibrary:
             for value, subset in zip(values, subsets):
                 assert value == lib.subfile(n, subset).value
                 assert value is lib.subfile(n, subset).value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_users=st.integers(1, 5),
+        split=st.integers(0, 5),
+        size=st.integers(0, 40).map(lambda q: 8 * q + q % 7 + 1),  # never a whole byte
+        num_files=st.integers(2, 4),
+        seed=st.integers(0, 2**32),
+    )
+    # 1 subfile of 1 bit: B = 1..4 leave a half-word; 3 subfiles of 13 bits: 10 words
+    @example(num_users=1, split=0, size=1, num_files=4, seed=0)
+    @example(num_users=3, split=1, size=13, num_files=3, seed=5)
+    @example(num_users=3, split=1, size=2**12 + 3, num_files=3, seed=6)
+    def test_cut_from_drawn_bytes_matches_the_shift_cut(self, num_users, split, size, num_files, seed):
+        """The subfile ints `random_library` cuts from its packed bytes are the
+        shift-and-mask cut of numpy's draw, its `files` view is that draw, the
+        checked constructor cuts the same ints from those files, and
+        verifying never joins a file."""
+        split = min(split, num_users)
+        file_bits = size * math.comb(num_users, split)
+        lib = random_library(num_files, num_users, split, file_bits, seed)
+        d = tuple(1 + k % num_files for k in range(num_users))
+        assert end_to_end_verify(num_users, num_files, split, d=d, library=lib)
+        assert "files" not in vars(lib)  # no whole-file int was built
+        rng = np.random.default_rng(seed)
+        draws = [rng.integers(0, 2, size=file_bits, dtype=np.uint8) for _ in range(num_files)]
+        drawn = tuple(Bits(int("".join(map(str, draw)), 2), file_bits) for draw in draws)
+        assert lib.subfile_values == shift_cut(drawn, size)
+        assert lib.files == drawn and shift_cut(lib.files, size) == lib.subfile_values
+        rebuilt = FileLibrary(num_users, split, lib.files)
+        assert rebuilt == lib and rebuilt.subfile_values == lib.subfile_values
 
     def test_random_library_is_read_only(self):
         lib = random_library(2, 3, 1, seed=3)

@@ -680,6 +680,20 @@ class TestHoles:
         assert rows[1]["rhs"] == [3, 10]
         assert rows[2]["rhs"] == [3, 10]
 
+    def test_region_is_embedded_without_a_json_round_trip(self, monkeypatch, capsys):
+        """holes puts the region's payload into its document as it is; the
+        region is never dumped to JSON text and parsed back."""
+        def no_dump(self):
+            raise AssertionError("holes dumped the region to JSON text")
+
+        monkeypatch.setattr(Polytope, "to_json", no_dump)
+        argv = ["holes", "--K", "3", "--N", "3", "--alpha", "0.4,0.9,1", "--mu", "1/3"]
+        code, out, _ = run(argv, capsys)
+        monkeypatch.undo()
+        config = tradeoff.SystemConfig(3, 3, F(1, 3), (F(2, 5), F(9, 10), F(1)))
+        assert code == 0
+        assert json.loads(out)["region"] == json.loads(tradeoff.topological_hole_region(config).to_json())
+
     def test_too_few_files_is_usage_error(self, capsys):
         code, _, err = run(
             ["holes", "--K", "3", "--N", "2", "--alpha", "0.4,0.9,1",
