@@ -130,8 +130,11 @@ class DecodabilityError(RuntimeError):
 def _subfile_bits(num_users: int, split_order: int, num_files: int, file_bits: int | None) -> int:
     """B / C(K, t) for N files of B bits, 8 when B is None: a ValueError
     names the shape's first flaw before anything is drawn or cut."""
-    if not isinstance(split_order, int):
-        raise ValueError(f"split order must be an integer, got {split_order!r}")
+    for name, count in (("user count", num_users), ("file count", num_files), ("split order", split_order)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+    if num_users < 1:
+        raise ValueError(f"a library must serve at least one user, got {num_users}")
     if not 0 <= split_order <= num_users:
         raise ValueError(f"split order must lie in [0, {num_users}], got {split_order}")
     if num_files < 1:

@@ -232,8 +232,6 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_holes(args) -> int:
-    if args.mu is None:
-        raise ValueError("--mu is required (flag or config file)")
     config = SystemConfig(args.K, args.N, args.mu, tuple(args.alpha))
     star = tradeoff.bottleneck_user(config)
     region = tradeoff.topological_hole_region(config)
@@ -299,6 +297,8 @@ def _caching_sweeps(args) -> list:
         raise ValueError("verify takes --K and --N together, or neither for the sweep")
     if K is None and (args.mu is not None or args.d):
         raise ValueError("verify takes --mu and --d only with --K and --N")
+    if K is not None and (args.max_K or args.max_N):
+        raise ValueError("verify takes --max-K and --max-N only without --K and --N")
     if K is not None:
         # one explicit configuration, optionally a single demand tuple
         if args.mu is not None:
@@ -435,19 +435,21 @@ _FLAGS = {
 # flags whose next token is their value, even one that starts with -
 _VALUED = {flag for flag, spec in _FLAGS.items() if "action" not in spec}
 
-# command -> (handler, help, the flags its handler reads besides --config and --out)
+# command -> (handler, help, the flags its handler reads besides --config and --out,
+# the flags it requires, checked in this order once the config file is merged)
 _COMMANDS = {
     "gndt": (cmd_tradeoff, "delivery-time curves over a mu grid",
-             "--K --N --alpha --mu --mu-grid --r --exact --format"),
+             "--K --N --alpha --mu --mu-grid --r --exact --format", "--K --N --alpha"),
     "sweep-memory": (cmd_tradeoff, "gndt sweep incl. joint two-set column",
-                     "--K --N --alpha --mu --mu-grid --r --format"),
-    "holes": (cmd_holes, "no-cost unicast region at minimum delivery time", "--K --N --alpha --mu"),
+                     "--K --N --alpha --mu --mu-grid --r --format", "--K --N --alpha"),
+    "holes": (cmd_holes, "no-cost unicast region at minimum delivery time",
+              "--K --N --alpha --mu", "--K --N --alpha --mu"),
     "region": (cmd_region, "dump a GDoF region as JSON",
-               "--K --sigma --alpha --kind --s --gamma --leaders"),
+               "--K --sigma --alpha --kind --s --gamma --leaders", "--K --alpha --sigma"),
     "verify": (cmd_verify, "caching + region-equality verification suites",
-               "--K --N --mu --B --d --max-K --max-N --region-trials --inject-fault --seed"),
+               "--K --N --mu --B --d --max-K --max-N --region-trials --inject-fault --seed", ""),
     "finite-snr": (cmd_finite_snr, "finite-power regions and gap certificates",
-                   "--K --sigma --alpha --P --certificates --seed"),
+                   "--K --sigma --alpha --P --certificates --seed", "--K --alpha --sigma"),
 }
 
 
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, _) in _COMMANDS.items():
+    for name, (func, text, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in _command_flags(name):
             p.add_argument(flag, **{key: v for key, v in _FLAGS[flag].items() if key != "check"})
@@ -503,10 +505,9 @@ def main(argv=None) -> int:
             if value is not None and (flag := "--" + attr.replace("_", "-")) in _FLAGS:
                 setattr(args, attr, _FLAGS[flag]["check"](value, flag))
         _merge_config(args)
-        if args.command != "verify":
-            for flag in ("K", "N", "alpha", "sigma"):  # as far as the command takes them
-                if getattr(args, flag, 0) is None:
-                    raise ValueError(f"--{flag} is required (flag or config file)")
+        for flag in _COMMANDS[args.command][3].split():
+            if getattr(args, flag[2:]) is None:
+                raise ValueError(f"{flag} is required (flag or config file)")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

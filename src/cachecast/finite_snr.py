@@ -11,7 +11,8 @@ dimension, and the certificate implemented here checks exactly that statement
 pointwise: push a boundary point of the inner region up by 2 bits in every
 coordinate and it must fall outside the outer region, a pair built once and
 shared by every point.  The delay-rate variant additionally divides the
-delivery time by the converse constant 2.01.
+delivery time by the converse constant 2.01.  Both refuse, through one check
+(`_on_boundary`), a point outside their inner region or tight on no row.
 
 The regions are float views of the exact rows of `regions`, which supply
 variables and 0/1 coefficients and validate the strengths exactly; only
@@ -51,13 +52,8 @@ class RateRegion:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= -TOL) and np.all(self.lhs(p) <= self.rhs + TOL))
 
-    def tight_rows(self, point: Sequence[float]) -> list[int]:
-        slack = self.rhs - self.lhs(point)
-        return [i for i, s in enumerate(slack) if abs(s) <= TOL]
-
-    def violated_rows(self, point: Sequence[float]) -> list[int]:
-        slack = self.rhs - self.lhs(point)
-        return [i for i, s in enumerate(slack) if s < -TOL]
+    def slack(self, point: Sequence[float]) -> np.ndarray:
+        return self.rhs - self.lhs(point)
 
 
 def _log2_power(power: float) -> float:
@@ -104,6 +100,17 @@ def sample_boundary_point(region: RateRegion, rng: np.random.Generator) -> np.nd
     return t * direction
 
 
+def _on_boundary(region: RateRegion, boundary: Sequence[float], name: str) -> np.ndarray:
+    """`boundary` as a float array, refused unless it lies in the `name`
+    region with at least one row tight within TOL: a certificate's usage check."""
+    point = np.asarray(boundary, dtype=float)
+    if not region.contains(point):
+        raise ValueError(f"certificate point must lie inside the {name} region")
+    if not np.any(np.abs(region.slack(point)) <= TOL):
+        raise ValueError(f"certificate point must lie on the {name} boundary")
+    return point
+
+
 def constant_gap_certificate(
     inner: RateRegion, outer: RateRegion, boundary: Sequence[float]
 ) -> bool:
@@ -117,12 +124,8 @@ def constant_gap_certificate(
     """
     if inner.variables != outer.variables:
         raise ValueError("the inner and outer regions must share their variables")
-    point = np.asarray(boundary, dtype=float)
-    if not inner.contains(point):
-        raise ValueError("certificate point must lie inside the inner region")
-    if not inner.tight_rows(point):
-        raise ValueError("certificate point must lie on the inner boundary")
-    return bool(outer.violated_rows(point + GAP_BITS))
+    point = _on_boundary(inner, boundary, "inner")
+    return bool(np.any(outer.slack(point + GAP_BITS) < -TOL))
 
 
 def _delay_rate_view(delay: float, config: SystemConfig, power: float, rhs) -> RateRegion:
@@ -156,12 +159,7 @@ def delay_rate_gap_certificate(
     row 1 (with alpha_1 log2 P >= 1), which the shift puts exactly on row 1's
     converse rhs, passes only through TOL unless another row breaks.
     """
-    region = delay_rate_inner_region(delay, config, power)
-    point = np.asarray(boundary, dtype=float)
-    if not region.contains(point):
-        raise ValueError("certificate point must lie inside the delay-rate region")
-    if not region.tight_rows(point):
-        raise ValueError("certificate point must lie on the delay-rate boundary")
+    point = _on_boundary(delay_rate_inner_region(delay, config, power), boundary, "delay-rate")
     converse = _delay_rate_view(delay, config, power, lambda k, y, reserved: y + 1.0 - reserved)
     return bool(np.any(converse.lhs(point + GAP_BITS) > converse.rhs - TOL))
 

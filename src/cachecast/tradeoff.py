@@ -36,10 +36,10 @@ ride along at no delivery-time cost.  Two relatives are separate code paths:
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
 per mu with the same K, N, alpha and r.  One-entry memos, compared by value
 (see `combinatorics._remember_last`), keep what those calls share: the
-strengths check (`regions._checked_strengths`), per (K, N) the count table,
-per (alpha, r) the scaled gaps, per `SystemConfig` the chords, and for
-memory sharing, per (K, N) and gaps the times at the integer budgets
-(`_maxed`), whose lower hull `lower_convex_envelope` keeps.
+strengths check (`regions._checked_strengths`) each mu's config repeats, per
+(K, N) the count table each chord reads, per (alpha, r) the scaled gaps each
+time divides by, and for memory sharing the integer-budget times (`_maxed`)
+and their lower hull.  A chord is not kept: each mu has its own.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -117,7 +117,6 @@ def _count_table(num_users: int, num_files: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row + row[-1:] * (num_users - served)) for row in rows)
 
 
-@_remember_last
 def _chord(config: SystemConfig) -> tuple[int, tuple[int, ...]]:
     """env_k(K*mu) for every user prefix k = 1..K, as (D, integers P_k over D).
 

@@ -78,10 +78,18 @@ MUTANTS = (
     ),
     Mutant(
         "constant-gap-certificate-always-passes", FINITE_SNR,
-        "return bool(outer.violated_rows(point + GAP_BITS))",
-        "return bool(outer.violated_rows(point + GAP_BITS)) or True",
+        "return bool(np.any(outer.slack(point + GAP_BITS) < -TOL))",
+        "return bool(np.any(outer.slack(point + GAP_BITS) < -TOL)) or True",
         "the constant gap is certified on points still inside the outer region",
         ("tests/test_finite_snr.py::TestShiftNegativeControls",),
+    ),
+    Mutant(
+        "boundary-check-wants-every-row-tight", FINITE_SNR,
+        "if not np.any(np.abs(region.slack(point)) <= TOL):",
+        "if not np.all(np.abs(region.slack(point)) <= TOL):",
+        "a certificate refuses every boundary point that is tight on only some rows, "
+        "which is nearly every sampled one",
+        ("tests/test_finite_snr.py::TestCertificates::test_random_boundary_points",),
     ),
     Mutant(
         "dominance-rhs-flipped", POLYTOPE,
@@ -175,6 +183,14 @@ MUTANTS = (
         "Fourier-Motzkin and fix_variables keep every row that one other row implies",
         ("tests/test_polytope.py::test_eliminate_matches_fraction_fm",
          "tests/test_polytope.py::test_fix_variables_matches_fraction_dedupe"),
+    ),
+    Mutant(
+        "holes-requires-no-cache-size", CLI,
+        '"--K --N --alpha --mu", "--K --N --alpha --mu"),',
+        '"--K --N --alpha --mu", "--K --N --alpha"),',
+        "holes runs without --mu, and the missing cache size crashes SystemConfig with a TypeError, "
+        "not a usage error",
+        ("tests/test_cli.py::TestShapeAndCountErrors::test_holes_without_cache_size_is_usage_error",),
     ),
     Mutant(
         "plain-token-without-its-slash-test", CLI,

@@ -85,9 +85,16 @@ class TestLibrary:
          ((2, 3, 1), {"file_bits": True}, "file size must be an integer number of bits, got True"),
          ((2, 3, 1), {"file_bits": 25}, "file size 25 bits is not divisible into 3 equal subfiles"),
          ((0, 3, 1), {}, "a library must hold at least one file, got 0"),
-         ((-1, 3, 1), {}, "a library must hold at least one file, got -1")],
+         ((-1, 3, 1), {}, "a library must hold at least one file, got -1"),
+         ((1.5, 3, 1), {}, "file count must be an integer, got 1.5"),
+         ((True, 3, 1), {}, "file count must be an integer, got True"),
+         ((2, 3.0, 1), {}, "user count must be an integer, got 3.0"),
+         ((2, True, 1), {}, "user count must be an integer, got True"),
+         ((2, 0, 0), {}, "a library must serve at least one user, got 0"),
+         ((2, 3, True), {}, "split order must be an integer, got True")],
         ids=["split-negative", "bits-negative", "bits-float", "bits-bool", "bits-indivisible",
-             "no-files", "files-negative"],
+             "no-files", "files-negative", "files-float", "files-bool", "users-float", "users-bool",
+             "no-users", "split-bool"],
     )
     def test_random_library_checks_the_shape_before_the_draw(self, monkeypatch, args, kwargs, message):
         """A bad shape is refused with the library's own message, before any bit is drawn."""
@@ -101,6 +108,10 @@ class TestLibrary:
             FileLibrary(3, 1, ())
         with pytest.raises(ValueError, match=message):
             end_to_end_verify(3, 0, 1)
+
+    def test_no_users_is_refused_not_a_vacuous_pass(self):
+        with pytest.raises(ValueError, match="a library must serve at least one user, got 0"):
+            end_to_end_verify(0, 2, 0)
 
     def test_rejects_files_that_are_not_bits(self):
         with pytest.raises(TypeError):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cachecast import caching, cli, finite_snr, polytope, regions, tradeoff
+from cachecast import caching, cli, combinatorics, finite_snr, polytope, regions, tradeoff
 from cachecast.cli import main
 from cachecast.polytope import Polytope
 
@@ -430,6 +430,10 @@ class TestShapeAndCountErrors:
             (["verify", "--max-K", "2", "--mu", "1/2"], "verify takes --mu and --d only with --K"),
             (["verify", "--d", "1,2", "--region-trials", "1"],
              "verify takes --mu and --d only with --K"),
+            (["verify", "--K", "2", "--N", "2", "--max-K", "5", "--region-trials", "1"],
+             "verify takes --max-K and --max-N only without --K and --N"),
+            (["verify", "--max-N", "5", "--K", "2", "--N", "2", "--region-trials", "1"],
+             "verify takes --max-K and --max-N only without --K and --N"),
             (["verify", "--K", "3", "--N", "2", "--B", "5"],
              "file size 5 bits is not divisible into 3 equal subfiles"),
             (["verify", "--K", "3", "--N", "3", "--d", "1,2"],
@@ -492,6 +496,7 @@ class TestShapeAndCountErrors:
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "missing-leader-0", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
              "max-K-neg", "max-N-0", "N-0", "B-0", "K-without-N", "verify-mu-2", "mu-without-K", "d-without-K",
+             "max-K-with-K", "max-N-with-K",
              "B-indivisible-at-a-later-split", "d-short", "d-out-of-range", "symmetric-sigma-5",
              "missing-sigma-0", "full-with-s", "full-with-gamma", "symmetric-with-leaders",
              "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
@@ -537,6 +542,23 @@ class TestShapeAndCountErrors:
         code, out, err = run([*argv, "--config", str(config), "--out", str(out_file)], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: --config {config}: {message}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv,stored,message",
+        [(["verify", "--max-K", "2"], {"mu": "1/2"}, "verify takes --mu and --d only with --K and --N"),
+         (["verify", "--K", "2", "--N", "2"], {"max-K": 5},
+          "verify takes --max-K and --max-N only without --K and --N"),
+         (["verify", "--max-N", "5"], {"K": 2, "N": 2},
+          "verify takes --max-K and --max-N only without --K and --N")],
+        ids=["mu-without-K", "max-K-with-K", "K-with-max-N"],
+    )
+    def test_verify_pairing_from_config_is_usage_error(self, argv, stored, message, tmp_path, capsys):
+        """verify's flag pairings hold wherever the values come from."""
+        config, out_file = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(stored))
+        code, out, err = run([*argv, "--config", str(config), "--out", str(out_file)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_file.exists()
 
     def test_flag_after_a_value_flag_is_a_missing_value(self, capsys):
@@ -650,6 +672,33 @@ class TestCurveCost:
         code, out, _ = run(argv, capsys)
         assert code == 0 and len(out.splitlines()) == 1 + 51
         assert 0 < len(calls) <= (K + 1) * K
+
+    def test_kept_caches_serve_the_whole_curve(self, capsys, monkeypatch):
+        """One sweep-memory curve checks its strengths, builds its scaled gaps,
+        its integer-budget times and their lower hull once each.  The alpha
+        and r are new to the process, so no entry an earlier test left is hit."""
+        K, calls = 6, collections.Counter()
+
+        def count(module, name, kind):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[kind(*args)] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        # regions scales the K strengths, or the K strengths and the K rates of r
+        count(regions, "_integer_row", lambda values: "strengths" if len(values) == K else "gaps")
+        count(combinatorics, "_integer_row", lambda values: "hull")
+        count(tradeoff, "_max_ratio", lambda *args: "times")
+        argv = ["sweep-memory", "--K", str(K), "--N", "5", "--alpha", "1/9,2/9,1/3,4/9,7/9,1",
+                "--r", "1/97,0,0,0,0,1/89", "--mu-grid", "0:1/2:1/100"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 51
+        assert (calls["strengths"], calls["gaps"], calls["hull"]) == (1, 1, 1)
+        # per mu tau_ub, tau_lb and tau_joint, plus the K + 1 integer-budget times once
+        assert 0 < calls["times"] <= 3 * 51 + K + 1
 
 
 class TestFormatting:

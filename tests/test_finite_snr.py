@@ -91,13 +91,13 @@ class TestCertificates:
         interior = np.full(len(inner.variables), 0.1)
         assert inner.contains(interior)
         outer = outer_rate_region(2, 2, ALPHA2, 2.0**20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^certificate point must lie on the inner boundary$"):
             constant_gap_certificate(inner, outer, interior)
 
     def test_outside_point_rejected(self):
         inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
         outer = outer_rate_region(2, 2, ALPHA2, 2.0**20)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^certificate point must lie inside the inner region$"):
             constant_gap_certificate(inner, outer, [100.0, 100.0, 100.0])
 
     def test_origin_certifies_when_region_is_zero(self):
@@ -139,6 +139,14 @@ class TestDelayRate:
         region = delay_rate_inner_region(delay, config, power)
         point = sample_boundary_point(region, rng)
         assert delay_rate_gap_certificate(delay, config, power, point)
+
+    @pytest.mark.parametrize("point,message", [
+        ((0.0, 0.0, 0.0), "certificate point must lie on the delay-rate boundary"),
+        ((100.0, 100.0, 100.0), "certificate point must lie inside the delay-rate region"),
+    ], ids=["interior", "outside"])
+    def test_certificate_refuses_a_point_off_the_boundary(self, point, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            delay_rate_gap_certificate(1.0, cfg(3, 3, 1, ALPHA3), 2.0**20, point)
 
     def test_rejects_nonpositive_delay(self):
         with pytest.raises(ValueError):
