@@ -25,10 +25,11 @@ ever joined back together.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
-`Bits` holds `length` bits in one Python int: bit 0 of the string is the most
-significant of those bits, so a file's subfiles are consecutive bit ranges
-from the top, and `Bits.packed()` gives the bytes of `np.packbits` (MSB
-first, zero padding on the right).  A library stores only the subfile ints
+`Bits` holds `length` bits in one Python int: bit 0 of the string is the
+most significant of those bits, so a file's subfiles are consecutive bit
+ranges from the top, and `Bits.packed()` gives the bytes of `np.packbits`
+(MSB first, zero padding on the right).  A library is built only from
+subfile ints, each checked to fit its width: the seeded one from those
 `_cut` takes from such bytes, O(B) per file; its files are a view.  numpy
 only draws the seeded library, and it reads those bits straight off PCG64's
 raw 64-bit outputs: numpy draws a bounded `uint8` in [0, 2) from the bytes
@@ -127,9 +128,9 @@ class DecodabilityError(RuntimeError):
         self.group, self.source, self.weakest = group, source, weakest
 
 
-def _subfile_bits(num_users: int, split_order: int, num_files: int, file_bits: int | None) -> int:
-    """B / C(K, t) for N files of B bits, 8 when B is None: a ValueError
-    names the shape's first flaw before anything is drawn or cut."""
+def _subfile_count(num_users: int, split_order: int, num_files: int) -> int:
+    """C(K, t), the subfiles per file of N files split for K users at order
+    t: a ValueError names the shape's first flaw before anything is drawn."""
     for name, count in (("user count", num_users), ("file count", num_files), ("split order", split_order)):
         if isinstance(count, bool) or not isinstance(count, int):
             raise ValueError(f"{name} must be an integer, got {count!r}")
@@ -139,16 +140,7 @@ def _subfile_bits(num_users: int, split_order: int, num_files: int, file_bits: i
         raise ValueError(f"split order must lie in [0, {num_users}], got {split_order}")
     if num_files < 1:
         raise ValueError(f"a library must hold at least one file, got {num_files}")
-    if file_bits is None:
-        return 8
-    if isinstance(file_bits, bool) or not isinstance(file_bits, int):
-        raise ValueError(f"file size must be an integer number of bits, got {file_bits!r}")
-    if file_bits < 1:  # every user would "decode" the empty file
-        raise ValueError("library files must have at least one bit")
-    pieces = math.comb(num_users, split_order)
-    if file_bits % pieces != 0:
-        raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
-    return file_bits // pieces
+    return math.comb(num_users, split_order)
 
 
 def _cut(packed: bytes, size: int, bits: int) -> tuple[int, ...]:
@@ -160,18 +152,18 @@ def _cut(packed: bytes, size: int, bits: int) -> tuple[int, ...]:
                  for e in range(size, bits + 1, size))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FileLibrary:
     """N files of B bits each, split for a K-user cache of order t = K*mu.
 
     The split is positional: subfiles follow the lexicographic order of the
-    t-subsets of [K], each of length B / C(K, t) bits.  A library stores its
-    shape and `subfile_values`, per file its subfile ints in that order, cut
-    once in O(B) from the packed `files`, checked, or trusted from
-    `random_library`; `files` is a view joined from them.  `_by_subset`
+    t-subsets of [K], each of length B / C(K, t) bits.  A library is its
+    shape and `subfile_values`, per file its C(K, t) subfile ints in that
+    order, each `subfile_bits` wide: the one constructor checks them all and
+    keeps them as tuples; `files` is a view joined from them.  `_by_subset`
     indexes the same int objects per subset, as every cache does; it, the
-    placement and the encode plan are built on first use and live as long as
-    the library, so everything that shares one library shares them.
+    placement and the encode plan are built on first use and live as long
+    as the library, so everything that shares one library shares them.
     """
 
     num_users: int
@@ -179,19 +171,18 @@ class FileLibrary:
     subfile_bits: int
     subfile_values: tuple[tuple[int, ...], ...]
 
-    def __init__(self, num_users: int, split_order: int, files: Sequence[Bits] = (), *,
-                 subfile_bits: int = 0, subfile_values: Sequence[tuple[int, ...]] | None = None):
-        if subfile_values is None:
-            if not all(isinstance(f, Bits) for f in files):
-                raise TypeError("library files must be Bits")
-            if len({len(f) for f in files}) > 1:
-                raise ValueError("all files must have the same bit length")
-            subfile_bits = _subfile_bits(num_users, split_order, len(files), len(files[0]) if files else 0)
-            subfile_values = [_cut(f.packed(), subfile_bits, len(f)) for f in files]
-        object.__setattr__(self, "num_users", num_users)
-        object.__setattr__(self, "split_order", split_order)
-        object.__setattr__(self, "subfile_bits", subfile_bits)
-        object.__setattr__(self, "subfile_values", tuple(subfile_values))
+    def __post_init__(self):
+        values, size = tuple(map(tuple, self.subfile_values)), self.subfile_bits
+        pieces = _subfile_count(self.num_users, self.split_order, len(values))
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"subfile size must be a whole number of at least one bit, got {size!r}")
+        for n, file in enumerate(values, 1):
+            if len(file) != pieces:
+                raise ValueError(f"file {n} holds {len(file)} subfiles, not the {pieces} of its split")
+            for v in file:  # bit_length, not 1 << size: no 2^size-bit bound is built
+                if type(v) is not int or v < 0 or v.bit_length() > size:
+                    raise ValueError(f"file {n} holds {v!r}, not an int in [0, 2**{size})")
+        object.__setattr__(self, "subfile_values", values)
 
     @property
     def num_files(self) -> int:
@@ -271,8 +262,16 @@ def random_library(
     immutable: a library shared by many verifications cannot be changed by
     any of them.
     """
-    size = _subfile_bits(num_users, split_order, num_files, file_bits)
-    file_bits = size * math.comb(num_users, split_order)
+    pieces = _subfile_count(num_users, split_order, num_files)
+    if file_bits is None:
+        file_bits = 8 * pieces
+    elif isinstance(file_bits, bool) or not isinstance(file_bits, int):
+        raise ValueError(f"file size must be an integer number of bits, got {file_bits!r}")
+    elif file_bits < 1:  # every user would "decode" the empty file
+        raise ValueError("library files must have at least one bit")
+    elif file_bits % pieces:
+        raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
+    size = file_bits // pieces
     bit_generator = np.random.default_rng(seed).bit_generator
     kept = None  # the bytes of the half-word next_uint32 would hand out next
 
@@ -287,8 +286,7 @@ def random_library(
             draw = np.concatenate((head, draw))
         return _cut(np.packbits(draw[:file_bits]).tobytes(), size, file_bits)
 
-    return FileLibrary(num_users, split_order, subfile_bits=size,
-                       subfile_values=[draw_file() for _ in range(num_files)])
+    return FileLibrary(num_users, split_order, size, [draw_file() for _ in range(num_files)])
 
 
 @dataclass(frozen=True)
@@ -462,8 +460,8 @@ def decode_file(
 
 
 def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
-    """Refuse a demand tuple outside [1..N]^K."""
-    if len(d) != num_users or not all(1 <= v <= num_files for v in d):
+    """Refuse a demand tuple outside [1..N]^K: K ints (not bools), each in 1..N."""
+    if len(d) != num_users or not all(type(v) is int and 1 <= v <= num_files for v in d):
         raise ValueError(f"demand tuple {d} is not in [1..{num_files}]^{num_users}")
 
 

@@ -178,14 +178,9 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
-@contextlib.contextmanager
 def _output(args):
     """The --out file, closed on exit, or stdout."""
-    if not args.out:
-        yield sys.stdout
-        return
-    with open(args.out, "w", newline="") as out:
-        yield out
+    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_table(args, header: list[str], rows: list[list[str]]) -> None:

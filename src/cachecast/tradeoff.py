@@ -77,6 +77,9 @@ class SystemConfig:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self):
+        for name, count in (("user count", self.num_users), ("file count", self.num_files)):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.num_users < 1 or self.num_files < 1:
             raise ValueError("need at least one user and one file")
         object.__setattr__(self, "mu", _frac(self.mu))

@@ -231,6 +231,14 @@ MUTANTS = (
         ("tests/test_caching.py::TestLibrary::test_cut_from_drawn_bytes_matches_the_shift_cut",),
     ),
     Mutant(
+        "library-without-width-check", CACHING,
+        "if type(v) is not int or v < 0 or v.bit_length() > size:",
+        "if type(v) is not int or v < 0:",
+        "a subfile int wider than the library's subfiles is kept, so a library whose values "
+        "do not fit its width is verified as if they did",
+        ("tests/test_caching.py::TestLibrary::test_refuses_a_library_that_does_not_fit_its_shape[value-too-wide]",),
+    ),
+    Mutant(
         "draw-keeps-the-second-bit", CACHING,
         "raw &= 0x8080808080808080",
         "raw &= 0x4040404040404040",

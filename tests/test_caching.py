@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -58,24 +59,48 @@ def direct_payload(library, d, group):
 
 
 class TestLibrary:
-    def test_rejects_indivisible_size(self):
-        files = tuple(Bits(0, 10) for _ in range(2))
-        with pytest.raises(ValueError):
-            FileLibrary(num_users=3, split_order=1, files=files)  # 10 % 3 != 0
-
     def test_rejects_fractional_split(self):
-        files = (Bits(0, 12),)
-        with pytest.raises(ValueError):
-            FileLibrary(num_users=3, split_order=1.5, files=files)
+        with pytest.raises(ValueError, match="split order must be an integer, got 1.5"):
+            FileLibrary(3, 1.5, 8, [(1, 2, 3)])
 
     @pytest.mark.parametrize("split", [0, 1])
     def test_rejects_empty_files(self, split):
-        # 0 bits split into any number of subfiles, and every user would
-        # "decode" the empty file: a sweep over such files passes vacuously
+        # 0-bit subfiles make 0-bit files, and every user would "decode" the
+        # empty file: a sweep over such files passes vacuously
         with pytest.raises(ValueError, match="at least one bit"):
-            FileLibrary(num_users=3, split_order=split, files=(Bits(0, 0), Bits(0, 0)))
+            FileLibrary(3, split, 0, [(0,) * math.comb(3, split)] * 2)
         with pytest.raises(ValueError, match="at least one bit"):
             random_library(2, 3, split, file_bits=0)
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [((3, 1, 0, [(0, 0, 0)]), "subfile size must be a whole number of at least one bit, got 0"),
+         ((3, 7, 8, [()]), "split order must lie in [0, 3], got 7"),
+         ((2, 2, 1, [(5,)]), "file 1 holds 5, not an int in [0, 2**1)"),
+         ((3, 1, 8, [(1, 2)]), "file 1 holds 2 subfiles, not the 3 of its split"),
+         ((3, 1, 8, [(1, 2, 3, 4)]), "file 1 holds 4 subfiles, not the 3 of its split"),
+         ((3, 1, 8, [(1, 2, 3), (1, 2, 256)]), "file 2 holds 256, not an int in [0, 2**8)"),
+         ((3, 1, 8, [(1, -2, 3)]), "file 1 holds -2, not an int in [0, 2**8)"),
+         ((3, 1, 2.0, [(1, 2, 3)]), "subfile size must be a whole number of at least one bit, got 2.0"),
+         ((3, 1, True, [(1, 0, 1)]), "subfile size must be a whole number of at least one bit, got True")],
+        ids=["zero-bit-subfiles", "split-above-K", "value-too-wide", "one-subfile-short",
+             "one-subfile-over", "wide-in-file-2", "negative-value", "size-float", "size-bool"],
+    )
+    def test_refuses_a_library_that_does_not_fit_its_shape(self, shape, message):
+        """Each count, width and file shape is checked where the library is
+        built, so no verification runs on a library it cannot describe."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FileLibrary(*shape)
+
+    @pytest.mark.parametrize("value", [1.0, True, np.uint8(1), F(1)], ids=["float", "bool", "numpy", "fraction"])
+    def test_rejects_subfiles_that_are_not_ints(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"file 1 holds {value!r}, not an int in [0, 2**8)")):
+            FileLibrary(3, 1, 8, [(value, 0, 0)])
+
+    def test_keeps_the_values_as_tuples(self):
+        lib = FileLibrary(2, 1, 8, [[7, 255]])
+        assert lib.subfile_values == ((7, 255),) and lib.files == (Bits(7 << 8 | 255, 16),)
+        assert end_to_end_verify(2, 1, 1, library=lib)
 
     @pytest.mark.parametrize(
         "args,kwargs,message",
@@ -105,17 +130,13 @@ class TestLibrary:
     def test_no_files_is_refused_by_name(self):
         message = "a library must hold at least one file, got 0"
         with pytest.raises(ValueError, match=message):
-            FileLibrary(3, 1, ())
+            FileLibrary(3, 1, 8, ())
         with pytest.raises(ValueError, match=message):
             end_to_end_verify(3, 0, 1)
 
     def test_no_users_is_refused_not_a_vacuous_pass(self):
         with pytest.raises(ValueError, match="a library must serve at least one user, got 0"):
             end_to_end_verify(0, 2, 0)
-
-    def test_rejects_files_that_are_not_bits(self):
-        with pytest.raises(TypeError):
-            FileLibrary(num_users=3, split_order=1, files=(np.zeros(12, dtype=np.uint8),))
 
     def test_subfiles_partition_the_file(self):
         lib = random_library(2, 4, 2, seed=3)
@@ -176,8 +197,8 @@ class TestLibrary:
     def test_cut_from_drawn_bytes_matches_the_shift_cut(self, num_users, split, size, num_files, seed):
         """The subfile ints `random_library` cuts from its packed bytes are the
         shift-and-mask cut of numpy's draw, its `files` view is that draw, the
-        checked constructor cuts the same ints from those files, and
-        verifying never joins a file."""
+        constructor rebuilds the same library from that cut, and verifying
+        never joins a file."""
         split = min(split, num_users)
         file_bits = size * math.comb(num_users, split)
         lib = random_library(num_files, num_users, split, file_bits, seed)
@@ -189,7 +210,7 @@ class TestLibrary:
         drawn = tuple(Bits(int("".join(map(str, draw)), 2), file_bits) for draw in draws)
         assert lib.subfile_values == shift_cut(drawn, size)
         assert lib.files == drawn and shift_cut(lib.files, size) == lib.subfile_values
-        rebuilt = FileLibrary(num_users, split, lib.files)
+        rebuilt = FileLibrary(num_users, split, size, shift_cut(drawn, size))
         assert rebuilt == lib and rebuilt.subfile_values == lib.subfile_values
 
     def test_random_library_is_read_only(self):
@@ -563,6 +584,13 @@ class TestEndToEnd:
     def test_invalid_demand_rejected(self):
         with pytest.raises(ValueError):
             end_to_end_verify(3, 2, 1, d=(1, 2, 3))
+
+    @pytest.mark.parametrize("d", [(1.0, 2), (True, 2), (F(1), 2), (2, np.int64(1))],
+                             ids=["float", "bool", "fraction", "numpy"])
+    def test_demand_entries_must_be_ints(self, d):
+        # a bool would verify as file 1, a float would fail on indexing
+        with pytest.raises(ValueError, match=re.escape(f"demand tuple {d} is not in [1..2]^2")):
+            end_to_end_verify(2, 2, 1, d=d)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("num_users,num_files", [(5, n) for n in range(1, 6)])

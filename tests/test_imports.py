@@ -5,14 +5,15 @@ No linter ships with the project, so this walks syntax trees:
 
 * a name bound by a top-level `import` or `from ... import` must be read
   somewhere in its module;
-* a public top-level `def` or `class`, and a public method or property of a
-  public class, must be read (as a name, an attribute or an imported name)
-  somewhere in the package, `demos/` or `perfbench/`, unless `TEST_FACING`
-  names it with the reason it is kept.
+* a public top-level `def` or `class` must be read (as a name, an attribute
+  or an imported name), and a public method or property of a public class
+  must be read as an attribute, somewhere in the package, `demos/` or
+  `perfbench/`, unless `TEST_FACING` names it with the reason it is kept.
 
-The check matches by name alone, not by owner: a read of `x.contains` keeps
-every public `contains` alive, so a method that shares its name with a used
-one can be dead and still pass.
+A parameter or local that shares a method's name is not a read of it.  The
+check matches attributes by name alone, not by owner: a read of
+`x.contains` keeps every public `contains` alive, so a method that shares
+its name with a used one can be dead and still pass.
 
 `__init__.py` is skipped by both, since its imports are the package's exports.
 """
@@ -39,6 +40,7 @@ TEST_FACING = {
     "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
     "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
     "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",
+    "files": "FileLibrary's whole-file view: the library tests compare it with numpy's draw",
 }
 
 
@@ -72,34 +74,38 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: p"]
 
 
-def public_definitions(source: str) -> list[str]:
-    """Public top-level functions and classes, then the public methods and
-    properties of each public class."""
+def public_definitions(source: str) -> list[tuple[str, bool]]:
+    """(name, is a member) for the public top-level functions and classes,
+    then the public methods and properties of each public class."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            names.append(node.name)
+            names.append((node.name, False))
             if isinstance(node, ast.ClassDef):
-                names += [item.name for item in node.body
+                names += [(item.name, True) for item in node.body
                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
     return names
 
 
-def names_read(source: str) -> set[str]:
-    read = set()
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """(every name read as a name, an attribute or an import, the attributes read)."""
+    read, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             read.add(node.name.split(".")[-1])
-    return read
+    return read | attributes, attributes
 
 
 def dead_names(definers: list[str], readers: list[str]) -> list[str]:
-    read = set().union(*map(names_read, readers))
-    return [name for source in definers for name in public_definitions(source) if name not in read]
+    reads = [names_read(source) for source in readers]
+    read = set().union(*(names for names, _ in reads))
+    attributes = set().union(*(attrs for _, attrs in reads))
+    return [name for source in definers for name, member in public_definitions(source)
+            if name not in (attributes if member else read)]
 
 
 def test_every_public_name_is_used():
@@ -127,3 +133,6 @@ def test_detects_a_dead_method_or_property():
     )
     assert dead_names([definer], ["k = Kept()\n"]) == ["read", "size"]
     assert dead_names([definer], ["Kept().read()\nprint(Kept().size)\n"]) == []
+    # a parameter or local of the same name reads neither
+    shadows = "def f(read):\n    size = read\n    return size\nKept()\n"
+    assert dead_names([definer], [shadows]) == ["read", "size"]

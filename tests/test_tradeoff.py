@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction as F
 
 import fraction_oracles as oracle
@@ -106,6 +107,19 @@ class TestPrefixLoads:
     def test_float_mu_is_refused(self):
         with pytest.raises(TypeError):
             SystemConfig(num_users=3, num_files=3, mu=0.1, alpha=ALPHA3)
+
+    @pytest.mark.parametrize(
+        "users,files,message",
+        [(3, 2.5, "file count must be an integer, got 2.5"),
+         (True, 2, "user count must be an integer, got True"),
+         (3.0, 3, "user count must be an integer, got 3.0"),
+         (3, False, "file count must be an integer, got False")],
+        ids=["files-float", "users-bool", "users-float", "files-bool"],
+    )
+    def test_counts_must_be_ints(self, users, files, message):
+        # a float count failed later in the count table, and True ran as K = 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SystemConfig(num_users=users, num_files=files, mu=F(1, 3), alpha=ALPHA3)
 
 
 class TestUpperBound:
