@@ -31,16 +31,10 @@ ranges from the top, and `Bits.packed()` gives the bytes of `np.packbits`
 (MSB first, zero padding on the right).  A library is built only from
 subfile ints, each checked to fit its width: the seeded one from those
 `_cut` takes from such bytes, O(B) per file; its files are a view.  numpy
-only draws the seeded library, and it reads those bits straight off PCG64's
-raw 64-bit outputs: numpy draws a bounded `uint8` in [0, 2) from the bytes
-of each `next_uint32` word, low byte first, as `(byte * 2) >> 8` with no
-rejection, which is the byte's top bit.  `next_uint32` returns the low half
-of a fresh 64-bit output and keeps the high half for its next call, so the
-words are the raw outputs read as little-endian `uint32` pairs.  Taking the
-top bit of every little-endian byte of `bit_generator.random_raw(...)`
-therefore gives the same bits as `rng.integers(0, 2, dtype=np.uint8)`, at a
-fraction of the cost, as long as the kept half-word is carried by hand (see
-`random_library`).
+only draws the seeded library, straight from PCG64's raw 64-bit outputs
+(`bit_generator.random_raw`), whose stream NEP 19 keeps fixed per seed:
+each output is written as 8 little-endian bytes and read MSB first, and
+each file takes the first B bits of ceil(B / 64) fresh outputs.
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -56,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import Group
+from .combinatorics import Group, _checked_int
 
 
 class Bits:
@@ -132,8 +126,7 @@ def _subfile_count(num_users: int, split_order: int, num_files: int) -> int:
     """C(K, t), the subfiles per file of N files split for K users at order
     t: a ValueError names the shape's first flaw before anything is drawn."""
     for name, count in (("user count", num_users), ("file count", num_files), ("split order", split_order)):
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+        _checked_int(name, count)
     if num_users < 1:
         raise ValueError(f"a library must serve at least one user, got {num_users}")
     if not 0 <= split_order <= num_users:
@@ -248,19 +241,13 @@ def random_library(
 ) -> FileLibrary:
     """Seeded pseudo-random library; default size is 8 bits per subfile.
 
-    File i holds the bits that the i-th of `num_files` successive draws
-    `rng.integers(0, 2, size=file_bits, dtype=np.uint8)` would give.  Each
-    is read as the top bit of every byte of ceil(file_bits / 4) `next_uint32`
-    words, taken as halves of PCG64's raw outputs (see the module
-    docstring).  A file with an odd word count leaves the high half of its
-    last output unread; `next_uint32` would keep it and hand it out first,
-    so its 4 bytes head the next file here too, as that file's first 4 bits
-    (a fresh generator keeps none).  The shape is checked before the draw.
-    The raw words are masked to their bytes' top bits in place, packed and
-    cut, so no whole-file int is built and one file_bits-byte array is alive
-    at a time (two while a kept half-word is put in front).  Ints are
-    immutable: a library shared by many verifications cannot be changed by
-    any of them.
+    File i is the first `file_bits` bits of the next ceil(file_bits / 64)
+    outputs of `np.random.default_rng(seed).bit_generator.random_raw`, each
+    written as 8 little-endian bytes and read MSB first; every file starts
+    at a fresh output.  The shape and the seed, a nonnegative int, are
+    checked before the draw.  Each file's bytes are cut into subfile ints at
+    once, so no whole-file int is built.  Ints are immutable: a library
+    shared by many verifications cannot be changed by any of them.
     """
     pieces = _subfile_count(num_users, split_order, num_files)
     if file_bits is None:
@@ -271,22 +258,13 @@ def random_library(
         raise ValueError("library files must have at least one bit")
     elif file_bits % pieces:
         raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
-    size = file_bits // pieces
-    bit_generator = np.random.default_rng(seed).bit_generator
-    kept = None  # the bytes of the half-word next_uint32 would hand out next
-
-    def draw_file() -> tuple[int, ...]:  # its arrays die on return, before the next draw
-        nonlocal kept
-        words = -(-(file_bits - (0 if kept is None else 4)) // 4)
-        raw = bit_generator.random_raw(-(-words // 2)).astype("<u8", copy=False)
-        raw &= 0x8080808080808080  # each byte's top bit; packbits reads nonzero as 1
-        head, draw = kept, raw.view(np.uint8)
-        kept = draw[-4:].copy() if words % 2 else None
-        if head is not None:
-            draw = np.concatenate((head, draw))
-        return _cut(np.packbits(draw[:file_bits]).tobytes(), size, file_bits)
-
-    return FileLibrary(num_users, split_order, size, [draw_file() for _ in range(num_files)])
+    if _checked_int("seed", seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    size, words = file_bits // pieces, -(-file_bits // 64)
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    return FileLibrary(num_users, split_order, size,
+                       [_cut(raw(words).astype("<u8", copy=False).tobytes(), size, file_bits)
+                        for _ in range(num_files)])
 
 
 @dataclass(frozen=True)
@@ -507,6 +485,7 @@ def end_to_end_verify(
     payloads = encode_multicast(d, library, leaders)
     by_group = {p.group: p.bits for p in payloads}
     if corrupt_payload is not None:
+        _checked_int("payload index to corrupt", corrupt_payload)
         if not payloads:
             raise ValueError(
                 f"(K, N, t) = ({num_users}, {num_files}, {split_order}) sends no payload, "

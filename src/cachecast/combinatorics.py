@@ -30,6 +30,13 @@ from .lp import _frac, _integer_row
 Group = tuple[int, ...]
 
 
+def _checked_int(name: str, value) -> int:
+    """`value` if it is an int and not a bool; otherwise a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
     """Closed form for the number of sigma-groups with minimum member <= j."""
     if not 0 <= j <= num_users:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from .combinatorics import Group, _remember_last, cumulative_group_count
+from .combinatorics import Group, _checked_int, _remember_last, cumulative_group_count
 from .lp import _frac, _integer_row
 from .polytope import Polytope, _count_row
 
@@ -108,7 +108,8 @@ def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]
 
 def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
     """The sigma-groups of the full and power-exponent regions, sigma in [2, K]."""
-    if not 2 <= group_size <= num_users:
+    _checked_int("user count", num_users)
+    if not 2 <= _checked_int("group size", group_size) <= num_users:
         raise ValueError(f"group size must lie in [2, {num_users}], got {group_size}")
     return list(combinations(range(1, num_users + 1), group_size))
 
@@ -123,7 +124,7 @@ def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
 
 def _covered(num_users: int, s: int) -> range:
     """The leaders [s] = 1..s of the symmetric kinds, s in [1, K]."""
-    if not 1 <= s <= num_users:
+    if not 1 <= _checked_int("s", s) <= num_users:
         raise ValueError(f"s must lie in [1, {num_users}], got {s}")
     return range(1, s + 1)
 
@@ -133,9 +134,12 @@ def _shared_counts(num_users: int, group_size: int, leaders: Sequence[int]) -> l
 
     j users meet C(K, sigma) - C(K - j, sigma) of the sigma-groups, whichever
     users they are.  Every symmetric kind checks its group size, in [1, K],
-    and its leaders, which must include user 1, here.
+    and its leaders, which must include user 1, here, all of them ints.
     """
-    if not 1 <= group_size <= num_users:
+    _checked_int("user count", num_users)
+    for u in leaders:
+        _checked_int("leader", u)
+    if not 1 <= _checked_int("multicast group size", group_size) <= num_users:
         raise ValueError(
             f"multicast group size must lie in [1, {num_users}], got {group_size}"
         )

@@ -53,7 +53,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _remember_last, cumulative_group_count, lower_convex_envelope
+from .combinatorics import _checked_int, _remember_last, cumulative_group_count, lower_convex_envelope
 from .lp import _frac
 from .polytope import Polytope, _count_row
 from .regions import ZERO, _integer_gaps, cumulative_region, unicast_name, user_strengths
@@ -78,8 +78,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name, count in (("user count", self.num_users), ("file count", self.num_files)):
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+            _checked_int(name, count)
         if self.num_users < 1 or self.num_files < 1:
             raise ValueError("need at least one user and one file")
         object.__setattr__(self, "mu", _frac(self.mu))

@@ -239,11 +239,21 @@ MUTANTS = (
         ("tests/test_caching.py::TestLibrary::test_refuses_a_library_that_does_not_fit_its_shape[value-too-wide]",),
     ),
     Mutant(
-        "draw-keeps-the-second-bit", CACHING,
-        "raw &= 0x8080808080808080",
-        "raw &= 0x4040404040404040",
-        "each drawn bit is the second-highest bit of its raw byte, not the top bit numpy reads",
+        "draw-reads-big-endian-words", CACHING,
+        'astype("<u8", copy=False)',
+        'astype(">u8", copy=False)',
+        "each raw output is written as big-endian bytes, so on a little-endian host every "
+        "file's bytes come in the reverse order within each 64-bit word",
         ("tests/test_caching.py::TestLibrary::test_random_library_is_the_numpy_draw",),
+    ),
+    Mutant(
+        "symmetric-leaders-take-a-bool", REGIONS,
+        'if not 1 <= _checked_int("s", s) <= num_users:',
+        "if not 1 <= s <= num_users:",
+        "s = True is read as s = 1, so a symmetric region is built for a leader count "
+        "nobody gave",
+        ("tests/test_regions.py::TestSymmetricKinds::test_integer_arguments_are_refused_by_name"
+         "[projection-s-bool]",),
     ),
     Mutant(
         "subsets-rewrapped-as-tuples", CACHING,

@@ -49,6 +49,14 @@ def shift_cut(files, size):
     )
 
 
+def raw_draw(seed, num_files, file_bits):
+    """Oracle: per file, the first B bits of the next ceil(B / 64) raw PCG64
+    outputs of numpy's seeded generator, each as 8 little-endian bytes, MSB first."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    return [np.unpackbits(raw(-(-file_bits // 64)).astype("<u8").view(np.uint8))[:file_bits]
+            for _ in range(num_files)]
+
+
 def direct_payload(library, d, group):
     """Oracle: the XOR definition of a coded payload, computed from scratch."""
     bits = Bits(0, library.subfile_bits)
@@ -116,10 +124,13 @@ class TestLibrary:
          ((2, 3.0, 1), {}, "user count must be an integer, got 3.0"),
          ((2, True, 1), {}, "user count must be an integer, got True"),
          ((2, 0, 0), {}, "a library must serve at least one user, got 0"),
-         ((2, 3, True), {}, "split order must be an integer, got True")],
+         ((2, 3, True), {}, "split order must be an integer, got True"),
+         ((2, 3, 1), {"seed": True}, "seed must be an integer, got True"),
+         ((2, 3, 1), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+         ((2, 3, 1), {"seed": -1}, "seed must be nonnegative, got -1")],
         ids=["split-negative", "bits-negative", "bits-float", "bits-bool", "bits-indivisible",
              "no-files", "files-negative", "files-float", "files-bool", "users-float", "users-bool",
-             "no-users", "split-bool"],
+             "no-users", "split-bool", "seed-bool", "seed-float", "seed-negative"],
     )
     def test_random_library_checks_the_shape_before_the_draw(self, monkeypatch, args, kwargs, message):
         """A bad shape is refused with the library's own message, before any bit is drawn."""
@@ -190,13 +201,14 @@ class TestLibrary:
         num_files=st.integers(2, 4),
         seed=st.integers(0, 2**32),
     )
-    # 1 subfile of 1 bit: B = 1..4 leave a half-word; 3 subfiles of 13 bits: 10 words
+    # 1-bit files, each from a fresh output; 3 subfiles of 13 bits: one output, 25 bits
+    # unread; 3 of 4099 bits: 193 outputs, the last one partly read
     @example(num_users=1, split=0, size=1, num_files=4, seed=0)
     @example(num_users=3, split=1, size=13, num_files=3, seed=5)
     @example(num_users=3, split=1, size=2**12 + 3, num_files=3, seed=6)
     def test_cut_from_drawn_bytes_matches_the_shift_cut(self, num_users, split, size, num_files, seed):
-        """The subfile ints `random_library` cuts from its packed bytes are the
-        shift-and-mask cut of numpy's draw, its `files` view is that draw, the
+        """The subfile ints `random_library` cuts from its drawn bytes are the
+        shift-and-mask cut of the raw-stream oracle, its `files` view is that draw, the
         constructor rebuilds the same library from that cut, and verifying
         never joins a file."""
         split = min(split, num_users)
@@ -205,8 +217,7 @@ class TestLibrary:
         d = tuple(1 + k % num_files for k in range(num_users))
         assert end_to_end_verify(num_users, num_files, split, d=d, library=lib)
         assert "files" not in vars(lib)  # no whole-file int was built
-        rng = np.random.default_rng(seed)
-        draws = [rng.integers(0, 2, size=file_bits, dtype=np.uint8) for _ in range(num_files)]
+        draws = raw_draw(seed, num_files, file_bits)
         drawn = tuple(Bits(int("".join(map(str, draw)), 2), file_bits) for draw in draws)
         assert lib.subfile_values == shift_cut(drawn, size)
         assert lib.files == drawn and shift_cut(lib.files, size) == lib.subfile_values
@@ -223,19 +234,17 @@ class TestLibrary:
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",
         [(2, 3, 1, None, 4), (3, 4, 2, 6 * 13, 5), (1, 2, 1, 2 * (2**16 + 3), 6)]
-        # every length 1..70 with 1-4 files: ceil(B / 4) words is odd for
-        # B = 1..4, 9..12, ..., so PCG64's buffered half-word carries into
-        # file 2 and later
+        # every length 1..70 with 1-4 files: each file starts at a fresh
+        # output, whether B is below, at or above a multiple of 64
         + [(1 + b % 4, 1, 0, b, (0, 7, 2**40 + 3)[b % 3]) for b in range(1, 71)]
         + [(2, 1, 0, 2**16 + 1, 11), (3, 1, 0, 2**16 + 2, 12), (4, 1, 0, 2**16 + 5, 13),
            (3, 1, 0, 2**16 + 7, 14)]
         + [(3, 1, 0, 2**18 + 1, 15)],
     )
     def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
+        """Each file is the raw-stream oracle's draw, bit for bit and byte for byte."""
         lib = random_library(num_files, num_users, split, file_bits, seed)
-        rng = np.random.default_rng(seed)
-        for f in lib.files:
-            draw = rng.integers(0, 2, size=lib.file_bits, dtype=np.uint8)
+        for f, draw in zip(lib.files, raw_draw(seed, num_files, lib.file_bits), strict=True):
             assert list(f) == draw.tolist()
             assert f.packed() == np.packbits(draw).tobytes()
 
@@ -602,6 +611,20 @@ class TestEndToEnd:
     def test_corrupted_payload_fails(self):
         assert not end_to_end_verify(3, 3, 1, d=(1, 2, 3), corrupt_payload=0)
 
+    @pytest.mark.parametrize("index", [1.5, True, F(1), np.int64(1)], ids=["float", "bool", "fraction", "numpy"])
+    def test_payload_to_corrupt_must_be_an_int(self, index):
+        # True would corrupt payload 1, and 1.5 would fail indexing the payloads without a name
+        message = f"payload index to corrupt must be an integer, got {index!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            end_to_end_verify(3, 3, 1, d=(1, 2, 3), corrupt_payload=index)
+
+    def test_any_int_picks_a_payload_modulo_the_count(self):
+        d = (1, 2, 3)
+        lib = random_library(3, 3, 1)
+        count = len(encode_multicast(d, lib, select_leaders(d)))
+        for index in (-1, count, count + 1, 10**30):
+            assert not end_to_end_verify(3, 3, 1, d=d, corrupt_payload=index, library=lib)
+
     @pytest.mark.parametrize("num_users,num_files", [(1, 1), (3, 3), (4, 2)])
     def test_corrupting_when_nothing_is_sent_is_an_error(self, num_users, num_files):
         # at t = K every user caches every file: a fault that cannot be
@@ -685,30 +708,30 @@ class TestEndToEnd:
 # (num_files, num_users, split, file_bits, seed) -> CacheContents.digest() of users 1..K
 PINNED_DIGESTS = {
     (3, 3, 1, None, 7): [  # default 8-bit subfiles
-        "20d9be51c945a7ced3828944e9a0523369122769e584e3eabe827ae480518026",
-        "168a9ced638949a0b0e4520094a0be9396990d9e0b67e32874808dd2dda4f82f",
-        "a9ae76a38f14772fe35de4449206d2d68f62ad9b86445585de446b52b75d70a3",
+        "660c2ffacc9387b0c838c2621200d5d4c9dc46513e2b6c526b290bc328acb47c",
+        "64998f18e3da7e6ca1bea8ef767944ccfbce420590b279dccb12a8bc192d529b",
+        "40dfdf8d87f47cebb6c94fcdb716709c287a80a66888a871eb24e59acaaeffb1",
     ],
     (2, 3, 1, 15, 11): [  # 5-bit subfiles
-        "0efda12379330bad87b35e8a1d39d2f393bfbde31d250d27d55aaece0f57c0d9",
-        "3b28a6970cc6e2d6acd2f2bd65c310c543938262bea2f2b71f50f84c5fefab34",
-        "28de34b512238cc69e85151881599a5ae0acfc21aa4a56052b812ccb8b1b90df",
+        "b7e2ef5010de669bba64f9eee91775c4ffdb0aa15baa8ac2e2878b4ec3c88613",
+        "1e853e365c0d7542eaaa2d3a4d50ab6846be8598c38d5c2e4e2f926f8dae7ce0",
+        "f765c0a4f994d060dea1e51ea83334fdba80bb1906e8849cb890126c81578d1b",
     ],
     (3, 4, 2, 6 * 13, 5): [  # 13-bit subfiles
-        "2f05d97cc9a326e38a758cbb5282749fa2427527984a7fb22f82a79dfd2aed1c",
-        "0a9d66bc96b3fce56f8a7949ecfe93f6075bd0f519bbfdd19aa3aac120e8a1d0",
-        "646f2f3551080c25eee01cae03c04a5ad75586c87b20eddb58e74a43dc4e103f",
-        "9442fa29c72dd25649c911dff8003609e5ba075605327ec03a567d58822c9be4",
+        "52a6a723275ee3e3422ab38efa3a5d409e596da789153392c3f113217b09f0a3",
+        "025c61de4ddc63f78713bc1ffb9241a49953bfb68696fbe1c40971152e2a98e8",
+        "3a76efb261f9f9388d3697eb2c9b57d0f48e01f1671ae8a69cab4f9e5d6fa68d",
+        "f9784980c2bd2b24faeaeabd2b3fba648af0974b3a39d68ccc94fabb4c833eb7",
     ],
     (2, 3, 1, 3 * 2**16, 19): [  # 2^16-bit subfiles
-        "0d4c229bbd3fb7f0f94b468ef53b7702271fa5e2301198c53241957ec0d3dba3",
-        "b130975ca5eae89538dad41e87b56b4829c940f3be57fedfb63a7afdf655de61",
-        "a8d4beca1a7a59c1a0adeeb9822dc275d2378b7db5529e2fbcf23045d2005cc8",
+        "45b9a2dcb2e3bb1d042154a2110b4819c81e0f422c996c6afd663665b5c3b518",
+        "e459cb0e022a9e886c82f873701d8147e1c6396ec18b3c31480120ddd3404112",
+        "ddd0ff3b68d3943902eb7df4b4c8cfa7e284f089c780614684c2b119cb465af0",
     ],
     (2, 3, 3, 3, 23): [  # full caches of one 3-bit subfile per file
-        "bac8fb0a2aada62592adddeb6e64953a82b428477fc90b9b07e336345b8f162b",
-        "0d0cf7b5e588191ae9eda79476c4796c53a80e60127682487ccaca25ee2d67f1",
-        "511218f9a198a9667a5f1cd0882c8f0f1aabe2592f91826264b7931a868fd94c",
+        "8399394c4eabaec8c6863056dc2dc651e555b4559d5a8f725a80499576607d60",
+        "757c77b121f1da42dbe7fcea9a6d15c7502797478e04aee60dd78a9d674a6eaa",
+        "2b81bb4bea8d03bdcff309b3e82ea738ac5376ebc2053d315e0ec187ecd23da5",
     ],
 }
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -308,6 +309,30 @@ class TestSymmetricKinds:
             build_region(3, sigma, ALPHA3)
         with pytest.raises(ValueError, match=r"group size must lie in \[2, 3\]"):
             beta_parameterized_polytope(3, sigma, ALPHA3)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [(lambda: symmetric_projection(3, 2, ALPHA3, True), "s must be an integer, got True"),
+         (lambda: max_symmetric_gdof(3, 2, ALPHA3, True, (0, 0, 0)), "s must be an integer, got True"),
+         (lambda: symmetric_projection(3, 2, ALPHA3, 2.0), "s must be an integer, got 2.0"),
+         (lambda: build_missing_message_region(3, 2, ALPHA3, [True]), "leader must be an integer, got True"),
+         (lambda: build_missing_message_region(3, 2, ALPHA3, [1.0]), "leader must be an integer, got 1.0"),
+         (lambda: build_region(3.0, 2, ALPHA3), "user count must be an integer, got 3.0"),
+         (lambda: build_region(3, 2.0, ALPHA3), "group size must be an integer, got 2.0"),
+         (lambda: beta_parameterized_polytope(3, True, ALPHA3), "group size must be an integer, got True"),
+         (lambda: symmetric_projection(3.0, 2, ALPHA3, 1), "user count must be an integer, got 3.0"),
+         (lambda: build_missing_message_region(3, F(2), ALPHA3, [1]),
+          "multicast group size must be an integer, got Fraction(2, 1)"),
+         (lambda: build_two_multicast_symmetric(3, 2, 3.0, ALPHA3, 1),
+          "multicast group size must be an integer, got 3.0")],
+        ids=["projection-s-bool", "max-gdof-s-bool", "projection-s-float", "leader-bool", "leader-float",
+             "full-users-float", "full-size-float", "beta-size-bool", "projection-users-float",
+             "missing-size-fraction", "two-multicast-gamma-float"],
+    )
+    def test_integer_arguments_are_refused_by_name(self, build, message):
+        """A bool is not read as 1, nor a float as an int: each is refused by its name."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("r", [(F(-1, 10), 0, 0), (0, F(1, 10), F(-1, 20)), (0, 0)])
     def test_max_gdof_refuses_bad_unicast_rates(self, r):
