@@ -125,15 +125,9 @@ class DecodabilityError(RuntimeError):
 def _subfile_count(num_users: int, split_order: int, num_files: int) -> int:
     """C(K, t), the subfiles per file of N files split for K users at order
     t: a ValueError names the shape's first flaw before anything is drawn."""
-    for name, count in (("user count", num_users), ("file count", num_files), ("split order", split_order)):
-        _checked_int(name, count)
-    if num_users < 1:
-        raise ValueError(f"a library must serve at least one user, got {num_users}")
-    if not 0 <= split_order <= num_users:
-        raise ValueError(f"split order must lie in [0, {num_users}], got {split_order}")
-    if num_files < 1:
-        raise ValueError(f"a library must hold at least one file, got {num_files}")
-    return math.comb(num_users, split_order)
+    _checked_int("user count", num_users, 1)
+    _checked_int("file count", num_files, 1)
+    return math.comb(num_users, _checked_int("split order", split_order, 0, num_users))
 
 
 def _cut(packed: bytes, size: int, bits: int) -> tuple[int, ...]:
@@ -167,12 +161,12 @@ class FileLibrary:
     def __post_init__(self):
         values, size = tuple(map(tuple, self.subfile_values)), self.subfile_bits
         pieces = _subfile_count(self.num_users, self.split_order, len(values))
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError(f"subfile size must be a whole number of at least one bit, got {size!r}")
+        _checked_int("subfile size in bits", size, 1)
         for n, file in enumerate(values, 1):
             if len(file) != pieces:
                 raise ValueError(f"file {n} holds {len(file)} subfiles, not the {pieces} of its split")
-            for v in file:  # bit_length, not 1 << size: no 2^size-bit bound is built
+            # inline: the bound is a bit width, read by bit_length, so no 2^size-bit int is built
+            for v in file:
                 if type(v) is not int or v < 0 or v.bit_length() > size:
                     raise ValueError(f"file {n} holds {v!r}, not an int in [0, 2**{size})")
         object.__setattr__(self, "subfile_values", values)
@@ -227,8 +221,7 @@ class FileLibrary:
             raise ValueError(
                 f"{subset!r} is not a sorted {self.split_order}-subset of users 1..{self.num_users}"
             ) from None
-        if not 0 < file_index <= len(values):
-            raise ValueError(f"file index {file_index!r} is not in 1..{len(values)}")
+        _checked_int("file index", file_index, 1, len(values))
         return Bits(values[file_index - 1], self.subfile_bits)
 
 
@@ -252,14 +245,9 @@ def random_library(
     pieces = _subfile_count(num_users, split_order, num_files)
     if file_bits is None:
         file_bits = 8 * pieces
-    elif isinstance(file_bits, bool) or not isinstance(file_bits, int):
-        raise ValueError(f"file size must be an integer number of bits, got {file_bits!r}")
-    elif file_bits < 1:  # every user would "decode" the empty file
-        raise ValueError("library files must have at least one bit")
-    elif file_bits % pieces:
+    elif _checked_int("file size in bits", file_bits, 1) % pieces:  # an empty file would "decode" vacuously
         raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
-    if _checked_int("seed", seed) < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _checked_int("seed", seed, 0)
     size, words = file_bits // pieces, -(-file_bits // 64)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     return FileLibrary(num_users, split_order, size,
@@ -439,6 +427,7 @@ def decode_file(
 
 def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
     """Refuse a demand tuple outside [1..N]^K: K ints (not bools), each in 1..N."""
+    # inline: it runs once per tuple of a sweep, and the refusal names the whole tuple
     if len(d) != num_users or not all(type(v) is int and 1 <= v <= num_files for v in d):
         raise ValueError(f"demand tuple {d} is not in [1..{num_files}]^{num_users}")
 

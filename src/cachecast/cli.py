@@ -49,6 +49,7 @@ from itertools import product
 import numpy as np
 
 from . import caching, finite_snr, regions, tradeoff
+from .combinatorics import _checked_int
 from .polytope import regions_equal, eliminate, vertices
 from .tradeoff import SystemConfig
 
@@ -123,9 +124,7 @@ def _whole(value, flag: str, low=None) -> int:
         number = int(str(value))
     except ValueError:
         raise ValueError(f"{flag} takes an int, got {value!r}") from None
-    if low is not None and number < low:
-        raise ValueError(f"{flag} must be a whole number of at least {low}, got {number}")
-    return number
+    return _checked_int(flag, number, low)
 
 
 def _kept(value, flag: str, test, refusal: str):

@@ -15,7 +15,9 @@ and the per-subfile coded load sequence
 
 are the combinatorial backbone of the delivery-time formulas.  All arithmetic
 is exact (ints and fractions.Fraction; the envelope's hull runs on integers);
-floats only ever appear at output boundaries of the package.
+floats only ever appear at output boundaries of the package.  Every integer
+argument of the package (a count, size, index or seed) is refused, by name,
+through one check, `_checked_int`: a bool or non-int, or a value out of range.
 """
 
 from __future__ import annotations
@@ -30,17 +32,21 @@ from .lp import _frac, _integer_row
 Group = tuple[int, ...]
 
 
-def _checked_int(name: str, value) -> int:
-    """`value` if it is an int and not a bool; otherwise a ValueError naming it."""
+def _checked_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """`value` if it is an int, not a bool, in [low, high]; otherwise a
+    ValueError naming it.  `high` needs `low`; either bound may be left out."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be a whole number of at least {low}, got {value}")
     return value
 
 
 def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
     """Closed form for the number of sigma-groups with minimum member <= j."""
-    if not 0 <= j <= num_users:
-        raise ValueError(f"j must lie in [0, {num_users}], got {j}")
+    _checked_int("j", j, 0, num_users)
     return math.comb(num_users, group_size) - math.comb(num_users - j, group_size)
 
 
@@ -59,15 +65,15 @@ def coded_load(num_users: int, served: int, n: int) -> Fraction:
     and every served count, and its lower convex envelope at x is the chord
     between c_floor(x) and c_ceil(x).
     """
-    if not 1 <= served <= num_users:
-        raise ValueError(f"served must lie in [1, {num_users}], got {served}")
-    if not 0 <= n <= num_users:
-        raise ValueError(f"cached subfile count must lie in [0, {num_users}], got {n}")
+    _checked_int("user count", num_users, 1)
+    _checked_int("served", served, 1, num_users)
+    _checked_int("cached subfile count", n, 0, num_users)
     return Fraction(cumulative_group_count(num_users, n + 1, served), math.comb(num_users, n))
 
 
 def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
     """The coded loads c_0..c_K of `coded_load` for one served count."""
+    _checked_int("user count", num_users, 1)
     return [coded_load(num_users, served, n) for n in range(num_users + 1)]
 
 

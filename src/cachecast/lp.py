@@ -125,6 +125,8 @@ def solve_max(objective: Sequence[Fraction], rows: Sequence[tuple[Sequence[Fract
     """Maximize objective . x subject to the rows and x >= 0."""
     obj = [_frac(c) for c in objective]
     scaled = [_integer_row([*map(_frac, coeffs), _frac(rhs)]) for coeffs, rhs in rows]
+    if any(len(ints) != len(obj) + 1 for _, ints in scaled):
+        raise ValueError("row length does not match the objective's length")
     return next(maximize_each(len(obj), scaled, [_integer_row(obj)]))
 
 

@@ -64,6 +64,8 @@ class Polytope:
     def __init__(self, variables: Sequence[str], rows: Iterable = (), *,
                  int_rows: Iterable[IntRow] | None = None):
         vs = tuple(variables)
+        if len(set(vs)) < len(vs):
+            raise ValueError(f"variable names must be distinct, got {vs}")
         if int_rows is None:
             int_rows = []
             for coeffs, rhs in rows:
@@ -79,11 +81,16 @@ class Polytope:
         return tuple(map(_fraction_row, self.int_rows))
 
     def index(self, name: str) -> int:
+        """The position of variable `name`: every lookup of a name goes through here."""
+        if name not in self.variables:
+            raise ValueError(f"{name!r} is not a variable of the region {self.variables}")
         return self.variables.index(name)
 
     def contains(self, point) -> bool:
-        """Row evaluation; `point` is a mapping from names or a value vector."""
+        """Row evaluation; `point` maps every variable name to its value, or is a value vector."""
         if isinstance(point, Mapping):
+            for name in point:  # refuses a name that is not a variable
+                self.index(name)
             missing = set(self.variables) - set(point)
             if missing:
                 raise ValueError(f"point is missing coordinates {sorted(missing)}")
@@ -96,11 +103,14 @@ class Polytope:
             return False
         return all(sum(v * c for v, c in zip(values, ints)) <= ints[-1] for _, ints in self.int_rows)
 
-    def maximize(self, objective: Mapping[str, object] | Sequence):
-        """LP-maximize a linear objective over the region (exact)."""
-        if isinstance(objective, Mapping):
-            objective = [objective.get(v, 0) for v in self.variables]
-        return solve_max(objective, self.rows)
+    def maximize(self, objective: Mapping[str, object]):
+        """LP-maximize a linear objective, {variable name: coefficient}, over the region (exact)."""
+        if not isinstance(objective, Mapping):
+            raise TypeError(f"objective must map variable names to coefficients, got {objective!r}")
+        coeffs = [0] * len(self.variables)
+        for name, c in objective.items():
+            coeffs[self.index(name)] = c
+        return solve_max(coeffs, self.rows)
 
     def is_empty(self) -> bool:  # iff the rows imply 0 <= -1
         return _implies(len(self.variables), self.int_rows, [(1, (0,) * len(self.variables) + (-1,))])
@@ -211,6 +221,8 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
     """
     if not drop:
         return poly
+    if len({poly.index(name) for name in drop}) < len(drop):  # each name checked up front
+        raise ValueError(f"eliminate drops each variable once, got {list(drop)}")
     names = list(poly.variables)
     rows = [_primitive(ints) for _, ints in poly.int_rows]
     for name in drop:

@@ -34,9 +34,10 @@ ZERO = Fraction(0)
 def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
     """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user.
 
-    The check keeps its last pass, so a curve's configs check theirs once.
+    The check keeps its last pass, so a curve's configs check theirs once;
+    K is checked outside it, since the memo compares by == and takes 3.0 for 3.
     """
-    return _checked_strengths(num_users, tuple(map(_frac, alpha)))
+    return _checked_strengths(_checked_int("user count", num_users, 1), tuple(map(_frac, alpha)))
 
 
 @_remember_last
@@ -107,11 +108,9 @@ def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]
 
 
 def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
-    """The sigma-groups of the full and power-exponent regions, sigma in [2, K]."""
-    _checked_int("user count", num_users)
-    if not 2 <= _checked_int("group size", group_size) <= num_users:
-        raise ValueError(f"group size must lie in [2, {num_users}], got {group_size}")
-    return list(combinations(range(1, num_users + 1), group_size))
+    """The sigma-groups of the full and power-exponent regions, sigma in [2, K];
+    K is checked by `user_strengths`, which every caller calls first."""
+    return list(combinations(range(1, num_users + 1), _checked_int("group size", group_size, 2, num_users)))
 
 
 def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
@@ -124,9 +123,7 @@ def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
 
 def _covered(num_users: int, s: int) -> range:
     """The leaders [s] = 1..s of the symmetric kinds, s in [1, K]."""
-    if not 1 <= _checked_int("s", s) <= num_users:
-        raise ValueError(f"s must lie in [1, {num_users}], got {s}")
-    return range(1, s + 1)
+    return range(1, _checked_int("s", s, 1, num_users) + 1)
 
 
 def _shared_counts(num_users: int, group_size: int, leaders: Sequence[int]) -> list[int]:
@@ -134,17 +131,14 @@ def _shared_counts(num_users: int, group_size: int, leaders: Sequence[int]) -> l
 
     j users meet C(K, sigma) - C(K - j, sigma) of the sigma-groups, whichever
     users they are.  Every symmetric kind checks its group size, in [1, K],
-    and its leaders, which must include user 1, here, all of them ints.
+    and its leaders, which must include user 1, here, all of them ints; K is
+    checked by `user_strengths`, which every caller calls first.
     """
-    _checked_int("user count", num_users)
     for u in leaders:
         _checked_int("leader", u)
-    if not 1 <= _checked_int("multicast group size", group_size) <= num_users:
-        raise ValueError(
-            f"multicast group size must lie in [1, {num_users}], got {group_size}"
-        )
+    _checked_int("multicast group size", group_size, 1, num_users)
     lead = sorted(set(leaders))
-    if lead and (lead[0] < 1 or lead[-1] > num_users):
+    if lead and (lead[0] < 1 or lead[-1] > num_users):  # inline: it names the whole list, as given
         raise ValueError(f"leaders must be users in [1, {num_users}], got {leaders}")
     if not lead or lead[0] != 1:
         raise ValueError(f"the weakest user must lead, got leaders {leaders}")
@@ -186,7 +180,7 @@ def build_two_multicast_symmetric(
 ) -> Polytope:
     """Symmetric region with two nested multicast sets of sizes sigma < gamma."""
     alphas = user_strengths(num_users, alpha)
-    if not 2 <= sigma < gamma <= num_users:
+    if not 2 <= sigma < gamma <= num_users:  # inline: one condition on two sizes, named together
         raise ValueError(
             f"group sizes must satisfy 2 <= sigma < gamma <= {num_users}, "
             f"got sigma={sigma}, gamma={gamma}"

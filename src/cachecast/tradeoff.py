@@ -77,10 +77,7 @@ class SystemConfig:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for name, count in (("user count", self.num_users), ("file count", self.num_files)):
-            _checked_int(name, count)
-        if self.num_users < 1 or self.num_files < 1:
-            raise ValueError("need at least one user and one file")
+        _checked_int("file count", self.num_files, 1)  # K is checked by user_strengths below
         object.__setattr__(self, "mu", _frac(self.mu))
         object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
         if not 0 <= self.mu.numerator <= self.mu.denominator:  # compared as ints

@@ -27,6 +27,7 @@ class Mutant(NamedTuple):
 
 CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
 CLI, REGIONS, TRADEOFF = "cachecast.cli", "cachecast.regions", "cachecast.tradeoff"
+COMBINATORICS = "cachecast.combinatorics"
 
 MUTANTS = (
     Mutant(
@@ -248,12 +249,34 @@ MUTANTS = (
     ),
     Mutant(
         "symmetric-leaders-take-a-bool", REGIONS,
-        'if not 1 <= _checked_int("s", s) <= num_users:',
-        "if not 1 <= s <= num_users:",
+        'return range(1, _checked_int("s", s, 1, num_users) + 1)',
+        'return range(1, _checked_int("s", int(s), 1, num_users) + 1)',
         "s = True is read as s = 1, so a symmetric region is built for a leader count "
         "nobody gave",
         ("tests/test_regions.py::TestSymmetricKinds::test_integer_arguments_are_refused_by_name"
          "[projection-s-bool]",),
+    ),
+    Mutant(
+        "checked-int-takes-a-bool", COMBINATORICS,
+        "if isinstance(value, bool) or not isinstance(value, int):",
+        "if not isinstance(value, int):",
+        "every count, size, index and seed takes True as 1 and False as 0, so a load is "
+        "computed for a served count nobody gave",
+        ("tests/test_combinatorics.py::TestIntegerArguments::test_refused_by_name[coded-load-served-bool]",),
+    ),
+    Mutant(
+        "checked-int-drops-its-upper-bound", COMBINATORICS,
+        "if high is not None and not low <= value <= high:",
+        "if high is not None and not low <= value < high:",
+        "each range loses its top end, so a full cache (split order t = K) is refused",
+        ("tests/test_caching.py::TestLibrary::test_split_order_takes_both_ends[split-K]",),
+    ),
+    Mutant(
+        "maximize-skips-unknown-names", POLYTOPE,
+        "            coeffs[self.index(name)] = c\n",
+        "            if name in self.variables:\n                coeffs[self.index(name)] = c\n",
+        "an objective over a name the region lacks is maximized as if that term were absent",
+        ("tests/test_polytope.py::test_variable_names_are_refused_by_name[maximize-unknown]",),
     ),
     Mutant(
         "subsets-rewrapped-as-tuples", CACHING,

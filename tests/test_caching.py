@@ -75,22 +75,24 @@ class TestLibrary:
     def test_rejects_empty_files(self, split):
         # 0-bit subfiles make 0-bit files, and every user would "decode" the
         # empty file: a sweep over such files passes vacuously
-        with pytest.raises(ValueError, match="at least one bit"):
+        message = "subfile size in bits must be a whole number of at least 1, got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
             FileLibrary(3, split, 0, [(0,) * math.comb(3, split)] * 2)
-        with pytest.raises(ValueError, match="at least one bit"):
+        message = "file size in bits must be a whole number of at least 1, got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
             random_library(2, 3, split, file_bits=0)
 
     @pytest.mark.parametrize(
         "shape,message",
-        [((3, 1, 0, [(0, 0, 0)]), "subfile size must be a whole number of at least one bit, got 0"),
+        [((3, 1, 0, [(0, 0, 0)]), "subfile size in bits must be a whole number of at least 1, got 0"),
          ((3, 7, 8, [()]), "split order must lie in [0, 3], got 7"),
          ((2, 2, 1, [(5,)]), "file 1 holds 5, not an int in [0, 2**1)"),
          ((3, 1, 8, [(1, 2)]), "file 1 holds 2 subfiles, not the 3 of its split"),
          ((3, 1, 8, [(1, 2, 3, 4)]), "file 1 holds 4 subfiles, not the 3 of its split"),
          ((3, 1, 8, [(1, 2, 3), (1, 2, 256)]), "file 2 holds 256, not an int in [0, 2**8)"),
          ((3, 1, 8, [(1, -2, 3)]), "file 1 holds -2, not an int in [0, 2**8)"),
-         ((3, 1, 2.0, [(1, 2, 3)]), "subfile size must be a whole number of at least one bit, got 2.0"),
-         ((3, 1, True, [(1, 0, 1)]), "subfile size must be a whole number of at least one bit, got True")],
+         ((3, 1, 2.0, [(1, 2, 3)]), "subfile size in bits must be an integer, got 2.0"),
+         ((3, 1, True, [(1, 0, 1)]), "subfile size in bits must be an integer, got True")],
         ids=["zero-bit-subfiles", "split-above-K", "value-too-wide", "one-subfile-short",
              "one-subfile-over", "wide-in-file-2", "negative-value", "size-float", "size-bool"],
     )
@@ -113,21 +115,21 @@ class TestLibrary:
     @pytest.mark.parametrize(
         "args,kwargs,message",
         [((2, 3, -1), {}, "split order must lie in [0, 3], got -1"),
-         ((2, 3, 1), {"file_bits": -8}, "library files must have at least one bit"),
-         ((2, 3, 1), {"file_bits": 24.0}, "file size must be an integer number of bits, got 24.0"),
-         ((2, 3, 1), {"file_bits": True}, "file size must be an integer number of bits, got True"),
+         ((2, 3, 1), {"file_bits": -8}, "file size in bits must be a whole number of at least 1, got -8"),
+         ((2, 3, 1), {"file_bits": 24.0}, "file size in bits must be an integer, got 24.0"),
+         ((2, 3, 1), {"file_bits": True}, "file size in bits must be an integer, got True"),
          ((2, 3, 1), {"file_bits": 25}, "file size 25 bits is not divisible into 3 equal subfiles"),
-         ((0, 3, 1), {}, "a library must hold at least one file, got 0"),
-         ((-1, 3, 1), {}, "a library must hold at least one file, got -1"),
+         ((0, 3, 1), {}, "file count must be a whole number of at least 1, got 0"),
+         ((-1, 3, 1), {}, "file count must be a whole number of at least 1, got -1"),
          ((1.5, 3, 1), {}, "file count must be an integer, got 1.5"),
          ((True, 3, 1), {}, "file count must be an integer, got True"),
          ((2, 3.0, 1), {}, "user count must be an integer, got 3.0"),
          ((2, True, 1), {}, "user count must be an integer, got True"),
-         ((2, 0, 0), {}, "a library must serve at least one user, got 0"),
+         ((2, 0, 0), {}, "user count must be a whole number of at least 1, got 0"),
          ((2, 3, True), {}, "split order must be an integer, got True"),
          ((2, 3, 1), {"seed": True}, "seed must be an integer, got True"),
          ((2, 3, 1), {"seed": 1.5}, "seed must be an integer, got 1.5"),
-         ((2, 3, 1), {"seed": -1}, "seed must be nonnegative, got -1")],
+         ((2, 3, 1), {"seed": -1}, "seed must be a whole number of at least 0, got -1")],
         ids=["split-negative", "bits-negative", "bits-float", "bits-bool", "bits-indivisible",
              "no-files", "files-negative", "files-float", "files-bool", "users-float", "users-bool",
              "no-users", "split-bool", "seed-bool", "seed-float", "seed-negative"],
@@ -139,14 +141,23 @@ class TestLibrary:
             random_library(*args, **kwargs)
 
     def test_no_files_is_refused_by_name(self):
-        message = "a library must hold at least one file, got 0"
+        message = "file count must be a whole number of at least 1, got 0"
         with pytest.raises(ValueError, match=message):
             FileLibrary(3, 1, 8, ())
         with pytest.raises(ValueError, match=message):
             end_to_end_verify(3, 0, 1)
 
+    @pytest.mark.parametrize("split", [0, 3], ids=["split-0", "split-K"])
+    def test_split_order_takes_both_ends(self, split):
+        lib = random_library(2, 3, split)
+        assert lib.split_order == split and end_to_end_verify(3, 2, split, library=lib)
+
+    def test_seed_zero_is_accepted(self):
+        lib = random_library(2, 3, 1, file_bits=3 * 8, seed=0)
+        assert [list(f) for f in lib.files] == [list(bits) for bits in raw_draw(0, 2, 3 * 8)]
+
     def test_no_users_is_refused_not_a_vacuous_pass(self):
-        with pytest.raises(ValueError, match="a library must serve at least one user, got 0"):
+        with pytest.raises(ValueError, match="user count must be a whole number of at least 1, got 0"):
             end_to_end_verify(0, 2, 0)
 
     def test_subfiles_partition_the_file(self):
@@ -167,8 +178,12 @@ class TestLibrary:
     def test_subfile_rejects_file_index_outside_library(self, index):
         # 0 and -1 would otherwise index from the end and return the last file
         lib = random_library(2, 3, 1)
-        with pytest.raises(ValueError, match=f"file index {index} is not in 1..2"):
+        with pytest.raises(ValueError, match=re.escape(f"file index must lie in [1, 2], got {index}")):
             lib.subfile(index, (1,))
+
+    def test_subfile_refuses_a_bool_file_index(self):
+        with pytest.raises(ValueError, match=re.escape("file index must be an integer, got True")):
+            random_library(2, 3, 1).subfile(True, (1,))
 
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",

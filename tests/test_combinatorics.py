@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecast.combinatorics import (
+    _checked_int,
     _remember_last,
     coded_load,
     cumulative_group_count,
@@ -253,6 +255,44 @@ class TestLoadSequence:
         for served, n in ((0, 1), (4, 1), (2, -1), (2, 4)):
             with pytest.raises(ValueError):
                 coded_load(3, served, n)
+
+
+class TestIntegerArguments:
+    """Each count, size and index is refused by its name through one check: a
+    bool is not read as 1, nor a float as an int, and a range keeps both ends."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [(lambda: coded_load(3, True, 1), "served must be an integer, got True"),
+         (lambda: cumulative_group_count(3, 2, True), "j must be an integer, got True"),
+         (lambda: coded_load(3, 1, 1.0), "cached subfile count must be an integer, got 1.0"),
+         (lambda: coded_load(3.0, 1, 1), "user count must be an integer, got 3.0"),
+         (lambda: coded_load(0, 1, 0), "user count must be a whole number of at least 1, got 0"),
+         (lambda: multicast_load_sequence(3.0, 1), "user count must be an integer, got 3.0"),
+         (lambda: multicast_load_sequence(True, 1), "user count must be an integer, got True")],
+        ids=["coded-load-served-bool", "count-j-bool", "coded-load-n-float", "coded-load-users-float",
+             "coded-load-no-users", "sequence-users-float", "sequence-users-bool"],
+    )
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize(
+        "bounds,value,message",
+        [((), 2.0, "n must be an integer, got 2.0"),
+         ((0,), -1, "n must be a whole number of at least 0, got -1"),
+         ((0, 3), 4, "n must lie in [0, 3], got 4"),
+         ((1, 3), 0, "n must lie in [1, 3], got 0")],
+        ids=["type", "low-only", "above-high", "below-low"],
+    )
+    def test_the_three_templates(self, bounds, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _checked_int("n", value, *bounds)
+
+    def test_both_ends_are_accepted(self):
+        assert [cumulative_group_count(3, 2, j) for j in (0, 3)] == [0, 3]
+        assert [coded_load(3, served, n) for served, n in ((1, 0), (3, 3))] == [1, 0]
+        assert _checked_int("n", 0, 0) == 0 and _checked_int("n", 10**30, 1) == 10**30
 
 
 class TestConvexityLemma:

@@ -26,6 +26,14 @@ def test_knapsack_corner():
     assert res.point == (F(1, 2), F(1, 2))
 
 
+def test_row_of_another_length_is_refused():
+    # the slack column would overwrite the second coefficient: optimal 0, not a refusal
+    with pytest.raises(ValueError, match="^row length does not match the objective's length$"):
+        solve_max([1], [([1, 1], 2)])
+    with pytest.raises(ValueError, match="^row length does not match the objective's length$"):
+        solve_max([1, 1], [([1], 2)])
+
+
 def test_infeasible():
     res = solve_max([F(1)], [((F(1),), F(-1))])
     assert res.status == INFEASIBLE

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -411,6 +412,39 @@ def test_json_row_of_wrong_length_is_refused():
     dump = '{"variables": ["x", "y"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}]}'
     with pytest.raises(ValueError, match="row length does not match variable count"):
         Polytope.from_json(dump)
+
+
+NOT_XY = "is not a variable of the region ('x', 'y')"
+
+
+@pytest.mark.parametrize(
+    "probe,error,message",
+    [(lambda: fix_variables(box(), {"q": 0}), ValueError, f"'q' {NOT_XY}"),
+     (lambda: eliminate(box(), ["q"]), ValueError, f"'q' {NOT_XY}"),
+     (lambda: eliminate(box(), ["x", "x"]), ValueError, "eliminate drops each variable once, got ['x', 'x']"),
+     (lambda: box().contains({"x": 0, "y": 0, "zz": 9}), ValueError, f"'zz' {NOT_XY}"),
+     (lambda: box(b=5).maximize({"z": 1}), ValueError, f"'z' {NOT_XY}"),
+     (lambda: box(b=5).maximize([1]), TypeError, "objective must map variable names to coefficients, got [1]"),
+     (lambda: Polytope(["x", "x"], [((1, 1), 1)]), ValueError, "variable names must be distinct, got ('x', 'x')"),
+     (lambda: Polytope(["x", "x"], int_rows=[(1, (1, 1, 1))]), ValueError,
+      "variable names must be distinct, got ('x', 'x')"),
+     (lambda: Polytope.from_json('{"variables": ["x", "x"], "rows": []}'), ValueError,
+      "variable names must be distinct, got ('x', 'x')")],
+    ids=["fix-unknown", "eliminate-unknown", "eliminate-twice", "contains-unknown", "maximize-unknown",
+         "maximize-sequence", "repeated-name-rows", "repeated-name-int-rows", "repeated-name-json"],
+)
+def test_variable_names_are_refused_by_name(probe, error, message):
+    """Each name is looked up through `Polytope.index`, which names a missing
+    one and lists the region's variables; a name is never silently ignored."""
+    with pytest.raises(error, match=re.escape(message)):
+        probe()
+
+
+def test_maximize_reads_the_objective_by_name():
+    region = box(b=5)
+    assert region.maximize({"x": 1}).value == 1
+    assert region.maximize({"y": 1}).value == 5
+    assert region.maximize({}).value == 0
 
 
 def test_maximize_reports_unbounded():

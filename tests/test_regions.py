@@ -324,10 +324,13 @@ class TestSymmetricKinds:
          (lambda: build_missing_message_region(3, F(2), ALPHA3, [1]),
           "multicast group size must be an integer, got Fraction(2, 1)"),
          (lambda: build_two_multicast_symmetric(3, 2, 3.0, ALPHA3, 1),
-          "multicast group size must be an integer, got 3.0")],
+          "multicast group size must be an integer, got 3.0"),
+         (lambda: user_strengths(3.0, ALPHA3), "user count must be an integer, got 3.0"),
+         (lambda: user_strengths(True, (F(1),)), "user count must be an integer, got True")],
         ids=["projection-s-bool", "max-gdof-s-bool", "projection-s-float", "leader-bool", "leader-float",
              "full-users-float", "full-size-float", "beta-size-bool", "projection-users-float",
-             "missing-size-fraction", "two-multicast-gamma-float"],
+             "missing-size-fraction", "two-multicast-gamma-float", "strengths-users-float",
+             "strengths-users-bool"],
     )
     def test_integer_arguments_are_refused_by_name(self, build, message):
         """A bool is not read as 1, nor a float as an int: each is refused by its name."""

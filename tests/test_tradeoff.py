@@ -113,8 +113,10 @@ class TestPrefixLoads:
         [(3, 2.5, "file count must be an integer, got 2.5"),
          (True, 2, "user count must be an integer, got True"),
          (3.0, 3, "user count must be an integer, got 3.0"),
-         (3, False, "file count must be an integer, got False")],
-        ids=["files-float", "users-bool", "users-float", "files-bool"],
+         (3, False, "file count must be an integer, got False"),
+         (0, 2, "user count must be a whole number of at least 1, got 0"),
+         (3, 0, "file count must be a whole number of at least 1, got 0")],
+        ids=["files-float", "users-bool", "users-float", "files-bool", "no-users", "no-files"],
     )
     def test_counts_must_be_ints(self, users, files, message):
         # a float count failed later in the count table, and True ran as K = 1
