@@ -1,20 +1,7 @@
 """Command-line front end.
 
-Subcommands and the flags each takes, besides --config and --out
-----------------------------------------------------------------
-gndt          delivery-time curves (tau_ub, tau_ms, tau_lb) over a mu grid:
-              --K --N --alpha --mu|--mu-grid [--r --exact --format]
-sweep-memory  same sweep plus the joint two-set delivery column:
-              --K --N --alpha --mu|--mu-grid [--r --format]
-holes         bottleneck user, hole inequalities and vertex invariance checks:
-              --K --N --alpha --mu
-region        dump a GDoF region as JSON (rational rows):
-              --K --sigma --alpha [--kind --s --gamma --leaders]
-verify        end-to-end caching sweep + region-equality certification:
-              [--K --N --mu --d --B --max-K --max-N --region-trials
-              --inject-fault --seed]
-finite-snr    finite-power region rows (CSV) and constant-gap certificates:
-              --K --sigma --alpha [--P --certificates --seed]
+`_COMMANDS` lists each command's flags, besides --config and --out, and the
+ones it requires.
 
 The tokens after a command name go straight to that command's own parser, the
 one the top-level parser would hand them to; --help, no command or an unknown
@@ -41,7 +28,6 @@ import contextlib
 import csv
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import product
@@ -49,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import caching, finite_snr, regions, tradeoff
-from .combinatorics import _checked_int
+from .combinatorics import _checked_fraction, _checked_int
 from .polytope import regions_equal, eliminate, vertices
 from .tradeoff import SystemConfig
 
@@ -102,20 +88,14 @@ def _parse_grid(text, flag: str) -> list[Fraction]:
     start, end, step = (_parse_fraction(t, flag) for t in parts)
     if step <= 0 or end < start:
         raise ValueError(f"{flag} start:end:step needs step > 0 and end >= start, got {text!r}")
-    grid, value = [], start
-    while value <= end:
-        grid.append(value)
-        value += step
-    if grid[0] < 0 or grid[-1] > 1:  # the grid rises from start, which it holds
-        raise ValueError(f"{flag} values must lie in [0, 1], got {text!r}")
-    return grid
+    count = (end - start) // step + 1  # start, start + step, ..., up to end
+    for value in (start, start + (count - 1) * step):  # both ends, before the grid is built
+        _checked_fraction(f"{flag} values", value, 0, 1)
+    return [start + i * step for i in range(count)]
 
 
 def _mu(value, flag: str) -> Fraction:
-    mu = _parse_fraction(value, flag)
-    if not 0 <= mu.numerator <= mu.denominator:  # mu in [0, 1], compared as ints
-        raise ValueError(f"{flag} must lie in [0, 1], got {value}")
-    return mu
+    return _checked_fraction(flag, _parse_fraction(value, flag), 0, 1)
 
 
 def _whole(value, flag: str, low=None) -> int:
@@ -139,16 +119,6 @@ def _one_of(*choices) -> dict:
     refusal = f"must be one of {', '.join(choices)}"
     return {"check": functools.partial(_kept, test=choices.__contains__, refusal=refusal),
             "metavar": "{" + ",".join(choices) + "}"}
-
-
-def _power(value, flag: str) -> float:
-    try:
-        power = float(value)
-    except (TypeError, ValueError):  # TypeError: a JSON list or object in --config
-        power = math.nan
-    if not 1 < power < math.inf:  # also refuses nan
-        raise ValueError(f"{flag} must be a finite power above 1, got {value}")
-    return power
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -422,7 +392,8 @@ _FLAGS = {
     "--max-N": {"check": _COUNT, "help": "largest file count (default 4)"},
     "--region-trials": {"check": _COUNT, "help": "random strengths per (K, sigma)"},
     "--inject-fault": {"check": _SWITCH, "action": "store_true", "default": None, "help": "corrupt one payload"},
-    "--P": {"check": _power, "help": "nominal power (> 1)"},
+    "--P": {"check": lambda value, flag: finite_snr._checked_power(flag, value),
+            "help": "nominal power (> 1)"},
     "--seed": {"check": functools.partial(_whole, low=0), "help": "RNG seed"},
     "--certificates": {"check": _COUNT, "help": "boundary points to certify (default 20)"},
 }

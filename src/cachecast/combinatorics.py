@@ -15,9 +15,9 @@ and the per-subfile coded load sequence
 
 are the combinatorial backbone of the delivery-time formulas.  All arithmetic
 is exact (ints and fractions.Fraction; the envelope's hull runs on integers);
-floats only ever appear at output boundaries of the package.  Every integer
-argument of the package (a count, size, index or seed) is refused, by name,
-through one check, `_checked_int`: a bool or non-int, or a value out of range.
+floats only ever appear at output boundaries.  Each integer argument (a count,
+size, index or seed) is refused by name through `_checked_int`, and each rational
+one with a closed range (mu, r_k, a fixed value, x) through `_checked_fraction`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def _checked_int(name: str, value, low: int | None = None, high: int | None = No
     if low is not None and value < low:
         raise ValueError(f"{name} must be a whole number of at least {low}, got {value}")
     return value
+
+
+def _checked_fraction(name: str, value, low: int | None = None, high: int | None = None) -> Fraction:
+    """`_frac(value)` in [low, high], compared as integers; otherwise a ValueError naming it."""
+    q = _frac(value)
+    if high is not None and not low * q.denominator <= q.numerator <= high * q.denominator:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {q}")
+    if low is not None and q.numerator < low * q.denominator:
+        raise ValueError(f"{name} must be at least {low}, got {q}")
+    return q
 
 
 def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
@@ -128,12 +138,10 @@ def lower_convex_envelope(values: Sequence, x) -> Fraction:
     evaluation reduces to linear interpolation between floor(x) and ceil(x).
     """
     points = tuple(map(_frac, values))
-    xq = _frac(x)
     if not points:
         raise ValueError("envelope needs at least one point")
+    xq = _checked_fraction("x", x, 0, len(points) - 1)
     a, b = xq.numerator, xq.denominator  # x = a / b
-    if not 0 <= a <= (len(points) - 1) * b:
-        raise ValueError(f"x = {x} outside the index range [0, {len(points) - 1}]")
     scale, hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if a <= x2 * b:

@@ -17,7 +17,8 @@ delivery time by the converse constant 2.01.  Both refuse, through one check
 The regions are float views of the exact rows of `regions`, which supply
 variables and 0/1 coefficients and validate the strengths exactly; only
 right-hand sides become floats.  The nominal power P is an argument of every
-builder, checked here alone: P outside (1, inf), nan included, is refused.
+builder, checked by `_checked_power` alone, which the command line's --P
+calls too: P outside (1, inf), nan included, is refused.
 Rates are bits per channel use (all logs base 2); comparisons use a 1e-9 tolerance.
 """
 
@@ -56,10 +57,15 @@ class RateRegion:
         return self.rhs - self.lhs(point)
 
 
-def _log2_power(power: float) -> float:
+def _checked_power(name: str, value) -> float:
+    """`value` as a float power in (1, inf), or a ValueError naming it."""
+    try:
+        power = float(value)
+    except (TypeError, ValueError, OverflowError):  # text, a JSON list, an int past any float
+        power = math.nan
     if not 1 < power < math.inf:  # also refuses nan
-        raise ValueError(f"nominal power must be finite and exceed 1, got {power}")
-    return math.log2(power)
+        raise ValueError(f"{name} must be a finite power above 1, got {value}")
+    return power
 
 
 def _float_view(variables, rows, rhs: Callable[[int, float], float]) -> RateRegion:
@@ -78,7 +84,7 @@ def inner_rate_region(
     """Explicit achievable region: the rows of `regions.build_region` with
     rhs (a_k log2 P - k)^+ in place of alpha_k."""
     exact = build_region(num_users, group_size, alpha)
-    log_p = _log2_power(power)
+    log_p = math.log2(_checked_power("P", power))
     return _float_view(exact.variables, exact.rows, lambda k, a: max(0.0, a * log_p - k))
 
 
@@ -86,7 +92,7 @@ def outer_rate_region(
     num_users: int, group_size: int, alpha: Sequence, power: float
 ) -> RateRegion:
     """Cut-set outer bound: the same rows with rhs log2(1 + P^{a_k})."""
-    _log2_power(power)  # refuses the power; the rhs reads P itself
+    power = _checked_power("P", power)
     exact = build_region(num_users, group_size, alpha)
     return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a))
 
@@ -130,9 +136,10 @@ def constant_gap_certificate(
 
 def _delay_rate_view(delay: float, config: SystemConfig, power: float, rhs) -> RateRegion:
     """The rows of `regions.cumulative_region(alpha)` with rhs(k, alpha_k log2 P, load_k / delay)."""
-    if delay <= 0:
+    if delay <= 0:  # inline: an open bound on a float, not a rational argument
         raise ValueError(f"delay must be positive, got {delay}")
-    log_p, loads, exact = _log2_power(power), prefix_loads(config), cumulative_region(config.alpha)
+    log_p = math.log2(_checked_power("P", power))
+    loads, exact = prefix_loads(config), cumulative_region(config.alpha)
     return _float_view(
         exact.variables, exact.rows, lambda k, a: rhs(k, a * log_p, float(loads[k - 1]) / delay)
     )

@@ -1,10 +1,10 @@
 """Exact linear programming over rationals.
 
 A deliberately small dense-tableau simplex for the region certification work:
-maximize c.x subject to A x <= b and x >= 0, every input an exact rational
-(int, Fraction or a string such as '1/10'; a float is refused).  Dimensions in
-this package stay below ~25 variables and ~30 rows, so a two-phase tableau with
-Bland's rule (anti-cycling) is both fast enough and exactly correct -- no
+maximize c.x subject to A x <= b and x >= 0, every input an exact rational (int,
+Fraction or a string such as '1/10'; a float or a bool is refused).  Dimensions
+in this package stay below ~25 variables and ~30 rows, so a two-phase tableau
+with Bland's rule (anti-cycling) is both fast enough and exactly correct -- no
 tolerances anywhere.
 
 The tableau holds Python integers only (the integer-preserving pivots of
@@ -45,11 +45,11 @@ INFEASIBLE = "infeasible"
 
 
 def _frac(x) -> Fraction:
-    """x as an exact Fraction; a float is refused, never rounded."""
+    """x as an exact Fraction; a float is refused, never rounded, and so is a bool, never read as 1."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a string such as '1/10'")
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{x!r} is a {type(x).__name__}; pass an int, a Fraction or a string such as '1/10'")
     return Fraction(x)
 
 

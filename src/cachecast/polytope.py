@@ -48,6 +48,7 @@ from math import gcd, lcm
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
+from .combinatorics import _checked_fraction
 from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
@@ -283,9 +284,7 @@ def regions_equal(a: Polytope, b: Polytope) -> bool:
 
 def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
     """Substitute fixed values for some coordinates and drop them."""
-    fixed = {poly.index(k): _frac(v) for k, v in assignment.items()}
-    if any(v < 0 for v in fixed.values()):
-        raise ValueError("fixed values must be nonnegative")
+    fixed = {poly.index(k): _checked_fraction(k, v, 0) for k, v in assignment.items()}
     keep = [j for j in range(len(poly.variables)) if j not in fixed]
     rows = []
     for _, ints in poly.int_rows:

@@ -21,10 +21,11 @@ row builder `cumulative_region`, and every per-prefix slack from `_integer_gaps`
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from .combinatorics import Group, _checked_int, _remember_last, cumulative_group_count
+from .combinatorics import Group, _checked_fraction, _checked_int, _remember_last, cumulative_group_count
 from .lp import _frac, _integer_row
 from .polytope import Polytope, _count_row
 
@@ -44,11 +45,13 @@ def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
 def _checked_strengths(num_users: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     if not vals:
         raise ValueError("at least one channel strength is required")
-    if vals[0].numerator <= 0:
+    if vals[0].numerator <= 0:  # inline: an open bound, which `_checked_fraction`'s closed range cannot state
         raise ValueError(f"strengths must be positive, got alpha_1 = {vals[0]}")
     scale, ints = _integer_row(vals)  # compared as integers over one denominator
-    if any(a > b for a, b in zip(ints, ints[1:])):
-        raise ValueError(f"strengths must be nondecreasing, got {vals}")
+    for k in range(1, len(ints)):
+        if ints[k - 1] > ints[k]:
+            raise ValueError(f"strengths must be nondecreasing: alpha_{k + 1} = {vals[k]} "
+                             f"is below alpha_{k} = {vals[k - 1]}")
     if ints[-1] != scale:
         raise ValueError(
             f"strengths must be normalized with alpha_K = 1, got alpha_K = {vals[-1]}"
@@ -61,8 +64,7 @@ def _checked_strengths(num_users: int, vals: tuple[Fraction, ...]) -> tuple[Frac
     return vals
 
 
-def unicast_name(user: int) -> str:
-    return f"r_{user}"
+unicast_name = cache("r_{}".format)  # r_k, formatted once per k: `_integer_gaps` names each entry it checks
 
 
 def group_name(group: Group) -> str:
@@ -91,12 +93,11 @@ def cumulative_region(
 def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, tuple[int, ...]]:
     """(alpha_k - r_1 - ... - r_k)^+ for every user k as (H, integers G_k over H),
     H the lcm of the denominators of the exact strengths `alpha` and of `r`, which
-    must give one nonnegative GDoF per user; r = None sends no unicast."""
-    rt = [ZERO] * len(alpha) if r is None else [_frac(x) for x in r]
-    if len(rt) != len(alpha):
-        raise ValueError("one unicast GDoF per user is required")
-    if any(x.numerator < 0 for x in rt):
-        raise ValueError("unicast GDoF values must be nonnegative")
+    must give one nonnegative GDoF r_k per user; r = None sends no unicast."""
+    if r is not None and len(r) != len(alpha):
+        raise ValueError(f"one unicast GDoF per user is required: K = {len(alpha)}, got {len(r)}")
+    rt = ([ZERO] * len(alpha) if r is None
+          else [_checked_fraction(unicast_name(k), x, 0) for k, x in enumerate(r, start=1)])
     height, ints = _integer_row([*alpha, *rt])
     return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))
 
@@ -158,7 +159,8 @@ def symmetric_projection(
 
         sum_{i<=k} r_i + [C(K,sigma) - C(K-min(k,s),sigma)] r_sym <= alpha_k.
     """
-    return build_missing_message_region(num_users, group_size, alpha, _covered(num_users, s))
+    leaders = _covered(_checked_int("user count", num_users, 1), s)  # K first: s's bound is K
+    return build_missing_message_region(num_users, group_size, alpha, leaders)
 
 
 def max_symmetric_gdof(

@@ -53,7 +53,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _checked_int, _remember_last, cumulative_group_count, lower_convex_envelope
+from .combinatorics import (_checked_fraction, _checked_int, _remember_last, cumulative_group_count,
+                            lower_convex_envelope)
 from .lp import _frac
 from .polytope import Polytope, _count_row
 from .regions import ZERO, _integer_gaps, cumulative_region, unicast_name, user_strengths
@@ -78,10 +79,8 @@ class SystemConfig:
 
     def __post_init__(self):
         _checked_int("file count", self.num_files, 1)  # K is checked by user_strengths below
-        object.__setattr__(self, "mu", _frac(self.mu))
+        object.__setattr__(self, "mu", _checked_fraction("mu", self.mu, 0, 1))
         object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
-        if not 0 <= self.mu.numerator <= self.mu.denominator:  # compared as ints
-            raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
     @cached_property
     def cache_budget(self) -> Fraction:
@@ -258,7 +257,7 @@ def gdof_region_inner(tau, config: SystemConfig) -> Polytope:
     2.01 * tau.
     """
     tau = _frac(tau)
-    if tau <= 0:
+    if tau <= 0:  # inline: an open bound, which `_checked_fraction`'s closed range cannot state
         raise ValueError(f"delivery time must be positive, got {tau}")
     loads = prefix_loads(config)
     return cumulative_region([a - load / tau for a, load in zip(config.alpha, loads)])

@@ -27,7 +27,7 @@ class Mutant(NamedTuple):
 
 CACHING, FINITE_SNR, POLYTOPE = "cachecast.caching", "cachecast.finite_snr", "cachecast.polytope"
 CLI, REGIONS, TRADEOFF = "cachecast.cli", "cachecast.regions", "cachecast.tradeoff"
-COMBINATORICS = "cachecast.combinatorics"
+COMBINATORICS, LP = "cachecast.combinatorics", "cachecast.lp"
 
 MUTANTS = (
     Mutant(
@@ -139,8 +139,8 @@ MUTANTS = (
     ),
     Mutant(
         "mu-check-admits-2", CLI,
-        "if not 0 <= mu.numerator <= mu.denominator:",
-        "if not 0 <= mu.numerator <= 2 * mu.denominator:",
+        "return _checked_fraction(flag, _parse_fraction(value, flag), 0, 1)",
+        "return _checked_fraction(flag, _parse_fraction(value, flag), 0, 2)",
         "--mu's check lets a cache size up to 2 through, so gndt and holes refuse it with the "
         "library's message, which names no flag, and verify reaches the split order with it",
         ("tests/test_cli.py::TestShapeAndCountErrors::test_usage_error_before_output[gndt-mu-2]",
@@ -202,8 +202,8 @@ MUTANTS = (
     ),
     Mutant(
         "strengths-check-refuses-ties", REGIONS,
-        "if any(a > b for a, b in zip(ints, ints[1:])):",
-        "if any(a >= b for a, b in zip(ints, ints[1:])):",
+        "if ints[k - 1] > ints[k]:",
+        "if ints[k - 1] >= ints[k]:",
         "two users of the same strength are refused as out of order",
         ("tests/test_regions.py::TestStrengths::test_ties_allowed",),
     ),
@@ -270,6 +270,28 @@ MUTANTS = (
         "if high is not None and not low <= value < high:",
         "each range loses its top end, so a full cache (split order t = K) is refused",
         ("tests/test_caching.py::TestLibrary::test_split_order_takes_both_ends[split-K]",),
+    ),
+    Mutant(
+        "frac-takes-a-bool", LP,
+        "if isinstance(x, (float, bool)):",
+        "if isinstance(x, float):",
+        "every rational argument takes True as 1 and False as 0, so a trade-off is computed "
+        "at a cache fraction nobody gave",
+        ("tests/test_combinatorics.py::TestRationalArguments::test_a_bool_is_refused[mu]",),
+    ),
+    Mutant(
+        "checked-fraction-drops-its-upper-bound", COMBINATORICS,
+        "<= q.numerator <= high * q.denominator:",
+        "<= q.numerator:",
+        "each closed rational range loses its top end, so mu = 3/2 is accepted",
+        ("tests/test_combinatorics.py::TestRationalArguments::test_refused_by_name[mu-above-1]",),
+    ),
+    Mutant(
+        "checked-fraction-excludes-its-ends", COMBINATORICS,
+        "not low * q.denominator <= q.numerator <= high * q.denominator",
+        "not low * q.denominator < q.numerator < high * q.denominator",
+        "each closed rational range becomes open, so mu = 1, a full cache, is refused",
+        ("tests/test_combinatorics.py::TestRationalArguments::test_range_ends_are_accepted[mu-1]",),
     ),
     Mutant(
         "maximize-skips-unknown-names", POLYTOPE,

@@ -472,7 +472,7 @@ class TestShapeAndCountErrors:
             (["sweep-memory", *TestUsageErrors.TWO, "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
             (["holes", *TestUsageErrors.TWO, "--mu", "2"], "error: --mu must lie in [0, 1], got 2\n"),
             (["gndt", *TestUsageErrors.TWO, "--mu-grid", "0:2:1/2"],
-             "error: --mu-grid values must lie in [0, 1], got '0:2:1/2'\n"),
+             "error: --mu-grid values must lie in [0, 1], got 2\n"),
             (["gndt", "--K", "0", "--N", "2", "--alpha", "1", "--mu", "0"],
              "error: --K must be a whole number of at least 1, got 0\n"),
             (["gndt", "--K", "2", "--N", "0", "--alpha", "1/2,1", "--mu", "0"],
@@ -487,10 +487,13 @@ class TestShapeAndCountErrors:
              "error: --K must be a whole number of at least 1, got 0\n"),
             # a negative value is the value of the flag before it, not a flag
             (["gndt", *TestUsageErrors.TWO, "--mu", "-1/3"], "error: --mu must lie in [0, 1], got -1/3\n"),
+            # the refused value is shown as its exact fraction
+            (["gndt", *TestUsageErrors.TWO, "--mu", "1.5"], "error: --mu must lie in [0, 1], got 3/2\n"),
+            (["gndt", *TestUsageErrors.TWO, "--mu", "4/2"], "error: --mu must lie in [0, 1], got 2\n"),
             (["gndt", *TestUsageErrors.TWO, "--mu-grid", "-1/4:1:1/4"],
-             "error: --mu-grid values must lie in [0, 1], got '-1/4:1:1/4'\n"),
+             "error: --mu-grid values must lie in [0, 1], got -1/4\n"),
             (["gndt", "--K", "3", "--N", "3", "--alpha", "2/5,9/10,1", "--mu", "0", "--r", "-1/10,0,0"],
-             "unicast GDoF values must be nonnegative"),
+             "error: r_1 must be at least 0, got -1/10\n"),
             (["gndt", "--K", "2", "--N", "2", "--alpha", "-1/2,1", "--mu", "0"], "strengths must be positive"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
@@ -502,7 +505,8 @@ class TestShapeAndCountErrors:
              "missing-with-s", "grid-two-parts", "grid-four-parts", "grid-end-before-start",
              "grid-zero-step", "mu-and-grid", "grid-and-mu", "verify-seed-neg", "finite-snr-seed-neg",
              "gndt-mu-2", "sweep-mu-2", "holes-mu-2", "grid-past-1", "gndt-K-0", "gndt-N-0", "holes-K-0",
-             "holes-N-0", "region-K-0", "finite-snr-K-0", "mu-negative", "grid-negative", "r-negative",
+             "holes-N-0", "region-K-0", "finite-snr-K-0", "mu-negative", "mu-decimal", "mu-unreduced",
+             "grid-negative", "r-negative",
              "alpha-negative"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecast.combinatorics import (
+    _checked_fraction,
     _checked_int,
     _remember_last,
     coded_load,
@@ -17,6 +18,10 @@ from cachecast.combinatorics import (
     lower_convex_envelope,
     multicast_load_sequence,
 )
+from cachecast.lp import solve_max
+from cachecast.polytope import Polytope, fix_variables
+from cachecast.regions import prefix_gaps
+from cachecast.tradeoff import SystemConfig, gdof_region_inner, gndt_ub
 
 
 def envelope_oracle(values, x):
@@ -66,9 +71,9 @@ class TestEnvelope:
         assert lower_convex_envelope([0, 3, 1], 1) == F(1, 2)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape('x must lie in [0, 1], got 5/2')}$"):
             lower_convex_envelope([1, 2], F(5, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape('x must lie in [0, 1], got -1')}$"):
             lower_convex_envelope([1, 2], -1)
 
     def test_float_is_refused_not_rounded(self):
@@ -293,6 +298,72 @@ class TestIntegerArguments:
         assert [cumulative_group_count(3, 2, j) for j in (0, 3)] == [0, 3]
         assert [coded_load(3, served, n) for served, n in ((1, 0), (3, 3))] == [1, 0]
         assert _checked_int("n", 0, 0) == 0 and _checked_int("n", 10**30, 1) == 10**30
+
+
+ALPHA2 = (F(1, 2), F(1))
+BOX = Polytope(["x", "y"], [((1, 1), 1)])
+
+
+class TestRationalArguments:
+    """Each closed-range rational argument goes through one check: `_frac`
+    refuses a bool as it refuses a float, and a range keeps both ends."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: SystemConfig(2, 2, True, ALPHA2),
+         lambda: SystemConfig(2, 2, 0, (True, 1)),
+         lambda: gndt_ub(SystemConfig(2, 2, F(1, 2), ALPHA2), (True, 0)),
+         lambda: prefix_gaps(ALPHA2, (0, True)),
+         lambda: gdof_region_inner(True, SystemConfig(2, 2, F(1, 2), ALPHA2)),
+         lambda: lower_convex_envelope([3, 1, 2], True),
+         lambda: fix_variables(BOX, {"x": True}),
+         lambda: Polytope(["x"], [((True,), 1)]),
+         lambda: solve_max([True], [((1,), 1)])],
+        ids=["mu", "alpha-entry", "r-entry", "r-entry-gaps", "tau", "envelope-x", "fixed-value",
+             "polytope-row-entry", "solve-max-entry"],
+    )
+    def test_a_bool_is_refused(self, call):
+        message = "True is a bool; pass an int, a Fraction or a string such as '1/10'"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [(lambda: SystemConfig(2, 2, F(3, 2), ALPHA2), "mu must lie in [0, 1], got 3/2"),
+         (lambda: SystemConfig(2, 2, "-1/3", ALPHA2), "mu must lie in [0, 1], got -1/3"),
+         (lambda: prefix_gaps(ALPHA2, (0, F(-1, 10))), "r_2 must be at least 0, got -1/10"),
+         (lambda: lower_convex_envelope([3, 1, 2], F(7, 3)), "x must lie in [0, 2], got 7/3"),
+         (lambda: fix_variables(BOX, {"y": F(-1, 2)}), "y must be at least 0, got -1/2")],
+        ids=["mu-above-1", "mu-negative", "r-negative", "envelope-x-past-K", "fixed-negative"],
+    )
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "bounds,value,message",
+        [((0,), F(-1, 3), "q must be at least 0, got -1/3"),
+         ((0, 1), "4/3", "q must lie in [0, 1], got 4/3"),
+         ((1, 3), F(1, 2), "q must lie in [1, 3], got 1/2")],
+        ids=["low-only", "above-high", "below-low"],
+    )
+    def test_the_two_templates(self, bounds, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checked_fraction("q", value, *bounds)
+
+    @pytest.mark.parametrize(
+        "call,value",
+        [(lambda: SystemConfig(2, 2, 0, ALPHA2).mu, 0),
+         (lambda: SystemConfig(2, 2, 1, ALPHA2).mu, 1),
+         (lambda: prefix_gaps(ALPHA2, (0, 0)), [F(1, 2), F(1)]),
+         (lambda: lower_convex_envelope([3, 1, 2], 0), 3),
+         (lambda: lower_convex_envelope([3, 1, 2], 2), 2),
+         (lambda: fix_variables(BOX, {"x": 0}).rows, (((F(1),), F(1)),)),
+         (lambda: _checked_fraction("q", "1/3", 0, 1), F(1, 3))],
+        ids=["mu-0", "mu-1", "r-0", "envelope-x-0", "envelope-x-K", "fixed-0", "inside"],
+    )
+    def test_range_ends_are_accepted(self, call, value):
+        assert call() == value
 
 
 class TestConvexityLemma:

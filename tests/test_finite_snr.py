@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -37,7 +38,7 @@ class TestInnerOuter:
         assert np.allclose(region.rhs, 0.0)
 
     def test_unit_power_flagged(self):
-        with pytest.raises(ValueError, match="nominal power must be finite and exceed 1, got 1.0"):
+        with pytest.raises(ValueError, match=r"^P must be a finite power above 1, got 1\.0$"):
             inner_rate_region(2, 2, ALPHA2, 1.0)
 
     def test_outer_exact_power_of_two(self):
@@ -149,7 +150,7 @@ class TestDelayRate:
             delay_rate_gap_certificate(1.0, cfg(3, 3, 1, ALPHA3), 2.0**20, point)
 
     def test_rejects_nonpositive_delay(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delay must be positive, got 0.0$"):
             delay_rate_inner_region(0.0, cfg(3, 3, F(1, 3), ALPHA3), 2.0**20)
 
     def test_certificate_matches_the_prefix_sum_loop(self):
@@ -250,7 +251,7 @@ class TestPowerRefusal:
     @pytest.mark.parametrize("power", [1.0, 0.5, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("builder", sorted(POWER_BUILDERS))
     def test_power_must_be_finite_and_above_one(self, builder, power):
-        with pytest.raises(ValueError, match=f"nominal power must be finite and exceed 1, got {power}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'P must be a finite power above 1, got {power}')}$"):
             POWER_BUILDERS[builder](power)
 
 

@@ -49,8 +49,11 @@ class TestStrengths:
             user_strengths(2, [F(1, 2), F(3, 4)])
 
     def test_rejects_decreasing(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            user_strengths(3, [F(3, 4), F(1, 2), F(1)])
+        """The refusal names the first pair out of order, with exact values."""
+        for alpha, pair in (([F(3, 4), F(1, 2), F(1)], "alpha_2 = 1/2 is below alpha_1 = 3/4"),
+                            ([F(1, 4), F(1, 2), F(1, 3), F(1, 5), F(1)], "alpha_3 = 1/3 is below alpha_2 = 1/2")):
+            with pytest.raises(ValueError, match=f"^{re.escape('strengths must be nondecreasing: ' + pair)}$"):
+                user_strengths(len(alpha), alpha)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -219,17 +222,21 @@ class TestCumulativeRows:
         assert prefix_gaps(ALPHA3, (F(1, 5), "1/2", 0)) == [F(1, 5), F(1, 5), F(3, 10)]
         assert prefix_gaps(ALPHA3, (F(1, 2), 0, 0)) == [0, F(2, 5), F(1, 2)]
 
-    @pytest.mark.parametrize("r", [(F(1, 5), F(-1, 10), 0), (0, 0), (0, 0, 0, 0)])
-    def test_prefix_gaps_refuses_bad_rates(self, r):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("r, message", [
+        pytest.param((F(1, 5), F(-1, 10), 0), "r_2 must be at least 0, got -1/10", id="r0"),
+        pytest.param((0, 0), "one unicast GDoF per user is required: K = 3, got 2", id="r1"),
+        pytest.param((0, 0, 0, 0), "one unicast GDoF per user is required: K = 3, got 4", id="r2"),
+    ])
+    def test_prefix_gaps_refuses_bad_rates(self, r, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             prefix_gaps(ALPHA3, r)
 
     def test_prefix_gaps_refusal_messages(self):
-        with pytest.raises(ValueError, match="^unicast GDoF values must be nonnegative$"):
-            prefix_gaps(ALPHA3, (F(1, 5), F(-1, 10), 0))
-        for r in ((0, 0), (0, 0, 0, 0), (F(-1), 0)):  # the length is checked first
-            with pytest.raises(ValueError, match="^one unicast GDoF per user is required$"):
-                prefix_gaps(ALPHA3, r)
+        with pytest.raises(ValueError, match="^r_1 must be at least 0, got -1$"):
+            prefix_gaps(ALPHA3, (F(-1), 0, 0))
+        message = "one unicast GDoF per user is required: K = 3, got 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prefix_gaps(ALPHA3, (F(-1), 0))  # the length is checked first
 
     def test_prefix_gaps_match_the_fraction_oracle(self):
         """The Fraction view of the integer gaps against gaps written out on
@@ -321,6 +328,7 @@ class TestSymmetricKinds:
          (lambda: build_region(3, 2.0, ALPHA3), "group size must be an integer, got 2.0"),
          (lambda: beta_parameterized_polytope(3, True, ALPHA3), "group size must be an integer, got True"),
          (lambda: symmetric_projection(3.0, 2, ALPHA3, 1), "user count must be an integer, got 3.0"),
+         (lambda: symmetric_projection(3.0, 2, ALPHA3, 9), "user count must be an integer, got 3.0"),
          (lambda: build_missing_message_region(3, F(2), ALPHA3, [1]),
           "multicast group size must be an integer, got Fraction(2, 1)"),
          (lambda: build_two_multicast_symmetric(3, 2, 3.0, ALPHA3, 1),
@@ -329,6 +337,7 @@ class TestSymmetricKinds:
          (lambda: user_strengths(True, (F(1),)), "user count must be an integer, got True")],
         ids=["projection-s-bool", "max-gdof-s-bool", "projection-s-float", "leader-bool", "leader-float",
              "full-users-float", "full-size-float", "beta-size-bool", "projection-users-float",
+             "projection-users-float-s-past-K",
              "missing-size-fraction", "two-multicast-gamma-float", "strengths-users-float",
              "strengths-users-bool"],
     )
@@ -337,9 +346,13 @@ class TestSymmetricKinds:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
-    @pytest.mark.parametrize("r", [(F(-1, 10), 0, 0), (0, F(1, 10), F(-1, 20)), (0, 0)])
-    def test_max_gdof_refuses_bad_unicast_rates(self, r):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("r, message", [
+        pytest.param((F(-1, 10), 0, 0), "r_1 must be at least 0, got -1/10", id="r0"),
+        pytest.param((0, F(1, 10), F(-1, 20)), "r_3 must be at least 0, got -1/20", id="r1"),
+        pytest.param((0, 0), "one unicast GDoF per user is required: K = 3, got 2", id="r2"),
+    ])
+    def test_max_gdof_refuses_bad_unicast_rates(self, r, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             max_symmetric_gdof(3, 2, ALPHA3, 3, r)
 
 

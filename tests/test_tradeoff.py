@@ -221,7 +221,7 @@ class TestMemorySharing:
 
 class TestJointDelivery:
     def test_rejects_integer_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cache budget K\*mu = 1 is an integer; no split needed$"):
             gndt_joint_two_set(config(4, 4, F(1, 4), FIG_ALPHA))
 
     def test_equals_envelope_form(self):
@@ -418,11 +418,12 @@ class TestMemosKeepRefusals:
         cfg = config(4, 3, F(3, 8), FIG_ALPHA)
         good = (F(1, 10), F(0), F(0), F(0))
         want = formula(cfg, good)
-        with pytest.raises(ValueError, match="unicast GDoF values must be nonnegative"):
+        with pytest.raises(ValueError, match="^r_1 must be at least 0, got -1/10$"):
             formula(cfg, (F(-1, 10), F(0), F(0), F(0)))
-        with pytest.raises(ValueError, match="one unicast GDoF per user is required"):
+        short = f"^{re.escape('one unicast GDoF per user is required: K = 4, got 3')}$"
+        with pytest.raises(ValueError, match=short):
             formula(cfg, good[:3])
-        with pytest.raises(ValueError, match="one unicast GDoF per user is required"):
+        with pytest.raises(ValueError, match=short):
             formula(cfg, good[:3])  # a refusal leaves nothing behind
         assert formula(cfg, good) == want == getattr(oracle, formula.__name__)(cfg, good)
 
@@ -466,11 +467,11 @@ class TestBottleneck:
             assert bottleneck_user(cfg) == 4 - t
 
     def test_requires_enough_files(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the bottleneck user is defined for N >= K$"):
             bottleneck_user(config(3, 2, F(1, 3), ALPHA3))
 
     def test_requires_integer_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the bottleneck user is defined for integer cache budgets$"):
             bottleneck_user(config(3, 3, F(1, 2), ALPHA3))
 
     @pytest.mark.parametrize("K", range(2, 9))
@@ -548,7 +549,7 @@ class TestHoles:
             done += 1
 
     def test_full_cache_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a full cache leaves no content traffic to protect$"):
             topological_hole_region(config(3, 3, 1, ALPHA3))
 
     @pytest.mark.parametrize("N, mu, message", [(2, F(1, 3), "defined for N >= K"),
@@ -670,5 +671,5 @@ class TestInnerRegion:
             assert region_contains(inner, holes)
 
     def test_requires_positive_delivery_time(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delivery time must be positive, got 0$"):
             gdof_region_inner(0, config(3, 3, F(1, 3), ALPHA3))
