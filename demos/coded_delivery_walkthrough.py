@@ -33,7 +33,7 @@ payloads = encode_multicast(demands, library, leaders)
 print(f"demands {demands}: {len(payloads)} XOR payloads "
       f"{[p.group for p in payloads]}, each {len(payloads[0].bits)} bits")
 
-by_group = {p.group: p.bits for p in payloads}
+by_group = {p.group: p.value for p in payloads}  # each payload an int of subfile_bits
 for user in (1, 2, 3):
     decoded = decode_file(user, by_group, caches[user - 1], demands)
     wanted = library.subfile_values[demands[user - 1] - 1]
@@ -51,13 +51,13 @@ print(f"demands {demands}: leaders {leaders.leaders}, "
       f"transmitted groups {[p.group for p in payloads]}")
 print("  group (3, 4) is all non-leaders, so W_34 was never sent")
 
-by_group = {p.group: p.bits for p in payloads}
-rebuilt = reconstruct_missing(by_group, (3, 4), leaders, demands)
+by_group = {p.group: p.value for p in payloads}
+rebuilt = reconstruct_missing(by_group, (3, 4), leaders, demands, library.subfile_bits)
 direct = library.subfile(demands[2], (4,)) ^ library.subfile(demands[3], (3,))
 print(f"  reconstructed W_34 equals its XOR definition: "
       f"{rebuilt.bits == direct}")
 
-by_group[rebuilt.group] = rebuilt.bits  # the map is complete: decoding only reads it
+by_group[rebuilt.group] = rebuilt.value  # the map is complete: decoding only reads it
 for user in (3, 4):
     decoded = decode_file(user, by_group, caches[user - 1], demands)
     wanted = library.subfile_values[demands[user - 1] - 1]

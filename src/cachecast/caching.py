@@ -13,7 +13,7 @@ weakest user requesting each distinct file).  When there are fewer files than
 users, the payloads for all-non-leader groups are never sent; the receivers
 recompose them as an XOR of transmitted payloads over alternative leader sets
 (the Yu-Maddah-Ali-Avestimehr reconstruction).  The pipeline is three steps
-on one {group: Bits} map: `encode_multicast` fills it with what is sent,
+on one {group: int} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
 peels a user's subfiles from that complete map and the user's cache.  The
 encode and decode plans are built once per library, and the groups a
@@ -25,16 +25,17 @@ ever joined back together.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
-`Bits` holds `length` bits in one Python int: bit 0 of the string is the
-most significant of those bits, so a file's subfiles are consecutive bit
-ranges from the top, and `Bits.packed()` gives the bytes of `np.packbits`
-(MSB first, zero padding on the right).  A library is built only from
-subfile ints, each checked to fit its width: the seeded one from those
-`_cut` takes from such bytes, O(B) per file; its files are a view.  numpy
-only draws the seeded library, straight from PCG64's raw 64-bit outputs
-(`bit_generator.random_raw`), whose stream NEP 19 keeps fixed per seed:
-each output is written as 8 little-endian bytes and read MSB first, and
-each file takes the first B bits of ceil(B / 64) fresh outputs.
+string is one Python int of a known width, each payload's `subfile_bits`:
+bit 0 is its most significant bit, so a file's subfiles are consecutive bit
+ranges from the top.  `Bits` is only a view of an int and its width, whose
+`packed()` gives the bytes of `np.packbits` (MSB first, zero padding on the
+right).  A library is built only from subfile ints, each checked to fit its
+width: the seeded one from those `_cut` takes from such bytes, O(B) per
+file; its files are a view.  numpy only draws the seeded library, straight
+from PCG64's raw 64-bit outputs (`bit_generator.random_raw`), whose stream
+NEP 19 keeps fixed per seed: each output is written as 8 little-endian bytes
+and read MSB first, and each file takes the first B bits of ceil(B / 64)
+fresh outputs.
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class Bits:
         return map(int, format(self.value, f"0{self.length}b") if self.length else "")
 
     def __getitem__(self, index: int) -> int:
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise TypeError(f"bit index must be an integer, got {index!r}")
         if not 0 <= index < self.length:
             raise IndexError(f"bit {index!r} is not in 0..{self.length - 1}")
         return self.value >> (self.length - 1 - index) & 1
@@ -308,8 +311,7 @@ def place_caches(library: FileLibrary) -> tuple[CacheContents, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LeaderSet:
+class LeaderSet(NamedTuple):
     """Weakest (smallest-index) user per distinct demanded file."""
 
     leaders: tuple[int, ...]
@@ -321,20 +323,26 @@ def select_leaders(d: Sequence[int]) -> LeaderSet:
     for u, file in enumerate(d, 1):
         (non_leaders if file in seen else leaders).append(u)
         seen.add(file)
-    return LeaderSet(leaders=tuple(leaders), non_leaders=tuple(non_leaders))
+    return LeaderSet(tuple(leaders), tuple(non_leaders))
 
 
-@dataclass(frozen=True)
-class MulticastPayload:
+class MulticastPayload(NamedTuple):
+    """W_group as its int `value` of `size` bits; `bits`, a `Bits` view, is built on each read."""
+
     group: Group
-    bits: Bits
+    value: int
+    size: int
+
+    @property
+    def bits(self) -> Bits:
+        return Bits(self.value, self.size)
 
 
 def encode_multicast(
     d: Sequence[int], library: FileLibrary, leaders: LeaderSet
 ) -> list[MulticastPayload]:
     """One XOR payload per (t+1)-group intersecting the leader set, in
-    lexicographic group order."""
+    lexicographic group order, each `subfile_bits` wide."""
     size, leader_set = library.subfile_bits, set(leaders.leaders)
     payloads = []
     for group, sides in library._encode_plan:
@@ -343,7 +351,7 @@ def encode_multicast(
         acc = 0
         for member, values in sides:
             acc ^= values[d[member] - 1]
-        payloads.append(MulticastPayload(group=group, bits=Bits(acc, size)))
+        payloads.append(MulticastPayload(group, acc, size))
     return payloads
 
 
@@ -369,10 +377,10 @@ def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
 
 
 def reconstruct_missing(
-    by_group: dict[Group, Bits], group: Group, leaders: LeaderSet, d: Sequence[int]
+    by_group: dict[Group, int], group: Group, leaders: LeaderSet, d: Sequence[int], width: int
 ) -> MulticastPayload:
-    """Recompose an untransmitted all-non-leader payload W_A from the
-    {group: bits} map of transmitted payloads.
+    """Recompose an untransmitted all-non-leader payload W_A, `width` bits
+    wide, from the {group: int} map of transmitted payloads.
 
     W_A equals the XOR of the transmitted payloads W_{B \\ V} where
     B = A u {leaders} and V ranges over the alternative leader sets inside B:
@@ -389,21 +397,21 @@ def reconstruct_missing(
     pool = tuple(sorted(set(group) | set(leaders.leaders)))
     labels: dict[int, int] = {}
     pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in pool)
-    acc, bits = 0, None
+    acc, value = 0, None
     for source in _reconstruction_sources(group, leaders.leaders, pool, pattern):
-        bits = by_group.get(source)
-        if bits is None:
+        value = by_group.get(source)
+        if value is None:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
-        acc ^= bits.value
-    if bits is None:
+        acc ^= value
+    if value is None:
         raise MissingPayloadError(f"no alternative leader sets cover group {group}")
-    return MulticastPayload(group=group, bits=Bits(acc, bits.length))
+    return MulticastPayload(group, acc, width)
 
 
 def decode_file(
-    user: int, by_group: dict[Group, Bits], cache: CacheContents, d: Sequence[int]
+    user: int, by_group: dict[Group, int], cache: CacheContents, d: Sequence[int]
 ) -> tuple[int, ...]:
-    """Recover F_{d_user} exactly from the local cache and the {group: bits}
+    """Recover F_{d_user} exactly from the local cache and the {group: int}
     map of payloads, reconstructed ones included: this reads the map only.
 
     The file comes back as its subfile ints in `subfile_subsets()` order,
@@ -414,7 +422,7 @@ def decode_file(
         piece = 0
         if group is not None:
             try:
-                piece = by_group[group].value
+                piece = by_group[group]
             except KeyError:
                 raise MissingPayloadError(
                     f"payload for group {group} is required by user {user} but missing"
@@ -432,29 +440,22 @@ def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
         raise ValueError(f"demand tuple {d} is not in [1..{num_files}]^{num_users}")
 
 
-def end_to_end_verify(
-    num_users: int,
-    num_files: int,
-    split_order: int,
-    file_bits: int | None = None,
-    d: Sequence[int] | None = None,
-    seed: int = 0,
-    corrupt_payload: int | None = None,
-    *,
-    library: FileLibrary | None = None,
-) -> bool:
+def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bits: int | None = None,
+                      d: Sequence[int] | None = None, seed: int = 0, corrupt_payload: int | None = None,
+                      *, library: FileLibrary | None = None) -> bool:
     """Place, encode, decode every user; True iff all decodes are bit-exact.
 
     Each user's decoded subfiles are compared, subfile by subfile, with the
     `subfile_values` of the file that user asked for; no whole file is built.
-    `corrupt_payload` flips the first bit of the given payload index before
-    decoding, for exercising failure detection; at t = K no payload is sent,
-    so asking for one is a ValueError rather than a vacuous pass.  `library`
-    replaces the seeded `random_library` draw; it must have the given shape.
-    Only its demand-independent work (bits, subfiles, placement) is reused:
-    encoding and every decode run afresh for `d`.  The payloads are encoded
-    into one map, each untransmitted all-non-leader payload is reconstructed
-    into it once, and every user decodes from that one map.
+    `corrupt_payload` flips bit 0, the most significant, of the given
+    payload index before decoding, for exercising failure detection; at t = K
+    no payload is sent, so asking for one is a ValueError rather than a
+    vacuous pass.  `library` replaces the seeded `random_library` draw; it
+    must have the given shape.  Only its demand-independent work (subfiles,
+    placement) is reused: encoding and every decode run afresh for `d`.  The
+    payloads are encoded into one {group: int} map, each untransmitted
+    all-non-leader payload is reconstructed into it once, and every user
+    decodes from that one map.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)
@@ -466,13 +467,13 @@ def end_to_end_verify(
             f"{library.split_order}, {library.file_bits}) does not match "
             f"({num_users}, {num_files}, {split_order}, {file_bits})"
         )
-    caches = library.caches
+    caches, width = library.caches, library.subfile_bits
     if d is None:
         d = tuple(1 + (k % num_files) for k in range(num_users))
     check_demand(d, num_users, num_files)
     leaders = select_leaders(d)
     payloads = encode_multicast(d, library, leaders)
-    by_group = {p.group: p.bits for p in payloads}
+    by_group = {group: value for group, value, _ in payloads}
     if corrupt_payload is not None:
         _checked_int("payload index to corrupt", corrupt_payload)
         if not payloads:
@@ -480,11 +481,9 @@ def end_to_end_verify(
                 f"(K, N, t) = ({num_users}, {num_files}, {split_order}) sends no payload, "
                 "so there is no payload to corrupt"
             )
-        group = payloads[corrupt_payload % len(payloads)].group
-        bits = by_group[group]
-        by_group[group] = bits ^ Bits(1 << (bits.length - 1), bits.length)  # bit 0
+        by_group[payloads[corrupt_payload % len(payloads)].group] ^= 1 << (width - 1)  # bit 0
     missing = combinations(leaders.non_leaders, split_order + 1)
-    by_group.update({g: reconstruct_missing(by_group, g, leaders, d).bits for g in missing})
+    by_group.update({g: reconstruct_missing(by_group, g, leaders, d, width).value for g in missing})
     wanted = library.subfile_values
     return all(
         decode_file(user, by_group, caches[user - 1], d) == wanted[d[user - 1] - 1]

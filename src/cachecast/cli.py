@@ -67,8 +67,9 @@ def _parse_fraction(token, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {token!r} is not a number") from None
 
 
-def _parse_list(value, flag: str, whole: bool = False) -> list:
-    """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints."""
+def _parse_list(value, flag: str, whole: bool = False, check=None) -> list:
+    """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints.
+    `check`, if given, is the library's own check of the list; its refusal is named by the flag."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):  # JSON null, true, {}
         raise ValueError(f"{flag} takes comma text or a JSON list, got {value!r}")
     tokens = value if isinstance(value, list) else str(value).split(",")
@@ -78,7 +79,13 @@ def _parse_list(value, flag: str, whole: bool = False) -> list:
     for token, number in zip(tokens, numbers):
         if whole and number.denominator != 1:
             raise ValueError(f"{flag}: {token!r} is not a whole number")
-    return [int(number) for number in numbers] if whole else numbers
+    values = [int(number) for number in numbers] if whole else numbers
+    try:
+        if check is not None:
+            check(values)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    return values
 
 
 def _parse_grid(text, flag: str) -> list[Fraction]:
@@ -289,31 +296,26 @@ def _caching_sweeps(args) -> list:
     ]
 
 
-# one encoder for every record, writing the bytes of json.dumps(record, sort_keys=True)
-_encode_record = json.JSONEncoder(sort_keys=True).encode
-
-
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
     """Verify each demand tuple end to end and write its NDJSON record."""
-    seed = args.seed or 0
-    checked = failures = 0
+    seed, verdicts = args.seed or 0, []
 
-    def write(K, N, split, d, ok, **extra) -> None:
-        nonlocal checked, failures
-        checked += 1
-        failures += 0 if ok else 1
-        record = {"K": K, "N": N, "Kmu": split, "d": list(d), **extra, "pass": ok}
-        records_out.write(_encode_record(record) + "\n")
+    def write(K, N, split, d, ok, fault="", tail="") -> None:
+        verdicts.append(ok)
+        # the bytes of json.dumps(record, sort_keys=True): K, Kmu, N, d, [fault,] pass, [seed]
+        records_out.write(f'{{"K": {K}, "Kmu": {split}, "N": {N}, "d": [{", ".join(map(str, d))}]'
+                          f'{fault}, "pass": {"true" if ok else "false"}{tail}}}\n')
 
+    tail = f', "seed": {seed}'
     for library, demands in sweeps:
         shape = (library.num_users, library.num_files, library.split_order)
         for d in demands:
-            write(*shape, d, caching.end_to_end_verify(*shape, d=d, library=library), seed=seed)
+            write(*shape, d, caching.end_to_end_verify(*shape, d=d, library=library), tail=tail)
     if args.inject_fault:
         # one bit flipped in one payload: the sweep must report the failure
         ok = caching.end_to_end_verify(3, 3, 1, d=(1, 2, 3), seed=seed, corrupt_payload=0)
-        write(3, 3, 1, (1, 2, 3), ok, fault=True)
-    return checked, failures
+        write(3, 3, 1, (1, 2, 3), ok, fault=', "fault": true')
+    return len(verdicts), verdicts.count(False)
 
 
 def _verify_region_equality(args) -> tuple[int, int]:
@@ -365,6 +367,9 @@ def cmd_finite_snr(args) -> int:
 
 
 _COUNT, _WHOLES = functools.partial(_whole, low=1), functools.partial(_parse_list, whole=True)
+# the library's own list checks; a list's length against --K is the command's to check
+_STRENGTHS = functools.partial(_parse_list, check=lambda a: regions._checked_strengths(len(a), tuple(a)))
+_GDOFS = functools.partial(_parse_list, check=regions._checked_gdofs)
 _PATH = functools.partial(_kept, test=lambda value: isinstance(value, str), refusal="takes a path")
 _SWITCH = functools.partial(_kept, test=lambda value: isinstance(value, bool), refusal="takes true or false")
 
@@ -375,11 +380,11 @@ _FLAGS = {
     "--out": {"check": _PATH, "help": "output path (default stdout)"},
     "--K": {"check": _COUNT, "help": "number of users"},
     "--N": {"check": _COUNT, "help": "number of library files"},
-    "--alpha": {"check": _parse_list, "help": "channel strengths a1,a2,...,1"},
+    "--alpha": {"check": _STRENGTHS, "help": "channel strengths a1,a2,...,1"},
     "--sigma": {"check": _whole, "help": "multicast group size"},
     "--mu": {"check": _mu, "help": "normalized cache size in [0, 1] (verify: the one cache size to sweep)"},
     "--mu-grid": {"check": _parse_grid, "help": "grid start:end:step"},
-    "--r": {"check": _parse_list, "help": "unicast GDoF tuple r1,r2,..."},
+    "--r": {"check": _GDOFS, "help": "unicast GDoF tuple r1,r2,..."},
     "--exact": {"check": _SWITCH, "action": "store_true", "default": None, "help": "add exact p/q columns"},
     "--format": {**_one_of("csv", "json"), "help": "table format"},
     "--kind": {**_one_of("full", "symmetric", "missing", "two-multicast"), "help": "default full"},

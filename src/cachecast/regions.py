@@ -90,14 +90,18 @@ def cumulative_region(
     return Polytope(names, int_rows=rows)
 
 
+def _checked_gdofs(r: Sequence) -> list[Fraction]:
+    """Each unicast GDoF r_k exact and nonnegative, refused under its name r_k."""
+    return [_checked_fraction(unicast_name(k), x, 0) for k, x in enumerate(r, start=1)]
+
+
 def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, tuple[int, ...]]:
     """(alpha_k - r_1 - ... - r_k)^+ for every user k as (H, integers G_k over H),
     H the lcm of the denominators of the exact strengths `alpha` and of `r`, which
     must give one nonnegative GDoF r_k per user; r = None sends no unicast."""
     if r is not None and len(r) != len(alpha):
         raise ValueError(f"one unicast GDoF per user is required: K = {len(alpha)}, got {len(r)}")
-    rt = ([ZERO] * len(alpha) if r is None
-          else [_checked_fraction(unicast_name(k), x, 0) for k, x in enumerate(r, start=1)])
+    rt = [ZERO] * len(alpha) if r is None else _checked_gdofs(r)
     height, ints = _integer_row([*alpha, *rt])
     return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))
 

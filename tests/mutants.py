@@ -301,6 +301,21 @@ MUTANTS = (
         ("tests/test_polytope.py::test_variable_names_are_refused_by_name[maximize-unknown]",),
     ),
     Mutant(
+        "verify-record-always-passes", CLI,
+        '"true" if ok else "false"',
+        '"true"',
+        "every NDJSON record says pass whatever its verdict, so a failed demand tuple reads as "
+        "passed in the records and only the summary counts it",
+        ("tests/test_cli.py::TestVerify::test_records_are_sorted_key_json[inject-fault]",),
+    ),
+    Mutant(
+        "fault-flips-no-bit", CACHING,
+        "1 << (width - 1)",
+        "0",
+        "the injected fault XORs a payload with 0, so a corrupted delivery verifies as clean",
+        ("tests/test_caching.py::TestEndToEnd::test_corrupted_payload_fails",),
+    ),
+    Mutant(
         "subsets-rewrapped-as-tuples", CACHING,
         "return list(combinations(range(1, self.num_users + 1), self.split_order))",
         "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",

@@ -27,15 +27,15 @@ from cachecast.caching import (
 
 
 def sent(d, library, leaders):
-    """The {group: bits} map of the payloads `encode_multicast` sends."""
-    return {p.group: p.bits for p in encode_multicast(d, library, leaders)}
+    """The {group: int} map of the payloads `encode_multicast` sends."""
+    return {p.group: p.value for p in encode_multicast(d, library, leaders)}
 
 
 def complete(d, library, leaders):
     """The sent map plus every reconstructed all-non-leader payload."""
     by_group = sent(d, library, leaders)
     for group in itertools.combinations(leaders.non_leaders, library.split_order + 1):
-        by_group[group] = reconstruct_missing(by_group, group, leaders, d).bits
+        by_group[group] = reconstruct_missing(by_group, group, leaders, d, library.subfile_bits).value
     return by_group
 
 
@@ -300,6 +300,13 @@ class TestBits:
                 bits[index]
         assert bits == Bits(0b1010, 4)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, F(1), np.int64(1)],
+                             ids=["true", "false", "float", "fraction", "numpy"])
+    def test_index_must_be_an_int(self, index):
+        """A bool is not read as bit 0 or 1, and a float is refused by name."""
+        with pytest.raises(TypeError, match=f"^{re.escape(f'bit index must be an integer, got {index!r}')}$"):
+            Bits(0b10, 2)[index]
+
 
 class TestPlacement:
     def test_empty_caches_without_budget(self):
@@ -387,6 +394,9 @@ class TestLeaders:
         for d in itertools.product((1, 2, 3), repeat=4):
             assert select_leaders(d).leaders[0] == 1
 
+    def test_leader_set_is_a_tuple(self):
+        assert select_leaders((1, 2, 1, 2)) == ((1, 2), (3, 4))
+
 
 class TestEncoding:
     def test_three_user_distinct_demands(self):
@@ -437,7 +447,7 @@ class TestReconstruction:
         lib = random_library(2, 4, 1, seed=8)
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
-        rebuilt = reconstruct_missing(sent(d, lib, leaders), (3, 4), leaders, d)
+        rebuilt = reconstruct_missing(sent(d, lib, leaders), (3, 4), leaders, d, lib.subfile_bits)
         assert rebuilt.bits == direct_payload(lib, d, (3, 4))
 
     def test_reconstruction_xor_direct_is_zero(self):
@@ -446,7 +456,7 @@ class TestReconstruction:
         leaders = select_leaders(d)
         by_group = sent(d, lib, leaders)
         for group in itertools.combinations(leaders.non_leaders, 2):
-            rebuilt = reconstruct_missing(by_group, group, leaders, d)
+            rebuilt = reconstruct_missing(by_group, group, leaders, d, lib.subfile_bits)
             assert rebuilt.bits ^ direct_payload(lib, d, group) == Bits(0, lib.subfile_bits)
 
     def test_rejects_group_with_leader(self):
@@ -454,7 +464,7 @@ class TestReconstruction:
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
         with pytest.raises(ValueError):
-            reconstruct_missing(sent(d, lib, leaders), (1, 3), leaders, d)
+            reconstruct_missing(sent(d, lib, leaders), (1, 3), leaders, d, lib.subfile_bits)
 
     def test_missing_inputs_detected(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -464,7 +474,7 @@ class TestReconstruction:
         # W_34 recomposes from W_23, W_14 and W_12; withhold W_14
         del by_group[(1, 4)]
         with pytest.raises(MissingPayloadError, match=re.escape("group (1, 4)")):
-            reconstruct_missing(by_group, (3, 4), leaders, d)
+            reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits)
 
     def test_undecodable_source_is_a_typed_error(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -473,13 +483,13 @@ class TestReconstruction:
         # which user 1 (the weakest of the group) cannot decode
         crafted = LeaderSet(leaders=(3, 4), non_leaders=(1, 2))
         with pytest.raises(DecodabilityError) as info:
-            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d)
+            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d, lib.subfile_bits)
         assert (info.value.group, info.value.source, info.value.weakest) == ((1, 2), (3, 4), 1)
         assert not isinstance(info.value, (ValueError, AssertionError))
         assert "user 1" in str(info.value)
         # the sources are remembered per demand pattern; the error is not
         with pytest.raises(DecodabilityError):
-            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d)
+            reconstruct_missing(sent(d, lib, crafted), (1, 2), crafted, d, lib.subfile_bits)
 
     def test_remembered_sources_still_read_this_map(self):
         """After a good call has remembered W_34's sources, a tuple with the
@@ -488,15 +498,47 @@ class TestReconstruction:
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
         by_group = sent(d, lib, leaders)
-        assert reconstruct_missing(by_group, (3, 4), leaders, d).bits == direct_payload(lib, d, (3, 4))
+        assert reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits).bits == direct_payload(lib, d, (3, 4))
         swapped = (2, 1, 2, 1)
         assert select_leaders(swapped) == leaders
-        rebuilt = reconstruct_missing(sent(swapped, lib, leaders), (3, 4), leaders, swapped)
+        rebuilt = reconstruct_missing(sent(swapped, lib, leaders), (3, 4), leaders, swapped, lib.subfile_bits)
         assert rebuilt.bits == direct_payload(lib, swapped, (3, 4))
         del by_group[(1, 4)]
         for _ in range(2):
             with pytest.raises(MissingPayloadError, match=re.escape("group (1, 4)")):
-                reconstruct_missing(by_group, (3, 4), leaders, d)
+                reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits)
+
+
+class TestPayloadInts:
+    """Payloads travel as `{group: int}`; a payload's `bits` is a view of its
+    int at the library's subfile width, which the layer tracer reads with len()."""
+
+    @pytest.mark.parametrize("num_files,num_users,split,file_bits",
+                             [(2, 4, 1, None), (3, 4, 2, 6 * 13), (2, 3, 0, 3 * 70)])
+    def test_encoded_and_rebuilt_payloads_are_ints_with_a_bits_view(self, num_files, num_users, split, file_bits):
+        lib = random_library(num_files, num_users, split, file_bits, seed=3)
+        for d in itertools.product(range(1, num_files + 1), repeat=num_users):
+            leaders = select_leaders(d)
+            payloads = encode_multicast(d, lib, leaders)
+            by_group = {p.group: p.value for p in payloads}
+            missing = itertools.combinations(leaders.non_leaders, split + 1)
+            rebuilt = [reconstruct_missing(by_group, g, leaders, d, lib.subfile_bits) for g in missing]
+            for p in payloads + rebuilt:
+                assert type(p.value) is int and p == (p.group, p.value, lib.subfile_bits)
+                assert p.bits == Bits(p.value, lib.subfile_bits)
+                assert len(p.bits) == lib.subfile_bits
+
+    def test_reconstruction_and_decoding_read_int_maps(self):
+        lib = random_library(2, 4, 1, seed=8)
+        d = (1, 2, 1, 2)
+        leaders = select_leaders(d)
+        by_group = {p.group: p.value for p in encode_multicast(d, lib, leaders)}
+        assert all(type(value) is int for value in by_group.values())
+        rebuilt = reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits)
+        assert rebuilt == ((3, 4), direct_payload(lib, d, (3, 4)).value, lib.subfile_bits)
+        by_group[rebuilt.group] = rebuilt.value
+        for user in range(1, 5):
+            assert decode_file(user, by_group, lib.caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
 
 
 class TestDecoding:
@@ -514,7 +556,7 @@ class TestDecoding:
         leaders = select_leaders(d)
         caches = place_caches(lib)
         # user 1 needs only its own two payloads plus the cache
-        own = {group: bits for group, bits in sent(d, lib, leaders).items() if 1 in group}
+        own = {group: value for group, value in sent(d, lib, leaders).items() if 1 in group}
         assert list(own) == [(1, 2), (1, 3)]
         out = decode_file(1, own, caches[0], d)
         assert out == lib.subfile_values[0]
@@ -573,7 +615,7 @@ class TestMissingMessagesExhaustive:
                     continue
                 by_group = sent(d, lib, leaders)
                 for group in itertools.combinations(leaders.non_leaders, sigma):
-                    rebuilt = reconstruct_missing(by_group, group, leaders, d)
+                    rebuilt = reconstruct_missing(by_group, group, leaders, d, lib.subfile_bits)
                     assert rebuilt.bits == direct_payload(lib, d, group)
 
 
@@ -625,6 +667,19 @@ class TestEndToEnd:
 
     def test_corrupted_payload_fails(self):
         assert not end_to_end_verify(3, 3, 1, d=(1, 2, 3), corrupt_payload=0)
+
+    def test_the_fault_flips_bit_0_of_one_payload(self, monkeypatch):
+        """Payload i of the map decoding reads differs from the clean one in
+        bit 0, the most significant of its width, and nowhere else."""
+        lib = random_library(3, 4, 2, 6 * 13, seed=5)
+        d = (1, 2, 3, 1)
+        clean, maps, decode = sent(d, lib, select_leaders(d)), [], caching.decode_file
+        monkeypatch.setattr(caching, "decode_file",
+                            lambda user, by_group, *rest: maps.append(dict(by_group)) or decode(user, by_group, *rest))
+        for index, group in enumerate(clean):
+            maps.clear()
+            assert not end_to_end_verify(4, 3, 2, d=d, corrupt_payload=index, library=lib)
+            assert maps[0] == {**clean, group: clean[group] ^ 1 << (lib.subfile_bits - 1)}
 
     @pytest.mark.parametrize("index", [1.5, True, F(1), np.int64(1)], ids=["float", "bool", "fraction", "numpy"])
     def test_payload_to_corrupt_must_be_an_int(self, index):
@@ -822,9 +877,9 @@ def test_each_missing_payload_is_reconstructed_once_per_tuple(monkeypatch, tmp_p
         shape[:] = [num_users, num_files, split_order]
         return verify(num_users, num_files, split_order, *args, **kwargs)
 
-    def counted(by_group, group, leaders, d):
+    def counted(by_group, group, leaders, d, width):
         calls.append((*shape, tuple(d), tuple(group)))
-        return reconstruct(by_group, group, leaders, d)
+        return reconstruct(by_group, group, leaders, d, width)
 
     monkeypatch.setattr(caching, "end_to_end_verify", verified)
     monkeypatch.setattr(caching, "reconstruct_missing", counted)

@@ -493,8 +493,11 @@ class TestShapeAndCountErrors:
             (["gndt", *TestUsageErrors.TWO, "--mu-grid", "-1/4:1:1/4"],
              "error: --mu-grid values must lie in [0, 1], got -1/4\n"),
             (["gndt", "--K", "3", "--N", "3", "--alpha", "2/5,9/10,1", "--mu", "0", "--r", "-1/10,0,0"],
-             "error: r_1 must be at least 0, got -1/10\n"),
-            (["gndt", "--K", "2", "--N", "2", "--alpha", "-1/2,1", "--mu", "0"], "strengths must be positive"),
+             "error: --r: r_1 must be at least 0, got -1/10\n"),
+            (["gndt", "--K", "2", "--N", "2", "--alpha", "-1/2,1", "--mu", "0"],
+             "error: --alpha: strengths must be positive, got alpha_1 = -1/2\n"),
+            (["gndt", "--K", "3", "--N", "3", "--alpha", "1/2,1/3,1", "--mu", "0"],
+             "error: --alpha: strengths must be nondecreasing: alpha_2 = 1/3 is below alpha_1 = 1/2\n"),
         ],
         ids=["region-short-alpha", "finite-snr-short-alpha", "region-long-alpha", "two-multicast-s",
              "missing-leader", "missing-leader-0", "symmetric-s-0", "certificates-0", "certificates-neg", "max-K-0",
@@ -507,7 +510,7 @@ class TestShapeAndCountErrors:
              "gndt-mu-2", "sweep-mu-2", "holes-mu-2", "grid-past-1", "gndt-K-0", "gndt-N-0", "holes-K-0",
              "holes-N-0", "region-K-0", "finite-snr-K-0", "mu-negative", "mu-decimal", "mu-unreduced",
              "grid-negative", "r-negative",
-             "alpha-negative"],
+             "alpha-negative", "alpha-out-of-order"],
     )
     def test_usage_error_before_output(self, argv, message, tmp_path, capsys):
         out_file = tmp_path / "out"
@@ -537,8 +540,13 @@ class TestShapeAndCountErrors:
          (["verify", "--K", "3", "--N", "2"], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
          (["gndt", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
          (["sweep-memory", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
-         (["holes", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2")],
-        ids=["certificates-0", "max-K-neg", "B-0", "verify-mu-2", "gndt-mu-2", "sweep-mu-2", "holes-mu-2"],
+         (["holes", *TestUsageErrors.TWO], {"mu": 2}, "--mu must lie in [0, 1], got 2"),
+         (["gndt", "--K", "3", "--N", "3", "--alpha", "2/5,9/10,1", "--mu", "0"], {"r": ["-1/10", 0, 0]},
+          "--r: r_1 must be at least 0, got -1/10"),
+         (["gndt", "--K", "3", "--N", "3", "--mu", "0"], {"alpha": ["1/2", "1/3", 1]},
+          "--alpha: strengths must be nondecreasing: alpha_2 = 1/3 is below alpha_1 = 1/2")],
+        ids=["certificates-0", "max-K-neg", "B-0", "verify-mu-2", "gndt-mu-2", "sweep-mu-2", "holes-mu-2",
+             "r-negative", "alpha-out-of-order"],
     )
     def test_bad_count_from_config_names_the_file(self, argv, stored, message, tmp_path, capsys):
         config, out_file = tmp_path / "config.json", tmp_path / "out"
@@ -804,6 +812,26 @@ class TestVerify:
         assert code == 1
         summary = json.loads(out)
         assert summary["caching"]["failed"] == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--inject-fault"]], ids=["sweep", "inject-fault"])
+    def test_records_are_sorted_key_json(self, flags, tmp_path, capsys):
+        """Each record line is the bytes json.dumps(record, sort_keys=True)
+        writes; the --inject-fault record says fault and fail, with no seed."""
+        records = tmp_path / "records.ndjson"
+        code, _, _ = run(["verify", "--max-K", "3", "--max-N", "3", "--region-trials", "1", "--seed", "12",
+                          *flags, "--out", str(records)], capsys)
+        lines = records.read_text().splitlines()
+        assert len(lines) == sum((K + 1) * N**K for K in range(1, 4) for N in range(1, 4)) + len(flags)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        swept = [json.loads(line) for line in lines[: len(lines) - len(flags)]]
+        assert all(r["pass"] is True and r["seed"] == 12 and len(r) == 6 for r in swept)
+        assert swept[-1] == {"K": 3, "Kmu": 3, "N": 3, "d": [3, 3, 3], "pass": True, "seed": 12}
+        if flags:
+            assert code == 1
+            assert json.loads(lines[-1]) == {"K": 3, "Kmu": 1, "N": 3, "d": [1, 2, 3], "fault": True, "pass": False}
+        else:
+            assert code == 0
 
     def test_wrong_region_row_fails(self, tmp_path, capsys, monkeypatch):
         """Negative control of the region stage: a theorem region with one
