@@ -31,7 +31,7 @@ demands = (1, 2, 3)
 leaders = select_leaders(demands)
 payloads = encode_multicast(demands, library, leaders)
 print(f"demands {demands}: {len(payloads)} XOR payloads "
-      f"{[p.group for p in payloads]}, each {len(payloads[0].bits)} bits")
+      f"{[p.group for p in payloads]}, each {payloads[0].size} bits")
 
 by_group = {p.group: p.value for p in payloads}  # each payload an int of subfile_bits
 for user in (1, 2, 3):
@@ -53,9 +53,9 @@ print("  group (3, 4) is all non-leaders, so W_34 was never sent")
 
 by_group = {p.group: p.value for p in payloads}
 rebuilt = reconstruct_missing(by_group, (3, 4), leaders, demands, library.subfile_bits)
-direct = library.subfile(demands[2], (4,)) ^ library.subfile(demands[3], (3,))
+direct = library.subfile(demands[2], (4,)) ^ library.subfile(demands[3], (3,))  # subfile ints
 print(f"  reconstructed W_34 equals its XOR definition: "
-      f"{rebuilt.bits == direct}")
+      f"{rebuilt.value == direct}")
 
 by_group[rebuilt.group] = rebuilt.value  # the map is complete: decoding only reads it
 for user in (3, 4):

@@ -25,13 +25,14 @@ ever joined back together.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
-string is one Python int of a known width, each payload's `subfile_bits`:
+string is one Python int of a known width, the library's `subfile_bits`:
 bit 0 is its most significant bit, so a file's subfiles are consecutive bit
-ranges from the top.  `Bits` is only a view of an int and its width, whose
-`packed()` gives the bytes of `np.packbits` (MSB first, zero padding on the
-right).  A library is built only from subfile ints, each checked to fit its
-width: the seeded one from those `_cut` takes from such bytes, O(B) per
-file; its files are a view.  numpy only draws the seeded library, straight
+ranges from the top.  Subfiles, cached subfiles and payloads are all such
+ints; `Bits` is only the view of a payload's int and width that
+`MulticastPayload.bits` builds.  A library is built only from subfile ints,
+each checked to fit its width: the seeded one from those `_cut` takes from
+packed bytes (MSB first, zero padding on the right), O(B) per file, and no
+whole file is ever joined.  numpy only draws the seeded library, straight
 from PCG64's raw 64-bit outputs (`bit_generator.random_raw`), whose stream
 NEP 19 keeps fixed per seed: each output is written as 8 little-endian bytes
 and read MSB first, and each file takes the first B bits of ceil(B / 64)
@@ -55,62 +56,18 @@ from .combinatorics import Group, _checked_int
 
 
 class Bits:
-    """An immutable string of `length` bits held in the int `value`.
-
-    Bit 0 is the most significant of the `length` bits.  Bits compare, XOR
-    and hash by value and length; `len` is the bit count.
-    """
+    """A view of `length` bits held in the int `value`, bit 0 the most
+    significant; `len` is the bit count."""
 
     __slots__ = ("value", "length")
 
     def __init__(self, value: int, length: int):
         if value < 0 or value.bit_length() > length:
             raise ValueError(f"{value!r} does not fit in {length} bits")
-        _set_value(self, value)
-        _set_length(self, length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Bits is immutable; cannot set {name!r}")
+        self.value, self.length = value, length
 
     def __len__(self) -> int:
         return self.length
-
-    def __iter__(self):
-        # width 0 would still print one digit, so no bits is the empty string
-        return map(int, format(self.value, f"0{self.length}b") if self.length else "")
-
-    def __getitem__(self, index: int) -> int:
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise TypeError(f"bit index must be an integer, got {index!r}")
-        if not 0 <= index < self.length:
-            raise IndexError(f"bit {index!r} is not in 0..{self.length - 1}")
-        return self.value >> (self.length - 1 - index) & 1
-
-    def __xor__(self, other: Bits) -> Bits:
-        if not isinstance(other, Bits):
-            return NotImplemented
-        if other.length != self.length:
-            raise ValueError(f"cannot XOR {self.length} bits with {other.length} bits")
-        return Bits(self.value ^ other.value, self.length)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bits):
-            return NotImplemented
-        return self.value == other.value and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.length))
-
-    def __repr__(self) -> str:
-        return f"Bits({self.value:#x}, {self.length})"
-
-    def packed(self) -> bytes:
-        """The bits as bytes, MSB first, the last byte padded with zeros."""
-        size = -(-self.length // 8)
-        return (self.value << (8 * size - self.length)).to_bytes(size, "big")
-
-
-_set_value, _set_length = Bits.value.__set__, Bits.length.__set__
 
 
 class MissingPayloadError(LookupError):
@@ -150,7 +107,7 @@ class FileLibrary:
     t-subsets of [K], each of length B / C(K, t) bits.  A library is its
     shape and `subfile_values`, per file its C(K, t) subfile ints in that
     order, each `subfile_bits` wide: the one constructor checks them all and
-    keeps them as tuples; `files` is a view joined from them.  `_by_subset`
+    keeps them as tuples, and no whole file is joined.  `_by_subset`
     indexes the same int objects per subset, as every cache does; it, the
     placement and the encode plan are built on first use and live as long
     as the library, so everything that shares one library shares them.
@@ -182,13 +139,6 @@ class FileLibrary:
     def file_bits(self) -> int:
         return self.subfile_bits * math.comb(self.num_users, self.split_order)
 
-    @cached_property
-    def files(self) -> tuple[Bits, ...]:
-        """Each file as `Bits`, its subfile ints joined: a view."""
-        size = self.subfile_bits
-        return tuple(Bits(int("".join(f"{v:0{size}b}" for v in values), 2), self.file_bits)
-                     for values in self.subfile_values)
-
     def subfile_subsets(self) -> list[Group]:
         return list(combinations(range(1, self.num_users + 1), self.split_order))
 
@@ -215,17 +165,19 @@ class FileLibrary:
             for group in combinations(range(1, self.num_users + 1), t + 1)
         )
 
-    def subfile(self, file_index: int, subset: Group) -> Bits:
-        """Subfile of file `file_index` (1-based) indexed by a sorted user
-        subset, as `subfile_subsets()` yields it."""
-        try:
-            values = self._by_subset[subset]
-        except (KeyError, TypeError):  # TypeError: a list
+    def subfile(self, file_index: int, subset: Group) -> int:
+        """The `subfile_bits`-wide int of file `file_index` (1-based) indexed
+        by a sorted user subset, as `subfile_subsets()` yields it: a tuple of
+        ints, since True and 1.0 would hash as 1."""
+        values = None
+        if isinstance(subset, tuple) and all(type(u) is int for u in subset):
+            values = self._by_subset.get(subset)
+        if values is None:
             raise ValueError(
                 f"{subset!r} is not a sorted {self.split_order}-subset of users 1..{self.num_users}"
-            ) from None
+            )
         _checked_int("file index", file_index, 1, len(values))
-        return Bits(values[file_index - 1], self.subfile_bits)
+        return values[file_index - 1]
 
 
 def random_library(
@@ -291,13 +243,14 @@ class CacheContents:
         return tuple(plan)
 
     def digest(self) -> str:
-        """Order-independent fingerprint of the cached bits."""
-        h = hashlib.sha256()
+        """Order-independent fingerprint of the cached bits: each subfile is
+        hashed as its bytes, MSB first, the last byte padded with zeros."""
+        w, h = self.subfile_bits, hashlib.sha256()
         h.update(f"user={self.user}".encode())
         entries = ((n, s, v) for s, values in self.by_subset.items() for n, v in enumerate(values, 1))
         for n, subset, value in sorted(entries):
             h.update(repr((n, subset)).encode())
-            h.update(Bits(value, self.subfile_bits).packed())
+            h.update((value << (-w % 8)).to_bytes(-(-w // 8), "big"))
         return h.hexdigest()
 
 
@@ -327,7 +280,8 @@ def select_leaders(d: Sequence[int]) -> LeaderSet:
 
 
 class MulticastPayload(NamedTuple):
-    """W_group as its int `value` of `size` bits; `bits`, a `Bits` view, is built on each read."""
+    """W_group as its int `value` of `size` bits, the library's `subfile_bits`;
+    `bits` builds a `Bits` view on each read, for perfbench's layer tracer."""
 
     group: Group
     value: int

@@ -75,11 +75,13 @@ def _parse_list(value, flag: str, whole: bool = False, check=None) -> list:
     tokens = value if isinstance(value, list) else str(value).split(",")
     if "" in tokens:  # "1,2," or "1/2,,1": a typo, never a shorter list
         raise ValueError(f"{flag}: {value!r} has an empty entry")
-    numbers = [_parse_fraction(token, flag) for token in tokens]
-    for token, number in zip(tokens, numbers):
-        if whole and number.denominator != 1:
-            raise ValueError(f"{flag}: {token!r} is not a whole number")
-    values = [int(number) for number in numbers] if whole else numbers
+    values = [_parse_fraction(token, flag) for token in tokens]
+    if whole:  # int text or a JSON int, read as `_whole` reads --K: 1.0 and 2/2 are refused
+        for i, token in enumerate(tokens):
+            try:
+                values[i] = int(str(token))
+            except ValueError:
+                raise ValueError(f"{flag}: {token!r} is not a whole number") from None
     try:
         if check is not None:
             check(values)

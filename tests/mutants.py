@@ -316,6 +316,20 @@ MUTANTS = (
         ("tests/test_caching.py::TestEndToEnd::test_corrupted_payload_fails",),
     ),
     Mutant(
+        "subfile-lookup-takes-a-bool", CACHING,
+        "if isinstance(subset, tuple) and all(type(u) is int for u in subset):",
+        "if isinstance(subset, tuple):",
+        "True and 1.0 hash as 1, so subset (True,) reads user 1's subfile",
+        ("tests/test_caching.py::TestLibrary::test_subfile_lookup_takes_only_sorted_subsets",),
+    ),
+    Mutant(
+        "whole-list-truncates-its-entries", CLI,
+        "values[i] = int(str(token))",
+        "values[i] = int(values[i])",
+        "a --d or --leaders entry 2/2 or 1.0 runs as the int it equals, and 2.5 is truncated to 2",
+        ("tests/test_cli.py::TestFlagsPerCommand::test_bad_token_names_its_flag[d-fraction-text]",),
+    ),
+    Mutant(
         "subsets-rewrapped-as-tuples", CACHING,
         "return list(combinations(range(1, self.num_users + 1), self.split_order))",
         "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -39,12 +41,12 @@ def complete(d, library, leaders):
     return by_group
 
 
-def shift_cut(files, size):
-    """Oracle: per file, its `size`-bit subfile ints cut from its whole int by
-    shift and mask, piece `pos` from the top."""
-    pieces, mask = len(files[0]) // size, (1 << size) - 1
+def shift_cut(files, file_bits, size):
+    """Oracle: per file, its `size`-bit subfile ints cut from its whole
+    `file_bits`-bit int by shift and mask, piece `pos` from the top."""
+    pieces, mask = file_bits // size, (1 << size) - 1
     return tuple(
-        tuple(f.value >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
+        tuple(f >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
         for f in files
     )
 
@@ -57,13 +59,23 @@ def raw_draw(seed, num_files, file_bits):
             for _ in range(num_files)]
 
 
+def as_int(draw):
+    """A drawn bit array as one int, its bit 0 the most significant."""
+    return int("".join(map(str, draw.tolist())) or "0", 2)
+
+
+def raw_cut(seed, num_files, file_bits, size):
+    """Oracle: the shift-and-mask cut of each file of the raw-stream draw."""
+    return shift_cut([as_int(draw) for draw in raw_draw(seed, num_files, file_bits)], file_bits, size)
+
+
 def direct_payload(library, d, group):
-    """Oracle: the XOR definition of a coded payload, computed from scratch."""
-    bits = Bits(0, library.subfile_bits)
+    """Oracle: the XOR definition of a coded payload's int, computed from scratch."""
+    value = 0
     for member in group:
         rest = tuple(u for u in group if u != member)
-        bits = bits ^ library.subfile(d[member - 1], rest)
-    return bits
+        value ^= library.subfile(d[member - 1], rest)
+    return value
 
 
 class TestLibrary:
@@ -109,7 +121,7 @@ class TestLibrary:
 
     def test_keeps_the_values_as_tuples(self):
         lib = FileLibrary(2, 1, 8, [[7, 255]])
-        assert lib.subfile_values == ((7, 255),) and lib.files == (Bits(7 << 8 | 255, 16),)
+        assert lib.subfile_values == ((7, 255),) and lib.subfile(1, (2,)) == 255
         assert end_to_end_verify(2, 1, 1, library=lib)
 
     @pytest.mark.parametrize(
@@ -154,7 +166,7 @@ class TestLibrary:
 
     def test_seed_zero_is_accepted(self):
         lib = random_library(2, 3, 1, file_bits=3 * 8, seed=0)
-        assert [list(f) for f in lib.files] == [list(bits) for bits in raw_draw(0, 2, 3 * 8)]
+        assert lib.subfile_values == raw_cut(0, 2, 3 * 8, 8)
 
     def test_no_users_is_refused_not_a_vacuous_pass(self):
         with pytest.raises(ValueError, match="user count must be a whole number of at least 1, got 0"):
@@ -162,17 +174,21 @@ class TestLibrary:
 
     def test_subfiles_partition_the_file(self):
         lib = random_library(2, 4, 2, seed=3)
+        cut = raw_cut(3, 2, lib.file_bits, lib.subfile_bits)
         for n in range(1, 3):
-            chunks = [lib.subfile(n, s) for s in lib.subfile_subsets()]
-            assert [bit for chunk in chunks for bit in chunk] == list(lib.files[n - 1])
+            assert tuple(lib.subfile(n, s) for s in lib.subfile_subsets()) == cut[n - 1]
 
     def test_subfile_lookup_takes_only_sorted_subsets(self):
         lib = random_library(2, 4, 2, seed=3)
-        assert list(lib.subfile(2, (1, 4))) == list(lib.files[1])[16:24]  # third of six
-        for bad in ((4, 1), [2, 3], (1,), (1, 2, 3), (1, 5)):
+        assert lib.subfile(2, (1, 4)) == as_int(raw_draw(3, 2, 48)[1][16:24])  # third of six
+        for bad in ((4, 1), [2, 3], (1,), (1, 2, 3), (1, 5), (True, 4), (1.0, 4), (1, np.int64(4))):
             message = f"{bad!r} is not a sorted 2-subset of users 1..4"
             with pytest.raises(ValueError, match=re.escape(message)):
                 lib.subfile(1, bad)
+        # True and 1.0 hash as 1, so a lookup alone would read user 1's subfile
+        for bad in ((True,), (1.0,)):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a sorted 1-subset of users 1..3")):
+                random_library(2, 3, 1).subfile(1, bad)
 
     @pytest.mark.parametrize("index", [0, -1, 3])
     def test_subfile_rejects_file_index_outside_library(self, index):
@@ -192,10 +208,10 @@ class TestLibrary:
         ids=["1-bit", "3-bit", "7-bit", "9-bit", "4099-bit", "3-bit-ten-subfiles"],
     )
     def test_subfile_values_are_the_cut_of_each_file(self, num_files, num_users, split, file_bits, seed):
-        """Joined in subset order, a file's subfile ints give the file back,
-        and each is the int of `subfile(n, s)`, the very object it wraps."""
+        """Joined in subset order, a file's subfile ints give the drawn file
+        back, and each is `subfile(n, s)`, the very int object."""
         lib = random_library(num_files, num_users, split, file_bits, seed)
-        subsets = lib.subfile_subsets()
+        subsets, draws = lib.subfile_subsets(), raw_draw(seed, num_files, file_bits)
         assert len(lib.subfile_values) == num_files
         for n, values in enumerate(lib.subfile_values, start=1):
             assert len(values) == len(subsets)
@@ -203,10 +219,9 @@ class TestLibrary:
             joined = 0
             for value in values:
                 joined = joined << lib.subfile_bits | value
-            assert Bits(joined, lib.file_bits) == lib.files[n - 1]
+            assert joined == as_int(draws[n - 1])
             for value, subset in zip(values, subsets):
-                assert value == lib.subfile(n, subset).value
-                assert value is lib.subfile(n, subset).value
+                assert value is lib.subfile(n, subset)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -223,28 +238,28 @@ class TestLibrary:
     @example(num_users=3, split=1, size=2**12 + 3, num_files=3, seed=6)
     def test_cut_from_drawn_bytes_matches_the_shift_cut(self, num_users, split, size, num_files, seed):
         """The subfile ints `random_library` cuts from its drawn bytes are the
-        shift-and-mask cut of the raw-stream oracle, its `files` view is that draw, the
-        constructor rebuilds the same library from that cut, and verifying
-        never joins a file."""
+        shift-and-mask cut of the raw-stream oracle, and the constructor
+        rebuilds the same library from that cut."""
         split = min(split, num_users)
         file_bits = size * math.comb(num_users, split)
         lib = random_library(num_files, num_users, split, file_bits, seed)
         d = tuple(1 + k % num_files for k in range(num_users))
         assert end_to_end_verify(num_users, num_files, split, d=d, library=lib)
-        assert "files" not in vars(lib)  # no whole-file int was built
-        draws = raw_draw(seed, num_files, file_bits)
-        drawn = tuple(Bits(int("".join(map(str, draw)), 2), file_bits) for draw in draws)
-        assert lib.subfile_values == shift_cut(drawn, size)
-        assert lib.files == drawn and shift_cut(lib.files, size) == lib.subfile_values
-        rebuilt = FileLibrary(num_users, split, size, shift_cut(drawn, size))
+        cut = raw_cut(seed, num_files, file_bits, size)
+        assert lib.subfile_values == cut
+        rebuilt = FileLibrary(num_users, split, size, cut)
         assert rebuilt == lib and rebuilt.subfile_values == lib.subfile_values
 
     def test_random_library_is_read_only(self):
         lib = random_library(2, 3, 1, seed=3)
+        assert type(lib.subfile_values) is tuple and all(type(f) is tuple for f in lib.subfile_values)
         with pytest.raises(TypeError):
-            lib.files[0][0] ^= 1
+            lib.subfile_values[0][0] ^= 1
         with pytest.raises(TypeError):
-            lib.subfile(1, (2,))[0] ^= 1
+            lib.subfile_values[0] = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lib.subfile_values = ()
+        assert type(lib.subfile(1, (2,))) is int  # an int cannot be changed in place
 
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",
@@ -257,55 +272,33 @@ class TestLibrary:
         + [(3, 1, 0, 2**18 + 1, 15)],
     )
     def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
-        """Each file is the raw-stream oracle's draw, bit for bit and byte for byte."""
+        """Each file's subfile ints, read MSB first in subset order, are the
+        raw-stream oracle's draw, bit for bit."""
         lib = random_library(num_files, num_users, split, file_bits, seed)
-        for f, draw in zip(lib.files, raw_draw(seed, num_files, lib.file_bits), strict=True):
-            assert list(f) == draw.tolist()
-            assert f.packed() == np.packbits(draw).tobytes()
+        size = lib.subfile_bits
+        for values, draw in zip(lib.subfile_values, raw_draw(seed, num_files, lib.file_bits), strict=True):
+            assert [v >> (size - 1 - i) & 1 for v in values for i in range(size)] == draw.tolist()
 
 
 class TestBits:
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 13, 64, 65])
     def test_bit_order_and_packing_follow_numpy(self, length):
+        """A `length`-bit int is read MSB first: `Bits` views it at its
+        length, and the cache digest hashes it as `np.packbits` packs its
+        bits, the last byte padded with zeros on the right."""
         rng = np.random.default_rng(length)
         for _ in range(20):
             draw = rng.integers(0, 2, size=length, dtype=np.uint8)
-            bits = Bits(int("".join(str(b) for b in draw) or "0", 2), length)
-            assert len(bits) == length
-            assert list(bits) == draw.tolist()  # bit 0 is the most significant
-            assert bits.packed() == np.packbits(draw).tobytes()
-
-    def test_xor_and_equality(self):
-        a, b = Bits(0b1100, 4), Bits(0b1010, 4)
-        assert a ^ b == Bits(0b0110, 4)
-        assert a ^ b ^ b == a
-        assert Bits(0b0110, 4) != Bits(0b0110, 5)  # the length is part of the value
-        assert hash(Bits(3, 4)) == hash(Bits(3, 4))
-        with pytest.raises(ValueError):
-            a ^ Bits(1, 5)
+            value = as_int(draw)
+            assert len(Bits(value, length)) == length
+            cache = caching.CacheContents(1, 1, 1, length, {(1,): (value,)})
+            head = b"user=1" + repr((1, (1,))).encode()
+            assert cache.digest() == hashlib.sha256(head + np.packbits(draw).tobytes()).hexdigest()
 
     @pytest.mark.parametrize("value,length", [(16, 4), (-1, 4), (1, 0)])
     def test_rejects_values_that_do_not_fit(self, value, length):
         with pytest.raises(ValueError):
             Bits(value, length)
-
-    def test_immutable_and_bounded(self):
-        bits = Bits(0b1010, 4)
-        with pytest.raises(AttributeError):
-            bits.value = 0
-        with pytest.raises(TypeError):
-            bits[0] = 0
-        for index in (4, -1):
-            with pytest.raises(IndexError):
-                bits[index]
-        assert bits == Bits(0b1010, 4)
-
-    @pytest.mark.parametrize("index", [True, False, 1.0, F(1), np.int64(1)],
-                             ids=["true", "false", "float", "fraction", "numpy"])
-    def test_index_must_be_an_int(self, index):
-        """A bool is not read as bit 0 or 1, and a float is refused by name."""
-        with pytest.raises(TypeError, match=f"^{re.escape(f'bit index must be an integer, got {index!r}')}$"):
-            Bits(0b10, 2)[index]
 
 
 class TestPlacement:
@@ -343,7 +336,7 @@ class TestPlacement:
     )
     def test_caches_hold_the_library_ints(self, monkeypatch, num_files, num_users, split, seed):
         """Each cache is the library's cut on the subsets that hold its user:
-        the library's own int objects, the very ones `subfile` wraps, placed
+        the library's own int objects, the very ones `subfile` returns, placed
         without one `subfile` call."""
         lib = random_library(num_files, num_users, split, seed=seed)
         calls = []
@@ -360,7 +353,7 @@ class TestPlacement:
                 assert len(values) == num_files
                 for n, value in enumerate(values, 1):
                     assert value is lib.subfile_values[n - 1][subsets.index(s)]
-                    assert lib.subfile(n, s).value is value
+                    assert lib.subfile(n, s) is value
 
     def test_library_places_once(self):
         lib = random_library(3, 3, 1, seed=9)
@@ -404,15 +397,15 @@ class TestEncoding:
         d = (1, 2, 3)
         payloads = encode_multicast(d, lib, select_leaders(d))
         assert [p.group for p in payloads] == [(1, 2), (1, 3), (2, 3)]
-        assert all(len(p.bits) == lib.file_bits // 3 for p in payloads)
+        assert all(p.size == lib.file_bits // 3 for p in payloads)
 
     def test_no_caching_degenerates_to_file_unicast(self):
         lib = random_library(3, 3, 0, seed=2)
         d = (3, 1, 2)
         payloads = encode_multicast(d, lib, select_leaders(d))
         assert [p.group for p in payloads] == [(1,), (2,), (3,)]
-        for p in payloads:
-            assert p.bits == lib.files[d[p.group[0] - 1] - 1]
+        for p in payloads:  # at t = 0 a file is its one subfile
+            assert (p.value,) == lib.subfile_values[d[p.group[0] - 1] - 1] and p.size == lib.file_bits
 
     def test_full_cache_needs_no_payloads(self):
         lib = random_library(2, 3, 3, seed=2)
@@ -439,7 +432,7 @@ class TestEncoding:
         lib = random_library(3, 4, 2, seed=11)
         d = (2, 3, 1, 2)
         for p in encode_multicast(d, lib, select_leaders(d)):
-            assert p.bits == direct_payload(lib, d, p.group)
+            assert p.value == direct_payload(lib, d, p.group)
 
 
 class TestReconstruction:
@@ -448,7 +441,7 @@ class TestReconstruction:
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
         rebuilt = reconstruct_missing(sent(d, lib, leaders), (3, 4), leaders, d, lib.subfile_bits)
-        assert rebuilt.bits == direct_payload(lib, d, (3, 4))
+        assert rebuilt.value == direct_payload(lib, d, (3, 4))
 
     def test_reconstruction_xor_direct_is_zero(self):
         lib = random_library(2, 5, 1, seed=13)
@@ -457,7 +450,7 @@ class TestReconstruction:
         by_group = sent(d, lib, leaders)
         for group in itertools.combinations(leaders.non_leaders, 2):
             rebuilt = reconstruct_missing(by_group, group, leaders, d, lib.subfile_bits)
-            assert rebuilt.bits ^ direct_payload(lib, d, group) == Bits(0, lib.subfile_bits)
+            assert rebuilt.value ^ direct_payload(lib, d, group) == 0 and rebuilt.size == lib.subfile_bits
 
     def test_rejects_group_with_leader(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -498,11 +491,11 @@ class TestReconstruction:
         d = (1, 2, 1, 2)
         leaders = select_leaders(d)
         by_group = sent(d, lib, leaders)
-        assert reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits).bits == direct_payload(lib, d, (3, 4))
+        assert reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits).value == direct_payload(lib, d, (3, 4))
         swapped = (2, 1, 2, 1)
         assert select_leaders(swapped) == leaders
         rebuilt = reconstruct_missing(sent(swapped, lib, leaders), (3, 4), leaders, swapped, lib.subfile_bits)
-        assert rebuilt.bits == direct_payload(lib, swapped, (3, 4))
+        assert rebuilt.value == direct_payload(lib, swapped, (3, 4))
         del by_group[(1, 4)]
         for _ in range(2):
             with pytest.raises(MissingPayloadError, match=re.escape("group (1, 4)")):
@@ -511,7 +504,8 @@ class TestReconstruction:
 
 class TestPayloadInts:
     """Payloads travel as `{group: int}`; a payload's `bits` is a view of its
-    int at the library's subfile width, which the layer tracer reads with len()."""
+    int at the library's subfile width, which perfbench's layer tracer reads
+    with len()."""
 
     @pytest.mark.parametrize("num_files,num_users,split,file_bits",
                              [(2, 4, 1, None), (3, 4, 2, 6 * 13), (2, 3, 0, 3 * 70)])
@@ -525,8 +519,7 @@ class TestPayloadInts:
             rebuilt = [reconstruct_missing(by_group, g, leaders, d, lib.subfile_bits) for g in missing]
             for p in payloads + rebuilt:
                 assert type(p.value) is int and p == (p.group, p.value, lib.subfile_bits)
-                assert p.bits == Bits(p.value, lib.subfile_bits)
-                assert len(p.bits) == lib.subfile_bits
+                assert len(p.bits) == p.size == lib.subfile_bits and p.bits.value == p.value
 
     def test_reconstruction_and_decoding_read_int_maps(self):
         lib = random_library(2, 4, 1, seed=8)
@@ -535,7 +528,7 @@ class TestPayloadInts:
         by_group = {p.group: p.value for p in encode_multicast(d, lib, leaders)}
         assert all(type(value) is int for value in by_group.values())
         rebuilt = reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits)
-        assert rebuilt == ((3, 4), direct_payload(lib, d, (3, 4)).value, lib.subfile_bits)
+        assert rebuilt == ((3, 4), direct_payload(lib, d, (3, 4)), lib.subfile_bits)
         by_group[rebuilt.group] = rebuilt.value
         for user in range(1, 5):
             assert decode_file(user, by_group, lib.caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
@@ -616,7 +609,7 @@ class TestMissingMessagesExhaustive:
                 by_group = sent(d, lib, leaders)
                 for group in itertools.combinations(leaders.non_leaders, sigma):
                     rebuilt = reconstruct_missing(by_group, group, leaders, d, lib.subfile_bits)
-                    assert rebuilt.bits == direct_payload(lib, d, group)
+                    assert rebuilt.value == direct_payload(lib, d, group)
 
 
 def sweep_records(tmp_path, capsys, *flags) -> list[dict]:

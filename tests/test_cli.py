@@ -306,6 +306,13 @@ class TestFlagsPerCommand:
             (MISSING, {"leaders": [1, "x"]}, "--leaders: 'x' is not a number"),
             (MISSING, {"leaders": [1, 2.5]}, "--leaders: 2.5 is not a whole number"),
             ([*ONE_TUPLE, "--d", "1,2.5"], None, "--d: '2.5' is not a whole number"),
+            # a whole number is int text or a JSON int, as --K reads it
+            ([*ONE_TUPLE, "--d", "1.0,2,3"], None, "--d: '1.0' is not a whole number"),
+            ([*ONE_TUPLE, "--d", "2/2,2,3"], None, "--d: '2/2' is not a whole number"),
+            ([*ONE_TUPLE, "--d", "1e0,2,3"], None, "--d: '1e0' is not a whole number"),
+            (ONE_TUPLE, {"d": [1, 2.0, 3]}, "--d: 2.0 is not a whole number"),
+            (ONE_TUPLE, {"d": [1, "2/2", 3]}, "--d: '2/2' is not a whole number"),
+            ([*MISSING, "--leaders", "1,2.0"], None, "--leaders: '2.0' is not a whole number"),
             ([*ONE_TUPLE, "--d", "1,2,1/0"], None, "--d: '1/0' has a zero denominator"),
             (ONE_TUPLE, {"d": [1, 2, True]}, "--d: True is not a number"),
             (["gndt", *TestUsageErrors.TWO, "--mu", "1/2", "--r", "0,x"], None, "--r: 'x' is not a number"),
@@ -330,7 +337,9 @@ class TestFlagsPerCommand:
             (["gndt", "--K", "2", "--N", "2", "--mu", "1/2"], {"alpha": {"a": 1}},
              "--alpha takes comma text or a JSON list, got {'a': 1}"),
         ],
-        ids=["leaders-text", "leaders-json", "leaders-json-fraction", "d-fraction", "d-zero-denominator",
+        ids=["leaders-text", "leaders-json", "leaders-json-fraction", "d-fraction", "d-float-text",
+             "d-fraction-text", "d-exponent-text", "d-json-float", "d-json-fraction-text", "leaders-float-text",
+             "d-zero-denominator",
              "d-json-bool", "r-text", "alpha-json-nested", "mu-text", "grid-text", "P-text", "P-json-list",
              "d-trailing-comma", "alpha-double-comma", "leaders-config-text", "r-leading-comma",
              "r-json-null", "leaders-json-true", "alpha-json-object"],

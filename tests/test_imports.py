@@ -40,7 +40,6 @@ TEST_FACING = {
     "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
     "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
     "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",
-    "files": "FileLibrary's whole-file view: the library tests compare it with the raw-stream oracle",
 }
 
 
