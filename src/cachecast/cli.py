@@ -28,11 +28,10 @@ import contextlib
 import csv
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from . import caching, finite_snr, regions, tradeoff
 from .combinatorics import _checked_fraction, _checked_int
@@ -322,13 +321,13 @@ def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:
 
 def _verify_region_equality(args) -> tuple[int, int]:
     """Certify that eliminating the power exponents reproduces the region."""
-    rng = np.random.default_rng(args.seed or 0)
+    rng = random.Random(args.seed or 0)
     checked = failures = 0
     for K in (2, 3, 4):
         for sigma in range(2, K + 1):
             for _ in range(args.region_trials or 3):
-                denom = int(rng.integers(8, 40))
-                cuts = sorted(int(rng.integers(1, denom)) for _ in range(K - 1))
+                denom = rng.randrange(8, 40)
+                cuts = sorted(rng.randrange(1, denom) for _ in range(K - 1))
                 alpha = tuple(Fraction(c, denom) for c in cuts) + (Fraction(1),)
                 theorem = regions.build_region(K, sigma, alpha)
                 system = regions.beta_parameterized_polytope(K, sigma, alpha)
@@ -357,7 +356,7 @@ def cmd_finite_snr(args) -> int:
     alpha, K, sigma, power = tuple(args.alpha), args.K, args.sigma, args.P or 2.0**20
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = random.Random(args.seed or 0)
     points = [finite_snr.sample_boundary_point(inner, rng) for _ in range(args.certificates or 20)]
     outcomes = [finite_snr.constant_gap_certificate(inner, outer, p) for p in points]
     with _output(args) as out:

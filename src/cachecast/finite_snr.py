@@ -16,9 +16,11 @@ delivery time by the converse constant 2.01.  Both refuse, through one check
 
 The regions are float views of the exact rows of `regions`, which supply
 variables and 0/1 coefficients and validate the strengths exactly; only
-right-hand sides become floats.  The nominal power P is an argument of every
-builder, checked by `_checked_power` alone, which the command line's --P
-calls too: P outside (1, inf), nan included, is refused.
+right-hand sides become floats, held in plain tuples that compare and hash by
+value.  Boundary points are drawn from any source with `.random()`.  The
+nominal power P is an argument of every builder, checked by `_checked_power`
+alone, which the command line's --P calls too: P outside (1, inf), nan
+included, is refused.
 Rates are bits per channel use (all logs base 2); comparisons use a 1e-9 tolerance.
 """
 
@@ -26,10 +28,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
-
-import numpy as np
 
 from .regions import build_region, cumulative_region
 from .tradeoff import SystemConfig, prefix_loads
@@ -40,21 +41,20 @@ GAP_BITS = 2.0
 
 @dataclass(frozen=True)
 class RateRegion:
-    """Float-valued row system <coeffs, R> <= rhs over named nonnegative rates."""
+    """Float row system <coeffs, R> <= rhs over named nonnegative rates, as tuples that compare by value."""
 
     variables: tuple[str, ...]
-    coeffs: np.ndarray
-    rhs: np.ndarray
+    coeffs: tuple[tuple[float, ...], ...]
+    rhs: tuple[float, ...]
 
-    def lhs(self, point: Sequence[float]) -> np.ndarray:
-        return self.coeffs @ np.asarray(point, dtype=float)
+    def lhs(self, point: Sequence[float]) -> list[float]:
+        return [sum(c * x for c, x in zip(row, point, strict=True)) for row in self.coeffs]
 
-    def contains(self, point: Sequence[float]) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= -TOL) and np.all(self.lhs(p) <= self.rhs + TOL))
+    def contains(self, point: Sequence[float]) -> bool:  # each x >= -TOL: a nan anywhere is refused
+        return all(x >= -TOL for x in point) and all(y <= r + TOL for y, r in zip(self.lhs(point), self.rhs))
 
-    def slack(self, point: Sequence[float]) -> np.ndarray:
-        return self.rhs - self.lhs(point)
+    def slack(self, point: Sequence[float]) -> list[float]:
+        return [r - y for r, y in zip(self.rhs, self.lhs(point))]
 
 
 def _checked_power(name: str, value) -> float:
@@ -73,8 +73,8 @@ def _float_view(variables, rows, rhs: Callable[[int, float], float]) -> RateRegi
     of row k's exact right-hand side b_k."""
     return RateRegion(
         variables=tuple(variables),
-        coeffs=np.array([coeffs for coeffs, _ in rows], dtype=float),
-        rhs=np.array([rhs(k, float(b)) for k, (_, b) in enumerate(rows, start=1)]),
+        coeffs=tuple(tuple(map(float, coeffs)) for coeffs, _ in rows),
+        rhs=tuple(rhs(k, float(b)) for k, (_, b) in enumerate(rows, start=1)),
     )
 
 
@@ -97,22 +97,22 @@ def outer_rate_region(
     return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a))
 
 
-def sample_boundary_point(region: RateRegion, rng: np.random.Generator) -> np.ndarray:
-    """Scale a random nonnegative direction until the first row goes tight."""
-    direction = rng.random(len(region.variables)) + 1e-3
-    dots = region.coeffs @ direction
-    scales = [r / d for r, d in zip(region.rhs, dots) if d > TOL]
+def sample_boundary_point(region: RateRegion, rng) -> list[float]:
+    """Scale a random nonnegative direction until the first row goes tight: `rng`
+    is any `.random()` source (`random.Random`, a numpy `Generator`), drawn once per coordinate."""
+    direction = [rng.random() + 1e-3 for _ in region.variables]
+    scales = [r / d for r, d in zip(region.rhs, region.lhs(direction)) if d > TOL]
     t = max(0.0, min(scales)) if scales else 0.0
-    return t * direction
+    return [t * x for x in direction]
 
 
-def _on_boundary(region: RateRegion, boundary: Sequence[float], name: str) -> np.ndarray:
-    """`boundary` as a float array, refused unless it lies in the `name`
+def _on_boundary(region: RateRegion, boundary: Sequence[float], name: str) -> list[float]:
+    """`boundary` as a float list, refused unless it lies in the `name`
     region with at least one row tight within TOL: a certificate's usage check."""
-    point = np.asarray(boundary, dtype=float)
+    point = [float(x) for x in boundary]
     if not region.contains(point):
         raise ValueError(f"certificate point must lie inside the {name} region")
-    if not np.any(np.abs(region.slack(point)) <= TOL):
+    if not any(abs(s) <= TOL for s in region.slack(point)):
         raise ValueError(f"certificate point must lie on the {name} boundary")
     return point
 
@@ -131,12 +131,14 @@ def constant_gap_certificate(
     if inner.variables != outer.variables:
         raise ValueError("the inner and outer regions must share their variables")
     point = _on_boundary(inner, boundary, "inner")
-    return bool(np.any(outer.slack(point + GAP_BITS) < -TOL))
+    return any(s < -TOL for s in outer.slack([x + GAP_BITS for x in point]))
 
 
 def _delay_rate_view(delay: float, config: SystemConfig, power: float, rhs) -> RateRegion:
     """The rows of `regions.cumulative_region(alpha)` with rhs(k, alpha_k log2 P, load_k / delay)."""
-    if delay <= 0:  # inline: an open bound on a float, not a rational argument
+    if isinstance(delay, bool) or not isinstance(delay, numbers.Real):
+        raise ValueError(f"delay must be a number, got {delay!r}")
+    if not delay > 0:  # inline: an open bound on a float, not a rational argument; also refuses nan
         raise ValueError(f"delay must be positive, got {delay}")
     log_p = math.log2(_checked_power("P", power))
     loads, exact = prefix_loads(config), cumulative_region(config.alpha)
@@ -149,7 +151,8 @@ def delay_rate_inner_region(delay: float, config: SystemConfig, power: float) ->
     """Unicast rates achievable alongside content delivered in `delay`.
 
     Row k reserves 1/delay of the enveloped coded load inside the effective
-    level budget (alpha_k log2 P - k)^+.
+    level budget (alpha_k log2 P - k)^+.  `delay` is a positive real number;
+    delay = inf reserves no load, leaving the budgets themselves.
     """
     return _delay_rate_view(delay, config, power, lambda k, y, reserved: max(0.0, y - k) - reserved)
 
@@ -168,14 +171,21 @@ def delay_rate_gap_certificate(
     """
     point = _on_boundary(delay_rate_inner_region(delay, config, power), boundary, "delay-rate")
     converse = _delay_rate_view(delay, config, power, lambda k, y, reserved: y + 1.0 - reserved)
-    return bool(np.any(converse.lhs(point + GAP_BITS) > converse.rhs - TOL))
+    return any(y > r - TOL for y, r in zip(converse.lhs([x + GAP_BITS for x in point]), converse.rhs))
 
 
 def write_region_csv(named: dict[str, RateRegion], stream: IO[str]) -> None:
     """Regions over one variable tuple as CSV: one line per inequality, the
-    region's name (under a `region` column), coefficients, then rhs."""
+    region's name (under a `region` column), coefficients, then rhs.  An empty
+    mapping, or a region whose variables differ from the first one's, is refused."""
+    if not named:
+        raise ValueError("write_region_csv needs at least one region, got none")
+    variables = next(iter(named.values())).variables
+    for name, reg in named.items():
+        if reg.variables != variables:
+            raise ValueError(f"region {name!r} must share the variables {variables}, got {reg.variables}")
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["region", *next(iter(named.values())).variables, "rhs"])
+    writer.writerow(["region", *variables, "rhs"])
     for name, reg in named.items():
         for row, rhs in zip(reg.coeffs, reg.rhs):
             writer.writerow([name, *(f"{v:.12g}" for v in row), f"{rhs:.12g}"])

@@ -48,7 +48,7 @@ from math import gcd, lcm
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import _checked_fraction
+from .combinatorics import _checked_fraction, _checked_int
 from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
@@ -128,10 +128,15 @@ class Polytope:
 
     @classmethod
     def from_json(cls, text: str) -> "Polytope":
-        """Load a `to_json` dump, its rows checked by the constructor."""
+        """Load a `to_json` dump, its rows checked by the constructor: each entry a
+        [numerator, denominator] pair of integers, the denominator at least 1."""
+        def entry(pair, name):
+            n, d = pair
+            return Fraction(_checked_int(f"{name} numerator", n), _checked_int(f"{name} denominator", d, 1))
+
         payload = json.loads(text)
-        rows = (([Fraction(n, d) for n, d in row["coeffs"]], Fraction(*row["rhs"]))
-                for row in payload["rows"])
+        rows = (([entry(c, f"row {i} coefficient {j}") for j, c in enumerate(row["coeffs"], 1)],
+                 entry(row["rhs"], f"row {i} rhs")) for i, row in enumerate(payload["rows"], 1))
         return cls(payload["variables"], rows)
 
 

@@ -72,25 +72,33 @@ MUTANTS = (
     ),
     Mutant(
         "delay-rate-certificate-always-passes", FINITE_SNR,
-        "return bool(np.any(converse.lhs(point + GAP_BITS) > converse.rhs - TOL))",
+        "return any(y > r - TOL for y, r in zip(converse.lhs([x + GAP_BITS for x in point]), converse.rhs))",
         "return True",
         "the delay-rate gap is certified on points that do not break the converse",
         ("tests/test_finite_snr.py::TestShiftNegativeControls",),
     ),
     Mutant(
         "constant-gap-certificate-always-passes", FINITE_SNR,
-        "return bool(np.any(outer.slack(point + GAP_BITS) < -TOL))",
-        "return bool(np.any(outer.slack(point + GAP_BITS) < -TOL)) or True",
+        "return any(s < -TOL for s in outer.slack([x + GAP_BITS for x in point]))",
+        "return any(s < -TOL for s in outer.slack([x + GAP_BITS for x in point])) or True",
         "the constant gap is certified on points still inside the outer region",
         ("tests/test_finite_snr.py::TestShiftNegativeControls",),
     ),
     Mutant(
         "boundary-check-wants-every-row-tight", FINITE_SNR,
-        "if not np.any(np.abs(region.slack(point)) <= TOL):",
-        "if not np.all(np.abs(region.slack(point)) <= TOL):",
+        "if not any(abs(s) <= TOL for s in region.slack(point)):",
+        "if not all(abs(s) <= TOL for s in region.slack(point)):",
         "a certificate refuses every boundary point that is tight on only some rows, "
         "which is nearly every sampled one",
         ("tests/test_finite_snr.py::TestCertificates::test_random_boundary_points",),
+    ),
+    Mutant(
+        "contains-misses-a-late-nan", FINITE_SNR,
+        "return all(x >= -TOL for x in point) and all(",
+        "return min(point) >= -TOL and all(",
+        "min skips a nan that is not the first coordinate, so a region with no "
+        "rows (the whole orthant) contains such a point",
+        ("tests/test_finite_snr.py::TestInnerOuter::test_contains_refuses_a_nan_in_any_position",),
     ),
     Mutant(
         "dominance-rhs-flipped", POLYTOPE,

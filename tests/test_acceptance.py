@@ -276,7 +276,7 @@ def test_criterion_7_constant_gap_certificates():
         mu = F(int(rng.integers(0, 2 * K + 1)), 2 * K)
         cfg = SystemConfig(K, N, mu, alpha)
         delay = 1.0
-        while np.any(delay_rate_inner_region(delay, cfg, power).rhs < 0):
+        while np.any(np.array(delay_rate_inner_region(delay, cfg, power).rhs) < 0):
             delay *= 2.0
         region = delay_rate_inner_region(delay, cfg, power)
         point = sample_boundary_point(region, rng)

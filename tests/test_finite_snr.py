@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 
 from cachecast import finite_snr
 from cachecast.finite_snr import (
+    RateRegion,
     constant_gap_certificate,
     delay_rate_gap_certificate,
     delay_rate_inner_region,
@@ -55,7 +57,7 @@ class TestInnerOuter:
             power = 2.0 ** float(rng.integers(4, 41))
             inner = inner_rate_region(K, sigma, alpha, power)
             outer = outer_rate_region(K, sigma, alpha, power)
-            assert np.all(inner.rhs <= outer.rhs + 1e-9)
+            assert np.all(np.array(inner.rhs) <= np.array(outer.rhs) + 1e-9)
             for k in range(1, K + 1):
                 gap = outer.rhs[k - 1] - inner.rhs[k - 1]
                 assert gap <= k + 1 + 1e-9
@@ -63,7 +65,33 @@ class TestInnerOuter:
     def test_outer_monotone_in_power(self):
         lo = outer_rate_region(2, 2, ALPHA2, 2.0**10)
         hi = outer_rate_region(2, 2, ALPHA2, 2.0**12)
-        assert np.all(hi.rhs >= lo.rhs)
+        assert len(hi.rhs) == len(lo.rhs) == 2
+        assert all(h >= lo_row for h, lo_row in zip(hi.rhs, lo.rhs, strict=True))
+
+    def test_equal_regions_compare_equal_and_hash_alike(self):
+        a = inner_rate_region(2, 2, ["1/2", 1], 2**20)
+        b = inner_rate_region(2, 2, ["1/2", 1], 2**20)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.coeffs == ((1.0, 0.0, 1.0), (1.0, 1.0, 1.0)) and a.rhs == (9.0, 18.0)
+        assert a != inner_rate_region(2, 2, ["1/2", 1], 2**21)
+        assert a != outer_rate_region(2, 2, ["1/2", 1], 2**20)
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("rows", ["none", "inner"])
+    def test_contains_refuses_a_nan_in_any_position(self, rows, position):
+        # a row-free region is the whole orthant: only the coordinate test sees the nan
+        region = RateRegion(("r_1", "r_2", "r_1_2"), (), ()) if rows == "none" else \
+            inner_rate_region(2, 2, ALPHA2, 2.0**20)
+        point = [0.5, 0.5, 0.5]
+        assert region.contains(point)
+        point[position] = math.nan
+        assert not region.contains(point)
+
+    def test_point_length_must_match_the_variables(self):
+        region = inner_rate_region(2, 2, ALPHA2, 2.0**20)
+        for probe in (region.lhs, region.slack, region.contains):
+            with pytest.raises(ValueError):
+                probe([1.0, 1.0])
 
     def test_gdof_consistency(self):
         for exponent in (10, 20, 40):
@@ -86,6 +114,21 @@ class TestCertificates:
         outer = outer_rate_region(K, sigma, alpha, power)
         point = sample_boundary_point(inner, rng)
         assert constant_gap_certificate(inner, outer, point)
+
+    def test_sampling_draws_once_per_coordinate_from_any_source(self):
+        inner = inner_rate_region(3, 2, ALPHA3, 2.0**20)
+        draw, source = random.Random(5), random.Random(5)
+        direction = [draw.random() + 1e-3 for _ in inner.variables]
+        point = sample_boundary_point(inner, source)
+        assert source.random() == draw.random()  # one draw per coordinate, no more
+        assert isinstance(point, list) and all(type(x) is float for x in point)
+        # the direction, scaled until the first row goes tight
+        assert point == pytest.approx([point[0] / direction[0] * d for d in direction], rel=1e-12)
+        assert min(map(abs, inner.slack(point))) <= 1e-9 and inner.contains(point)
+        # a numpy Generator's scalar draws are its vector draw
+        vector = np.random.default_rng(3).random(len(inner.variables)) + 1e-3
+        sampled = sample_boundary_point(inner, np.random.default_rng(3))
+        assert sampled == pytest.approx([sampled[0] / vector[0] * v for v in vector], rel=1e-12)
 
     def test_interior_point_rejected(self):
         inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
@@ -121,7 +164,7 @@ class TestDelayRate:
         tight = delay_rate_inner_region(1.0, config, 2.0**20)
         slack = delay_rate_inner_region(2.0, config, 2.0**20)
         # doubling the delay returns half the reserved load to the rates
-        diff = slack.rhs - tight.rhs
+        diff = np.array(slack.rhs) - np.array(tight.rhs)
         base = [max(0.0, float(a) * 20 - k) for k, a in enumerate(ALPHA3, 1)]
         reserved = np.array(base) - tight.rhs
         assert np.allclose(diff, reserved / 2)
@@ -153,6 +196,29 @@ class TestDelayRate:
         with pytest.raises(ValueError, match="^delay must be positive, got 0.0$"):
             delay_rate_inner_region(0.0, cfg(3, 3, F(1, 3), ALPHA3), 2.0**20)
 
+    @pytest.mark.parametrize("delay,message", [
+        (True, "delay must be a number, got True"),
+        (False, "delay must be a number, got False"),
+        ("1", "delay must be a number, got '1'"),
+        (None, "delay must be a number, got None"),
+        (math.nan, "delay must be positive, got nan"),
+        (-math.inf, "delay must be positive, got -inf"),
+        (-1, "delay must be positive, got -1"),
+    ], ids=["true", "false", "text", "none", "nan", "minus-inf", "negative-int"])
+    @pytest.mark.parametrize("probe", ["region", "certificate"])
+    def test_delay_must_be_a_positive_number(self, probe, delay, message):
+        config = cfg(3, 3, F(1, 3), ALPHA3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if probe == "region":
+                delay_rate_inner_region(delay, config, 2.0**20)
+            else:
+                delay_rate_gap_certificate(delay, config, 2.0**20, [0.0] * 3)
+
+    def test_infinite_delay_reserves_no_load(self):
+        config = cfg(3, 3, F(1, 3), ALPHA3)
+        assert delay_rate_inner_region(math.inf, config, 2.0**20).rhs == (7.0, 16.0, 17.0)
+        assert delay_rate_inner_region(F(1, 4), config, 2.0**20) == delay_rate_inner_region(0.25, config, 2.0**20)
+
     def test_certificate_matches_the_prefix_sum_loop(self):
         rng = np.random.default_rng(2026)
         checked = 0
@@ -168,7 +234,7 @@ class TestDelayRate:
                 region = delay_rate_inner_region(delay, config, power)
                 budgets = [max(0.0, float(a) * math.log2(power) - k) - float(load) / delay
                            for k, (a, load) in enumerate(zip(alpha, prefix_loads(config)), start=1)]
-                assert region.rhs.tolist() == budgets
+                assert list(region.rhs) == budgets
                 for _ in range(5):
                     point = sample_boundary_point(region, rng)
                     assert delay_rate_gap_certificate(delay, config, power, point) == \
@@ -180,7 +246,7 @@ class TestDelayRate:
 def nonnegative_delay(config, power: float) -> float:
     """The first delay 1, 2, 4, ... that keeps every row budget nonnegative."""
     delay = 1.0
-    while np.any(delay_rate_inner_region(delay, config, power).rhs < 0):
+    while np.any(np.array(delay_rate_inner_region(delay, config, power).rhs) < 0):
         delay *= 2.0
     return delay
 
@@ -221,7 +287,7 @@ class TestShiftNegativeControls:
                     config = cfg(K, K, mu, alpha)
                     for delay in (0.25, 1.0, 4.0):
                         region = delay_rate_inner_region(delay, config, power)
-                        if np.any(region.rhs < 0):
+                        if np.any(np.array(region.rhs) < 0):
                             continue  # the reserved load exceeds a row budget: no boundary
                         for _ in range(3):
                             point = sample_boundary_point(region, rng)
@@ -276,7 +342,7 @@ class TestTwoUserSandwich:
             point = np.array([a, b, 0.0])  # vars r_1, r_2, r_12
             # inside the outer rows up to float rounding, bounded by 1e-6
             assert np.all(point >= -1e-6)
-            assert np.all(outer.lhs(point) <= outer.rhs + 1e-6)
+            assert np.all(np.array(outer.lhs(point)) <= np.array(outer.rhs) + 1e-6)
 
     def test_inner_boundary_reachable_on_a_grid(self):
         power = 2.0**12
@@ -306,3 +372,16 @@ def test_csv_emission():
     assert lines[0] == "region,r_1,r_2,r_1_2,rhs"
     assert len(lines) == 3
     assert lines[1].startswith("inner,") and lines[1].endswith(",9")
+
+
+@pytest.mark.parametrize("named,message", [
+    ({}, "write_region_csv needs at least one region, got none"),
+    ({"two": inner_rate_region(2, 2, ALPHA2, 2.0**20), "three": inner_rate_region(3, 2, ALPHA3, 2.0**20)},
+     "region 'three' must share the variables ('r_1', 'r_2', 'r_1_2'), "
+     "got ('r_1', 'r_2', 'r_3', 'r_1_2', 'r_1_3', 'r_2_3')"),
+], ids=["empty", "other-variables"])
+def test_csv_refuses_regions_it_cannot_write_under_one_header(named, message):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_region_csv(named, buf)
+    assert buf.getvalue() == ""

@@ -73,6 +73,28 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: p"]
 
 
+def numpy_imports(source: str) -> list[int]:
+    """The line of every import of numpy or a numpy submodule, at any depth."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy"
+    )
+
+
+def test_only_caching_imports_numpy():
+    """numpy keeps one job in the package, the library draw in `caching`."""
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if numpy_imports(p.read_text())] == ["caching.py"]
+
+
+def test_detects_a_numpy_import():
+    source = (
+        "import os, numpy.random\nfrom . import numpy\nimport numpyish\n"
+        "def f():\n    from numpy import ndarray\n    import numpy as np\n"
+    )
+    assert numpy_imports(source) == [1, 5, 6]
+
+
 def public_definitions(source: str) -> list[tuple[str, bool]]:
     """(name, is a member) for the public top-level functions and classes,
     then the public methods and properties of each public class."""

@@ -414,6 +414,25 @@ def test_json_row_of_wrong_length_is_refused():
         Polytope.from_json(dump)
 
 
+@pytest.mark.parametrize("coeffs,rhs,message", [
+    ("[[true, 1], [1, 1]]", "[1, 1]", "row 2 coefficient 1 numerator must be an integer, got True"),
+    ("[[1, 1], [1, false]]", "[1, 1]", "row 2 coefficient 2 denominator must be an integer, got False"),
+    ("[[1, 1], [0.5, 1]]", "[1, 1]", "row 2 coefficient 2 numerator must be an integer, got 0.5"),
+    ('[[1, 1], ["1", 1]]', "[1, 1]", "row 2 coefficient 2 numerator must be an integer, got '1'"),
+    ("[[1, 1], [1, 1]]", "[1, 0]", "row 2 rhs denominator must be a whole number of at least 1, got 0"),
+    ("[[1, 1], [1, 1]]", "[1, -2]", "row 2 rhs denominator must be a whole number of at least 1, got -2"),
+    ("[[1, 1], [1, 1]]", "[1, 2.0]", "row 2 rhs denominator must be an integer, got 2.0"),
+], ids=["true-numerator", "false-denominator", "float-numerator", "text-numerator", "zero-denominator",
+        "negative-denominator", "float-denominator"])
+def test_json_entry_must_be_an_integer_pair(coeffs, rhs, message):
+    """Each entry is a [numerator, denominator] pair of integers, the
+    denominator at least 1, refused by its row and position otherwise; row 1 is good."""
+    good = '{"coeffs": [[1, 1], [1, 1]], "rhs": [1, 1]}'
+    dump = f'{{"variables": ["x", "y"], "rows": [{good}, {{"coeffs": {coeffs}, "rhs": {rhs}}}]}}'
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Polytope.from_json(dump)
+
+
 NOT_XY = "is not a variable of the region ('x', 'y')"
 
 
