@@ -20,8 +20,8 @@ encode and decode plans are built once per library, and the groups a
 reconstruction XORs are remembered per pattern of which users share a file;
 every demand tuple still XORs and compares its own payloads.  A
 decoded file stays a tuple of subfile ints, compared subfile by subfile with
-the library's own cut (`FileLibrary.subfile_values`), so no whole file is
-ever joined back together.
+the library's own subfiles (`FileLibrary.subfile_values`), so no whole file
+is ever joined back together.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -30,13 +30,9 @@ bit 0 is its most significant bit, so a file's subfiles are consecutive bit
 ranges from the top.  Subfiles, cached subfiles and payloads are all such
 ints; `Bits` is only the view of a payload's int and width that
 `MulticastPayload.bits` builds.  A library is built only from subfile ints,
-each checked to fit its width: the seeded one from those `_cut` takes from
-packed bytes (MSB first, zero padding on the right), O(B) per file, and no
-whole file is ever joined.  numpy only draws the seeded library, straight
-from PCG64's raw 64-bit outputs (`bit_generator.random_raw`), whose stream
-NEP 19 keeps fixed per seed: each output is written as 8 little-endian bytes
-and read MSB first, and each file takes the first B bits of ceil(B / 64)
-fresh outputs.
+each checked to fit its width, and no whole file is ever joined: the seeded
+one draws each subfile as one `getrandbits` call of the standard library's
+MT19937 (Matsumoto and Nishimura, ACM TOMACS 1998), seeded once per library.
 
 Users are 1-based; demand entries are 1-based file indices.
 """
@@ -45,12 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .combinatorics import Group, _checked_int
 
@@ -88,15 +83,6 @@ def _subfile_count(num_users: int, split_order: int, num_files: int) -> int:
     _checked_int("user count", num_users, 1)
     _checked_int("file count", num_files, 1)
     return math.comb(num_users, _checked_int("split order", split_order, 0, num_users))
-
-
-def _cut(packed: bytes, size: int, bits: int) -> tuple[int, ...]:
-    """The `size`-bit subfile ints of the first `bits` bits of packed bytes
-    (MSB first, zero padding on the right).  Bits [e - size, e) are read from
-    their own bytes alone, so a file costs O(B) for any size and alignment."""
-    mask = (1 << size) - 1
-    return tuple(int.from_bytes(packed[(e - size) // 8 : -(-e // 8)], "big") >> (-e % 8) & mask
-                 for e in range(size, bits + 1, size))
 
 
 @dataclass(frozen=True)
@@ -189,13 +175,12 @@ def random_library(
 ) -> FileLibrary:
     """Seeded pseudo-random library; default size is 8 bits per subfile.
 
-    File i is the first `file_bits` bits of the next ceil(file_bits / 64)
-    outputs of `np.random.default_rng(seed).bit_generator.random_raw`, each
-    written as 8 little-endian bytes and read MSB first; every file starts
-    at a fresh output.  The shape and the seed, a nonnegative int, are
-    checked before the draw.  Each file's bytes are cut into subfile ints at
-    once, so no whole-file int is built.  Ints are immutable: a library
-    shared by many verifications cannot be changed by any of them.
+    With `bits = random.Random(seed).getrandbits`, MT19937 seeded by
+    `init_by_array` over the seed's 32-bit words, file n's subfiles in
+    `subfile_subsets()` order are `bits(subfile_bits)` each, files 1..N in
+    turn.  The shape and the seed, a nonnegative int, are checked before the
+    draw.  Ints are immutable: a library shared by many verifications cannot
+    be changed by any of them.
     """
     pieces = _subfile_count(num_users, split_order, num_files)
     if file_bits is None:
@@ -203,11 +188,9 @@ def random_library(
     elif _checked_int("file size in bits", file_bits, 1) % pieces:  # an empty file would "decode" vacuously
         raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
     _checked_int("seed", seed, 0)
-    size, words = file_bits // pieces, -(-file_bits // 64)
-    raw = np.random.default_rng(seed).bit_generator.random_raw
+    size, bits = file_bits // pieces, random.Random(seed).getrandbits
     return FileLibrary(num_users, split_order, size,
-                       [_cut(raw(words).astype("<u8", copy=False).tobytes(), size, file_bits)
-                        for _ in range(num_files)])
+                       [[bits(size) for _ in range(pieces)] for _ in range(num_files)])
 
 
 @dataclass(frozen=True)
@@ -369,7 +352,7 @@ def decode_file(
     map of payloads, reconstructed ones included: this reads the map only.
 
     The file comes back as its subfile ints in `subfile_subsets()` order,
-    each `subfile_bits` wide, as `FileLibrary.subfile_values` cuts it.
+    each `subfile_bits` wide, as `FileLibrary.subfile_values` holds it.
     """
     pieces = []
     for group, sides in cache._decode_plan:

@@ -99,7 +99,12 @@ def outer_rate_region(
 
 def sample_boundary_point(region: RateRegion, rng) -> list[float]:
     """Scale a random nonnegative direction until the first row goes tight: `rng`
-    is any `.random()` source (`random.Random`, a numpy `Generator`), drawn once per coordinate."""
+    is any `.random()` source, such as `random.Random`, drawn once per coordinate.
+    The coefficients are nonnegative, so a row with rhs below -TOL leaves no
+    point to sample: it is refused by name, before any draw."""
+    for k, r in enumerate(region.rhs, start=1):
+        if r < -TOL:
+            raise ValueError(f"row {k} has rhs {r!r} < 0: the region holds no point to sample")
     direction = [rng.random() + 1e-3 for _ in region.variables]
     scales = [r / d for r, d in zip(region.rhs, region.lhs(direction)) if d > TOL]
     t = max(0.0, min(scales)) if scales else 0.0

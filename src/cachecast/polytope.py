@@ -69,9 +69,10 @@ class Polytope:
             raise ValueError(f"variable names must be distinct, got {vs}")
         if int_rows is None:
             int_rows = []
-            for coeffs, rhs in rows:
+            for i, (coeffs, rhs) in enumerate(rows, 1):
                 if len(coeffs) != len(vs):
-                    raise ValueError("row length does not match variable count")
+                    raise ValueError(f"row {i}: row length does not match variable count, "
+                                     f"{len(coeffs)} coefficients for {len(vs)} variables")
                 int_rows.append(_integer_row([*map(_frac, coeffs), _frac(rhs)]))
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "int_rows", tuple(int_rows))
@@ -131,6 +132,8 @@ class Polytope:
         """Load a `to_json` dump, its rows checked by the constructor: each entry a
         [numerator, denominator] pair of integers, the denominator at least 1."""
         def entry(pair, name):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"{name} must be a [numerator, denominator] pair, got {pair!r}")
             n, d = pair
             return Fraction(_checked_int(f"{name} numerator", n), _checked_int(f"{name} denominator", d, 1))
 

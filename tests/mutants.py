@@ -232,11 +232,12 @@ MUTANTS = (
         ("tests/test_tradeoff.py::TestBottleneck::test_tie_goes_to_the_weakest",),
     ),
     Mutant(
-        "cut-without-padding-shift", CACHING,
-        ">> (-e % 8) & mask",
-        "& mask",
-        "a subfile that ends inside a byte is read with the bits after it and masked to its "
-        "low bits, so every such subfile is shifted by its end's padding",
+        "draw-rounds-subfiles-up-to-bytes", CACHING,
+        "[[bits(size) for _",
+        "[[bits(size + -size % 8) >> -size % 8 for _",
+        "each subfile is drawn as whole bytes and shifted down to its width; below 32 bits "
+        "that is the same draw, so only a subfile wider than a word and not a whole number "
+        "of bytes shows it",
         ("tests/test_caching.py::TestLibrary::test_cut_from_drawn_bytes_matches_the_shift_cut",),
     ),
     Mutant(
@@ -248,11 +249,11 @@ MUTANTS = (
         ("tests/test_caching.py::TestLibrary::test_refuses_a_library_that_does_not_fit_its_shape[value-too-wide]",),
     ),
     Mutant(
-        "draw-reads-big-endian-words", CACHING,
-        'astype("<u8", copy=False)',
-        'astype(">u8", copy=False)',
-        "each raw output is written as big-endian bytes, so on a little-endian host every "
-        "file's bytes come in the reverse order within each 64-bit word",
+        "draw-reseeds-per-file", CACHING,
+        "for _ in range(pieces)] for _ in range(num_files)]",
+        "for _ in range(pieces)] for bits in [random.Random(seed).getrandbits for _ in range(num_files)]]",
+        "each file is drawn from a fresh generator of the same seed, so every file holds the "
+        "same bits; each user still decodes the file it asked for, so only the draw tests see it",
         ("tests/test_caching.py::TestLibrary::test_random_library_is_the_numpy_draw",),
     ),
     Mutant(

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -41,32 +42,63 @@ def complete(d, library, leaders):
     return by_group
 
 
-def shift_cut(files, file_bits, size):
-    """Oracle: per file, its `size`-bit subfile ints cut from its whole
-    `file_bits`-bit int by shift and mask, piece `pos` from the top."""
-    pieces, mask = file_bits // size, (1 << size) - 1
-    return tuple(
-        tuple(f >> size * (pieces - 1 - pos) & mask for pos in range(pieces))
-        for f in files
-    )
+def mt19937(key):
+    """Oracle: the `genrand_int32` stream of MT19937 (Matsumoto and Nishimura,
+    ACM TOMACS 1998, as their `mt19937ar.c`) after `init_by_array(key)`."""
+    n, m, mask = 624, 397, 0xFFFFFFFF
+    mt = [19650218]  # init_genrand(19650218)
+    for i in range(1, n):
+        mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & mask)
+    i = 1
+    for k in range(max(n, len(key))):
+        j = k % len(key)
+        mt[i] = ((mt[i] ^ (mt[i - 1] ^ mt[i - 1] >> 30) * 1664525) + key[j] + j) & mask
+        i += 1
+        if i == n:
+            mt[0], i = mt[-1], 1
+    for _ in range(n - 1):
+        mt[i] = ((mt[i] ^ (mt[i - 1] ^ mt[i - 1] >> 30) * 1566083941) - i) & mask
+        i += 1
+        if i == n:
+            mt[0], i = mt[-1], 1
+    mt[0] = 0x80000000
+    while True:
+        for k in range(n):
+            y = mt[k] & 0x80000000 | mt[(k + 1) % n] & 0x7FFFFFFF
+            mt[k] = mt[(k + m) % n] ^ y >> 1 ^ (0x9908B0DF if y & 1 else 0)
+        for y in mt:
+            y ^= y >> 11
+            y ^= y << 7 & 0x9D2C5680
+            y ^= y << 15 & 0xEFC60000
+            yield y ^ y >> 18
 
 
-def raw_draw(seed, num_files, file_bits):
-    """Oracle: per file, the first B bits of the next ceil(B / 64) raw PCG64
-    outputs of numpy's seeded generator, each as 8 little-endian bytes, MSB first."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw
-    return [np.unpackbits(raw(-(-file_bits // 64)).astype("<u8").view(np.uint8))[:file_bits]
-            for _ in range(num_files)]
+def seed_key(seed):
+    """The seed's 32-bit words, least significant first, at least one."""
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def k_bit_draw(words, k):
+    """Oracle: a `k`-bit draw from a stream of 32-bit words: ceil(k / 32) of
+    them, least significant first, the top one shifted right by 32 - k % 32."""
+    value = 0
+    for i in range(-(-k // 32)):
+        word = next(words)
+        value |= (word >> 32 - k % 32 if i == k // 32 else word) << 32 * i
+    return value
+
+
+def mt_draw(seed, num_files, pieces, size, words=None):
+    """Oracle: per file, its `pieces` subfile ints of `size` bits, each one
+    k-bit draw from the MT19937 stream of the seed's words, or from `words`,
+    another stream of the same 32-bit words, in its place."""
+    words = mt19937(seed_key(seed)) if words is None else words
+    return tuple(tuple(k_bit_draw(words, size) for _ in range(pieces)) for _ in range(num_files))
 
 
 def as_int(draw):
     """A drawn bit array as one int, its bit 0 the most significant."""
     return int("".join(map(str, draw.tolist())) or "0", 2)
-
-
-def raw_cut(seed, num_files, file_bits, size):
-    """Oracle: the shift-and-mask cut of each file of the raw-stream draw."""
-    return shift_cut([as_int(draw) for draw in raw_draw(seed, num_files, file_bits)], file_bits, size)
 
 
 def direct_payload(library, d, group):
@@ -148,7 +180,7 @@ class TestLibrary:
     )
     def test_random_library_checks_the_shape_before_the_draw(self, monkeypatch, args, kwargs, message):
         """A bad shape is refused with the library's own message, before any bit is drawn."""
-        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before the check"))
+        monkeypatch.setattr(random, "Random", lambda *a: pytest.fail("drew before the check"))
         with pytest.raises(ValueError, match=re.escape(message)):
             random_library(*args, **kwargs)
 
@@ -166,7 +198,7 @@ class TestLibrary:
 
     def test_seed_zero_is_accepted(self):
         lib = random_library(2, 3, 1, file_bits=3 * 8, seed=0)
-        assert lib.subfile_values == raw_cut(0, 2, 3 * 8, 8)
+        assert lib.subfile_values == mt_draw(0, 2, 3, 8)
 
     def test_no_users_is_refused_not_a_vacuous_pass(self):
         with pytest.raises(ValueError, match="user count must be a whole number of at least 1, got 0"):
@@ -174,13 +206,13 @@ class TestLibrary:
 
     def test_subfiles_partition_the_file(self):
         lib = random_library(2, 4, 2, seed=3)
-        cut = raw_cut(3, 2, lib.file_bits, lib.subfile_bits)
+        cut = mt_draw(3, 2, 6, lib.subfile_bits)
         for n in range(1, 3):
             assert tuple(lib.subfile(n, s) for s in lib.subfile_subsets()) == cut[n - 1]
 
     def test_subfile_lookup_takes_only_sorted_subsets(self):
         lib = random_library(2, 4, 2, seed=3)
-        assert lib.subfile(2, (1, 4)) == as_int(raw_draw(3, 2, 48)[1][16:24])  # third of six
+        assert lib.subfile(2, (1, 4)) == mt_draw(3, 2, 6, 8)[1][2]  # third of six
         for bad in ((4, 1), [2, 3], (1,), (1, 2, 3), (1, 5), (True, 4), (1.0, 4), (1, np.int64(4))):
             message = f"{bad!r} is not a sorted 2-subset of users 1..4"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -208,18 +240,16 @@ class TestLibrary:
         ids=["1-bit", "3-bit", "7-bit", "9-bit", "4099-bit", "3-bit-ten-subfiles"],
     )
     def test_subfile_values_are_the_cut_of_each_file(self, num_files, num_users, split, file_bits, seed):
-        """Joined in subset order, a file's subfile ints give the drawn file
-        back, and each is `subfile(n, s)`, the very int object."""
+        """In subset order, a file's subfile ints are the oracle's draws, one
+        per subfile, and each is `subfile(n, s)`, the very int object."""
         lib = random_library(num_files, num_users, split, file_bits, seed)
-        subsets, draws = lib.subfile_subsets(), raw_draw(seed, num_files, file_bits)
+        subsets = lib.subfile_subsets()
+        draws = mt_draw(seed, num_files, len(subsets), lib.subfile_bits)
         assert len(lib.subfile_values) == num_files
         for n, values in enumerate(lib.subfile_values, start=1):
             assert len(values) == len(subsets)
             assert all(0 <= v < 1 << lib.subfile_bits for v in values)
-            joined = 0
-            for value in values:
-                joined = joined << lib.subfile_bits | value
-            assert joined == as_int(draws[n - 1])
+            assert values == draws[n - 1]
             for value, subset in zip(values, subsets):
                 assert value is lib.subfile(n, subset)
 
@@ -231,21 +261,20 @@ class TestLibrary:
         num_files=st.integers(2, 4),
         seed=st.integers(0, 2**32),
     )
-    # 1-bit files, each from a fresh output; 3 subfiles of 13 bits: one output, 25 bits
-    # unread; 3 of 4099 bits: 193 outputs, the last one partly read
+    # 1-bit subfiles, each the top bit of a fresh word; 3 subfiles of 13 bits: one word
+    # each, its top 13 bits; 3 of 4099 bits: 129 words each, the top one shifted by 29
     @example(num_users=1, split=0, size=1, num_files=4, seed=0)
     @example(num_users=3, split=1, size=13, num_files=3, seed=5)
     @example(num_users=3, split=1, size=2**12 + 3, num_files=3, seed=6)
     def test_cut_from_drawn_bytes_matches_the_shift_cut(self, num_users, split, size, num_files, seed):
-        """The subfile ints `random_library` cuts from its drawn bytes are the
-        shift-and-mask cut of the raw-stream oracle, and the constructor
-        rebuilds the same library from that cut."""
+        """The subfile ints `random_library` draws are the MT19937 oracle's
+        draws, and the constructor rebuilds the same library from them."""
         split = min(split, num_users)
         file_bits = size * math.comb(num_users, split)
         lib = random_library(num_files, num_users, split, file_bits, seed)
         d = tuple(1 + k % num_files for k in range(num_users))
         assert end_to_end_verify(num_users, num_files, split, d=d, library=lib)
-        cut = raw_cut(seed, num_files, file_bits, size)
+        cut = mt_draw(seed, num_files, math.comb(num_users, split), size)
         assert lib.subfile_values == cut
         rebuilt = FileLibrary(num_users, split, size, cut)
         assert rebuilt == lib and rebuilt.subfile_values == lib.subfile_values
@@ -264,20 +293,29 @@ class TestLibrary:
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",
         [(2, 3, 1, None, 4), (3, 4, 2, 6 * 13, 5), (1, 2, 1, 2 * (2**16 + 3), 6)]
-        # every length 1..70 with 1-4 files: each file starts at a fresh
-        # output, whether B is below, at or above a multiple of 64
+        # every length 1..70 with 1-4 one-subfile files: each draw ends below, at
+        # or above a multiple of 32 bits, and 2**40 + 3 is a two-word seed
         + [(1 + b % 4, 1, 0, b, (0, 7, 2**40 + 3)[b % 3]) for b in range(1, 71)]
         + [(2, 1, 0, 2**16 + 1, 11), (3, 1, 0, 2**16 + 2, 12), (4, 1, 0, 2**16 + 5, 13),
            (3, 1, 0, 2**16 + 7, 14)]
         + [(3, 1, 0, 2**18 + 1, 15)],
     )
     def test_random_library_is_the_numpy_draw(self, num_files, num_users, split, file_bits, seed):
-        """Each file's subfile ints, read MSB first in subset order, are the
-        raw-stream oracle's draw, bit for bit."""
+        """Each file's subfile ints, in subset order, are k-bit draws from the
+        words of numpy's legacy MT19937, a compiled `mt19937ar.c` whose stream
+        NEP 19 freezes: a second MT19937 beside the pure-Python oracle."""
         lib = random_library(num_files, num_users, split, file_bits, seed)
-        size = lib.subfile_bits
-        for values, draw in zip(lib.subfile_values, raw_draw(seed, num_files, lib.file_bits), strict=True):
-            assert [v >> (size - 1 - i) & 1 for v in values for i in range(size)] == draw.tolist()
+        size, pieces = lib.subfile_bits, len(lib.subfile_subsets())
+        # a list seed runs init_by_array over its words; an int seed would run init_genrand
+        count = num_files * pieces * -(-size // 32)
+        words = np.random.RandomState(seed_key(seed)).randint(0, 2**32, size=count, dtype=np.uint32)
+        assert lib.subfile_values == mt_draw(seed, num_files, pieces, size, iter(words.tolist()))
+
+    def test_mt19937_oracle_is_the_reference_output(self):
+        """The oracle reproduces `mt19937ar.c`'s published first outputs after
+        init_by_array({0x123, 0x234, 0x345, 0x456})."""
+        reference = [1067595299, 955945823, 477289528, 4107218783, 4228976476]
+        assert list(itertools.islice(mt19937([0x123, 0x234, 0x345, 0x456]), 5)) == reference
 
 
 class TestBits:
@@ -771,30 +809,30 @@ class TestEndToEnd:
 # (num_files, num_users, split, file_bits, seed) -> CacheContents.digest() of users 1..K
 PINNED_DIGESTS = {
     (3, 3, 1, None, 7): [  # default 8-bit subfiles
-        "660c2ffacc9387b0c838c2621200d5d4c9dc46513e2b6c526b290bc328acb47c",
-        "64998f18e3da7e6ca1bea8ef767944ccfbce420590b279dccb12a8bc192d529b",
-        "40dfdf8d87f47cebb6c94fcdb716709c287a80a66888a871eb24e59acaaeffb1",
+        "b0c1c10c1ee220fbe5c0bc1407d1fb9a06aa8b7d75ec93b6d304325c307c10c7",
+        "3baeb5ac8d026814d30db428d758c909d58e550e6c884ed34f49c43fa642f3d3",
+        "1b85cdf38ffa44b02fa69f3bad45c38c7d351b8bbab5c5796b16e578e206312f",
     ],
     (2, 3, 1, 15, 11): [  # 5-bit subfiles
-        "b7e2ef5010de669bba64f9eee91775c4ffdb0aa15baa8ac2e2878b4ec3c88613",
+        "8e403cc7ac75daf7602a293b312b319cc70a89deff415792807ed371239a7274",
         "1e853e365c0d7542eaaa2d3a4d50ab6846be8598c38d5c2e4e2f926f8dae7ce0",
-        "f765c0a4f994d060dea1e51ea83334fdba80bb1906e8849cb890126c81578d1b",
+        "f8249b5e8b4fe517fb7d19ac8347cbcc4e4ae07c0cff6df06d08b105b59f8250",
     ],
     (3, 4, 2, 6 * 13, 5): [  # 13-bit subfiles
-        "52a6a723275ee3e3422ab38efa3a5d409e596da789153392c3f113217b09f0a3",
-        "025c61de4ddc63f78713bc1ffb9241a49953bfb68696fbe1c40971152e2a98e8",
-        "3a76efb261f9f9388d3697eb2c9b57d0f48e01f1671ae8a69cab4f9e5d6fa68d",
-        "f9784980c2bd2b24faeaeabd2b3fba648af0974b3a39d68ccc94fabb4c833eb7",
+        "16b233416ebd56ea575d14a3cb2818657a0a2f101f2b4c3147dffe5a4c1a6b98",
+        "a8f368d534e9ac842874dd40883d696685ac80cefbbf57d6bb93a13a5703b5a1",
+        "734f3a4d9601c09a275e2705c8e19478bc84bcd750a635f53d5fde248376a2d2",
+        "bd925f3b4588c6b4faf450b0b1457ce09f129b435063608dfa4453c95602bb81",
     ],
     (2, 3, 1, 3 * 2**16, 19): [  # 2^16-bit subfiles
-        "45b9a2dcb2e3bb1d042154a2110b4819c81e0f422c996c6afd663665b5c3b518",
-        "e459cb0e022a9e886c82f873701d8147e1c6396ec18b3c31480120ddd3404112",
-        "ddd0ff3b68d3943902eb7df4b4c8cfa7e284f089c780614684c2b119cb465af0",
+        "2ceef0d5e51f5e1043f7ed90b2a99a487a06f72da5da05d97d37813e10f958d6",
+        "92d6aff260ef128d6beb14d1858c90ee31cdcb69f17227f761986bea80fe7070",
+        "23a54d9ee584b1af7d8238b1d7e9144069e413a39834434c488f33182f8d1731",
     ],
     (2, 3, 3, 3, 23): [  # full caches of one 3-bit subfile per file
-        "8399394c4eabaec8c6863056dc2dc651e555b4559d5a8f725a80499576607d60",
-        "757c77b121f1da42dbe7fcea9a6d15c7502797478e04aee60dd78a9d674a6eaa",
-        "2b81bb4bea8d03bdcff309b3e82ea738ac5376ebc2053d315e0ec187ecd23da5",
+        "b13fa0be68a3651102df39c50e46f5ebabdc2a15b99dcef631e1224697b599a5",
+        "3d1c7960a90f6a60306e7576b09a37634e8191facbff127c94c69d3b35756365",
+        "784dc617e66644f9b8d4c278ef23438f5555c2852ded6ca6ca8a1fa40da3943a",
     ],
 }
 

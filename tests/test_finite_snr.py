@@ -130,6 +130,19 @@ class TestCertificates:
         sampled = sample_boundary_point(inner, np.random.default_rng(3))
         assert sampled == pytest.approx([sampled[0] / vector[0] * v for v in vector], rel=1e-12)
 
+    def test_sampling_refuses_a_region_that_excludes_the_origin(self):
+        """At delay 0.05 the reserved load exceeds every row budget, so no
+        nonnegative point lies in the region: the sampler names row 1, its
+        first broken row, and draws nothing, rather than return the origin."""
+        config = cfg(3, 3, 0, (F(2, 5), F(9, 10), F(1)))
+        region = delay_rate_inner_region(0.05, config, 2.0**20)
+        assert region.rhs == (-13.0, -24.0, -43.0)
+        source = random.Random(7)
+        message = "row 1 has rhs -13.0 < 0: the region holds no point to sample"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_boundary_point(region, source)
+        assert source.random() == random.Random(7).random()
+
     def test_interior_point_rejected(self):
         inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
         interior = np.full(len(inner.variables), 0.1)

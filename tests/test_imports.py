@@ -19,6 +19,9 @@ its name with a used one can be dead and still pass.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,9 +85,18 @@ def numpy_imports(source: str) -> list[int]:
     )
 
 
-def test_only_caching_imports_numpy():
-    """numpy keeps one job in the package, the library draw in `caching`."""
-    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if numpy_imports(p.read_text())] == ["caching.py"]
+def test_no_module_imports_numpy():
+    """The package runs on the standard library alone; numpy is a test oracle."""
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if numpy_imports(p.read_text())] == []
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """A fresh interpreter imports the package and its command line without loading numpy."""
+    probe = "import sys, cachecast, cachecast.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_detects_a_numpy_import():

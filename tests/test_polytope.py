@@ -422,11 +422,17 @@ def test_json_row_of_wrong_length_is_refused():
     ("[[1, 1], [1, 1]]", "[1, 0]", "row 2 rhs denominator must be a whole number of at least 1, got 0"),
     ("[[1, 1], [1, 1]]", "[1, -2]", "row 2 rhs denominator must be a whole number of at least 1, got -2"),
     ("[[1, 1], [1, 1]]", "[1, 2.0]", "row 2 rhs denominator must be an integer, got 2.0"),
+    ("[[1, 1], [1]]", "[1, 1]", "row 2 coefficient 2 must be a [numerator, denominator] pair, got [1]"),
+    ("[[1, 1], [1, 1]]", "1", "row 2 rhs must be a [numerator, denominator] pair, got 1"),
+    ("[[1, 1], [1, 1], [1, 1]]", "[1, 1]",
+     "row 2: row length does not match variable count, 3 coefficients for 2 variables"),
 ], ids=["true-numerator", "false-denominator", "float-numerator", "text-numerator", "zero-denominator",
-        "negative-denominator", "float-denominator"])
+        "negative-denominator", "float-denominator", "one-element-pair", "bare-rhs", "three-coefficients"])
 def test_json_entry_must_be_an_integer_pair(coeffs, rhs, message):
     """Each entry is a [numerator, denominator] pair of integers, the
-    denominator at least 1, refused by its row and position otherwise; row 1 is good."""
+    denominator at least 1, and each row holds one per variable: anything
+    else is refused by its row and position, never by an unpacking error;
+    row 1 is good."""
     good = '{"coeffs": [[1, 1], [1, 1]], "rhs": [1, 1]}'
     dump = f'{{"variables": ["x", "y"], "rows": [{good}, {{"coeffs": {coeffs}, "rhs": {rhs}}}]}}'
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
