@@ -271,25 +271,22 @@ def _caching_sweeps(args) -> list:
         raise ValueError("verify takes --mu and --d only with --K and --N")
     if K is not None and (args.max_K or args.max_N):
         raise ValueError("verify takes --max-K and --max-N only without --K and --N")
-    if K is not None:
-        # one explicit configuration, optionally a single demand tuple
-        if args.mu is not None:
-            budget = K * args.mu
-            if budget.denominator != 1:
-                raise ValueError(
-                    f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
-                    "the subfile scheme needs an integer cache budget"
-                )
-            shapes = [(K, N, int(budget))]
-        else:
-            shapes = [(K, N, split) for split in range(0, K + 1)]
-        if args.d:
-            d = tuple(args.d)
-            caching.check_demand(d, K, N)  # before --out is opened
-    else:
-        max_k, max_n = args.max_K or 4, args.max_N or 4
-        shapes = [(K, N, split) for K in range(1, max_k + 1) for N in range(1, max_n + 1)
-                  for split in range(0, K + 1)]
+    splits = None  # every split 0..K of each K
+    if args.mu is not None:
+        budget = K * args.mu
+        if budget.denominator != 1:
+            raise ValueError(
+                f"K*mu = {budget} is not an integer for --K {K} --mu {args.mu}; "
+                "the subfile scheme needs an integer cache budget"
+            )
+        splits = [int(budget)]
+    if args.d:
+        d = tuple(args.d)
+        caching.check_demand(d, K, N)  # before --out is opened
+    # one explicit configuration, or the sweep over every K <= --max-K and N <= --max-N
+    users = [K] if K is not None else range(1, (args.max_K or 4) + 1)
+    files = [N] if N is not None else range(1, (args.max_N or 4) + 1)
+    shapes = [(k, n, split) for k in users for n in files for split in splits or range(k + 1)]
     return [
         (caching.random_library(N, K, split, file_bits, seed),
          [d] if d else product(range(1, N + 1), repeat=K))

@@ -17,12 +17,12 @@ between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
 The formulas run on integers from the parsed input to the one Fraction per
 answer.  c_n(k) is `cumulative_group_count(K, n + 1, k)` over C(K, n); the
 count table `_count_table` holds those integers for every budget n = 0..K
-and prefix k.  `_chord`, the one place env_k is computed, reads two rows as
-integers P_k over one D, and `_scaled_gaps` takes the gaps from
+and prefix k.  `SystemConfig._chord`, the one place env_k is computed, reads
+two rows as integers P_k over one D, and `_scaled_gaps` takes the gaps from
 `regions._integer_gaps` as integers G_k over one H.  `_max_ratio` compares
 P_k G_j with P_j G_k and names the first prefix attaining the max, the
-bottleneck user at r = 0.  The converse reads the same rows scaled by 1/2.01;
-their Fraction view `prefix_loads` feeds the hole and inner regions and the
+bottleneck user at r = 0.  The converse divides that same ratio by 2.01; the
+chord's Fraction view `prefix_loads` feeds the hole and inner regions and the
 finite-SNR rows.  `topological_hole_region` describes the unicast tuples that
 ride along at no delivery-time cost.  Two relatives are separate code paths:
 
@@ -39,7 +39,7 @@ per mu with the same K, N, alpha and r.  One-entry memos, compared by value
 strengths check (`regions._checked_strengths`) each mu's config repeats, per
 (K, N) the count table each chord reads, per (alpha, r) the scaled gaps each
 time divides by, and for memory sharing the integer-budget times (`_maxed`)
-and their lower hull.  A chord is not kept: each mu has its own.
+and their lower hull.  Each config computes its chord once.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -91,6 +91,22 @@ class SystemConfig:
     def integer_budget(self) -> bool:
         return self.cache_budget.denominator == 1
 
+    @cached_property
+    def _chord(self) -> tuple[int, tuple[int, ...]]:
+        """env_k(K*mu) for every user prefix k = 1..K, as (D, integers P_k over D), once per config.
+
+        At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
+        b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.
+        """
+        K, budget = self.num_users, self.cache_budget
+        table = _count_table(K, self.num_files)
+        low, s = divmod(budget.numerator, budget.denominator)
+        if not s:
+            return math.comb(K, low), table[low]
+        b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
+        w0, w1 = (b - s) * c1, s * c0
+        return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in zip(table[low], table[low + 1])])
+
 
 def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
     """The unicast tuple r as exact values, the key of the per-curve memos."""
@@ -115,25 +131,10 @@ def _count_table(num_users: int, num_files: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row + row[-1:] * (num_users - served)) for row in rows)
 
 
-def _chord(config: SystemConfig) -> tuple[int, tuple[int, ...]]:
-    """env_k(K*mu) for every user prefix k = 1..K, as (D, integers P_k over D).
-
-    At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
-    b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.
-    """
-    K, budget = config.num_users, config.cache_budget
-    table = _count_table(K, config.num_files)
-    low, s = divmod(budget.numerator, budget.denominator)
-    if not s:
-        return math.comb(K, low), table[low]
-    b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
-    w0, w1 = (b - s) * c1, s * c0
-    return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in zip(table[low], table[low + 1])])
-
-
 def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
-    """env_k(K*mu) for every user prefix k = 1..K: the Fraction view of `_chord`."""
-    scale, loads = _chord(config)
+    """env_k(K*mu) for every user prefix k = 1..K: the Fraction view of the
+    config's `_chord`, which `gndt_ub` and the converse read as integers."""
+    scale, loads = config._chord
     return tuple(Fraction(p, scale) for p in loads)
 
 
@@ -161,7 +162,7 @@ def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, _key(r)))[0]
+    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))[0]
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -199,17 +200,14 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
 
 
 def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
-    """Converse delivery time, assembled from the per-prefix bounds.
+    """Converse delivery time, the tightest of the per-prefix bounds.
 
     For every user prefix [s] the information bound caps the unicast sum plus
     1/2.01 of the enveloped coded load by alpha_s; rearranged, each prefix
-    yields a floor on the delivery time and the tightest one is returned.
-    Structurally the max equals `gndt_ub` / 2.01, but the value is built from
-    the per-prefix rows, not by dividing.
+    yields a floor on the delivery time, and the tightest is `gndt_ub`'s
+    ratio over 201/100 by construction (ROADMAP item 8: an independent converse).
     """
-    scale, loads = _chord(config)
-    rows = [p * CONVERSE_FACTOR.denominator for p in loads]
-    return _max_ratio(scale * CONVERSE_FACTOR.numerator, rows, *_scaled_gaps(config.alpha, _key(r)))[0]
+    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))[0] / CONVERSE_FACTOR
 
 
 def bottleneck_user(config: SystemConfig) -> int:
@@ -220,7 +218,7 @@ def bottleneck_user(config: SystemConfig) -> int:
         raise ValueError("the bottleneck user is defined for integer cache budgets")
     if config.num_files < config.num_users:
         raise ValueError("the bottleneck user is defined for N >= K")
-    return _max_ratio(*_chord(config), *_scaled_gaps(config.alpha, None))[1]
+    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, None))[1]
 
 
 def topological_hole_region(config: SystemConfig) -> Polytope:

@@ -601,6 +601,23 @@ class TestShapeAndCountErrors:
         assert code == 2
         assert f"cannot read --config {missing}" in err and out == ""
 
+    def test_config_file_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        config, out_file = tmp_path / "config.json", tmp_path / "out"
+        config.write_text("[1]")
+        argv = ["gndt", *FIG3, "--mu", "1/4", "--config", str(config), "--out", str(out_file)]
+        message = f"error: --config {config} must hold a JSON object of flag values\n"
+        assert run(argv, capsys) == (2, "", message)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("kind,message", [("missing", "--leaders is required for --kind missing"),
+                                              ("two-multicast", "--gamma is required for --kind two-multicast")],
+                             ids=["missing", "two-multicast"])
+    def test_region_kind_without_its_flag_is_usage_error(self, kind, message, tmp_path, capsys):
+        out_file = tmp_path / "out"
+        argv = ["region", "--K", "3", "--sigma", "2", "--alpha", "1/2,3/4,1", "--kind", kind, "--out", str(out_file)]
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
     def test_missing_file_count_is_usage_error(self, capsys):
         code, out, err = run(["holes", "--K", "2", "--alpha", "1/2,1", "--mu", "1/2"], capsys)
         assert code == 2

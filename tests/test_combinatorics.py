@@ -76,6 +76,10 @@ class TestEnvelope:
         with pytest.raises(ValueError, match=f"^{re.escape('x must lie in [0, 1], got -1')}$"):
             lower_convex_envelope([1, 2], -1)
 
+    def test_empty_sequence_is_refused(self):
+        with pytest.raises(ValueError, match="^envelope needs at least one point$"):
+            lower_convex_envelope([], 0)
+
     def test_float_is_refused_not_rounded(self):
         with pytest.raises(TypeError):
             lower_convex_envelope([0, 1, 2], 0.5)

@@ -157,6 +157,13 @@ class TestCertificates:
         with pytest.raises(ValueError, match="^certificate point must lie inside the inner region$"):
             constant_gap_certificate(inner, outer, [100.0, 100.0, 100.0])
 
+    def test_regions_over_different_variables_are_refused(self):
+        inner = inner_rate_region(2, 2, ALPHA2, 2.0**20)
+        outer = outer_rate_region(3, 2, ALPHA3, 2.0**20)
+        point = sample_boundary_point(inner, random.Random(0))
+        with pytest.raises(ValueError, match="^the inner and outer regions must share their variables$"):
+            constant_gap_certificate(inner, outer, point)
+
     def test_origin_certifies_when_region_is_zero(self):
         # every rhs clamps to zero; the origin is the whole region
         point = np.zeros(3)

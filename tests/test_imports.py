@@ -11,9 +11,11 @@ No linter ships with the project, so this walks syntax trees:
   `perfbench/`, unless `TEST_FACING` names it with the reason it is kept.
 
 A parameter or local that shares a method's name is not a read of it.  The
-check matches attributes by name alone, not by owner: a read of
-`x.contains` keeps every public `contains` alive, so a method that shares
-its name with a used one can be dead and still pass.
+check matches attributes by name, not by owner, with one exception: a module
+that defines its own public member `m` reads `x.m` as its own, so that read
+keeps no other module's `m` alive.  Any other read of `x.m` keeps every
+public `m` alive, so a method that shares its name with a used one can still
+be dead and pass.
 
 `__init__.py` is skipped by both, since its imports are the package's exports.
 """
@@ -43,6 +45,7 @@ TEST_FACING = {
     "gdof_region_inner": "the unicast region inside a delivery time, checked against gndt_ub",
     "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
     "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",
+    "contains": "Polytope's exact point-membership check, which the projection, level-system and vertex tests use",
 }
 
 
@@ -136,9 +139,15 @@ def names_read(source: str) -> tuple[set[str], set[str]]:
 def dead_names(definers: list[str], readers: list[str]) -> list[str]:
     reads = [names_read(source) for source in readers]
     read = set().union(*(names for names, _ in reads))
-    attributes = set().union(*(attrs for _, attrs in reads))
+    owned = [{name for name, member in public_definitions(source) if member} for source in readers]
+
+    def member_read(name: str, definer: str) -> bool:
+        """Some reader reads `.name`: the definer itself, or a module with no public `name` of its own."""
+        return any(name in attrs and (reader == definer or name not in own)
+                   for reader, (_, attrs), own in zip(readers, reads, owned))
+
     return [name for source in definers for name, member in public_definitions(source)
-            if name not in (attributes if member else read)]
+            if not (member_read(name, source) if member else name in read)]
 
 
 def test_every_public_name_is_used():
@@ -169,3 +178,12 @@ def test_detects_a_dead_method_or_property():
     # a parameter or local of the same name reads neither
     shadows = "def f(read):\n    size = read\n    return size\nKept()\n"
     assert dead_names([definer], [shadows]) == ["read", "size"]
+
+
+def test_a_module_reads_its_own_member_before_another_class():
+    definer = "class Kept:\n    def contains(self, x):\n        pass\n"
+    own = "class Own:\n    def contains(self, x):\n        pass\n\nOwn().contains(Kept())\n"
+    # `own` reads `.contains` as Own's, so Kept's is dead; Own's own read keeps it alive
+    assert dead_names([definer, own], [definer, own]) == ["contains"]
+    # a module with no `contains` of its own reads every class's
+    assert dead_names([definer, own], [definer, own, "Kept().contains(1)\n"]) == []

@@ -42,6 +42,11 @@ def test_contains_and_nonnegativity():
     assert not p.contains({"x": -1, "y": 0})
 
 
+def test_contains_refuses_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^point length does not match variable count$"):
+        box().contains((F(1, 2),))
+
+
 def test_build_refuses_float_coefficient():
     with pytest.raises(TypeError):
         Polytope(["x", "y"], [((1, 0.1), 1)])
@@ -130,6 +135,11 @@ def test_containment_special_cases():
     assert not region_contains(box(), Polytope(XY, [((1, 0), 1)]))
     assert not region_contains(Polytope(XY, [((1, 0), 1), ((0, 0), -1)]), box())
     assert region_contains(Polytope(XY, []), empty)
+
+
+def test_containment_refuses_regions_over_different_variables():
+    with pytest.raises(ValueError, match="^regions must share an identical variable tuple$"):
+        region_contains(box(), Polytope(("x", "z"), [((1, 0), 1), ((0, 1), 1)]))
 
 
 def no_lp(monkeypatch):

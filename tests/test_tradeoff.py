@@ -15,7 +15,6 @@ from cachecast.regions import max_symmetric_gdof, prefix_gaps
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     SystemConfig,
-    _chord,
     _key,
     _max_ratio,
     _scaled_gaps,
@@ -503,7 +502,7 @@ class TestBottleneck:
             gaps = oracle.unicast_gaps(cfg, r)
             ratios = [oracle.ratio(load, gap) for load, gap in zip(oracle.prefix_loads(cfg), gaps)]
             top = max(ratios)
-            assert _max_ratio(*_chord(cfg), *_scaled_gaps(cfg.alpha, _key(r))) == (
+            assert _max_ratio(*cfg._chord, *_scaled_gaps(cfg.alpha, _key(r))) == (
                 top, ratios.index(top) + 1), (cfg, r)
             seen.add("inf" if top == math.inf else "tie" if ratios.count(top) > 1 else "one")
         assert seen == {"inf", "tie", "one"}
