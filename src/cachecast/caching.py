@@ -18,10 +18,10 @@ on one {group: int} map: `encode_multicast` fills it with what is sent,
 peels a user's subfiles from that complete map and the user's cache.  The
 encode and decode plans are built once per library, and the groups a
 reconstruction XORs are remembered per pattern of which users share a file;
-every demand tuple still XORs and compares its own payloads.  A
-decoded file stays a tuple of subfile ints, compared subfile by subfile with
-the library's own subfiles (`FileLibrary.subfile_values`), so no whole file
-is ever joined back together.
+every demand tuple still XORs and compares its own payloads.  Each XOR
+chain starts from its first term, never from 0, and a cached subfile decodes
+as the cache's own int, so no subfile is copied whole.  A decoded file stays
+a tuple of subfile ints, compared one by one with `FileLibrary.subfile_values`.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -279,14 +279,16 @@ def encode_multicast(
     d: Sequence[int], library: FileLibrary, leaders: LeaderSet
 ) -> list[MulticastPayload]:
     """One XOR payload per (t+1)-group intersecting the leader set, in
-    lexicographic group order, each `subfile_bits` wide."""
+    lexicographic group order, each `subfile_bits` wide, its XOR chain
+    started from its first side term (at t = 0, the library's own int)."""
     size, leader_set = library.subfile_bits, set(leaders.leaders)
     payloads = []
     for group, sides in library._encode_plan:
         if leader_set.isdisjoint(group):
             continue
-        acc = 0
-        for member, values in sides:
+        member, values = sides[0]
+        acc = values[d[member] - 1]
+        for member, values in sides[1:]:
             acc ^= values[d[member] - 1]
         payloads.append(MulticastPayload(group, acc, size))
     return payloads
@@ -326,7 +328,7 @@ def reconstruct_missing(
     by the weakest member of A: its group must meet the leaders weaker than
     min(A), or contain min(A) itself.  Those groups depend on d only through
     which users of B share a file, so they are remembered per pattern; the
-    map is read and XORed on every call.
+    map is read and XORed on every call, from the first source on.
     """
     group = tuple(sorted(group))
     if not set(group) <= set(leaders.non_leaders):
@@ -334,14 +336,13 @@ def reconstruct_missing(
     pool = tuple(sorted(set(group) | set(leaders.leaders)))
     labels: dict[int, int] = {}
     pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in pool)
-    acc, value = 0, None
+    # never empty: for u = group[0], l the leader of u's file, leaders - {l} + {u} is an alternative
+    acc = None
     for source in _reconstruction_sources(group, leaders.leaders, pool, pattern):
         value = by_group.get(source)
         if value is None:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
-        acc ^= value
-    if value is None:
-        raise MissingPayloadError(f"no alternative leader sets cover group {group}")
+        acc = value if acc is None else acc ^ value
     return MulticastPayload(group, acc, width)
 
 
@@ -352,18 +353,18 @@ def decode_file(
     map of payloads, reconstructed ones included: this reads the map only.
 
     The file comes back as its subfile ints in `subfile_subsets()` order,
-    each `subfile_bits` wide, as `FileLibrary.subfile_values` holds it.
+    each `subfile_bits` wide, as `FileLibrary.subfile_values` holds it; a
+    cached one is the cache's own int, with no XOR.
     """
     pieces = []
     for group, sides in cache._decode_plan:
-        piece = 0
-        if group is not None:
-            try:
-                piece = by_group[group]
-            except KeyError:
-                raise MissingPayloadError(
-                    f"payload for group {group} is required by user {user} but missing"
-                ) from None
+        if group is None:  # a cached subfile: the cache's own int, no XOR
+            ((other, values),) = sides
+            pieces.append(values[d[other] - 1])
+            continue
+        piece = by_group.get(group)
+        if piece is None:
+            raise MissingPayloadError(f"payload for group {group} is required by user {user} but missing")
         for other, values in sides:
             piece ^= values[d[other] - 1]
         pieces.append(piece)
@@ -389,10 +390,8 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     no payload is sent, so asking for one is a ValueError rather than a
     vacuous pass.  `library` replaces the seeded `random_library` draw; it
     must have the given shape.  Only its demand-independent work (subfiles,
-    placement) is reused: encoding and every decode run afresh for `d`.  The
-    payloads are encoded into one {group: int} map, each untransmitted
-    all-non-leader payload is reconstructed into it once, and every user
-    decodes from that one map.
+    placement) is reused: encoding, each missing payload's one reconstruction
+    and every decode run afresh for `d`, on one {group: int} map.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)

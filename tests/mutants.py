@@ -71,6 +71,27 @@ MUTANTS = (
         ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles",),
     ),
     Mutant(
+        "decode-cached-piece-reads-file-1", CACHING,
+        "pieces.append(values[d[other] - 1])",
+        "pieces.append(values[0])",
+        "a cached subfile decodes as file 1's, whatever file the user asked for",
+        ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles[1-2]",),
+    ),
+    Mutant(
+        "encode-chain-skips-its-first-side-term", CACHING,
+        "acc = values[d[member] - 1]\n",
+        "acc = 0\n",
+        "each payload's XOR chain starts from 0 and leaves out its first side subfile",
+        ("tests/test_caching.py::TestEncoding::test_payloads_match_direct_definition",),
+    ),
+    Mutant(
+        "reconstruct-chain-skips-its-first-source", CACHING,
+        "acc = value if acc is None else acc ^ value",
+        "acc = 0 if acc is None else acc ^ value",
+        "a reconstructed payload leaves out the first transmitted payload it should XOR",
+        ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
+    ),
+    Mutant(
         "delay-rate-certificate-always-passes", FINITE_SNR,
         "return any(y > r - TOL for y, r in zip(converse.lhs([x + GAP_BITS for x in point]), converse.rhs))",
         "return True",

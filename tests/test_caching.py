@@ -626,6 +626,30 @@ class TestDecoding:
             assert decode_file(user, by_group, caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
 
 
+class TestNoCopies:
+    """A cached subfile decodes as the cache's own int, and at t = 0 each
+    payload is the library's own subfile int: no XOR with 0 copies either.
+    The subfiles are 2^10 + 5 bits wide, far outside CPython's small-int
+    cache, so `is` tells the library's object from an equal copy."""
+
+    @pytest.mark.parametrize("split", range(4))
+    def test_cached_pieces_and_unicast_payloads_are_the_library_ints(self, split):
+        num_users, num_files = 3, 2
+        lib = random_library(num_files, num_users, split, math.comb(num_users, split) * (2**10 + 5), seed=5)
+        for d in itertools.product(range(1, num_files + 1), repeat=num_users):
+            leaders = select_leaders(d)
+            if split == 0:
+                for p in encode_multicast(d, lib, leaders):
+                    assert p.value is lib.subfile_values[d[p.group[0] - 1] - 1][0]
+            by_group = complete(d, lib, leaders)
+            for user in range(1, num_users + 1):
+                wanted = lib.subfile_values[d[user - 1] - 1]
+                pieces = decode_file(user, by_group, lib.caches[user - 1], d)
+                assert len(pieces) == len(wanted)
+                for subset, piece, own in zip(lib.subfile_subsets(), pieces, wanted):
+                    assert piece is own if user in subset else piece == own
+
+
 class TestMissingMessagesExhaustive:
     @pytest.mark.parametrize(
         "num_users,num_files", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
