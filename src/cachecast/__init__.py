@@ -40,7 +40,6 @@ from .regions import (
     build_missing_message_region,
     build_region,
     build_two_multicast_symmetric,
-    max_symmetric_gdof,
     symmetric_projection,
 )
 from .tradeoff import (

@@ -16,9 +16,10 @@ recompose them as an XOR of transmitted payloads over alternative leader sets
 on one {group: int} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
 peels a user's subfiles from that complete map and the user's cache.  The
-encode and decode plans are built once per library, and the groups a
-reconstruction XORs are remembered per pattern of which users share a file;
-every demand tuple still XORs and compares its own payloads.  Each XOR
+encode and decode plans are built once per library; the plan entries a leader
+set sends and each missing group's pool (the group plus the leaders), once per
+leader set; the groups a reconstruction XORs, once per pattern of which users
+share a file.  Every tuple still XORs and compares its own payloads.  Each XOR
 chain starts from its first term, never from 0, and a cached subfile decodes
 as the cache's own int, so no subfile is copied whole.  A decoded file stays
 a tuple of subfile ints, compared one by one with `FileLibrary.subfile_values`.
@@ -151,6 +152,12 @@ class FileLibrary:
             for group in combinations(range(1, self.num_users + 1), t + 1)
         )
 
+    @cached_property
+    def _sent_plans(self) -> dict[Group, tuple[tuple[Group, tuple[tuple[int, tuple[int, ...]], ...]], ...]]:
+        """{leader tuple: the `_encode_plan` entries whose group meets it}, in
+        plan order; `encode_multicast` adds a leader tuple on its first use."""
+        return {}
+
     def subfile(self, file_index: int, subset: Group) -> int:
         """The `subfile_bits`-wide int of file `file_index` (1-based) indexed
         by a sorted user subset, as `subfile_subsets()` yields it: a tuple of
@@ -280,12 +287,17 @@ def encode_multicast(
 ) -> list[MulticastPayload]:
     """One XOR payload per (t+1)-group intersecting the leader set, in
     lexicographic group order, each `subfile_bits` wide, its XOR chain
-    started from its first side term (at t = 0, the library's own int)."""
-    size, leader_set = library.subfile_bits, set(leaders.leaders)
-    payloads = []
-    for group, sides in library._encode_plan:
-        if leader_set.isdisjoint(group):
-            continue
+    started from its first side term (at t = 0, the library's own int).
+    The plan entries of those groups are picked once per leader tuple and
+    kept in `library._sent_plans`; every call XORs its own payloads."""
+    plans = library._sent_plans
+    plan = plans.get(leaders.leaders)
+    if plan is None:
+        leader_set = set(leaders.leaders)
+        plan = plans[leaders.leaders] = tuple(
+            entry for entry in library._encode_plan if not leader_set.isdisjoint(entry[0]))
+    size, payloads = library.subfile_bits, []
+    for group, sides in plan:
         member, values = sides[0]
         acc = values[d[member] - 1]
         for member, values in sides[1:]:
@@ -315,6 +327,16 @@ def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
     return tuple(sources)
 
 
+@lru_cache(maxsize=4096)
+def _reconstruction_pool(group: Group, leaders: LeaderSet) -> tuple[Group, Group]:
+    """(sorted group, group u leaders sorted): a group that is not all
+    non-leaders is refused on every call, never remembered."""
+    group = tuple(sorted(group))
+    if not set(group) <= set(leaders.non_leaders):
+        raise ValueError(f"group {group} is not a set of non-leading users")
+    return group, tuple(sorted(set(group) | set(leaders.leaders)))
+
+
 def reconstruct_missing(
     by_group: dict[Group, int], group: Group, leaders: LeaderSet, d: Sequence[int], width: int
 ) -> MulticastPayload:
@@ -326,14 +348,12 @@ def reconstruct_missing(
     as many users as leaders, demands pairwise distinct, not the leaders
     themselves.  Every payload consumed this way is checked to be decodable
     by the weakest member of A: its group must meet the leaders weaker than
-    min(A), or contain min(A) itself.  Those groups depend on d only through
-    which users of B share a file, so they are remembered per pattern; the
-    map is read and XORed on every call, from the first source on.
+    min(A), or contain min(A) itself.  The check that A is all non-leaders
+    and the sorted A and B are done once per (A, leader set), the groups per
+    pattern of which users of B share a file; the map is read and XORed on
+    every call, from the first source on.
     """
-    group = tuple(sorted(group))
-    if not set(group) <= set(leaders.non_leaders):
-        raise ValueError(f"group {group} is not a set of non-leading users")
-    pool = tuple(sorted(set(group) | set(leaders.leaders)))
+    group, pool = _reconstruction_pool(group, leaders)
     labels: dict[int, int] = {}
     pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in pool)
     # never empty: for u = group[0], l the leader of u's file, leaders - {l} + {u} is an alternative
@@ -389,9 +409,10 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     payload index before decoding, for exercising failure detection; at t = K
     no payload is sent, so asking for one is a ValueError rather than a
     vacuous pass.  `library` replaces the seeded `random_library` draw; it
-    must have the given shape.  Only its demand-independent work (subfiles,
-    placement) is reused: encoding, each missing payload's one reconstruction
-    and every decode run afresh for `d`, on one {group: int} map.
+    must have the given shape.  Only the work that `d` does not fix is reused
+    (subfiles, placement, plans per library or leader set): encoding, each
+    missing payload's one reconstruction and every decode run afresh for `d`,
+    on one {group: int} map; the first user that decodes wrong ends the call.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)
@@ -421,7 +442,7 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     missing = combinations(leaders.non_leaders, split_order + 1)
     by_group.update({g: reconstruct_missing(by_group, g, leaders, d, width).value for g in missing})
     wanted = library.subfile_values
-    return all(
-        decode_file(user, by_group, caches[user - 1], d) == wanted[d[user - 1] - 1]
-        for user in range(1, num_users + 1)
-    )
+    for user in range(1, num_users + 1):
+        if decode_file(user, by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]:
+            return False
+    return True

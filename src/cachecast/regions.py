@@ -14,8 +14,8 @@ multicast sets used for fractional cache budgets, the region with all-non-
 leader messages silenced, and the power-exponent parameterized inner region
 whose Fourier-Motzkin projection reproduces the triangular form.  Every
 triangular region, here and in `tradeoff` and `finite_snr`, comes from the one
-row builder `cumulative_region`, and every per-prefix slack from `_integer_gaps`
-(as integers over one denominator) or its Fraction view `prefix_gaps`.
+row builder `cumulative_region`, and every per-prefix slack from `_integer_gaps`,
+as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, t
     return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))
 
 
-def prefix_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> list[Fraction]:
-    """The Fraction view of `_integer_gaps`."""
-    height, gaps = _integer_gaps(alpha, r)
-    return [Fraction(g, height) for g in gaps]
-
-
 def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
     """The sigma-groups of the full and power-exponent regions, sigma in [2, K];
     K is checked by `user_strengths`, which every caller calls first."""
@@ -165,20 +159,6 @@ def symmetric_projection(
     """
     leaders = _covered(_checked_int("user count", num_users, 1), s)  # K first: s's bound is K
     return build_missing_message_region(num_users, group_size, alpha, leaders)
-
-
-def max_symmetric_gdof(
-    num_users: int, group_size: int, alpha: Sequence, s: int, r: Sequence
-) -> Fraction:
-    """Largest symmetric multicast GDoF on top of a fixed unicast tuple.
-
-    Closed form: min_k (alpha_k - sum_{i<=k} r_i)^+ over the group count of
-    row k.  Clamps to zero when some prefix of the unicast tuple already
-    exhausts a channel strength.
-    """
-    alphas = user_strengths(num_users, alpha)
-    counts = _shared_counts(num_users, group_size, _covered(num_users, s))
-    return min(gap / count for gap, count in zip(prefix_gaps(alphas, r), counts))
 
 
 def build_two_multicast_symmetric(

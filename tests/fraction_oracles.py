@@ -11,8 +11,11 @@ Fraction load sequences and evaluates its lower hull, the Fraction monotone
 chain that `cachecast.combinatorics` replaced by an integer one.  The
 bottleneck user's oracle is the Fraction argmax of load_k / alpha_k that
 `_max_ratio`'s binding prefix replaced.  The delivery-time oracles take
-their gaps from `unicast_gaps`, not from `cachecast.regions.prefix_gaps`, so
-none of them reads the code it checks.
+their gaps from `unicast_gaps`, not from `cachecast.regions._integer_gaps`, so
+none of them reads the code it checks.  The symmetric GDoF's closed form,
+checked against the LP over `cachecast.regions.symmetric_projection`, takes
+its argument checks, group counts and gaps from `cachecast.regions`, so it
+refuses what the projection refuses, with the same messages.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from fractions import Fraction
 from cachecast.combinatorics import multicast_load_sequence
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from cachecast.polytope import Polytope
+from cachecast.regions import _covered, _integer_gaps, _shared_counts, user_strengths
 from cachecast.tradeoff import CONVERSE_FACTOR
 
 _ZERO = Fraction(0)
@@ -285,6 +289,19 @@ def unicast_gaps(config, r):
     """(alpha_k - r_1 - ... - r_k)^+ per prefix, written out without `prefix_gaps`."""
     rt = [Fraction(x) for x in r] if r else [_ZERO] * config.num_users
     return [max(_ZERO, a - sum(rt[:k], _ZERO)) for k, a in enumerate(config.alpha, start=1)]
+
+
+def max_symmetric_gdof(num_users, group_size, alpha, s, r):
+    """Largest symmetric multicast GDoF on top of a fixed unicast tuple.
+
+    Closed form: min_k (alpha_k - sum_{i<=k} r_i)^+ over the group count of
+    row k.  Clamps to zero when some prefix of the unicast tuple already
+    exhausts a channel strength.
+    """
+    alphas = user_strengths(num_users, alpha)
+    counts = _shared_counts(num_users, group_size, _covered(num_users, s))
+    height, gaps = _integer_gaps(alphas, r)
+    return min(Fraction(gap, height * count) for gap, count in zip(gaps, counts))
 
 
 def prefix_loads(config):

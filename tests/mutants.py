@@ -65,8 +65,8 @@ MUTANTS = (
     ),
     Mutant(
         "verify-checks-only-user-1", CACHING,
-        "for user in range(1, num_users + 1)\n    )",
-        "for user in range(1, 2)\n    )",
+        "for user in range(1, num_users + 1):\n        if decode_file(",
+        "for user in range(1, 2):\n        if decode_file(",
         "a corrupted payload that user 1 does not consume passes verification",
         ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles",),
     ),
@@ -89,6 +89,23 @@ MUTANTS = (
         "acc = value if acc is None else acc ^ value",
         "acc = 0 if acc is None else acc ^ value",
         "a reconstructed payload leaves out the first transmitted payload it should XOR",
+        ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
+    ),
+    Mutant(
+        "sent-plan-memo-keyed-per-library", CACHING,
+        "plan = plans.get(leaders.leaders)",
+        "plan = next(iter(plans.values()), None)",
+        "the first tuple's leader set picks the sent groups of every later tuple on the library",
+        ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles",
+         "tests/test_caching.py::TestSentPlans::test_each_leader_set_keeps_its_own_sent_groups"),
+    ),
+    Mutant(
+        "reconstruction-pool-keyed-on-group", CACHING,
+        "@lru_cache(maxsize=4096)\ndef _reconstruction_pool(",
+        "def _keyed_on_group(pool, memo={}):\n"
+        "    return lambda group, leaders: memo.setdefault(group, pool(group, leaders))\n\n\n"
+        "@_keyed_on_group\ndef _reconstruction_pool(",
+        "a missing group's pool (group plus leaders) is the one of the first leader set it met",
         ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
     ),
     Mutant(
@@ -194,8 +211,8 @@ MUTANTS = (
     ),
     Mutant(
         "verify-compares-first-subfiles", CACHING,
-        "decode_file(user, by_group, caches[user - 1], d) == wanted[d[user - 1] - 1]",
-        "decode_file(user, by_group, caches[user - 1], d)[:1] == wanted[d[user - 1] - 1][:1]",
+        "decode_file(user, by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]",
+        "decode_file(user, by_group, caches[user - 1], d)[:1] != wanted[d[user - 1] - 1][:1]",
         "a corrupted payload that only reaches a user's later subfiles passes verification",
         ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles[1-2]",),
     ),

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+from fraction_oracles import max_symmetric_gdof
 
 from cachecast.caching import end_to_end_verify
 from cachecast.combinatorics import is_convex_sequence, multicast_load_sequence
@@ -31,7 +32,6 @@ from cachecast.regions import (
     beta_names,
     beta_parameterized_polytope,
     build_region,
-    max_symmetric_gdof,
     symmetric_projection,
 )
 from cachecast.tradeoff import (

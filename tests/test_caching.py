@@ -473,6 +473,27 @@ class TestEncoding:
             assert p.value == direct_payload(lib, d, p.group)
 
 
+class TestSentPlans:
+    """The plan entries a leader set sends are kept per (library, leader
+    tuple): every tuple still XORs its own payloads from them."""
+
+    def test_each_leader_set_keeps_its_own_sent_groups(self):
+        num_users, num_files = 5, 5
+        lib = random_library(num_files, num_users, 2, seed=29)
+        groups = list(itertools.combinations(range(1, num_users + 1), 3))
+        tuples = list(itertools.product(range(1, num_files + 1), repeat=num_users))
+        random.Random(7).shuffle(tuples)  # leader sets interleaved, each met many times
+        seen = set()
+        for d in tuples:
+            leaders = select_leaders(d)
+            seen.add(leaders.leaders)
+            payloads = encode_multicast(d, lib, leaders)
+            assert [p.group for p in payloads] == [g for g in groups if set(g) & set(leaders.leaders)], d
+            assert all(p.value == direct_payload(lib, d, p.group) for p in payloads), d
+            assert set(lib._sent_plans) == seen and len(lib._sent_plans) <= 2 ** (num_users - 1)
+        assert len(seen) == 2 ** (num_users - 1)
+
+
 class TestReconstruction:
     def test_worked_example_two_files_four_users(self):
         lib = random_library(2, 4, 1, seed=8)

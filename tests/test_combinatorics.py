@@ -20,7 +20,7 @@ from cachecast.combinatorics import (
 )
 from cachecast.lp import solve_max
 from cachecast.polytope import Polytope, fix_variables
-from cachecast.regions import prefix_gaps
+from cachecast.regions import _integer_gaps
 from cachecast.tradeoff import SystemConfig, gdof_region_inner, gndt_ub
 
 
@@ -317,7 +317,7 @@ class TestRationalArguments:
         [lambda: SystemConfig(2, 2, True, ALPHA2),
          lambda: SystemConfig(2, 2, 0, (True, 1)),
          lambda: gndt_ub(SystemConfig(2, 2, F(1, 2), ALPHA2), (True, 0)),
-         lambda: prefix_gaps(ALPHA2, (0, True)),
+         lambda: _integer_gaps(ALPHA2, (0, True)),
          lambda: gdof_region_inner(True, SystemConfig(2, 2, F(1, 2), ALPHA2)),
          lambda: lower_convex_envelope([3, 1, 2], True),
          lambda: fix_variables(BOX, {"x": True}),
@@ -335,7 +335,7 @@ class TestRationalArguments:
         "call,message",
         [(lambda: SystemConfig(2, 2, F(3, 2), ALPHA2), "mu must lie in [0, 1], got 3/2"),
          (lambda: SystemConfig(2, 2, "-1/3", ALPHA2), "mu must lie in [0, 1], got -1/3"),
-         (lambda: prefix_gaps(ALPHA2, (0, F(-1, 10))), "r_2 must be at least 0, got -1/10"),
+         (lambda: _integer_gaps(ALPHA2, (0, F(-1, 10))), "r_2 must be at least 0, got -1/10"),
          (lambda: lower_convex_envelope([3, 1, 2], F(7, 3)), "x must lie in [0, 2], got 7/3"),
          (lambda: fix_variables(BOX, {"y": F(-1, 2)}), "y must be at least 0, got -1/2")],
         ids=["mu-above-1", "mu-negative", "r-negative", "envelope-x-past-K", "fixed-negative"],
@@ -359,7 +359,7 @@ class TestRationalArguments:
         "call,value",
         [(lambda: SystemConfig(2, 2, 0, ALPHA2).mu, 0),
          (lambda: SystemConfig(2, 2, 1, ALPHA2).mu, 1),
-         (lambda: prefix_gaps(ALPHA2, (0, 0)), [F(1, 2), F(1)]),
+         (lambda: _integer_gaps(ALPHA2, (0, 0)), (2, (1, 2))),
          (lambda: lower_convex_envelope([3, 1, 2], 0), 3),
          (lambda: lower_convex_envelope([3, 1, 2], 2), 2),
          (lambda: fix_variables(BOX, {"x": 0}).rows, (((F(1),), F(1)),)),

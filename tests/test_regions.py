@@ -23,9 +23,8 @@ from cachecast.regions import (
     build_missing_message_region,
     build_region,
     build_two_multicast_symmetric,
+    _integer_gaps,
     cumulative_region,
-    max_symmetric_gdof,
-    prefix_gaps,
     symmetric_projection,
     user_strengths,
 )
@@ -128,10 +127,10 @@ class TestSymmetricProjection:
         assert poly.rows[-1][0][-1] == comb(4, 2) - comb(2, 2) == 5
 
     def test_closed_form_example(self):
-        assert max_symmetric_gdof(3, 2, ALPHA3, 3, (0, 0, 0)) == F(1, 5)
+        assert oracle.max_symmetric_gdof(3, 2, ALPHA3, 3, (0, 0, 0)) == F(1, 5)
 
     def test_exhausted_prefix_clamps_to_zero(self):
-        assert max_symmetric_gdof(3, 2, ALPHA3, 3, (F(2, 5), 0, 0)) == 0
+        assert oracle.max_symmetric_gdof(3, 2, ALPHA3, 3, (F(2, 5), 0, 0)) == 0
 
     @pytest.mark.parametrize("trial", range(50))
     def test_matches_lp_oracle(self, trial):
@@ -141,7 +140,7 @@ class TestSymmetricProjection:
         s = int(rng.integers(1, K + 1))
         alpha = random_strengths(rng, K)
         r = tuple(F(int(rng.integers(0, 3)), 10) for _ in range(K))
-        closed = max_symmetric_gdof(K, sigma, alpha, s, r)
+        closed = oracle.max_symmetric_gdof(K, sigma, alpha, s, r)
         poly = symmetric_projection(K, sigma, alpha, s)
         pinned = fix_variables(poly, {f"r_{k}": r[k - 1] for k in range(1, K + 1)})
         res = pinned.maximize({"r_sym": 1})
@@ -218,9 +217,10 @@ class TestCumulativeRows:
         )
 
     def test_prefix_gaps(self):
-        assert prefix_gaps(ALPHA3, None) == list(ALPHA3)
-        assert prefix_gaps(ALPHA3, (F(1, 5), "1/2", 0)) == [F(1, 5), F(1, 5), F(3, 10)]
-        assert prefix_gaps(ALPHA3, (F(1, 2), 0, 0)) == [0, F(2, 5), F(1, 2)]
+        # ALPHA3 = (4, 9, 10) / 10: every gap is an integer over H = 10
+        assert _integer_gaps(ALPHA3, None) == (10, (4, 9, 10))
+        assert _integer_gaps(ALPHA3, (F(1, 5), "1/2", 0)) == (10, (2, 2, 3))
+        assert _integer_gaps(ALPHA3, (F(1, 2), 0, 0)) == (10, (0, 4, 5))
 
     @pytest.mark.parametrize("r, message", [
         pytest.param((F(1, 5), F(-1, 10), 0), "r_2 must be at least 0, got -1/10", id="r0"),
@@ -229,19 +229,19 @@ class TestCumulativeRows:
     ])
     def test_prefix_gaps_refuses_bad_rates(self, r, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            prefix_gaps(ALPHA3, r)
+            _integer_gaps(ALPHA3, r)
 
     def test_prefix_gaps_refusal_messages(self):
         with pytest.raises(ValueError, match="^r_1 must be at least 0, got -1$"):
-            prefix_gaps(ALPHA3, (F(-1), 0, 0))
+            _integer_gaps(ALPHA3, (F(-1), 0, 0))
         message = "one unicast GDoF per user is required: K = 3, got 2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            prefix_gaps(ALPHA3, (F(-1), 0))  # the length is checked first
+            _integer_gaps(ALPHA3, (F(-1), 0))  # the length is checked first
 
     def test_prefix_gaps_match_the_fraction_oracle(self):
-        """The Fraction view of the integer gaps against gaps written out on
-        Fractions: equal values, each a Fraction, with r = None, small tuples
-        and tuples that exhaust a prefix or run past it."""
+        """The integer gaps over their height H against gaps written out on
+        Fractions: equal values, integers over a positive integer H, with
+        r = None, small tuples and tuples that exhaust a prefix or run past it."""
         rng = np.random.default_rng(23)
         for K in range(1, 9):
             for _ in range(6):
@@ -255,10 +255,10 @@ class TestCumulativeRows:
                     tuple(str(F(int(rng.integers(0, 3)), 20)) for _ in range(K)),
                 ]
                 for r in draws:
-                    got = prefix_gaps(alpha, r)
+                    height, gaps = _integer_gaps(alpha, r)
                     want = oracle.unicast_gaps(SimpleNamespace(alpha=alpha, num_users=K), r)
-                    assert got == want, (alpha, r)
-                    assert all(type(g) is F for g in got)
+                    assert [F(g, height) for g in gaps] == want, (alpha, r)
+                    assert type(height) is int and height > 0 and all(type(g) is int for g in gaps)
 
 
 class TestSymmetricKinds:
@@ -296,7 +296,7 @@ class TestSymmetricKinds:
         [
             lambda sigma: symmetric_projection(3, sigma, ALPHA3, 3),
             lambda sigma: build_missing_message_region(3, sigma, ALPHA3, [1, 2]),
-            lambda sigma: max_symmetric_gdof(3, sigma, ALPHA3, 3, (0, 0, 0)),
+            lambda sigma: oracle.max_symmetric_gdof(3, sigma, ALPHA3, 3, (0, 0, 0)),
         ],
         ids=["projection", "missing", "max-gdof"],
     )
@@ -308,7 +308,7 @@ class TestSymmetricKinds:
     def test_group_size_one_is_a_symmetric_kind(self):
         # sigma = 1: every leader prefix of size j meets j singletons
         assert [c[-1] for c, _ in symmetric_projection(3, 1, ALPHA3, 2).rows] == [1, 2, 2]
-        assert max_symmetric_gdof(3, 1, ALPHA3, 3, (0, 0, 0)) == F(1, 3)
+        assert oracle.max_symmetric_gdof(3, 1, ALPHA3, 3, (0, 0, 0)) == F(1, 3)
 
     @pytest.mark.parametrize("sigma", [1, 4])
     def test_full_and_beta_regions_need_two_to_K(self, sigma):
@@ -320,7 +320,7 @@ class TestSymmetricKinds:
     @pytest.mark.parametrize(
         "build,message",
         [(lambda: symmetric_projection(3, 2, ALPHA3, True), "s must be an integer, got True"),
-         (lambda: max_symmetric_gdof(3, 2, ALPHA3, True, (0, 0, 0)), "s must be an integer, got True"),
+         (lambda: oracle.max_symmetric_gdof(3, 2, ALPHA3, True, (0, 0, 0)), "s must be an integer, got True"),
          (lambda: symmetric_projection(3, 2, ALPHA3, 2.0), "s must be an integer, got 2.0"),
          (lambda: build_missing_message_region(3, 2, ALPHA3, [True]), "leader must be an integer, got True"),
          (lambda: build_missing_message_region(3, 2, ALPHA3, [1.0]), "leader must be an integer, got 1.0"),
@@ -353,7 +353,7 @@ class TestSymmetricKinds:
     ])
     def test_max_gdof_refuses_bad_unicast_rates(self, r, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            max_symmetric_gdof(3, 2, ALPHA3, 3, r)
+            oracle.max_symmetric_gdof(3, 2, ALPHA3, 3, r)
 
 
 def in_levels(rates, beta) -> bool:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
-from cachecast.regions import max_symmetric_gdof, prefix_gaps
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     SystemConfig,
@@ -248,7 +247,7 @@ def _curve_oracle(K, N, mu, alpha, r):
     """(ub, ms, lb, joint) from the load sequences, gaps and hulls, built afresh."""
     cfg = config(K, N, mu, alpha)
     loads = [lower_convex_envelope(seq, cfg.cache_budget) for seq in oracle.load_sequences(cfg)]
-    gaps = prefix_gaps(alpha, r)
+    gaps = oracle.unicast_gaps(cfg, r)
     ub = max(oracle.ratio(load, gap) for load, gap in zip(loads, gaps))
     lb = max(oracle.ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(loads, gaps))
     ms = oracle.gndt_memory_sharing(cfg, r)
@@ -602,7 +601,7 @@ class TestDecomposition:
             t = int(rng.integers(0, K))
             cfg = config(K, K, F(t, K), alpha)
             tau = gndt_ub(cfg)
-            best_sym = max_symmetric_gdof(K, t + 1, alpha, K, (0,) * K)
+            best_sym = oracle.max_symmetric_gdof(K, t + 1, alpha, K, (0,) * K)
             assert tau * best_sym == F(1, math.comb(K, t))
 
 
