@@ -16,7 +16,6 @@ The package splits into:
 from .combinatorics import (
     coded_load,
     cumulative_group_count,
-    is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,
 )

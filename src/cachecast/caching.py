@@ -15,14 +15,15 @@ recompose them as an XOR of transmitted payloads over alternative leader sets
 (the Yu-Maddah-Ali-Avestimehr reconstruction).  The pipeline is three steps
 on one {group: int} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
-peels a user's subfiles from that complete map and the user's cache.  The
-encode and decode plans are built once per library; the plan entries a leader
-set sends and each missing group's pool (the group plus the leaders), once per
-leader set; the groups a reconstruction XORs, once per pattern of which users
-share a file.  Every tuple still XORs and compares its own payloads.  Each XOR
-chain starts from its first term, never from 0, and a cached subfile decodes
-as the cache's own int, so no subfile is copied whole.  A decoded file stays
-a tuple of subfile ints, compared one by one with `FileLibrary.subfile_values`.
+peels a user's subfiles from that complete map and the user's cache.  State
+is kept once, under the key it depends on: per library, while it lives, its
+placement, its encode and decode plans and the plan entries each leader set
+sends; in one module memo, per (missing group, leader set, pattern of which of
+their users share a file), the sorted group and the groups its reconstruction
+XORs.  Every tuple still XORs and compares its own payloads.  Each XOR chain
+starts from its first term, never from 0, and a cached subfile decodes as the
+cache's own int, so no subfile is copied whole.  A decoded file stays a tuple
+of subfile ints, compared one by one with `FileLibrary.subfile_values`.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -78,12 +79,20 @@ class DecodabilityError(RuntimeError):
         self.group, self.source, self.weakest = group, source, weakest
 
 
-def _subfile_count(num_users: int, split_order: int, num_files: int) -> int:
-    """C(K, t), the subfiles per file of N files split for K users at order
-    t: a ValueError names the shape's first flaw before anything is drawn."""
+def _subfile_shape(num_files: int, num_users: int, split_order: int,
+                   file_bits: int | None = None) -> tuple[int, int]:
+    """(C(K, t), bits per subfile) of N files of `file_bits` bits (default 8
+    bits per subfile) split for K users at order t: a ValueError names the
+    shape's first flaw, or files that do not cut into equal nonempty
+    subfiles, before anything is drawn."""
     _checked_int("user count", num_users, 1)
     _checked_int("file count", num_files, 1)
-    return math.comb(num_users, _checked_int("split order", split_order, 0, num_users))
+    pieces = math.comb(num_users, _checked_int("split order", split_order, 0, num_users))
+    if file_bits is None:
+        return pieces, 8
+    if _checked_int("file size in bits", file_bits, 1) % pieces:  # an empty file would "decode" vacuously
+        raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
+    return pieces, file_bits // pieces
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class FileLibrary:
 
     def __post_init__(self):
         values, size = tuple(map(tuple, self.subfile_values)), self.subfile_bits
-        pieces = _subfile_count(self.num_users, self.split_order, len(values))
+        pieces = _subfile_shape(len(values), self.num_users, self.split_order)[0]
         _checked_int("subfile size in bits", size, 1)
         for n, file in enumerate(values, 1):
             if len(file) != pieces:
@@ -189,13 +198,9 @@ def random_library(
     draw.  Ints are immutable: a library shared by many verifications cannot
     be changed by any of them.
     """
-    pieces = _subfile_count(num_users, split_order, num_files)
-    if file_bits is None:
-        file_bits = 8 * pieces
-    elif _checked_int("file size in bits", file_bits, 1) % pieces:  # an empty file would "decode" vacuously
-        raise ValueError(f"file size {file_bits} bits is not divisible into {pieces} equal subfiles")
+    pieces, size = _subfile_shape(num_files, num_users, split_order, file_bits)
     _checked_int("seed", seed, 0)
-    size, bits = file_bits // pieces, random.Random(seed).getrandbits
+    bits = random.Random(seed).getrandbits
     return FileLibrary(num_users, split_order, size,
                        [[bits(size) for _ in range(pieces)] for _ in range(num_files)])
 
@@ -307,13 +312,15 @@ def encode_multicast(
 
 
 @lru_cache(maxsize=4096)
-def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
-                            pattern: tuple[int, ...]) -> tuple[Group, ...]:
-    """The groups whose payloads XOR to W_group when `pattern` labels the
-    demands on `pool` by first occurrence, each decodable by min(group).  A
-    DecodabilityError is raised, never remembered, on every such call.
-    `verify --max-K 5 --max-N 4` fills 135 keys, `--max-K 6 --max-N 5` 642."""
-    demand = dict(zip(pool, pattern))
+def _reconstruction_sources(group: Group, leaders: Group,
+                            pattern: tuple[int, ...]) -> tuple[Group, tuple[Group, ...]]:
+    """(sorted group, the groups whose payloads XOR to W_group) when `pattern`
+    labels the demands on (*group, *leaders) by first occurrence; each source
+    is decodable by min(group).  A DecodabilityError is raised, never
+    remembered, on every such call.  `verify --max-K 5 --max-N 4` fills 135
+    keys, `--max-K 6 --max-N 5` 642."""
+    demand = dict(zip((*group, *leaders), pattern))
+    group, pool = tuple(sorted(group)), tuple(sorted(demand))
     weakest = group[0]
     decodable_by = {u for u in leaders if u < weakest} | {weakest}
     sources = []
@@ -324,17 +331,7 @@ def _reconstruction_sources(group: Group, leaders: Group, pool: Group,
         if not decodable_by & set(source):
             raise DecodabilityError(group, source, weakest)
         sources.append(source)
-    return tuple(sources)
-
-
-@lru_cache(maxsize=4096)
-def _reconstruction_pool(group: Group, leaders: LeaderSet) -> tuple[Group, Group]:
-    """(sorted group, group u leaders sorted): a group that is not all
-    non-leaders is refused on every call, never remembered."""
-    group = tuple(sorted(group))
-    if not set(group) <= set(leaders.non_leaders):
-        raise ValueError(f"group {group} is not a set of non-leading users")
-    return group, tuple(sorted(set(group) | set(leaders.leaders)))
+    return group, tuple(sources)
 
 
 def reconstruct_missing(
@@ -348,17 +345,21 @@ def reconstruct_missing(
     as many users as leaders, demands pairwise distinct, not the leaders
     themselves.  Every payload consumed this way is checked to be decodable
     by the weakest member of A: its group must meet the leaders weaker than
-    min(A), or contain min(A) itself.  The check that A is all non-leaders
-    and the sorted A and B are done once per (A, leader set), the groups per
-    pattern of which users of B share a file; the map is read and XORed on
-    every call, from the first source on.
+    min(A), or contain min(A) itself.  A is checked to be all non-leaders on
+    every call, before `d` is read; the sorted A and the groups to XOR are
+    remembered per (A, leader set, pattern of which users of B share a file),
+    and the map is read and XORed on every call, from the first source on.
     """
-    group, pool = _reconstruction_pool(group, leaders)
+    non_leaders = leaders.non_leaders
+    for u in group:
+        if u not in non_leaders:
+            raise ValueError(f"group {tuple(sorted(group))} is not a set of non-leading users")
     labels: dict[int, int] = {}
-    pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in pool)
+    pattern = tuple(labels.setdefault(d[u - 1], len(labels)) for u in group + leaders.leaders)
+    group, sources = _reconstruction_sources(group, leaders.leaders, pattern)
     # never empty: for u = group[0], l the leader of u's file, leaders - {l} + {u} is an alternative
     acc = None
-    for source in _reconstruction_sources(group, leaders.leaders, pool, pattern):
+    for source in sources:
         value = by_group.get(source)
         if value is None:
             raise MissingPayloadError(f"payload for group {source} was not transmitted")
@@ -409,10 +410,12 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     payload index before decoding, for exercising failure detection; at t = K
     no payload is sent, so asking for one is a ValueError rather than a
     vacuous pass.  `library` replaces the seeded `random_library` draw; it
-    must have the given shape.  Only the work that `d` does not fix is reused
-    (subfiles, placement, plans per library or leader set): encoding, each
-    missing payload's one reconstruction and every decode run afresh for `d`,
-    on one {group: int} map; the first user that decodes wrong ends the call.
+    must have the given shape.  Only the work that `d` does not fix is reused:
+    the library's subfiles, placement and plans, its sent plan per leader
+    set, and each reconstruction's sources per (group, leader set, demand
+    pattern).  Encoding, each missing payload's one reconstruction and every
+    decode run afresh for `d`, on one {group: int} map; the first user that
+    decodes wrong ends the call.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)

@@ -261,9 +261,11 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _caching_sweeps(args) -> list:
-    """The caching stage's (library, demand tuples) pairs, one per (K, N, t);
-    every library is drawn here, before --out is opened."""
+def _caching_sweeps(args):
+    """The caching stage's (library, demand tuples) pairs, one per (K, N, t).
+    Every shape, its split into equal subfiles included, is checked here,
+    before --out is opened; the libraries are not: each is drawn when its turn
+    comes, so a swept library is released before the next one's records."""
     seed, d, file_bits, K, N = args.seed or 0, None, args.B, args.K, args.N
     if (K is None) != (N is None):
         raise ValueError("verify takes --K and --N together, or neither for the sweep")
@@ -287,11 +289,13 @@ def _caching_sweeps(args) -> list:
     users = [K] if K is not None else range(1, (args.max_K or 4) + 1)
     files = [N] if N is not None else range(1, (args.max_N or 4) + 1)
     shapes = [(k, n, split) for k in users for n in files for split in splits or range(k + 1)]
-    return [
+    for k, n, split in shapes:
+        caching._subfile_shape(n, k, split, file_bits)
+    return (
         (caching.random_library(N, K, split, file_bits, seed),
          [d] if d else product(range(1, N + 1), repeat=K))
         for K, N, split in shapes
-    ]
+    )
 
 
 def _verify_caching(args, sweeps, records_out) -> tuple[int, int]:

@@ -147,12 +147,3 @@ def lower_convex_envelope(values: Sequence, x) -> Fraction:
         if a <= x2 * b:
             return Fraction(y1 * (x2 - x1) * b + (y2 - y1) * (a - x1 * b), scale * (x2 - x1) * b)
     return Fraction(hull[-1][1], scale)  # a single point
-
-
-def is_convex_sequence(values: Sequence) -> bool:
-    """True iff successive differences of the sequence are nondecreasing."""
-    if len(values) < 3:
-        raise ValueError("convexity of a sequence needs at least 3 points")
-    vals = [_frac(v) for v in values]
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    return all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))

@@ -15,7 +15,8 @@ their gaps from `unicast_gaps`, not from `cachecast.regions._integer_gaps`, so
 none of them reads the code it checks.  The symmetric GDoF's closed form,
 checked against the LP over `cachecast.regions.symmetric_projection`, takes
 its argument checks, group counts and gaps from `cachecast.regions`, so it
-refuses what the projection refuses, with the same messages.
+refuses what the projection refuses, with the same messages.  The
+convexity check of a sequence states the lemma the load-sequence tests check.
 """
 
 from __future__ import annotations
@@ -229,6 +230,19 @@ def eliminate(poly: Polytope, drop) -> Polytope:
             ),
         )
     return current
+
+
+# -- convexity of a sequence ---------------------------------------------------
+
+
+def is_convex_sequence(values):
+    """True iff successive differences of the sequence are nondecreasing: the
+    convexity lemma the load-sequence tests state."""
+    if len(values) < 3:
+        raise ValueError("convexity of a sequence needs at least 3 points")
+    vals = [Fraction(v) for v in values]
+    diffs = [b - a for a, b in zip(vals, vals[1:])]
+    return all(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
 # -- lower convex envelope -----------------------------------------------------

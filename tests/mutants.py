@@ -56,11 +56,11 @@ MUTANTS = (
         "reconstruction-memo-ignores-pattern", CACHING,
         "@lru_cache(maxsize=4096)\ndef _reconstruction_sources(",
         "def _keyed_without_pattern(sources, memo={}):\n"
-        "    return lambda group, leaders, pool, pattern: memo.setdefault(\n"
-        "        (group, leaders, pool), sources(group, leaders, pool, pattern))\n\n\n"
+        "    return lambda group, leaders, pattern: memo.setdefault(\n"
+        "        (group, leaders), sources(group, leaders, pattern))\n\n\n"
         "@_keyed_without_pattern\ndef _reconstruction_sources(",
         "the first demand pattern's source groups are reused for every tuple with "
-        "the same leaders and pool",
+        "the same group and leaders",
         ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
     ),
     Mutant(
@@ -100,13 +100,28 @@ MUTANTS = (
          "tests/test_caching.py::TestSentPlans::test_each_leader_set_keeps_its_own_sent_groups"),
     ),
     Mutant(
-        "reconstruction-pool-keyed-on-group", CACHING,
-        "@lru_cache(maxsize=4096)\ndef _reconstruction_pool(",
-        "def _keyed_on_group(pool, memo={}):\n"
-        "    return lambda group, leaders: memo.setdefault(group, pool(group, leaders))\n\n\n"
-        "@_keyed_on_group\ndef _reconstruction_pool(",
-        "a missing group's pool (group plus leaders) is the one of the first leader set it met",
-        ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[3-2]",),
+        "reconstruction-memo-ignores-leaders", CACHING,
+        "@lru_cache(maxsize=4096)\ndef _reconstruction_sources(",
+        "def _keyed_without_leaders(sources, memo={}):\n"
+        "    return lambda group, leaders, pattern: memo.setdefault(\n"
+        "        (group, pattern), sources(group, leaders, pattern))\n\n\n"
+        "@_keyed_without_leaders\ndef _reconstruction_sources(",
+        "a missing group's sources are the ones of the first leader set it met with the same "
+        "pattern: d = (1, 1, 2, 2), leaders (1, 3), and d = (1, 2, 2, 2), leaders (1, 2), both "
+        "miss group (4,) under the pattern (0, 1, 0), rebuilt as W_3 in the first and W_2 in the second",
+        ("tests/test_caching.py::TestMissingMessagesExhaustive::test_every_missing_payload_recomposes[4-3]",),
+    ),
+    Mutant(
+        "verify-draws-every-library-up-front", CLI,
+        "    return (\n        (caching.random_library(N, K, split, file_bits, seed),\n"
+        "         [d] if d else product(range(1, N + 1), repeat=K))\n"
+        "        for K, N, split in shapes\n    )\n",
+        "    return [\n        (caching.random_library(N, K, split, file_bits, seed),\n"
+        "         [d] if d else product(range(1, N + 1), repeat=K))\n"
+        "        for K, N, split in shapes\n    ]\n",
+        "every library of the sweep is drawn before the first record and stays alive, with "
+        "its caches and plans, until the run ends",
+        ("tests/test_caching.py::TestEndToEnd::test_sweep_keeps_one_library_alive",),
     ),
     Mutant(
         "delay-rate-certificate-always-passes", FINITE_SNR,

@@ -15,10 +15,10 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-from fraction_oracles import max_symmetric_gdof
+from fraction_oracles import is_convex_sequence, max_symmetric_gdof
 
 from cachecast.caching import end_to_end_verify
-from cachecast.combinatorics import is_convex_sequence, multicast_load_sequence
+from cachecast.combinatorics import multicast_load_sequence
 from cachecast.finite_snr import (
     constant_gap_certificate,
     delay_rate_gap_certificate,

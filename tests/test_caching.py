@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -518,6 +520,23 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_missing(sent(d, lib, leaders), (1, 3), leaders, d, lib.subfile_bits)
 
+    @pytest.mark.parametrize("group", [(1, 3), (3, 1), (3, 5), (5, 3)],
+                             ids=["leader", "leader-unsorted", "past-K", "past-K-unsorted"])
+    def test_refuses_a_group_that_is_not_all_non_leaders_on_every_call(self, group):
+        """The refusal names the sorted group on every call, also once a valid
+        call with the same leader set has filled the memo, and a user past K
+        is refused before the demand tuple is read, not by an IndexError."""
+        lib = random_library(2, 4, 1, seed=8)
+        d = (1, 2, 1, 2)
+        leaders = select_leaders(d)
+        by_group = sent(d, lib, leaders)
+        message = f"group {tuple(sorted(group))} is not a set of non-leading users"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                reconstruct_missing(by_group, group, leaders, d, lib.subfile_bits)
+            assert reconstruct_missing(by_group, (3, 4), leaders, d, lib.subfile_bits).value == direct_payload(
+                lib, d, (3, 4))
+
     def test_missing_inputs_detected(self):
         lib = random_library(2, 4, 1, seed=8)
         d = (1, 2, 1, 2)
@@ -819,6 +838,34 @@ class TestEndToEnd:
         records = sweep_records(tmp_path, capsys, "--K", "3", "--N", "2", "--mu", "1/3", "--seed", "4")
         assert len(records) == 8 and all(r["pass"] for r in records)
         assert calls == {"random_library": 1, "place_caches": 1, "end_to_end_verify": 8}
+
+    def test_sweep_keeps_one_library_alive(self, monkeypatch, capsys):
+        """When a shape's first record is written, its library is the only one
+        drawn so far that is still alive: each swept library is released, with
+        its caches and plans, before the next shape's records begin."""
+        drawn, shapes = [], []
+        draw = caching.random_library
+
+        def tracked(*args, **kwargs):
+            library = draw(*args, **kwargs)
+            drawn.append(weakref.ref(library))
+            return library
+
+        class Records:
+            def write(self, line):
+                record = json.loads(line)
+                shape = (record["K"], record["N"], record["Kmu"])
+                if shape not in shapes:
+                    shapes.append(shape)
+                    assert len(drawn) == len(shapes), shape
+                    alive = [ref() is not None for ref in drawn]
+                    assert alive == [False] * (len(alive) - 1) + [True], shape
+
+        monkeypatch.setattr(caching, "random_library", tracked)
+        monkeypatch.setattr(cli, "_output", lambda args: contextlib.nullcontext(Records()))
+        assert cli.main(["verify", "--max-K", "3", "--max-N", "2", "--region-trials", "1"]) == 0
+        capsys.readouterr()
+        assert len(shapes) == len(drawn) == sum(2 * (K + 1) for K in range(1, 4))
 
     def test_shared_library_survives_a_corrupted_call(self):
         lib = random_library(3, 4, 1, seed=2)

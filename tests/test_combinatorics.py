@@ -14,7 +14,6 @@ from cachecast.combinatorics import (
     _remember_last,
     coded_load,
     cumulative_group_count,
-    is_convex_sequence,
     lower_convex_envelope,
     multicast_load_sequence,
 )
@@ -219,18 +218,18 @@ class TestRememberLast:
 
 class TestConvexSequence:
     def test_affine(self):
-        assert is_convex_sequence([0, 1, 2, 3])
+        assert oracle.is_convex_sequence([0, 1, 2, 3])
 
     def test_non_convex(self):
-        assert not is_convex_sequence([0, 2, 1])
+        assert not oracle.is_convex_sequence([0, 2, 1])
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            is_convex_sequence([1, 2])
+            oracle.is_convex_sequence([1, 2])
 
     def test_load_sequence_small(self):
         # the coded load sequence is convex; spot case K = 4, all users served
-        assert is_convex_sequence(multicast_load_sequence(4, 4))
+        assert oracle.is_convex_sequence(multicast_load_sequence(4, 4))
 
 
 class TestLoadSequence:
@@ -393,4 +392,4 @@ class TestConvexityLemma:
     def test_every_sequence_is_convex_up_to_forty_users(self):
         for K in range(2, 41):
             for m in range(1, K + 1):
-                assert is_convex_sequence(multicast_load_sequence(K, m)), (K, m)
+                assert oracle.is_convex_sequence(multicast_load_sequence(K, m)), (K, m)

@@ -37,7 +37,6 @@ READERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perf
 TEST_FACING = {
     "solve_square": "the benchmark's layer tracer wraps it by name; tests use it as a vertex oracle",
     "fix_variables": "pins coordinates of a region in the region and trade-off tests",
-    "is_convex_sequence": "states the convexity lemma the load-sequence tests check",
     "multicast_load_sequence": (
         "the benchmark's layer tracer wraps it by name; the Fraction oracles build load sequences from it"
     ),
