@@ -13,12 +13,7 @@ The package splits into:
 * `cli`           -- the `cachecast` command.
 """
 
-from .combinatorics import (
-    coded_load,
-    cumulative_group_count,
-    lower_convex_envelope,
-    multicast_load_sequence,
-)
+from .combinatorics import cumulative_group_count, lower_convex_envelope, multicast_load_sequence
 from .caching import (
     Bits,
     CacheContents,

@@ -17,13 +17,14 @@ on one {group: int} map: `encode_multicast` fills it with what is sent,
 `reconstruct_missing` adds each never-sent payload once, and `decode_file`
 peels a user's subfiles from that complete map and the user's cache.  State
 is kept once, under the key it depends on: per library, while it lives, its
-placement, its encode and decode plans and the plan entries each leader set
-sends; in one module memo, per (missing group, leader set, pattern of which of
-their users share a file), the sorted group and the groups its reconstruction
-XORs.  Every tuple still XORs and compares its own payloads.  Each XOR chain
-starts from its first term, never from 0, and a cached subfile decodes as the
-cache's own int, so no subfile is copied whole.  A decoded file stays a tuple
-of subfile ints, compared one by one with `FileLibrary.subfile_values`.
+placement, its decode plans and, per leader set, the sides of the groups
+that meet the leaders; in one module memo, per (missing group, leader set,
+pattern of which of their users share a file), the sorted group and the
+groups its reconstruction XORs.  Every tuple still XORs and compares its own
+payloads.  Each XOR chain starts from its first term, never from 0, and a
+cached subfile decodes as the cache's own int, so no subfile is copied
+whole.  A decoded file stays a tuple of subfile ints, compared one by one
+with `FileLibrary.subfile_values`.
 
 Everything operates on explicit bit strings, so every claim about the
 delivery scheme can be checked for bit equality, for every demand tuple.  A
@@ -105,7 +106,7 @@ class FileLibrary:
     order, each `subfile_bits` wide: the one constructor checks them all and
     keeps them as tuples, and no whole file is joined.  `_by_subset`
     indexes the same int objects per subset, as every cache does; it, the
-    placement and the encode plan are built on first use and live as long
+    placement and the sent plans are built on first use and live as long
     as the library, so everything that shares one library shares them.
     """
 
@@ -149,22 +150,11 @@ class FileLibrary:
         return place_caches(self)
 
     @cached_property
-    def _encode_plan(self) -> tuple[tuple[Group, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
-        """Per (t+1)-group in lexicographic order, (group, sides): each member
-        - 1 with its side subfile, group minus member, as one int per file
-        from `_by_subset`.  `encode_multicast` XORs values[d_member - 1].
-        The t-subsets of a group drop its members last to first."""
-        t, sides = self.split_order, self._by_subset
-        return tuple(
-            (group, tuple([(m - 1, sides[rest])
-                           for m, rest in zip(reversed(group), combinations(group, t))]))
-            for group in combinations(range(1, self.num_users + 1), t + 1)
-        )
-
-    @cached_property
     def _sent_plans(self) -> dict[Group, tuple[tuple[Group, tuple[tuple[int, tuple[int, ...]], ...]], ...]]:
-        """{leader tuple: the `_encode_plan` entries whose group meets it}, in
-        plan order; `encode_multicast` adds a leader tuple on its first use."""
+        """{leader tuple: (group, sides) per (t+1)-group that meets it, in
+        lexicographic order}, where sides pairs each member - 1 with its side
+        subfile, group minus member, as one int per file from `_by_subset`;
+        `encode_multicast` adds a leader tuple on its first use."""
         return {}
 
     def subfile(self, file_index: int, subset: Group) -> int:
@@ -293,14 +283,18 @@ def encode_multicast(
     """One XOR payload per (t+1)-group intersecting the leader set, in
     lexicographic group order, each `subfile_bits` wide, its XOR chain
     started from its first side term (at t = 0, the library's own int).
-    The plan entries of those groups are picked once per leader tuple and
-    kept in `library._sent_plans`; every call XORs its own payloads."""
+    Those groups' sides are built once per leader tuple, a group's t-subsets
+    dropping its members last to first, and kept in `library._sent_plans`;
+    every call XORs its own payloads."""
     plans = library._sent_plans
     plan = plans.get(leaders.leaders)
     if plan is None:
-        leader_set = set(leaders.leaders)
+        t, sides, leader_set = library.split_order, library._by_subset, set(leaders.leaders)
         plan = plans[leaders.leaders] = tuple(
-            entry for entry in library._encode_plan if not leader_set.isdisjoint(entry[0]))
+            (group, tuple([(m - 1, sides[rest])
+                           for m, rest in zip(reversed(group), combinations(group, t))]))
+            for group in combinations(range(1, library.num_users + 1), t + 1)
+            if not leader_set.isdisjoint(group))
     size, payloads = library.subfile_bits, []
     for group, sides in plan:
         member, values = sides[0]
@@ -411,11 +405,11 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     no payload is sent, so asking for one is a ValueError rather than a
     vacuous pass.  `library` replaces the seeded `random_library` draw; it
     must have the given shape.  Only the work that `d` does not fix is reused:
-    the library's subfiles, placement and plans, its sent plan per leader
-    set, and each reconstruction's sources per (group, leader set, demand
-    pattern).  Encoding, each missing payload's one reconstruction and every
-    decode run afresh for `d`, on one {group: int} map; the first user that
-    decodes wrong ends the call.
+    the library's subfiles, placement and decode plans, its sent plan per
+    leader set, and each reconstruction's sources per (group, leader set,
+    demand pattern).  Encoding, each missing payload's one reconstruction
+    and every decode run afresh for `d`, on one {group: int} map; the first
+    user that decodes wrong ends the call.
     """
     if library is None:
         library = random_library(num_files, num_users, split_order, file_bits, seed)

@@ -9,15 +9,18 @@ whose weakest member is i, the cumulative count identity
 
     |Sigma_1 u ... u Sigma_j| = C(K, sigma) - C(K - j, sigma),
 
-and the per-subfile coded load sequence
+and the per-subfile coded load sequence for m served users,
 
     c_n = (C(K, n+1) - C(K - m, n+1)) / C(K, n),    n = 0..K,
 
-are the combinatorial backbone of the delivery-time formulas.  All arithmetic
-is exact (ints and fractions.Fraction; the envelope's hull runs on integers);
-floats only ever appear at output boundaries.  Each integer argument (a count,
-size, index or seed) is refused by name through `_checked_int`, and each rational
-one with a closed range (mu, r_k, a fixed value, x) through `_checked_fraction`.
+are the combinatorial backbone of the delivery-time formulas.
+`multicast_load_sequence` is the Fraction view of c_n; `tradeoff` reads the
+counts as integers and states the lemma that makes n -> c_n convex.  All
+arithmetic is exact (ints and fractions.Fraction; the envelope's hull runs on
+integers); floats only ever appear at output boundaries.  Each integer
+argument (a count, size, index or seed) is refused by name through
+`_checked_int`, and each rational one with a closed range (mu, r_k, a fixed
+value, x) through `_checked_fraction`.
 """
 
 from __future__ import annotations
@@ -60,31 +63,19 @@ def cumulative_group_count(num_users: int, group_size: int, j: int) -> int:
     return math.comb(num_users, group_size) - math.comb(num_users - j, group_size)
 
 
-def coded_load(num_users: int, served: int, n: int) -> Fraction:
-    """Coded load c_n, in subfile units, with n cached subfiles per file.
+def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
+    """The coded loads c_0..c_K, in subfile units, for one served count.
 
     `served` is the number of users whose groups must be covered (the
     min{k, N} count in the delivery-time expressions); it must lie in [1, K].
-    c_n counts the multicast messages useful to the first `served` users,
-    normalized by the C(K, n) subfiles each file is split into.
-
-    Convexity lemma: c_n = sum_{j=1..served} C(K-j, n) / C(K, n), the j-th
-    term counting the (n+1)-groups whose weakest member is j.  Each term
-    f_j(n) = prod_{i<n} (K-j-i)/(K-i) has second difference
-    f_j(n) j(j-1) / ((K-n)(K-n-1)) >= 0, so n -> c_n is convex for every K
-    and every served count, and its lower convex envelope at x is the chord
-    between c_floor(x) and c_ceil(x).
+    c_n counts the multicast messages useful to the first `served` users at
+    the integer cache budget K*mu = n, normalized by the C(K, n) subfiles
+    each file is split into.
     """
     _checked_int("user count", num_users, 1)
     _checked_int("served", served, 1, num_users)
-    _checked_int("cached subfile count", n, 0, num_users)
-    return Fraction(cumulative_group_count(num_users, n + 1, served), math.comb(num_users, n))
-
-
-def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
-    """The coded loads c_0..c_K of `coded_load` for one served count."""
-    _checked_int("user count", num_users, 1)
-    return [coded_load(num_users, served, n) for n in range(num_users + 1)]
+    return [Fraction(cumulative_group_count(num_users, n + 1, served), math.comb(num_users, n))
+            for n in range(num_users + 1)]
 
 
 def _remember_last(func):

@@ -3,16 +3,21 @@
 The central quantity is the normalized delivery time achieved by splitting
 each file for an aggregate cache budget of K*mu and pushing the coded
 multicast payloads plus the unicast traffic through the layered broadcast
-channel.  With c_n(k) the coded load useful to the weakest min(k, N) users
-(see `combinatorics.coded_load`) the achieved time is
+channel.  With c_n(k) the coded load useful to the weakest m = min(k, N)
+users (the c_n of `combinatorics`, at the integer budget K*mu = n) the
+achieved time is
 
     tau_ub(r) = max_k  env_k(K*mu) / (alpha_k - r_1 - ... - r_k)^+,
 
 where env_k is the lower convex envelope of n -> c_n(k), evaluated at the
-(possibly fractional) budget K*mu.  Every such sequence is convex: c_n(k) is
-a sum of terms C(K-j, n) / C(K, n), each with a nonnegative second
-difference in n (the lemma in `coded_load`).  So env_k(K*mu) is the chord
-between c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
+(possibly fractional) budget K*mu.  Every such sequence is convex.
+
+Convexity lemma: c_n(k) = sum_{j=1..m} C(K-j, n) / C(K, n), the j-th term
+counting the (n+1)-groups whose weakest member is j.  Each term
+f_j(n) = prod_{i<n} (K-j-i)/(K-i) has second difference
+f_j(n) j(j-1) / ((K-n)(K-n-1)) >= 0, so n -> c_n(k) is convex for every K
+and every served count.  So env_k(K*mu) is the chord between
+c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
 
 The formulas run on integers from the parsed input to the one Fraction per
 answer.  c_n(k) is `cumulative_group_count(K, n + 1, k)` over C(K, n); the

@@ -100,6 +100,15 @@ MUTANTS = (
          "tests/test_caching.py::TestSentPlans::test_each_leader_set_keeps_its_own_sent_groups"),
     ),
     Mutant(
+        "sent-plan-sends-every-group", CACHING,
+        "t + 1)\n            if not leader_set.isdisjoint(group))",
+        "t + 1))",
+        "every (t+1)-group is encoded and sent, all-non-leader ones too, so the sent payloads "
+        "and the index of a corrupted one no longer follow the leader set",
+        ("tests/test_caching.py::TestSentPlans::test_each_leader_set_keeps_its_own_sent_groups",
+         "tests/test_caching.py::TestFaultLocation::test_a_flipped_payload_breaks_exactly_its_consumers[3-3]"),
+    ),
+    Mutant(
         "reconstruction-memo-ignores-leaders", CACHING,
         "@lru_cache(maxsize=4096)\ndef _reconstruction_sources(",
         "def _keyed_without_leaders(sources, memo={}):\n"
@@ -283,6 +292,22 @@ MUTANTS = (
         "if p * over >= best * g:",
         "of two prefixes with the same ratio the stronger user is named the bottleneck",
         ("tests/test_tradeoff.py::TestBottleneck::test_tie_goes_to_the_weakest",),
+    ),
+    Mutant(
+        "chord-weights-swapped", TRADEOFF,
+        "w0, w1 = (b - s) * c1, s * c0",
+        "w0, w1 = s * c1, (b - s) * c0",
+        "a fractional budget weights each integer budget's loads by the other one's share, so "
+        "the chord leans toward the wrong end",
+        ("tests/test_tradeoff.py::TestPrefixLoads::test_matches_per_prefix_envelope[1]",),
+    ),
+    Mutant(
+        "zero-load-on-an-exhausted-prefix-is-inf", TRADEOFF,
+        "if p and not g:",
+        "if not g:",
+        "a prefix with no load and no channel left reads as infinite delivery time, not as 0 "
+        "over anything",
+        ("tests/test_tradeoff.py::TestSharedCurveData::test_every_value_matches_a_fresh_oracle[forward]",),
     ),
     Mutant(
         "draw-rounds-subfiles-up-to-bytes", CACHING,

@@ -12,7 +12,6 @@ from cachecast.combinatorics import (
     _checked_fraction,
     _checked_int,
     _remember_last,
-    coded_load,
     cumulative_group_count,
     lower_convex_envelope,
     multicast_load_sequence,
@@ -254,15 +253,14 @@ class TestLoadSequence:
             for m in range(1, K + 1):
                 seq = multicast_load_sequence(K, m)
                 assert len(seq) == K + 1
-                for n, value in enumerate(seq):
-                    load = coded_load(K, m, n)
-                    assert type(load) is F and load == value
+                for n, load in enumerate(seq):
+                    assert type(load) is F
                     assert load == F(comb(K, n + 1) - comb(K - m, n + 1), comb(K, n))
 
     def test_coded_load_rejects_out_of_range(self):
-        for served, n in ((0, 1), (4, 1), (2, -1), (2, 4)):
-            with pytest.raises(ValueError):
-                coded_load(3, served, n)
+        for served in (0, 4):
+            with pytest.raises(ValueError, match=re.escape(f"served must lie in [1, 3], got {served}")):
+                multicast_load_sequence(3, served)
 
 
 class TestIntegerArguments:
@@ -271,14 +269,13 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(
         "call,message",
-        [(lambda: coded_load(3, True, 1), "served must be an integer, got True"),
+        [(lambda: multicast_load_sequence(3, True), "served must be an integer, got True"),
          (lambda: cumulative_group_count(3, 2, True), "j must be an integer, got True"),
-         (lambda: coded_load(3, 1, 1.0), "cached subfile count must be an integer, got 1.0"),
-         (lambda: coded_load(3.0, 1, 1), "user count must be an integer, got 3.0"),
-         (lambda: coded_load(0, 1, 0), "user count must be a whole number of at least 1, got 0"),
+         (lambda: multicast_load_sequence(3.0, True), "user count must be an integer, got 3.0"),
+         (lambda: multicast_load_sequence(0, 1), "user count must be a whole number of at least 1, got 0"),
          (lambda: multicast_load_sequence(3.0, 1), "user count must be an integer, got 3.0"),
          (lambda: multicast_load_sequence(True, 1), "user count must be an integer, got True")],
-        ids=["coded-load-served-bool", "count-j-bool", "coded-load-n-float", "coded-load-users-float",
+        ids=["coded-load-served-bool", "count-j-bool", "coded-load-users-float",
              "coded-load-no-users", "sequence-users-float", "sequence-users-bool"],
     )
     def test_refused_by_name(self, call, message):
@@ -299,7 +296,7 @@ class TestIntegerArguments:
 
     def test_both_ends_are_accepted(self):
         assert [cumulative_group_count(3, 2, j) for j in (0, 3)] == [0, 3]
-        assert [coded_load(3, served, n) for served, n in ((1, 0), (3, 3))] == [1, 0]
+        assert [multicast_load_sequence(3, served)[n] for served, n in ((1, 0), (3, 3))] == [1, 0]
         assert _checked_int("n", 0, 0) == 0 and _checked_int("n", 10**30, 1) == 10**30
 
 
@@ -376,9 +373,10 @@ class TestConvexityLemma:
     def test_sum_over_weakest_member(self):
         for K in range(1, 13):
             for m in range(1, K + 1):
+                seq = multicast_load_sequence(K, m)
                 for n in range(K + 1):
                     terms = sum(F(comb(K - j, n), comb(K, n)) for j in range(1, m + 1))
-                    assert coded_load(K, m, n) == terms
+                    assert seq[n] == terms
 
     def test_term_second_difference(self):
         for K in range(2, 13):
