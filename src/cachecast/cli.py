@@ -17,7 +17,9 @@ takes with a value is that value (--mu -1/3), and under `--config FILE: --flag`
 in the file, also where a flag overrides it.  A list flag (--alpha, --r,
 --leaders, --d) takes comma text or a JSON list, and refuses any other JSON
 value; an empty comma entry (1,2,) is an error.
-Numbers print with 12 significant digits; --exact adds p/q columns.
+Numbers print with 12 significant digits; --exact adds p/q columns.  A finite
+value beyond the float range cannot print so and is a usage error; rows and
+the holes document are built before anything is printed.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -28,6 +30,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -43,7 +46,15 @@ VERIFY_ERROR = 1
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.12g}"  # math.inf prints as inf
+    """`x` with 12 significant digits, as f"{float(x):.12g}" prints it: a
+    Fraction through the same correctly rounded int division `float` runs.
+    math.inf prints as inf; a value beyond the float range is refused."""
+    if isinstance(x, float):  # inf, the one float a delivery time can be
+        return f"{x:.12g}"
+    try:
+        return f"{x.numerator / x.denominator:.12g}"
+    except OverflowError:
+        raise ValueError(f"{x} is outside the range of the 12-digit decimal column") from None
 
 
 def _fmt_exact(x) -> str:
@@ -90,16 +101,21 @@ def _parse_list(value, flag: str, whole: bool = False, check=None) -> list:
 
 
 def _parse_grid(text, flag: str) -> list[Fraction]:
+    """start, start + step, ..., up to end: point i is (a + i c) / q, for start
+    a / q and step c / q over the lcm q of their denominators, one Fraction each."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ValueError(f"{flag} must have the form start:end:step, got {text!r}")
     start, end, step = (_parse_fraction(t, flag) for t in parts)
-    if step <= 0 or end < start:
+    q = math.lcm(start.denominator, step.denominator)
+    a, c = start.numerator * (q // start.denominator), step.numerator * (q // step.denominator)
+    e, f = end.numerator * q, end.denominator  # end = (e / f) / q
+    if c <= 0 or e < a * f:
         raise ValueError(f"{flag} start:end:step needs step > 0 and end >= start, got {text!r}")
-    count = (end - start) // step + 1  # start, start + step, ..., up to end
-    for value in (start, start + (count - 1) * step):  # both ends, before the grid is built
-        _checked_fraction(f"{flag} values", value, 0, 1)
-    return [start + i * step for i in range(count)]
+    count = (e - a * f) // (c * f) + 1
+    for i in (0, count - 1):  # both ends, before the grid is built
+        _checked_fraction(f"{flag} values", Fraction(a + i * c, q), 0, 1)
+    return [Fraction(a + i * c, q) for i in range(count)]
 
 
 def _mu(value, flag: str) -> Fraction:

@@ -22,14 +22,17 @@ c_floor(K*mu)(k) and c_ceil(K*mu)(k), with no hull built.
 The formulas run on integers from the parsed input to the one Fraction per
 answer.  c_n(k) is `cumulative_group_count(K, n + 1, k)` over C(K, n); the
 count table `_count_table` holds those integers for every budget n = 0..K
-and prefix k.  `SystemConfig._chord`, the one place env_k is computed, reads
-two rows as integers P_k over one D, and `_scaled_gaps` takes the gaps from
-`regions._integer_gaps` as integers G_k over one H.  `_max_ratio` compares
-P_k G_j with P_j G_k and names the first prefix attaining the max, the
-bottleneck user at r = 0.  The converse divides that same ratio by 2.01; the
-chord's Fraction view `prefix_loads` feeds the hole and inner regions and the
-finite-SNR rows.  `topological_hole_region` describes the unicast tuples that
-ride along at no delivery-time cost.  Two relatives are separate code paths:
+and prefix k.  Each config reduces K*mu = K p / q to integers with one
+gcd(K, q), no Fraction product.  `SystemConfig._chord`, the one place env_k
+is computed, reads two rows as integers P_k over one D, and `_scaled_gaps`
+takes the gaps from `regions._integer_gaps` as integers G_k over one H.
+`_max_terms` compares P_k G_j with P_j G_k and names the first prefix
+attaining the max, the bottleneck user at r = 0; `_max_ratio` makes its
+integers one Fraction, and the converse makes them, with the numerator and
+denominator of 2.01, its own one Fraction.  The chord's Fraction view
+`prefix_loads` feeds the hole and inner regions and the finite-SNR rows.
+`topological_hole_region` describes the unicast tuples that ride along at no
+delivery-time cost.  Two relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
   weaker at fractional budgets in asymmetric channels: one `_max_ratio` per
@@ -39,12 +42,14 @@ ride along at no delivery-time cost.  Two relatives are separate code paths:
   combination of the two neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
-per mu with the same K, N, alpha and r.  One-entry memos, compared by value
-(see `combinatorics._remember_last`), keep what those calls share: the
+per mu with the same K, N, alpha and r.  The count table depends only on K
+and the served count min(K, N), so a bounded LRU cache keeps one per
+(K, min(K, N)) across calls and curves.  One-entry memos, compared by value
+(see `combinatorics._remember_last`), keep what one curve's calls share: the
 strengths check (`regions._checked_strengths`) each mu's config repeats, per
-(K, N) the count table each chord reads, per (alpha, r) the scaled gaps each
-time divides by, and for memory sharing the integer-budget times (`_maxed`)
-and their lower hull.  Each config computes its chord once.
+(alpha, r) the scaled gaps each time divides by, and for memory sharing the
+integer-budget times (`_maxed`) and their lower hull.  Each config computes
+its chord once.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,15 +91,20 @@ class SystemConfig:
         _checked_int("file count", self.num_files, 1)  # K is checked by user_strengths below
         object.__setattr__(self, "mu", _checked_fraction("mu", self.mu, 0, 1))
         object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
+        # _budget, not a field: K*mu in lowest terms as ints (a, b).  mu = p/q is
+        # in lowest terms, so a = (K/g) p and b = q/g for g = gcd(K, q)
+        K, mu = self.num_users, self.mu
+        g = math.gcd(K, mu.denominator)
+        object.__setattr__(self, "_budget", (K // g * mu.numerator, mu.denominator // g))
 
     @cached_property
     def cache_budget(self) -> Fraction:
         """Aggregate normalized cache size K*mu, computed once per config."""
-        return self.num_users * self.mu
+        return Fraction(*self._budget)
 
     @property
     def integer_budget(self) -> bool:
-        return self.cache_budget.denominator == 1
+        return self._budget[1] == 1
 
     @cached_property
     def _chord(self) -> tuple[int, tuple[int, ...]]:
@@ -103,12 +113,12 @@ class SystemConfig:
         At K*mu = low + s/b the chord is ((b - s) c_low + s c_low+1) / b, so D is
         b C(K, low) C(K, low + 1), or C(K, low) at an integer budget.
         """
-        K, budget = self.num_users, self.cache_budget
-        table = _count_table(K, self.num_files)
-        low, s = divmod(budget.numerator, budget.denominator)
+        K, (a, b) = self.num_users, self._budget
+        table = _count_table(K, min(K, self.num_files))
+        low, s = divmod(a, b)
         if not s:
             return math.comb(K, low), table[low]
-        b, c0, c1 = budget.denominator, math.comb(K, low), math.comb(K, low + 1)
+        c0, c1 = math.comb(K, low), math.comb(K, low + 1)
         w0, w1 = (b - s) * c1, s * c0
         return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in zip(table[low], table[low + 1])])
 
@@ -122,15 +132,16 @@ def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
 _scaled_gaps = _remember_last(_integer_gaps)
 
 
-@_remember_last
-def _count_table(num_users: int, num_files: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=128)
+def _count_table(num_users: int, served: int) -> tuple[tuple[int, ...], ...]:
     """Row n = 0..K holds C(K, n) * c_n for every prefix k = 1..K: the coded
-    loads' numerators at every integer budget, built once per (K, N).
+    loads' numerators at every integer budget, for `served` = min(K, N).
 
     A prefix longer than N serves the same N users as prefix N, so only
-    min(K, N) counts are computed per row and the last one is repeated.
+    `served` counts are computed per row and the last one is repeated.  The
+    cache keeps a table per (K, min(K, N)) across calls; 128 entries hold every
+    served count for each K up to 15, and a table is O(K^2) ints.
     """
-    served = min(num_users, num_files)
     rows = [[cumulative_group_count(num_users, n + 1, k) for k in range(1, served + 1)]
             for n in range(num_users + 1)]
     return tuple(tuple(row + row[-1:] * (num_users - served)) for row in rows)
@@ -143,24 +154,31 @@ def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
     return tuple(Fraction(p, scale) for p in loads)
 
 
-def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
-    """(max_k (loads_k / scale) / (gaps_k / height), the first k attaining it),
-    with 0 / anything = 0 and positive / 0 = inf, comparing p_k g_j with p_j g_k.
-    Ties go to the weakest user; an exhausted prefix k gives (inf, k)."""
+def _max_terms(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
+    """(T, B, the first k attaining the max) for T / B = max_k (loads_k / scale) /
+    (gaps_k / height), with 0 / anything = 0 and positive / 0 = inf, comparing
+    p_k g_j with p_j g_k.  Ties go to the weakest user; an exhausted prefix k
+    gives (1, 0, k), B = 0 standing for inf."""
     best, over, star, k = 0, 1, 1, 0
     for p, g in zip(loads, gaps):  # k by hand: enumerate's nested unpacking costs more
         k += 1
         if p and not g:
-            return INF, k
+            return 1, 0, k
         if p * over > best * g:
             best, over, star = p, g, k
-    return Fraction(best * height, scale * over), star
+    return best * height, scale * over, star
+
+
+def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
+    """(`_max_terms`' T / B as one Fraction, or inf at B = 0, the first k attaining it)."""
+    top, bottom, star = _max_terms(scale, loads, height, gaps)
+    return (Fraction(top, bottom) if bottom else INF), star
 
 
 @_remember_last
 def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
     """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
-    table = _count_table(num_users, num_files)
+    table = _count_table(num_users, min(num_users, num_files))
     times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps)[0] for n, row in enumerate(table))
     return None if any(t is INF for t in times) else times
 
@@ -193,13 +211,12 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     layered channel weights the two loads by the split fractions inside the
     max, which reproduces `gndt_ub` exactly.
     """
-    budget = config.cache_budget
-    if config.integer_budget:
-        raise ValueError(f"cache budget K*mu = {budget} is an integer; no split needed")
-    K, b = config.num_users, budget.denominator
-    low = budget.numerator // b  # floor
-    lam = b * (low + 1) - budget.numerator  # b times the weight of the floor budget
-    table, c0, c1 = _count_table(K, config.num_files), math.comb(K, low), math.comb(K, low + 1)
+    K, (a, b) = config.num_users, config._budget
+    if b == 1:
+        raise ValueError(f"cache budget K*mu = {a} is an integer; no split needed")
+    low = a // b  # floor
+    lam = b * (low + 1) - a  # b times the weight of the floor budget
+    table, c0, c1 = _count_table(K, min(K, config.num_files)), math.comb(K, low), math.comb(K, low + 1)
     loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in zip(table[low], table[low + 1])]
     return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))[0]
 
@@ -212,7 +229,10 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     yields a floor on the delivery time, and the tightest is `gndt_ub`'s
     ratio over 201/100 by construction (ROADMAP item 8: an independent converse).
     """
-    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))[0] / CONVERSE_FACTOR
+    top, bottom, _ = _max_terms(*config._chord, *_scaled_gaps(config.alpha, _key(r)))
+    if not bottom:
+        return INF
+    return Fraction(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)
 
 
 def bottleneck_user(config: SystemConfig) -> int:

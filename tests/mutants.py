@@ -287,6 +287,23 @@ MUTANTS = (
          "tests/test_tradeoff.py::TestLowerBound::test_worked_example_is_pinned"),
     ),
     Mutant(
+        "converse-factor-swapped", TRADEOFF,
+        "Fraction(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)",
+        "Fraction(top * CONVERSE_FACTOR.numerator, bottom * CONVERSE_FACTOR.denominator)",
+        "the converse multiplies the ratio by 201/100 instead of dividing by it, so the lower "
+        "bound sits above the achievable time",
+        ("tests/test_tradeoff.py::TestLowerBound::test_is_the_upper_bound_over_the_factor",
+         "tests/test_tradeoff.py::TestLowerBound::test_worked_example_is_pinned"),
+    ),
+    Mutant(
+        "budget-numerator-not-reduced", TRADEOFF,
+        "(K // g * mu.numerator, mu.denominator // g)",
+        "(K * mu.numerator, mu.denominator // g)",
+        "K*mu's numerator keeps the factor gcd(K, q) its denominator lost, so a mu whose "
+        "denominator shares a factor with K reads a budget g times too large",
+        ("tests/test_tradeoff.py::TestChord::test_matches_the_fraction_chord",),
+    ),
+    Mutant(
         "binding-prefix-keeps-the-last-tie", TRADEOFF,
         "if p * over > best * g:",
         "if p * over >= best * g:",
@@ -386,6 +403,22 @@ MUTANTS = (
         "            if name in self.variables:\n                coeffs[self.index(name)] = c\n",
         "an objective over a name the region lacks is maximized as if that term were absent",
         ("tests/test_polytope.py::test_variable_names_are_refused_by_name[maximize-unknown]",),
+    ),
+    Mutant(
+        "grid-over-the-start-denominator", CLI,
+        "return [Fraction(a + i * c, q) for i in range(count)]",
+        "return [Fraction(a + i * c, start.denominator) for i in range(count)]",
+        "the grid's integer points are read over start's own denominator, not over the lcm "
+        "of start's and step's, so every point but a whole-number start is scaled wrong",
+        ("tests/test_cli_fuzz.py::test_grid_matches_fraction_steps",),
+    ),
+    Mutant(
+        "grid-drops-the-step", CLI,
+        "return [Fraction(a + i * c, q) for i in range(count)]\n",
+        "return [Fraction(a, q) for i in range(count)]\n",
+        "every grid point is the start: the row count is right and only the mu column shows it",
+        ("tests/test_cli_fuzz.py::test_grid_matches_fraction_steps",
+         "tests/test_cli.py::TestSweepMemory::test_joint_column_present"),
     ),
     Mutant(
         "verify-record-always-passes", CLI,

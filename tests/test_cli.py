@@ -696,8 +696,10 @@ class TestCurveCost:
     calls, no timing."""
 
     def test_count_table_built_once_per_curve(self, capsys, monkeypatch):
+        """Two curves of one (K, min(K, N)) build one table, which --N K and
+        --N K + 3 share, in a cache of bounded size."""
         K = 12
-        tradeoff._count_table(1, 1)  # evict whatever table an earlier test left
+        tradeoff._count_table.cache_clear()
         original, calls = tradeoff.cumulative_group_count, []
 
         def counted(*args):
@@ -705,11 +707,18 @@ class TestCurveCost:
             return original(*args)
 
         monkeypatch.setattr(tradeoff, "cumulative_group_count", counted)
-        argv = ["gndt", "--K", str(K), "--N", str(K), "--alpha", K12_ALPHA,
-                "--mu-grid", "0:1/2:1/100", "--exact"]
-        code, out, _ = run(argv, capsys)
-        assert code == 0 and len(out.splitlines()) == 1 + 51
-        assert 0 < len(calls) <= (K + 1) * K
+        built = []
+        for N in (K, K, K + 3):
+            argv = ["gndt", "--K", str(K), "--N", str(N), "--alpha", K12_ALPHA,
+                    "--mu-grid", "0:1/2:1/100", "--exact"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0 and len(out.splitlines()) == 1 + 51
+            built.append(len(calls))
+        assert 0 < built[0] <= (K + 1) * K
+        assert built == [built[0]] * 3  # the second curve and the --N K + 3 one build nothing
+        info = tradeoff._count_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert isinstance(info.maxsize, int) and info.maxsize > 0
 
     def test_kept_caches_serve_the_whole_curve(self, capsys, monkeypatch):
         """One sweep-memory curve checks its strengths, builds its scaled gaps,
@@ -729,7 +738,7 @@ class TestCurveCost:
         # regions scales the K strengths, or the K strengths and the K rates of r
         count(regions, "_integer_row", lambda values: "strengths" if len(values) == K else "gaps")
         count(combinatorics, "_integer_row", lambda values: "hull")
-        count(tradeoff, "_max_ratio", lambda *args: "times")
+        count(tradeoff, "_max_terms", lambda *args: "times")
         argv = ["sweep-memory", "--K", str(K), "--N", "5", "--alpha", "1/9,2/9,1/3,4/9,7/9,1",
                 "--r", "1/97,0,0,0,0,1/89", "--mu-grid", "0:1/2:1/100"]
         code, out, _ = run(argv, capsys)
@@ -750,6 +759,22 @@ class TestFormatting:
 
     def test_decimal(self):
         assert cli._fmt(F(1, 3)) == "0.333333333333"
+
+    @pytest.mark.parametrize("value", [F(10**400, 3), F(-(10**309))], ids=["huge", "huge-negative"])
+    def test_beyond_float_range_is_refused_by_value(self, value):
+        with pytest.raises(ValueError) as exc:
+            cli._fmt(value)
+        assert str(exc.value) == f"{value} is outside the range of the 12-digit decimal column"
+
+    @pytest.mark.parametrize("command", ["gndt", "sweep-memory", "holes"])
+    def test_value_beyond_float_range_is_usage_error_before_output(self, command, capsys):
+        """A strength of 1e-400 gives a finite delivery time near 1e400: each
+        command exits 2 naming it, and prints nothing, since its rows or its
+        holes document are built before any output."""
+        code, out, err = run([command, "--K", "2", "--N", "2", "--alpha", "1e-400,1", "--mu", "0"], capsys)
+        tau = tradeoff.gndt_ub(tradeoff.SystemConfig(2, 2, F(0), (F("1e-400"), F(1))))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tau} is outside the range of the 12-digit decimal column\n"
 
 
 class TestHoles:

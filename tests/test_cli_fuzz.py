@@ -9,11 +9,14 @@ small so each call is quick.
 
 The token parser is also checked against `Fraction(str(token))` itself, on
 short tokens over digits, signs, slashes, points, exponents, underscores,
-spaces and a non-ASCII digit.
+spaces and a non-ASCII digit.  The integer grid is checked against the
+Fraction steps start + i * step, and the decimal column against
+f"{float(x):.12g}", on Fractions with up to 300-digit terms.
 """
 
 import argparse
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +24,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cachecast.cli import _parse_fraction, build_parser, main
+from cachecast.cli import _fmt, _parse_fraction, _parse_grid, build_parser, main
 
 
 def mostly(valid, invalid):
@@ -141,6 +144,7 @@ def run(argv):
 @example((["holes", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "1/2", "--P", "nan"], True))
 @example((["gndt", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "-1/4"], False))
 @example((["sweep-memory", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "0", "--r", "-1,0"], False))
+@example((["gndt", "--K", "2", "--N", "2", "--alpha", "1e-400,1", "--mu", "0"], False))
 def test_exit_code_is_0_1_or_2_without_traceback(drawn):
     argv, foreign = drawn
     code, err = run(argv)
@@ -175,3 +179,57 @@ def test_token_parser_matches_fraction_text(token):
     except ValueError as exc:
         got = str(exc)
     assert (type(got), got) == (type(want), want), token
+
+
+@st.composite
+def rational_text(draw, low: int, high: int):
+    """(text, value) for a rational in [low, high]: decimal text or p/q text."""
+    if draw(st.booleans()):
+        places = draw(st.integers(0, 3))
+        m = draw(st.integers(low * 10**places, high * 10**places))
+        digits = str(abs(m)).rjust(places + 1, "0")
+        text = digits[:-places] + "." + digits[-places:] if places else digits
+        return ("-" if m < 0 else "") + text, Fraction(m, 10**places)
+    q = draw(st.integers(1, 60))
+    p = draw(st.integers(low * q, high * q))
+    return f"{p}/{q}", Fraction(p, q)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rational_text(-1, 2), rational_text(-1, 2), rational_text(-1, 1))
+@example(("1/3", Fraction(1, 3)), ("0.9", Fraction(9, 10)), ("1/4", Fraction(1, 4)))
+@example(("0.1", Fraction(1, 10)), ("0.35", Fraction(7, 20)), ("1/8", Fraction(1, 8)))
+def test_grid_matches_fraction_steps(start, end, step):
+    """--mu-grid start:end:step is start + i * step for i = 0, 1, ... up to
+    an end that may be off the step, and refuses what that grid would."""
+    text = f"{start[0]}:{end[0]}:{step[0]}"
+    start, end, step = start[1], end[1], step[1]
+    if step <= 0 or end < start:
+        want = f"--x start:end:step needs step > 0 and end >= start, got {text!r}"
+    else:
+        want = [start + i * step for i in range((end - start) // step + 1)]
+        outside = [v for v in (want[0], want[-1]) if not 0 <= v <= 1]
+        if outside:
+            want = f"--x values must lie in [0, 1], got {outside[0]}"
+    try:
+        got = _parse_grid(text, "--x")
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want, text
+
+
+HUGE = 10**300
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+    st.just(math.inf),
+))
+@example(Fraction(1, 3))
+@example(Fraction(2**53 + 1))
+@example(Fraction(1, HUGE))
+def test_decimal_column_is_the_float_text(x):
+    """_fmt's int division prints what float(x) prints, for every x in the float range."""
+    assert _fmt(x) == f"{float(x):.12g}"

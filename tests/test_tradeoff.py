@@ -6,13 +6,14 @@ from fractions import Fraction as F
 import fraction_oracles as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
+    INF,
     SystemConfig,
     _key,
     _max_ratio,
@@ -120,6 +121,28 @@ class TestPrefixLoads:
         # a float count failed later in the count table, and True ran as K = 1
         with pytest.raises(ValueError, match=re.escape(message)):
             SystemConfig(num_users=users, num_files=files, mu=F(1, 3), alpha=ALPHA3)
+
+
+class TestChord:
+    @given(K=st.integers(2, 12), N=st.integers(1, 14), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_fraction_chord(self, K, N, data):
+        """At a non-integer K*mu, `_chord`'s integers over one denominator are
+        the Fraction chord between the two neighbouring integer budgets, and
+        the config's budget is K*mu, for mu whose denominator shares a factor
+        with K or not."""
+        g = data.draw(st.sampled_from([d for d in range(1, K + 1) if K % d == 0]))
+        q = g * data.draw(st.integers(2, 10**4))
+        mu = F(data.draw(st.integers(0, q)), q)
+        budget = K * mu
+        assume(budget.denominator > 1)
+        cfg = config(K, N, mu, (F(1),) * K)
+        low = budget.numerator // budget.denominator
+        scale, loads = cfg._chord
+        for k, load in enumerate(loads, start=1):
+            seq = multicast_load_sequence(K, min(k, N))
+            assert F(load, scale) == seq[low] + (budget - low) * (seq[low + 1] - seq[low]), k
+        assert (cfg.cache_budget, cfg.integer_budget) == (budget, False)
 
 
 class TestUpperBound:
@@ -587,6 +610,21 @@ class TestLowerBound:
         for _ in range(30):
             cfg = random_config(rng)
             assert gndt_lower_bound(cfg) <= gndt_ub(cfg)
+
+    @given(K=st.integers(1, 7), N=st.integers(1, 9), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_is_the_upper_bound_over_the_factor(self, K, N, data):
+        """The converse's integers give gndt_ub / CONVERSE_FACTOR exactly, inf
+        on an exhausted prefix included."""
+        cuts = data.draw(st.lists(st.integers(1, 10), min_size=K - 1, max_size=K - 1))
+        alpha = tuple(F(c, 10) for c in sorted(cuts)) + (F(1),)
+        mu = F(data.draw(st.integers(0, 4 * K)), 4 * K)
+        r = data.draw(st.none() | st.lists(st.sampled_from([F(0), F(1, 20), F(1, 5), F(1, 2)]),
+                                           min_size=K, max_size=K).map(tuple))
+        cfg = config(K, N, mu, alpha)
+        ub, lb = gndt_ub(cfg, r), gndt_lower_bound(cfg, r)
+        assert lb == ub / CONVERSE_FACTOR and type(lb) is type(ub)
+        assert (lb is INF) == (ub is INF)
 
 
 class TestDecomposition:
