@@ -16,14 +16,16 @@ rational row; `rows` is its Fraction view, built on first read.
 
 Fourier-Motzkin carries each row as a primitive integer vector (coeffs...,
 rhs), the positive multiple whose entries have gcd 1, which stands for the
-same half-space.  Combining an upper and a lower bound on the eliminated
+same half-space, together with its canonical scale (|first nonzero
+coefficient|).  Combining an upper and a lower bound on the eliminated
 coordinate takes integer products and one gcd instead of Fraction divisions,
 and two rows are the same half-space iff their primitive vectors are equal
-tuples, so deduplication is hashing.  The rows handed back are the canonical
-rows (first nonzero coefficient +-1).  Eliminating one coordinate costs U * L
-combinations for U upper and L lower bounds, each O(n) integer products and a
-gcd, plus O(R^2 n) integer comparisons for the dominance test over the R rows
-kept.
+tuples, so deduplication is hashing.  A row's scale is computed once, when the
+row is made, and carried through every `_dedupe` step into the canonical rows
+handed back (first nonzero coefficient +-1).  Eliminating one coordinate costs
+U * L combinations for U upper and L lower bounds, each O(n) integer products
+and a gcd, plus O(R^2 n) integer comparisons for the dominance test over the R
+rows kept.
 
 One-row dominance is the one cheap certificate, shared by the Fourier-Motzkin
 dedupe and containment: on x >= 0, a row <a, x> <= b implies <c, x> <= d when
@@ -64,6 +66,8 @@ class Polytope:
 
     def __init__(self, variables: Sequence[str], rows: Iterable = (), *,
                  int_rows: Iterable[IntRow] | None = None):
+        if isinstance(variables, str):
+            raise TypeError(f"variables must be a sequence of names, not the string {variables!r}")
         vs = tuple(variables)
         if len(set(vs)) < len(vs):
             raise ValueError(f"variable names must be distinct, got {vs}")
@@ -159,7 +163,7 @@ def _canonical_row(row: tuple[int, ...]) -> IntRow:
     """(scale, row), scale = |first nonzero coefficient|, else |rhs|, else 1:
     for a primitive row (entries of gcd 1), the integer form of its canonical
     row, row / scale (first nonzero coefficient +-1)."""
-    return abs(next(filter(None, row[:-1]), row[-1])) or 1, row
+    return abs(next(filter(None, row), 1)), row
 
 
 def _count_row(coeffs: Sequence[int], rhs: Fraction) -> IntRow:
@@ -179,41 +183,38 @@ def _implies(n: int, rows: Sequence[IntRow], targets: Sequence[IntRow]) -> bool:
                for r, (scale, ints) in zip(results, targets))
 
 
-def _on_one_scale(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Integer rows (coeffs..., rhs) as (coeffs..., -rhs), each its canonical
-    row (first nonzero coefficient +-1) times the lcm L of the canonical scales,
-    so that `_dominated` compares them entrywise."""
-    scales = [_canonical_row(row)[0] for row in rows]
-    big = lcm(*scales)
-    factors = [big // k for k in scales]
-    return [(*[v * f for v in row[:-1]], -f * row[-1]) for row, f in zip(rows, factors)]
+def _on_one_scale(rows: Sequence[IntRow]) -> list[tuple[int, ...]]:
+    """Rows (canonical scale, (coeffs..., rhs)) as the vectors (coeffs..., -rhs)
+    of their canonical rows (first nonzero coefficient +-1) times the lcm L of
+    the scales, for `_dominated`; a row of scale L is only negated."""
+    big = lcm(*(k for k, _ in rows))
+    scaled = [row if k == big else [v * (big // k) for v in row] for k, row in rows]
+    return [(*row[:-1], -row[-1]) for row in scaled]
 
 
 def _dominated(c: tuple[int, ...], rows: Sequence[tuple[int, ...]]) -> bool:
     """True iff a row a of `rows` other than `c` itself dominates c, rows as
     `_on_one_scale` stores them: c <= a entrywise, so <c, x> <= <a, x> <= b <= d
     on x >= 0."""
-    return any(all(map(le, c, a)) for a in rows if a is not c)
+    for a in rows:
+        if a is not c and all(map(le, c, a)):
+            return True
+    return False
 
 
-def _dedupe(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop tautologies, duplicates and 1-row dominated rows.
-
-    Rows are primitive integer vectors (coeffs..., rhs), so two rows are the
-    same half-space iff they are equal tuples, and two kept rows are never
-    equal on one scale.
-    """
-    kept: list[tuple[int, ...]] = []
-    seen = set()
-    for row in rows:
-        if row in seen:
-            continue
-        if not any(row[:-1]) and row[-1] >= 0:
-            continue  # 0 <= rhs; 0 <= -1 stays, so emptiness is detectable downstream
-        seen.add(row)
-        kept.append(row)
-    scaled = _on_one_scale(kept)
-    return [row for row, c in zip(kept, scaled) if not _dominated(c, scaled)]
+def _dedupe(rows: Iterable[IntRow]) -> list[IntRow]:
+    """Drop tautologies, duplicates and 1-row dominated rows of (scale, row)
+    pairs, row a primitive integer vector (coeffs..., rhs) and scale its
+    canonical scale, so two rows are the same half-space iff they are equal
+    tuples, and two kept rows are never equal on one scale."""
+    kept: dict[tuple[int, ...], int] = {}
+    for scale, row in rows:
+        # 0 <= rhs is dropped; 0 <= -1 stays, so emptiness is detectable downstream
+        if row not in kept and (any(row[:-1]) or row[-1] < 0):
+            kept[row] = scale
+    pairs = [(scale, row) for row, scale in kept.items()]
+    scaled = _on_one_scale(pairs)
+    return [pair for pair, c in zip(pairs, scaled) if not _dominated(c, scaled)]
 
 
 def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
@@ -221,34 +222,35 @@ def eliminate(poly: Polytope, drop: Sequence[str]) -> Polytope:
 
     The implicit nonnegativity of the eliminated coordinate enters as a lower
     bound, so the result is the true projection of the nonnegative-orthant
-    region.  Rows are carried as primitive integer vectors (coeffs..., rhs):
-    an upper row u (u[idx] > 0) and a lower row l (l[idx] < 0) combine to
-    u * (-l[idx]) + l * u[idx], divided by its gcd.  Syntactically redundant
-    rows are pruned after each elimination; call `prune(...)` afterwards for
-    an LP-certified minimal description.  The result holds canonical rows
-    (first nonzero coefficient +-1).
+    region.  Rows are carried as primitive integer vectors (coeffs..., rhs)
+    with their canonical scales, each computed once: an upper row u (u[idx] >
+    0) and a lower row l (l[idx] < 0) combine to u * (-l[idx]) + l * u[idx],
+    and u and x_idx >= 0 to u with u[idx] set to 0, each divided by its gcd.
+    Syntactically redundant rows are pruned after each elimination; call
+    `prune(...)` afterwards for an LP-certified minimal description.  The
+    result holds canonical rows (first nonzero coefficient +-1).
     """
+    if isinstance(drop, str):
+        raise TypeError(f"drop must be a sequence of variable names, not the string {drop!r}")
     if not drop:
         return poly
     if len({poly.index(name) for name in drop}) < len(drop):  # each name checked up front
         raise ValueError(f"eliminate drops each variable once, got {list(drop)}")
     names = list(poly.variables)
-    rows = [_primitive(ints) for _, ints in poly.int_rows]
+    rows = [_canonical_row(_primitive(ints)) for _, ints in poly.int_rows]
     for name in drop:
         idx = names.index(name)
-        upper = [r for r in rows if r[idx] > 0]
-        lower = [r for r in rows if r[idx] < 0]
-        new_rows = [r for r in rows if r[idx] == 0]
-        # x_idx >= 0 is one more lower bound
-        lower.append(tuple(-int(j == idx) for j in range(len(names) + 1)))
-        for u in upper:
-            uscale = u[idx]
-            for lo in lower:
-                lscale = -lo[idx]
-                new_rows.append(_primitive([a * lscale + b * uscale for a, b in zip(u, lo)]))
         del names[idx]
-        rows = [r[:idx] + r[idx + 1 :] for r in _dedupe(new_rows)]
-    return Polytope(names, int_rows=map(_canonical_row, rows))
+        # each row without its x_idx entry: uppers and lowers with that entry's size
+        upper = [(r[idx], r[:idx] + r[idx + 1 :]) for _, r in rows if r[idx] > 0]
+        lower = [(-r[idx], r[:idx] + r[idx + 1 :]) for _, r in rows if r[idx] < 0]
+        new_rows = [(k, r[:idx] + r[idx + 1 :]) for k, r in rows if r[idx] == 0]  # scale carried over
+        for uc, u in upper:
+            for lc, lo in lower:
+                new_rows.append(_canonical_row(_primitive([a * lc + b * uc for a, b in zip(u, lo)])))
+            new_rows.append(_canonical_row(_primitive(u)))  # x_idx >= 0 is the last lower bound
+        rows = _dedupe(new_rows)
+    return Polytope(names, int_rows=rows)
 
 
 def prune(poly: Polytope) -> Polytope:
@@ -278,7 +280,7 @@ def region_contains(outer: Polytope, inner: Polytope) -> bool:
     when every outer row has its dominating row, no LP runs."""
     if outer.variables != inner.variables:
         raise ValueError("regions must share an identical variable tuple")
-    scaled = _on_one_scale([ints for _, ints in outer.int_rows + inner.int_rows])
+    scaled = _on_one_scale([_canonical_row(ints) for _, ints in outer.int_rows + inner.int_rows])
     inner_scaled = scaled[len(outer.int_rows):]
     left = [row for row, c in zip(outer.int_rows, scaled) if not _dominated(c, inner_scaled)]
     return _implies(len(inner.variables), inner.int_rows, left)
@@ -297,8 +299,8 @@ def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:
     rows = []
     for _, ints in poly.int_rows:
         rhs = ints[-1] - sum(ints[j] * v for j, v in fixed.items())
-        rows.append(_primitive(_integer_row([*(ints[j] for j in keep), rhs])[1]))
-    return Polytope([poly.variables[j] for j in keep], int_rows=map(_canonical_row, _dedupe(rows)))
+        rows.append(_canonical_row(_primitive(_integer_row([*(ints[j] for j in keep), rhs])[1])))
+    return Polytope([poly.variables[j] for j in keep], int_rows=_dedupe(rows))
 
 
 def vertices(poly: Polytope) -> list[tuple[Fraction, ...]]:

@@ -13,15 +13,18 @@ the symmetric projection onto one shared multicast value, the two nested
 multicast sets used for fractional cache budgets, the region with all-non-
 leader messages silenced, and the power-exponent parameterized inner region
 whose Fourier-Motzkin projection reproduces the triangular form.  Every
-triangular region, here and in `tradeoff` and `finite_snr`, comes from the one
-row builder `cumulative_region`, and every per-prefix slack from `_integer_gaps`,
-as integers over one denominator.
+triangular region, here and in `tradeoff` and `finite_snr`, takes its rows from
+the one row builder `cumulative_region` (its skeleton: names and integer
+coefficient rows), and every per-prefix slack from `_integer_gaps`, as integers
+over one denominator.  The full and power-exponent regions keep their skeletons,
+which depend on (K, sigma) only, in bounded caches keyed on checked ints; each
+call applies its strengths as the right-hand sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
@@ -84,10 +87,18 @@ def cumulative_region(
     users 1..k, and extra(k) holds the integer coefficients of whatever else it
     decodes.
     """
-    K = len(rhs)
-    names = [unicast_name(k) for k in range(1, K + 1)] + list(extra_names)
-    rows = [_count_row([1] * k + [0] * (K - k) + list(extra(k)), b) for k, b in enumerate(rhs, start=1)]
-    return Polytope(names, int_rows=rows)
+    return _scaled(_cumulative_skeleton(len(rhs), extra_names, extra), rhs)
+
+
+def _cumulative_skeleton(K: int, extra_names: Sequence[str], extra: Callable[[int], Sequence]) -> tuple:
+    """`cumulative_region`'s (names, integer coefficient rows), before any rhs."""
+    names = (*map(unicast_name, range(1, K + 1)), *extra_names)
+    return names, tuple((*[1] * k, *[0] * (K - k), *extra(k)) for k in range(1, K + 1))
+
+
+def _scaled(skeleton: tuple, rhs: Sequence) -> Polytope:
+    """The rows <row_i, x> <= rhs[i] over a skeleton's (names, coefficient rows)."""
+    return Polytope(skeleton[0], int_rows=map(_count_row, skeleton[1], rhs))
 
 
 def _checked_gdofs(r: Sequence) -> list[Fraction]:
@@ -106,18 +117,17 @@ def _integer_gaps(alpha: Sequence[Fraction], r: Sequence | None) -> tuple[int, t
     return height, tuple(max(0, a - p) for a, p in zip(ints, accumulate(ints[len(alpha):])))
 
 
-def _multicast_groups(num_users: int, group_size: int) -> list[Group]:
-    """The sigma-groups of the full and power-exponent regions, sigma in [2, K];
-    K is checked by `user_strengths`, which every caller calls first."""
-    return list(combinations(range(1, num_users + 1), _checked_int("group size", group_size, 2, num_users)))
-
-
 def build_region(num_users: int, group_size: int, alpha: Sequence) -> Polytope:
     """Full unicast + sigma-multicast GDoF region (triangular rows)."""
-    alphas = user_strengths(num_users, alpha)
-    groups = _multicast_groups(num_users, group_size)
-    names = [group_name(g) for g in groups]
-    return cumulative_region(alphas, names, lambda k: [int(g[0] <= k) for g in groups])
+    alphas = user_strengths(num_users, alpha)  # K checked first: sigma's bound is K
+    sigma = _checked_int("group size", group_size, 2, num_users)  # before the lookup, which takes 2.0 for 2
+    return _scaled(_full_skeleton(num_users, sigma), alphas)
+
+
+@lru_cache(maxsize=32)
+def _full_skeleton(K: int, sigma: int) -> tuple:
+    groups = list(combinations(range(1, K + 1), sigma))
+    return _cumulative_skeleton(K, [group_name(g) for g in groups], lambda k: [int(g[0] <= k) for g in groups])
 
 
 def _covered(num_users: int, s: int) -> range:
@@ -207,23 +217,21 @@ def beta_parameterized_polytope(
     certification that the superposition scheme achieves the whole triangular
     region.
     """
-    K = num_users
-    alphas = user_strengths(K, alpha)
-    groups = _multicast_groups(K, group_size)
-    names = [unicast_name(k) for k in range(1, K + 1)] + [group_name(g) for g in groups]
-    n = len(names)
-    rows = []
-    for k in range(1, K + 1):
-        coeffs = [int(i == k - 1) for i in range(K)]
-        coeffs += [int(min(g) == k) for g in groups] + [0] * (K - 1)
-        if k >= 2:
-            coeffs[n + k - 2] = 1  # + beta_k
-        if k < K:
-            coeffs[n + k - 1] = -1  # - beta_{k+1}
-        rows.append(_count_row(coeffs, alphas[-1] if k == K else ZERO))
-    for k in range(1, K):  # beta_{k+1} <= alpha_k
-        rows.append(_count_row([0] * (n + k - 1) + [1] + [0] * (K - 1 - k), alphas[k - 1]))
-    return Polytope(names + beta_names(K), int_rows=rows)
+    alphas = user_strengths(num_users, alpha)
+    skeleton = _beta_skeleton(num_users, _checked_int("group size", group_size, 2, num_users))
+    return _scaled(skeleton, [*[ZERO] * (num_users - 1), alphas[-1], *alphas[:-1]])
+
+
+@lru_cache(maxsize=32)
+def _beta_skeleton(K: int, sigma: int) -> tuple:
+    """K level rows, then the K - 1 rows beta_{k+1} <= alpha_k."""
+    groups = list(combinations(range(1, K + 1), sigma))
+    names = (*map(unicast_name, range(1, K + 1)), *map(group_name, groups), *beta_names(K))
+    betas = range(2, K + 1)
+    levels = [(*(int(i == k) for i in range(1, K + 1)), *(int(g[0] == k) for g in groups),
+               *(int(j == k) - int(j == k + 1) for j in betas)) for k in range(1, K + 1)]
+    bounds = [(*[0] * (K + len(groups)), *(int(j == k + 1) for j in betas)) for k in range(1, K)]
+    return names, (*levels, *bounds)
 
 
 def beta_names(num_users: int) -> list[str]:

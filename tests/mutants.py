@@ -164,16 +164,16 @@ MUTANTS = (
     ),
     Mutant(
         "dominance-rhs-flipped", POLYTOPE,
-        "-f * row[-1]) for row, f in",
-        "f * row[-1]) for row, f in",
+        "return [(*row[:-1], -row[-1]) for row in scaled]",
+        "return [(*row[:-1], row[-1]) for row in scaled]",
         "one row certifies another whose rhs is smaller, so containment holds "
         "for a region that sticks out of the outer one",
         ("tests/test_polytope.py::test_row_just_below_a_dominating_row_is_not_implied",),
     ),
     Mutant(
         "dominance-flipped", POLYTOPE,
-        "return any(all(map(le, c, a)) for a in rows if a is not c)",
-        "return any(all(map(le, a, c)) for a in rows if a is not c)",
+        "if a is not c and all(map(le, c, a)):",
+        "if a is not c and all(map(le, a, c)):",
         "Fourier-Motzkin keeps each dominated row and drops the row that dominates it, "
         "so the projection is too large (containment's one-row test flips with it)",
         ("tests/test_polytope.py::test_elimination_is_exact_projection",),
@@ -249,11 +249,60 @@ MUTANTS = (
     ),
     Mutant(
         "dedupe-keeps-dominated-rows", POLYTOPE,
-        "return [row for row, c in zip(kept, scaled) if not _dominated(c, scaled)]",
-        "return kept",
+        "return [pair for pair, c in zip(pairs, scaled) if not _dominated(c, scaled)]",
+        "return pairs",
         "Fourier-Motzkin and fix_variables keep every row that one other row implies",
         ("tests/test_polytope.py::test_eliminate_matches_fraction_fm",
          "tests/test_polytope.py::test_fix_variables_matches_fraction_dedupe"),
+    ),
+    Mutant(
+        "fm-nonnegativity-before-lower-rows", POLYTOPE,
+        "            for lc, lo in lower:\n"
+        "                new_rows.append(_canonical_row(_primitive([a * lc + b * uc for a, b in zip(u, lo)])))\n"
+        "            new_rows.append(_canonical_row(_primitive(u)))  # x_idx >= 0 is the last lower bound\n",
+        "            new_rows.append(_canonical_row(_primitive(u)))  # x_idx >= 0 is the last lower bound\n"
+        "            for lc, lo in lower:\n"
+        "                new_rows.append(_canonical_row(_primitive([a * lc + b * uc for a, b in zip(u, lo)])))\n",
+        "each upper row meets x_idx >= 0 ahead of the other lower rows, so the same "
+        "half-spaces come out in another row order (the kept rows of the beta systems keep "
+        "their order, so only the general oracle sees it)",
+        ("tests/test_polytope.py::test_eliminate_matches_fraction_fm",),
+    ),
+    Mutant(
+        "fm-keeps-the-input-scale", POLYTOPE,
+        "rows = [_canonical_row(_primitive(ints)) for _, ints in poly.int_rows]",
+        "rows = [(scale, _primitive(ints)) for scale, ints in poly.int_rows]",
+        "each input row carries its lcm-of-denominators scale into Fourier-Motzkin, so a "
+        "row 2x + y <= 1 that no step touches comes out as 2x + y <= 1, not x + y/2 <= 1/2, "
+        "and dominance compares rows on wrong scales",
+        ("tests/test_polytope.py::test_derived_rows_carry_their_canonical_scales",
+         "tests/test_polytope.py::test_eliminate_matches_fraction_fm"),
+    ),
+    Mutant(
+        "fix-variables-keeps-the-row-scale", POLYTOPE,
+        "    for _, ints in poly.int_rows:\n"
+        "        rhs = ints[-1] - sum(ints[j] * v for j, v in fixed.items())\n"
+        "        rows.append(_canonical_row(_primitive(",
+        "    for scale, ints in poly.int_rows:\n"
+        "        rhs = ints[-1] - sum(ints[j] * v for j, v in fixed.items())\n"
+        "        rows.append((scale, _primitive(",
+        "a substituted row keeps the scale it had before its fixed coordinates left, "
+        "so dedupe compares rows on wrong scales and the result's Fraction rows are off",
+        ("tests/test_polytope.py::test_derived_rows_carry_their_canonical_scales",
+         "tests/test_polytope.py::test_fix_variables_matches_fraction_dedupe"),
+    ),
+    Mutant(
+        "skeleton-cache-keyed-without-sigma", REGIONS,
+        "@lru_cache(maxsize=32)\ndef _full_skeleton(",
+        "def _keyed_without_sigma(skeleton, memo={}):\n"
+        "    def lookup(K, sigma):\n"
+        "        return memo[K] if K in memo else memo.setdefault(K, skeleton(K, sigma))\n"
+        "    lookup.cache_clear = memo.clear\n"
+        "    return lookup\n\n\n"
+        "@_keyed_without_sigma\ndef _full_skeleton(",
+        "the first sigma's rows serve every sigma of one K, so build_region(3, 3, ...) is "
+        "the pairwise region once build_region(3, 2, ...) has run",
+        ("tests/test_regions.py::TestRegionCost::test_each_K_and_sigma_gets_its_own_rows",),
     ),
     Mutant(
         "holes-requires-no-cache-size", CLI,

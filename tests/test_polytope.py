@@ -2,9 +2,10 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
@@ -12,6 +13,7 @@ from cachecast import polytope
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max, solve_square
 from cachecast.polytope import (
     Polytope,
+    _canonical_row,
     canonical,
     eliminate,
     fix_variables,
@@ -311,18 +313,32 @@ def test_elimination_is_exact_projection():
             assert projected.contains(point) == liftable
 
 
+def library_strengths(rng, K):
+    """Strengths as region-certify's library items draw them, then two tied
+    kinds: alpha_1 = ... = alpha_{K-1}, and alpha_{K-1} = alpha_K = 1."""
+    denom = rng.randint(8, 40)
+    cuts = sorted(rng.randint(1, denom - 1) for _ in range(K - 1))
+    for tied in (cuts, cuts[:1] * (K - 1), cuts[:-1] + [denom]):
+        yield tuple(F(c, denom) for c in tied) + (F(1),)
+
+
+def assert_canonical_scales(poly):
+    """Each integer row is primitive and carries the scale `_canonical_row` gives it."""
+    assert all(gcd(*ints) == 1 and (scale, ints) == _canonical_row(ints) for scale, ints in poly.int_rows)
+
+
 @pytest.mark.parametrize("K", range(2, 7))
 def test_eliminate_matches_fraction_fm_on_beta_systems(K):
     rng = random.Random(K)
     for sigma in range(2, K + 1):
-        denom = rng.randint(8, 40)
-        alpha = tuple(sorted(F(rng.randint(1, denom - 1), denom) for _ in range(K - 1))) + (F(1),)
-        system = beta_parameterized_polytope(K, sigma, alpha)
-        for drop in (beta_names(K), beta_names(K)[::-1], beta_names(K)[: K // 2]):
-            projected = eliminate(system, drop)
-            expected = oracle.eliminate(system, drop)
-            assert projected.variables == expected.variables
-            assert projected.rows == expected.rows
+        for alpha in library_strengths(rng, K):
+            system = beta_parameterized_polytope(K, sigma, alpha)
+            for drop in (beta_names(K), beta_names(K)[::-1], beta_names(K)[: K // 2]):
+                projected = eliminate(system, drop)
+                expected = oracle.eliminate(system, drop)
+                assert projected.variables == expected.variables
+                assert projected.rows == expected.rows
+                assert_canonical_scales(projected)
 
 
 COEFF = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3]))
@@ -353,6 +369,18 @@ def test_eliminate_matches_fraction_fm(case):
     assert projected.variables == expected.variables
     assert projected.rows == expected.rows
     assert all(type(v) is F for coeffs, rhs in projected.rows for v in (*coeffs, rhs))
+
+
+@given(case=polytopes_with_drops())
+@settings(max_examples=150, deadline=None)
+def test_derived_rows_carry_their_canonical_scales(case):
+    """The scale of each row eliminate and fix_variables hand on is the one
+    `_canonical_row` computes from the row, though each is computed once and
+    carried through the dedupe steps."""
+    poly, drop = case
+    assume(drop)
+    assert_canonical_scales(eliminate(poly, drop))
+    assert_canonical_scales(fix_variables(poly, dict.fromkeys(drop, F(1, 2))))
 
 
 @given(case=polytopes_with_drops(), data=st.data())
@@ -464,9 +492,17 @@ NOT_XY = "is not a variable of the region ('x', 'y')"
      (lambda: Polytope(["x", "x"], int_rows=[(1, (1, 1, 1))]), ValueError,
       "variable names must be distinct, got ('x', 'x')"),
      (lambda: Polytope.from_json('{"variables": ["x", "x"], "rows": []}'), ValueError,
-      "variable names must be distinct, got ('x', 'x')")],
+      "variable names must be distinct, got ('x', 'x')"),
+     # a bare string is not split into one-letter names
+     (lambda: eliminate(Polytope(["x", "y", "xy"], [((1, 1, 1), 1)]), "xy"), TypeError,
+      "drop must be a sequence of variable names, not the string 'xy'"),
+     (lambda: eliminate(Polytope(["ab", "c"], [((1, 1), 1)]), "ab"), TypeError,
+      "drop must be a sequence of variable names, not the string 'ab'"),
+     (lambda: Polytope("xy", [((1, 1), 1)]), TypeError,
+      "variables must be a sequence of names, not the string 'xy'")],
     ids=["fix-unknown", "eliminate-unknown", "eliminate-twice", "contains-unknown", "maximize-unknown",
-         "maximize-sequence", "repeated-name-rows", "repeated-name-int-rows", "repeated-name-json"],
+         "maximize-sequence", "repeated-name-rows", "repeated-name-int-rows", "repeated-name-json",
+         "eliminate-string-of-names", "eliminate-string-name", "string-of-variables"],
 )
 def test_variable_names_are_refused_by_name(probe, error, message):
     """Each name is looked up through `Polytope.index`, which names a missing

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,6 +9,8 @@ import fraction_oracles as oracle
 import numpy as np
 import pytest
 
+from cachecast import regions
+from cachecast.cli import main
 from cachecast.polytope import (
     Polytope,
     canonical,
@@ -334,12 +337,17 @@ class TestSymmetricKinds:
          (lambda: build_two_multicast_symmetric(3, 2, 3.0, ALPHA3, 1),
           "multicast group size must be an integer, got 3.0"),
          (lambda: user_strengths(3.0, ALPHA3), "user count must be an integer, got 3.0"),
-         (lambda: user_strengths(True, (F(1),)), "user count must be an integer, got True")],
+         (lambda: user_strengths(True, (F(1),)), "user count must be an integer, got True"),
+         # the skeleton caches would take 2.0 and True for ints: each is refused on a warm cache
+         (lambda: (build_region(3, 2, ALPHA3), build_region(3, 2.0, ALPHA3)),
+          "group size must be an integer, got 2.0"),
+         (lambda: (beta_parameterized_polytope(3, 2, ALPHA3), beta_parameterized_polytope(3, True, ALPHA3)),
+          "group size must be an integer, got True")],
         ids=["projection-s-bool", "max-gdof-s-bool", "projection-s-float", "leader-bool", "leader-float",
              "full-users-float", "full-size-float", "beta-size-bool", "projection-users-float",
              "projection-users-float-s-past-K",
              "missing-size-fraction", "two-multicast-gamma-float", "strengths-users-float",
-             "strengths-users-bool"],
+             "strengths-users-bool", "full-size-float-warm", "beta-size-bool-warm"],
     )
     def test_integer_arguments_are_refused_by_name(self, build, message):
         """A bool is not read as 1, nor a float as an int: each is refused by its name."""
@@ -354,6 +362,48 @@ class TestSymmetricKinds:
     def test_max_gdof_refuses_bad_unicast_rates(self, r, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             oracle.max_symmetric_gdof(3, 2, ALPHA3, 3, r)
+
+
+SKELETONS = (regions._full_skeleton, regions._beta_skeleton)
+
+
+def clear_skeletons():
+    for skeleton in SKELETONS:
+        skeleton.cache_clear()
+
+
+class TestRegionCost:
+    """The coefficient rows of `build_region` and `beta_parameterized_polytope`
+    depend on (K, sigma) only: counted cache lookups, no timing."""
+
+    def test_each_skeleton_built_once_per_K_and_sigma(self, capsys):
+        """verify's region stage certifies 3 strengths for each of its 6
+        (K, sigma): each builder builds 6 skeletons for 18 certifications, in
+        a cache of bounded size."""
+        clear_skeletons()
+        assert main(["verify", "--K", "1", "--N", "1", "--mu", "0", "--region-trials", "3"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{\n"):])["region_equality"] == {"checked": 18, "failed": 0}
+        for skeleton in SKELETONS:
+            info = skeleton.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (6, 12, 6)
+            assert isinstance(info.maxsize, int) and info.maxsize > 0
+
+    def test_each_K_and_sigma_gets_its_own_rows(self):
+        """A warm cache hands each (K, sigma) the region a cold build gives it,
+        whichever (K, sigma) came before."""
+        alpha = {K: random_strengths(np.random.default_rng(K), K) for K in range(2, 6)}
+        pairs = [(K, sigma) for K in range(2, 6) for sigma in range(2, K + 1)]
+
+        def build(K, sigma):
+            return build_region(K, sigma, alpha[K]), beta_parameterized_polytope(K, sigma, alpha[K])
+
+        cold = {}
+        for K, sigma in pairs:
+            clear_skeletons()
+            cold[K, sigma] = build(K, sigma)
+        for K, sigma in pairs + pairs[::-1]:
+            assert build(K, sigma) == cold[K, sigma]
 
 
 def in_levels(rates, beta) -> bool:
