@@ -35,7 +35,7 @@ print(f"demands {demands}: {len(payloads)} XOR payloads "
 
 by_group = {p.group: p.value for p in payloads}  # each payload an int of subfile_bits
 for user in (1, 2, 3):
-    decoded = decode_file(user, by_group, caches[user - 1], demands)
+    decoded = decode_file(by_group, caches[user - 1], demands)
     wanted = library.subfile_values[demands[user - 1] - 1]
     print(f"  user {user} recovers file {demands[user - 1]} bit-exactly: "
           f"{decoded == wanted}")
@@ -59,7 +59,7 @@ print(f"  reconstructed W_34 equals its XOR definition: "
 
 by_group[rebuilt.group] = rebuilt.value  # the map is complete: decoding only reads it
 for user in (3, 4):
-    decoded = decode_file(user, by_group, caches[user - 1], demands)
+    decoded = decode_file(by_group, caches[user - 1], demands)
     wanted = library.subfile_values[demands[user - 1] - 1]
     print(f"  non-leader user {user} recovers file {demands[user - 1]}: "
           f"{decoded == wanted}")

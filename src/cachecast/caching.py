@@ -177,7 +177,8 @@ def random_library(
     num_users: int,
     split_order: int,
     file_bits: int | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> FileLibrary:
     """Seeded pseudo-random library; default size is 8 bits per subfile.
 
@@ -361,11 +362,10 @@ def reconstruct_missing(
     return MulticastPayload(group, acc, width)
 
 
-def decode_file(
-    user: int, by_group: dict[Group, int], cache: CacheContents, d: Sequence[int]
-) -> tuple[int, ...]:
-    """Recover F_{d_user} exactly from the local cache and the {group: int}
-    map of payloads, reconstructed ones included: this reads the map only.
+def decode_file(by_group: dict[Group, int], cache: CacheContents, d: Sequence[int]) -> tuple[int, ...]:
+    """Recover F_{d_user} exactly, for the user whose cache it is, from that
+    cache and the {group: int} map of payloads, reconstructed ones included:
+    this reads the map only.
 
     The file comes back as its subfile ints in `subfile_subsets()` order,
     each `subfile_bits` wide, as `FileLibrary.subfile_values` holds it; a
@@ -379,7 +379,8 @@ def decode_file(
             continue
         piece = by_group.get(group)
         if piece is None:
-            raise MissingPayloadError(f"payload for group {group} is required by user {user} but missing")
+            raise MissingPayloadError(
+                f"payload for group {group} is required by user {cache.user} but missing")
         for other, values in sides:
             piece ^= values[d[other] - 1]
         pieces.append(piece)
@@ -412,7 +413,7 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     user that decodes wrong ends the call.
     """
     if library is None:
-        library = random_library(num_files, num_users, split_order, file_bits, seed)
+        library = random_library(num_files, num_users, split_order, file_bits, seed=seed)
     elif (library.num_users, library.num_files, library.split_order) != (
         num_users, num_files, split_order
     ) or file_bits not in (None, library.file_bits):
@@ -440,6 +441,6 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     by_group.update({g: reconstruct_missing(by_group, g, leaders, d, width).value for g in missing})
     wanted = library.subfile_values
     for user in range(1, num_users + 1):
-        if decode_file(user, by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]:
+        if decode_file(by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]:
             return False
     return True

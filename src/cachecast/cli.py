@@ -308,7 +308,7 @@ def _caching_sweeps(args):
     for k, n, split in shapes:
         caching._subfile_shape(n, k, split, file_bits)
     return (
-        (caching.random_library(N, K, split, file_bits, seed),
+        (caching.random_library(N, K, split, file_bits, seed=seed),
          [d] if d else product(range(1, N + 1), repeat=K))
         for K, N, split in shapes
     )

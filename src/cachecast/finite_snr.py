@@ -14,13 +14,13 @@ shared by every point.  The delay-rate variant additionally divides the
 delivery time by the converse constant 2.01.  Both refuse, through one check
 (`_on_boundary`), a point outside their inner region or tight on no row.
 
-The regions are float views of the exact rows of `regions`, which supply
-variables and 0/1 coefficients and validate the strengths exactly; only
-right-hand sides become floats, held in plain tuples that compare and hash by
-value.  Boundary points are drawn from any source with `.random()`.  The
-nominal power P is an argument of every builder, checked by `_checked_power`
-alone, which the command line's --P calls too: P outside (1, inf), nan
-included, is refused.
+The regions are float views of the exact integer rows of `regions`, which
+supply variables and 0/1 coefficients and validate the strengths exactly;
+only right-hand sides become non-integer floats, held in plain tuples that
+compare and hash by value.  Boundary points are drawn from any source with
+`.random()`.  The nominal power P is an argument of every builder, checked
+by `_checked_power` alone, which the command line's --P calls too: P outside
+(1, inf), nan included, is refused.
 Rates are bits per channel use (all logs base 2); comparisons use a 1e-9 tolerance.
 """
 
@@ -32,8 +32,9 @@ import numbers
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
+from .polytope import Polytope
 from .regions import build_region, cumulative_region
-from .tradeoff import SystemConfig, prefix_loads
+from .tradeoff import SystemConfig
 
 TOL = 1e-9
 GAP_BITS = 2.0
@@ -68,13 +69,15 @@ def _checked_power(name: str, value) -> float:
     return power
 
 
-def _float_view(variables, rows, rhs: Callable[[int, float], float]) -> RateRegion:
-    """Exact rows as floats: their 0/1 coefficients, and rhs(k, b_k) in place
-    of row k's exact right-hand side b_k."""
+def _float_view(exact: Polytope, rhs: Callable[[int, float], float]) -> RateRegion:
+    """The exact region's integer rows (l, l * [coeffs..., b]) as floats, each
+    entry over l once (int true division rounds correctly), with rhs(k, b_k)
+    in place of row k's exact right-hand side b_k."""
+    rows = [[v / scale for v in ints] for scale, ints in exact.int_rows]
     return RateRegion(
-        variables=tuple(variables),
-        coeffs=tuple(tuple(map(float, coeffs)) for coeffs, _ in rows),
-        rhs=tuple(rhs(k, float(b)) for k, (_, b) in enumerate(rows, start=1)),
+        variables=exact.variables,
+        coeffs=tuple(tuple(row[:-1]) for row in rows),
+        rhs=tuple(rhs(k, row[-1]) for k, row in enumerate(rows, start=1)),
     )
 
 
@@ -83,9 +86,8 @@ def inner_rate_region(
 ) -> RateRegion:
     """Explicit achievable region: the rows of `regions.build_region` with
     rhs (a_k log2 P - k)^+ in place of alpha_k."""
-    exact = build_region(num_users, group_size, alpha)
     log_p = math.log2(_checked_power("P", power))
-    return _float_view(exact.variables, exact.rows, lambda k, a: max(0.0, a * log_p - k))
+    return _float_view(build_region(num_users, group_size, alpha), lambda k, a: max(0.0, a * log_p - k))
 
 
 def outer_rate_region(
@@ -93,8 +95,7 @@ def outer_rate_region(
 ) -> RateRegion:
     """Cut-set outer bound: the same rows with rhs log2(1 + P^{a_k})."""
     power = _checked_power("P", power)
-    exact = build_region(num_users, group_size, alpha)
-    return _float_view(exact.variables, exact.rows, lambda k, a: math.log2(1.0 + power**a))
+    return _float_view(build_region(num_users, group_size, alpha), lambda k, a: math.log2(1.0 + power**a))
 
 
 def sample_boundary_point(region: RateRegion, rng) -> list[float]:
@@ -146,10 +147,9 @@ def _delay_rate_view(delay: float, config: SystemConfig, power: float, rhs) -> R
     if not delay > 0:  # inline: an open bound on a float, not a rational argument; also refuses nan
         raise ValueError(f"delay must be positive, got {delay}")
     log_p = math.log2(_checked_power("P", power))
-    loads, exact = prefix_loads(config), cumulative_region(config.alpha)
-    return _float_view(
-        exact.variables, exact.rows, lambda k, a: rhs(k, a * log_p, float(loads[k - 1]) / delay)
-    )
+    scale, loads = config._chord  # load_k = P_k / D, the int quotient correctly rounded
+    return _float_view(cumulative_region(config.alpha),
+                       lambda k, a: rhs(k, a * log_p, loads[k - 1] / scale / delay))
 
 
 def delay_rate_inner_region(delay: float, config: SystemConfig, power: float) -> RateRegion:

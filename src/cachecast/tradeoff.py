@@ -29,8 +29,9 @@ takes the gaps from `regions._integer_gaps` as integers G_k over one H.
 `_max_terms` compares P_k G_j with P_j G_k and names the first prefix
 attaining the max, the bottleneck user at r = 0; `_max_ratio` makes its
 integers one Fraction, and the converse makes them, with the numerator and
-denominator of 2.01, its own one Fraction.  The chord's Fraction view
-`prefix_loads` feeds the hole and inner regions and the finite-SNR rows.
+denominator of 2.01, its own one Fraction.  The hole and inner regions and
+the finite-SNR rows read the chord's integers too: a hole row's load ratio
+is P_k / P_k*, D cancelling, and an inner row reserves P_k / (D tau).
 `topological_hole_region` describes the unicast tuples that ride along at no
 delivery-time cost.  Two relatives are separate code paths:
 
@@ -147,13 +148,6 @@ def _count_table(num_users: int, served: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row + row[-1:] * (num_users - served)) for row in rows)
 
 
-def prefix_loads(config: SystemConfig) -> tuple[Fraction, ...]:
-    """env_k(K*mu) for every user prefix k = 1..K: the Fraction view of the
-    config's `_chord`, which `gndt_ub` and the converse read as integers."""
-    scale, loads = config._chord
-    return tuple(Fraction(p, scale) for p in loads)
-
-
 def _max_terms(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
     """(T, B, the first k attaining the max) for T / B = max_k (loads_k / scale) /
     (gaps_k / height), with 0 / anything = 0 and positive / 0 = inf, comparing
@@ -261,13 +255,13 @@ def topological_hole_region(config: SystemConfig) -> Polytope:
     K = config.num_users
     if config.cache_budget >= K:
         raise ValueError("a full cache leaves no content traffic to protect")
-    loads = prefix_loads(config)
+    loads = config._chord[1]  # the P_k: D cancels in load_k / load_k*
     names = [unicast_name(k) for k in range(1, K + 1)]
     rows = []
     for k in range(1, star + 1):  # r_k <= 0, i.e. r_k = 0 on the orthant
         rows.append(_count_row([int(i == k - 1) for i in range(K)], ZERO))
     for k in range(star + 1, K + 1):
-        bound = config.alpha[star] - config.alpha[star - 1] * (loads[k - 1] / loads[star - 1])
+        bound = config.alpha[star] - config.alpha[star - 1] * Fraction(loads[k - 1], loads[star - 1])
         rows.append(_count_row([int(star <= i < k) for i in range(K)], bound))
     return Polytope(names, int_rows=rows)
 
@@ -282,5 +276,5 @@ def gdof_region_inner(tau, config: SystemConfig) -> Polytope:
     tau = _frac(tau)
     if tau <= 0:  # inline: an open bound, which `_checked_fraction`'s closed range cannot state
         raise ValueError(f"delivery time must be positive, got {tau}")
-    loads = prefix_loads(config)
-    return cumulative_region([a - load / tau for a, load in zip(config.alpha, loads)])
+    scale, loads = config._chord
+    return cumulative_region([a - Fraction(p, scale * tau) for a, p in zip(config.alpha, loads)])

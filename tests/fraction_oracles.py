@@ -328,6 +328,33 @@ def prefix_loads(config):
     return tuple(loads) + (loads[-1],) * (K - len(loads))
 
 
+def cutset_lower_bound(config, r=None):
+    """The per-prefix cut-set bound on the delivery time, written out from
+    (K, N, mu, alpha, r) alone: no load sequence, chord or gap of `cachecast`.
+
+    Users 1..k see degraded versions of user k's output, so for s <= min(k, N)
+    users S of [k] the cut-set argument of Maddah-Ali & Niesen (IEEE T-IT 2014,
+    Thm. 2) gives tau >= (s - s mu N / floor(N / s)) / (alpha_k - sum_{i in S} r_i):
+    only the unicast of S is charged, since only those caches enter the cut.
+    S is user k plus the s - 1 users of [k - 1] with the smallest r_i.  The
+    max is over the (k, s) with a positive numerator, 0 if there is none, and
+    inf if such a numerator meets a denominator <= 0.
+    """
+    K, N, mu = config.num_users, config.num_files, config.mu
+    rt = [Fraction(x) for x in r] if r else [_ZERO] * K
+    best = _ZERO
+    for k in range(1, K + 1):
+        for s in range(1, min(k, N) + 1):
+            top = s - s * mu * N / (N // s)
+            if top <= 0:
+                continue
+            gap = config.alpha[k - 1] - rt[k - 1] - sum(sorted(rt[: k - 1])[: s - 1], _ZERO)
+            if gap <= 0:
+                return math.inf
+            best = max(best, top / gap)
+    return best
+
+
 def bottleneck_user(config):
     """The first user k maximizing load_k / alpha_k: `max` keeps the first
     maximum, so ties go to the weakest user."""

@@ -122,10 +122,10 @@ MUTANTS = (
     ),
     Mutant(
         "verify-draws-every-library-up-front", CLI,
-        "    return (\n        (caching.random_library(N, K, split, file_bits, seed),\n"
+        "    return (\n        (caching.random_library(N, K, split, file_bits, seed=seed),\n"
         "         [d] if d else product(range(1, N + 1), repeat=K))\n"
         "        for K, N, split in shapes\n    )\n",
-        "    return [\n        (caching.random_library(N, K, split, file_bits, seed),\n"
+        "    return [\n        (caching.random_library(N, K, split, file_bits, seed=seed),\n"
         "         [d] if d else product(range(1, N + 1), repeat=K))\n"
         "        for K, N, split in shapes\n    ]\n",
         "every library of the sweep is drawn before the first record and stays alive, with "
@@ -235,8 +235,8 @@ MUTANTS = (
     ),
     Mutant(
         "verify-compares-first-subfiles", CACHING,
-        "decode_file(user, by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]",
-        "decode_file(user, by_group, caches[user - 1], d)[:1] != wanted[d[user - 1] - 1][:1]",
+        "decode_file(by_group, caches[user - 1], d) != wanted[d[user - 1] - 1]",
+        "decode_file(by_group, caches[user - 1], d)[:1] != wanted[d[user - 1] - 1][:1]",
         "a corrupted payload that only reaches a user's later subfiles passes verification",
         ("tests/test_caching.py::TestEndToEnd::test_every_tuple_on_wide_subfiles[1-2]",),
     ),
@@ -374,6 +374,60 @@ MUTANTS = (
         "a prefix with no load and no channel left reads as infinite delivery time, not as 0 "
         "over anything",
         ("tests/test_tradeoff.py::TestSharedCurveData::test_every_value_matches_a_fresh_oracle[forward]",),
+    ),
+    Mutant(
+        "hole-row-load-ratio-inverted", TRADEOFF,
+        "Fraction(loads[k - 1], loads[star - 1])",
+        "Fraction(loads[star - 1], loads[k - 1])",
+        "each hole row discounts alpha_{k*} by load_k* / load_k instead of load_k / load_k*, so "
+        "the region grants the stronger users more than the slack the bottleneck leaves",
+        ("tests/test_tradeoff.py::TestHoles::test_worked_example_bounds",),
+    ),
+    Mutant(
+        "inner-region-load-without-its-denominator", TRADEOFF,
+        "Fraction(p, scale * tau)",
+        "Fraction(p, tau)",
+        "row k reserves P_k / tau, the chord's numerator, not P_k / (D tau), so the inner region "
+        "shrinks by the chord's common denominator",
+        ("tests/test_tradeoff.py::TestInnerRegion::test_rows_match_the_fraction_loads",),
+    ),
+    Mutant(
+        "float-view-without-the-row-scale", FINITE_SNR,
+        "rows = [[v / scale for v in ints] for scale, ints in exact.int_rows]",
+        "rows = [[float(v) for v in ints] for scale, ints in exact.int_rows]",
+        "each integer row is read as floats without dividing by its lcm, so a row with a "
+        "fractional alpha_k gets its strength and coefficients times that lcm",
+        ("tests/test_finite_snr.py::TestInnerOuter::test_two_user_worked_rhs",),
+    ),
+    Mutant(
+        "delay-rate-load-without-its-denominator", FINITE_SNR,
+        "loads[k - 1] / scale / delay",
+        "loads[k - 1] / delay",
+        "each delay-rate row reserves P_k / delay, the chord's numerator, not load_k / delay",
+        ("tests/test_finite_snr.py::TestDelayRate::test_certificate_matches_the_prefix_sum_loop",),
+    ),
+    Mutant(
+        "two-multicast-admits-equal-sizes", REGIONS,
+        "if not 2 <= sigma < gamma <= num_users:",
+        "if not 2 <= sigma <= gamma <= num_users:",
+        "sigma = gamma passes the size check and is refused only by `Polytope`'s repeated "
+        "variable name, a message that names neither size",
+        ("tests/test_regions.py::TestTwoMulticast::test_rejects_equal_sizes",),
+    ),
+    Mutant(
+        "normalization-refusal-quotes-alpha-K-minus-1", REGIONS,
+        "got alpha_K = {vals[-1]}",
+        "got alpha_K = {vals[-2]}",
+        "the refusal of strengths whose last entry is not 1 quotes the one before it",
+        ("tests/test_regions.py::TestStrengths::test_rejects_unnormalized",),
+    ),
+    Mutant(
+        "verify-default-seed-is-1", CACHING,
+        "d: Sequence[int] | None = None, seed: int = 0,",
+        "d: Sequence[int] | None = None, seed: int = 1,",
+        "a call that names neither a library nor a seed verifies the seed-1 library, not the "
+        "seed-0 draw; the verdict of a correct pipeline is the same, so only the draw shows it",
+        ("tests/test_caching.py::TestEndToEnd::test_default_seed_draws_the_seed_0_library",),
     ),
     Mutant(
         "draw-rounds-subfiles-up-to-bytes", CACHING,

@@ -126,7 +126,7 @@ class TestLibrary:
             FileLibrary(3, split, 0, [(0,) * math.comb(3, split)] * 2)
         message = "file size in bits must be a whole number of at least 1, got 0"
         with pytest.raises(ValueError, match=re.escape(message)):
-            random_library(2, 3, split, file_bits=0)
+            random_library(2, 3, split, file_bits=0, seed=0)
 
     @pytest.mark.parametrize(
         "shape,message",
@@ -184,7 +184,15 @@ class TestLibrary:
         """A bad shape is refused with the library's own message, before any bit is drawn."""
         monkeypatch.setattr(random, "Random", lambda *a: pytest.fail("drew before the check"))
         with pytest.raises(ValueError, match=re.escape(message)):
-            random_library(*args, **kwargs)
+            random_library(*args, **{"seed": 0, **kwargs})
+
+    def test_random_library_takes_its_seed_by_keyword_only(self):
+        """No default seed: a library is always drawn from a seed its caller names."""
+        with pytest.raises(TypeError, match="seed"):
+            random_library(2, 3, 1)
+        with pytest.raises(TypeError, match="positional"):
+            random_library(2, 3, 1, None, 0)
+        assert random_library(2, 3, 1, seed=0) == random_library(2, 3, 1, None, seed=0)
 
     def test_no_files_is_refused_by_name(self):
         message = "file count must be a whole number of at least 1, got 0"
@@ -195,7 +203,7 @@ class TestLibrary:
 
     @pytest.mark.parametrize("split", [0, 3], ids=["split-0", "split-K"])
     def test_split_order_takes_both_ends(self, split):
-        lib = random_library(2, 3, split)
+        lib = random_library(2, 3, split, seed=0)
         assert lib.split_order == split and end_to_end_verify(3, 2, split, library=lib)
 
     def test_seed_zero_is_accepted(self):
@@ -222,18 +230,18 @@ class TestLibrary:
         # True and 1.0 hash as 1, so a lookup alone would read user 1's subfile
         for bad in ((True,), (1.0,)):
             with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a sorted 1-subset of users 1..3")):
-                random_library(2, 3, 1).subfile(1, bad)
+                random_library(2, 3, 1, seed=0).subfile(1, bad)
 
     @pytest.mark.parametrize("index", [0, -1, 3])
     def test_subfile_rejects_file_index_outside_library(self, index):
         # 0 and -1 would otherwise index from the end and return the last file
-        lib = random_library(2, 3, 1)
+        lib = random_library(2, 3, 1, seed=0)
         with pytest.raises(ValueError, match=re.escape(f"file index must lie in [1, 2], got {index}")):
             lib.subfile(index, (1,))
 
     def test_subfile_refuses_a_bool_file_index(self):
         with pytest.raises(ValueError, match=re.escape("file index must be an integer, got True")):
-            random_library(2, 3, 1).subfile(True, (1,))
+            random_library(2, 3, 1, seed=0).subfile(True, (1,))
 
     @pytest.mark.parametrize(
         "num_files,num_users,split,file_bits,seed",
@@ -244,7 +252,7 @@ class TestLibrary:
     def test_subfile_values_are_the_cut_of_each_file(self, num_files, num_users, split, file_bits, seed):
         """In subset order, a file's subfile ints are the oracle's draws, one
         per subfile, and each is `subfile(n, s)`, the very int object."""
-        lib = random_library(num_files, num_users, split, file_bits, seed)
+        lib = random_library(num_files, num_users, split, file_bits, seed=seed)
         subsets = lib.subfile_subsets()
         draws = mt_draw(seed, num_files, len(subsets), lib.subfile_bits)
         assert len(lib.subfile_values) == num_files
@@ -273,7 +281,7 @@ class TestLibrary:
         draws, and the constructor rebuilds the same library from them."""
         split = min(split, num_users)
         file_bits = size * math.comb(num_users, split)
-        lib = random_library(num_files, num_users, split, file_bits, seed)
+        lib = random_library(num_files, num_users, split, file_bits, seed=seed)
         d = tuple(1 + k % num_files for k in range(num_users))
         assert end_to_end_verify(num_users, num_files, split, d=d, library=lib)
         cut = mt_draw(seed, num_files, math.comb(num_users, split), size)
@@ -306,7 +314,7 @@ class TestLibrary:
         """Each file's subfile ints, in subset order, are k-bit draws from the
         words of numpy's legacy MT19937, a compiled `mt19937ar.c` whose stream
         NEP 19 freezes: a second MT19937 beside the pure-Python oracle."""
-        lib = random_library(num_files, num_users, split, file_bits, seed)
+        lib = random_library(num_files, num_users, split, file_bits, seed=seed)
         size, pieces = lib.subfile_bits, len(lib.subfile_subsets())
         # a list seed runs init_by_array over its words; an int seed would run init_genrand
         count = num_files * pieces * -(-size // 32)
@@ -609,7 +617,7 @@ class TestPayloadInts:
         assert rebuilt == ((3, 4), direct_payload(lib, d, (3, 4)), lib.subfile_bits)
         by_group[rebuilt.group] = rebuilt.value
         for user in range(1, 5):
-            assert decode_file(user, by_group, lib.caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
+            assert decode_file(by_group, lib.caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
 
 
 class TestDecoding:
@@ -618,7 +626,7 @@ class TestDecoding:
         d = (2, 1, 2)
         caches = place_caches(lib)
         assert select_leaders(d).leaders == (1, 2)
-        out = decode_file(1, {}, caches[0], d)
+        out = decode_file({}, caches[0], d)
         assert out == lib.subfile_values[1]
 
     def test_three_user_example_decodes(self):
@@ -629,7 +637,7 @@ class TestDecoding:
         # user 1 needs only its own two payloads plus the cache
         own = {group: value for group, value in sent(d, lib, leaders).items() if 1 in group}
         assert list(own) == [(1, 2), (1, 3)]
-        out = decode_file(1, own, caches[0], d)
+        out = decode_file(own, caches[0], d)
         assert out == lib.subfile_values[0]
 
     def test_non_leader_matches_its_leader(self):
@@ -638,8 +646,8 @@ class TestDecoding:
         leaders = select_leaders(d)
         caches = place_caches(lib)
         by_group = complete(d, lib, leaders)
-        strong = decode_file(4, by_group, caches[3], d)
-        weak = decode_file(1, by_group, caches[0], d)
+        strong = decode_file(by_group, caches[3], d)
+        weak = decode_file(by_group, caches[0], d)
         assert strong == weak and weak == lib.subfile_values[0]
 
     def test_missing_payload_raises(self):
@@ -647,7 +655,7 @@ class TestDecoding:
         d = (1, 2, 3)
         caches = place_caches(lib)
         with pytest.raises(MissingPayloadError, match=re.escape("group (1, 2) is required by user 1")):
-            decode_file(1, {}, caches[0], d)
+            decode_file({}, caches[0], d)
 
     def test_decoding_reads_the_map_and_reconstructs_nothing(self):
         """An all-non-leader payload absent from the map is missing: only
@@ -660,10 +668,10 @@ class TestDecoding:
         assert (3, 4) not in by_group
         for user in (3, 4):
             with pytest.raises(MissingPayloadError, match=re.escape(f"group (3, 4) is required by user {user}")):
-                decode_file(user, by_group, caches[user - 1], d)
+                decode_file(by_group, caches[user - 1], d)
         by_group = complete(d, lib, leaders)
         for user in (3, 4):
-            assert decode_file(user, by_group, caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
+            assert decode_file(by_group, caches[user - 1], d) == lib.subfile_values[d[user - 1] - 1]
 
 
 class TestNoCopies:
@@ -684,7 +692,7 @@ class TestNoCopies:
             by_group = complete(d, lib, leaders)
             for user in range(1, num_users + 1):
                 wanted = lib.subfile_values[d[user - 1] - 1]
-                pieces = decode_file(user, by_group, lib.caches[user - 1], d)
+                pieces = decode_file(by_group, lib.caches[user - 1], d)
                 assert len(pieces) == len(wanted)
                 for subset, piece, own in zip(lib.subfile_subsets(), pieces, wanted):
                     assert piece is own if user in subset else piece == own
@@ -770,7 +778,7 @@ class TestEndToEnd:
         d = (1, 2, 3, 1)
         clean, maps, decode = sent(d, lib, select_leaders(d)), [], caching.decode_file
         monkeypatch.setattr(caching, "decode_file",
-                            lambda user, by_group, *rest: maps.append(dict(by_group)) or decode(user, by_group, *rest))
+                            lambda by_group, *rest: maps.append(dict(by_group)) or decode(by_group, *rest))
         for index, group in enumerate(clean):
             maps.clear()
             assert not end_to_end_verify(4, 3, 2, d=d, corrupt_payload=index, library=lib)
@@ -785,7 +793,7 @@ class TestEndToEnd:
 
     def test_any_int_picks_a_payload_modulo_the_count(self):
         d = (1, 2, 3)
-        lib = random_library(3, 3, 1)
+        lib = random_library(3, 3, 1, seed=0)
         count = len(encode_multicast(d, lib, select_leaders(d)))
         for index in (-1, count, count + 1, 10**30):
             assert not end_to_end_verify(3, 3, 1, d=d, corrupt_payload=index, library=lib)
@@ -814,6 +822,13 @@ class TestEndToEnd:
             count = len(encode_multicast(d, lib, select_leaders(d)))
             for index in range(count):
                 assert not end_to_end_verify(*shape, file_bits, d=d, corrupt_payload=index, library=lib)
+
+    def test_default_seed_draws_the_seed_0_library(self, monkeypatch):
+        """Without `library`, the call draws the seed-0 library unless it names a seed."""
+        seeds, draw = [], caching.random_library
+        monkeypatch.setattr(caching, "random_library", lambda *args, seed: seeds.append(seed) or draw(*args, seed=seed))
+        assert end_to_end_verify(3, 3, 1) and end_to_end_verify(3, 3, 1, seed=5)
+        assert seeds == [0, 5]
 
     def test_full_cache_any_demand(self):
         for d in itertools.product((1, 2), repeat=3):
@@ -933,7 +948,7 @@ PINNED_DIGESTS = {
 def test_cache_digests_are_pinned(shape):
     """A seed's library, its split and the bytes each digest hashes (packbits
     order, zero padding on the right) never change."""
-    lib = random_library(*shape)
+    lib = random_library(*shape[:4], seed=shape[4])
     assert [c.digest() for c in lib.caches] == PINNED_DIGESTS[shape]
 
 
@@ -967,10 +982,10 @@ class TestFaultLocation:
         decoded = {}
         original = caching.decode_file
 
-        def spy(user, by_group, cache, d):
-            decoded[user] = original(user, by_group, cache, d)
+        def spy(by_group, cache, d):
+            decoded[cache.user] = original(by_group, cache, d)
             # hand back the wanted subfiles, so every user is decoded and recorded
-            return lib.subfile_values[d[user - 1] - 1]
+            return lib.subfile_values[d[cache.user - 1] - 1]
 
         monkeypatch.setattr(caching, "decode_file", spy)
         for split in range(num_users):

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 
+import fraction_oracles as oracle
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from cachecast.finite_snr import (
     sample_boundary_point,
     write_region_csv,
 )
-from cachecast.tradeoff import SystemConfig, prefix_loads
+from cachecast.tradeoff import SystemConfig
 
 ALPHA2 = (F(1, 2), F(1))
 ALPHA3 = (F(2, 5), F(9, 10), F(1))
@@ -253,7 +254,7 @@ class TestDelayRate:
             for delay in (base, 2 * base, 4 * base):
                 region = delay_rate_inner_region(delay, config, power)
                 budgets = [max(0.0, float(a) * math.log2(power) - k) - float(load) / delay
-                           for k, (a, load) in enumerate(zip(alpha, prefix_loads(config)), start=1)]
+                           for k, (a, load) in enumerate(zip(alpha, oracle.prefix_loads(config)), start=1)]
                 assert list(region.rhs) == budgets
                 for _ in range(5):
                     point = sample_boundary_point(region, rng)
@@ -276,7 +277,7 @@ def prefix_sum_certificate(delay: float, config, power: float, point) -> bool:
     written out as one prefix sum of the shifted point per user prefix."""
     log_p = math.log2(power)
     shifted = np.asarray(point, dtype=float) + 2.0
-    for k, load in enumerate(prefix_loads(config), start=1):
+    for k, load in enumerate(oracle.prefix_loads(config), start=1):
         lhs = float(np.sum(shifted[:k])) + float(load) / delay
         if lhs > float(config.alpha[k - 1]) * log_p + 1.0 - 1e-9:
             return True

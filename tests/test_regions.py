@@ -49,6 +49,10 @@ class TestStrengths:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             user_strengths(2, [F(1, 2), F(3, 4)])
+        # alpha_{K-1} and alpha_K differ and are both below 1: the refusal quotes alpha_K
+        message = "strengths must be normalized with alpha_K = 1, got alpha_K = 9/10"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            user_strengths(3, [F(2, 5), F(4, 5), F(9, 10)])
 
     def test_rejects_decreasing(self):
         """The refusal names the first pair out of order, with exact values."""
@@ -165,7 +169,8 @@ class TestTwoMulticast:
         assert poly.rows[-1][0][-1] == comb(4, 3)
 
     def test_rejects_equal_sizes(self):
-        with pytest.raises(ValueError):
+        message = "group sizes must satisfy 2 <= sigma < gamma <= 4, got sigma=3, gamma=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_two_multicast_symmetric(4, 3, 3, ALPHA4, 4)
 
     def test_zero_gamma_collapses_to_single_set(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
+from cachecast.regions import cumulative_region
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     INF,
@@ -24,7 +26,6 @@ from cachecast.tradeoff import (
     gndt_lower_bound,
     gndt_memory_sharing,
     gndt_ub,
-    prefix_loads,
     topological_hole_region,
 )
 
@@ -34,6 +35,13 @@ FIG_ALPHA = (F("0.45"), F("0.65"), F("0.85"), F(1))
 
 def config(K, N, mu, alpha):
     return SystemConfig(num_users=K, num_files=N, mu=F(mu), alpha=alpha)
+
+
+def chord_loads(cfg):
+    """env_k(K*mu) per prefix k as Fractions: the config's `_chord`, integers P_k over one D."""
+    scale, loads = cfg._chord
+    assert type(scale) is int and all(type(p) is int for p in loads)
+    return tuple(F(p, scale) for p in loads)
 
 
 def tenths_strengths(rng, K):
@@ -74,9 +82,7 @@ class TestPrefixLoads:
                     lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
                     for k in range(1, K + 1)
                 )
-                loads = prefix_loads(cfg)
-                assert loads == expected
-                assert all(type(load) is F for load in loads)
+                assert chord_loads(cfg) == expected
                 budgets.add(cfg.integer_budget)
         assert budgets == {True, False}
 
@@ -94,9 +100,7 @@ class TestPrefixLoads:
                     for served in range(1, min(K, N) + 1)
                 ]
                 expected = tuple(envelopes[min(k, N) - 1] for k in range(1, K + 1))
-                loads = prefix_loads(cfg)
-                assert loads == expected, (K, N, j)
-                assert all(type(load) is F for load in loads)
+                assert chord_loads(cfg) == expected, (K, N, j)
 
     def test_config_holds_no_power(self):
         # the nominal power is an argument of the finite_snr builders alone
@@ -326,7 +330,7 @@ class TestSharedCurveData:
             assert got == (ub, ms, lb), changed
             if joint is not None:
                 assert gndt_joint_two_set(cfg, r) == joint, changed
-            assert prefix_loads(cfg) == tuple(
+            assert chord_loads(cfg) == tuple(
                 lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
                 for k in range(1, K + 1)
             ), changed
@@ -422,9 +426,7 @@ class TestIntegerViewAgainstFractionOracles:
                 got, want = fast(cfg, r), slow(cfg, r)
                 assert (type(got), got) == (type(want), want), (fast.__name__, cfg, r)
                 seen.add("inf" if got == math.inf else "zero" if got == 0 else "positive")
-            loads = prefix_loads(cfg)
-            assert loads == oracle.prefix_loads(cfg), cfg
-            assert all(type(load) is F for load in loads)
+            assert chord_loads(cfg) == oracle.prefix_loads(cfg), cfg
         assert seen == {"inf", "zero", "positive"}
 
 
@@ -627,6 +629,43 @@ class TestLowerBound:
         assert (lb is INF) == (ub is INF)
 
 
+class TestCutSetBound:
+    def test_upper_bound_is_never_below_the_cut_set_bound(self):
+        """`gndt_ub` >= the per-prefix cut-set bound of `oracle.cutset_lower_bound`,
+        exactly as Fractions, inf where the bound is inf, over 3000 seeded configs:
+        K 2..10, N 1..K+3, mu on a 1/(3K) grid (fractional budgets included),
+        alpha on a 1/d grid, and one r_i in {1..4}/40 in about half of them.
+
+        A `gndt_ub` below the bound is a bug.  A ratio above 2.01 is not: the
+        cut-set bound is loose at scale, so it cannot check the converse
+        factor by itself.  That the bound holds in the GDoF limit of the
+        degraded channel is a proof step this test does not make: a human
+        checks it against Maddah-Ali & Niesen, IEEE T-IT 2014, Thm. 2."""
+        rng = random.Random(404)
+        seen = {"inf": 0, "positive": 0, "zero": 0, "unicast": 0, "fractional": 0}
+        for _ in range(3000):
+            K = rng.randint(2, 10)
+            N = rng.randint(1, K + 3)
+            mu = F(rng.randint(0, 3 * K), 3 * K)
+            d = rng.randint(K + 1, 60)
+            alpha = tuple(F(c, d) for c in sorted(rng.randint(1, d) for _ in range(K - 1))) + (F(1),)
+            r = None
+            if rng.random() < 0.5:
+                r = [F(0)] * K
+                r[rng.randrange(K)] = F(rng.randint(1, 4), 40)
+                seen["unicast"] += 1
+            cfg = config(K, N, mu, alpha)
+            bound, ub = oracle.cutset_lower_bound(cfg, r), gndt_ub(cfg, r)
+            if bound == INF:
+                assert ub == INF, (cfg, r)
+                seen["inf"] += 1
+            else:
+                assert type(bound) is F and ub >= bound, (cfg, r, ub, bound)
+                seen["positive" if bound else "zero"] += 1
+            seen["fractional"] += not cfg.integer_budget
+        assert min(seen.values()) > 0, seen
+
+
 class TestDecomposition:
     def test_load_splits_into_size_and_rate(self):
         # tau * r_sym_max = 1 / C(K, sigma - 1) for N >= K, integer budget
@@ -684,6 +723,19 @@ class TestInnerRegion:
         region = gdof_region_inner(tau, cfg)
         for vertex in vertices(region):
             assert gndt_ub(cfg, vertex) <= tau
+
+    def test_rows_match_the_fraction_loads(self):
+        """Row k's rhs is alpha_k - env_k(K*mu) / tau with the oracle's Fraction
+        loads, at integer and fractional budgets and integer and fractional tau."""
+        rng = np.random.default_rng(47)
+        budgets = set()
+        for _ in range(60):
+            cfg = random_config(rng)
+            tau = F(int(rng.integers(1, 40)), int(rng.integers(1, 7)))
+            rhs = [a - load / tau for a, load in zip(cfg.alpha, oracle.prefix_loads(cfg))]
+            assert gdof_region_inner(tau, cfg) == cumulative_region(rhs), (cfg, tau)
+            budgets.add(cfg.integer_budget)
+        assert budgets == {True, False}
 
     def test_nested_in_relaxed_region(self):
         cfg = config(4, 4, F(1, 2), FIG_ALPHA)
