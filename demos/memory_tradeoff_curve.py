@@ -29,7 +29,7 @@ for step in range(0, 33):
     elif gap > 0:
         note = f"sharing loses {float(gap):.4f}"
     print(
-        f"{float(mu):6.3f} {float(cfg.cache_budget):6.2f} "
+        f"{float(mu):6.3f} {float(cfg.num_users * mu):6.2f} "
         f"{float(achieved):10.6f} {float(shared):10.6f} {float(floor):10.6f}  {note}"
     )
 

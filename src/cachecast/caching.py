@@ -395,7 +395,7 @@ def check_demand(d: Sequence[int], num_users: int, num_files: int) -> None:
 
 
 def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bits: int | None = None,
-                      d: Sequence[int] | None = None, seed: int = 0, corrupt_payload: int | None = None,
+                      d: Sequence[int] | None = None, seed: int | None = None, corrupt_payload: int | None = None,
                       *, library: FileLibrary | None = None) -> bool:
     """Place, encode, decode every user; True iff all decodes are bit-exact.
 
@@ -404,16 +404,19 @@ def end_to_end_verify(num_users: int, num_files: int, split_order: int, file_bit
     `corrupt_payload` flips bit 0, the most significant, of the given
     payload index before decoding, for exercising failure detection; at t = K
     no payload is sent, so asking for one is a ValueError rather than a
-    vacuous pass.  `library` replaces the seeded `random_library` draw; it
-    must have the given shape.  Only the work that `d` does not fix is reused:
-    the library's subfiles, placement and decode plans, its sent plan per
+    vacuous pass.  Without `library` the call draws `random_library` at
+    `seed` (0 if None); a `library` must have the given shape and comes
+    with no seed.  Only the work that `d` does not fix is reused: the
+    library's subfiles, placement and decode plans, its sent plan per
     leader set, and each reconstruction's sources per (group, leader set,
     demand pattern).  Encoding, each missing payload's one reconstruction
     and every decode run afresh for `d`, on one {group: int} map; the first
     user that decodes wrong ends the call.
     """
     if library is None:
-        library = random_library(num_files, num_users, split_order, file_bits, seed=seed)
+        library = random_library(num_files, num_users, split_order, file_bits, seed=0 if seed is None else seed)
+    elif seed is not None:
+        raise ValueError(f"seed {seed!r} given with library=: a library is passed or drawn, not both")
     elif (library.num_users, library.num_files, library.split_order) != (
         num_users, num_files, split_order
     ) or file_bits not in (None, library.file_bits):

@@ -27,9 +27,9 @@ gcd(K, q), no Fraction product.  `SystemConfig._chord`, the one place env_k
 is computed, reads two rows as integers P_k over one D, and `_scaled_gaps`
 takes the gaps from `regions._integer_gaps` as integers G_k over one H.
 `_max_terms` compares P_k G_j with P_j G_k and names the first prefix
-attaining the max, the bottleneck user at r = 0; `_max_ratio` makes its
-integers one Fraction, and the converse makes them, with the numerator and
-denominator of 2.01, its own one Fraction.  The hole and inner regions and
+attaining the max, `bottleneck_user`'s answer at r = 0 (no Fraction built);
+`_max_ratio` makes its integers the answer's one Fraction, the converse with
+2.01's numerator and denominator its own.  The hole and inner regions and
 the finite-SNR rows read the chord's integers too: a hole row's load ratio
 is P_k / P_k*, D cancelling, and an inner row reserves P_k / (D tau).
 `topological_hole_region` describes the unicast tuples that ride along at no
@@ -98,11 +98,6 @@ class SystemConfig:
         g = math.gcd(K, mu.denominator)
         object.__setattr__(self, "_budget", (K // g * mu.numerator, mu.denominator // g))
 
-    @cached_property
-    def cache_budget(self) -> Fraction:
-        """Aggregate normalized cache size K*mu, computed once per config."""
-        return Fraction(*self._budget)
-
     @property
     def integer_budget(self) -> bool:
         return self._budget[1] == 1
@@ -164,22 +159,22 @@ def _max_terms(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int
 
 
 def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
-    """(`_max_terms`' T / B as one Fraction, or inf at B = 0, the first k attaining it)."""
-    top, bottom, star = _max_terms(scale, loads, height, gaps)
-    return (Fraction(top, bottom) if bottom else INF), star
+    """`_max_terms`' T / B as one Fraction, or inf at B = 0."""
+    top, bottom, _ = _max_terms(scale, loads, height, gaps)
+    return Fraction(top, bottom) if bottom else INF
 
 
 @_remember_last
 def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
     """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
     table = _count_table(num_users, min(num_users, num_files))
-    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps)[0] for n, row in enumerate(table))
+    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps) for n, row in enumerate(table))
     return None if any(t is INF for t in times) else times
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))[0]
+    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -193,8 +188,8 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     maxed = _maxed(config.num_users, config.num_files, _scaled_gaps(config.alpha, _key(r)))
     if maxed is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
-        return ZERO if config.cache_budget == config.num_users else INF
-    return lower_convex_envelope(maxed, config.cache_budget)
+        return ZERO if config.mu == 1 else INF
+    return lower_convex_envelope(maxed, Fraction(*config._budget))
 
 
 def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
@@ -212,7 +207,7 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     lam = b * (low + 1) - a  # b times the weight of the floor budget
     table, c0, c1 = _count_table(K, min(K, config.num_files)), math.comb(K, low), math.comb(K, low + 1)
     loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in zip(table[low], table[low + 1])]
-    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))[0]
+    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
 
 
 def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
@@ -231,13 +226,13 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
 
 def bottleneck_user(config: SystemConfig) -> int:
     """Smallest user index whose load-to-strength ratio pins the delivery time:
-    `_max_ratio`'s binding prefix at r = 0.  Defined for integer budgets with
+    `_max_terms`' binding prefix at r = 0.  Defined for integer budgets with
     at least as many files as users."""
     if not config.integer_budget:
         raise ValueError("the bottleneck user is defined for integer cache budgets")
     if config.num_files < config.num_users:
         raise ValueError("the bottleneck user is defined for N >= K")
-    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, None))[1]
+    return _max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[2]
 
 
 def topological_hole_region(config: SystemConfig) -> Polytope:
@@ -253,7 +248,7 @@ def topological_hole_region(config: SystemConfig) -> Polytope:
     """
     star = bottleneck_user(config)
     K = config.num_users
-    if config.cache_budget >= K:
+    if config.mu == 1:
         raise ValueError("a full cache leaves no content traffic to protect")
     loads = config._chord[1]  # the P_k: D cancels in load_k / load_k*
     names = [unicast_name(k) for k in range(1, K + 1)]

@@ -10,17 +10,24 @@ row.  Memory sharing's oracle builds the max-over-users sequence from all K
 Fraction load sequences and evaluates its lower hull, the Fraction monotone
 chain that `cachecast.combinatorics` replaced by an integer one.  The
 bottleneck user's oracle is the Fraction argmax of load_k / alpha_k that
-`_max_ratio`'s binding prefix replaced.  The delivery-time oracles take
-their gaps from `unicast_gaps`, not from `cachecast.regions._integer_gaps`, so
-none of them reads the code it checks.  The symmetric GDoF's closed form,
-checked against the LP over `cachecast.regions.symmetric_projection`, takes
-its argument checks, group counts and gaps from `cachecast.regions`, so it
-refuses what the projection refuses, with the same messages.  The
-convexity check of a sequence states the lemma the load-sequence tests check.
+`_max_terms`' binding prefix replaced.  The delivery-time oracles take
+their gaps from `unicast_gaps`, not from `cachecast.regions._integer_gaps`,
+and K*mu as `num_users * mu`, from the config's inputs, not from a budget,
+chord or other view that `SystemConfig` derives; so none of them reads the
+code it checks (`tests/test_oracle_independence.py` walks this file's syntax
+tree to keep it so).  The per-demand loads are the closed form of Yu,
+Maddah-Ali & Avestimehr (IEEE T-IT 2018), from a leader set worked out here,
+with no count table, group count or leader selection of `cachecast`.  The
+symmetric GDoF's closed form, checked against the LP over
+`cachecast.regions.symmetric_projection`, takes its argument checks, group
+counts and gaps from `cachecast.regions`, so it refuses what the projection
+refuses, with the same messages.  The convexity check of a sequence states
+the lemma the load-sequence tests check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -320,7 +327,7 @@ def max_symmetric_gdof(num_users, group_size, alpha, s, r):
 
 def prefix_loads(config):
     """env_k(K*mu) per prefix: the Fraction chord between the two integer budgets."""
-    K, budget = config.num_users, config.cache_budget
+    K, budget = config.num_users, config.num_users * config.mu
     low = budget.numerator // budget.denominator
     step = budget - low
     sequences = [multicast_load_sequence(K, m) for m in range(1, min(K, config.num_files) + 1)]
@@ -376,7 +383,7 @@ def gndt_lower_bound(config, r=None):
 
 def gndt_joint_two_set(config, r=None):
     """The lambda-weighted Fraction loads of the two neighbouring integer budgets."""
-    budget = config.cache_budget
+    budget = config.num_users * config.mu
     low = budget.numerator // budget.denominator
     lam = low + 1 - budget
     K, N = config.num_users, config.num_files
@@ -395,6 +402,52 @@ def gndt_memory_sharing(config, r=None):
         max(ratio(seq[n], gap) for seq, gap in zip(sequences, gaps))
         for n in range(config.num_users + 1)
     ]
+    budget = config.num_users * config.mu
     if math.inf in maxed:
-        return _ZERO if config.cache_budget == config.num_users else math.inf
-    return lower_convex_envelope(maxed, config.cache_budget)
+        return _ZERO if budget == config.num_users else math.inf
+    return lower_convex_envelope(maxed, budget)
+
+
+# -- per-demand delivery -------------------------------------------------------
+
+
+def leaders_of(d):
+    """The users, 1-based, who ask for a file that no weaker user asked for."""
+    return tuple(u for u in range(1, len(d) + 1) if d[u - 1] not in d[: u - 1])
+
+
+def sent_loads(num_users, split_order, leaders):
+    """L_k for k = 1..K: the (t+1)-groups sent for this leader set whose weakest
+    member is at most k.  Of the C(K, t+1) - C(K-k, t+1) groups with weakest
+    member <= k, the all-non-leader ones are never sent: with a_k non-leaders
+    among users 1..k, C(K-|L|, t+1) - C(K-|L|-a_k, t+1) of them."""
+    K, size, lead = num_users, split_order + 1, set(leaders)
+    loads, a = [], 0
+    for k in range(1, K + 1):
+        a += k not in lead
+        sent = math.comb(K, size) - math.comb(K - k, size)
+        loads.append(sent - math.comb(K - len(lead), size) + math.comb(K - len(lead) - a, size))
+    return tuple(loads)
+
+
+def demand_time(num_users, split_order, leaders, gaps):
+    """max_k L_k / (C(K, t) gap_k): the delivery time of a demand with this leader set."""
+    subfiles = math.comb(num_users, split_order)
+    loads = sent_loads(num_users, split_order, leaders)
+    return max(ratio(Fraction(load, subfiles), gap) for load, gap in zip(loads, gaps))
+
+
+def average_demand_time(num_users, num_files, split_order, gaps):
+    """The mean delivery time over the N^K equally likely demands, one term per
+    leader set L: user u leads with probability (N - j)/N when j users before
+    it lead, so P(L) = prod_u ((N - j_u)/N if u in L else j_u/N)."""
+    total = _ZERO
+    for leads in itertools.product((True, False), repeat=num_users):
+        p, j = _ONE, 0
+        for led in leads:
+            p *= Fraction(num_files - j if led else j, num_files)
+            j += led
+        if p:
+            leaders = [u for u, led in enumerate(leads, 1) if led]
+            total += p * demand_time(num_users, split_order, leaders, gaps)
+    return total

@@ -106,7 +106,8 @@ MUTANTS = (
         "every (t+1)-group is encoded and sent, all-non-leader ones too, so the sent payloads "
         "and the index of a corrupted one no longer follow the leader set",
         ("tests/test_caching.py::TestSentPlans::test_each_leader_set_keeps_its_own_sent_groups",
-         "tests/test_caching.py::TestFaultLocation::test_a_flipped_payload_breaks_exactly_its_consumers[3-3]"),
+         "tests/test_caching.py::TestFaultLocation::test_a_flipped_payload_breaks_exactly_its_consumers[3-3]",
+         "tests/test_demand_loads.py::TestPerDemandLoads::test_sent_groups_per_prefix_match_the_closed_form"),
     ),
     Mutant(
         "reconstruction-memo-ignores-leaders", CACHING,
@@ -423,11 +424,61 @@ MUTANTS = (
     ),
     Mutant(
         "verify-default-seed-is-1", CACHING,
-        "d: Sequence[int] | None = None, seed: int = 0,",
-        "d: Sequence[int] | None = None, seed: int = 1,",
+        "seed=0 if seed is None else seed)",
+        "seed=1 if seed is None else seed)",
         "a call that names neither a library nor a seed verifies the seed-1 library, not the "
         "seed-0 draw; the verdict of a correct pipeline is the same, so only the draw shows it",
         ("tests/test_caching.py::TestEndToEnd::test_default_seed_draws_the_seed_0_library",),
+    ),
+    Mutant(
+        "verify-ignores-a-seed-beside-a-library", CACHING,
+        "    elif seed is not None:\n"
+        "        raise ValueError(f\"seed {seed!r} given with library=: a library is passed or drawn, not both\")\n",
+        "",
+        "a seed passed with a library is ignored without a word, so a caller believes it "
+        "verified the seed it named",
+        ("tests/test_caching.py::TestEndToEnd::test_a_seed_beside_a_library_is_refused[other]",),
+    ),
+    Mutant(
+        "memory-sharing-full-cache-reads-the-numerator", TRADEOFF,
+        "return ZERO if config.mu == 1 else INF",
+        "return ZERO if config._budget[0] == config.num_users else INF",
+        "with a prefix exhausted, a budget K*mu = K/b with gcd(K, b) = 1 reads as a full cache, "
+        "so memory sharing returns 0 where only the full cache is finite",
+        ("tests/test_tradeoff.py::TestAgainstFullSequenceOracles::test_memory_sharing_joint_and_integer[5-2]",),
+    ),
+    Mutant(
+        "memory-sharing-envelope-at-mu", TRADEOFF,
+        "lower_convex_envelope(maxed, Fraction(*config._budget))",
+        "lower_convex_envelope(maxed, config.mu)",
+        "the integer-budget times are interpolated at mu, not at the budget K*mu",
+        ("tests/test_tradeoff.py::TestMemorySharing::test_interpolates_the_maxed_curve",),
+    ),
+    Mutant(
+        "joint-two-set-weights-swapped", TRADEOFF,
+        "loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for",
+        "loads = [(b - lam) * c1 * g0 + lam * c0 * g1 for",
+        "joint delivery weights each integer budget's loads by the other part's share of the "
+        "file, so the formula no longer matches the bits the two split libraries send",
+        ("tests/test_demand_loads.py::TestFractionalBudgetOnBits::"
+         "test_split_library_stores_decodes_and_meets_the_formulas",
+         "tests/test_tradeoff.py::TestJointDelivery::test_equals_envelope_form"),
+    ),
+    Mutant(
+        "bottleneck-reads-the-ratio-denominator", TRADEOFF,
+        "_max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[2]",
+        "_max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[1]",
+        "the bottleneck user is the maximum's denominator B, not the prefix that attains it",
+        ("tests/test_tradeoff.py::TestBottleneck::test_matches_the_fraction_argmax_on_a_tenths_grid[3]",),
+    ),
+    Mutant(
+        "hole-refusal-at-an-empty-cache", TRADEOFF,
+        "    if config.mu == 1:\n        raise ValueError(\"a full cache",
+        "    if config.mu == 0:\n        raise ValueError(\"a full cache",
+        "the hole region refuses mu = 0, which has content traffic to protect, and divides by "
+        "the zero loads of mu = 1",
+        ("tests/test_tradeoff.py::TestHoles::test_full_cache_rejected",
+         "tests/test_tradeoff.py::TestHoles::test_random_instances_vertex_invariance"),
     ),
     Mutant(
         "draw-rounds-subfiles-up-to-bytes", CACHING,

@@ -225,7 +225,7 @@ def test_criterion_6_order_optimality_ratio():
             prefix += r[s - 1]
             gap = max(F(0), alpha[s - 1] - prefix)
             seq = multicast_load_sequence(K, min(s, N))
-            budget = cfg.cache_budget
+            budget = K * mu
             low = budget.numerator // budget.denominator
             lam = low + 1 - budget if budget.denominator != 1 else F(1)
             load = seq[low] if budget.denominator == 1 else lam * seq[low] + (1 - lam) * seq[low + 1]

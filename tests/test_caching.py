@@ -830,6 +830,16 @@ class TestEndToEnd:
         assert end_to_end_verify(3, 3, 1) and end_to_end_verify(3, 3, 1, seed=5)
         assert seeds == [0, 5]
 
+    @pytest.mark.parametrize("seed", [0, 5, -1, True], ids=["zero", "other", "negative", "bool"])
+    def test_a_seed_beside_a_library_is_refused(self, seed):
+        """A library fixes every bit, so a seed passed with it, which the call
+        would ignore, is refused by name, even one the draw would accept."""
+        lib = random_library(3, 3, 1, seed=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed {seed!r} given with library=: a library is passed or drawn, not both")):
+            end_to_end_verify(3, 3, 1, seed=seed, library=lib)
+        assert end_to_end_verify(3, 3, 1, library=lib)
+
     def test_full_cache_any_demand(self):
         for d in itertools.product((1, 2), repeat=3):
             assert end_to_end_verify(3, 2, 3, d=d)

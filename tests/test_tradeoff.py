@@ -19,6 +19,7 @@ from cachecast.tradeoff import (
     SystemConfig,
     _key,
     _max_ratio,
+    _max_terms,
     _scaled_gaps,
     bottleneck_user,
     gdof_region_inner,
@@ -79,7 +80,7 @@ class TestPrefixLoads:
             for j in range(4 * K + 1):
                 cfg = config(K, N, F(j, 4 * K), alpha)
                 expected = tuple(
-                    lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
+                    lower_convex_envelope(multicast_load_sequence(K, min(k, N)), K * cfg.mu)
                     for k in range(1, K + 1)
                 )
                 assert chord_loads(cfg) == expected
@@ -96,7 +97,7 @@ class TestPrefixLoads:
             for j in range(2 * K + 2):
                 cfg = config(K, N, F(j, 2 * K + 1), alpha)
                 envelopes = [
-                    lower_convex_envelope(multicast_load_sequence(K, served), cfg.cache_budget)
+                    lower_convex_envelope(multicast_load_sequence(K, served), K * cfg.mu)
                     for served in range(1, min(K, N) + 1)
                 ]
                 expected = tuple(envelopes[min(k, N) - 1] for k in range(1, K + 1))
@@ -133,8 +134,8 @@ class TestChord:
     def test_matches_the_fraction_chord(self, K, N, data):
         """At a non-integer K*mu, `_chord`'s integers over one denominator are
         the Fraction chord between the two neighbouring integer budgets, and
-        the config's budget is K*mu, for mu whose denominator shares a factor
-        with K or not."""
+        the config's budget is K*mu in lowest terms, for mu whose denominator
+        shares a factor with K or not."""
         g = data.draw(st.sampled_from([d for d in range(1, K + 1) if K % d == 0]))
         q = g * data.draw(st.integers(2, 10**4))
         mu = F(data.draw(st.integers(0, q)), q)
@@ -146,7 +147,7 @@ class TestChord:
         for k, load in enumerate(loads, start=1):
             seq = multicast_load_sequence(K, min(k, N))
             assert F(load, scale) == seq[low] + (budget - low) * (seq[low + 1] - seq[low]), k
-        assert (cfg.cache_budget, cfg.integer_budget) == (budget, False)
+        assert (cfg._budget, cfg.integer_budget) == ((budget.numerator, budget.denominator), False)
 
 
 class TestUpperBound:
@@ -211,8 +212,8 @@ class TestIntegerForm:
         for _ in range(20):
             cfg = random_config(rng, integer_budget=True)
             big = config(cfg.num_users, cfg.num_users + 3, cfg.mu, cfg.alpha)
-            t = int(big.cache_budget)
             K = big.num_users
+            t = int(K * big.mu)
             direct = max(
                 F(math.comb(K, t + 1) - math.comb(K - k, t + 1), math.comb(K, t)) / big.alpha[k - 1]
                 for k in range(1, K + 1)
@@ -273,7 +274,7 @@ class TestJointDelivery:
 def _curve_oracle(K, N, mu, alpha, r):
     """(ub, ms, lb, joint) from the load sequences, gaps and hulls, built afresh."""
     cfg = config(K, N, mu, alpha)
-    loads = [lower_convex_envelope(seq, cfg.cache_budget) for seq in oracle.load_sequences(cfg)]
+    loads = [lower_convex_envelope(seq, K * cfg.mu) for seq in oracle.load_sequences(cfg)]
     gaps = oracle.unicast_gaps(cfg, r)
     ub = max(oracle.ratio(load, gap) for load, gap in zip(loads, gaps))
     lb = max(oracle.ratio(load / CONVERSE_FACTOR, gap) for load, gap in zip(loads, gaps))
@@ -331,7 +332,7 @@ class TestSharedCurveData:
             if joint is not None:
                 assert gndt_joint_two_set(cfg, r) == joint, changed
             assert chord_loads(cfg) == tuple(
-                lower_convex_envelope(multicast_load_sequence(K, min(k, N)), cfg.cache_budget)
+                lower_convex_envelope(multicast_load_sequence(K, min(k, N)), K * cfg.mu)
                 for k in range(1, K + 1)
             ), changed
 
@@ -346,8 +347,9 @@ class TestSharedCurveData:
 
 
 def joint_two_set_oracle(cfg, r):
-    low = math.floor(cfg.cache_budget)
-    lam = low + 1 - cfg.cache_budget
+    budget = cfg.num_users * cfg.mu
+    low = math.floor(budget)
+    lam = low + 1 - budget
     return max(
         [F(0)]
         + [
@@ -358,7 +360,7 @@ def joint_two_set_oracle(cfg, r):
 
 
 def integer_oracle(cfg, r):
-    n = int(cfg.cache_budget)
+    n = int(cfg.num_users * cfg.mu)
     pairs = zip(oracle.load_sequences(cfg), oracle.unicast_gaps(cfg, r))
     return max([F(0)] + [oracle.ratio(seq[n], gap) for seq, gap in pairs])
 
@@ -513,9 +515,9 @@ class TestBottleneck:
         assert ties
 
     def test_binding_prefix_is_the_first_oracle_maximum(self):
-        """`_max_ratio` returns the oracle's time and the first prefix whose
-        oracle ratio equals it, over random budgets, file counts and unicast
-        tuples, exhausted prefixes and ties included."""
+        """`_max_ratio` returns the oracle's time, and `_max_terms` names the
+        first prefix whose oracle ratio equals it, over random budgets, file
+        counts and unicast tuples, exhausted prefixes and ties included."""
         rng = np.random.default_rng(2727)
         seen = set()
         for _ in range(600):
@@ -526,8 +528,8 @@ class TestBottleneck:
             gaps = oracle.unicast_gaps(cfg, r)
             ratios = [oracle.ratio(load, gap) for load, gap in zip(oracle.prefix_loads(cfg), gaps)]
             top = max(ratios)
-            assert _max_ratio(*cfg._chord, *_scaled_gaps(cfg.alpha, _key(r))) == (
-                top, ratios.index(top) + 1), (cfg, r)
+            args = (*cfg._chord, *_scaled_gaps(cfg.alpha, _key(r)))
+            assert (_max_ratio(*args), _max_terms(*args)[2]) == (top, ratios.index(top) + 1), (cfg, r)
             seen.add("inf" if top == math.inf else "tie" if ratios.count(top) > 1 else "one")
         assert seen == {"inf", "tie", "one"}
 
