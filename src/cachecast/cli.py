@@ -194,7 +194,8 @@ def cmd_tradeoff(args) -> int:
     """
     if (args.mu is None) == (args.mu_grid is None):  # neither, or both
         raise ValueError("--mu and --mu-grid are alternatives; give one of them")
-    r, mus, alpha = args.r or None, args.mu_grid or [args.mu], tuple(args.alpha)  # a grid is never empty
+    r = tuple(args.r) if args.r else None  # one tuple per curve: the formulas reuse a record for it
+    mus, alpha = args.mu_grid or [args.mu], tuple(args.alpha)  # a grid is never empty
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact
     columns = ["tau_ub", "tau_joint", "tau_ms", "tau_lb"] if joint else ["tau_ub", "tau_ms", "tau_lb"]

@@ -81,11 +81,11 @@ def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
 def _remember_last(func):
     """Keep `func`'s result for its most recent arguments, compared by ==.
 
-    A one-entry cache: it cannot grow, and a call with any argument changed
-    recomputes.  Keys are never hashed, since hashing a Fraction costs about
-    as much as multiplying two.  A hit re-keys the entry with the caller's
-    arguments, so passing the same objects again is an identity check.  A
-    call that raises leaves the kept entry as it was.
+    A one-entry cache that never hashes (hashing a Fraction costs about as much
+    as multiplying two).  A hit re-keys the entry with the caller's arguments,
+    so the same objects again cost identity checks; a call that raises leaves
+    the entry.  Only the strengths check uses it: the curve record and the hull
+    are kept by identity, since 1/2 == 0.5 would let a float pass unchecked.
     """
     last: list = []  # [(args, result)] once called
 
@@ -98,42 +98,41 @@ def _remember_last(func):
     return remembered
 
 
-@_remember_last
-def _lower_hull(points: tuple[Fraction, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(L, vertices (n, L * points[n]) of the lower convex hull, left to right)
-    for L the lcm of the denominators: Andrew's monotone chain on integers,
-    keeping right turns only.  Scaling by L > 0 keeps every turn test's sign.
-    """
-    scale, ys = _integer_row(points)
-    hull: list[tuple[int, int]] = []
-    for p in enumerate(ys):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above chord hull[-2] -> p
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return scale, tuple(hull)
+_kept_hull: list = [None, None, None]  # the tuple the kept hull came from, its scale L and its vertices
 
 
 def lower_convex_envelope(values: Sequence, x) -> Fraction:
     """Lower convex envelope of {(n, values[n]) : n = 0..K}, evaluated at x.
 
-    Builds the 2-D lower hull, on integers, so no convexity of the input
-    sequence is assumed, then evaluates the hull segment over x as one
-    Fraction.  The hull of the most recent sequence is kept (see
-    `_remember_last`), so evaluating one sequence over a grid of x builds its
-    hull once.  For a convex sequence the envelope touches every point and
-    evaluation reduces to linear interpolation between floor(x) and ceil(x).
+    Builds the 2-D lower hull by Andrew's monotone chain on integers, the
+    points times L, the lcm of their denominators (L > 0 keeps every turn
+    test's sign), so no convexity of the input sequence is assumed, then
+    evaluates the hull segment over x as one Fraction.  The hull is kept with
+    the tuple it came from: that same tuple object again is neither converted
+    nor compared, so a sequence evaluated over a grid of x is hulled once; a
+    list or a new tuple is converted and checked afresh.  For a convex
+    sequence the envelope touches every point and evaluation reduces to
+    linear interpolation between floor(x) and ceil(x).
     """
-    points = tuple(map(_frac, values))
-    if not points:
-        raise ValueError("envelope needs at least one point")
-    xq = _checked_fraction("x", x, 0, len(points) - 1)
+    if values is not _kept_hull[0] or type(values) is not tuple:
+        points = tuple(map(_frac, values))
+        if not points:
+            raise ValueError("envelope needs at least one point")
+        scale, ys = _integer_row(points)
+        hull: list[tuple[int, int]] = []
+        for p in enumerate(ys):  # keeping right turns only
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                # drop hull[-1] if it lies on or above chord hull[-2] -> p
+                if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        _kept_hull[:] = values, scale, hull
+    _, scale, hull = _kept_hull
+    xq = _checked_fraction("x", x, 0, hull[-1][0])  # the last point is the hull's last vertex
     a, b = xq.numerator, xq.denominator  # x = a / b
-    scale, hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if a <= x2 * b:
             return Fraction(y1 * (x2 - x1) * b + (y2 - y1) * (a - x1 * b), scale * (x2 - x1) * b)

@@ -273,23 +273,26 @@ def canonical(poly: Polytope) -> Polytope:
 
 
 def region_contains(outer: Polytope, inner: Polytope) -> bool:
-    """True iff `inner` is a subset of `outer` (same variables required).
-
-    Each outer row is certified by one inner row that dominates it where one
-    exists (`_dominated`, integer comparisons only), and by the LP otherwise;
-    when every outer row has its dominating row, no LP runs."""
-    if outer.variables != inner.variables:
-        raise ValueError("regions must share an identical variable tuple")
-    scaled = _on_one_scale([_canonical_row(ints) for _, ints in outer.int_rows + inner.int_rows])
-    inner_scaled = scaled[len(outer.int_rows):]
-    left = [row for row, c in zip(outer.int_rows, scaled) if not _dominated(c, inner_scaled)]
-    return _implies(len(inner.variables), inner.int_rows, left)
+    """True iff `inner` is a subset of `outer` (same variables required)."""
+    return next(_containments(outer, inner))
 
 
 def regions_equal(a: Polytope, b: Polytope) -> bool:
-    """Mutual containment: each row of either region certified by one
-    dominating row of the other where one exists, by the LP otherwise."""
-    return region_contains(a, b) and region_contains(b, a)
+    """Mutual containment, both directions read off one scaling of the rows."""
+    return all(_containments(a, b))
+
+
+def _containments(a: Polytope, b: Polytope):
+    """Whether b lies within a, then whether a lies within b, lazily, on one scaling
+    of both regions' rows: each outer row certified by one dominating inner row
+    where one exists (`_dominated`, no LP), by the LP otherwise."""
+    if a.variables != b.variables:
+        raise ValueError("regions must share an identical variable tuple")
+    scaled = _on_one_scale([_canonical_row(ints) for _, ints in a.int_rows + b.int_rows])
+    sa, sb = scaled[:len(a.int_rows)], scaled[len(a.int_rows):]
+    for outer, inner, above, below in (a, b, sa, sb), (b, a, sb, sa):
+        left = [row for row, c in zip(outer.int_rows, above) if not _dominated(c, below)]
+        yield _implies(len(a.variables), inner.int_rows, left)
 
 
 def fix_variables(poly: Polytope, assignment: Mapping[str, object]) -> Polytope:

@@ -24,33 +24,32 @@ answer.  c_n(k) is `cumulative_group_count(K, n + 1, k)` over C(K, n); the
 count table `_count_table` holds those integers for every budget n = 0..K
 and prefix k.  Each config reduces K*mu = K p / q to integers with one
 gcd(K, q), no Fraction product.  `SystemConfig._chord`, the one place env_k
-is computed, reads two rows as integers P_k over one D, and `_scaled_gaps`
-takes the gaps from `regions._integer_gaps` as integers G_k over one H.
-`_max_terms` compares P_k G_j with P_j G_k and names the first prefix
-attaining the max, `bottleneck_user`'s answer at r = 0 (no Fraction built);
-`_max_ratio` makes its integers the answer's one Fraction, the converse with
-2.01's numerator and denominator its own.  The hole and inner regions and
-the finite-SNR rows read the chord's integers too: a hole row's load ratio
-is P_k / P_k*, D cancelling, and an inner row reserves P_k / (D tau).
+is computed, reads two rows as integers P_k over one D, and the gaps come
+from `regions._integer_gaps` as integers G_k over one H.  `_max_terms`
+compares P_k G_j with P_j G_k and names the first prefix attaining the max,
+`bottleneck_user`'s answer at r = 0 (no Fraction built); `_ratio` makes its
+integers the answer's one Fraction, the converse with 2.01's numerator and
+denominator its own.  The hole and inner regions and the finite-SNR rows
+read the chord's integers too: a hole row's load ratio is P_k / P_k*, D
+cancelling, and an inner row reserves P_k / (D tau).
 `topological_hole_region` describes the unicast tuples that ride along at no
 delivery-time cost.  Two relatives are separate code paths:
 
 * naive memory sharing, which takes the envelope AFTER the max over k and is
-  weaker at fractional budgets in asymmetric channels: one `_max_ratio` per
+  weaker at fractional budgets in asymmetric channels: one `_ratio` per
   integer budget, then the generic lower hull of those times (convex as a
   max of convex sequences, which this path does not lean on);
 * the joint two-set delivery form, an explicit lambda-weighted integer
   combination of the two neighbouring integer budgets, which matches tau_ub.
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
-per mu with the same K, N, alpha and r.  The count table depends only on K
-and the served count min(K, N), so a bounded LRU cache keeps one per
-(K, min(K, N)) across calls and curves.  One-entry memos, compared by value
-(see `combinatorics._remember_last`), keep what one curve's calls share: the
-strengths check (`regions._checked_strengths`) each mu's config repeats, per
-(alpha, r) the scaled gaps each time divides by, and for memory sharing the
-integer-budget times (`_maxed`) and their lower hull.  Each config computes
-its chord once.
+per mu with the same K, N, alpha and r.  A bounded LRU cache keeps the count
+table per (K, min(K, N)); the strengths check hands a curve's configs one
+alpha tuple.  One record (`_Curve`) keeps the rest for the most recent
+(K, min(K, N), alpha, r): the checked gaps, memory sharing's integer-budget
+times, built on first use, and the last config's `_max_terms`, which `gndt_ub`
+and the converse share.  It is reused only for the same alpha object and r
+None or the same tuple object; a list or a new tuple is checked afresh.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -64,8 +63,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import (_checked_fraction, _checked_int, _remember_last, cumulative_group_count,
-                            lower_convex_envelope)
+from .combinatorics import _checked_fraction, _checked_int, cumulative_group_count, lower_convex_envelope
 from .lp import _frac
 from .polytope import Polytope, _count_row
 from .regions import ZERO, _integer_gaps, cumulative_region, unicast_name, user_strengths
@@ -119,15 +117,6 @@ class SystemConfig:
         return b * c0 * c1, tuple([w0 * g0 + w1 * g1 for g0, g1 in zip(table[low], table[low + 1])])
 
 
-def _key(r: Sequence | None) -> tuple[Fraction, ...] | None:
-    """The unicast tuple r as exact values, the key of the per-curve memos."""
-    return None if r is None else tuple(map(_frac, r))
-
-
-#: the prefix gaps as (H, integers G_k over H), kept for a curve's (alpha, r)
-_scaled_gaps = _remember_last(_integer_gaps)
-
-
 @lru_cache(maxsize=128)
 def _count_table(num_users: int, served: int) -> tuple[tuple[int, ...], ...]:
     """Row n = 0..K holds C(K, n) * c_n for every prefix k = 1..K: the coded
@@ -158,23 +147,43 @@ def _max_terms(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int
     return best * height, scale * over, star
 
 
-def _max_ratio(scale: int, loads: Sequence[int], height: int, gaps: Sequence[int]):
-    """`_max_terms`' T / B as one Fraction, or inf at B = 0."""
-    top, bottom, _ = _max_terms(scale, loads, height, gaps)
+def _ratio(top: int, bottom: int, *star: int):
+    """T / B as one Fraction, or inf at B = 0; the binding prefix of a `_max_terms` answer is ignored."""
     return Fraction(top, bottom) if bottom else INF
 
 
-@_remember_last
-def _maxed(num_users: int, num_files: int, gaps: tuple) -> tuple[Fraction, ...] | None:
-    """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
-    table = _count_table(num_users, min(num_users, num_files))
-    times = tuple(_max_ratio(math.comb(num_users, n), row, *gaps) for n, row in enumerate(table))
-    return None if any(t is INF for t in times) else times
+class _Curve:
+    """One curve's shared data (see the module docstring), kept by `of`."""
+
+    kept: _Curve | None = None
+
+    def __init__(self, config: SystemConfig, r: Sequence | None, served: int):
+        self.alpha, self.r, self.served, self.config = config.alpha, r, served, None
+        self.gaps = _integer_gaps(config.alpha, r)
+
+    @classmethod
+    def of(cls, config: SystemConfig, r: Sequence | None) -> _Curve:
+        """The kept record if made from this `config.alpha` object, this r (None or the
+        same tuple object) and min(K, N), else a new one; `terms` once per config."""
+        served, c = min(config.num_users, config.num_files), cls.kept
+        if not (c and c.alpha is config.alpha and c.r is r and c.served == served
+                and (r is None or type(r) is tuple)):
+            c = cls.kept = cls(config, r, served)
+        if c.config is not config:
+            c.config, c.terms = config, _max_terms(*config._chord, *c.gaps)
+        return c
+
+    @cached_property
+    def times(self) -> tuple[Fraction, ...] | None:
+        """The delivery times at the integer budgets 0..K; None if a prefix is exhausted."""
+        K, table = len(self.alpha), _count_table(len(self.alpha), self.served)
+        times = tuple(_ratio(*_max_terms(math.comb(K, n), row, *self.gaps)) for n, row in enumerate(table))
+        return None if any(t is INF for t in times) else times
 
 
 def gndt_ub(config: SystemConfig, r: Sequence | None = None):
     """Achievable delivery time, envelope taken inside the max over users."""
-    return _max_ratio(*config._chord, *_scaled_gaps(config.alpha, _key(r)))
+    return _ratio(*_Curve.of(config, r).terms)
 
 
 def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
@@ -185,11 +194,11 @@ def gndt_memory_sharing(config: SystemConfig, r: Sequence | None = None):
     the envelope interpolates afterwards.  Coincides with `gndt_ub` at integer
     budgets and is never below it elsewhere.
     """
-    maxed = _maxed(config.num_users, config.num_files, _scaled_gaps(config.alpha, _key(r)))
-    if maxed is None:
+    times = _Curve.of(config, r).times
+    if times is None:
         # some prefix is exhausted: only the zero-load full-cache point is finite
         return ZERO if config.mu == 1 else INF
-    return lower_convex_envelope(maxed, Fraction(*config._budget))
+    return lower_convex_envelope(times, Fraction(*config._budget))
 
 
 def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
@@ -207,7 +216,7 @@ def gndt_joint_two_set(config: SystemConfig, r: Sequence | None = None):
     lam = b * (low + 1) - a  # b times the weight of the floor budget
     table, c0, c1 = _count_table(K, min(K, config.num_files)), math.comb(K, low), math.comb(K, low + 1)
     loads = [lam * c1 * g0 + (b - lam) * c0 * g1 for g0, g1 in zip(table[low], table[low + 1])]
-    return _max_ratio(b * c0 * c1, loads, *_scaled_gaps(config.alpha, _key(r)))
+    return _ratio(*_max_terms(b * c0 * c1, loads, *_Curve.of(config, r).gaps))
 
 
 def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
@@ -218,10 +227,8 @@ def gndt_lower_bound(config: SystemConfig, r: Sequence | None = None):
     yields a floor on the delivery time, and the tightest is `gndt_ub`'s
     ratio over 201/100 by construction (ROADMAP item 8: an independent converse).
     """
-    top, bottom, _ = _max_terms(*config._chord, *_scaled_gaps(config.alpha, _key(r)))
-    if not bottom:
-        return INF
-    return Fraction(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)
+    top, bottom, _ = _Curve.of(config, r).terms
+    return _ratio(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)
 
 
 def bottleneck_user(config: SystemConfig) -> int:
@@ -232,7 +239,7 @@ def bottleneck_user(config: SystemConfig) -> int:
         raise ValueError("the bottleneck user is defined for integer cache budgets")
     if config.num_files < config.num_users:
         raise ValueError("the bottleneck user is defined for N >= K")
-    return _max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[2]
+    return _Curve.of(config, None).terms[2]
 
 
 def topological_hole_region(config: SystemConfig) -> Polytope:

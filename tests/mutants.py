@@ -188,8 +188,8 @@ MUTANTS = (
     ),
     Mutant(
         "regions-equal-one-direction", POLYTOPE,
-        "return region_contains(a, b) and region_contains(b, a)",
-        "return region_contains(a, b)",
+        "return all(_containments(a, b))",
+        "return next(_containments(a, b))",
         "a region strictly inside the other one is reported equal",
         ("tests/test_polytope.py::test_equality_rejects_shrunk_rhs",),
     ),
@@ -338,8 +338,8 @@ MUTANTS = (
     ),
     Mutant(
         "converse-factor-swapped", TRADEOFF,
-        "Fraction(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)",
-        "Fraction(top * CONVERSE_FACTOR.numerator, bottom * CONVERSE_FACTOR.denominator)",
+        "_ratio(top * CONVERSE_FACTOR.denominator, bottom * CONVERSE_FACTOR.numerator)",
+        "_ratio(top * CONVERSE_FACTOR.numerator, bottom * CONVERSE_FACTOR.denominator)",
         "the converse multiplies the ratio by 201/100 instead of dividing by it, so the lower "
         "bound sits above the achievable time",
         ("tests/test_tradeoff.py::TestLowerBound::test_is_the_upper_bound_over_the_factor",
@@ -449,8 +449,8 @@ MUTANTS = (
     ),
     Mutant(
         "memory-sharing-envelope-at-mu", TRADEOFF,
-        "lower_convex_envelope(maxed, Fraction(*config._budget))",
-        "lower_convex_envelope(maxed, config.mu)",
+        "lower_convex_envelope(times, Fraction(*config._budget))",
+        "lower_convex_envelope(times, config.mu)",
         "the integer-budget times are interpolated at mu, not at the budget K*mu",
         ("tests/test_tradeoff.py::TestMemorySharing::test_interpolates_the_maxed_curve",),
     ),
@@ -466,10 +466,44 @@ MUTANTS = (
     ),
     Mutant(
         "bottleneck-reads-the-ratio-denominator", TRADEOFF,
-        "_max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[2]",
-        "_max_terms(*config._chord, *_scaled_gaps(config.alpha, None))[1]",
+        "_Curve.of(config, None).terms[2]",
+        "_Curve.of(config, None).terms[1]",
         "the bottleneck user is the maximum's denominator B, not the prefix that attains it",
         ("tests/test_tradeoff.py::TestBottleneck::test_matches_the_fraction_argmax_on_a_tenths_grid[3]",),
+    ),
+    Mutant(
+        "curve-record-reused-for-an-equal-r", TRADEOFF,
+        "c.r is r",
+        "c.r == r",
+        "a curve's record is reused for any r equal to the kept one, so a float r equal to the "
+        "kept Fractions is never checked, and a float reaches the exact formulas",
+        ("tests/test_tradeoff.py::TestCurveRecordReuse::"
+         "test_a_float_r_after_an_equal_fraction_tuple_is_refused[gndt_ub]",),
+    ),
+    Mutant(
+        "curve-record-reused-for-a-list-r", TRADEOFF,
+        "\n                and (r is None or type(r) is tuple)):",
+        "):",
+        "the record is reused for the same list object, so a list r changed in place between two "
+        "calls reads the gaps of its old values",
+        ("tests/test_tradeoff.py::TestCurveRecordReuse::"
+         "test_a_list_r_changed_in_place_gives_the_new_value[gndt_ub]",),
+    ),
+    Mutant(
+        "curve-terms-shared-across-configs", TRADEOFF,
+        "if c.config is not config:",
+        "if c.config is None:",
+        "the record's maximum is taken for the first config of a curve only, so every later mu "
+        "reads the first mu's delivery time",
+        ("tests/test_tradeoff.py::TestCurveRecordReuse::test_the_converse_reads_its_own_configs_maximum",),
+    ),
+    Mutant(
+        "curve-record-keyed-without-the-served-count", TRADEOFF,
+        "c.r is r and c.served == served",
+        "c.r is r",
+        "a record made for one min(K, N) is reused for another, so memory sharing interpolates "
+        "the integer-budget times of the other file count",
+        ("tests/test_tradeoff.py::TestCurveRecordReuse::test_a_change_of_N_alone_reaches_memory_sharing",),
     ),
     Mutant(
         "hole-refusal-at-an-empty-cache", TRADEOFF,

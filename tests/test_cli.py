@@ -722,8 +722,9 @@ class TestCurveCost:
 
     def test_kept_caches_serve_the_whole_curve(self, capsys, monkeypatch):
         """One sweep-memory curve checks its strengths, builds its scaled gaps,
-        its integer-budget times and their lower hull once each.  The alpha
-        and r are new to the process, so no entry an earlier test left is hit."""
+        its integer-budget times and their lower hull once each, and takes one
+        maximum per mu for tau_ub and tau_lb together.  The alpha and r are new
+        to the process, so no entry an earlier test left is hit."""
         K, calls = 6, collections.Counter()
 
         def count(module, name, kind):
@@ -744,8 +745,8 @@ class TestCurveCost:
         code, out, _ = run(argv, capsys)
         assert code == 0 and len(out.splitlines()) == 1 + 51
         assert (calls["strengths"], calls["gaps"], calls["hull"]) == (1, 1, 1)
-        # per mu tau_ub, tau_lb and tau_joint, plus the K + 1 integer-budget times once
-        assert 0 < calls["times"] <= 3 * 51 + K + 1
+        # per mu one for tau_ub and tau_lb and one for tau_joint, plus the K + 1 integer-budget times once
+        assert 0 < calls["times"] <= 2 * 51 + K + 1
 
 
 class TestFormatting:

@@ -44,6 +44,10 @@ TEST_FACING = {
     "maximize": "Polytope's one-objective LP: the region, trade-off and polytope tests read optima off it",
     "digest": "CacheContents' fingerprint: the caching tests pin each seeded library's placement by it",
     "contains": "Polytope's exact point-membership check, which the projection, level-system and vertex tests use",
+    "region_contains": (
+        "one-way containment; the polytope, region and trade-off tests certify inclusions with it, and "
+        "regions_equal reads both directions off one scaling instead of calling it twice"
+    ),
 }
 
 

@@ -17,10 +17,9 @@ from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     INF,
     SystemConfig,
-    _key,
-    _max_ratio,
+    _Curve,
     _max_terms,
-    _scaled_gaps,
+    _ratio,
     bottleneck_user,
     gdof_region_inner,
     gndt_joint_two_set,
@@ -346,6 +345,44 @@ class TestSharedCurveData:
                 assert moved == {changed.split()[0]}, changed
 
 
+class TestCurveRecordReuse:
+    """A curve's record is reused only for the same alpha object and r None or
+    the same tuple object; anything else is checked and computed afresh."""
+
+    A4 = TestSharedCurveData.A4
+    FORMULAS = [gndt_ub, gndt_memory_sharing, gndt_lower_bound, gndt_joint_two_set]
+
+    @pytest.mark.parametrize("formula", FORMULAS, ids=lambda f: f.__name__)
+    def test_a_float_r_after_an_equal_fraction_tuple_is_refused(self, formula):
+        cfg = config(4, 4, F(3, 8), self.A4)
+        formula(cfg, (F(1, 8), 0, 0, 0))
+        with pytest.raises(TypeError, match=r"^0\.125 is a float; pass an int, a Fraction"):
+            formula(cfg, (0.125, 0, 0, 0))
+
+    @pytest.mark.parametrize("formula", FORMULAS, ids=lambda f: f.__name__)
+    def test_a_list_r_changed_in_place_gives_the_new_value(self, formula):
+        cfg, r = config(4, 4, F(3, 8), self.A4), [F(1, 10), 0, 0, 0]
+        for r1 in (F(1, 10), F(3, 20), 0):
+            r[0] = r1
+            ub, ms, lb, joint = _curve_oracle(4, 4, F(3, 8), self.A4, r)
+            assert formula(cfg, r) == {gndt_ub: ub, gndt_memory_sharing: ms,
+                                       gndt_lower_bound: lb, gndt_joint_two_set: joint}[formula], r1
+
+    def test_a_change_of_N_alone_reaches_memory_sharing(self):
+        """The integer-budget times belong to one min(K, N): the same alpha
+        object and r None at another file count build their own."""
+        B4 = TestSharedCurveData.B4
+        for N in (2, 1, 4, 1):
+            assert gndt_memory_sharing(config(4, N, F(3, 8), B4)) == _curve_oracle(4, N, F(3, 8), B4, None)[1], N
+
+    def test_the_converse_reads_its_own_configs_maximum(self):
+        """`gndt_lower_bound` right after `gndt_ub` at another config of the
+        same curve (one alpha object, r None) reads its own maximum."""
+        for first, second in [(F(1, 8), F(5, 8)), (F(5, 8), F(1, 8)), (F(1, 4), F(3, 4))]:
+            gndt_ub(config(4, 2, first, self.A4))
+            assert gndt_lower_bound(config(4, 2, second, self.A4)) == _curve_oracle(4, 2, second, self.A4, None)[2]
+
+
 def joint_two_set_oracle(cfg, r):
     budget = cfg.num_users * cfg.mu
     low = math.floor(budget)
@@ -515,7 +552,7 @@ class TestBottleneck:
         assert ties
 
     def test_binding_prefix_is_the_first_oracle_maximum(self):
-        """`_max_ratio` returns the oracle's time, and `_max_terms` names the
+        """`_ratio` of `_max_terms` is the oracle's time, and `_max_terms` names the
         first prefix whose oracle ratio equals it, over random budgets, file
         counts and unicast tuples, exhausted prefixes and ties included."""
         rng = np.random.default_rng(2727)
@@ -528,8 +565,9 @@ class TestBottleneck:
             gaps = oracle.unicast_gaps(cfg, r)
             ratios = [oracle.ratio(load, gap) for load, gap in zip(oracle.prefix_loads(cfg), gaps)]
             top = max(ratios)
-            args = (*cfg._chord, *_scaled_gaps(cfg.alpha, _key(r)))
-            assert (_max_ratio(*args), _max_terms(*args)[2]) == (top, ratios.index(top) + 1), (cfg, r)
+            args = (*cfg._chord, *_Curve.of(cfg, r).gaps)
+            assert (_ratio(*_max_terms(*args)), _max_terms(*args)[2]) == (top, ratios.index(top) + 1), (cfg, r)
+            assert _Curve.of(cfg, r).terms == _max_terms(*args), (cfg, r)
             seen.add("inf" if top == math.inf else "tie" if ratios.count(top) > 1 else "one")
         assert seen == {"inf", "tie", "one"}
 
