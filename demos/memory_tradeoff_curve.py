@@ -10,8 +10,11 @@ factor 2.01 below the achieved curve.
 from fractions import Fraction
 
 from cachecast import SystemConfig, gndt_lower_bound, gndt_memory_sharing, gndt_ub
+from cachecast.regions import user_strengths
 
-ALPHA = (Fraction("0.45"), Fraction("0.65"), Fraction("0.85"), Fraction(1))
+# checked once: every config below shares this one strengths object, and with it
+# the formulas' per-curve record; a fresh tuple per config would be checked again
+ALPHA = user_strengths(4, (Fraction("0.45"), Fraction("0.65"), Fraction("0.85"), Fraction(1)))
 
 print(f"{'mu':>6} {'K*mu':>6} {'tau_ub':>10} {'tau_ms':>10} {'tau_lb':>10}  note")
 worst_gap = Fraction(0)

@@ -77,9 +77,10 @@ def _parse_fraction(token, flag: str) -> Fraction:
         raise ValueError(f"{flag}: {token!r} is not a number") from None
 
 
-def _parse_list(value, flag: str, whole: bool = False, check=None) -> list:
+def _parse_list(value, flag: str, whole: bool = False, check=None):
     """Comma text, or a JSON list from --config; `whole` lists (users, files) hold ints.
-    `check`, if given, is the library's own check of the list; its refusal is named by the flag."""
+    `check`, if given, is the library's own check of the list, and what it returns is the
+    value; its refusal is named by the flag."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):  # JSON null, true, {}
         raise ValueError(f"{flag} takes comma text or a JSON list, got {value!r}")
     tokens = value if isinstance(value, list) else str(value).split(",")
@@ -93,11 +94,9 @@ def _parse_list(value, flag: str, whole: bool = False, check=None) -> list:
             except ValueError:
                 raise ValueError(f"{flag}: {token!r} is not a whole number") from None
     try:
-        if check is not None:
-            check(values)
+        return values if check is None else check(values)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
-    return values
 
 
 def _parse_grid(text, flag: str) -> list[Fraction]:
@@ -195,14 +194,14 @@ def cmd_tradeoff(args) -> int:
     if (args.mu is None) == (args.mu_grid is None):  # neither, or both
         raise ValueError("--mu and --mu-grid are alternatives; give one of them")
     r = tuple(args.r) if args.r else None  # one tuple per curve: the formulas reuse a record for it
-    mus, alpha = args.mu_grid or [args.mu], tuple(args.alpha)  # a grid is never empty
+    mus = args.mu_grid or [args.mu]  # a grid is never empty
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact
     columns = ["tau_ub", "tau_joint", "tau_ms", "tau_lb"] if joint else ["tau_ub", "tau_ms", "tau_lb"]
     header = ["mu"] + columns + ([f"{c}_exact" for c in columns] if exact else [])
     rows = []
     for mu in mus:
-        config = SystemConfig(args.K, args.N, mu, alpha)
+        config = SystemConfig(args.K, args.N, mu, args.alpha)  # one checked alpha object per curve
         vals = {
             "tau_ub": tradeoff.gndt_ub(config, r),
             "tau_ms": tradeoff.gndt_memory_sharing(config, r),
@@ -221,7 +220,7 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_holes(args) -> int:
-    config = SystemConfig(args.K, args.N, args.mu, tuple(args.alpha))
+    config = SystemConfig(args.K, args.N, args.mu, args.alpha)
     star = tradeoff.bottleneck_user(config)
     region = tradeoff.topological_hole_region(config)
     base_tau = tradeoff.gndt_ub(config)
@@ -251,7 +250,7 @@ def cmd_holes(args) -> int:
 
 
 def cmd_region(args) -> int:
-    alpha, kind, K, sigma = tuple(args.alpha), args.kind or "full", args.K, args.sigma
+    alpha, kind, K, sigma = args.alpha, args.kind or "full", args.K, args.sigma
     for flag, value, kinds in (
         ("--s", args.s, ("symmetric", "two-multicast")),
         ("--gamma", args.gamma, ("two-multicast",)),
@@ -346,7 +345,7 @@ def _verify_region_equality(args) -> tuple[int, int]:
             for _ in range(args.region_trials or 3):
                 denom = rng.randrange(8, 40)
                 cuts = sorted(rng.randrange(1, denom) for _ in range(K - 1))
-                alpha = tuple(Fraction(c, denom) for c in cuts) + (Fraction(1),)
+                alpha = regions.user_strengths(K, tuple(Fraction(c, denom) for c in cuts) + (Fraction(1),))
                 theorem = regions.build_region(K, sigma, alpha)
                 system = regions.beta_parameterized_polytope(K, sigma, alpha)
                 projected = eliminate(system, regions.beta_names(K))
@@ -371,7 +370,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_finite_snr(args) -> int:
-    alpha, K, sigma, power = tuple(args.alpha), args.K, args.sigma, args.P or 2.0**20
+    alpha, K, sigma, power = args.alpha, args.K, args.sigma, args.P or 2.0**20
     inner = finite_snr.inner_rate_region(K, sigma, alpha, power)
     outer = finite_snr.outer_rate_region(K, sigma, alpha, power)
     rng = random.Random(args.seed or 0)
@@ -386,8 +385,9 @@ def cmd_finite_snr(args) -> int:
 
 
 _COUNT, _WHOLES = functools.partial(_whole, low=1), functools.partial(_parse_list, whole=True)
-# the library's own list checks; a list's length against --K is the command's to check
-_STRENGTHS = functools.partial(_parse_list, check=lambda a: regions._checked_strengths(len(a), tuple(a)))
+# the library's own list checks; a list's length against --K is the command's to check.  --alpha is
+# the checked strengths every config of the run shares; an empty list is refused as empty, not as K = 0
+_STRENGTHS = functools.partial(_parse_list, check=lambda a: regions.user_strengths(max(len(a), 1), a))
 _GDOFS = functools.partial(_parse_list, check=regions._checked_gdofs)
 _PATH = functools.partial(_kept, test=lambda value: isinstance(value, str), refusal="takes a path")
 _SWITCH = functools.partial(_kept, test=lambda value: isinstance(value, bool), refusal="takes true or false")

@@ -25,7 +25,6 @@ value, x) through `_checked_fraction`.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -76,26 +75,6 @@ def multicast_load_sequence(num_users: int, served: int) -> list[Fraction]:
     _checked_int("served", served, 1, num_users)
     return [Fraction(cumulative_group_count(num_users, n + 1, served), math.comb(num_users, n))
             for n in range(num_users + 1)]
-
-
-def _remember_last(func):
-    """Keep `func`'s result for its most recent arguments, compared by ==.
-
-    A one-entry cache that never hashes (hashing a Fraction costs about as much
-    as multiplying two).  A hit re-keys the entry with the caller's arguments,
-    so the same objects again cost identity checks; a call that raises leaves
-    the entry.  Only the strengths check uses it: the curve record and the hull
-    are kept by identity, since 1/2 == 0.5 would let a float pass unchecked.
-    """
-    last: list = []  # [(args, result)] once called
-
-    @functools.wraps(func)
-    def remembered(*args):
-        result = last[0][1] if last and last[0][0] == args else func(*args)
-        last[:] = [(args, result)]
-        return result
-
-    return remembered
 
 
 _kept_hull: list = [None, None, None]  # the tuple the kept hull came from, its scale L and its vertices

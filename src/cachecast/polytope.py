@@ -133,18 +133,27 @@ class Polytope:
 
     @classmethod
     def from_json(cls, text: str) -> "Polytope":
-        """Load a `to_json` dump, its rows checked by the constructor: each entry a
-        [numerator, denominator] pair of integers, the denominator at least 1."""
+        """Load a `to_json` dump, its rows checked by the constructor.  A piece of the
+        wrong shape is refused by name: the document (an object with "variables" and "rows"
+        lists), a row (an object with a "coeffs" list and an "rhs") or an entry (a
+        [numerator, denominator] pair of integers, the denominator at least 1)."""
         def entry(pair, name):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{name} must be a [numerator, denominator] pair, got {pair!r}")
             n, d = pair
             return Fraction(_checked_int(f"{name} numerator", n), _checked_int(f"{name} denominator", d, 1))
 
+        def row_of(i, row):
+            if not (isinstance(row, dict) and {"coeffs", "rhs"} <= row.keys() and isinstance(row["coeffs"], list)):
+                raise ValueError(f'row {i} must be an object with a "coeffs" list and an "rhs", got {row!r}')
+            coeffs = [entry(c, f"row {i} coefficient {j}") for j, c in enumerate(row["coeffs"], 1)]
+            return coeffs, entry(row["rhs"], f"row {i} rhs")
+
         payload = json.loads(text)
-        rows = (([entry(c, f"row {i} coefficient {j}") for j, c in enumerate(row["coeffs"], 1)],
-                 entry(row["rhs"], f"row {i} rhs")) for i, row in enumerate(payload["rows"], 1))
-        return cls(payload["variables"], rows)
+        for key in ("variables", "rows"):
+            if not (isinstance(payload, dict) and isinstance(payload.get(key), list)):
+                raise ValueError(f'"{key}" must be a list in a region dump object')
+        return cls(payload["variables"], (row_of(i, row) for i, row in enumerate(payload["rows"], 1)))
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -18,7 +18,8 @@ the one row builder `cumulative_region` (its skeleton: names and integer
 coefficient rows), and every per-prefix slack from `_integer_gaps`, as integers
 over one denominator.  The full and power-exponent regions keep their skeletons,
 which depend on (K, sigma) only, in bounded caches keyed on checked ints; each
-call applies its strengths as the right-hand sides.
+call applies its strengths as the right-hand sides.  `user_strengths` checks
+strengths once: the same checked strengths object comes back after a length check.
 """
 
 from __future__ import annotations
@@ -28,42 +29,38 @@ from functools import cache, lru_cache
 from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
-from .combinatorics import Group, _checked_fraction, _checked_int, _remember_last, cumulative_group_count
+from .combinatorics import Group, _checked_fraction, _checked_int, cumulative_group_count
 from .lp import _frac, _integer_row
 from .polytope import Polytope, _count_row
 
 ZERO = Fraction(0)
 
 
-def user_strengths(num_users: int, alpha: Sequence) -> tuple[Fraction, ...]:
-    """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user.
-
-    The check keeps its last pass, so a curve's configs check theirs once;
-    K is checked outside it, since the memo compares by == and takes 3.0 for 3.
-    """
-    return _checked_strengths(_checked_int("user count", num_users, 1), tuple(map(_frac, alpha)))
+class _Strengths(tuple):
+    """Strengths that passed `user_strengths`' checks; only it builds one."""
+    __slots__ = ()
 
 
-@_remember_last
-def _checked_strengths(num_users: int, vals: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not vals:
-        raise ValueError("at least one channel strength is required")
-    if vals[0].numerator <= 0:  # inline: an open bound, which `_checked_fraction`'s closed range cannot state
-        raise ValueError(f"strengths must be positive, got alpha_1 = {vals[0]}")
-    scale, ints = _integer_row(vals)  # compared as integers over one denominator
-    for k in range(1, len(ints)):
-        if ints[k - 1] > ints[k]:
-            raise ValueError(f"strengths must be nondecreasing: alpha_{k + 1} = {vals[k]} "
-                             f"is below alpha_{k} = {vals[k - 1]}")
-    if ints[-1] != scale:
-        raise ValueError(
-            f"strengths must be normalized with alpha_K = 1, got alpha_K = {vals[-1]}"
-        )
+def user_strengths(num_users: int, alpha: Sequence) -> _Strengths:
+    """Exact strengths 0 < alpha_1 <= ... <= alpha_K = 1, one per user, as a `_Strengths`,
+    which comes back as it is after a length check: pass it on, and a run checks its
+    strengths once and its configs share one strengths object (see `tradeoff`)."""
+    _checked_int("user count", num_users, 1)
+    vals = alpha if type(alpha) is _Strengths else _Strengths(map(_frac, alpha))
+    if vals is not alpha:  # a new value: check it
+        if not vals:
+            raise ValueError("at least one channel strength is required")
+        if vals[0].numerator <= 0:  # inline: an open bound, which `_checked_fraction`'s closed range cannot state
+            raise ValueError(f"strengths must be positive, got alpha_1 = {vals[0]}")
+        scale, ints = _integer_row(vals)  # compared as integers over one denominator
+        for k in range(1, len(ints)):
+            if ints[k - 1] > ints[k]:
+                raise ValueError(f"strengths must be nondecreasing: alpha_{k + 1} = {vals[k]} "
+                                 f"is below alpha_{k} = {vals[k - 1]}")
+        if ints[-1] != scale:
+            raise ValueError(f"strengths must be normalized with alpha_K = 1, got alpha_K = {vals[-1]}")
     if len(vals) != num_users:
-        raise ValueError(
-            f"one channel strength per user is required: K = {num_users}, "
-            f"got {len(vals)} strengths"
-        )
+        raise ValueError(f"one channel strength per user is required: K = {num_users}, got {len(vals)} strengths")
     return vals
 
 

@@ -44,12 +44,12 @@ delivery-time cost.  Two relatives are separate code paths:
 
 A curve (`gndt` or `sweep-memory` over a mu grid) calls the formulas once
 per mu with the same K, N, alpha and r.  A bounded LRU cache keeps the count
-table per (K, min(K, N)); the strengths check hands a curve's configs one
-alpha tuple.  One record (`_Curve`) keeps the rest for the most recent
-(K, min(K, N), alpha, r): the checked gaps, memory sharing's integer-budget
-times, built on first use, and the last config's `_max_terms`, which `gndt_ub`
-and the converse share.  It is reused only for the same alpha object and r
-None or the same tuple object; a list or a new tuple is checked afresh.
+table per (K, min(K, N)).  One record (`_Curve`) keeps the rest for the most
+recent (K, min(K, N), alpha, r): the checked gaps, memory sharing's
+integer-budget times, built on first use, and the last config's `_max_terms`,
+which `gndt_ub` and the converse share.  It is reused only for the same checked
+strengths object, which the configs built from one `user_strengths` value share
+(the CLI's --alpha, or a `config.alpha`), and r None or the same tuple object.
 
 Delivery times are Fractions, with float('inf') when a positive load meets an
 exhausted channel prefix.
@@ -153,7 +153,7 @@ def _ratio(top: int, bottom: int, *star: int):
 
 
 class _Curve:
-    """One curve's shared data (see the module docstring), kept by `of`."""
+    """One curve's shared data, kept by `of` per checked strengths object, r and min(K, N)."""
 
     kept: _Curve | None = None
 

@@ -328,6 +328,22 @@ MUTANTS = (
         ("tests/test_regions.py::TestStrengths::test_ties_allowed",),
     ),
     Mutant(
+        "strengths-trusted-by-shape", REGIONS,
+        "type(alpha) is _Strengths",
+        "isinstance(alpha, tuple)",
+        "any tuple is taken for checked strengths, so a plain tuple with a float or an entry out "
+        "of order passes with a length check alone",
+        ("tests/test_regions.py::TestStrengths::test_a_plain_tuple_after_a_checked_call_is_still_checked",),
+    ),
+    Mutant(
+        "curve-strengths-copied-per-config", CLI,
+        "SystemConfig(args.K, args.N, mu, args.alpha)",
+        "SystemConfig(args.K, args.N, mu, tuple(args.alpha))",
+        "each config of a curve gets a plain copy of --alpha, which is checked again and makes a "
+        "new curve record at every mu; the output is the same, so only a count sees it",
+        ("tests/test_cli.py::TestCurveCost::test_each_command_checks_its_strengths_once[gndt]",),
+    ),
+    Mutant(
         "converse-factor-two", TRADEOFF,
         "CONVERSE_FACTOR = Fraction(201, 100)",
         "CONVERSE_FACTOR = Fraction(2)",

@@ -749,6 +749,32 @@ class TestCurveCost:
         assert 0 < calls["times"] <= 2 * 51 + K + 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["gndt", "--N", "3", "--mu-grid", "0:1:1/8", "--exact"],
+        ["sweep-memory", "--N", "5", "--r", "1/20,0,0,0", "--mu-grid", "0:1/2:1/16"],
+        ["holes", "--N", "4", "--mu", "1/2"],
+        ["region", "--sigma", "2"],
+        ["region", "--sigma", "2", "--kind", "two-multicast", "--gamma", "3"],
+        ["finite-snr", "--sigma", "2", "--certificates", "3"],
+    ], ids=["gndt", "sweep-memory", "holes", "region", "region-two-multicast", "finite-snr"])
+    def test_each_command_checks_its_strengths_once(self, argv, capsys, monkeypatch):
+        """--alpha is checked once and handed down as it is: every config of a
+        curve, every hole vertex and every region builder reads that one value.
+        `regions._integer_row` scales the K strengths once per check, and the K
+        strengths with the K rates of r, 2K values, once per set of gaps."""
+        K, lengths = 4, []
+        original = regions._integer_row
+
+        def counted(values):
+            lengths.append(len(values))
+            return original(values)
+
+        monkeypatch.setattr(regions, "_integer_row", counted)
+        code, out, _ = run([*argv[:1], "--K", str(K), "--alpha", "1/5,1/2,3/4,1", *argv[1:]], capsys)
+        assert code == 0 and out
+        assert lengths.count(K) == 1 and set(lengths) <= {K, 2 * K}
+
+
 class TestFormatting:
     def test_inf(self):
         assert cli._fmt(math.inf) == "inf"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cachecast.combinatorics import (
     _checked_fraction,
     _checked_int,
-    _remember_last,
     cumulative_group_count,
     lower_convex_envelope,
     multicast_load_sequence,
@@ -158,61 +157,6 @@ class TestIntegerHullAgainstFractionHull:
     @settings(max_examples=300, deadline=None)
     def test_random_sequences(self, values, num):
         self.assert_same(values, F(num * (len(values) - 1), 60))
-
-
-class Counted:
-    """A value that counts the == calls made on it."""
-
-    eq_calls = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        Counted.eq_calls += 1
-        return isinstance(other, Counted) and self.value == other.value
-
-    __hash__ = None
-
-
-class TestRememberLast:
-    def test_a_hit_by_value_rekeys_to_the_callers_objects(self):
-        calls = []
-
-        @_remember_last
-        def total(x, y):
-            calls.append((x, y))
-            return x.value + y.value
-
-        assert total(Counted(1), Counted(2)) == 3
-        x, y = Counted(1), Counted(2)
-        Counted.eq_calls = 0
-        assert total(x, y) == 3  # a hit by value: one == per argument
-        assert (Counted.eq_calls, len(calls)) == (2, 1)
-        for _ in range(3):
-            assert total(x, y) == 3  # the same objects: identity checks only
-        assert (Counted.eq_calls, len(calls)) == (2, 1)
-        assert total(x, Counted(5)) == 6
-        assert len(calls) == 2
-
-    def test_a_call_that_raises_leaves_the_entry(self):
-        calls = []
-
-        @_remember_last
-        def checked(x):
-            calls.append(x)
-            if x.value < 0:
-                raise ValueError("negative")
-            return x.value
-
-        x = Counted(4)
-        assert checked(Counted(4)) == 4
-        assert checked(x) == 4  # re-keyed to x
-        with pytest.raises(ValueError, match="negative"):
-            checked(Counted(-1))
-        Counted.eq_calls = 0
-        assert checked(x) == 4
-        assert (Counted.eq_calls, len(calls)) == (0, 2)
 
 
 class TestConvexSequence:

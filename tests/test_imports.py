@@ -8,7 +8,10 @@ No linter ships with the project, so this walks syntax trees:
 * a public top-level `def` or `class` must be read (as a name, an attribute
   or an imported name), and a public method or property of a public class
   must be read as an attribute, somewhere in the package, `demos/` or
-  `perfbench/`, unless `TEST_FACING` names it with the reason it is kept.
+  `perfbench/`, unless `TEST_FACING` names it with the reason it is kept;
+* every cache and one-entry slot the package keeps between calls must be
+  listed in `KEPT_STATE` with the command or workload whose repeated calls
+  it serves.
 
 A parameter or local that shares a method's name is not a read of it.  The
 check matches attributes by name, not by owner, with one exception: a module
@@ -17,7 +20,7 @@ keeps no other module's `m` alive.  Any other read of `x.m` keeps every
 public `m` alive, so a method that shares its name with a used one can still
 be dead and pass.
 
-`__init__.py` is skipped by both, since its imports are the package's exports.
+`__init__.py` is skipped by the first two, since its imports are the package's exports.
 """
 
 import ast
@@ -50,6 +53,69 @@ TEST_FACING = {
     ),
 }
 
+#: state the package keeps between calls: every `functools.cache`/`lru_cache`
+#: and every one-entry slot a function stores into, each with what its repeated
+#: calls serve.  A cache that no workload repeats is waste; one not listed fails
+#: `test_kept_state_is_listed`
+KEPT_STATE = {
+    "caching._reconstruction_sources": (
+        "verify: the demand tuples of one (K, N, t) repeat each (group, leaders, demand pattern)"
+    ),
+    "cli._parser": "every main() call in one process, as the tests and the benchmark's CLI items make them",
+    "regions.unicast_name": (
+        "the names r_k of every region skeleton and of every gaps check: gndt and sweep-memory per curve, holes "
+        "per vertex"
+    ),
+    "regions._full_skeleton": (
+        "build_region's (K, sigma) rows for each strengths draw: verify's region stage, the region-certify "
+        "certifications, and finite-snr's inner and outer regions"
+    ),
+    "regions._beta_skeleton": "beta_parameterized_polytope's (K, sigma) rows: verify's region stage and region-certify",
+    "tradeoff._count_table": "gndt and sweep-memory: one count table per (K, min(K, N)) for every mu and curve",
+    "combinatorics._kept_hull": "gndt and sweep-memory's tau_ms column: the integer-budget times hulled once per curve",
+    "tradeoff._Curve.kept": "gndt, sweep-memory and holes: one record per checked strengths object, r and min(K, N)",
+}
+
+
+def caches(node) -> bool:
+    """`node` is cache, lru_cache, functools.cache or functools.lru_cache, or a call of one."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in {"cache", "lru_cache"}
+
+
+def kept_state(source: str, module: str) -> list[str]:
+    """`module.name` of the state a module keeps between calls: each function
+    wrapped in a cache, by a decorator or a top-level call, each module-level
+    name a function stores into by subscript or declares `global`, and each
+    class attribute a function stores into (`cls.kept = ...`).  Per-object
+    caches (`cached_property`, a dict on an instance) live and die with their
+    object and are not listed."""
+    tree = ast.parse(source)
+    top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)}
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = {t.id for node in tree.body if isinstance(node, ast.Assign) and caches(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+    functions = [(None, node) for node in tree.body]
+    functions += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+    for owner, func in functions:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        if any(map(caches, func.decorator_list)):
+            found.add(func.name if owner is None else f"{owner}.{func.name}")
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.update(node.names)
+            elif (isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)):
+                name = node.value.id
+                if isinstance(node, ast.Subscript) and name in top:
+                    found.add(name)
+                elif isinstance(node, ast.Attribute) and (name in classes or name == "cls" and owner):
+                    found.add(f"{owner if name == 'cls' else name}.{node.attr}")
+    return sorted(f"{module}.{name}" for name in found)
+
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
@@ -63,6 +129,28 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_kept_state_is_listed():
+    kept = {name for path in sorted(PACKAGE.glob("*.py")) for name in kept_state(path.read_text(), path.stem)}
+    assert sorted(kept - KEPT_STATE.keys()) == [], "state kept between calls that KEPT_STATE does not list"
+    assert sorted(KEPT_STATE.keys() - kept) == [], "KEPT_STATE names that are gone"
+
+
+def test_detects_kept_state():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "_slot = [None]\nname = cache(str.format)\n_p = functools.cache(print)\n_q = functools.partial(print)\n"
+        "@lru_cache(maxsize=4)\ndef table(k):\n    return k\n"
+        "def keep(x):\n    global _last\n    _slot[:] = [x]\n    local = {}\n    local[x] = 1\n"
+        "class Record:\n    kept = None\n"
+        "    @classmethod\n    def of(cls, x):\n        cls.kept = x\n        return cls\n"
+        "    def __init__(self):\n        self.value = 1\n"
+        "    @functools.cache\n    def shared(self):\n        return 1\n"
+        "def reset():\n    Record.other = None\n"
+    )
+    assert kept_state(source, "m") == [
+        "m.Record.kept", "m.Record.other", "m.Record.shared", "m._last", "m._p", "m._slot", "m.name", "m.table"]
 
 
 def test_package_has_modules():

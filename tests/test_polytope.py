@@ -477,6 +477,29 @@ def test_json_entry_must_be_an_integer_pair(coeffs, rhs, message):
         Polytope.from_json(dump)
 
 
+@pytest.mark.parametrize("dump,message", [
+    ('{"variables": ["x"]}', '"rows" must be a list in a region dump object'),
+    ('{"variables": ["x"], "rows": {}}', '"rows" must be a list in a region dump object'),
+    ('{"rows": []}', '"variables" must be a list in a region dump object'),
+    ('{"variables": "xy", "rows": []}', '"variables" must be a list in a region dump object'),
+    ('[["x"], []]', '"variables" must be a list in a region dump object'),
+    ('{"variables": ["x"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}, [1]]}',
+     'row 2 must be an object with a "coeffs" list and an "rhs", got [1]'),
+    ('{"variables": ["x"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}, {"coeffs": [[1, 1]]}]}',
+     'row 2 must be an object with a "coeffs" list and an "rhs", got {\'coeffs\': [[1, 1]]}'),
+    ('{"variables": ["x"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}, {"coeffs": 1, "rhs": [1, 1]}]}',
+     'row 2 must be an object with a "coeffs" list and an "rhs", got {\'coeffs\': 1, \'rhs\': [1, 1]}'),
+], ids=["no-rows", "rows-object", "no-variables", "variables-string", "document-list", "row-list",
+        "row-without-rhs", "coeffs-number"])
+def test_json_document_and_rows_must_have_their_shape(dump, message):
+    """A document that is not an object with "variables" and "rows" lists, or a
+    row that is not an object with a "coeffs" list and an "rhs", is refused by
+    the piece it gets wrong, never by a KeyError or TypeError, and never read
+    as the whole orthant."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Polytope.from_json(dump)
+
+
 NOT_XY = "is not a variable of the region ('x', 'y')"
 
 

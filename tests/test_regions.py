@@ -68,6 +68,35 @@ class TestStrengths:
     def test_ties_allowed(self):
         user_strengths(3, [F(1, 2), F(1, 2), F(1)])
 
+    def test_a_checked_value_comes_back_as_it_is(self):
+        """What `user_strengths` returns is handed back unchanged; an equal
+        plain tuple is checked into a new value."""
+        checked = user_strengths(3, ALPHA3)
+        assert user_strengths(3, checked) is checked
+        again = user_strengths(3, tuple(checked))
+        assert again == checked and again is not checked and type(again) is type(checked)
+
+    def test_a_plain_tuple_after_a_checked_call_is_still_checked(self):
+        """Only a value `user_strengths` returned is trusted, not any tuple of
+        the right length: after a checked call, a plain tuple with a float or an
+        entry out of order is refused as it would be first."""
+        user_strengths(3, ALPHA3)
+        with pytest.raises(TypeError, match=r"^0\.4 is a float; pass an int, a Fraction"):
+            user_strengths(3, (0.4, F(9, 10), F(1)))
+        order = "strengths must be nondecreasing: alpha_2 = 2/5 is below alpha_1 = 9/10"
+        with pytest.raises(ValueError, match=f"^{re.escape(order)}$"):
+            user_strengths(3, (F(9, 10), F(2, 5), F(1)))
+
+    def test_checked_strengths_for_another_K_are_refused_by_length(self):
+        """A checked value still has K checked first, then its length against K."""
+        checked = user_strengths(3, ALPHA3)
+        for K in (1, 2, 4):
+            message = f"one channel strength per user is required: K = {K}, got 3 strengths"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                user_strengths(K, checked)
+        with pytest.raises(ValueError, match="^user count must be an integer, got 3.0$"):
+            user_strengths(3.0, checked)
+
 
 class TestBuildRegion:
     def test_three_user_pairwise_layout(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cachecast.combinatorics import lower_convex_envelope, multicast_load_sequence
 from cachecast.polytope import region_contains, vertices
-from cachecast.regions import cumulative_region
+from cachecast.regions import cumulative_region, user_strengths
 from cachecast.tradeoff import (
     CONVERSE_FACTOR,
     INF,
@@ -283,11 +283,12 @@ def _curve_oracle(K, N, mu, alpha, r):
 
 class TestSharedCurveData:
     """The four formulas keep what a curve's budgets share; every input
-    change, one at a time, must reach every value."""
+    change, one at a time, must reach every value.  Each strengths profile is
+    one checked value, so the configs that keep it share the curve record."""
 
-    A4 = (F(1, 5), F(2, 5), F(3, 5), F(1))
-    B4 = (F(1, 2), F(1, 2), F(3, 4), F(1))
-    A5 = (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1))
+    A4 = user_strengths(4, (F(1, 5), F(2, 5), F(3, 5), F(1)))
+    B4 = user_strengths(4, (F(1, 2), F(1, 2), F(3, 4), F(1)))
+    A5 = user_strengths(5, (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1)))
     R4 = (F(1, 5), F(1, 5), 0, 0)  # exhausts the first two prefixes of A4
     # (K, N, mu, alpha, r), each step changing the one input it names; a
     # change of K comes with strengths (and r) of the new length
@@ -346,8 +347,9 @@ class TestSharedCurveData:
 
 
 class TestCurveRecordReuse:
-    """A curve's record is reused only for the same alpha object and r None or
-    the same tuple object; anything else is checked and computed afresh."""
+    """A curve's record is reused only for the same checked strengths object
+    and r None or the same tuple object; anything else is checked and computed
+    afresh.  The strengths here are checked values, as the CLI's --alpha is."""
 
     A4 = TestSharedCurveData.A4
     FORMULAS = [gndt_ub, gndt_memory_sharing, gndt_lower_bound, gndt_joint_two_set]
@@ -369,15 +371,23 @@ class TestCurveRecordReuse:
                                        gndt_lower_bound: lb, gndt_joint_two_set: joint}[formula], r1
 
     def test_a_change_of_N_alone_reaches_memory_sharing(self):
-        """The integer-budget times belong to one min(K, N): the same alpha
-        object and r None at another file count build their own."""
+        """The integer-budget times belong to one min(K, N): the same checked
+        strengths object and r None at another file count build their own."""
         B4 = TestSharedCurveData.B4
         for N in (2, 1, 4, 1):
             assert gndt_memory_sharing(config(4, N, F(3, 8), B4)) == _curve_oracle(4, N, F(3, 8), B4, None)[1], N
 
+    def test_a_record_per_strengths_object(self):
+        """Configs built from one checked value share one record; a fresh plain
+        tuple per config is checked into a new object and gets a new record."""
+        shared = [_Curve.of(config(4, 4, mu, self.A4), None) for mu in (F(1, 8), F(5, 8))]
+        assert shared[0] is shared[1]
+        fresh = [_Curve.of(config(4, 4, mu, tuple(self.A4)), None) for mu in (F(1, 8), F(5, 8))]
+        assert fresh[0] is not fresh[1] and fresh[0].gaps == fresh[1].gaps == shared[0].gaps
+
     def test_the_converse_reads_its_own_configs_maximum(self):
         """`gndt_lower_bound` right after `gndt_ub` at another config of the
-        same curve (one alpha object, r None) reads its own maximum."""
+        same curve (one checked strengths object, r None) reads its own maximum."""
         for first, second in [(F(1, 8), F(5, 8)), (F(5, 8), F(1, 8)), (F(1, 4), F(3, 4))]:
             gndt_ub(config(4, 2, first, self.A4))
             assert gndt_lower_bound(config(4, 2, second, self.A4)) == _curve_oracle(4, 2, second, self.A4, None)[2]
