@@ -193,7 +193,7 @@ def cmd_tradeoff(args) -> int:
     """
     if (args.mu is None) == (args.mu_grid is None):  # neither, or both
         raise ValueError("--mu and --mu-grid are alternatives; give one of them")
-    r = tuple(args.r) if args.r else None  # one tuple per curve: the formulas reuse a record for it
+    r = None if args.r is None else tuple(args.r)  # one tuple per curve: the formulas reuse a record for it
     mus = args.mu_grid or [args.mu]  # a grid is never empty
     joint = args.command == "sweep-memory"
     exact = args.command == "gndt" and args.exact

@@ -2,15 +2,16 @@
 
 A deliberately small dense-tableau simplex for the region certification work:
 maximize c.x subject to A x <= b and x >= 0, every input an exact rational (int,
-Fraction or a string such as '1/10'; a float or a bool is refused).  Dimensions
-in this package stay below ~25 variables and ~30 rows, so a two-phase tableau
-with Bland's rule (anti-cycling) is both fast enough and exactly correct -- no
-tolerances anywhere.
+Fraction or a string such as '1/10'; a float or a bool is refused).  A region
+certification's largest LP has 26 variables and 5 rows, so a tableau with
+Bland's rule (anti-cycling) and, for a negative rhs, a phase 1 with a single
+artificial variable (Chvatal, Linear Programming, 1983, ch. 8; CLRS section
+29.5) is both fast enough and exactly correct -- no tolerances anywhere.
 
 The tableau holds Python integers only (the integer-preserving pivots of
 Edmonds 1967 and Bareiss 1968).  Each row is scaled by the lcm of its
-denominators, so the slack (and artificial) start basis is the identity and
-the common denominator is D = 1.  Pivoting on p = T[r][c] leaves row r as it
+denominators, so the slack start basis is the identity and the common
+denominator is D = 1.  Pivoting on p = T[r][c] leaves row r as it
 is and replaces every other row, the objective row included, by
 (T[i][j] * p - T[i][c] * T[r][j]) // D; then D = p, and the whole tableau is
 negated when p < 0 so that D > 0.  The rational tableau is T / D (the
@@ -88,20 +89,20 @@ def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int, d: int) -
     return p
 
 
-def _run_simplex(tab: list[list[int]], basis: list[int], n_enterable: int, d: int) -> tuple[str, int]:
+def _run_simplex(tab: list[list[int]], basis: list[int], d: int) -> tuple[str, int]:
     """Pivot until the (maximization) objective row has no negative entry.
 
-    The objective row is tab[-1]; the last column is the rhs.  Only the first
-    `n_enterable` columns may enter the basis (this keeps artificials out
-    during phase 1).  Bland's rule throughout: entering column is the
+    The objective row is tab[-1]; the last column is the rhs, and every other
+    column may enter.  Bland's rule throughout: entering column is the
     lowest-index negative reduced cost, leaving row is the lowest-index basic
     variable among the minimum-ratio rows.  Returns the status and the
     denominator D.
     """
     m = len(tab) - 1
+    n_cols = len(tab[-1]) - 1
     while True:
         obj = tab[-1]
-        col = next((j for j in range(n_enterable) if obj[j] < 0), None)
+        col = next((j for j in range(n_cols) if obj[j] < 0), None)
         if col is None:
             return OPTIMAL, d
         row = -1
@@ -132,54 +133,38 @@ def solve_max(objective: Sequence[Fraction], rows: Sequence[tuple[Sequence[Fract
 
 def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) -> Iterator[LpResult]:
     """Lazily maximize each objective (s, s * c) over the rows (lambda, lambda
-    * [coeffs..., rhs]), lambda and s > 0.  Bland's rule terminates from any
-    feasible basis and the optimum value is unique, so a warm-started value is
-    the cold one; the first objective takes the pivots of `solve_max`."""
+    * [coeffs..., rhs]), lambda and s > 0.  Phase 1 (Chvatal 1983, ch. 8)
+    maximizes -x0 for x0 subtracted from each unscaled row, -lambda_i x0 from
+    scaled row i; x0 enters on the most negative unscaled rhs, leaving every
+    rhs >= 0, and the rows are infeasible iff the optimum is below 0.  Bland's
+    rule terminates from any feasible basis and the optimum value is unique,
+    so a warm-started value is the cold one; the first objective takes the
+    pivots of `solve_max`."""
     m = len(rows)
-    neg_rows = [i for i, (_, row) in enumerate(rows) if row[-1] < 0]
-    n_art = len(neg_rows)
-    art_col = {i: n + m + t for t, i in enumerate(neg_rows)}
-
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    for i, (_, ints) in enumerate(rows):
-        row = [*ints[:-1], *[0] * (m + n_art), ints[-1]]
+    tab = [[*ints[:-1], *[0] * m, ints[-1]] for _, ints in rows]
+    for i, row in enumerate(tab):
         row[n + i] = 1  # slack
-        if row[-1] < 0:
-            row = [-v for v in row]
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
-        tab.append(row)
+    basis = list(range(n, n + m))
     d = 1
 
-    if n_art:
-        # phase 1: maximize -(sum of the unscaled rows' artificials).  Row i
-        # was scaled by lambda_i, so its artificial costs 1 / lambda_i, and
-        # the phase-1 row is scaled by s1 = lcm of those lambda_i.
-        s1 = lcm(*(rows[i][0] for i in neg_rows))
-        phase1 = [0] * (n + m + n_art + 1)
-        for i in neg_rows:
-            phase1[art_col[i]] = s1 // rows[i][0]
-        # express in terms of the current basis (artificials are basic)
-        for i in neg_rows:
-            w = phase1[art_col[i]]
-            phase1 = [v - w * t for v, t in zip(phase1, tab[i])]
-        tab.append(phase1)
-        status, d = _run_simplex(tab, basis, n + m, d)
-        assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-        if tab[-1][-1] != 0:
+    neg_rhs = [i for i, (_, ints) in enumerate(rows) if ints[-1] < 0]
+    if neg_rhs:
+        for row, (lam, _) in zip(tab, rows):
+            row.insert(-1, -lam)
+        tab.append([0] * (n + m) + [1, 0])  # the objective row -c of c = -x0, scale 1
+        first = min(neg_rhs, key=lambda i: Fraction(rows[i][1][-1], rows[i][0]))
+        d = _pivot(tab, basis, first, n + m, d)
+        d = _run_simplex(tab, basis, d)[1]  # optimal, as -x0 <= 0
+        if tab.pop()[-1]:
             yield from (LpResult(INFEASIBLE) for _ in objectives)
             return
-        tab.pop()
-        # drive each degenerate artificial out of the basis; it always can go:
-        # S is invertible, so row i of B^-1 [A | S | Art] has a nonzero slack entry
-        for i, b in enumerate(basis):
-            if b >= n + m:
-                col = next(j for j in range(n + m) if tab[i][j] != 0)
-                d = _pivot(tab, basis, i, col, d)
-        tab = [r[: n + m] + [r[-1]] for r in tab]
+        if n + m in basis:
+            # x0 basic at 0 leaves on any nonzero entry of its row; the slack
+            # columns hold D * B^-1, whose row i is not 0
+            i = basis.index(n + m)
+            d = _pivot(tab, basis, i, next(j for j in range(n + m) if tab[i][j]), d)
+        for row in tab:
+            del row[n + m]
 
     for s, cint in objectives:
         # objective row (s * D) * (c_B B^-1 [A | S | b] - c)
@@ -189,7 +174,7 @@ def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) 
                 f = cint[b]
                 obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
         tab.append(obj_row)
-        status, d = _run_simplex(tab, basis, n + m, d)
+        status, d = _run_simplex(tab, basis, d)
         value = tab.pop()[-1]
         if status == UNBOUNDED:
             yield LpResult(UNBOUNDED)

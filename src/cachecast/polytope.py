@@ -135,8 +135,9 @@ class Polytope:
     def from_json(cls, text: str) -> "Polytope":
         """Load a `to_json` dump, its rows checked by the constructor.  A piece of the
         wrong shape is refused by name: the document (an object with "variables" and "rows"
-        lists), a row (an object with a "coeffs" list and an "rhs") or an entry (a
-        [numerator, denominator] pair of integers, the denominator at least 1)."""
+        lists), a variable name (a string), a row (an object with a "coeffs" list and an
+        "rhs") or an entry (a [numerator, denominator] pair of integers, the denominator at
+        least 1)."""
         def entry(pair, name):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{name} must be a [numerator, denominator] pair, got {pair!r}")
@@ -153,6 +154,9 @@ class Polytope:
         for key in ("variables", "rows"):
             if not (isinstance(payload, dict) and isinstance(payload.get(key), list)):
                 raise ValueError(f'"{key}" must be a list in a region dump object')
+        for i, name in enumerate(payload["variables"], 1):
+            if not isinstance(name, str):
+                raise ValueError(f"variable {i} must be a string, got {name!r}")
         return cls(payload["variables"], (row_of(i, row) for i, row in enumerate(payload["rows"], 1)))
 
 

@@ -6,7 +6,10 @@ delivery-time maxima of `cachecast.tradeoff` (integer chords over one
 denominator, cross-multiplied comparisons), memory sharing's maxima at the
 integer budgets included.  The straightforward Fraction versions below are
 what they replaced; the tests compare the two value for value and row for
-row.  Memory sharing's oracle builds the max-over-users sequence from all K
+row.  The simplex takes `lp`'s pivots on the unscaled Fraction tableau: a
+phase 1 with one artificial variable when a rhs is negative, then Bland's
+rule, so it returns `lp`'s maximizer too, a degenerate LP's included.
+Memory sharing's oracle builds the max-over-users sequence from all K
 Fraction load sequences and evaluates its lower hull, the Fraction monotone
 chain that `cachecast.combinatorics` replaced by an integer one.  The
 bottleneck user's oracle is the Fraction argmax of load_k / alpha_k that
@@ -54,11 +57,11 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tab, basis, n_enterable):
-    """Bland's rule on the objective row tab[-1]; columns >= n_enterable never enter."""
+def _run_simplex(tab, basis):
+    """Bland's rule on the objective row tab[-1]; every column but the rhs may enter."""
     m = len(tab) - 1
     while True:
-        col = next((j for j in range(n_enterable) if tab[-1][j] < 0), None)
+        col = next((j for j in range(len(tab[-1]) - 1) if tab[-1][j] < 0), None)
         if col is None:
             return OPTIMAL
         best_ratio = None
@@ -79,63 +82,41 @@ def _run_simplex(tab, basis, n_enterable):
 
 
 def solve_max(objective, rows) -> LpResult:
-    """Two-phase Fraction tableau: maximize objective . x over A x <= b, x >= 0."""
+    """Two-phase Fraction tableau: maximize objective . x over A x <= b, x >= 0.
+    Phase 1, for a negative rhs, maximizes -x0 with the one artificial x0
+    subtracted from every row; x0 enters on the most negative rhs (the first
+    one on a tie), and the rows are infeasible iff the optimum is below 0."""
     n = len(objective)
     m = len(rows)
-    obj = [Fraction(c) for c in objective]
-
-    neg_rows = [i for i, (_, rhs) in enumerate(rows) if rhs < 0]
-    n_art = len(neg_rows)
-    art_col = {i: n + m + t for t, i in enumerate(neg_rows)}
-    ncols = n + m + n_art + 1
-
     tab = []
-    basis = []
     for i, (coeffs, rhs) in enumerate(rows):
-        row = [Fraction(c) for c in coeffs] + [_ZERO] * (m + n_art) + [Fraction(rhs)]
+        row = [Fraction(c) for c in coeffs] + [_ZERO] * m + [Fraction(rhs)]
         row[n + i] = _ONE
-        if rhs < 0:
-            row = [-v for v in row]
-            row[art_col[i]] = _ONE
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
         tab.append(row)
+    basis = list(range(n, n + m))
 
-    if n_art:
-        phase1 = [_ZERO] * ncols
-        for j in art_col.values():
-            phase1[j] = _ONE
-        for i, b in enumerate(basis):
-            if phase1[b] != 0:
-                factor = phase1[b]
-                phase1 = [v - factor * t for v, t in zip(phase1, tab[i])]
-        tab.append(phase1)
-        status = _run_simplex(tab, basis, n + m)
-        assert status == OPTIMAL
-        if tab[-1][-1] != 0:
+    if any(rhs < 0 for _, rhs in rows):
+        for row in tab:
+            row.insert(n + m, -_ONE)
+        tab.append([_ZERO] * (n + m) + [_ONE, _ZERO])
+        _pivot(tab, basis, min(range(m), key=lambda i: tab[i][-1]), n + m)
+        assert _run_simplex(tab, basis) == OPTIMAL
+        if tab.pop()[-1] != 0:
             return LpResult(INFEASIBLE)
-        tab.pop()
-        for i, b in enumerate(basis):
-            if b >= n + m:
-                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tab, basis, i, col)
-        keep = [i for i, b in enumerate(basis) if b < n + m]
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        tab = [r[: n + m] + [r[-1]] for r in tab]
-        ncols = n + m + 1
+        if n + m in basis:
+            i = basis.index(n + m)
+            _pivot(tab, basis, i, next(j for j in range(n + m) if tab[i][j] != 0))
+        for row in tab:
+            del row[n + m]
 
-    obj_row = [-c for c in obj] + [_ZERO] * (ncols - n)
+    obj_row = [-Fraction(c) for c in objective] + [_ZERO] * (m + 1)
     for i, b in enumerate(basis):
         if obj_row[b] != 0:
             factor = obj_row[b]
             obj_row = [v - factor * t for v, t in zip(obj_row, tab[i])]
     tab.append(obj_row)
 
-    status = _run_simplex(tab, basis, ncols - 1)
-    if status == UNBOUNDED:
+    if _run_simplex(tab, basis) == UNBOUNDED:
         return LpResult(UNBOUNDED)
     point = [_ZERO] * n
     for i, b in enumerate(basis):

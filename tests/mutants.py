@@ -588,6 +588,68 @@ MUTANTS = (
         ("tests/test_combinatorics.py::TestRationalArguments::test_a_bool_is_refused[mu]",),
     ),
     Mutant(
+        "phase-one-enters-on-the-scaled-rhs", LP,
+        "key=lambda i: Fraction(rows[i][1][-1], rows[i][0]))",
+        "key=lambda i: rows[i][1][-1])",
+        "x0 enters on the most negative rhs of the integer-scaled rows, which need not be the most "
+        "negative unscaled one, so a rhs stays negative and the simplex stops at an infeasible point",
+        ("tests/test_lp.py::test_phase_one_enters_on_the_most_negative_unscaled_rhs",),
+    ),
+    Mutant(
+        "phase-one-misses-infeasibility", LP,
+        "if tab.pop()[-1]:",
+        "if tab.pop()[-1] > 0:",
+        "the phase-1 optimum -x0 is never above 0, so no row set is found infeasible and phase 2 "
+        "runs on rows that have no solution",
+        ("tests/test_lp.py::test_infeasible",),
+    ),
+    Mutant(
+        "phase-one-keeps-a-basic-artificial", LP,
+        "if n + m in basis:",
+        "if False:",
+        "x0 left basic at 0 by a tie keeps its row when its column is deleted, and that row's basic "
+        "index then names the rhs column",
+        ("tests/test_lp.py::test_phase_one_drives_out_a_basic_artificial_on_a_negative_pivot",),
+    ),
+    Mutant(
+        "zero-rhs-runs-phase-one", LP,
+        "if ints[-1] < 0]",
+        "if ints[-1] <= 0]",
+        "a zero rhs takes an x0 column and a phase 1 that the feasible slack basis does not need, "
+        "and a degenerate LP ends at another maximizer than the Fraction oracle's",
+        ("tests/test_lp.py::test_a_zero_rhs_takes_no_phase_one",),
+    ),
+    Mutant(
+        "ratio-tie-leaves-on-the-last-row", LP,
+        "if here < best or",
+        "if here <= best or",
+        "the leaving row of a tied ratio test is the last one, not the lowest basic index: no longer "
+        "Bland's rule, so a degenerate LP ends at another maximizer",
+        ("tests/test_lp.py::test_bland_leaves_on_the_lowest_basic_index_of_a_tie",),
+    ),
+    Mutant(
+        "simplex-enters-a-zero-reduced-cost", LP,
+        "if obj[j] < 0), None)",
+        "if obj[j] <= 0), None)",
+        "a column of zero reduced cost keeps entering, so the simplex never stops",
+        ("tests/test_lp.py::test_simple_box",),
+    ),
+    Mutant(
+        "pivot-adds-the-pivot-row", LP,
+        "tab[i] = [(v * p - f * w) // d for v, w in zip(r, prow)]",
+        "tab[i] = [(v * p + f * w) // d for v, w in zip(r, prow)]",
+        "a pivot adds the pivot row where it should subtract it, so the entering column is never "
+        "cleared and the simplex does not stop",
+        ("tests/test_lp.py::test_simple_box",),
+    ),
+    Mutant(
+        "lp-result-is-mutable", LP,
+        "@dataclass(frozen=True)\nclass LpResult:",
+        "@dataclass\nclass LpResult:",
+        "a result's fields can be reassigned after it is returned, and a result can no longer be hashed",
+        ("tests/test_lp.py::test_a_result_is_a_frozen_value",),
+    ),
+    Mutant(
         "checked-fraction-drops-its-upper-bound", COMBINATORICS,
         "<= q.numerator <= high * q.denominator:",
         "<= q.numerator:",
@@ -658,6 +720,74 @@ MUTANTS = (
         "return list(combinations(range(1, self.num_users + 1), self.split_order))",
         "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",
         "combinations already yields tuples: the same subsets, only an extra copy",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "pivot-sign-test-takes-zero", LP,
+        "if p < 0:",
+        "if p <= 0:",
+        "a pivot entry is never 0, so p <= 0 and p < 0 agree",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "pivot-sign-test-below-one", LP,
+        "if p < 0:",
+        "if p < 1:",
+        "a pivot entry is a nonzero integer, so p < 1 and p < 0 agree",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "ratio-sentinel-is-minus-two", LP,
+        "        row = -1\n",
+        "        row = -2\n",
+        "the sentinel is only tested by row < 0, before a ratio replaces it",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "ratio-tie-takes-an-equal-basic-index", LP,
+        "basis[i] < basis[row]",
+        "basis[i] <= basis[row]",
+        "two rows never hold the same basic variable, so the basic indices of a tie never compare equal",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "slack-columns-scaled-by-two", LP,
+        "row[n + i] = 1  # slack",
+        "row[n + i] = 2  # slack",
+        "the slack columns of 2 s: every later tableau is the original's times a positive integer "
+        "and a positive column scaling, so the signs, the ratio order, the exact divisions and the "
+        "values read off stay the same",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "phase-one-objective-doubled", LP,
+        "tab.append([0] * (n + m) + [1, 0])",
+        "tab.append([0] * (n + m) + [2, 0])",
+        "maximizing -2 x0 takes the pivots of maximizing -x0, and its optimum is 0 exactly when that one is",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "objective-row-one-entry-longer", LP,
+        "[0] * (m + 1)",
+        "[0] * (m + 2)",
+        "the extra trailing 0 goes with the first pivot that changes the objective row (zip stops at "
+        "the shorter row), and a row that no pivot changes has no basic cost, so its value is 0 either way",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "square-solve-skips-the-bareiss-division", LP,
+        "aug[r] = [(v * p - f * w) // prev for",
+        "aug[r] = [(v * p - f * w) * prev for",
+        "each row keeps an extra integer factor; the last pivot is then a multiple of the "
+        "determinant, so back substitution still divides exactly and returns the same solution, "
+        "only with larger integers on the way",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "back-substitution-starts-from-ones", LP,
+        "y = [0] * n",
+        "y = [1] * n",
+        "back substitution writes each y[i] before any later row reads it",
         EQUIVALENT,
     ),
 )

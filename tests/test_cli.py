@@ -388,6 +388,20 @@ class TestConfigKeys:
         assert f"error: --config {config}: {message}" in err and "Traceback" not in err
         assert out == "" and not out_file.exists()
 
+    @pytest.mark.parametrize("command", ["gndt", "sweep-memory"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-file"])
+    def test_empty_r_list_is_refused_by_its_length(self, command, with_out, tmp_path, capsys):
+        """{"r": []} gives no unicast GDoF for K = 3 users, which is not the
+        same as giving no --r: it is refused as a short list would be."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"r": []}))
+        out_file = tmp_path / "out"
+        argv = [command, "--K", "3", "--N", "3", "--mu", "1/2", "--alpha", "1/5,1/2,1", "--config", str(config)]
+        code, out, err = run([*argv, "--out", str(out_file)] if with_out else argv, capsys)
+        assert code == 2
+        assert "error: one unicast GDoF per user is required: K = 3, got 0" in err and "Traceback" not in err
+        assert out == "" and not out_file.exists()
+
     def test_switches_and_kind_come_from_the_file(self, tmp_path, capsys):
         """--exact, --inject-fault and --kind have defaults, but a config
         value for them is still applied, and an explicit flag still wins."""

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,11 +12,24 @@ from cachecast import lp, polytope, regions
 from cachecast.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, solve_max, solve_square
 
 
-def test_simple_box():
+def test_simple_box(monkeypatch):
+    """max x + y over x <= 2, y <= 3: x enters on the first row, then y on
+    the second, and the objective row has no negative entry left.  A third
+    pivot is a simplex that would not stop, so the spy fails it at once;
+    this test comes first, so such a simplex fails here before another test
+    of this file hangs in it."""
+    pivots = []
+    real_pivot = lp._pivot
+
+    def spy(tab, basis, row, col, d):
+        pivots.append((row, col))
+        assert len(pivots) <= 2, f"a third pivot {pivots}"
+        return real_pivot(tab, basis, row, col, d)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
     res = solve_max([F(1), F(1)], [((F(1), F(0)), F(2)), ((F(0), F(1)), F(3))])
-    assert res.status == OPTIMAL
-    assert res.value == 5
-    assert res.point == (F(2), F(3))
+    assert res == LpResult(OPTIMAL, F(5), (F(2), F(3)))
+    assert pivots == [(0, 0), (1, 1)]
 
 
 def test_knapsack_corner():
@@ -132,34 +146,70 @@ def test_exact_inputs_other_than_fraction():
     assert solve_square([["2", 1], [1, 3]], [5, "10"]) == [F(1), F(3)]
 
 
-def test_phase_one_drives_out_an_artificial_on_a_negative_pivot(monkeypatch):
-    """max x s.t. 2x >= 1, 2x <= 1.  Phase 1 ends at value 0 with the
-    artificial of the first row still basic (Bland's tie-break lets x enter
-    in the second row); driving it out pivots on its slack entry, which is
-    negative, so the denominator must be renormalised to stay positive."""
-    pivots = []
+def test_a_result_is_a_frozen_value():
+    """Equal results hash alike, and no field of a result can be reassigned."""
+    res = solve_max([F(1)], [((F(1),), F(2))])
+    assert hash(res) == hash(LpResult(OPTIMAL, F(2), (F(2),)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value = F(3)
+
+
+def test_phase_one_drives_out_a_basic_artificial_on_a_negative_pivot(monkeypatch):
+    """max x s.t. 2x >= 1, 2x <= 1.  The artificial x0 enters on the first
+    row; x then ties both rows in the ratio test and Bland's rule makes it
+    leave the second (its slack's index is below x0's), so phase 1 ends at 0
+    with x0 still basic.  Driving x0 out pivots on its row's slack entry,
+    which is negative, so the denominator must be renormalised to stay
+    positive."""
+    drive_outs = []
     real_pivot = lp._pivot
 
     def spy(tab, basis, row, col, d):
-        pivots.append(tab[row][col])
+        if basis[row] == 3:  # x0's column is n + m
+            drive_outs.append(tab[row][col])
         return real_pivot(tab, basis, row, col, d)
 
     monkeypatch.setattr(lp, "_pivot", spy)
     rows = [((F(-2),), F(-1)), ((F(2),), F(1))]
     res = solve_max([F(1)], rows)
-    assert any(p < 0 for p in pivots)
+    assert len(drive_outs) == 1 and drive_outs[0] < 0
     assert res == LpResult(OPTIMAL, F(1, 2), (F(1, 2),))
     assert res == oracle.solve_max([F(1)], rows)
 
 
-def test_phase_one_costs_follow_the_row_scales():
-    """Rows scaled to integers by 6 and 1 must keep the unscaled phase-1
-    objective (each artificial costs 1 over its row's scale); unit costs
-    would pivot differently and return another feasible point."""
-    rows = [((F(-2, 3), F(-1, 2)), F(-1)), ((F(1, 2), F(0)), F(1, 3)), ((F(1), F(-1)), F(-1))]
-    res = solve_max([F(0), F(0)], rows)
-    assert res == LpResult(OPTIMAL, F(0), (F(3, 7), F(10, 7)))
-    assert res == oracle.solve_max([F(0), F(0)], rows)
+def test_phase_one_enters_on_the_most_negative_unscaled_rhs():
+    """min x s.t. x >= 2/3, x >= 1.  Scaled to integers the rows read
+    -3x <= -2 and -x <= -1: the most negative scaled rhs is the first row's,
+    the most negative unscaled one the second's.  x0 entering on the first
+    row would leave the second rhs negative, and the simplex would stop at
+    x = 2/3, outside x >= 1."""
+    rows = [((F(-1),), F(-2, 3)), ((F(-1),), F(-1))]
+    res = solve_max([F(-1)], rows)
+    assert res == LpResult(OPTIMAL, F(-1), (F(1),))
+    assert res == oracle.solve_max([F(-1)], rows)
+
+
+def test_a_zero_rhs_takes_no_phase_one():
+    """The slack basis is feasible when no rhs is negative, so there is no x0
+    column and no phase 1: max 2x + 2y s.t. x + y <= 1/2, -x <= 0 ends at
+    (1/2, 0).  Entering x0 on the zero row first would pivot to another basis
+    and end at (0, 1/2), another maximizer of the same value."""
+    rows = [((F(1), F(1)), F(1, 2)), ((F(-1), F(0)), F(0))]
+    res = solve_max([F(2), F(2)], rows)
+    assert res == LpResult(OPTIMAL, F(1), (F(1, 2), F(0)))
+    assert res == oracle.solve_max([F(2), F(2)], rows)
+
+
+def test_bland_leaves_on_the_lowest_basic_index_of_a_tie():
+    """max x + y s.t. x >= 2, x + y <= 4, x + 2y >= 2.  After x0 enters on
+    the third row, x enters with its ratio tied between the first row (a
+    slack basic) and the third (x0 basic).  Bland's rule makes the slack
+    leave, and the simplex ends at (2, 2); the last tied row would make x0
+    leave, and it would end at (4, 0), another maximizer of the same value."""
+    rows = [((F(-1, 2), F(0)), F(-1)), ((F(1, 2), F(1, 2)), F(2)), ((F(-1), F(-2)), F(-2))]
+    res = solve_max([F(1), F(1)], rows)
+    assert res == LpResult(OPTIMAL, F(4), (F(2), F(2)))
+    assert res == oracle.solve_max([F(1), F(1)], rows)
 
 
 # small rationals; st.fractions is exact too but several times slower to draw

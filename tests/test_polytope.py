@@ -489,13 +489,16 @@ def test_json_entry_must_be_an_integer_pair(coeffs, rhs, message):
      'row 2 must be an object with a "coeffs" list and an "rhs", got {\'coeffs\': [[1, 1]]}'),
     ('{"variables": ["x"], "rows": [{"coeffs": [[1, 1]], "rhs": [1, 1]}, {"coeffs": 1, "rhs": [1, 1]}]}',
      'row 2 must be an object with a "coeffs" list and an "rhs", got {\'coeffs\': 1, \'rhs\': [1, 1]}'),
+    ('{"variables": [1, 2], "rows": []}', "variable 1 must be a string, got 1"),
+    ('{"variables": ["x", null], "rows": [{"coeffs": [[1, 1], [1, 1]], "rhs": [1, 1]}]}',
+     "variable 2 must be a string, got None"),
 ], ids=["no-rows", "rows-object", "no-variables", "variables-string", "document-list", "row-list",
-        "row-without-rhs", "coeffs-number"])
+        "row-without-rhs", "coeffs-number", "int-variables", "null-variable"])
 def test_json_document_and_rows_must_have_their_shape(dump, message):
-    """A document that is not an object with "variables" and "rows" lists, or a
-    row that is not an object with a "coeffs" list and an "rhs", is refused by
-    the piece it gets wrong, never by a KeyError or TypeError, and never read
-    as the whole orthant."""
+    """A document that is not an object with "variables" and "rows" lists, a
+    variable name that is not a string, or a row that is not an object with a
+    "coeffs" list and an "rhs", is refused by the piece it gets wrong, never
+    by a KeyError or TypeError, and never read as the whole orthant."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Polytope.from_json(dump)
 
