@@ -154,7 +154,8 @@ def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) 
         tab.append([0] * (n + m) + [1, 0])  # the objective row -c of c = -x0, scale 1
         first = min(neg_rhs, key=lambda i: Fraction(rows[i][1][-1], rows[i][0]))
         d = _pivot(tab, basis, first, n + m, d)
-        d = _run_simplex(tab, basis, d)[1]  # optimal, as -x0 <= 0
+        status, d = _run_simplex(tab, basis, d)
+        assert status == OPTIMAL  # -x0 <= 0
         if tab.pop()[-1]:
             yield from (LpResult(INFEASIBLE) for _ in objectives)
             return
@@ -170,8 +171,7 @@ def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) 
         # objective row (s * D) * (c_B B^-1 [A | S | b] - c)
         obj_row = [-v * d for v in cint] + [0] * (m + 1)
         for i, b in enumerate(basis):
-            if b < n and cint[b]:
-                f = cint[b]
+            if b < n and (f := cint[b]):
                 obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
         tab.append(obj_row)
         status, d = _run_simplex(tab, basis, d)

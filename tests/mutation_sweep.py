@@ -1,7 +1,7 @@
 """Single-operator mutation sweep of one `src` module against its test files.
 
     PYTHONPATH=src python tests/mutation_sweep.py cachecast.lp tests/test_lp.py \\
-        --report sweep-lp.txt [--timeout 60]
+        --report sweep-lp.txt
 
 Walks the module's syntax tree (stdlib `ast`) and makes one mutant per
 operator: a binary or augmented arithmetic operator swapped (+ and -, * and
@@ -9,8 +9,8 @@ operator: a binary or augmented arithmetic operator swapped (+ and -, * and
 `and` and `or` swapped, a `not` or unary minus dropped, an integer constant
 raised by 1, True and False swapped.  Annotations and string constants are
 left alone.  Each mutant is written over a copy of `src` and the test files
-run against it in a subprocess, as `tests/test_mutants.py` runs a catalogued
-mutant's killers.  The report lists every mutant the tests did not fail,
+run against it by `tests/test_mutants.py`'s `run_killers`, as a catalogued
+mutant's killers are.  The report lists every mutant the tests did not fail,
 with its line and the expression before and after, and counts the rest.  A
 survivor is then a catalogued mutant with a new killer, a recorded equivalent
 in `tests/mutants.py`, or a known fault.  pytest does not collect this file.
@@ -21,15 +21,13 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
-import os
-import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_mutants import ROOT, RUNNER, module_path  # noqa: E402
+from test_mutants import ROOT, module_path, run_killers  # noqa: E402
 
 OPERATORS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
@@ -99,22 +97,14 @@ def mutants(source: str):
             yield node.lineno, old, text, source[:begin] + text + source[end:]
 
 
-def run(module: str, tests: list[str], mutated: str, timeout: float) -> str:
+def run(module: str, tests: list[str], mutated: str) -> str:
     """'killed', 'survived', 'timeout' or 'error' (the tests could not run)."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = module_path(src, module)
-        path.write_text(mutated)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", RUNNER, module, *tests],
-                capture_output=True, cwd=ROOT, timeout=timeout,
-                env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-            )
+            proc, imported = run_killers(Path(tmp), module, mutated, tests)
         except subprocess.TimeoutExpired:
             return "timeout"
-    if f"imported from {path} True" not in proc.stdout.decode():
+    if not imported:
         return "error"
     return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
 
@@ -124,13 +114,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="dotted module name under src/, e.g. cachecast.lp")
     parser.add_argument("tests", nargs="+", help="test files or node ids that should kill each mutant")
     parser.add_argument("--report", required=True, help="file the survivors report is written to")
-    parser.add_argument("--timeout", type=float, default=60, help="seconds per mutant (default 60)")
     args = parser.parse_args(argv)
     source = module_path(ROOT / "src", args.module).read_text()
     counts: dict[str, int] = {}
     survivors = []
     for line, old, new, mutated in mutants(source):
-        outcome = run(args.module, args.tests, mutated, args.timeout)
+        outcome = run(args.module, args.tests, mutated)
         counts[outcome] = counts.get(outcome, 0) + 1
         print(f"{args.module}:{line}  {old!r} -> {new!r}  {outcome}", flush=True)
         if outcome != "killed":

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # imports the mutated module first, runs the killers, then prints where the
 # module the killers saw came from; the exit code is pytest's.  A killer only
 # has to fail, so Hypothesis neither shrinks nor explains its counterexample
-# (explaining one alone can outlast the timeout below), and it keeps no
+# (explaining one alone can outlast TIMEOUT), and it keeps no
 # example database, so no run reads what another mutant's run stored
 RUNNER = """
 import importlib, sys
@@ -35,9 +35,29 @@ print("imported from", sys.modules[sys.argv[1]].__file__, module is sys.modules[
 sys.exit(code)
 """
 
+TIMEOUT = 120  # seconds for one mutant's killers
+
 
 def module_path(src: Path, module: str) -> Path:
     return src.joinpath(*module.split(".")).with_suffix(".py")
+
+
+def run_killers(tmp: Path, module: str, text: str, killers) -> tuple[subprocess.CompletedProcess, bool]:
+    """Runs the killers against a copy of `src` under tmp whose module reads
+    text; returns pytest's process and whether the killers saw that module.
+    Raises subprocess.TimeoutExpired after TIMEOUT seconds."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = module_path(src, module)
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, module, *killers],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=TIMEOUT,
+    )
+    return proc, f"imported from {path} True" in proc.stdout.decode()
 
 
 def test_catalogue_names_each_mutant_once_and_applies_to_src():
@@ -52,21 +72,11 @@ def test_catalogue_names_each_mutant_once_and_applies_to_src():
     "mutant", [m for m in MUTANTS if m.killers != EQUIVALENT], ids=lambda m: m.name
 )
 def test_mutant_fails_its_killers(mutant, tmp_path):
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    path = module_path(src, mutant.module)
-    text = path.read_text()
+    text = module_path(ROOT / "src", mutant.module).read_text()
     assert text.count(mutant.old) == 1
-    path.write_text(text.replace(mutant.old, mutant.new))
-    proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, mutant.module, *mutant.killers],
-        capture_output=True,
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-        timeout=120,
-    )
+    proc, imported = run_killers(tmp_path, mutant.module, text.replace(mutant.old, mutant.new), mutant.killers)
     out = proc.stdout.decode()
-    assert f"imported from {path} True" in out, (out[-2000:], proc.stderr.decode()[-2000:])
+    assert imported, (out[-2000:], proc.stderr.decode()[-2000:])
     # pytest's exit code 1 is "tests ran and some failed"; a killer id that
     # names no test is a usage error (4) or collects nothing (5)
     assert proc.returncode == pytest.ExitCode.TESTS_FAILED, out[-2000:]
