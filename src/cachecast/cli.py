@@ -14,9 +14,10 @@ overrides a config value for the other, and both at once are a usage error.
 Each value is parsed and checked once, by its flag's `check` in _FLAGS: under
 the flag's name on the command line, where the token after a flag the command
 takes with a value is that value (--mu -1/3), and under `--config FILE: --flag`
-in the file, also where a flag overrides it.  A list flag (--alpha, --r,
---leaders, --d) takes comma text or a JSON list, and refuses any other JSON
-value; an empty comma entry (1,2,) is an error.
+in the file, also where a flag overrides it; a JSON number is read from its
+text, as the same text in argv is (0.30000000000000001 is not 0.3).  A list
+flag (--alpha, --r, --leaders, --d) takes comma text or a JSON list, and
+refuses any other JSON value; an empty comma entry (1,2,) is an error.
 Numbers print with 12 significant digits; --exact adds p/q columns.  A finite
 value beyond the float range cannot print so and is a usage error; rows and
 the holes document are built before anything is printed.
@@ -144,6 +145,17 @@ def _one_of(*choices) -> dict:
             "metavar": "{" + ",".join(choices) + "}"}
 
 
+class _JsonNumber(float):
+    """A JSON number with a point or an exponent, a float whose `str` is its text: each
+    check reads 0.30000000000000001 or 1e-400 from the file as it reads it from argv."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Check every value the JSON config file, if one was given, holds for
     this command's flags, and fill the unset flags from it."""
@@ -151,7 +163,7 @@ def _merge_config(args: argparse.Namespace) -> None:
         return
     try:
         with open(args.config) as fh:
-            stored = json.load(fh)
+            stored = json.load(fh, parse_float=_JsonNumber)
     except OSError as exc:
         raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from None
     if not isinstance(stored, dict):
@@ -230,13 +242,7 @@ def cmd_holes(args) -> int:
         tau = tradeoff.gndt_ub(config, vertex)
         ok = tau == base_tau
         all_ok &= ok
-        checks.append(
-            {
-                "vertex": [_fmt(v) for v in vertex],
-                "tau": _fmt(tau),
-                "invariant": ok,
-            }
-        )
+        checks.append({"vertex": [_fmt(v) for v in vertex], "tau": _fmt(tau), "invariant": ok})
     doc = {
         "bottleneck_user": star,
         "tau_no_unicast": _fmt(base_tau),

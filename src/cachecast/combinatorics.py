@@ -48,7 +48,10 @@ def _checked_int(name: str, value, low: int | None = None, high: int | None = No
 
 def _checked_fraction(name: str, value, low: int | None = None, high: int | None = None) -> Fraction:
     """`_frac(value)` in [low, high], compared as integers; otherwise a ValueError naming it."""
-    q = _frac(value)
+    try:
+        q = _frac(value)
+    except (ValueError, ZeroDivisionError):  # text such as 'abc' or '1/0'
+        raise ValueError(f"{name} must be a rational number, got {value!r}") from None
     if high is not None and not low * q.denominator <= q.numerator <= high * q.denominator:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {q}")
     if low is not None and q.numerator < low * q.denominator:

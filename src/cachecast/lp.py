@@ -24,9 +24,7 @@ change neither a sign nor the order of a ratio test, so Bland's rule takes the
 same pivots as on the unscaled Fraction tableau, and the value and maximizer
 are read as exact Fractions at the end.
 
-`solve_max` scales its rows for the integer core `maximize_each`, which takes
-k objectives over one scaled row set: one phase 1, then each phase 2 from the
-last optimal basis, so an objective costs O(m * n) and the pivots between optima.
+`solve_max` scales its rows and objective for the integer core `maximize_scaled`.
 
 The solver reports one of three statuses: "optimal" (with value and a
 maximizer), "unbounded", or "infeasible".
@@ -37,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 IntRow = tuple[int, tuple[int, ...]]  # (s, s * values), s > 0 and every entry an integer
 OPTIMAL = "optimal"
@@ -128,18 +126,16 @@ def solve_max(objective: Sequence[Fraction], rows: Sequence[tuple[Sequence[Fract
     scaled = [_integer_row([*map(_frac, coeffs), _frac(rhs)]) for coeffs, rhs in rows]
     if any(len(ints) != len(obj) + 1 for _, ints in scaled):
         raise ValueError("row length does not match the objective's length")
-    return next(maximize_each(len(obj), scaled, [_integer_row(obj)]))
+    return maximize_scaled(len(obj), scaled, _integer_row(obj))
 
 
-def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) -> Iterator[LpResult]:
-    """Lazily maximize each objective (s, s * c) over the rows (lambda, lambda
-    * [coeffs..., rhs]), lambda and s > 0.  Phase 1 (Chvatal 1983, ch. 8)
-    maximizes -x0 for x0 subtracted from each unscaled row, -lambda_i x0 from
-    scaled row i; x0 enters on the most negative unscaled rhs, leaving every
-    rhs >= 0, and the rows are infeasible iff the optimum is below 0.  Bland's
-    rule terminates from any feasible basis and the optimum value is unique,
-    so a warm-started value is the cold one; the first objective takes the
-    pivots of `solve_max`."""
+def maximize_scaled(n: int, rows: Sequence[IntRow], objective: IntRow) -> LpResult:
+    """Maximize the objective (s, s * c) over the rows (lambda, lambda * [coeffs...,
+    rhs]), lambda and s > 0.  Phase 1 (Chvatal 1983, ch. 8) maximizes -x0 for x0
+    subtracted from each unscaled row, -lambda_i x0 from scaled row i; x0 enters
+    on the most negative unscaled rhs, leaving every rhs >= 0, and the rows are
+    infeasible iff the optimum is below 0.  Bland's rule terminates from any
+    feasible basis."""
     m = len(rows)
     tab = [[*ints[:-1], *[0] * m, ints[-1]] for _, ints in rows]
     for i, row in enumerate(tab):
@@ -157,8 +153,7 @@ def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) 
         status, d = _run_simplex(tab, basis, d)
         assert status == OPTIMAL  # -x0 <= 0
         if tab.pop()[-1]:
-            yield from (LpResult(INFEASIBLE) for _ in objectives)
-            return
+            return LpResult(INFEASIBLE)
         if n + m in basis:
             # x0 basic at 0 leaves on any nonzero entry of its row; the slack
             # columns hold D * B^-1, whose row i is not 0
@@ -167,23 +162,21 @@ def maximize_each(n: int, rows: Sequence[IntRow], objectives: Iterable[IntRow]) 
         for row in tab:
             del row[n + m]
 
-    for s, cint in objectives:
-        # objective row (s * D) * (c_B B^-1 [A | S | b] - c)
-        obj_row = [-v * d for v in cint] + [0] * (m + 1)
-        for i, b in enumerate(basis):
-            if b < n and (f := cint[b]):
-                obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
-        tab.append(obj_row)
-        status, d = _run_simplex(tab, basis, d)
-        value = tab.pop()[-1]
-        if status == UNBOUNDED:
-            yield LpResult(UNBOUNDED)
-            continue
-        point = [Fraction(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                point[b] = Fraction(tab[i][-1], d)
-        yield LpResult(OPTIMAL, value=Fraction(value, d * s), point=tuple(point))
+    # objective row (s * D) * (c_B B^-1 [A | S | b] - c)
+    s, cint = objective
+    obj_row = [-v * d for v in cint] + [0] * (m + 1)
+    for i, b in enumerate(basis):
+        if b < n and (f := cint[b]):
+            obj_row = [v + f * t for v, t in zip(obj_row, tab[i])]
+    tab.append(obj_row)
+    status, d = _run_simplex(tab, basis, d)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED)
+    point = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = Fraction(tab[i][-1], d)
+    return LpResult(OPTIMAL, value=Fraction(tab[-1][-1], d * s), point=tuple(point))
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):

@@ -32,8 +32,8 @@ dedupe and containment: on x >= 0, a row <a, x> <= b implies <c, x> <= d when
 c <= a entrywise and d >= b, compared on one integer scale (each row's
 canonical Fraction row times the lcm of the canonical scales).  It certifies
 the implication with one multiplier, 1 on that scale, and needs no simplex.  A
-containment solves only the outer rows that no single inner row dominates,
-through `lp.maximize_each`, all on one tableau; with none left it solves no LP.
+containment solves one LP (`lp.maximize_scaled`) per outer row that no single
+inner row dominates; with none left it solves no LP.
 
 Nothing here knows about channels or caches; this is the generic half of the
 region apparatus.
@@ -51,7 +51,7 @@ from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import _checked_fraction, _checked_int
-from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_each, solve_max
+from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_scaled, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -186,14 +186,11 @@ def _count_row(coeffs: Sequence[int], rhs: Fraction) -> IntRow:
 
 
 def _implies(n: int, rows: Sequence[IntRow], targets: Sequence[IntRow]) -> bool:
-    """True iff the rows imply every target row: one LP per target, all on one
-    warm-started tableau, up to the first target that fails.  No targets, no
-    tableau."""
-    if not targets:
-        return True
-    results = maximize_each(n, rows, ((scale, ints[:-1]) for scale, ints in targets))
+    """True iff the rows imply every target row: one LP per target, up to the
+    first target that fails."""
+    results = ((maximize_scaled(n, rows, (scale, ints[:-1])), scale, ints) for scale, ints in targets)
     return all(r.status == INFEASIBLE or (r.status == OPTIMAL and r.value * scale <= ints[-1])
-               for r, (scale, ints) in zip(results, targets))
+               for r, scale, ints in results)
 
 
 def _on_one_scale(rows: Sequence[IntRow]) -> list[tuple[int, ...]]:

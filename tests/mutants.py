@@ -187,6 +187,22 @@ MUTANTS = (
         ("tests/test_polytope.py::test_containment_special_cases",),
     ),
     Mutant(
+        "implies-checks-only-the-first-target", POLYTOPE,
+        "for scale, ints in targets)",
+        "for scale, ints in targets[:1])",
+        "only the first outer row left after the dominance test is solved, so a later row that "
+        "the inner region breaks counts as implied",
+        ("tests/test_polytope.py::test_containment_solves_the_rows_left_up_to_the_first_that_fails",),
+    ),
+    Mutant(
+        "implies-takes-the-target-scale-as-1", POLYTOPE,
+        "maximize_scaled(n, rows, (scale, ints[:-1]))",
+        "maximize_scaled(n, rows, (1, ints[:-1]))",
+        "a target row of scale l > 1 is solved for l times its objective, so a fractional row "
+        "the inner region implies is refuted",
+        ("tests/test_polytope.py::test_an_lp_target_is_read_on_its_own_scale",),
+    ),
+    Mutant(
         "regions-equal-one-direction", POLYTOPE,
         "return all(_containments(a, b))",
         "return next(_containments(a, b))",
@@ -247,6 +263,52 @@ MUTANTS = (
         '"""Drop every row implied by the remaining ones (LP-certified)."""\n    return poly\n',
         "prune returns its input, so implied rows stay in every pruned and canonical region",
         ("tests/test_polytope.py::test_prune_drops_implied_row",),
+    ),
+    Mutant(
+        "prune-skips-the-first-row", POLYTOPE,
+        "    i = 0\n    while i < len(ints):",
+        "    i = 1\n    while i < len(ints):",
+        "the first row is never checked, so a first row the others imply stays in every pruned "
+        "and canonical region",
+        ("tests/test_polytope.py::test_prune_checks_each_row_against_all_the_others[0]",),
+    ),
+    Mutant(
+        "prune-evidence-skips-the-next-row", POLYTOPE,
+        "ints[:i] + ints[i + 1 :]",
+        "ints[:i] + ints[i + 2 :]",
+        "each row is tested against the others but the one after it, so a row implied only with "
+        "that row's help is kept",
+        ("tests/test_polytope.py::test_prune_checks_each_row_against_all_the_others[0]",),
+    ),
+    Mutant(
+        "polytope-is-mutable", POLYTOPE,
+        "@dataclass(frozen=True, init=False)",
+        "@dataclass(init=False)",
+        "a region's variables and rows can be reassigned after its cached Fraction view is built, "
+        "and a region can no longer be hashed",
+        ("tests/test_polytope.py::test_a_polytope_is_a_frozen_value",),
+    ),
+    Mutant(
+        "is-empty-asks-0-le-1", POLYTOPE,
+        "(0,) * len(self.variables) + (-1,))]",
+        "(0,) * len(self.variables) + (1,))]",
+        "is_empty asks whether the rows imply 0 <= 1, which every row set does, so every region "
+        "is reported empty",
+        ("tests/test_polytope.py::test_empty_region_detected",),
+    ),
+    Mutant(
+        "region-dump-indent-3", POLYTOPE,
+        "json.dumps(self.payload(), indent=2, sort_keys=True)",
+        "json.dumps(self.payload(), indent=3, sort_keys=True)",
+        "the region dump that `region` and `holes` print changes its bytes, though it still loads",
+        ("tests/test_polytope.py::test_json_round_trip",),
+    ),
+    Mutant(
+        "region-dump-unsorted", POLYTOPE,
+        "json.dumps(self.payload(), indent=2, sort_keys=True)",
+        "json.dumps(self.payload(), indent=2, sort_keys=False)",
+        "the region dump lists variables before rows, so its bytes change though it still loads",
+        ("tests/test_polytope.py::test_json_round_trip",),
     ),
     Mutant(
         "dedupe-keeps-dominated-rows", POLYTOPE,
@@ -788,6 +850,105 @@ MUTANTS = (
         "y = [0] * n",
         "y = [1] * n",
         "back substitution writes each y[i] before any later row reads it",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "polytope-dataclass-asks-for-an-init", POLYTOPE,
+        "@dataclass(frozen=True, init=False)",
+        "@dataclass(frozen=True, init=True)",
+        "dataclass never replaces an __init__ that the class body defines",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "is-empty-target-of-scale-2", POLYTOPE,
+        "[(1, (0,) * len(self.variables) + (-1,))]",
+        "[(2, (0,) * len(self.variables) + (-1,))]",
+        "the target 0 <= -1/2 is implied exactly when 0 <= -1 is: iff the rows are infeasible",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "is-empty-target-sums-the-coordinates", POLYTOPE,
+        "[(1, (0,) * len(self.variables) + (-1,))]",
+        "[(1, (1,) * len(self.variables) + (-1,))]",
+        "on x >= 0 the sum of the coordinates is never below 0, so the rows imply sum <= -1 iff "
+        "they are infeasible",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "is-empty-asks-0-le-minus-2", POLYTOPE,
+        "(0,) * len(self.variables) + (-1,))]",
+        "(0,) * len(self.variables) + (-2,))]",
+        "0 <= -2 is implied exactly when 0 <= -1 is: iff the rows are infeasible",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "primitive-divides-by-a-gcd-of-1", POLYTOPE,
+        "if g > 1 else",
+        "if g >= 1 else",
+        "dividing every entry by 1 gives the same tuple",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "canonical-scale-of-a-zero-row-is-2", POLYTOPE,
+        "abs(next(filter(None, row), 1))",
+        "abs(next(filter(None, row), 2))",
+        "only the all-zero row 0 <= 0 takes the default: dedupe and prune drop it, and in "
+        "containment's common scale it only multiplies every row by the same positive integer",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "fm-zero-column-rows-as-uppers", POLYTOPE,
+        "for _, r in rows if r[idx] > 0]",
+        "for _, r in rows if r[idx] >= 0]",
+        "a row without x_idx also goes through the upper loop, where each of its combinations is "
+        "that row again, after its first copy from the kept rows: dedupe keeps the first copy, so "
+        "the rows, their scales and their order are the same",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "fm-zero-column-rows-as-lowers", POLYTOPE,
+        "for _, r in rows if r[idx] < 0]",
+        "for _, r in rows if r[idx] <= 0]",
+        "a row without x_idx also goes through the lower loop with weight 0, so each of its "
+        "combinations is that row again, after its first copy: dedupe keeps the first copy",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "fm-lowers-below-1", POLYTOPE,
+        "for _, r in rows if r[idx] < 0]",
+        "for _, r in rows if r[idx] < 1]",
+        "an integer below 1 is at most 0: the program of fm-zero-column-rows-as-lowers",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "prune-targets-two-rows", POLYTOPE,
+        "ints[i : i + 1])",
+        "ints[i : i + 2])",
+        "the extra target is row i + 1, which is one of the evidence rows and so always implied",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "dd-row-bits-start-one-higher", POLYTOPE,
+        "enumerate(poly.int_rows, start=n + 1)",
+        "enumerate(poly.int_rows, start=n + 2)",
+        "a row's bit only names it in the zero sets; shifting every row bit by one leaves bit "
+        "n + 1 unused and every intersection and count the same",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "dd-row-bit-doubled", POLYTOPE,
+        "1 << k\n",
+        "2 << k\n",
+        "2 << k is 1 << (k + 1): the program of dd-row-bits-start-one-higher",
+        EQUIVALENT,
+    ),
+    Mutant(
+        "dd-adjacency-count-loosened", POLYTOPE,
+        "common.bit_count() >= n - 1",
+        "common.bit_count() >= n - 2",
+        "the count is only a necessary condition for adjacency; the combinatorial test (no third "
+        "ray's zero set contains the common one) decides it alone for extreme rays (Fukuda & "
+        "Prodon 1996), so a looser count only lets more pairs reach that test",
         EQUIVALENT,
     ),
 )

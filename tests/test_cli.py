@@ -373,9 +373,13 @@ class TestConfigKeys:
             ("gndt", {"format": "xml"}, "--format must be one of csv, json, got 'xml'"),
             ("gndt", {"exact": "yes"}, "--exact takes true or false, got 'yes'"),
             ("region", {"kind": "half"}, "--kind must be one of full, symmetric, missing, two-multicast"),
+            ("gndt", {"out": 0.5}, "--out takes a path, got 0.5"),
+            ("gndt", {"config": 1e5}, "--config takes a path, got 100000.0"),
+            ("gndt", {"exact": 1.0}, "--exact takes true or false, got 1.0"),
+            ("gndt", {"format": 0.30000000000000001}, "--format must be one of csv, json, got 0.3"),
         ],
         ids=["misspelt", "unknown-holes", "int-text", "int-float", "int-bool", "int-list",
-             "choice", "switch", "kind"],
+             "choice", "switch", "kind", "out-number", "config-number", "switch-number", "choice-number"],
     )
     def test_bad_key_or_value_is_usage_error(self, command, stored, message, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -387,6 +391,23 @@ class TestConfigKeys:
         assert code == 2
         assert f"error: --config {config}: {message}" in err and "Traceback" not in err
         assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [('{"mu": 0.30000000000000001}', ["--alpha", "1/2,1", "--mu", "0.30000000000000001"]),
+         ('{"alpha": [1e-400, 1]}', ["--mu", "1/2", "--alpha", "1e-400,1"]),
+         ('{"alpha": [0.30000000000000001, 1.0]}', ["--mu", "1/2", "--alpha", "0.30000000000000001,1.0"])],
+        ids=["mu", "alpha-below-the-float-range", "alpha"],
+    )
+    def test_a_json_number_is_read_as_its_text(self, text, argv, tmp_path, capsys):
+        """A number in the file is parsed from its text, as the same text on
+        the command line is, not through the float it rounds to: the same
+        stdout, stderr and exit code either way."""
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        gndt = ["gndt", "--K", "2", "--N", "2", "--exact"]
+        from_file = run([*gndt, *argv[:2], "--config", str(config)], capsys)
+        assert from_file == run([*gndt, *argv], capsys)
 
     @pytest.mark.parametrize("command", ["gndt", "sweep-memory"])
     @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-file"])
@@ -930,7 +951,7 @@ class TestVerify:
         wrong row (user 1's unicast rate capped at 0) no longer equals the
         projection, and `verify` says so.  No projected row dominates the
         wrong row, so it is refuted by the LP."""
-        build, solve = regions.build_region, polytope.maximize_each
+        build, solve = regions.build_region, polytope.maximize_scaled
         solved = []
 
         def wrong(*args):
@@ -938,11 +959,12 @@ class TestVerify:
             cap = ((F(1),) + (F(0),) * (len(poly.variables) - 1), F(0))
             return Polytope(poly.variables, poly.rows + (cap,))
 
-        def counted(n, rows, objectives):
-            return solve(n, rows, (solved.append(o) or o for o in objectives))
+        def counted(n, rows, objective):
+            solved.append(objective)
+            return solve(n, rows, objective)
 
         monkeypatch.setattr(regions, "build_region", wrong)
-        monkeypatch.setattr(polytope, "maximize_each", counted)
+        monkeypatch.setattr(polytope, "maximize_scaled", counted)
         code, out, _ = run(
             ["verify", "--max-K", "1", "--max-N", "1", "--region-trials", "1",
              "--out", str(tmp_path / "records.ndjson")],

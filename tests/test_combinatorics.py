@@ -250,7 +250,8 @@ BOX = Polytope(["x", "y"], [((1, 1), 1)])
 
 class TestRationalArguments:
     """Each closed-range rational argument goes through one check: `_frac`
-    refuses a bool as it refuses a float, and a range keeps both ends."""
+    refuses a bool as it refuses a float, text that is no rational number is
+    refused by name, and a range keeps both ends."""
 
     @pytest.mark.parametrize(
         "call",
@@ -277,8 +278,15 @@ class TestRationalArguments:
          (lambda: SystemConfig(2, 2, "-1/3", ALPHA2), "mu must lie in [0, 1], got -1/3"),
          (lambda: _integer_gaps(ALPHA2, (0, F(-1, 10))), "r_2 must be at least 0, got -1/10"),
          (lambda: lower_convex_envelope([3, 1, 2], F(7, 3)), "x must lie in [0, 2], got 7/3"),
-         (lambda: fix_variables(BOX, {"y": F(-1, 2)}), "y must be at least 0, got -1/2")],
-        ids=["mu-above-1", "mu-negative", "r-negative", "envelope-x-past-K", "fixed-negative"],
+         (lambda: fix_variables(BOX, {"y": F(-1, 2)}), "y must be at least 0, got -1/2"),
+         (lambda: _checked_fraction("mu", "1/0", 0, 1), "mu must be a rational number, got '1/0'"),
+         (lambda: SystemConfig(2, 2, "1/0", ALPHA2), "mu must be a rational number, got '1/0'"),
+         (lambda: SystemConfig(2, 2, "abc", ALPHA2), "mu must be a rational number, got 'abc'"),
+         (lambda: _integer_gaps(ALPHA2, (0, "1/0")), "r_2 must be a rational number, got '1/0'"),
+         (lambda: fix_variables(BOX, {"x": "x"}), "x must be a rational number, got 'x'")],
+        ids=["mu-above-1", "mu-negative", "r-negative", "envelope-x-past-K", "fixed-negative",
+             "zero-denominator", "mu-zero-denominator", "mu-not-a-number", "r-zero-denominator",
+             "fixed-not-a-number"],
     )
     def test_refused_by_name(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

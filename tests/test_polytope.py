@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -123,13 +125,13 @@ XY = ["x", "y"]
 @example(pair=(Polytope(XY, [((1, 0), 1), ((0, 0), -1)]), box()))  # 0 <= -1
 @settings(max_examples=300, deadline=None)
 @pytest.mark.slow
-def test_warm_started_containment_matches_cold_lps(pair):
+def test_containment_matches_the_oracle(pair):
     outer, inner = pair
     assert region_contains(outer, inner) == oracle_contains(outer, inner)
 
 
 def test_containment_special_cases():
-    """The cases the warm start must not get wrong, each with its answer."""
+    """The cases containment must not get wrong, each with its answer."""
     empty = Polytope(XY, [((1, 0), -1)])
     assert region_contains(Polytope(XY, [((0, 0), -1)]), empty)
     assert region_contains(box(), Polytope(XY, [((-1, 0), -1), ((1, 0), 1), ((0, 1), 1)]))
@@ -148,17 +150,18 @@ def no_lp(monkeypatch):
     def refuse(*args):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(polytope, "maximize_each", refuse)
+    monkeypatch.setattr(polytope, "maximize_scaled", refuse)
 
 
 def counted_lps(monkeypatch):
-    """The list of objectives `maximize_each` is asked to solve, filled as it runs."""
-    asked, real = [], polytope.maximize_each
+    """The list of objectives `maximize_scaled` is asked to solve, filled as it runs."""
+    asked, real = [], polytope.maximize_scaled
 
-    def record(n, rows, objectives):
-        return real(n, rows, (asked.append(o) or o for o in objectives))
+    def record(n, rows, objective):
+        asked.append(objective)
+        return real(n, rows, objective)
 
-    monkeypatch.setattr(polytope, "maximize_each", record)
+    monkeypatch.setattr(polytope, "maximize_scaled", record)
     return asked
 
 
@@ -199,6 +202,26 @@ def test_row_implied_only_by_two_rows_reaches_the_lp(monkeypatch):
     asked = counted_lps(monkeypatch)
     assert region_contains(Polytope(XY, [((1, 1), 2)]), box())  # x, y <= 1 => x + y <= 2
     assert len(asked) == 1
+
+
+def test_containment_solves_the_rows_left_up_to_the_first_that_fails(monkeypatch):
+    """x + y <= 2 holds on the box and x + y <= 1 does not; no single box row
+    dominates either, so each is one LP, in the outer region's row order, and
+    no LP is solved after the first row that fails."""
+    asked = counted_lps(monkeypatch)
+    assert not region_contains(Polytope(XY, [((1, 1), 2), ((1, 1), 1)]), box())
+    assert len(asked) == 2
+    asked.clear()
+    assert not region_contains(Polytope(XY, [((1, 1), 1), ((1, 1), 2)]), box())
+    assert len(asked) == 1
+
+
+def test_an_lp_target_is_read_on_its_own_scale():
+    """x/2 + y/2 <= 1, the integer row (2, (1, 1, 2)), holds on the box, and
+    x/2 + y/2 <= 3/4, the row (4, (2, 2, 3)), does not: each verdict compares
+    the optimum of (1/2, 1/2) . x, not of a multiple of it, with the rhs."""
+    assert region_contains(Polytope(XY, [((F(1, 2), F(1, 2)), 1)]), box())
+    assert not region_contains(Polytope(XY, [((F(1, 2), F(1, 2)), F(3, 4))]), box())
 
 
 @pytest.mark.parametrize("scale", [1, 2, F(3, 2)])
@@ -403,6 +426,15 @@ def test_prune_drops_implied_row():
     assert len(prune(p).rows) == 1
 
 
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_prune_checks_each_row_against_all_the_others(place):
+    """x + y <= 2 follows from x <= 1 and y <= 1 together, from neither
+    alone: prune drops it wherever it stands, the first row included."""
+    rows = [((1, 0), 1), ((0, 1), 1)]
+    rows.insert(place, ((1, 1), 2))
+    assert prune(Polytope(XY, rows)) == box()
+
+
 def test_canonical_sorts_and_scales():
     p = Polytope(["x", "y"], [((0, 2), 2), ((3, 0), 3)])
     assert canonical(p).rows == (
@@ -437,12 +469,24 @@ def test_empty_region_detected():
     p = Polytope(["x"], [((-1,), -1), ((1,), F(1, 2))])  # x >= 1, x <= 1/2
     assert p.is_empty()
     assert vertices(p) == []
+    assert not Polytope(["x"], [((-1,), -1), ((1,), 1)]).is_empty()  # x = 1
+    assert not Polytope(XY, []).is_empty()
 
 
 def test_json_round_trip():
     p = box(a=F(7, 3))
-    q = Polytope.from_json(p.to_json())
-    assert q == p
+    text = p.to_json()
+    assert Polytope.from_json(text) == p
+    # the bytes json.dumps(payload, indent=2, sort_keys=True) writes
+    assert text.startswith('{\n  "rows": [\n    {\n      "coeffs": [\n        [\n          1,')
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def test_a_polytope_is_a_frozen_value():
+    """Equal polytopes hash alike, and no field can be reassigned."""
+    assert hash(box()) == hash(Polytope(XY, [((1, 0), 1), ((0, 1), 1)]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box().variables = ("y", "x")
 
 
 def test_json_row_of_wrong_length_is_refused():
