@@ -3,14 +3,16 @@
 `_COMMANDS` lists each command's flags, besides --config and --out, and the
 ones it requires.
 
-The tokens after a command name go straight to that command's own parser, the
-one the top-level parser would hand them to; --help, no command or an unknown
-one go to the top-level parser.  A flag the command does not take is a usage
-error under the command's usage line, and so is a prefix of one it takes (--r
-for --region-trials), each named with its value as typed (--P -1).  Flags can
-come from a JSON config file (--config), required ones such as --sigma included;
-explicit flags win, and --mu and --mu-grid are alternatives: a flag for one
-overrides a config value for the other, and both at once are a usage error.
+A command's `--flag value`, `--flag=value` and switches are read against its
+flags in `_FLAGS`, with no argparse call; argparse prints the help and every
+refusal, the tokens after a command name read by that command's own parser and
+--help, no command or an unknown one by the top-level parser.  A flag the
+command does not take is a usage error under the command's usage line, and so
+is a prefix of one it takes (--r for --region-trials), each named with its
+value as typed (--P -1).  Flags can come from a JSON config file (--config),
+required ones such as --sigma included; explicit flags win, and --mu and
+--mu-grid are alternatives: a flag for one overrides a config value for the
+other, and both at once are a usage error.
 Each value is parsed and checked once, by its flag's `check` in _FLAGS: under
 the flag's name on the command line, where the token after a flag the command
 takes with a value is that value (--mu -1/3), and under `--config FILE: --flag`
@@ -427,8 +429,6 @@ _FLAGS = {
     "--seed": {"check": functools.partial(_whole, low=0), "help": "RNG seed"},
     "--certificates": {"check": _COUNT, "help": "boundary points to certify (default 20)"},
 }
-# flags whose next token is their value, even one that starts with -
-_VALUED = {flag for flag, spec in _FLAGS.items() if "action" not in spec}
 
 # command -> (handler, help, the flags its handler reads besides --config and --out,
 # the flags it requires, checked in this order once the config file is merged)
@@ -470,8 +470,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per process: parse_args keeps no state between calls
-_parser = functools.cache(build_parser)
+# command -> {flag: (argparse's dest, whether it is a switch)}, for each flag the command takes
+_READER = {command: {flag: (flag[2:].replace("-", "_"), "action" in _FLAGS[flag]) for flag in _command_flags(command)}
+           for command in _COMMANDS}
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for `command --flag value ...`, --flag=value and switches, a repeated flag's last value
+    kept; None on anything else: help, a flag the command lacks, a positional or `--`, a switch's =value, no value."""
+    if not argv or (flags := _READER.get(argv[0])) is None:
+        return None
+    values = dict.fromkeys(dest for dest, _ in flags.values())  # argparse's order: the checks run in it
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        dest, switch = flags.get(flag, (None, None))
+        if not joined:  # a switch's value is True, a value flag's the next token, which is no flag
+            value = switch or next(tokens, None)
+        if dest is None or value is None or switch and joined or not joined and value in _FLAGS:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values, command=argv[0], func=_COMMANDS[argv[0]][0])
 
 
 def _tokens(argv: list[str], valued: set[str]) -> list[str]:
@@ -486,15 +505,22 @@ def _tokens(argv: list[str], valued: set[str]) -> list[str]:
     return tokens
 
 
-def main(argv=None) -> int:
-    argv, parser, valued = sys.argv[1:] if argv is None else argv, _parser(), _VALUED
+def _parsed(argv: list[str]) -> argparse.Namespace:
+    """argparse's Namespace for argv; it prints the help or its usage error and exits instead."""
+    parser, valued = build_parser(), {flag for flag, spec in _FLAGS.items() if "action" not in spec}
     if argv and argv[0] in _COMMANDS:  # parse the rest with the parser the top one hands it to
         command, *argv = argv
         parser = parser.get_default("commands")[command]
-        valued = _VALUED.intersection(_command_flags(command))
+        valued = valued.intersection(_command_flags(command))
     args, extra = parser.parse_known_args(_tokens(argv, valued))
     if extra:  # argparse would report them with the top parser's usage
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv) or _parsed(argv)
     try:
         for attr, value in list(vars(args).items()):  # each value is checked where it is read
             if value is not None and (flag := "--" + attr.replace("_", "-")) in _FLAGS:

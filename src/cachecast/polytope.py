@@ -59,7 +59,7 @@ Row = tuple[tuple[Fraction, ...], Fraction]
 @dataclass(frozen=True, init=False)
 class Polytope:
     """{x >= 0 : <coeffs, x> <= rhs for every row}, all entries rational: the
-    (coeffs, rhs) rows checked and coerced by `_frac`, or `int_rows` trusted."""
+    (coeffs, rhs) rows checked and coerced by `_checked_fraction`, or `int_rows` trusted."""
 
     variables: tuple[str, ...]
     int_rows: tuple[IntRow, ...]  # (l, l * [coeffs..., rhs]), l the lcm of the denominators
@@ -77,7 +77,8 @@ class Polytope:
                 if len(coeffs) != len(vs):
                     raise ValueError(f"row {i}: row length does not match variable count, "
                                      f"{len(coeffs)} coefficients for {len(vs)} variables")
-                int_rows.append(_integer_row([*map(_frac, coeffs), _frac(rhs)]))
+                named = [*((f"row {i} coefficient {j}", c) for j, c in enumerate(coeffs, 1)), (f"row {i} rhs", rhs)]
+                int_rows.append(_integer_row([_checked_fraction(*entry) for entry in named]))
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "int_rows", tuple(int_rows))
 

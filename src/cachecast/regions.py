@@ -30,7 +30,7 @@ from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 from .combinatorics import Group, _checked_fraction, _checked_int, cumulative_group_count
-from .lp import _frac, _integer_row
+from .lp import _integer_row
 from .polytope import Polytope, _count_row
 
 ZERO = Fraction(0)
@@ -46,7 +46,8 @@ def user_strengths(num_users: int, alpha: Sequence) -> _Strengths:
     which comes back as it is after a length check: pass it on, and a run checks its
     strengths once and its configs share one strengths object (see `tradeoff`)."""
     _checked_int("user count", num_users, 1)
-    vals = alpha if type(alpha) is _Strengths else _Strengths(map(_frac, alpha))
+    vals = alpha if type(alpha) is _Strengths else _Strengths(
+        _checked_fraction(f"alpha_{k}", a) for k, a in enumerate(alpha, 1))
     if vals is not alpha:  # a new value: check it
         if not vals:
             raise ValueError("at least one channel strength is required")

@@ -778,6 +778,34 @@ MUTANTS = (
         ("tests/test_cli.py::TestFlagsPerCommand::test_bad_token_names_its_flag[d-fraction-text]",),
     ),
     Mutant(
+        "reader-switch-takes-a-value", CLI,
+        " or switch and joined or ",
+        " or ",
+        "--exact=yes runs as --exact, where argparse refuses the value",
+        ("tests/test_cli.py::TestFlagsPerCommand::test_switch_given_a_value_is_usage_error",),
+    ),
+    Mutant(
+        "reader-takes-a-flag-as-a-value", CLI,
+        " or not joined and value in _FLAGS:",
+        ":",
+        "--mu --exact reads '--exact' as the cache size, where argparse finds --mu without its value",
+        ("tests/test_cli.py::TestFlagsPerCommand::test_flag_after_a_value_flag_is_not_its_value",),
+    ),
+    Mutant(
+        "reader-takes-every-command-flag", CLI,
+        "for flag in _command_flags(command)}",
+        "for flag in _FLAGS}",
+        "gndt --P 3 runs, the flag ignored, where argparse refuses a flag the command does not take",
+        ("tests/test_cli.py::TestFlagsPerCommand::test_flag_the_command_does_not_take_is_usage_error",),
+    ),
+    Mutant(
+        "reader-keeps-the-first-value", CLI,
+        "        values[dest] = value\n",
+        "        values[dest] = value if values[dest] is None else values[dest]\n",
+        "a repeated flag keeps its first value, where argparse keeps the last",
+        ("tests/test_cli.py::TestFlagsPerCommand::test_repeated_flag_keeps_its_last_value",),
+    ),
+    Mutant(
         "subsets-rewrapped-as-tuples", CACHING,
         "return list(combinations(range(1, self.num_users + 1), self.split_order))",
         "return [tuple(s) for s in combinations(range(1, self.num_users + 1), self.split_order)]",

@@ -152,6 +152,23 @@ class TestUsageErrors:
         assert out == ""
 
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--K", "--K takes an int, got '--'"),
+        ("--alpha", "--alpha: '--' is not a number"),
+    ])
+    def test_double_dash_value_is_named_as_typed(self, flag, message, capsys):
+        """`--` after a value flag is its value, checked as any other text is."""
+        argv = {"--K": "2", "--N": "2", "--alpha": "1/2,1", "--mu": "1/2", flag: "--"}
+        code, out, err = run(["gndt", *(t for pair in argv.items() for t in pair)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_double_dash_out_is_a_file_name(self, tmp_path, capsys, monkeypatch):
+        """--out -- writes the file named --, as --out -x writes -x."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["gndt", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "1/2"]
+        assert run([*argv, "--out", "--"], capsys) == (0, "", "")
+        assert (tmp_path / "--").read_text() == run(argv, capsys)[1] != ""
+
     def test_mu_and_grid_in_one_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"mu": "1/3", "mu-grid": "0:1:1/2"}))
@@ -223,6 +240,31 @@ class TestFlagsPerCommand:
         assert err.startswith("usage: cachecast verify ")
         assert "--region-trials" in err.split("error:")[0]
         assert err.endswith("error: unrecognized arguments: --r 1\n")
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["gndt", *FIG3, "--mu", "1/4", "--exact=yes"], "--exact", "yes"),
+        (["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--inject-fault="], "--inject-fault", ""),
+    ], ids=["exact", "inject-fault-empty"])
+    def test_switch_given_a_value_is_usage_error(self, argv, flag, value, capsys):
+        code, out, err = refused(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: ignored explicit argument {value!r}\n")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gndt", *FIG3, "--mu", "--exact"], "--mu"),
+        (["verify", "--K", "2", "--N", "2", "--mu", "1/2", "--seed", "--inject-fault"], "--seed"),
+    ], ids=["gndt", "verify"])
+    def test_flag_after_a_value_flag_is_not_its_value(self, argv, flag, capsys):
+        """A switch after a value flag is a switch, and the value flag has no value."""
+        code, out, err = refused(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: expected one argument\n")
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        argv = ["gndt", *FIG3, "--mu", "1/4", "--format", "json", "--mu=1/2", "--format", "csv"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == run(["gndt", *FIG3, "--mu", "1/2"], capsys)[1] and out.startswith("mu,")
 
     @pytest.mark.parametrize(
         "argv,code,digest",
@@ -810,6 +852,47 @@ class TestCurveCost:
         assert lengths.count(K) == 1 and set(lengths) <= {K, 2 * K}
 
 
+class TestParseCost:
+    """main reads a well-formed argv against the command's flags and builds no
+    argparse parser; one is built only to print help or a refusal."""
+
+    WELL_FORMED = [
+        ["gndt", *FIG3, "--mu", "1/4", "--exact", "--config", "{config}"],
+        ["sweep-memory", *FIG3, "--mu-grid=0:1/2:1/4", "--out", "{out}"],
+        ["holes", *FIG3, "--mu", "1/4"],
+        ["region", "--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1", "--kind", "symmetric", "--s", "2"],
+        ["verify", "--K", "3", "--N", "2", "--mu", "1/3", "--region-trials", "1", "--inject-fault"],
+        ["finite-snr", "--K", "2", "--sigma", "2", "--alpha", "1/2,1", "--certificates", "1"],
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, original = [], cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return calls
+
+    def test_well_formed_argv_builds_no_parser(self, built, tmp_path, capsys):
+        config, path = tmp_path / "run.json", tmp_path / "table.csv"
+        config.write_text(json.dumps({"format": "json"}))
+        codes = []
+        for argv in self.WELL_FORMED:
+            argv = [a.replace("{config}", str(config)).replace("{out}", str(path)) for a in argv]
+            codes.append(run(argv, capsys)[0])
+        assert codes == [0, 0, 0, 0, 1, 0] and path.read_text().startswith("mu,")
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [["gndt", "--help"], ["gndt", *FIG3, "--mu", "1/4", "--P", "3"]],
+                             ids=["help", "unknown-flag"])
+    def test_help_and_unknown_flag_build_the_parser(self, argv, built, capsys):
+        code, _, _ = refused(argv, capsys)
+        assert code in (0, 2) and built == [1]
+
+
 class TestFormatting:
     def test_inf(self):
         assert cli._fmt(math.inf) == "inf"
@@ -1139,12 +1222,12 @@ class TestParserReuse:
         ["region", "--K", "3", "--sigma", "2", "--alpha", "0.4,0.9,1"],
     ]
 
-    def outputs(self, directory, capsys):
+    def outputs(self, directory, sequence, capsys):
         directory.mkdir()
         config = directory / "run.json"
         config.write_text(json.dumps({"format": "json", "r": "0,0,0,1/10"}))
         results = []
-        for i, argv in enumerate(self.SEQUENCE):
+        for i, argv in enumerate(sequence):
             path = directory / f"{i}.out"
             argv = [a.replace("{out}", str(path)).replace("{config}", str(config)) for a in argv]
             code, out, err = run(argv, capsys)
@@ -1154,14 +1237,14 @@ class TestParserReuse:
     def test_calls_with_and_without_options_match_fresh_parsers(
         self, tmp_path, capsys, monkeypatch
     ):
-        """main keeps one parser; what a call sets (a flag, --out, --format,
-        a config file, --inject-fault, --kind) does not carry over to the
-        next call."""
-        assert cli._parser() is cli._parser()
-        shared = self.outputs(tmp_path / "shared", capsys)
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
-        fresh = self.outputs(tmp_path / "fresh", capsys)
-        assert shared == fresh
-        assert [r[0] for r in shared] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
-        assert shared[2][1] == "" and shared[2][3] == shared[3][1]
-        assert shared[4][1].startswith("[") and shared[5][1] == shared[1][1]
+        """What a call sets (a flag, --out, --format, a config file, --inject-fault,
+        --kind) does not carry over to the next call: the sequence prints the same
+        forwards and backwards, and the same as argparse with a new parser per call."""
+        forward = self.outputs(tmp_path / "forward", self.SEQUENCE, capsys)
+        backward = self.outputs(tmp_path / "backward", self.SEQUENCE[::-1], capsys)
+        monkeypatch.setattr(cli, "_read", lambda argv: None)  # every argv to argparse, which builds its parser
+        fresh = self.outputs(tmp_path / "fresh", self.SEQUENCE, capsys)
+        assert forward == fresh == backward[::-1]
+        assert [r[0] for r in forward] == [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+        assert forward[2][1] == "" and forward[2][3] == forward[3][1]
+        assert forward[4][1].startswith("[") and forward[5][1] == forward[1][1]

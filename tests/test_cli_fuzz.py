@@ -7,6 +7,11 @@ with zero, negative, malformed and out-of-range ones.  Sometimes it also gets
 one flag that only other commands take, and then it must exit 2.  Sizes stay
 small so each call is quick.
 
+The argv reader is checked against argparse on argv mixing a command's own
+flags with other commands' flags, prefixes, `--`, -h, =value forms, switches
+given a value, value flags missing theirs and repeated flags: it either gives
+argparse's Namespace or leaves the argv to argparse, which then refuses it.
+
 The token parser is also checked against `Fraction(str(token))` itself, on
 short tokens over digits, signs, slashes, points, exponents, underscores,
 spaces and a non-ASCII digit.  The integer grid is checked against the
@@ -24,7 +29,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cachecast.cli import _fmt, _parse_fraction, _parse_grid, build_parser, main
+from cachecast.cli import (
+    _COMMANDS, _FLAGS, _command_flags, _fmt, _parse_fraction, _parse_grid, _parsed, _read, build_parser, main,
+)
 
 
 def mostly(valid, invalid):
@@ -153,6 +160,69 @@ def test_exit_code_is_0_1_or_2_without_traceback(drawn):
     # every value flag is drawn with a value, so argparse never finds one missing
     assert "expected one argument" not in err, (argv, err)
     assert code == 2 or not foreign, (argv, code, err)
+
+
+READER_VALUES = st.sampled_from(["1", "-1", "1/2", "0,1", "", "x", "--", "-h", "--help", "--K=3", "a=b"])
+
+
+@st.composite
+def reader_argvs(draw):
+    """A command, then tokens mostly of its own flags, in every form the reader takes or declines."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    own, argv = _command_flags(command), [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(own if draw(st.integers(0, 4)) else sorted(_FLAGS)))
+        form = draw(st.integers(0, 7))
+        if form <= 3:  # the flag, then a value unless it is a switch
+            argv += [flag] if "action" in _FLAGS[flag] else [flag, draw(READER_VALUES)]
+        elif form == 4:
+            argv.append(f"{flag}={draw(READER_VALUES)}")
+        elif form == 5:  # a value flag's value missing, unless a non-flag token follows
+            argv.append(flag)
+        elif form == 6:
+            argv.append(flag[:draw(st.integers(2, len(flag) - 1))])
+        else:
+            argv.append(draw(st.sampled_from(["--", "-h", "--help", "x", "-1"])))
+    return argv
+
+
+def parsed(argv):
+    """argparse's Namespace for argv, or None where it refuses argv or prints help."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return _parsed(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(reader_argvs())
+@example(["gndt", "--K", "3", "--mu=1/2", "--exact", "--K", "4"])  # taken: =value, a switch, a repeat
+@example(["gndt", "--K", "--"])  # taken: argparse reads the value -- as []
+@example([])  # declined: no command, or an unknown one
+@example(["nope", "--K", "3"])
+@example(["gndt", "--help"])  # declined: help
+@example(["gndt", "-h", "--K", "3"])
+@example(["gndt", "--P", "3"])  # declined: another command's flag
+@example(["verify", "--r", "1"])  # declined: a prefix
+@example(["gndt", "--K", "3", "x"])  # declined: a positional
+@example(["gndt", "--", "--K", "3"])  # declined: a bare --
+@example(["gndt", "--exact=1"])  # declined: a switch with =value
+@example(["gndt", "--exact="])
+@example(["gndt", "--K"])  # declined: a value flag with no value
+@example(["gndt", "--mu", "--K", "3"])  # declined: a value flag before a flag
+@example(["gndt", "--mu", "--exact"])
+def test_reader_gives_argparse_namespace_or_declines(argv):
+    """What the reader takes, argparse reads to the same Namespace, but for the command's
+    parser, which only argparse sets, and `--` as a value, which argparse reads as [];
+    what the reader declines, argparse refuses or answers with help."""
+    got, want = _read(argv), parsed(argv)
+    if got is None:
+        assert want is None, argv
+        return
+    assert want is not None, argv
+    expected = {attr: value for attr, value in vars(want).items() if attr != "parser"}
+    assert {attr: [] if value == "--" else value for attr, value in vars(got).items()} == expected, argv
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from cachecast.combinatorics import (
 )
 from cachecast.lp import solve_max
 from cachecast.polytope import Polytope, fix_variables
-from cachecast.regions import _integer_gaps
+from cachecast.regions import _integer_gaps, user_strengths
 from cachecast.tradeoff import SystemConfig, gdof_region_inner, gndt_ub
 
 
@@ -283,10 +283,18 @@ class TestRationalArguments:
          (lambda: SystemConfig(2, 2, "1/0", ALPHA2), "mu must be a rational number, got '1/0'"),
          (lambda: SystemConfig(2, 2, "abc", ALPHA2), "mu must be a rational number, got 'abc'"),
          (lambda: _integer_gaps(ALPHA2, (0, "1/0")), "r_2 must be a rational number, got '1/0'"),
-         (lambda: fix_variables(BOX, {"x": "x"}), "x must be a rational number, got 'x'")],
+         (lambda: fix_variables(BOX, {"x": "x"}), "x must be a rational number, got 'x'"),
+         (lambda: SystemConfig(2, 2, 0, ("1/0", 1)), "alpha_1 must be a rational number, got '1/0'"),
+         (lambda: SystemConfig(2, 2, 0, ("1/2", "abc")), "alpha_2 must be a rational number, got 'abc'"),
+         (lambda: user_strengths(1, ["1/0"]), "alpha_1 must be a rational number, got '1/0'"),
+         (lambda: Polytope(["x"], [(("1/0",), 1)]), "row 1 coefficient 1 must be a rational number, got '1/0'"),
+         (lambda: Polytope(["x", "y"], [((1, 1), 1), ((0, "abc"), 1)]),
+          "row 2 coefficient 2 must be a rational number, got 'abc'"),
+         (lambda: Polytope(["x"], [((1,), "2/0")]), "row 1 rhs must be a rational number, got '2/0'")],
         ids=["mu-above-1", "mu-negative", "r-negative", "envelope-x-past-K", "fixed-negative",
              "zero-denominator", "mu-zero-denominator", "mu-not-a-number", "r-zero-denominator",
-             "fixed-not-a-number"],
+             "fixed-not-a-number", "alpha-zero-denominator", "alpha-not-a-number", "strengths-zero-denominator",
+             "row-coefficient-zero-denominator", "row-coefficient-not-a-number", "row-rhs-zero-denominator"],
     )
     def test_refused_by_name(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -61,7 +61,6 @@ KEPT_STATE = {
     "caching._reconstruction_sources": (
         "verify: the demand tuples of one (K, N, t) repeat each (group, leaders, demand pattern)"
     ),
-    "cli._parser": "every main() call in one process, as the tests and the benchmark's CLI items make them",
     "regions.unicast_name": (
         "the names r_k of every region skeleton and of every gaps check: gndt and sweep-memory per curve, holes "
         "per vertex"
