@@ -42,15 +42,13 @@ Users are 1-based; demand entries are 1-based file indices.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .combinatorics import Group, _checked_int
+from .combinatorics import Group, _Frozen, _checked_int
 
 
 class Bits:
@@ -96,8 +94,7 @@ def _subfile_shape(num_files: int, num_users: int, split_order: int,
     return pieces, file_bits // pieces
 
 
-@dataclass(frozen=True)
-class FileLibrary:
+class FileLibrary(_Frozen):
     """N files of B bits each, split for a K-user cache of order t = K*mu.
 
     The split is positional: subfiles follow the lexicographic order of the
@@ -110,14 +107,15 @@ class FileLibrary:
     as the library, so everything that shares one library shares them.
     """
 
+    _fields = ("num_users", "split_order", "subfile_bits", "subfile_values")
     num_users: int
     split_order: int
     subfile_bits: int
     subfile_values: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        values, size = tuple(map(tuple, self.subfile_values)), self.subfile_bits
-        pieces = _subfile_shape(len(values), self.num_users, self.split_order)[0]
+    def __init__(self, num_users: int, split_order: int, subfile_bits: int, subfile_values):
+        values, size = tuple(map(tuple, subfile_values)), subfile_bits
+        pieces = _subfile_shape(len(values), num_users, split_order)[0]
         _checked_int("subfile size in bits", size, 1)
         for n, file in enumerate(values, 1):
             if len(file) != pieces:
@@ -126,7 +124,8 @@ class FileLibrary:
             for v in file:
                 if type(v) is not int or v < 0 or v.bit_length() > size:
                     raise ValueError(f"file {n} holds {v!r}, not an int in [0, 2**{size})")
-        object.__setattr__(self, "subfile_values", values)
+        self.__dict__.update(num_users=num_users, split_order=split_order, subfile_bits=size,
+                             subfile_values=values)
 
     @property
     def num_files(self) -> int:
@@ -196,16 +195,22 @@ def random_library(
                        [[bits(size) for _ in range(pieces)] for _ in range(num_files)])
 
 
-@dataclass(frozen=True)
-class CacheContents:
+class CacheContents(_Frozen):
     """One user's cache: {t-subset holding the user: the library's subfile int
-    per file}, each `subfile_bits` wide; user k holds W_{n,S} for every S holding k."""
+    per file}, each `subfile_bits` wide; user k holds W_{n,S} for every S holding k.
+    It holds a dict, so it cannot be hashed."""
 
+    _fields = ("user", "num_users", "split_order", "subfile_bits", "by_subset")
     user: int
     num_users: int
     split_order: int
     subfile_bits: int
     by_subset: dict[Group, tuple[int, ...]]
+
+    def __init__(self, user: int, num_users: int, split_order: int, subfile_bits: int,
+                 by_subset: dict[Group, tuple[int, ...]]):
+        self.__dict__.update(user=user, num_users=num_users, split_order=split_order,
+                             subfile_bits=subfile_bits, by_subset=by_subset)
 
     @property
     def stored_bits(self) -> int:
@@ -227,17 +232,6 @@ class CacheContents:
                           for i, other in enumerate(group) if other != self.user)
             plan.append((group, sides))
         return tuple(plan)
-
-    def digest(self) -> str:
-        """Order-independent fingerprint of the cached bits: each subfile is
-        hashed as its bytes, MSB first, the last byte padded with zeros."""
-        w, h = self.subfile_bits, hashlib.sha256()
-        h.update(f"user={self.user}".encode())
-        entries = ((n, s, v) for s, values in self.by_subset.items() for n, v in enumerate(values, 1))
-        for n, subset, value in sorted(entries):
-            h.update(repr((n, subset)).encode())
-            h.update((value << (-w % 8)).to_bytes(-(-w // 8), "big"))
-        return h.hexdigest()
 
 
 def place_caches(library: FileLibrary) -> tuple[CacheContents, ...]:

@@ -397,7 +397,7 @@ _COUNT, _WHOLES = functools.partial(_whole, low=1), functools.partial(_parse_lis
 # the checked strengths every config of the run shares; an empty list is refused as empty, not as K = 0
 _STRENGTHS = functools.partial(_parse_list, check=lambda a: regions.user_strengths(max(len(a), 1), a))
 _GDOFS = functools.partial(_parse_list, check=regions._checked_gdofs)
-_PATH = functools.partial(_kept, test=lambda value: isinstance(value, str), refusal="takes a path")
+_PATH = functools.partial(_kept, test=lambda value: isinstance(value, str) and value != "", refusal="takes a path")
 _SWITCH = functools.partial(_kept, test=lambda value: isinstance(value, bool), refusal="takes true or false")
 
 # every flag of every command: option string -> its check(value, flag), which parses the value

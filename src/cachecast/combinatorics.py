@@ -34,6 +34,37 @@ from .lp import _frac, _integer_row
 Group = tuple[int, ...]
 
 
+class _Frozen:
+    """A value over the attributes `_fields` names, as a frozen dataclass is:
+    equal only to the same class with equal fields, hashed and shown by them,
+    and never reassigned or deleted.  Each subclass's `__init__` checks its
+    arguments and stores the fields in `__dict__`, where `cached_property`
+    also writes."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _checked_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """`value` if it is an int, not a bool, in [low, high]; otherwise a
     ValueError naming it.  `high` needs `low`; either bound may be left out."""

@@ -29,8 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 from .polytope import Polytope
 from .regions import build_region, cumulative_region
@@ -40,8 +39,7 @@ TOL = 1e-9
 GAP_BITS = 2.0
 
 
-@dataclass(frozen=True)
-class RateRegion:
+class RateRegion(NamedTuple):
     """Float row system <coeffs, R> <= rhs over named nonnegative rates, as tuples that compare by value."""
 
     variables: tuple[str, ...]

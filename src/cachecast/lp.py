@@ -32,10 +32,9 @@ maximizer), "unbounded", or "infeasible".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 IntRow = tuple[int, tuple[int, ...]]  # (s, s * values), s > 0 and every entry an integer
 OPTIMAL = "optimal"
@@ -61,8 +60,7 @@ def _integer_row(values: Sequence[Fraction]) -> IntRow:
     return scale, tuple(v.numerator * (scale // k) for v, k in zip(values, dens))
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None

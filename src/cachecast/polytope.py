@@ -42,7 +42,6 @@ region apparatus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -50,17 +49,17 @@ from math import gcd, lcm
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import _checked_fraction, _checked_int
+from .combinatorics import _Frozen, _checked_fraction, _checked_int
 from .lp import INFEASIBLE, OPTIMAL, IntRow, _frac, _integer_row, maximize_scaled, solve_max
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-@dataclass(frozen=True, init=False)
-class Polytope:
+class Polytope(_Frozen):
     """{x >= 0 : <coeffs, x> <= rhs for every row}, all entries rational: the
     (coeffs, rhs) rows checked and coerced by `_checked_fraction`, or `int_rows` trusted."""
 
+    _fields = ("variables", "int_rows")
     variables: tuple[str, ...]
     int_rows: tuple[IntRow, ...]  # (l, l * [coeffs..., rhs]), l the lcm of the denominators
 
@@ -79,8 +78,7 @@ class Polytope:
                                      f"{len(coeffs)} coefficients for {len(vs)} variables")
                 named = [*((f"row {i} coefficient {j}", c) for j, c in enumerate(coeffs, 1)), (f"row {i} rhs", rhs)]
                 int_rows.append(_integer_row([_checked_fraction(*entry) for entry in named]))
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "int_rows", tuple(int_rows))
+        self.__dict__.update(variables=vs, int_rows=tuple(int_rows))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:

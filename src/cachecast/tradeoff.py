@@ -58,12 +58,11 @@ exhausted channel prefix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _checked_fraction, _checked_int, cumulative_group_count, lower_convex_envelope
+from .combinatorics import _Frozen, _checked_fraction, _checked_int, cumulative_group_count, lower_convex_envelope
 from .lp import _frac
 from .polytope import Polytope, _count_row
 from .regions import ZERO, _integer_gaps, cumulative_region, unicast_name, user_strengths
@@ -75,26 +74,27 @@ CONVERSE_FACTOR = Fraction(201, 100)
 # (a sharper 2.00884 is known to hold; the round constant is used throughout)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Frozen):
     """Problem instance in the GDoF limit: K users, N files, cache fraction mu,
     strengths.  The finite-SNR refinement's nominal P is an argument of the
     `finite_snr` builders, not a field here."""
 
+    _fields = ("num_users", "num_files", "mu", "alpha")
     num_users: int
     num_files: int
     mu: Fraction
     alpha: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        _checked_int("file count", self.num_files, 1)  # K is checked by user_strengths below
-        object.__setattr__(self, "mu", _checked_fraction("mu", self.mu, 0, 1))
-        object.__setattr__(self, "alpha", user_strengths(self.num_users, self.alpha))
+    def __init__(self, num_users: int, num_files: int, mu, alpha: Sequence):
+        _checked_int("file count", num_files, 1)  # K is checked by user_strengths below
+        mu = _checked_fraction("mu", mu, 0, 1)
+        alpha = user_strengths(num_users, alpha)
         # _budget, not a field: K*mu in lowest terms as ints (a, b).  mu = p/q is
         # in lowest terms, so a = (K/g) p and b = q/g for g = gcd(K, q)
-        K, mu = self.num_users, self.mu
+        K = num_users
         g = math.gcd(K, mu.denominator)
-        object.__setattr__(self, "_budget", (K // g * mu.numerator, mu.denominator // g))
+        self.__dict__.update(num_users=K, num_files=num_files, mu=mu, alpha=alpha,
+                             _budget=(K // g * mu.numerator, mu.denominator // g))
 
     @property
     def integer_budget(self) -> bool:

@@ -282,10 +282,9 @@ MUTANTS = (
     ),
     Mutant(
         "polytope-is-mutable", POLYTOPE,
-        "@dataclass(frozen=True, init=False)",
-        "@dataclass(init=False)",
-        "a region's variables and rows can be reassigned after its cached Fraction view is built, "
-        "and a region can no longer be hashed",
+        '    _fields = ("variables", "int_rows")',
+        '    _fields, __setattr__ = ("variables", "int_rows"), object.__setattr__',
+        "a region's variables and rows can be reassigned after its cached Fraction view is built",
         ("tests/test_polytope.py::test_a_polytope_is_a_frozen_value",),
     ),
     Mutant(
@@ -706,10 +705,18 @@ MUTANTS = (
     ),
     Mutant(
         "lp-result-is-mutable", LP,
-        "@dataclass(frozen=True)\nclass LpResult:",
-        "@dataclass\nclass LpResult:",
+        "class LpResult(NamedTuple):",
+        "@__import__('dataclasses').dataclass\nclass LpResult:",
         "a result's fields can be reassigned after it is returned, and a result can no longer be hashed",
         ("tests/test_lp.py::test_a_result_is_a_frozen_value",),
+    ),
+    Mutant(
+        "frozen-equality-skips-the-first-field", COMBINATORICS,
+        "return self._values() == other._values()",
+        "return self._values()[1:] == other._values()[1:]",
+        "two regions over differently named variables, or two caches of different users, compare "
+        "equal when their other fields agree",
+        ("tests/test_combinatorics.py::test_a_value_class_is_a_frozen_value[Polytope]",),
     ),
     Mutant(
         "checked-fraction-drops-its-upper-bound", COMBINATORICS,
@@ -878,13 +885,6 @@ MUTANTS = (
         "y = [0] * n",
         "y = [1] * n",
         "back substitution writes each y[i] before any later row reads it",
-        EQUIVALENT,
-    ),
-    Mutant(
-        "polytope-dataclass-asks-for-an-init", POLYTOPE,
-        "@dataclass(frozen=True, init=False)",
-        "@dataclass(frozen=True, init=True)",
-        "dataclass never replaces an __init__ that the class body defines",
         EQUIVALENT,
     ),
     Mutant(

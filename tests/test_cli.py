@@ -416,12 +416,13 @@ class TestConfigKeys:
             ("gndt", {"exact": "yes"}, "--exact takes true or false, got 'yes'"),
             ("region", {"kind": "half"}, "--kind must be one of full, symmetric, missing, two-multicast"),
             ("gndt", {"out": 0.5}, "--out takes a path, got 0.5"),
+            ("gndt", {"out": ""}, "--out takes a path, got ''"),
             ("gndt", {"config": 1e5}, "--config takes a path, got 100000.0"),
             ("gndt", {"exact": 1.0}, "--exact takes true or false, got 1.0"),
             ("gndt", {"format": 0.30000000000000001}, "--format must be one of csv, json, got 0.3"),
         ],
         ids=["misspelt", "unknown-holes", "int-text", "int-float", "int-bool", "int-list",
-             "choice", "switch", "kind", "out-number", "config-number", "switch-number", "choice-number"],
+             "choice", "switch", "kind", "out-number", "out-empty", "config-number", "switch-number", "choice-number"],
     )
     def test_bad_key_or_value_is_usage_error(self, command, stored, message, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -677,6 +678,12 @@ class TestShapeAndCountErrors:
         code, out, err = run(["gndt", *FIG3, "--mu", "1/4", "--config", str(missing)], capsys)
         assert code == 2
         assert f"cannot read --config {missing}" in err and out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_empty_path_is_usage_error(self, flag, capsys):
+        """An empty path names no file: it is refused, not read as no path given."""
+        argv = ["gndt", "--K", "2", "--N", "2", "--alpha", "1/2,1", "--mu", "1/2", flag, ""]
+        assert run(argv, capsys) == (2, "", f"error: {flag} takes a path, got ''\n")
 
     def test_config_file_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         config, out_file = tmp_path / "config.json", tmp_path / "out"

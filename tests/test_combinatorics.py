@@ -15,7 +15,9 @@ from cachecast.combinatorics import (
     lower_convex_envelope,
     multicast_load_sequence,
 )
-from cachecast.lp import solve_max
+from cachecast.caching import CacheContents, FileLibrary
+from cachecast.finite_snr import RateRegion
+from cachecast.lp import OPTIMAL, UNBOUNDED, LpResult, solve_max
 from cachecast.polytope import Polytope, fix_variables
 from cachecast.regions import _integer_gaps, user_strengths
 from cachecast.tradeoff import SystemConfig, gdof_region_inner, gndt_ub
@@ -351,3 +353,57 @@ class TestConvexityLemma:
         for K in range(2, 41):
             for m in range(1, K + 1):
                 assert oracle.is_convex_sequence(multicast_load_sequence(K, m)), (K, m)
+
+
+ALPHA3 = (F(1, 3), F(2, 3), 1)
+# class, positional arguments, keyword arguments building the same value, a
+# different value for each field that can change alone, the cached properties
+VALUE_CLASSES = [
+    (LpResult, (OPTIMAL, F(2), (F(2),)), {"status": OPTIMAL, "value": F(2), "point": (F(2),)},
+     {"status": UNBOUNDED, "value": F(3), "point": (F(3),)}, ()),
+    (RateRegion, (("R1", "R2"), ((1.0, 0.0),), (1.0,)),
+     {"variables": ("R1", "R2"), "coeffs": ((1.0, 0.0),), "rhs": (1.0,)},
+     {"variables": ("R2", "R1"), "coeffs": ((0.0, 1.0),), "rhs": (2.0,)}, ()),
+    (Polytope, (("x", "y"), [((1, 0), 1), ((0, F(1, 2)), 1)]),
+     {"variables": ("x", "y"), "int_rows": ((1, (1, 0, 1)), (2, (0, 1, 2)))},
+     {"variables": ("y", "x"), "int_rows": ((1, (1, 0, 1)),)}, ("rows",)),
+    # K fixes the length of alpha, so num_users cannot change alone
+    (SystemConfig, (3, 3, F(1, 3), ALPHA3), {"num_users": 3, "num_files": 3, "mu": "1/3", "alpha": ALPHA3},
+     {"num_files": 2, "mu": F(2, 3), "alpha": (F(1, 2), F(2, 3), 1)}, ("_chord",)),
+    # t = 0 cuts each file into C(K, 0) = 1 subfile for every K
+    (FileLibrary, (2, 0, 8, [[1], [2]]),
+     {"num_users": 2, "split_order": 0, "subfile_bits": 8, "subfile_values": ((1,), (2,))},
+     {"num_users": 3, "split_order": 2, "subfile_bits": 9, "subfile_values": ((1,), (3,))},
+     ("file_bits", "_by_subset", "caches", "_sent_plans")),
+    (CacheContents, (1, 2, 1, 8, {(1,): (5, 6)}),
+     {"user": 1, "num_users": 2, "split_order": 1, "subfile_bits": 8, "by_subset": {(1,): (5, 6)}},
+     {"user": 2, "num_users": 3, "split_order": 0, "subfile_bits": 9, "by_subset": {(1,): (5, 7)}},
+     ("_decode_plan",)),
+]
+
+
+@pytest.mark.parametrize("cls,args,kwargs,changes,cached", [pytest.param(*c, id=c[0].__name__) for c in VALUE_CLASSES])
+def test_a_value_class_is_a_frozen_value(cls, args, kwargs, changes, cached):
+    """Built by position or keyword, a value equals, hashes and shows as its
+    fields, refuses every assignment and deletion, and computes each cached
+    property once."""
+    value, twin = cls(*args), cls(**kwargs)
+    assert value == twin and not value != twin and value.__eq__(object()) is NotImplemented
+    for name, other in changes.items():  # equality reads every field
+        assert cls(**{**kwargs, name: other}) != value, name
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls._fields)
+    assert repr(value) == f"{cls.__name__}({shown})"
+    if cls is CacheContents:  # it holds a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == getattr(twin, name), name
+    for name in cached:
+        first = getattr(value, name)
+        assert getattr(value, name) is first and vars(value)[name] is first, name
